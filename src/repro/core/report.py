@@ -33,7 +33,8 @@ def _format_cell(value) -> str:
 
 
 def render_text(report: RunReport, per_transaction: bool = False) -> str:
-    """Aligned plain-text report."""
+    """Aligned plain-text report: ``summary_text`` (which owns every counter
+    section) plus the per-transaction latencies and node utilisation."""
     lines = [report.summary_text()]
     if per_transaction and report.per_transaction:
         lines.append("  per-transaction latency (ms):")
@@ -50,65 +51,6 @@ def render_text(report: RunReport, per_transaction: bool = False) -> str:
                           for group, value in
                           sorted(report.utilisation.items()))
         lines.append(f"  utilisation: {cells}")
-    if report.vectorized_statements or report.segments_pruned:
-        lines.append(
-            f"  vectorized: statements={report.vectorized_statements} "
-            f"batches={report.batches_scanned} "
-            f"segments_pruned={report.segments_pruned} "
-            f"segments_encoded={report.segments_encoded} "
-            f"runs_skipped={report.runs_skipped}"
-        )
-    if report.encoding and report.encoding.get("segments_encoded"):
-        encoding = report.encoding
-        lines.append(
-            f"  encoding: segments={encoding['segments_encoded']}"
-            f"/{encoding['segments_total']} "
-            f"bytes_saved={encoding['bytes_saved']} "
-            f"compression={encoding['compression_ratio']:.2f}x"
-        )
-    if report.segments_merged or report.sort_elided \
-            or report.delta_rows_pending or report.groups_coded:
-        lines.append(
-            f"  delta-main: segments_merged={report.segments_merged} "
-            f"delta_rows_pending={report.delta_rows_pending} "
-            f"sort_elided={report.sort_elided} "
-            f"groups_coded={report.groups_coded}"
-        )
-    if report.join_code_probes or report.groups_global_coded \
-            or report.dict_remaps:
-        lines.append(
-            f"  shared dicts: join_code_probes={report.join_code_probes} "
-            f"groups_global_coded={report.groups_global_coded} "
-            f"dict_remaps={report.dict_remaps}"
-        )
-    if report.plan_cache_hits or report.plan_cache_misses:
-        lines.append(
-            f"  plan cache: hits={report.plan_cache_hits} "
-            f"misses={report.plan_cache_misses} "
-            f"evictions={report.plan_cache_evictions} "
-            f"contention={report.plan_cache_contention}"
-        )
-    if report.pool_workers or report.bg_compactions:
-        lines.append(
-            f"  pool: workers={report.pool_workers} "
-            f"gather_wait_ms={report.gather_wait_ms:.1f} "
-            f"bg_compactions={report.bg_compactions}"
-        )
-    if report.faults_injected or report.faults_recovered \
-            or report.degraded_statements:
-        lines.append(
-            f"  faults: injected={report.faults_injected} "
-            f"recovered={report.faults_recovered} "
-            f"degraded_statements={report.degraded_statements}"
-        )
-    if report.sketches_built or report.sketches_hit \
-            or report.sketch_invalidations:
-        lines.append(
-            f"  sketches: built={report.sketches_built} "
-            f"hit={report.sketches_hit} "
-            f"rows_elided={report.sketch_rows_elided} "
-            f"invalidations={report.sketch_invalidations}"
-        )
     return "\n".join(lines)
 
 

@@ -97,7 +97,7 @@ class ExecContext:
             cached = self._subquery_cache.get(key)
             if cached is None:
                 self.stats.subqueries += 1
-                cached = list(subplan.root.execute(self))
+                cached = subplan.root.rows(self)
                 self._subquery_cache[key] = cached
         return cached
 
@@ -168,7 +168,7 @@ class Executor:
             root = plan.vectorized_root
             ctx.stats.vectorized = True
             ctx.stats.vectorized_statements = 1
-        rows = list(root.execute(ctx))
+        rows = root.rows(ctx)
         ctx.stats.rows_returned = len(rows)
         return Result(plan.columns, rows, ctx.stats)
 

@@ -102,6 +102,23 @@ def _null_safe_binop(op: str):
     raise ExecutionError(f"unknown binary operator {op!r}")
 
 
+def column_fn(position: int):
+    """``fn(row, ctx) -> row[position]``, tagged with its ``position`` so a
+    batch operator can slice the column instead of calling per row."""
+    def column(row, ctx):
+        return row[position]
+    column.position = position
+    return column
+
+
+def eval_column(fn, rows: list, ctx) -> list:
+    """``fn`` over a batch of rows: one slice for a plain column."""
+    position = getattr(fn, "position", None)
+    if position is None:
+        return [fn(row, ctx) for row in rows]
+    return [row[position] for row in rows]
+
+
 def compile_expr(expr: ast.Expr, schema: Schema, plan_subquery=None):
     """Compile ``expr`` to ``fn(row, ctx) -> value``.
 
@@ -125,8 +142,7 @@ def compile_expr(expr: ast.Expr, schema: Schema, plan_subquery=None):
         return read_param
 
     if isinstance(expr, ast.ColumnRef):
-        pos = schema.resolve(expr.table, expr.name)
-        return lambda row, ctx: row[pos]
+        return column_fn(schema.resolve(expr.table, expr.name))
 
     if isinstance(expr, ast.BinaryOp):
         if expr.op == "AND":

@@ -22,13 +22,19 @@ partitions from pushed partition-key equality predicates.
 Joins become hash joins whenever an equi-join key is available, otherwise
 nested loops.  Single-table predicates are pushed to the scans (and
 re-applied there, which also re-validates possibly-stale index entries).
+
+Operators speak the two-way protocol of ``repro.sql.plannode``: the full
+scan, filters, projections, hash joins, aggregates and sorts are written
+batch-at-a-time (``BatchNode``), so a draining statement moves lists of
+rows from the MVCC store to the pipeline breakers; the lazy consumers
+(``Limit``, nested-loop and index joins) still pull row by row.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import chain, groupby
 
 from repro.catalog.schema import Catalog, Table
 from repro.errors import BindError, PlanError
@@ -36,11 +42,20 @@ from repro.sql import ast
 from repro.sql.expressions import (
     Schema,
     collect_column_refs,
+    column_fn,
     compile_expr,
+    eval_column,
     expr_display_name,
 )
 from repro.sql.functions import make_accumulator
 from repro.sql.ordering import canonical_row_key, canonical_value_key, sort_key
+from repro.sql.plannode import (
+    BATCH_ROWS,
+    BatchNode,
+    PlanNode,
+    batched,
+    chunked,
+)
 from repro.sql.vectorized import (
     BatchAggregate,
     BatchRows,
@@ -58,19 +73,6 @@ from repro.sql.vectorized import (
 # plan nodes
 # ---------------------------------------------------------------------------
 
-class PlanNode:
-    """Base plan operator: ``schema`` describes output rows; ``execute(ctx)``
-    yields tuples."""
-
-    schema: Schema
-
-    def execute(self, ctx):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def children(self) -> list["PlanNode"]:
-        return []
-
-
 class DualScan(PlanNode):
     """Single empty row — SELECT without FROM."""
 
@@ -81,34 +83,41 @@ class DualScan(PlanNode):
         yield ()
 
 
-class SeqScan(PlanNode):
+class SeqScan(BatchNode):
     """Full-table scan; routed to the columnar replica when the execution
-    context says so (analytical routing), otherwise the MVCC row store."""
+    context says so (analytical routing), otherwise the MVCC row store,
+    whose snapshot scan hands its row batches straight through."""
 
     def __init__(self, table: Table, binding: str):
         self.table = table
         self.binding = binding
         self.schema = Schema([(binding, col) for col in table.column_names])
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         name = self.table.name
         ctx.stats.full_scans[name] += 1
-        if ctx.wants_columnar(name):
+        columnar = ctx.wants_columnar(name)
+        if columnar:
             ctx.stats.used_columnar = True
             ctx.stats.partitions_scanned += \
                 ctx.columnar.partitions if ctx.columnar is not None else 1
-            count = 0
-            for _pk, values in ctx.columnar.table(name).scan():
-                count += 1
-                yield values
-            ctx.stats.rows_columnar[name] += count
+            batches = batched(
+                (values for _pk, values in ctx.columnar.table(name).scan()),
+                size)
         else:
             ctx.stats.partitions_scanned += ctx.partition_count
-            count = 0
-            for _pk, values in ctx.txn.scan(name):
-                count += 1
-                yield values
-            ctx.stats.rows_row_store[name] += count
+            batches = (rows for _pks, rows in ctx.txn.scan_batches(name, size))
+        count = 0
+        try:
+            for batch in batches:
+                count += len(batch)
+                yield batch
+        finally:
+            # also reached when a lazy consumer closes the scan early: the
+            # rows it did pull are charged
+            counter = ctx.stats.rows_columnar if columnar \
+                else ctx.stats.rows_row_store
+            counter[name] += count
 
 
 class PKLookup(PlanNode):
@@ -148,11 +157,14 @@ class PKPrefixScan(PlanNode):
         ctx.stats.partitions_scanned += 1
         ctx.stats.partitions_pruned += ctx.partition_count - 1
         count = 0
-        for _pk, values in ctx.txn.pk_prefix_scan(self.table.name, prefix):
-            count += 1
-            yield values
-        ctx.stats.rows_row_store[self.table.name] += count
-        ctx.stats.rows_row_prefix[self.table.name] += count
+        try:
+            for _pk, values in ctx.txn.pk_prefix_scan(self.table.name,
+                                                      prefix):
+                count += 1
+                yield values
+        finally:
+            ctx.stats.rows_row_store[self.table.name] += count
+            ctx.stats.rows_row_prefix[self.table.name] += count
 
 
 class IndexScan(PlanNode):
@@ -185,53 +197,62 @@ class IndexScan(PlanNode):
             pks = set(idx.lookup(key))
         count = 0
         seen_local = set()
-        for pk, values in ctx.txn.local_rows(name):
-            seen_local.add(pk)
-            if values is not None:
-                count += 1
-                yield values
-        for pk in pks:
-            if pk in seen_local:
-                continue
-            values = ctx.txn.get(name, pk)
-            if values is not None:
-                count += 1
-                yield values
-        ctx.stats.rows_row_store[name] += count
+        try:
+            for pk, values in ctx.txn.local_rows(name):
+                seen_local.add(pk)
+                if values is not None:
+                    count += 1
+                    yield values
+            for pk in pks:
+                if pk in seen_local:
+                    continue
+                values = ctx.txn.get(name, pk)
+                if values is not None:
+                    count += 1
+                    yield values
+        finally:
+            ctx.stats.rows_row_store[name] += count
 
 
-class Filter(PlanNode):
+class Filter(BatchNode):
     def __init__(self, child: PlanNode, predicate):
         self.child = child
         self.predicate = predicate
         self.schema = child.schema
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         predicate = self.predicate
-        for row in self.child.execute(ctx):
-            if predicate(row, ctx):
-                yield row
+        for batch in self.child.execute_batches(ctx, size):
+            kept = [row for row in batch if predicate(row, ctx)]
+            if kept:
+                yield kept
 
     def children(self):
         return [self.child]
 
 
-class Project(PlanNode):
+class Project(BatchNode):
     def __init__(self, child: PlanNode, fns, names: list[str]):
         self.child = child
         self.fns = fns
         self.schema = Schema([(None, name) for name in names])
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         fns = self.fns
-        for row in self.child.execute(ctx):
-            yield tuple(fn(row, ctx) for fn in fns)
+        for batch in self.child.execute_batches(ctx, size):
+            # column-at-a-time, re-cut into rows by one C-level zip
+            yield list(zip(*[eval_column(fn, batch, ctx) for fn in fns]))
 
     def children(self):
         return [self.child]
 
 
-class HashJoin(PlanNode):
+def _key_tuples(fns, rows: list, ctx):
+    """Per-row key tuples of a batch, evaluated column-at-a-time."""
+    return zip(*[eval_column(fn, rows, ctx) for fn in fns])
+
+
+class HashJoin(BatchNode):
     """Equi-join; builds on the right input, probes from the left."""
 
     def __init__(self, left: PlanNode, right: PlanNode, left_fns, right_fns,
@@ -243,25 +264,27 @@ class HashJoin(PlanNode):
         self.kind = kind
         self.schema = left.schema + right.schema
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         ctx.stats.join_ops += 1
         build: dict = {}
-        right_width = len(self.right.schema)
-        for row in self.right.execute(ctx):
-            key = tuple(fn(row, ctx) for fn in self.right_fns)
-            build.setdefault(key, []).append(row)
-        null_row = (None,) * right_width
+        for batch in self.right.execute_batches(ctx):
+            for key, row in zip(_key_tuples(self.right_fns, batch, ctx),
+                                batch):
+                build.setdefault(key, []).append(row)
+        null_row = (None,) * len(self.right.schema)
+        left_outer = self.kind == "LEFT"
         emitted = 0
-        for row in self.left.execute(ctx):
-            key = tuple(fn(row, ctx) for fn in self.left_fns)
-            matches = build.get(key)
-            if matches:
-                for match in matches:
-                    emitted += 1
-                    yield row + match
-            elif self.kind == "LEFT":
-                emitted += 1
-                yield row + null_row
+        for batch in self.left.execute_batches(ctx, size):
+            joined = []
+            for key, row in zip(_key_tuples(self.left_fns, batch, ctx),
+                                batch):
+                matches = build.get(key)
+                if matches:
+                    joined += [row + match for match in matches]
+                elif left_outer:
+                    joined.append(row + null_row)
+            emitted += len(joined)
+            yield from chunked(joined, size)
         ctx.stats.rows_joined += emitted
 
     def children(self):
@@ -281,7 +304,7 @@ class NestedLoopJoin(PlanNode):
 
     def execute(self, ctx):
         ctx.stats.join_ops += 1
-        right_rows = list(self.right.execute(ctx))
+        right_rows = self.right.rows(ctx)
         null_row = (None,) * len(self.right.schema)
         condition = self.condition
         emitted = 0
@@ -403,8 +426,23 @@ class AggSpec:
     distinct: bool
 
 
-class Aggregate(PlanNode):
-    """Hash aggregation: group keys then one accumulator set per group."""
+# a group with fewer rows than this in one batch folds them by per-value
+# ``add``: below it ``add_many``'s fixed cost (gathering the slice, probing
+# it for encoded-column shortcuts) exceeds what its inlined loop saves —
+# measured break-even 4-5 values for COUNT/SUM/AVG.  High-cardinality
+# group-bys (about one row per group per batch) live on this side.
+_FOLD_MIN_ROWS = 4
+
+
+class Aggregate(BatchNode):
+    """Hash aggregation: group keys then one accumulator set per group.
+
+    Each input batch is cut into argument columns once; every group then
+    folds its slice of each column through the accumulator's ``add_many``
+    (bit-identical to per-value ``add``, which tiny slices still use), the
+    global aggregate the whole column.  Groups are created in
+    first-appearance order.
+    """
 
     def __init__(self, child: PlanNode, group_fns, agg_specs: list[AggSpec]):
         self.child = child
@@ -414,39 +452,59 @@ class Aggregate(PlanNode):
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
 
-    def execute(self, ctx):
+    def _make_accs(self) -> list:
+        return [make_accumulator(s.name, s.arg_fn is None, s.distinct)
+                for s in self.agg_specs]
+
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         groups: dict = {}
         group_fns = self.group_fns
         specs = self.agg_specs
         rows = 0
-        for row in self.child.execute(ctx):
-            rows += 1
-            key = tuple(fn(row, ctx) for fn in group_fns)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [
-                    make_accumulator(s.name, s.arg_fn is None, s.distinct)
-                    for s in specs
-                ]
-                groups[key] = accs
-            for spec, acc in zip(specs, accs):
-                acc.add(1 if spec.arg_fn is None else spec.arg_fn(row, ctx))
+        for batch in self.child.execute_batches(ctx):
+            n = len(batch)
+            rows += n
+            arg_cols = [[1] * n if spec.arg_fn is None
+                        else eval_column(spec.arg_fn, batch, ctx)
+                        for spec in specs]
+            # group key -> row indices within this batch (None = all rows)
+            members: dict = {}
+            if group_fns:
+                for i, key in enumerate(_key_tuples(group_fns, batch, ctx)):
+                    picks = members.get(key)
+                    if picks is None:
+                        members[key] = [i]
+                    else:
+                        picks.append(i)
+            else:
+                members[()] = None
+            for key, picks in members.items():
+                accs = groups.get(key)
+                if accs is None:
+                    accs = groups[key] = self._make_accs()
+                if picks is None:
+                    for acc, col in zip(accs, arg_cols):
+                        acc.add_many(col)
+                elif len(picks) < _FOLD_MIN_ROWS:
+                    for i in picks:
+                        for acc, col in zip(accs, arg_cols):
+                            acc.add(col[i])
+                else:
+                    for acc, col in zip(accs, arg_cols):
+                        acc.add_many([col[i] for i in picks])
         ctx.stats.agg_input_rows += rows
         if not groups and not group_fns:
             # global aggregate over an empty input still yields one row
-            groups[()] = [
-                make_accumulator(s.name, s.arg_fn is None, s.distinct)
-                for s in specs
-            ]
+            groups[()] = self._make_accs()
         ctx.stats.groups += len(groups)
-        for key, accs in groups.items():
-            yield key + tuple(acc.result() for acc in accs)
+        yield from chunked([key + tuple(acc.result() for acc in accs)
+                            for key, accs in groups.items()], size)
 
     def children(self):
         return [self.child]
 
 
-class Sort(PlanNode):
+class Sort(BatchNode):
     """Materialising sort; multi-key with per-key direction.
 
     Ties are broken by the canonical whole-row order, so the output is a
@@ -463,8 +521,8 @@ class Sort(PlanNode):
         self.key_specs = key_specs
         self.schema = child.schema
 
-    def execute(self, ctx):
-        rows = list(self.child.execute(ctx))
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        rows = self.child.rows(ctx)
         ctx.stats.sort_rows += len(rows)
         # canonical tiebreak first, then stable sorts from the
         # least-significant key backwards
@@ -474,7 +532,7 @@ class Sort(PlanNode):
                 key=lambda row: _sort_key(fn(row, ctx)),
                 reverse=descending,
             )
-        yield from rows
+        yield from chunked(rows, size)
 
     def children(self):
         return [self.child]
@@ -516,7 +574,7 @@ class _TopNKey:
         return self.tie < other.tie
 
 
-class TopN(PlanNode):
+class TopN(BatchNode):
     """Fused ORDER BY ... LIMIT k: a bounded heap instead of materialising
     and fully sorting the input.  The key carries the same canonical
     whole-row tiebreak as ``Sort``, so the output is exactly ``Sort``
@@ -529,7 +587,7 @@ class TopN(PlanNode):
         self.limit = limit
         self.schema = child.schema
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         if self.limit <= 0:
             return  # like Limit(0): the input is never consumed
         fns = tuple(fn for fn, _ in self.key_specs)
@@ -538,18 +596,18 @@ class TopN(PlanNode):
 
         def counted():
             nonlocal count
-            for row in self.child.execute(ctx):
-                count += 1
-                yield row
+            for batch in self.child.execute_batches(ctx):
+                count += len(batch)
+                yield batch
 
         top = heapq.nsmallest(
-            self.limit, counted(),
+            self.limit, chain.from_iterable(counted()),
             key=lambda row: _TopNKey(
                 tuple(_sort_key(fn(row, ctx)) for fn in fns), descs,
                 _canonical_row_key(row)),
         )
         ctx.stats.sort_rows += count
-        yield from top
+        yield from chunked(top, size)
 
     def children(self):
         return [self.child]
@@ -658,17 +716,21 @@ class Limit(PlanNode):
         return [self.child]
 
 
-class Distinct(PlanNode):
+class Distinct(BatchNode):
     def __init__(self, child: PlanNode):
         self.child = child
         self.schema = child.schema
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         seen = set()
-        for row in self.child.execute(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
+        for batch in self.child.execute_batches(ctx, size):
+            fresh = []
+            for row in batch:
+                if row not in seen:
+                    seen.add(row)
+                    fresh.append(row)
+            if fresh:
+                yield fresh
 
     def children(self):
         return [self.child]
@@ -1028,7 +1090,7 @@ class Planner:
         if spec.hidden:
             node = Project(
                 node,
-                [self._position_fn(i) for i in range(len(spec.names))],
+                [column_fn(i) for i in range(len(spec.names))],
                 spec.names,
             )
         return node
@@ -1086,7 +1148,7 @@ class Planner:
                 )
             node = Distinct(node)
 
-        key_specs = [(self._position_fn(position), desc)
+        key_specs = [(column_fn(position), desc)
                      for position, desc in spec.key_positions]
         fused_limit = bool(key_specs) and select.limit is not None
         if fused_limit:
@@ -1096,16 +1158,12 @@ class Planner:
         if spec.hidden:
             node = Project(
                 node,
-                [self._position_fn(i) for i in range(len(spec.names))],
+                [column_fn(i) for i in range(len(spec.names))],
                 spec.names,
             )
         if select.limit is not None and not fused_limit:
             node = Limit(node, select.limit)
         return node
-
-    @staticmethod
-    def _position_fn(position: int):
-        return lambda row, ctx, _p=position: row[_p]
 
     # -- FROM clause / joins ----------------------------------------------------
 

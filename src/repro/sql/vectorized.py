@@ -13,8 +13,8 @@ Two operator families:
 * **batch operators** (``execute_batches(ctx) -> Iterator[Batch]``):
   ``VColumnarScan`` (with zone-map segment pruning), ``VFilter`` (selection
   vectors), ``VProject``, ``VHashJoin``;
-* **bridge operators** (row-compatible ``execute(ctx)`` so the planner can
-  stack the ordinary Sort/TopN/Limit/Distinct presentation on top):
+* **bridge operators** (row ``PlanNode``s, so the planner can stack the
+  ordinary Sort/TopN/Limit/Distinct presentation on top):
   ``BatchAggregate`` (batch-build hash aggregation) and ``BatchRows``.
 
 Both executors must return *identical* results — the parity tests compare
@@ -31,6 +31,7 @@ from repro.sql import ast
 from repro.sql.expressions import Schema, _null_safe_binop, compile_expr
 from repro.sql.functions import SCALARS, like_to_predicate, make_accumulator
 from repro.sql.ordering import canonical_value_key
+from repro.sql.plannode import PlanNode
 from repro.sql.result import Batch, SegmentBatch
 from repro.storage.columnstore import (
     DictColumn,
@@ -1474,7 +1475,7 @@ class VHashJoin(VectorNode):
 # bridges back to the row pipeline (presentation operators stack on top)
 # ---------------------------------------------------------------------------
 
-class BatchRows:
+class BatchRows(PlanNode):
     """Row-pipeline adapter: flattens batches back into row tuples."""
 
     def __init__(self, child: VectorNode):
@@ -1519,7 +1520,7 @@ class BatchRows:
         return [self.child]
 
 
-class BatchAggregate:
+class BatchAggregate(PlanNode):
     """Hash aggregation consuming batches, emitting one row per group.
 
     The schema mirrors the row pipeline's ``Aggregate`` (``__G*``/``__A*``),

@@ -13,6 +13,10 @@ index shards, and the WAL is one stream per partition.  Primary-key access
 routes to exactly one shard; full scans preserve the database-global row
 arrival order (via a placement map), so query results are independent of
 the partition count.
+
+Full scans are **batch-at-a-time**: ``scan_batches`` walks the version
+chains directly and hands out parallel ``(pks, rows)`` lists, so the row
+pipeline above pays per-batch — not per-row — generator hops.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from repro.storage.partition import PartitionMap
 from repro.storage.wal import LogOp, WriteAheadLog
 
 INF_TS = float("inf")
+
+# rows per full-scan batch: large enough that per-batch overhead vanishes,
+# small enough that a batch of row pointers stays cache- and memory-cheap
+SCAN_BATCH_ROWS = 2048
 
 
 class RowVersion:
@@ -45,6 +53,50 @@ class RowVersion:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"RowVersion([{self.begin_ts},{self.end_ts}) {self.values})"
+
+
+def _visible_values(chain: list[RowVersion], ts: int) -> tuple | None:
+    """Values of the version of ``chain`` visible at ``ts`` (None when the
+    row is absent or deleted in that snapshot)."""
+    for version in reversed(chain):
+        if version.visible_at(ts):
+            return version.values
+        if version.end_ts <= ts:
+            # chains are begin_ts-ordered; nothing earlier can be visible
+            return None
+    return None
+
+
+def _scan_chain_batches(chains: dict[tuple, list[RowVersion]], ts: int,
+                        size: int) -> Iterator[tuple[list, list]]:
+    """Snapshot scan over ``chains`` in dict order, ``size`` rows at a time.
+
+    Yields parallel ``(pks, rows)`` lists of the rows visible at ``ts``.
+    The newest version is tested inline — it is the visible one for every
+    row not rewritten since the snapshot, and its ``end_ts`` is open by
+    construction — and the chain is walked only when that fails.
+    """
+    pks: list = []
+    rows: list = []
+    for pk, chain in chains.items():
+        newest = chain[-1]
+        values = newest.values if newest.begin_ts <= ts \
+            else _visible_values(chain, ts)
+        if values is not None:
+            pks.append(pk)
+            rows.append(values)
+            if len(rows) >= size:
+                yield pks, rows
+                pks = []
+                rows = []
+    if rows:
+        yield pks, rows
+
+
+def iter_pairs(batches) -> Iterator[tuple[tuple, tuple]]:
+    """``(pk, values)`` pairs of a stream of ``(pks, rows)`` batches."""
+    for pks, rows in batches:
+        yield from zip(pks, rows)
 
 
 class TableStore:
@@ -92,30 +144,21 @@ class TableStore:
     def get(self, pk: tuple, ts: int) -> tuple | None:
         """Latest version of ``pk`` visible at ``ts`` (None if absent/deleted)."""
         chain = self._chains.get(pk)
-        if chain is None:
-            return None
-        for version in reversed(chain):
-            if version.visible_at(ts):
-                return version.values
-            if version.end_ts <= ts:
-                # chains are begin_ts-ordered; nothing earlier can be visible
-                return None
-        return None
+        return None if chain is None else _visible_values(chain, ts)
 
     def latest_committed(self, pk: tuple) -> RowVersion | None:
         chain = self._chains.get(pk)
         return chain[-1] if chain else None
 
+    def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
+                     ) -> Iterator[tuple[list, list]]:
+        """Parallel ``(pks, rows)`` lists of the rows visible at ``ts``, in
+        first-install order, at most ``size`` rows per batch."""
+        return _scan_chain_batches(self._chains, ts, size)
+
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
         """Yield ``(pk, values)`` for every row visible at ``ts``."""
-        for pk, chain in self._chains.items():
-            for version in reversed(chain):
-                if version.visible_at(ts):
-                    if version.values is not None:
-                        yield pk, version.values
-                    break
-                if version.end_ts <= ts:
-                    break
+        return iter_pairs(self.scan_batches(ts))
 
     def pk_lookup(self, pk: tuple, ts: int) -> tuple | None:
         return self.get(pk, ts)
@@ -184,16 +227,14 @@ class TableStore:
         """Drop versions invisible to every snapshot at or after ``watermark_ts``.
 
         Returns the number of versions reclaimed.  Chains keep at least the
-        newest version so reads stay correct.
+        newest version so reads stay correct, and are trimmed *in place*:
+        a partitioned table's placement map aliases the chain lists.
         """
         reclaimed = 0
-        for pk in list(self._chains):
-            chain = self._chains[pk]
+        for chain in self._chains.values():
             keep = [v for v in chain if v.end_ts > watermark_ts]
-            if not keep:
-                keep = [chain[-1]]
             reclaimed += len(chain) - len(keep)
-            self._chains[pk] = keep
+            chain[:] = keep
         return reclaimed
 
 
@@ -243,7 +284,7 @@ class PartitionedTableStore:
     """One table as hash-partitioned ``TableStore`` shards.
 
     Exposes the same interface as ``TableStore`` so transactions and plan
-    operators are agnostic of the partition count.  ``scan`` iterates a
+    operators are agnostic of the partition count.  Scans iterate a
     placement map kept in global first-install order, which makes full-scan
     row order identical to the single-partition layout — partitioning
     redistributes data, it must never change query results.
@@ -253,8 +294,9 @@ class PartitionedTableStore:
         self.table = table
         self.pmap = pmap
         self.shards = [TableStore(table) for _ in pmap.all_partitions()]
-        # pk -> partition id, in first-install order (drives scan order)
-        self._placement: dict[tuple, int] = {}
+        # pk -> its shard's version chain (the same list object, so no key
+        # is re-hashed to reach it), in first-install order: drives scans
+        self._placement: dict[tuple, list[RowVersion]] = {}
 
     # -- routing -----------------------------------------------------------
 
@@ -287,12 +329,12 @@ class PartitionedTableStore:
     def latest_committed(self, pk: tuple) -> RowVersion | None:
         return self.shard_of(pk).latest_committed(pk)
 
+    def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
+                     ) -> Iterator[tuple[list, list]]:
+        return _scan_chain_batches(self._placement, ts, size)
+
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
-        shards = self.shards
-        for pk, pid in self._placement.items():
-            values = shards[pid].get(pk, ts)
-            if values is not None:
-                yield pk, values
+        return iter_pairs(self.scan_batches(ts))
 
     def pk_lookup(self, pk: tuple, ts: int) -> tuple | None:
         return self.get(pk, ts)
@@ -307,10 +349,10 @@ class PartitionedTableStore:
     # -- commit-time installation -------------------------------------------
 
     def install(self, pk: tuple, values: tuple | None, commit_ts: int):
-        pid = self.pmap.partition_of_pk(pk)
-        self.shards[pid].install(pk, values, commit_ts)
+        shard = self.shards[self.pmap.partition_of_pk(pk)]
+        shard.install(pk, values, commit_ts)
         if pk not in self._placement:
-            self._placement[pk] = pid
+            self._placement[pk] = shard._chains[pk]
 
     # -- aggregates over shards ---------------------------------------------
 
@@ -431,5 +473,5 @@ class RowStorage:
         return sum(s.row_count for s in self._stores.values())
 
 
-__all__ = ["INF_TS", "RowVersion", "TableStore", "PartitionedTableStore",
-           "RowStorage", "LogOp"]
+__all__ = ["INF_TS", "SCAN_BATCH_ROWS", "RowVersion", "TableStore",
+           "PartitionedTableStore", "RowStorage", "LogOp", "iter_pairs"]

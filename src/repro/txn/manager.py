@@ -13,14 +13,15 @@ fresh commit timestamp (optimistic concurrency, as in TiDB's default mode):
 Reads merge the transaction's own write buffer over the store snapshot, so a
 transaction always sees its own effects — crucial for hybrid transactions,
 whose embedded real-time query must observe the online statements that
-precede it.
+precede it.  Full scans overlay the buffer batch-at-a-time, and cost
+nothing extra when the transaction has not written to the scanned table.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
 
 from repro.errors import (
@@ -28,7 +29,7 @@ from repro.errors import (
     IntegrityError,
     WriteConflictError,
 )
-from repro.storage.rowstore import RowStorage
+from repro.storage.rowstore import SCAN_BATCH_ROWS, RowStorage, iter_pairs
 from repro.storage.wal import LogOp
 from repro.txn.locks import LockManager, LockMode
 
@@ -71,6 +72,9 @@ class Transaction:
         self.commit_partitions: tuple[int, ...] = ()
         # (table, pk) -> (values | None, LogOp); insertion order preserved
         self._writes: dict[tuple, tuple] = {}
+        # the same buffer per table, table -> {pk: values | None}: what a
+        # scan of that table overlays on the store snapshot
+        self._local: dict[str, dict[tuple, tuple | None]] = {}
         self._read_keys: set[tuple] = set()
         self.lock_conflicts: list[int] = []  # txn ids we conflicted with
         self.statements = 0
@@ -110,20 +114,29 @@ class Transaction:
             return self._writes[key][0]
         return self._manager.storage.store(table).get(pk, self.read_ts)
 
-    def scan(self, table: str) -> Iterator[tuple[tuple, tuple]]:
+    def scan_batches(self, table: str, size: int = SCAN_BATCH_ROWS
+                     ) -> Iterator[tuple[list, list]]:
+        """Full scan as parallel ``(pks, rows)`` lists of at most ``size``
+        rows, this transaction's buffered writes overlaid."""
         self._check_active()
-        yield from self._merged(table,
-                                self._manager.storage.store(table).scan(self.read_ts))
+        base = self._manager.storage.store(table).scan_batches(self.read_ts,
+                                                               size)
+        local = self._local.get(table.upper())
+        return self._overlaid(base, local, size) if local else base
+
+    def scan(self, table: str) -> Iterator[tuple[tuple, tuple]]:
+        return iter_pairs(self.scan_batches(table))
 
     def pk_prefix_scan(self, table: str, prefix: tuple) -> Iterator[tuple[tuple, tuple]]:
         self._check_active()
-        store = self._manager.storage.store(table)
-        base = store.pk_prefix_scan(prefix, self.read_ts)
+        base = self._manager.storage.store(table).pk_prefix_scan(
+            prefix, self.read_ts)
+        local = self._local.get(table.upper())
+        if not local:
+            return base
         n = len(prefix)
-        yield from (
-            (pk, values) for pk, values in self._merged(table, base, prefix_len=n,
-                                                        prefix=prefix)
-        )
+        return self._merged(base, {pk: values for pk, values in local.items()
+                                   if pk[:n] == prefix})
 
     def index_candidate_pks(self, table: str, index_name: str, key: tuple) -> set:
         """Primary keys the index suggests; caller re-checks visibility."""
@@ -139,39 +152,50 @@ class Transaction:
             pks |= entry
         return pks
 
-    def local_rows(self, table: str) -> Iterator[tuple[tuple, tuple | None]]:
+    def local_rows(self, table: str) -> Iterable[tuple[tuple, tuple | None]]:
         """This transaction's buffered writes for ``table`` (pk, values|None).
 
         Index scans consult this so a transaction's own uncommitted inserts
         are visible to its later statements (hybrid transactions rely on the
         embedded real-time query seeing the online statements before it).
         """
-        table_key = table.upper()
-        for (tbl, pk), (values, _op) in self._writes.items():
-            if tbl == table_key:
-                yield pk, values
+        return self._local.get(table.upper(), {}).items()
 
-    def _merged(self, table: str, base: Iterator, prefix_len: int = 0,
-                prefix: tuple = ()) -> Iterator[tuple[tuple, tuple]]:
-        """Overlay this transaction's buffered writes on a base scan."""
-        table_key = table.upper()
-        local = {
-            key[1]: payload for key, payload in self._writes.items()
-            if key[0] == table_key
-        }
-        if prefix_len:
-            local = {pk: payload for pk, payload in local.items()
-                     if pk[:prefix_len] == prefix}
+    @staticmethod
+    def _merged(base: Iterator, local: dict) -> Iterator[tuple[tuple, tuple]]:
+        """Overlay buffered writes ``local`` (consumed) on a base row scan:
+        rewritten rows are replaced in position, deleted rows dropped and
+        new rows appended in write order."""
         for pk, values in base:
             if pk in local:
-                buffered_values, _op = local.pop(pk)
-                if buffered_values is not None:
-                    yield pk, buffered_values
-            else:
-                yield pk, values
-        for pk, (values, _op) in local.items():
+                values = local.pop(pk)
+                if values is None:
+                    continue
+            yield pk, values
+        for pk, values in local.items():
             if values is not None:
                 yield pk, values
+
+    @staticmethod
+    def _overlaid(base: Iterator, local: dict, size: int
+                  ) -> Iterator[tuple[list, list]]:
+        """``_merged`` batch-at-a-time: same replace / drop / append order,
+        one membership pass per batch instead of a generator hop per row."""
+        pending = dict(local)
+        for pks, rows in base:
+            hits = [i for i, pk in enumerate(pks) if pk in pending]
+            for i in reversed(hits):
+                values = pending.pop(pks[i])
+                if values is None:
+                    del pks[i], rows[i]
+                else:
+                    rows[i] = values
+            if rows:
+                yield pks, rows
+        pks = [pk for pk, values in pending.items() if values is not None]
+        rows = [pending[pk] for pk in pks]
+        for start in range(0, len(pks), size):
+            yield pks[start:start + size], rows[start:start + size]
 
     # -- writes (buffered) ---------------------------------------------------
 
@@ -183,7 +207,7 @@ class Transaction:
                 f"duplicate primary key {pk} in table {table}"
             )
         self._lock(table.upper(), pk)
-        self._writes[key] = (values, LogOp.INSERT)
+        self._buffer(key, values, LogOp.INSERT)
 
     def update(self, table: str, pk: tuple, values: tuple):
         self._check_active()
@@ -193,7 +217,7 @@ class Transaction:
         self._lock(table.upper(), pk)
         op = LogOp.INSERT if key in self._writes and \
             self._writes[key][1] is LogOp.INSERT else LogOp.UPDATE
-        self._writes[key] = (values, op)
+        self._buffer(key, values, op)
 
     def delete(self, table: str, pk: tuple):
         self._check_active()
@@ -201,7 +225,12 @@ class Transaction:
         if self.get(table, pk) is None:
             raise IntegrityError(f"delete of missing row {pk} in table {table}")
         self._lock(table.upper(), pk)
-        self._writes[key] = (None, LogOp.DELETE)
+        self._buffer(key, None, LogOp.DELETE)
+
+    def _buffer(self, key: tuple, values: tuple | None, op: LogOp):
+        table, pk = key
+        self._writes[key] = (values, op)
+        self._local.setdefault(table, {})[pk] = values
 
     def lock_for_update(self, table: str, pk: tuple):
         """SELECT ... FOR UPDATE: take the write intent without writing."""

@@ -200,3 +200,50 @@ def test_columnar_replica_converges_to_row_store(data):
         col_side = sorted(conn.execute("SELECT k, v FROM kv",
                                        route_columnar=True).rows)
     assert row_side == col_side == sorted(live.items())
+
+
+@given(st.lists(st.tuples(st.sampled_from(["put", "delete"]),
+                          st.integers(0, 9), st.integers(0, 99)),
+                max_size=40),
+       st.sampled_from([1, 2, 8]), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_batch_scan_equals_point_reads_at_every_snapshot(ops, partitions,
+                                                         batch_rows):
+    """For any sequence of committed writes and any read timestamp, the
+    flattened batch scan is ``[(pk, get(pk, ts))]`` over the keys live at
+    that timestamp, in first-install order — also after a garbage collection
+    for every snapshot at or above its watermark."""
+    db = Database(partitions=partitions)
+    db.run_script("CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
+    store = db.storage.store("kv")
+    installed: list[tuple] = []           # first-install order
+    live: set[tuple] = set()
+    commit_ts = 0
+    for op, key, value in ops:
+        pk = (key,)
+        if op == "delete" and pk not in live:
+            continue
+        commit_ts += 1
+        if op == "put":
+            store.install(pk, (key, value), commit_ts)
+            if pk not in installed:
+                installed.append(pk)
+            live.add(pk)
+        else:
+            store.install(pk, None, commit_ts)
+            live.discard(pk)
+
+    def check(snapshots):
+        for ts in snapshots:
+            expected = [(pk, values) for pk in installed
+                        if (values := store.get(pk, ts)) is not None]
+            flattened = [pair for pks, rows in
+                         store.scan_batches(ts, batch_rows)
+                         for pair in zip(pks, rows)]
+            assert flattened == expected
+            assert list(store.scan(ts)) == expected
+
+    check(range(commit_ts + 2))
+    watermark = commit_ts // 2
+    store.garbage_collect(watermark)
+    check(range(watermark, commit_ts + 2))

@@ -2,12 +2,13 @@
 
 import csv
 import io
+from collections import Counter
 
 import pytest
 
 from repro.analysis import InterferenceMatrix
 from repro.core import BenchConfig, OLxPBench
-from repro.core.report import render_csv
+from repro.core.report import render_csv, render_text
 from repro.engines import TiDBCluster
 from repro.workloads import make_workload
 
@@ -33,6 +34,16 @@ def test_csv_parses_back(reports):
         assert row["workload"] == "fibenchmark"
         assert float(row["throughput"]) >= 0
         assert float(row["p95"]) >= float(row["min"])
+
+
+def test_text_report_prints_each_section_once(reports):
+    for _rate, _olap, report in reports:
+        lines = render_text(report, per_transaction=True).splitlines()
+        # "  <section>: counters..." — class rows and counter sections alike
+        sections = Counter(line.split(":", 1)[0].strip()
+                           for line in lines[1:] if ":" in line)
+        assert "plan cache" in sections and "locks" in sections
+        assert set(sections.values()) == {1}, sections
 
 
 def test_interference_matrix_from_reports(reports):

@@ -54,6 +54,32 @@ class TestSelect:
         result = orders_db.query("SELECT i_id FROM item ORDER BY i_id LIMIT 3")
         assert [r[0] for r in result.rows] == [0, 1, 2]
 
+    def test_early_closed_scans_charge_the_rows_they_read(self, orders_db):
+        """A LIMIT closes the scan below it mid-way; the rows pulled until
+        then are still counted (they used to vanish from the cost model)."""
+        seq = orders_db.query("SELECT i_id FROM item LIMIT 3")
+        assert len(seq.rows) == 3
+        assert seq.stats.rows_row_store == {"item": 3}
+        filtered = orders_db.query(
+            "SELECT i_id FROM item WHERE i_id >= 5 LIMIT 2")
+        assert filtered.rows == [(5,), (6,)]
+        assert filtered.stats.rows_row_store == {"item": 7}
+        index = orders_db.query(
+            "SELECT o_id FROM orders WHERE o_c_id = ? LIMIT 2", (2,))
+        assert index.stats.rows_row_store == {"orders": 2}
+        orders_db.run_script(
+            "CREATE TABLE line (l_o INT, l_n INT, PRIMARY KEY (l_o, l_n))")
+        orders_db.bulk_load("line", ((1, n) for n in range(10)))
+        prefix = orders_db.query("SELECT l_n FROM line WHERE l_o = 1 LIMIT 4")
+        assert prefix.stats.rows_row_store == {"line": 4}
+        assert prefix.stats.rows_row_prefix == {"line": 4}
+        orders_db.executor.use_vectorized = False   # row nodes on the replica
+        with orders_db.connect() as conn:
+            columnar = conn.execute("SELECT i_id FROM item LIMIT 3",
+                                    route_columnar=True)
+        assert columnar.stats.rows_columnar == {"item": 3}
+        assert not columnar.stats.rows_row_store
+
     def test_distinct(self, orders_db):
         result = orders_db.query("SELECT DISTINCT o_c_id FROM orders")
         assert sorted(r[0] for r in result.rows) == [0, 1, 2, 3]
