@@ -1,201 +1,65 @@
-"""Aggregate accumulators and scalar functions.
+"""Grouped aggregation state and scalar functions.
 
 NULL handling follows the pragmatic subset the benchmark queries need:
 aggregates skip NULL inputs; ``COUNT(*)`` counts rows; ``AVG`` over an empty
 or all-NULL input yields NULL.
 
-Every accumulator is **order-insensitive and mergeable**: folding the same
-multiset of values in any order — or as per-partition partials combined
-with ``merge`` — produces bit-identical results.  SUM/AVG achieve this with
-exact fixed-point integer accumulation (every finite double is an integer
-multiple of 2^-1074, so sums of scaled integers are exact and the final
-float conversion is one correctly-rounded division).  This is what lets
-partition-parallel scatter-gather plans return byte-identical results to a
-single-partition scan.
+Both executors aggregate into one ``GroupedAggregation``: group keys map to
+dense group ids and every aggregate keeps a *state column* indexed by group
+id, so a group costs a few list slots rather than a set of objects.  Every
+state is **order-insensitive and mergeable**: folding the same multiset of
+values in any order — row by row, as bulk slices, or as per-partition
+partials combined with ``merge`` — produces bit-identical results.  SUM/AVG
+achieve this with exact fixed-point integer accumulation (every finite
+double is an integer multiple of a power of two, so sums of scaled integers
+are exact and the final float conversion is one correctly-rounded
+division).  This is what lets partition-parallel scatter-gather plans and
+cached segment partials return byte-identical results to a single scan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+from operator import gt, lt
+
 from repro.errors import ExecutionError
 
-# 2^1074 scales any finite double to an exact integer (as_integer_ratio
-# denominators are powers of two no larger than 2^1074)
-_FLOAT_SCALE = 1 << 1074
 
-
-class _ExactSum:
-    """Exact, order-insensitive sum of ints and floats.
-
-    Integers accumulate separately from float mantissas, which are summed
-    per binary exponent (``mantissas[e]`` holds the exact integer sum of
-    all mantissas whose value was ``m * 2^e``) — small-int additions on the
-    per-value hot path, with the single big-int reconstruction deferred to
-    ``value()``.  ``value`` reproduces plain Python ``+`` semantics (int
-    stays int until a float joins) with the float result correctly rounded
-    irrespective of fold order.  Anything without an exact integer scaling
-    — Decimals, inf/nan — falls back to ordered addition, preserving
-    historical behaviour.
-    """
-
-    __slots__ = ("int_total", "mantissas", "float_seen", "other")
-
-    def __init__(self):
-        self.int_total = 0
-        # binary exponent -> exact integer sum of mantissas at that scale
-        self.mantissas: dict = {}
-        self.float_seen = False
-        self.other = None  # inexact fallback for inexactly-scalable addends
-
-    def add(self, value):
-        if isinstance(value, int):
-            self.int_total += value
-            return
-        if isinstance(value, float):
-            try:
-                numerator, denominator = value.as_integer_ratio()
-            except (OverflowError, ValueError):  # inf / nan
-                pass
-            else:
-                # denominator is 2^k: value = numerator * 2^-k
-                exponent = 1 - denominator.bit_length()
-                mantissas = self.mantissas
-                mantissas[exponent] = \
-                    mantissas.get(exponent, 0) + numerator
-                self.float_seen = True
-                return
-        self.other = value if self.other is None else self.other + value
-
-    def add_times(self, value, count: int):
-        """Fold ``count`` copies of ``value`` in one multiplication.
-
-        Exact for ints and scalable floats (the mantissa times ``count``
-        equals the sum of ``count`` mantissas at the same exponent), so an
-        RLE run folds in O(1) with a bit-identical result to per-value adds.
-        """
-        if isinstance(value, int):
-            self.int_total += value * count
-            return
-        if isinstance(value, float):
-            try:
-                numerator, denominator = value.as_integer_ratio()
-            except (OverflowError, ValueError):  # inf / nan
-                pass
-            else:
-                exponent = 1 - denominator.bit_length()
-                mantissas = self.mantissas
-                mantissas[exponent] = \
-                    mantissas.get(exponent, 0) + numerator * count
-                self.float_seen = True
-                return
-        for _ in range(count):      # inexact fallback keeps add() order
-            self.add(value)
-
-    def fold_values(self, values) -> int:
-        """Fold an iterable of values exactly (NULLs skipped); returns the
-        number of non-NULL values folded.
-
-        The per-value int/float split is inlined here once — both SUM and
-        AVG batch folds go through this single loop, so the exactness
-        logic (and its inf/nan fallback) cannot diverge between them.
-        """
-        count = 0
-        int_total = 0
-        floats = False
-        mantissas = self.mantissas
-        bucket = mantissas.get
-        for value in values:
-            if value is None:
-                continue
-            count += 1
-            kind = type(value)
-            if kind is int:
-                int_total += value
-            elif kind is float:
-                try:
-                    numerator, denominator = value.as_integer_ratio()
-                except (OverflowError, ValueError):  # inf / nan
-                    self.add(value)
-                    continue
-                exponent = 1 - denominator.bit_length()
-                mantissas[exponent] = bucket(exponent, 0) + numerator
-                floats = True
-            else:          # bool / Decimal / subclasses: exact slow path
-                self.add(value)
-        self.int_total += int_total
-        self.float_seen = self.float_seen or floats
-        return count
-
-    def merge(self, sub: "_ExactSum"):
-        self.int_total += sub.int_total
-        mantissas = self.mantissas
-        for exponent, mantissa in sub.mantissas.items():
-            mantissas[exponent] = mantissas.get(exponent, 0) + mantissa
-        self.float_seen = self.float_seen or sub.float_seen
-        if sub.other is not None:
-            self.other = sub.other if self.other is None \
-                else self.other + sub.other
-
-    def _scaled_total(self) -> int:
-        """The exact float sum scaled by 2^1074 (one big-int fold)."""
-        # every finite double's exponent is >= -1074, so the shift is >= 0
-        return sum(mantissa << (1074 + exponent)
-                   for exponent, mantissa in self.mantissas.items())
-
-    def value(self):
-        if self.other is not None:
-            total = self.other
-            if self.int_total:
-                total = total + self.int_total
-            if self.float_seen:
-                total = total + self._scaled_total() / _FLOAT_SCALE
-            return total
-        if not self.float_seen:
-            return self.int_total
-        # one exact big-int sum, one correctly-rounded conversion
-        return (self._scaled_total() + self.int_total * _FLOAT_SCALE) \
-            / _FLOAT_SCALE
-
-    def averaged(self, count: int):
-        """Exact total divided by ``count``, correctly rounded."""
-        if self.other is not None:
-            return self.value() / count
-        return (self._scaled_total() + self.int_total * _FLOAT_SCALE) \
-            / (_FLOAT_SCALE * count)
-
-
-def _fold_float_mantissas(total: _ExactSum, values) -> bool:
-    """Fold an all-float slice into ``total`` exactly, at batch speed.
+def _fold_float_mantissas(buckets: dict, values) -> bool:
+    """Fold an all-float slice into the exponent -> mantissa-sum dict
+    ``buckets`` exactly, at batch speed.
 
     ``map(float.as_integer_ratio, ...)`` runs the expensive decomposition
     as a C-level pipeline; the mantissa sums land in a local dict that is
     committed only on success, so an inf/nan (which has no integer ratio)
     aborts cleanly and returns False — the caller then takes the generic
-    per-value path, which handles non-finite floats via ``add``.
+    per-value path, which handles non-finite floats.
     """
     local: dict = {}
     get = local.get
     try:
         for numerator, denominator in map(float.as_integer_ratio, values):
+            # denominator is 2^k: value = numerator * 2^-k
             exponent = 1 - denominator.bit_length()
             local[exponent] = get(exponent, 0) + numerator
     except (OverflowError, ValueError):      # inf / nan in the slice
         return False
-    mantissas = total.mantissas
     for exponent, mantissa in local.items():
-        mantissas[exponent] = mantissas.get(exponent, 0) + mantissa
-    total.float_seen = True
+        buckets[exponent] = buckets.get(exponent, 0) + mantissa
     return True
 
 
-def _fold_typed_slice(total: _ExactSum, values) -> bool:
-    """Fold a typed-array column slice (NATIVE encoding) exactly.
+def _fold_typed_slice(buckets: dict, values):
+    """Fold a typed-array column slice (NATIVE encoding) exactly: floats
+    into ``buckets``, ints into the returned total.
 
     Dense ranges of a sealed typed column — whole unfiltered segments, or
     RLE-run-shaped selections — fold via the column's precomputed exact
     block partials (floats) or one builtin ``sum`` over the array slice
     (ints), without materialising a single Python value.  Non-contiguous
     typed slices fall back to C-pipeline folds over the gathered values.
-    Returns False when ``values`` carries no typed-slice guarantee; the
+    Returns None when ``values`` carries no typed-slice guarantee; the
     caller then runs the generic per-value fold.
     """
     source = getattr(values, "contiguous_source", None)
@@ -203,11 +67,9 @@ def _fold_typed_slice(total: _ExactSum, values) -> bool:
         column, start, stop = found
         int_sum = column.range_int_sum(start, stop)
         if int_sum is not None:
-            total.int_total += int_sum
-            return True
-        if column.fold_range_sum(total.mantissas, start, stop):
-            total.float_seen = True
-            return True
+            return int_sum
+        if column.fold_range_sum(buckets, start, stop):
+            return 0
     ranges_source = getattr(values, "contiguous_ranges", None)
     if ranges_source is not None and (found := ranges_source()) is not None:
         # sorted segments turn range/equality selections into a handful of
@@ -215,266 +77,432 @@ def _fold_typed_slice(total: _ExactSum, values) -> bool:
         # block partials instead of materialising the gather
         column, ranges = found
         if column.data.typecode == "q" and not column.nulls:
-            total.int_total += sum(column.range_int_sum(start, stop)
-                                   for start, stop in ranges)
-            return True
-        if all(column.fold_range_sum(total.mantissas, start, stop)
+            return sum(column.range_int_sum(start, stop)
+                       for start, stop in ranges)
+        if all(column.fold_range_sum(buckets, start, stop)
                for start, stop in ranges):
             # fold_range_sum is all-or-nothing per column (typecode/nulls/
             # non-finite), so a False can only happen on the first range —
             # nothing was committed and the generic fold takes over
-            total.float_seen = True
-            return True
+            return 0
     if getattr(values, "all_ints", False):
-        total.int_total += sum(values)           # builtin sum: exact for ints
-        return True
-    if getattr(values, "all_floats", False):
-        return _fold_float_mantissas(total, values)
-    return False
+        return sum(values)                       # builtin sum: exact for ints
+    if getattr(values, "all_floats", False) \
+            and _fold_float_mantissas(buckets, values):
+        return 0
+    return None
 
 
-class Accumulator:
-    """Base aggregate accumulator."""
-
-    def add(self, value):
-        raise NotImplementedError
-
-    def add_many(self, values):
-        """Fold a whole column slice in (vectorized executor entry point).
-
-        The default preserves the exact per-value fold order of ``add`` so
-        both executors produce bit-identical results; subclasses override
-        it only where a batch shortcut cannot change the outcome.
-        """
-        for value in values:
-            self.add(value)
-
-    def merge(self, sub: "Accumulator"):
-        """Fold a partial accumulator in (partition-parallel aggregation)."""
-        raise NotImplementedError
-
-    def result(self):
-        raise NotImplementedError
+def _exact_ratio(buckets: dict, int_total: int) -> tuple[int, int]:
+    """The exact total of a group as ``numerator / 2^k`` (one big-int
+    fold, scaled to the smallest exponent present — every exponent is
+    <= 0, so the shifts are non-negative)."""
+    low = min(buckets)
+    numerator = int_total << -low
+    for exponent, mantissa in buckets.items():
+        numerator += mantissa << (exponent - low)
+    return numerator, 1 << -low
 
 
-class CountAccumulator(Accumulator):
-    def __init__(self, count_star: bool = False, distinct: bool = False):
-        self.count_star = count_star
-        self.distinct = distinct
-        self.count = 0
-        self._seen = set() if distinct else None
+# size of one state object and its empty columns (``nbytes`` estimates)
+_STATE_BYTES = 400
 
-    def add(self, value):
-        if self.count_star:
-            self.count += 1
+
+class _CountState:
+    """COUNT(*) / COUNT(x): one int per group."""
+
+    def __init__(self, star: bool):
+        self.star = star
+        self.counts: list = []
+
+    def grow(self, groups: int):
+        self.counts += [0] * groups
+
+    def scatter(self, gids, column):
+        if not self.star and column.count(None):
+            gids = [gid for gid, value in zip(gids, column)
+                    if value is not None]
+        counts = self.counts
+        for gid, rows in Counter(gids).items():      # C-speed tally
+            counts[gid] += rows
+
+    def fold(self, gid: int, values, rows: int):
+        self.counts[gid] += rows if self.star else rows - values.count(None)
+
+    def merge(self, other: "_CountState", remap: list):
+        counts = self.counts
+        for gid, count in zip(remap, other.counts):
+            counts[gid] += count
+
+    def results(self) -> list:
+        return self.counts
+
+    def nbytes(self, groups: int) -> int:
+        return _STATE_BYTES + 16 * groups    # list slot, mostly shared ints
+
+
+class _SumState:
+    """SUM / AVG: exact, order-insensitive totals per group.
+
+    ``counts`` holds the non-NULL values folded, ``ints`` the exact integer
+    totals and ``buckets`` — created on a group's first float — the exact
+    integer sum of all float mantissas per binary exponent
+    (``buckets[gid][e]`` sums every ``m`` whose value was ``m * 2^e``):
+    small-int additions on the per-value hot path, one big-int
+    reconstruction per group in ``results``.  Results reproduce plain
+    Python ``+`` semantics (int stays int until a float joins) with the
+    float correctly rounded irrespective of fold order.  Anything without
+    an exact integer scaling — Decimals, inf/nan — falls back to ordered
+    addition in the sparse ``others``, preserving historical behaviour.
+    """
+
+    def __init__(self, average: bool):
+        self.average = average
+        self.counts: list = []
+        self.ints: list = []
+        self.buckets: list = []
+        self.others: dict = {}
+
+    def grow(self, groups: int):
+        self.counts += [0] * groups
+        self.ints += [0] * groups
+        self.buckets += [None] * groups
+
+    def _add(self, gid: int, value, times: int = 1):
+        """``times`` copies of one non-NULL value: exact for ints and
+        scalable floats (the mantissa times ``times`` equals the sum of
+        that many mantissas at the same exponent), so an RLE run folds in
+        O(1) with a bit-identical result to per-value adds."""
+        if isinstance(value, int):
+            self.ints[gid] += value * times
             return
-        if value is None:
-            return
-        if self.distinct:
-            if value in self._seen:
+        if isinstance(value, float):
+            try:
+                numerator, denominator = value.as_integer_ratio()
+            except (OverflowError, ValueError):  # inf / nan
+                pass
+            else:
+                buckets = self.buckets[gid]
+                if buckets is None:
+                    buckets = self.buckets[gid] = {}
+                exponent = 1 - denominator.bit_length()
+                buckets[exponent] = \
+                    buckets.get(exponent, 0) + numerator * times
                 return
-            self._seen.add(value)
-        self.count += 1
+        others = self.others
+        for _ in range(times):      # inexact fallback keeps fold order
+            others[gid] = others[gid] + value if gid in others else value
 
-    def add_many(self, values):
-        if self.count_star:
-            self.count += len(values)
-        elif self.distinct:
-            super().add_many(values)
-        else:
-            self.count += len(values) - values.count(None)
-
-    def merge(self, sub: "CountAccumulator"):
-        if self.distinct:
-            self._seen |= sub._seen
-            self.count = len(self._seen)
-        else:
-            self.count += sub.count
-
-    def result(self):
-        return self.count
-
-
-class SumAccumulator(Accumulator):
-    def __init__(self, distinct: bool = False):
-        self.distinct = distinct
-        self._sum = _ExactSum()
-        self._any = False
-        self._seen = set() if distinct else None
-
-    def add(self, value):
-        if value is None:
+    def scatter(self, gids, column):
+        counts = self.counts
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            ints = self.ints
+            for gid, value in zip(gids, column):
+                counts[gid] += 1
+                ints[gid] += value
             return
-        if self.distinct:
-            if value in self._seen:
+        if kinds == {float}:
+            try:
+                # the expensive decomposition as one C-level pipeline
+                ratios = list(map(float.as_integer_ratio, column))
+            except (OverflowError, ValueError):  # inf / nan in the column
+                pass
+            else:
+                buckets_of = self.buckets
+                for gid, (numerator, denominator) in zip(gids, ratios):
+                    counts[gid] += 1
+                    buckets = buckets_of[gid]
+                    if buckets is None:
+                        buckets = buckets_of[gid] = {}
+                    exponent = 1 - denominator.bit_length()
+                    buckets[exponent] = buckets.get(exponent, 0) + numerator
                 return
-            self._seen.add(value)
-        self._any = True
-        self._sum.add(value)
+        add = self._add
+        for gid, value in zip(gids, column):
+            if value is not None:
+                counts[gid] += 1
+                add(gid, value)
 
-    def add_many(self, values):
-        """Batch fold: RLE column slices fold run-at-a-time (value * n);
+    def fold(self, gid: int, values, rows: int):
+        """Bulk fold: RLE column slices fold run-at-a-time (value * n);
         typed-array slices (NATIVE encoding) fold at C speed exploiting
-        their no-NULL homogeneous-type guarantee; other slices fold through
-        an inlined int/float split that does the exact arithmetic of
-        per-value ``add`` without its call overhead."""
-        if self.distinct:
-            super().add_many(values)
-            return
+        their no-NULL homogeneous-type guarantee; other slices fold
+        through an inlined int/float split."""
         runs = getattr(values, "iter_runs", None)
         if runs is not None:
-            for value, n in runs():
+            count = 0
+            for value, times in runs():
                 if value is not None:
-                    self._any = True
-                    self._sum.add_times(value, n)
+                    count += times
+                    self._add(gid, value, times)
+            self.counts[gid] += count
             return
-        total = self._sum
-        if len(values) and _fold_typed_slice(total, values):
-            self._any = True
-            return
-        if total.fold_values(values):
-            self._any = True
-
-    def merge(self, sub: "SumAccumulator"):
-        if self.distinct:
-            for value in sub._seen - self._seen:
-                self._seen.add(value)
-                self._any = True
-                self._sum.add(value)
+        buckets = self.buckets[gid]
+        if buckets is None:
+            buckets = {}
+        if rows and (int_total := _fold_typed_slice(buckets, values)) \
+                is not None:
+            count = rows
         else:
-            self._any = self._any or sub._any
-            self._sum.merge(sub._sum)
+            count = int_total = 0
+            bucket = buckets.get
+            for value in values:
+                if value is None:
+                    continue
+                count += 1
+                kind = type(value)
+                if kind is int:
+                    int_total += value
+                elif kind is float:
+                    try:
+                        numerator, denominator = value.as_integer_ratio()
+                    except (OverflowError, ValueError):  # inf / nan
+                        self._add(gid, value)
+                        continue
+                    exponent = 1 - denominator.bit_length()
+                    buckets[exponent] = bucket(exponent, 0) + numerator
+                else:      # bool / Decimal / subclasses: exact slow path
+                    self._add(gid, value)
+        self.counts[gid] += count
+        self.ints[gid] += int_total
+        if buckets:
+            self.buckets[gid] = buckets
 
-    def result(self):
-        return self._sum.value() if self._any else None
+    def merge(self, other: "_SumState", remap: list):
+        counts, ints, buckets_of = self.counts, self.ints, self.buckets
+        for gid, count, int_total, sub in zip(remap, other.counts,
+                                              other.ints, other.buckets):
+            counts[gid] += count
+            ints[gid] += int_total
+            if sub:
+                buckets = buckets_of[gid]
+                if buckets is None:
+                    # a copy: ``other`` may be a cached, shared partial
+                    buckets_of[gid] = dict(sub)
+                else:
+                    for exponent, mantissa in sub.items():
+                        buckets[exponent] = \
+                            buckets.get(exponent, 0) + mantissa
+        others = self.others
+        for source, value in other.others.items():
+            gid = remap[source]
+            others[gid] = others[gid] + value if gid in others else value
+
+    def results(self) -> list:
+        average = self.average
+        others = self.others
+        out = []
+        for gid, (count, int_total, buckets) in enumerate(
+                zip(self.counts, self.ints, self.buckets)):
+            if not count:
+                out.append(None)
+            elif gid in others:
+                total = others[gid]
+                if int_total:
+                    total = total + int_total
+                if buckets:
+                    numerator, scale = _exact_ratio(buckets, 0)
+                    total = total + numerator / scale
+                out.append(total / count if average else total)
+            elif buckets:
+                # one exact big-int sum, one correctly-rounded conversion
+                numerator, scale = _exact_ratio(buckets, int_total)
+                out.append(numerator / (scale * count if average else scale))
+            else:
+                out.append(int_total / count if average else int_total)
+        return out
+
+    def nbytes(self, groups: int) -> int:
+        buckets = [bucket for bucket in self.buckets if bucket]
+        # three list slots + the total's int object per group; a dict per
+        # group that saw a float, an exponent and a mantissa int per entry
+        return _STATE_BYTES + 56 * groups + 200 * len(buckets) \
+            + 72 * sum(map(len, buckets))
 
 
-class AvgAccumulator(Accumulator):
-    def __init__(self, distinct: bool = False):
-        self.distinct = distinct
-        self._sum = _ExactSum()
-        self.count = 0
-        self._seen = set() if distinct else None
+class _ExtremeState:
+    """MIN / MAX: the best non-NULL value per group (first seen wins a
+    tie)."""
 
-    def add(self, value):
-        if value is None:
-            return
-        if self.distinct:
-            if value in self._seen:
-                return
-            self._seen.add(value)
-        self._sum.add(value)
-        self.count += 1
+    def __init__(self, largest: bool):
+        self.better = gt if largest else lt
+        self.pick = max if largest else min
+        self.values: list = []
 
-    def add_many(self, values):
-        """Batch fold: RLE runs multiply, typed-array slices fold at C
-        speed, other slices inline the int/float split (exact arithmetic
-        identical to per-value ``add``)."""
-        if self.distinct:
-            super().add_many(values)
-            return
-        runs = getattr(values, "iter_runs", None)
-        if runs is not None:
-            for value, n in runs():
-                if value is not None:
-                    self._sum.add_times(value, n)
-                    self.count += n
-            return
-        total = self._sum
-        if len(values) and _fold_typed_slice(total, values):
-            self.count += len(values)
-            return
-        self.count += total.fold_values(values)
+    def grow(self, groups: int):
+        self.values += [None] * groups
 
-    def merge(self, sub: "AvgAccumulator"):
-        if self.distinct:
-            for value in sub._seen - self._seen:
-                self._seen.add(value)
-                self._sum.add(value)
-                self.count += 1
-        else:
-            self._sum.merge(sub._sum)
-            self.count += sub.count
+    def scatter(self, gids, column):
+        values = self.values
+        better = self.better
+        for gid, value in zip(gids, column):
+            if value is not None:
+                best = values[gid]
+                if best is None or better(value, best):
+                    values[gid] = value
 
-    def result(self):
-        return self._sum.averaged(self.count) if self.count else None
-
-
-class MinAccumulator(Accumulator):
-    def __init__(self, distinct: bool = False):
-        self.value = None
-
-    def add(self, value):
-        if value is None:
-            return
-        if self.value is None or value < self.value:
-            self.value = value
-
-    def add_many(self, values):
+    def fold(self, gid: int, values, rows: int):
         runs = getattr(values, "iter_runs", None)
         if runs is not None:
             present = [v for v, _n in runs() if v is not None]
         else:
             present = [v for v in values if v is not None]
         if present:
-            low = min(present)
-            if self.value is None or low < self.value:
-                self.value = low
+            self.scatter((gid,), (self.pick(present),))
 
-    def merge(self, sub: "MinAccumulator"):
-        if sub.value is not None:
-            self.add(sub.value)
+    def merge(self, other: "_ExtremeState", remap: list):
+        self.scatter(remap, other.values)
 
-    def result(self):
-        return self.value
+    def results(self) -> list:
+        return self.values
 
-
-class MaxAccumulator(Accumulator):
-    def __init__(self, distinct: bool = False):
-        self.value = None
-
-    def add(self, value):
-        if value is None:
-            return
-        if self.value is None or value > self.value:
-            self.value = value
-
-    def add_many(self, values):
-        runs = getattr(values, "iter_runs", None)
-        if runs is not None:
-            present = [v for v, _n in runs() if v is not None]
-        else:
-            present = [v for v in values if v is not None]
-        if present:
-            high = max(present)
-            if self.value is None or high > self.value:
-                self.value = high
-
-    def merge(self, sub: "MaxAccumulator"):
-        if sub.value is not None:
-            self.add(sub.value)
-
-    def result(self):
-        return self.value
+    def nbytes(self, groups: int) -> int:
+        return _STATE_BYTES + 40 * groups    # list slot + value object
 
 
-AGGREGATES = {
-    "COUNT": CountAccumulator,
-    "SUM": SumAccumulator,
-    "AVG": AvgAccumulator,
-    "MIN": MinAccumulator,
-    "MAX": MaxAccumulator,
-}
+class _DistinctState:
+    """DISTINCT over an inner state: per-group sets of the values seen;
+    only a value's first sighting in its group reaches the inner state."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen: list = []
+
+    def grow(self, groups: int):
+        self.seen += [None] * groups
+        self.inner.grow(groups)
+
+    def scatter(self, gids, column):
+        seen_of = self.seen
+        new_gids, new_values = [], []
+        for gid, value in zip(gids, column):
+            if value is None:
+                continue
+            seen = seen_of[gid]
+            if seen is None:
+                seen = seen_of[gid] = set()
+            if value not in seen:
+                seen.add(value)
+                new_gids.append(gid)
+                new_values.append(value)
+        self.inner.scatter(new_gids, new_values)
+
+    def fold(self, gid: int, values, rows: int):
+        self.scatter(repeat(gid), values)
+
+    def merge(self, other: "_DistinctState", remap: list):
+        for gid, seen in zip(remap, other.seen):
+            if seen:
+                self.scatter(repeat(gid), seen)
+
+    def results(self) -> list:
+        return self.inner.results()
+
+    def nbytes(self, groups: int) -> int:
+        seen = [values for values in self.seen if values]
+        return _STATE_BYTES + self.inner.nbytes(groups) + 8 * groups \
+            + 216 * len(seen) + 60 * sum(map(len, seen))
 
 
-def make_accumulator(name: str, count_star: bool = False,
-                     distinct: bool = False) -> Accumulator:
+def _make_state(name: str, count_star: bool, distinct: bool):
     if name == "COUNT":
-        return CountAccumulator(count_star, distinct)
-    try:
-        return AGGREGATES[name](distinct)
-    except KeyError:
-        raise ExecutionError(f"unknown aggregate function {name!r}") from None
+        # COUNT(*) counts rows, DISTINCT or not
+        state = _CountState(count_star)
+        return _DistinctState(state) if distinct and not count_star \
+            else state
+    if name in ("SUM", "AVG"):
+        state = _SumState(average=name == "AVG")
+        return _DistinctState(state) if distinct else state
+    if name in ("MIN", "MAX"):                   # DISTINCT changes nothing
+        return _ExtremeState(largest=name == "MAX")
+    raise ExecutionError(f"unknown aggregate function {name!r}")
+
+
+class _GroupIds(dict):
+    """Group key -> dense group id, assigned in first-appearance order."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        gid = self[key] = len(self)
+        return gid
+
+
+class GroupedAggregation:
+    """The state of one (partial) grouped aggregation.
+
+    Group keys map to dense ids in first-appearance order — which is also
+    the emission order — and each aggregate keeps one state column indexed
+    by group id.  Three operations feed it, all exact, so any mix of them
+    over the same rows yields the same bits:
+
+    * ``scatter(gids, columns)`` — a batch, row ``i`` into group
+      ``gids[i]`` (``assign`` computes the batch's ``gids`` column once);
+    * ``fold(gid, columns, rows)`` — a slice that belongs to one group,
+      folded in bulk (RLE runs, typed arrays and whole global-aggregate
+      columns keep their C-speed paths);
+    * ``merge(other)`` — another partial, through a group-id remap built
+      in ``other``'s first-appearance order.
+
+    ``specs`` is one ``(name, count_star, distinct)`` per aggregate; a
+    column of ``COUNT(*)`` is ``None`` — it needs the rows, not a value.
+    """
+
+    def __init__(self, specs):
+        self.gids = _GroupIds()
+        self.states = [_make_state(*spec) for spec in specs]
+        self._sized = 0
+
+    def __len__(self) -> int:
+        return len(self.gids)
+
+    def _grow(self):
+        new = len(self.gids) - self._sized
+        if new:
+            for state in self.states:
+                state.grow(new)
+            self._sized += new
+
+    def gid(self, key: tuple) -> int:
+        gid = self.gids[key]
+        self._grow()
+        return gid
+
+    def assign(self, keys) -> list:
+        """The group id of every key, new groups created in order."""
+        gids = list(map(self.gids.__getitem__, keys))
+        self._grow()
+        return gids
+
+    def scatter(self, gids: list, columns):
+        for state, column in zip(self.states, columns):
+            state.scatter(gids, column)
+
+    def fold(self, gid: int, columns, rows: int):
+        for state, column in zip(self.states, columns):
+            state.fold(gid, column, rows)
+
+    def merge(self, other: "GroupedAggregation"):
+        remap = self.assign(other.gids)
+        for state, sub in zip(self.states, other.states):
+            state.merge(sub, remap)
+
+    def rows(self) -> list:
+        """One ``key + results`` tuple per group, in group-id order."""
+        if not self.states:
+            return list(self.gids)
+        results = zip(*[state.results() for state in self.states])
+        return [key + values for key, values in zip(self.gids, results)]
+
+    def nbytes(self) -> int:
+        """Deterministic size estimate (the sketch cache's LRU budget):
+        the id dict's entry and key tuple per group, plus each state
+        column's slots."""
+        groups = len(self.gids)
+        width = len(next(iter(self.gids), ()))
+        return _STATE_BYTES + (110 + 50 * width) * groups \
+            + sum(state.nbytes(groups) for state in self.states)
 
 
 def sql_abs(value):

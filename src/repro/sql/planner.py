@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from itertools import chain, groupby
+from itertools import groupby
 
 from repro.catalog.schema import Catalog, Table
 from repro.errors import BindError, PlanError
@@ -47,7 +47,7 @@ from repro.sql.expressions import (
     eval_column,
     expr_display_name,
 )
-from repro.sql.functions import make_accumulator
+from repro.sql.functions import GroupedAggregation
 from repro.sql.ordering import canonical_row_key, canonical_value_key, sort_key
 from repro.sql.plannode import (
     BATCH_ROWS,
@@ -426,22 +426,14 @@ class AggSpec:
     distinct: bool
 
 
-# a group with fewer rows than this in one batch folds them by per-value
-# ``add``: below it ``add_many``'s fixed cost (gathering the slice, probing
-# it for encoded-column shortcuts) exceeds what its inlined loop saves —
-# measured break-even 4-5 values for COUNT/SUM/AVG.  High-cardinality
-# group-bys (about one row per group per batch) live on this side.
-_FOLD_MIN_ROWS = 4
-
-
 class Aggregate(BatchNode):
-    """Hash aggregation: group keys then one accumulator set per group.
+    """Hash aggregation into one ``GroupedAggregation``.
 
-    Each input batch is cut into argument columns once; every group then
-    folds its slice of each column through the accumulator's ``add_many``
-    (bit-identical to per-value ``add``, which tiny slices still use), the
-    global aggregate the whole column.  Groups are created in
-    first-appearance order.
+    Each input batch is cut into group-key and argument columns once; the
+    key tuples become the batch's group-id column and every aggregate
+    scatters its argument column through it (the global aggregate folds the
+    whole column into its single group).  Groups are created — and emitted
+    — in first-appearance order.
     """
 
     def __init__(self, child: PlanNode, group_fns, agg_specs: list[AggSpec]):
@@ -452,53 +444,28 @@ class Aggregate(BatchNode):
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
 
-    def _make_accs(self) -> list:
-        return [make_accumulator(s.name, s.arg_fn is None, s.distinct)
-                for s in self.agg_specs]
-
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
-        groups: dict = {}
+        groups = GroupedAggregation((s.name, s.arg_fn is None, s.distinct)
+                                    for s in self.agg_specs)
         group_fns = self.group_fns
         specs = self.agg_specs
         rows = 0
         for batch in self.child.execute_batches(ctx):
-            n = len(batch)
-            rows += n
-            arg_cols = [[1] * n if spec.arg_fn is None
+            rows += len(batch)
+            arg_cols = [None if spec.arg_fn is None
                         else eval_column(spec.arg_fn, batch, ctx)
                         for spec in specs]
-            # group key -> row indices within this batch (None = all rows)
-            members: dict = {}
             if group_fns:
-                for i, key in enumerate(_key_tuples(group_fns, batch, ctx)):
-                    picks = members.get(key)
-                    if picks is None:
-                        members[key] = [i]
-                    else:
-                        picks.append(i)
+                gids = groups.assign(_key_tuples(group_fns, batch, ctx))
+                groups.scatter(gids, arg_cols)
             else:
-                members[()] = None
-            for key, picks in members.items():
-                accs = groups.get(key)
-                if accs is None:
-                    accs = groups[key] = self._make_accs()
-                if picks is None:
-                    for acc, col in zip(accs, arg_cols):
-                        acc.add_many(col)
-                elif len(picks) < _FOLD_MIN_ROWS:
-                    for i in picks:
-                        for acc, col in zip(accs, arg_cols):
-                            acc.add(col[i])
-                else:
-                    for acc, col in zip(accs, arg_cols):
-                        acc.add_many([col[i] for i in picks])
+                groups.fold(groups.gid(()), arg_cols, len(batch))
         ctx.stats.agg_input_rows += rows
-        if not groups and not group_fns:
+        if not group_fns:
             # global aggregate over an empty input still yields one row
-            groups[()] = self._make_accs()
+            groups.gid(())
         ctx.stats.groups += len(groups)
-        yield from chunked([key + tuple(acc.result() for acc in accs)
-                            for key, accs in groups.items()], size)
+        yield from chunked(groups.rows(), size)
 
     def children(self):
         return [self.child]
@@ -575,10 +542,29 @@ class _TopNKey:
 
 
 class TopN(BatchNode):
-    """Fused ORDER BY ... LIMIT k: a bounded heap instead of materialising
-    and fully sorting the input.  The key carries the same canonical
-    whole-row tiebreak as ``Sort``, so the output is exactly ``Sort``
-    followed by ``Limit`` — independent of input order."""
+    """Fused ORDER BY ... LIMIT k, pruned by a sort-key threshold.
+
+    Only the leading sort keys — the longest prefix sharing one direction,
+    so plain tuple comparison orders them — are evaluated for every row: a
+    key-less ``heapq.nlargest`` / ``nsmallest`` over them (C speed) gives
+    the k-th best prefix seen so far, and a row that the prefix alone
+    already ranks behind it can never reach the output.  The few rows that
+    tie or beat that threshold get the full composite key with the same
+    canonical whole-row tiebreak as ``Sort``, so the output is exactly
+    ``Sort`` followed by ``Limit`` — independent of input order.
+
+    Memory stays O(k + batch): the buffer is cut back to at most k rows
+    whenever it passes ``2k + SLACK_ROWS``, prefix ties included (the
+    full key decides among them).  ``Sort`` sorts every key column
+    whole, so it raises ``TypeError`` on a column of uncomparable types
+    wherever they sit; rows pruned here are never compared on the later
+    keys, so each key column's value types are tracked instead — one
+    C-speed ``set(map(type, column))`` per batch — and one value of each
+    is compared at the end.
+    """
+
+    #: rows buffered beyond ``2 * limit`` before the next cut
+    SLACK_ROWS = BATCH_ROWS
 
     def __init__(self, child: PlanNode, key_specs, limit: int):
         # key_specs: list of (fn, descending), as for Sort
@@ -587,27 +573,56 @@ class TopN(BatchNode):
         self.limit = limit
         self.schema = child.schema
 
+    def _cut(self, rows: list, leads: list, full_key):
+        """The at most ``limit`` buffered rows that can still reach the
+        output, with their key prefixes."""
+        limit = self.limit
+        if self.key_specs[0][1]:
+            threshold = heapq.nlargest(limit, leads)[-1]
+            keep = [i for i, lead in enumerate(leads) if lead >= threshold]
+        else:
+            threshold = heapq.nsmallest(limit, leads)[-1]
+            keep = [i for i, lead in enumerate(leads) if lead <= threshold]
+        if len(keep) > limit:
+            # prefix ties straddle the k-th row: the full key decides
+            keep = heapq.nsmallest(limit, keep,
+                                   key=lambda i: full_key(rows[i]))
+        return [rows[i] for i in keep], [leads[i] for i in keep]
+
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
-        if self.limit <= 0:
+        limit = self.limit
+        if limit <= 0:
             return  # like Limit(0): the input is never consumed
         fns = tuple(fn for fn, _ in self.key_specs)
         descs = tuple(descending for _, descending in self.key_specs)
+        prefix = next((i for i, descending in enumerate(descs)
+                       if descending != descs[0]), len(descs))
+
+        def full_key(row):
+            return _TopNKey(tuple(_sort_key(fn(row, ctx)) for fn in fns),
+                            descs, _canonical_row_key(row))
+
+        rows: list = []             # rows that can still reach the output
+        leads: list = []            # their sort-key prefixes
+        kinds: list = [{} for _ in fns]     # per key column: type -> a value
         count = 0
-
-        def counted():
-            nonlocal count
-            for batch in self.child.execute_batches(ctx):
-                count += len(batch)
-                yield batch
-
-        top = heapq.nsmallest(
-            self.limit, chain.from_iterable(counted()),
-            key=lambda row: _TopNKey(
-                tuple(_sort_key(fn(row, ctx)) for fn in fns), descs,
-                _canonical_row_key(row)),
-        )
+        for batch in self.child.execute_batches(ctx):
+            count += len(batch)
+            columns = [eval_column(fn, batch, ctx) for fn in fns]
+            for seen, column in zip(kinds, columns):
+                for kind in set(map(type, column)) - seen.keys():
+                    seen[kind] = next(v for v in column if type(v) is kind)
+            rows += batch
+            leads += zip(*[[(value is not None, value) for value in column]
+                           for column in columns[:prefix]])
+            if len(rows) > 2 * limit + self.SLACK_ROWS:
+                rows, leads = self._cut(rows, leads, full_key)
         ctx.stats.sort_rows += count
-        yield from chunked(top, size)
+        for seen in kinds:
+            sorted(value for value in seen.values() if value is not None)
+        if len(rows) > limit:
+            rows, leads = self._cut(rows, leads, full_key)
+        yield from chunked(sorted(rows, key=full_key), size)
 
     def children(self):
         return [self.child]

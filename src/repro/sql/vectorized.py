@@ -29,9 +29,13 @@ from bisect import bisect_right
 from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.sql.expressions import Schema, _null_safe_binop, compile_expr
-from repro.sql.functions import SCALARS, like_to_predicate, make_accumulator
+from repro.sql.functions import (
+    SCALARS,
+    GroupedAggregation,
+    like_to_predicate,
+)
 from repro.sql.ordering import canonical_value_key
-from repro.sql.plannode import PlanNode
+from repro.sql.plannode import BATCH_ROWS, BatchNode, PlanNode, chunked
 from repro.sql.result import Batch, SegmentBatch
 from repro.storage.columnstore import (
     DictColumn,
@@ -583,9 +587,9 @@ class _ColumnSpan:
     """A zero-copy view of rows ``[start, stop)`` of one batch column.
 
     Run-grouped aggregation (``BatchAggregate._fold_runs``) folds every
-    RLE run of the group-key column as one bulk ``add_many`` over this
+    RLE run of the group-key column as one bulk ``fold`` over this
     view of each aggregate-argument column.  The view forwards the
-    accumulator fast-path hooks — ``contiguous_source`` exposes the
+    aggregation state's fast-path hooks — ``contiguous_source`` exposes the
     underlying typed array's dense range, so SUM/AVG fold precomputed
     block partials or one builtin ``sum`` — and falls back to per-value
     iteration otherwise, keeping the arithmetic bit-identical to the
@@ -635,7 +639,7 @@ class _ColumnSpan:
 
 class _RunSpan(_ColumnSpan):
     """``_ColumnSpan`` over an RLE column: re-exposes the runs that fall
-    inside the span so accumulators keep their run-at-a-time fold."""
+    inside the span so SUM/AVG/COUNT keep their run-at-a-time fold."""
 
     __slots__ = ()
 
@@ -1520,29 +1524,34 @@ class BatchRows(PlanNode):
         return [self.child]
 
 
-class BatchAggregate(PlanNode):
+class BatchAggregate(BatchNode):
     """Hash aggregation consuming batches, emitting one row per group.
 
     The schema mirrors the row pipeline's ``Aggregate`` (``__G*``/``__A*``),
-    so the planner's above-aggregate rewrite applies unchanged.  Grouping
-    keys and aggregate arguments are evaluated column-at-a-time; the global
-    (no GROUP BY) case folds whole column slices into the accumulators.
+    so the planner's above-aggregate rewrite applies unchanged, and both
+    fold into the same ``GroupedAggregation``.  Grouping keys and aggregate
+    arguments are evaluated column-at-a-time: the key columns become the
+    batch's group-id column, every argument column scatters through it;
+    the global (no GROUP BY) case bulk-folds whole column slices.  Like
+    ``Aggregate`` it is a ``BatchNode``: the state hands back one
+    materialised row list, emitted in chunks rather than re-batched from
+    a per-row generator (Q5 passes 13 k group rows up to its TopN).
 
     This operator is the *gather* half of the scatter-gather plan: each
     partition stream of the child is folded into its own partial aggregate,
-    and the partials are merged in partition order.  Accumulators are
+    and the partials are merged in partition order.  The state is
     order-insensitive and mergeable, so the merged result is bit-identical
     to aggregating one concatenated stream — and to the row pipeline.
 
     **Encoded group-by**: when the single grouping key is a plain column
     of the scan (``group_positions``), batches whose key column is
     run-length encoded group run-at-a-time — one group lookup per run,
-    bulk ``add_many`` folds over each argument's run span — and batches
-    whose key column is dictionary-encoded group by the integer DICT
-    *codes* (one accumulator slot per dictionary code, decoding only the
-    surviving group keys).  Group creation order is first-encounter scan
-    order, identical to the generic value path, so results (and emission
-    order) do not change.
+    one bulk fold over each argument's run span — and batches whose key
+    column is dictionary-encoded group by the integer DICT *codes* (one
+    group-id slot per dictionary code, decoding only the surviving group
+    keys).  Group creation order is first-encounter scan order, identical
+    to the generic value path, so results (and emission order) do not
+    change.
     """
 
     def __init__(self, child: VectorNode, group_fns, agg_specs,
@@ -1562,23 +1571,23 @@ class BatchAggregate(PlanNode):
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
 
-    def _make_accs(self):
-        return [make_accumulator(s.name, s.arg_fn is None, s.distinct)
-                for s in self.agg_specs]
+    def _new_groups(self) -> GroupedAggregation:
+        return GroupedAggregation((s.name, s.arg_fn is None, s.distinct)
+                                  for s in self.agg_specs)
 
-    def _fold_runs(self, batch, ctx, groups: dict, arg_cols,
+    def _fold_runs(self, batch, ctx, groups: GroupedAggregation, arg_cols,
                    position: int) -> bool:
         """Group one batch by the RLE runs of its key column.
 
         Whole-segment batches whose grouping key is run-length encoded
         fold run-at-a-time: one group lookup per run, then each
-        aggregate argument folds the run's span in one bulk ``add_many``
-        (typed-array spans hit the accumulators' C-speed exact folds)
-        instead of a per-row ``add``.  Group creation order is run order
-        = scan order, and the accumulators' batch folds are exact, so
-        results are bit-identical to the generic value path.  Returns
-        False when the key column carries no runs — the caller tries
-        dictionary codes, then the generic path.
+        aggregate argument bulk-folds the run's span into that group
+        (typed-array spans hit the states' C-speed exact folds) instead
+        of a per-row scatter.  Group creation order is run order = scan
+        order, and the bulk folds are exact, so results are bit-identical
+        to the generic value path.  Returns False when the key column
+        carries no runs — the caller tries dictionary codes, then the
+        generic path.
         """
         column = batch.columns[position]
         runs_source = getattr(column, "iter_runs", None)
@@ -1595,19 +1604,12 @@ class BatchAggregate(PlanNode):
                 span_types.append(_ColumnSpan)
         offset = 0
         for value, length in runs_source():
-            key = (value,)
-            accs = groups.get(key)
-            if accs is None:
-                accs = self._make_accs()
-                groups[key] = accs
             stop = offset + length
-            for acc, col, span_type in zip(accs, arg_cols, span_types):
-                if span_type is not None:
-                    acc.add_many(span_type(col, offset, stop))
-                elif col is None:                 # COUNT(*): length suffices
-                    acc.add_many(range(length))
-                else:                             # computed argument: a list
-                    acc.add_many(col[offset:stop])
+            groups.fold(groups.gid((value,)), [
+                None if col is None                   # COUNT(*): rows suffice
+                else col[offset:stop] if span_type is None   # computed: a list
+                else span_type(col, offset, stop)
+                for col, span_type in zip(arg_cols, span_types)], length)
             offset = stop
         ctx.stats.groups_coded += 1
         return True
@@ -1616,21 +1618,21 @@ class BatchAggregate(PlanNode):
     #: beat a single-pass python bucket build
     BULK_DISTINCT = 24
 
-    def _fold_global_coded(self, batch, ctx, groups: dict, arg_cols,
-                           position: int, slot_state: dict) -> bool:
-        """Group one batch against the table-level accumulator array.
+    def _fold_global_coded(self, batch, ctx, groups: GroupedAggregation,
+                           arg_cols, position: int, slot_state: dict) -> bool:
+        """Group one batch against the table-level code -> group-id array.
 
         Batches whose key column lives in a shared (table-level)
-        dictionary fold into ONE code-indexed slot array persisted across
-        every batch of this partial — no per-segment slot rebuild, no
-        per-segment group lookup.  Rows bucket by *local* code (per-code
-        C-speed selections for few distincts, one insertion-ordered pass
-        otherwise) and each bucket folds its aggregate arguments in bulk
-        ``add_many`` calls; only the distinct codes translate through the
-        segment's remap.  Group creation order is first-encounter scan
-        order and the accumulators are exact/order-insensitive, so results
-        are bit-identical to the generic value path.  Returns False when
-        the key column has no shared dictionary.
+        dictionary resolve groups through ONE code-indexed slot array
+        persisted across every batch of this partial — no per-segment slot
+        rebuild, no per-segment key lookup.  Rows bucket by *local* code
+        (per-code C-speed selections for few distincts, one
+        insertion-ordered pass otherwise) and each bucket bulk-folds its
+        aggregate arguments into its group; only the distinct codes
+        translate through the segment's remap.  Group creation order is
+        first-encounter scan order and the folds are exact, so results are
+        bit-identical to the generic value path.  Returns False when the
+        key column has no shared dictionary.
         """
         column = batch.columns[position]
         source = getattr(column, "shared_codes", None)
@@ -1672,28 +1674,22 @@ class BatchAggregate(PlanNode):
                 slot = gcode + 1
             if slot >= len(slots):
                 slots.extend([None] * (slot + 1 - len(slots)))
-            accs = slots[slot]
-            if accs is None:
-                key = (None,) if code < 0 else (values[code],)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = self._make_accs()
-                    groups[key] = accs
-                slots[slot] = accs
-            full = len(sel) == n
-            for acc, col in zip(accs, arg_cols):
-                if col is None:                       # COUNT(*)
-                    acc.add_many(range(len(sel)))
-                elif full:
-                    acc.add_many(col)
-                elif hasattr(col, "gather"):
-                    acc.add_many(col.gather(sel))
-                else:
-                    acc.add_many([col[i] for i in sel])
+            gid = slots[slot]
+            if gid is None:
+                gid = slots[slot] = groups.gid(
+                    (None,) if code < 0 else (values[code],))
+            if len(sel) == n:
+                cols = arg_cols
+            else:
+                cols = [None if col is None                   # COUNT(*)
+                        else col.gather(sel) if hasattr(col, "gather")
+                        else [col[i] for i in sel]
+                        for col in arg_cols]
+            groups.fold(gid, cols, len(sel))
         ctx.stats.groups_global_coded += 1
         return True
 
-    def _fold_coded(self, batch, ctx, groups: dict, arg_cols,
+    def _fold_coded(self, batch, ctx, groups: GroupedAggregation, arg_cols,
                     position: int) -> bool:
         """Group one batch by dictionary codes (code-indexed slots).
 
@@ -1710,34 +1706,22 @@ class BatchAggregate(PlanNode):
         codes, dictionary = found
         # one slot per dictionary code, plus slot [-1] for the NULL key
         slots: list = [None] * (len(dictionary) + 1)
-        for i, code in enumerate(codes):
-            accs = slots[code]
-            if accs is None:
-                key = (None,) if code < 0 else (dictionary[code],)
-                accs = groups.get(key)
-                if accs is None:
-                    accs = self._make_accs()
-                    groups[key] = accs
-                slots[code] = accs
-            for acc, col in zip(accs, arg_cols):
-                acc.add(1 if col is None else col[i])
+        gids = []
+        for code in codes:
+            gid = slots[code]
+            if gid is None:
+                gid = slots[code] = groups.gid(
+                    (None,) if code < 0 else (dictionary[code],))
+            gids.append(gid)
+        groups.scatter(gids, arg_cols)
         ctx.stats.groups_coded += 1
         return True
 
-    def _fold_batch(self, batch, ctx, groups: dict, arg_cols,
+    def _fold_batch(self, batch, ctx, groups: GroupedAggregation, arg_cols,
                     slot_state: dict):
         """Fold one batch into ``groups`` through the exact cascade."""
-        n = len(batch)
         if not self.group_fns:
-            accs = groups.get(())
-            if accs is None:
-                accs = self._make_accs()
-                groups[()] = accs
-            for acc, col in zip(accs, arg_cols):
-                if col is None:
-                    acc.add_many([1] * n)
-                else:
-                    acc.add_many(col)
+            groups.fold(groups.gid(()), arg_cols, len(batch))
             return
         positions = self.group_positions
         coded_position = (positions[0]
@@ -1752,40 +1736,9 @@ class BatchAggregate(PlanNode):
                                     coded_position)):
             return
         key_cols = [fn(batch, ctx) for fn in self.group_fns]
-        for i, key in enumerate(zip(*key_cols)):
-            accs = groups.get(key)
-            if accs is None:
-                accs = self._make_accs()
-                groups[key] = accs
-            for acc, col in zip(accs, arg_cols):
-                acc.add(1 if col is None else col[i])
+        groups.scatter(groups.assign(zip(*key_cols)), arg_cols)
 
-    def _sketch_nbytes(self, partial: dict) -> int:
-        """Deterministic LRU-budget estimate of one cached partial
-        (dict + key tuples + accumulator objects; heuristic, not exact)."""
-        per_group = 120 + 160 * len(self.agg_specs)
-        return 256 + per_group * len(partial)
-
-    def _merge_sketch(self, groups: dict, cached: dict):
-        """Merge one cached segment partial into this fold's groups.
-
-        The cached accumulators are shared across statements, so they are
-        never installed into ``groups`` directly — missing groups get
-        fresh accumulators that the cached ones merge into.  Merge order
-        follows the cached dict's insertion order, which is the segment's
-        first-encounter row order: group creation order (and therefore
-        emission order) is identical to folding the rows directly, and the
-        accumulators' exact order-insensitive ``merge`` keeps the values
-        bit-identical too.
-        """
-        for key, accs in cached.items():
-            merged = groups.get(key)
-            if merged is None:
-                merged = groups[key] = self._make_accs()
-            for acc, sub in zip(merged, accs):
-                acc.merge(sub)
-
-    def _fold(self, batches, ctx, groups: dict):
+    def _fold(self, batches, ctx, groups: GroupedAggregation):
         """Fold one batch stream into ``groups`` (a partial aggregate).
 
         ``SegmentBatch``es (whole sealed segments with no surviving
@@ -1793,7 +1746,11 @@ class BatchAggregate(PlanNode):
         the cached partial in O(groups) instead of O(rows); a miss folds
         the segment once into a private partial, caches it, then merges —
         so the statement that builds a sketch pays the same row work as
-        before and every later statement elides it.
+        before and every later statement elides it.  A cached partial is
+        shared across statements and only ever *merged from*: its groups
+        arrive in the segment's first-encounter row order, so group
+        creation (and emission) order is identical to folding the rows
+        directly, and the exact merge keeps the values bit-identical too.
         """
         specs = self.agg_specs
         sketch_key = self.sketch_key
@@ -1810,20 +1767,20 @@ class BatchAggregate(PlanNode):
                 cached = sketches.lookup(segment, sketch_key)
                 if cached is None:
                     # cold: fold into a private partial with private
-                    # slot state (its accs must never alias ``groups``),
-                    # cache it, and fall through to the merge below
-                    cached = {}
+                    # slot state (its group ids are its own), cache it,
+                    # and fall through to the merge below
+                    cached = self._new_groups()
                     arg_cols = [None if s.arg_fn is None
                                 else s.arg_fn(batch, ctx) for s in specs]
                     self._fold_batch(batch, ctx, cached, arg_cols, {})
                     sketches.store(segment, sketch_key, cached,
-                                   self._sketch_nbytes(cached))
+                                   cached.nbytes())
                     ctx.stats.sketches_built += 1
                     rows += n
                 else:
                     ctx.stats.sketches_hit += 1
                     ctx.stats.sketch_rows_elided += n
-                self._merge_sketch(groups, cached)
+                groups.merge(cached)
                 continue
             rows += n
             arg_cols = [None if s.arg_fn is None else s.arg_fn(batch, ctx)
@@ -1833,17 +1790,8 @@ class BatchAggregate(PlanNode):
         # rows elided by sketch hits are counted in sketch_rows_elided
         ctx.stats.agg_input_rows += rows
 
-    def _merge_partial(self, groups: dict, partial: dict):
-        for key, accs in partial.items():
-            merged = groups.get(key)
-            if merged is None:
-                groups[key] = accs
-            else:
-                for acc, sub in zip(merged, accs):
-                    acc.merge(sub)
-
-    def execute(self, ctx):
-        groups: dict = {}
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        groups = self._new_groups()
         partials = 0
         pool = ctx.pool
         if pool is not None:
@@ -1856,15 +1804,15 @@ class BatchAggregate(PlanNode):
                 tasks = []
                 for pid, batches in streams:
                     def fold(b=batches):
-                        partial: dict = {}
+                        partial = self._new_groups()
                         self._fold(b, ctx, partial)
                         return partial
                     tasks.append((pid, fold))
                 for _pid, partial in pool.scatter_ordered(ctx, tasks):
                     if not groups:
                         groups = partial
-                        continue
-                    self._merge_partial(groups, partial)
+                    else:
+                        groups.merge(partial)
             elif partials == 1:
                 self._fold(streams[0][1], ctx, groups)
         else:
@@ -1874,16 +1822,16 @@ class BatchAggregate(PlanNode):
                     # first (or only) stream folds straight into the result
                     self._fold(batches, ctx, groups)
                     continue
-                partial: dict = {}
+                partial = self._new_groups()
                 self._fold(batches, ctx, partial)
-                self._merge_partial(groups, partial)
+                groups.merge(partial)
         if partials > 1:
             ctx.stats.partial_aggregates += partials
-        if not groups and not self.group_fns:
-            groups[()] = self._make_accs()
+        if not self.group_fns:
+            # global aggregate over an empty input still yields one row
+            groups.gid(())
         ctx.stats.groups += len(groups)
-        for key, accs in groups.items():
-            yield key + tuple(acc.result() for acc in accs)
+        yield from chunked(groups.rows(), size)
 
     def children(self):
         return [self.child]

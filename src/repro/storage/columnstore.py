@@ -300,7 +300,7 @@ class DictColumn:
                 for i in selection]
 
     def dict_codes(self):
-        """``(codes, dictionary)`` for code-space grouping: one accumulator
+        """``(codes, dictionary)`` for code-space grouping: one group-id
         slot per dictionary code, values decoded only for surviving keys."""
         return self.codes, self.values
 
@@ -517,7 +517,7 @@ class NativeColumn:
 
         Each block is a dict mapping binary exponent to the exact integer
         sum of the mantissas of its values — the same representation the
-        executor's exact-sum accumulator uses, so folding a whole block is
+        executor's SUM/AVG state keeps per group, so folding a whole block is
         a handful of small-int dict merges instead of per-value work.
         """
         blocks = self._float_blocks

@@ -444,60 +444,49 @@ class TestWorkloadParity:
 
 
 # ---------------------------------------------------------------------------
-# accumulator exactness on encoded inputs
+# aggregation-state exactness on encoded inputs
 # ---------------------------------------------------------------------------
+
+def _bulk_and_scattered(name, column, values):
+    """One aggregate over ``values``: bulk-folded from the encoded
+    ``column`` into a single group, and scattered row by row."""
+    from repro.sql.functions import GroupedAggregation
+
+    fast = GroupedAggregation([(name, False, False)])
+    fast.fold(fast.gid(()), [column], len(column))
+    slow = GroupedAggregation([(name, False, False)])
+    slow.scatter(slow.assign([()] * len(values)), [values])
+    return fast.rows()[0][0], slow.rows()[0][0]
+
 
 class TestRunAggregation:
     def test_rle_sum_multiplies_exactly(self):
-        from repro.sql.functions import SumAccumulator
-
         values = [0.1] * 1000 + [2.5] * 500 + [None] * 100
         column = _encode_column(values)
         assert isinstance(column, RLEColumn)
-        fast = SumAccumulator()
-        fast.add_many(column)
-        slow = SumAccumulator()
-        for v in values:
-            slow.add(v)
-        assert math.isclose(fast.result(), slow.result(), rel_tol=0)
-        assert fast.result() == slow.result()  # bit-identical
+        fast, slow = _bulk_and_scattered("SUM", column, values)
+        assert math.isclose(fast, slow, rel_tol=0)
+        assert fast == slow  # bit-identical
 
     def test_rle_avg_count_min_max(self):
-        from repro.sql.functions import (
-            AvgAccumulator,
-            CountAccumulator,
-            MaxAccumulator,
-            MinAccumulator,
-        )
-
         values = [3] * 400 + [None] * 50 + [9] * 150
         column = _encode_column(values)
         assert isinstance(column, RLEColumn)
-        for make, expected in (
-            (CountAccumulator, 550),
-            (AvgAccumulator, (3 * 400 + 9 * 150) / 550),
-            (MinAccumulator, 3),
-            (MaxAccumulator, 9),
+        for name, expected in (
+            ("COUNT", 550),
+            ("AVG", (3 * 400 + 9 * 150) / 550),
+            ("MIN", 3),
+            ("MAX", 9),
         ):
-            fast = make()
-            fast.add_many(column)
-            slow = make()
-            for v in values:
-                slow.add(v)
-            assert fast.result() == slow.result() == expected
+            fast, slow = _bulk_and_scattered(name, column, values)
+            assert fast == slow == expected
 
     def test_native_typed_slice_sum_exact(self):
-        from repro.sql.functions import SumAccumulator
-
         rng = Random(3)
         values = [rng.uniform(-1000, 1000) for _ in range(1500)]
         column = NativeColumn(array("d", values), frozenset())
-        fast = SumAccumulator()
-        fast.add_many(column)
-        slow = SumAccumulator()
-        for v in values:
-            slow.add(v)
-        assert fast.result() == slow.result()
+        fast, slow = _bulk_and_scattered("SUM", column, values)
+        assert fast == slow
 
     def test_encoding_label_constants(self):
         assert {Encoding.PLAIN, Encoding.DICT, Encoding.RLE,

@@ -1,0 +1,333 @@
+"""Grouped aggregation state: one fold, many ways to feed it.
+
+``GroupedAggregation`` (dense group ids + one state column per aggregate)
+is what both executors, the partition gather and the segment-sketch cache
+fold into.  The properties here pin the invariant every caller leans on:
+COUNT / SUM / AVG / MIN / MAX (+ DISTINCT) are bit-identical to a
+``fractions.Fraction`` oracle rounded once — under any batch split, any row
+order, bulk folds, merged partials, and on the row pipeline, the vectorized
+pipeline and a warm sketch hit alike.
+"""
+
+from fractions import Fraction
+from math import inf, isnan, nan
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.db import Database
+from repro.sql.functions import GroupedAggregation
+
+# ---------------------------------------------------------------------------
+# oracle
+# ---------------------------------------------------------------------------
+
+
+def _exact_sum(values, count=None):
+    """SUM (or AVG with ``count``) of non-NULL ``values``, rounded once."""
+    if any(isinstance(v, float) and (isnan(v) or v in (inf, -inf))
+           for v in values):
+        # the inexact fallback: non-finite floats poison the total
+        total = sum(v for v in values
+                    if isinstance(v, float) and not -inf < v < inf)
+        return total if count is None else total / count
+    exact = sum(map(Fraction, values), Fraction(0))
+    if count is not None:
+        exact /= count
+    elif all(isinstance(v, int) for v in values):
+        return int(exact)                       # int stays int
+    return exact.numerator / exact.denominator  # one correct rounding
+
+
+def _oracle_row(members):
+    """Expected aggregates of one group's ``(v, w)`` rows, in ``SPECS``
+    order."""
+    vs = [v for v, _w in members if v is not None]
+    ws = [w for _v, w in members if w is not None]
+    distinct = list(set(ws))
+    return (
+        len(members),
+        len(vs),
+        _exact_sum(vs) if vs else None,
+        _exact_sum(vs, len(vs)) if vs else None,
+        min(ws) if ws else None,
+        max(ws) if ws else None,
+        len(distinct),
+        _exact_sum(distinct) if distinct else None,
+        _exact_sum(distinct, len(distinct)) if distinct else None,
+    )
+
+
+# (name, count_star, distinct) and which argument column each one reads:
+# ``v`` carries the awkward numerics, ``w`` is nan-free with no int/float
+# equal pairs (MIN/MAX and DISTINCT keep the first of equal values, so
+# their *type* would depend on row order otherwise)
+SPECS = [("COUNT", True, False), ("COUNT", False, False),
+         ("SUM", False, False), ("AVG", False, False),
+         ("MIN", False, False), ("MAX", False, False),
+         ("COUNT", False, True), ("SUM", False, True),
+         ("AVG", False, True)]
+ARGS = "-vvvwwwww"
+
+
+def _oracle(rows):
+    """``{key: aggregates}`` in first-appearance key order."""
+    members: dict = {}
+    for key, v, w in rows:
+        members.setdefault(key, []).append((v, w))
+    return {key: _oracle_row(group) for key, group in members.items()}
+
+
+def _bits(value):
+    """A comparable, type- and bit-exact image of one result value."""
+    if isinstance(value, float):
+        return ("float", "nan" if isnan(value) else value.hex())
+    return (type(value).__name__, value)
+
+
+def _image(rows):
+    return [tuple(_bits(v) for v in row) for row in rows]
+
+
+def _expected(rows):
+    return _image([key + values for key, values in _oracle(rows).items()])
+
+
+# ---------------------------------------------------------------------------
+# generated rows
+# ---------------------------------------------------------------------------
+
+# bounded so that an exact group total stays inside the double range
+_finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+_v = st.one_of(st.none(), st.integers(-10**6, 10**6), _finite,
+               st.sampled_from([inf, -inf, nan, 0.1, 1e300, -1e300, 5e-324]))
+_w = st.one_of(st.none(), st.integers(-50, 50),
+               _finite.filter(lambda x: not x.is_integer()))
+# NULL keys, one giant group ("giant" is drawn half the time) and a long
+# tail of one-row groups
+_key = st.tuples(st.one_of(st.none(), st.just("giant"), st.just("giant"),
+                           st.just("giant"), st.integers(0, 40),
+                           st.sampled_from(["a", "b"])))
+_rows = st.lists(st.tuples(_key, _v, _w), max_size=80)
+
+
+def _columns(batch):
+    by_name = {"v": [v for _k, v, _w in batch],
+               "w": [w for _k, _v, w in batch], "-": None}
+    return [by_name[name] for name in ARGS]
+
+
+def _scattered(batches):
+    groups = GroupedAggregation(SPECS)
+    for batch in batches:
+        gids = groups.assign(key for key, _v, _w in batch)
+        groups.scatter(gids, _columns(batch))
+    return groups
+
+
+def _split(rows, cuts):
+    bounds = sorted({min(cut, len(rows)) for cut in cuts} | {0, len(rows)})
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestStateProperties:
+    @given(_rows, st.lists(st.integers(0, 80), max_size=6), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_any_batch_split_and_row_order(self, rows, cuts, rng):
+        assert _image(_scattered(_split(rows, cuts)).rows()) \
+            == _expected(rows)
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert _image(_scattered(_split(shuffled, cuts)).rows()) \
+            == _expected(shuffled)
+
+    @given(_rows, st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_fold_equals_scatter(self, rows, rng):
+        """Each group's slice folded in bulk, group by group, in pieces."""
+        groups = GroupedAggregation(SPECS)
+        members: dict = {}
+        for row in rows:
+            members.setdefault(row[0], []).append(row)
+        for key, group in members.items():
+            cut = rng.randint(0, len(group))
+            for piece in (group[:cut], group[cut:]):
+                groups.fold(groups.gid(key), _columns(piece), len(piece))
+        assert _image(groups.rows()) == _expected(rows)
+
+    @given(_rows, st.sampled_from([1, 2, 8]), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_merged_partials(self, rows, partitions, rng):
+        """Rows dealt over partitions, one partial each, merged in
+        partition order == one fold over the concatenated streams."""
+        streams = [[] for _ in range(partitions)]
+        for row in rows:
+            streams[rng.randrange(partitions)].append(row)
+        merged = GroupedAggregation(SPECS)
+        for stream in streams:
+            merged.merge(_scattered([stream]))
+        concatenated = [row for stream in streams for row in stream]
+        assert _image(merged.rows()) == _expected(concatenated)
+
+    def test_merge_never_aliases_the_source(self):
+        """A cached partial is merged from many times: the target must
+        copy, not adopt, its per-group buckets and sets."""
+        rows = [(("k",), 0.5, 1.5), (("k",), 2, 3)]
+        cached = _scattered([rows])
+        before = _image(cached.rows())
+        for _ in range(2):
+            target = GroupedAggregation(SPECS)
+            target.merge(cached)
+            target.scatter(target.assign([("k",)]), _columns([(0, 0.25, 9)]))
+            assert _image(cached.rows()) == before
+
+    def test_group_by_without_aggregates(self):
+        groups = GroupedAggregation([])
+        groups.scatter(groups.assign([(2,), (1,), (2,)]), [])
+        assert groups.rows() == [(2,), (1,)]
+
+    def test_empty_global_group(self):
+        groups = GroupedAggregation(SPECS)
+        groups.gid(())
+        assert groups.rows() == [(0, 0, None, None, None, None, 0, None,
+                                  None)]
+
+
+# ---------------------------------------------------------------------------
+# SQL level: row pipeline vs vectorized vs warm sketch hit
+# ---------------------------------------------------------------------------
+
+PLAIN_AGGS = "COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(w), MAX(w)"
+DISTINCT_AGGS = "COUNT(DISTINCT w), SUM(DISTINCT w), AVG(DISTINCT w)"
+
+
+def _make_db(rows, partitions):
+    db = Database(with_columnar=True, columnar_segment_rows=16,
+                  partitions=partitions)
+    db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, k VARCHAR, j INT, "
+                   "v DOUBLE, w DOUBLE)")
+    db.bulk_load("t", [(i, *row) for i, row in enumerate(rows)])
+    db.replicate()
+    db.columnar.compact(force=True)
+    return db
+
+
+def _run(db, sql, route_columnar):
+    with db.connect() as conn:
+        result = conn.execute(sql, (), route_columnar=route_columnar)
+        conn.commit()
+    return result
+
+
+def _sql_oracle(rows, key_of, aggs):
+    members: dict = {}
+    for row in rows:
+        members.setdefault(key_of(row), []).append(row[2:])
+    picks = slice(0, 6) if aggs is PLAIN_AGGS else slice(6, 9)
+    return sorted(_image([key + _oracle_row(group)[picks]
+                          for key, group in members.items()]))
+
+
+_sql_rows = st.lists(
+    st.tuples(st.sampled_from([None, "giant", "giant", "giant", "a", "b"]),
+              st.one_of(st.none(), st.integers(0, 3)), _v, _w),
+    max_size=70)
+
+
+class TestPipelinesAgree:
+    @given(_sql_rows, st.sampled_from([1, 2, 8]))
+    @settings(max_examples=40, deadline=None)
+    def test_row_vectorized_and_warm_sketch(self, rows, partitions):
+        db = _make_db(rows, partitions)
+        shapes = [("k", lambda r: (r[0],)), ("j", lambda r: (r[1],)),
+                  ("k, j", lambda r: (r[0], r[1]))]
+        for keys, key_of in shapes:
+            for aggs in (PLAIN_AGGS, DISTINCT_AGGS):
+                sql = f"SELECT {keys}, {aggs} FROM t GROUP BY {keys}"
+                expected = _sql_oracle(rows, key_of, aggs)
+                row = _run(db, sql, route_columnar=False)
+                cold = _run(db, sql, route_columnar=True)
+                warm = _run(db, sql, route_columnar=True)
+                assert cold.stats.vectorized and not row.stats.vectorized
+                for result in (row, cold, warm):
+                    assert sorted(_image(result.rows)) == expected
+                # emission order is first-appearance order on every path
+                assert _image(cold.rows) == _image(warm.rows)
+                if aggs is PLAIN_AGGS and rows:
+                    assert warm.stats.sketches_hit > 0
+                    assert warm.stats.agg_input_rows == 0
+
+    @given(_sql_rows, st.sampled_from([1, 2, 8]))
+    @settings(max_examples=25, deadline=None)
+    def test_global_aggregate(self, rows, partitions):
+        db = _make_db(rows, partitions)
+        sql = f"SELECT {PLAIN_AGGS}, {DISTINCT_AGGS} FROM t"
+        expected = _image([_oracle_row([row[2:] for row in rows])])
+        assert _image(_run(db, sql, False).rows) == expected
+        assert _image(_run(db, sql, True).rows) == expected
+
+    def test_empty_input_global_aggregate_row(self):
+        for partitions in (1, 2, 8):
+            db = _make_db([], partitions)
+            sql = f"SELECT {PLAIN_AGGS} FROM t"
+            for route_columnar in (False, True):
+                assert _run(db, sql, route_columnar).rows \
+                    == [(0, 0, None, None, None, None)]
+            assert _run(db, "SELECT k, COUNT(*) FROM t GROUP BY k",
+                        True).rows == []
+
+
+# ---------------------------------------------------------------------------
+# the sketch cache's size estimate tracks the partial it describes
+# ---------------------------------------------------------------------------
+
+def _deep_sizeof(obj, seen):
+    """``sys.getsizeof`` walk over a partial's containers and values."""
+    import sys
+
+    if id(obj) in seen or obj is None:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(_deep_sizeof(k, seen) + _deep_sizeof(v, seen)
+                    for k, v in obj.items())
+    elif isinstance(obj, (list, tuple, set)):
+        size += sum(_deep_sizeof(item, seen) for item in obj)
+    elif hasattr(obj, "__dict__"):
+        size += _deep_sizeof(vars(obj), seen)
+    return size
+
+
+class TestSketchSizeEstimate:
+    def _cached_partials(self, sql, groups, rows=4096):
+        rng = Random(5)
+        table = [(i, f"key{rng.randrange(groups):05d}", rng.randrange(groups),
+                  rng.choice([None, rng.uniform(-100, 100), rng.randrange(9)]),
+                  rng.uniform(0, 1))
+                 for i in range(rows)]
+        db = Database(with_columnar=True, columnar_segment_rows=1024)
+        db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, k VARCHAR, "
+                       "j INT, v DOUBLE, w DOUBLE)")
+        db.bulk_load("t", table)
+        db.replicate()
+        db.columnar.compact(force=True)
+        assert _run(db, sql, True).stats.sketches_built == 4
+        entries = list(db.columnar.sketches._entries.values())
+        assert len(entries) == 4
+        return [(value, nbytes) for _seg, _epoch, value, nbytes in entries]
+
+    def test_estimate_within_2x_of_a_real_partial(self):
+        shapes = [
+            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 7),
+            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 900),
+            ("SELECT k, j, COUNT(*), SUM(w) FROM t GROUP BY k, j", 300),
+            ("SELECT j, SUM(j), MAX(w) FROM t GROUP BY j", 2000),
+            ("SELECT COUNT(*), AVG(v) FROM t", 5),
+        ]
+        for sql, groups in shapes:
+            for partial, estimate in self._cached_partials(sql, groups):
+                assert estimate == partial.nbytes()
+                actual = _deep_sizeof(partial, set())
+                assert actual / 2 <= estimate <= actual * 2, (sql, groups)

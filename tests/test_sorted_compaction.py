@@ -371,7 +371,7 @@ class TestEncodedGroupBy:
 
 class TestRunGroupedFold:
     """Grouping by an RLE sort-key column folds run-at-a-time: one group
-    lookup per run, bulk ``add_many`` over each argument's span.  INT keys
+    lookup per run, one bulk fold over each argument's span.  INT keys
     never dictionary-encode, so ``groups_coded > 0`` on these queries can
     only come from the run fold."""
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.db import Database
 from repro.errors import BindError, ExecutionError
 from repro.sql.expressions import Schema
-from repro.sql.functions import like_to_predicate, make_accumulator
+from repro.sql.functions import GroupedAggregation, like_to_predicate
 
 
 class TestSchema:
@@ -151,58 +151,46 @@ class TestLikeMatching:
             assert like_to_predicate(text)(text)
 
 
-class TestAccumulators:
+def _aggregate(name, values, count_star=False, distinct=False):
+    """One aggregate over ``values`` scattered into a single group."""
+    groups = GroupedAggregation([(name, count_star, distinct)])
+    gids = groups.assign([()] * len(values))
+    groups.scatter(gids, [None if count_star else list(values)])
+    groups.gid(())          # the empty input still has its global group
+    return groups.rows()[0][0]
+
+
+class TestAggregateStates:
     def test_count_star_counts_nulls(self):
-        acc = make_accumulator("COUNT", count_star=True)
-        for value in (1, None, 2):
-            acc.add(value)
-        assert acc.result() == 3
+        assert _aggregate("COUNT", (1, None, 2), count_star=True) == 3
 
     def test_count_column_skips_nulls(self):
-        acc = make_accumulator("COUNT")
-        for value in (1, None, 2):
-            acc.add(value)
-        assert acc.result() == 2
+        assert _aggregate("COUNT", (1, None, 2)) == 2
 
     def test_distinct_sum(self):
-        acc = make_accumulator("SUM", distinct=True)
-        for value in (5, 5, 3, None):
-            acc.add(value)
-        assert acc.result() == 8
+        assert _aggregate("SUM", (5, 5, 3, None), distinct=True) == 8
 
     def test_avg_empty_is_null(self):
-        assert make_accumulator("AVG").result() is None
+        assert _aggregate("AVG", ()) is None
 
     def test_min_max(self):
-        lo = make_accumulator("MIN")
-        hi = make_accumulator("MAX")
-        for value in (4, None, -2, 9):
-            lo.add(value)
-            hi.add(value)
-        assert lo.result() == -2
-        assert hi.result() == 9
+        assert _aggregate("MIN", (4, None, -2, 9)) == -2
+        assert _aggregate("MAX", (4, None, -2, 9)) == 9
 
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(ExecutionError):
-            make_accumulator("MEDIAN")
+            GroupedAggregation([("MEDIAN", False, False)])
 
     @given(st.lists(st.one_of(st.none(), st.integers(-100, 100)),
                     max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_sum_avg_consistency(self, values):
-        total = make_accumulator("SUM")
-        mean = make_accumulator("AVG")
-        count = make_accumulator("COUNT")
-        for value in values:
-            total.add(value)
-            mean.add(value)
-            count.add(value)
         non_null = [v for v in values if v is not None]
         if non_null:
-            assert total.result() == sum(non_null)
-            assert mean.result() == pytest.approx(
+            assert _aggregate("SUM", values) == sum(non_null)
+            assert _aggregate("AVG", values) == pytest.approx(
                 sum(non_null) / len(non_null))
         else:
-            assert total.result() is None
-            assert mean.result() is None
-        assert count.result() == len(non_null)
+            assert _aggregate("SUM", values) is None
+            assert _aggregate("AVG", values) is None
+        assert _aggregate("COUNT", values) == len(non_null)

@@ -14,6 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
+from repro.sql.executor import ExecContext
+from repro.sql.expressions import Schema, column_fn
+from repro.sql.planner import Limit, Sort, TopN
+from repro.sql.plannode import BatchNode, chunked
 
 rows_strategy = st.lists(
     st.tuples(
@@ -156,6 +160,63 @@ def test_like_prefix_matches_reference(texts):
         db.bulk_load("t", ((i, s) for i, s in enumerate(texts)))
     got = db.query("SELECT COUNT(*) FROM t WHERE s LIKE 'a%'").scalar()
     assert got == sum(1 for s in texts if s.startswith("a"))
+
+
+class _Batches(BatchNode):
+    """A plan-node stub serving fixed rows in batches of ``size``."""
+
+    def __init__(self, rows, size):
+        self.served = rows
+        self.size = size
+        self.schema = Schema([(None, "a"), (None, "b"), (None, "c")])
+
+    def execute_batches(self, ctx, size=None):
+        return chunked(list(self.served), self.size)
+
+
+def _outcome(node, ctx):
+    try:
+        return list(node.execute(ctx)), ctx.stats.sort_rows
+    except TypeError:
+        return "TypeError"
+
+
+_topn_rows = st.lists(
+    st.tuples(
+        # leading-key material: NULLs, a narrow int range so tie groups
+        # straddle the k-th value, and the odd string to mix types
+        st.one_of(st.none(), st.integers(0, 4), st.sampled_from(["x", "y"])),
+        st.one_of(st.none(), st.integers(-3, 3),
+                  st.floats(-3, 3, allow_nan=False)),
+        st.integers(0, 2),
+    ),
+    max_size=40,
+)
+
+
+@given(_topn_rows,
+       st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                min_size=1, max_size=3),
+       st.sampled_from(["0", "1", "n-1", "n", "n+3"]),
+       st.integers(1, 9), st.booleans(),
+       st.sampled_from([0, 3, TopN.SLACK_ROWS]))
+@settings(max_examples=300, deadline=None)
+def test_topn_is_sort_then_limit(rows, keys, limit, batch, strings, slack):
+    """``TopN`` == ``Sort`` + ``Limit``: multi-key mixed ASC/DESC, NULLs in
+    the leading key, tie groups straddling the k-th value, every limit
+    regime — and the same ``TypeError`` when a key column mixes
+    uncomparable types.  ``slack`` 0 cuts the buffer back mid-stream."""
+    if not strings:
+        rows = [row for row in rows if not isinstance(row[0], str)]
+    limit = {"0": 0, "1": 1, "n-1": max(len(rows) - 1, 0), "n": len(rows),
+             "n+3": len(rows) + 3}[limit]
+    specs = [(column_fn(position), descending)
+             for position, descending in keys]
+    fused = TopN(_Batches(rows, batch), specs, limit)
+    fused.SLACK_ROWS = slack
+    plain = Limit(Sort(_Batches(rows, batch), specs), limit)
+    assert _outcome(fused, ExecContext(None)) \
+        == _outcome(plain, ExecContext(None))
 
 
 class TestDeterminism:
