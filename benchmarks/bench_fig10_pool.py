@@ -47,14 +47,14 @@ QUERY = "SELECT grp, COUNT(*), SUM(v), AVG(w) FROM t GROUP BY grp"
 
 
 def _build(workers: int):
-    # segment sketches off on both arms: the grouped full-scan aggregate
-    # is sketch-eligible, and warm cached partials would otherwise stand
-    # in for the scatter-gather fold this bench isolates (the sketch
-    # lever has its own fig05 arm and floor)
+    # a zero sketch budget on both arms (nothing is ever cached): the
+    # grouped full-scan aggregate is sketch-eligible, and warm cached
+    # partials would otherwise stand in for the scatter-gather fold this
+    # bench isolates (the sketch lever has its own fig05 arm and floor)
     db = Database(partitions=PARTITIONS, workers=workers,
                   with_columnar=True, columnar_segment_rows=SEGMENT_ROWS,
                   sort_keys={"t": ("grp", "id")},
-                  segment_sketches=False)
+                  sketch_budget_bytes=0)
     db.execute_ddl(
         "CREATE TABLE t (id INT PRIMARY KEY, grp INT, v DOUBLE, w INT)")
     conn = db.connect()
@@ -76,8 +76,7 @@ def _advance(db, conn, round_no: int):
     schedules the forced ordered merge on a worker (and ``quiesce``
     waits for it, keeping the merge *outside* the timed window — on the
     query path it would be off-thread anyway), while the sequential
-    database only re-encodes demoted segments and leaves the delta
-    unmerged below the segment threshold.
+    database leaves the delta unmerged below the segment threshold.
     """
     if round_no:
         start = ROWS + (round_no - 1) * CHUNK

@@ -40,107 +40,79 @@ def load_bench(name: str) -> dict:
     return json.loads(bench_path(name).read_text(encoding="utf-8"))
 
 
-def check_fig05(path: str, min_speedup: float,
-                min_range_speedup: float = 2.0,
-                min_shared_dict_speedup: float = 1.5,
+def classify(speedup: float) -> str:
+    """Win >= 1.2x / neutral / regression < 1.0x (SNIPPETS Snippet 3)."""
+    if speedup >= 1.2:
+        return "win"
+    return "regression" if speedup < 1.0 else "neutral"
+
+
+# per-query engagement gates: the counter that proves the query ran on
+# the lever it is in the record for
+_FIG05_ENGAGEMENT = {
+    "selective_district": ("segments_pruned", "segments_encoded",
+                           "runs_skipped"),
+    "sorted_range_scan": ("segments_pruned",),
+    "ordered_topn": ("sort_elided",),
+    "grouped_report": ("groups_global_coded",),
+    "code_space_join": ("join_code_probes",),
+    "full_scan_sketch_grouped": ("sketches_built", "sketches_hit",
+                                 "sketch_rows_elided"),
+    "full_scan_sketch_q1": ("sketches_built", "sketches_hit",
+                            "sketch_rows_elided"),
+}
+
+
+def check_fig05(path: str, min_speedup: float = 5.0,
                 min_sketch_speedup: float = 3.0) -> int:
-    """CI floors: encoded-vectorized over row-pipeline speedup on the
-    selective district query must stay above ``min_speedup``, the
-    delta–main engine's contiguous-span range scan must beat the
-    arrival-order encoded engine by ``min_range_speedup``, the
-    shared-dictionary engine must beat the per-segment-dictionary engine
-    by ``min_shared_dict_speedup`` on the grouped report and the
-    code-space join, and the segment-sketch engine must beat the
-    sketches-off encoded engine by ``min_sketch_speedup`` warm on the
-    grouped report and the Q1 orders report — all semantically validated
-    (non-empty result, checksum parity with the baseline engine)."""
+    """CI gates on the engine-vs-row-oracle record: every query is
+    semantically validated (non-empty result, checksum parity with the
+    row oracle) and classified win / neutral / regression on its
+    columnar-over-row median ratio — any regression fails; the selective
+    district query must stay above ``min_speedup``; the warm sketch arm
+    must beat the same statement run cold by ``min_sketch_speedup`` on the
+    grouped report and the Q1 orders report; and every lever's engagement
+    counter must be non-zero."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    selective = next(q for q in payload["queries"]
-                     if q["query"] == "selective_district")
-    speedup = selective["speedup_encoded_vs_row"]
-    print(f"selective_district encoded-vs-row speedup: {speedup:.1f}x "
-          f"(floor {min_speedup:g}x)")
-    if speedup < min_speedup:
-        print("FAIL: speedup below the conservative floor")
-        return 1
-    if not selective["segments_encoded"] or not selective["runs_skipped"]:
-        print("FAIL: encoded-execution counters are zero — the encoding "
-              "layer did not engage")
-        return 1
-    span = next((q for q in payload["queries"]
-                 if q["query"] == "sorted_range_scan"), None)
-    if span is None:
-        print("FAIL: no sorted_range_scan row — regenerate the record "
+    queries = {q["query"]: q for q in payload["queries"]}
+    missing = sorted(set(_FIG05_ENGAGEMENT) - set(queries))
+    if missing:
+        print(f"FAIL: no {', '.join(missing)} row — regenerate the record "
               "with benchmarks/bench_fig05_realtime_query.py")
         return 1
-    range_speedup = span["speedup_sorted_vs_encoded"]
-    print(f"sorted_range_scan sorted-vs-encoded speedup: "
-          f"{range_speedup:.1f}x (floor {min_range_speedup:g}x)")
-    if range_speedup < min_range_speedup:
-        print("FAIL: sorted-range-scan speedup below the floor")
-        return 1
-    if not span["segments_pruned"]:
-        print("FAIL: the contiguous-span index pruned nothing")
-        return 1
-    topn = next((q for q in payload["queries"]
-                 if q["query"] == "ordered_topn"), None)
-    if topn is None:
-        print("FAIL: no ordered_topn row — regenerate the record")
-        return 1
-    if not topn["sort_elided"]:
-        print("FAIL: the ordered TopN did not elide its sort")
-        return 1
-    for name, counter in (("grouped_report", "groups_global_coded"),
-                          ("code_space_join", "join_code_probes")):
-        entry = next((q for q in payload["queries"] if q["query"] == name),
-                     None)
-        if entry is None:
-            print(f"FAIL: no {name} row — regenerate the record")
-            return 1
-        shared = entry["speedup_shared_vs_per_segment"]
-        print(f"{name} shared-vs-per-segment speedup: {shared:.2f}x "
-              f"(floor {min_shared_dict_speedup:g}x)")
-        if shared < min_shared_dict_speedup:
-            print("FAIL: shared-dictionary speedup below the floor")
-            return 1
-        if not entry[counter]:
-            print(f"FAIL: {counter} is zero — code-space execution did "
-                  "not engage")
-            return 1
-        # semantic validation (row count + checksum, TPC-DS style): the
-        # shared-dictionary result must be non-empty and byte-identical
-        # to the per-segment engine's
+    for name, entry in queries.items():
         if not entry["rows"]:
             print(f"FAIL: {name} returned no rows")
             return 1
-        if entry["checksum"] != entry["checksum_per_segment"]:
-            print(f"FAIL: {name} checksum mismatch — shared-dictionary "
-                  "result diverged from the per-segment engine")
+        if {entry["checksum"], entry.get("checksum_warm",
+                                         entry["checksum"])} \
+                != {entry["checksum_row"]}:
+            print(f"FAIL: {name} checksum mismatch — the engine's result "
+                  "diverged from the row oracle's")
             return 1
-    for name in ("full_scan_sketch_grouped", "full_scan_sketch_q1"):
-        entry = next((q for q in payload["queries"] if q["query"] == name),
-                     None)
-        if entry is None:
-            print(f"FAIL: no {name} row — regenerate the record")
-            return 1
-        sketch = entry["speedup_sketch_vs_encoded"]
-        print(f"{name} sketch-vs-encoded speedup: {sketch:.2f}x "
-              f"(floor {min_sketch_speedup:g}x, "
-              f"vs-row {entry['speedup_sketch_vs_row']:.1f}x)")
-        if sketch < min_sketch_speedup:
-            print("FAIL: segment-sketch speedup below the floor")
-            return 1
-        if not entry["sketches_built"] or not entry["sketches_hit"] \
-                or not entry["sketch_rows_elided"]:
-            print("FAIL: sketch counters are zero — the sketch cache did "
-                  "not engage")
-            return 1
-        if not entry["rows"]:
-            print(f"FAIL: {name} returned no rows")
-            return 1
-        if entry["checksum"] != entry["checksum_off"]:
-            print(f"FAIL: {name} checksum mismatch — warm sketch result "
-                  "diverged from the sketches-off engine")
+        for counter in _FIG05_ENGAGEMENT.get(name, ()):
+            if not entry[counter]:
+                print(f"FAIL: {name}: {counter} is zero — the lever did "
+                      "not engage")
+                return 1
+        if "warm_ms" in entry:
+            sketch = entry["speedup_warm_vs_cold"]
+            print(f"{name} warm-vs-cold speedup: {sketch:.2f}x "
+                  f"(floor {min_sketch_speedup:g}x, "
+                  f"vs-row {entry['speedup_warm_vs_row']:.1f}x)")
+            if sketch < min_sketch_speedup:
+                print("FAIL: segment-sketch speedup below the floor")
+                return 1
+            continue
+        speedup = entry["speedup_columnar_vs_row"]
+        floor = min_speedup if name == "selective_district" else 1.0
+        print(f"{name} columnar-vs-row speedup: {speedup:.2f}x "
+              f"({classify(speedup)}, floor {floor:g}x)")
+        if speedup < floor:
+            print("FAIL: speedup below the conservative floor"
+                  if floor > 1.0 else
+                  "FAIL: regression — the engine is slower than its row "
+                  "oracle")
             return 1
     print("OK")
     return 0
@@ -271,22 +243,13 @@ def main(argv: list[str]) -> int:
                     argv[argv.index("--min-pool-speedup") + 1])
             return check_fig10(argv[1], min_pool_speedup)
         min_speedup = 5.0
-        min_range_speedup = 2.0
-        min_shared_dict_speedup = 1.5
+        min_sketch_speedup = 3.0
         if "--min-speedup" in argv:
             min_speedup = float(argv[argv.index("--min-speedup") + 1])
-        if "--min-range-speedup" in argv:
-            min_range_speedup = float(
-                argv[argv.index("--min-range-speedup") + 1])
-        if "--min-shared-dict-speedup" in argv:
-            min_shared_dict_speedup = float(
-                argv[argv.index("--min-shared-dict-speedup") + 1])
-        min_sketch_speedup = 3.0
         if "--min-sketch-speedup" in argv:
             min_sketch_speedup = float(
                 argv[argv.index("--min-sketch-speedup") + 1])
-        return check_fig05(argv[1], min_speedup, min_range_speedup,
-                           min_shared_dict_speedup, min_sketch_speedup)
+        return check_fig05(argv[1], min_speedup, min_sketch_speedup)
     print(__doc__)
     return 2
 

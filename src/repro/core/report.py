@@ -80,7 +80,7 @@ def render_csv(reports: list[RunReport]) -> str:
         "segments_encoded", "runs_skipped",
         "segments_merged", "delta_rows_pending", "sort_elided",
         "groups_coded",
-        "join_code_probes", "groups_global_coded", "dict_remaps",
+        "join_code_probes", "groups_global_coded",
         "plan_cache_hits", "plan_cache_misses",
         "plan_cache_evictions", "plan_cache_contention",
         "partitions_scanned", "partitions_pruned",
@@ -105,7 +105,6 @@ def render_csv(reports: list[RunReport]) -> str:
                 report.segments_merged, report.delta_rows_pending,
                 report.sort_elided, report.groups_coded,
                 report.join_code_probes, report.groups_global_coded,
-                report.dict_remaps,
                 report.plan_cache_hits, report.plan_cache_misses,
                 report.plan_cache_evictions, report.plan_cache_contention,
                 report.partitions_scanned, report.partitions_pruned,

@@ -69,12 +69,10 @@ class RunReport:
     delta_rows_pending: int = 0
     sort_elided: int = 0
     groups_coded: int = 0
-    # shared-dictionary counters: join rows probed as global codes,
-    # batches grouped against the table-level accumulator, and lazy
-    # per-segment->global remap arrays built
+    # shared-dictionary counters: join rows probed as global codes and
+    # batches grouped against the table-level accumulator
     join_code_probes: int = 0
     groups_global_coded: int = 0
-    dict_remaps: int = 0
     # plan-cache outcome over the run, plus the replica's encoding layer
     # accounting at run end (segments/bytes/compression, None when the
     # engine has no columnar replica)
@@ -177,12 +175,10 @@ class RunReport:
                 f"sort_elided={self.sort_elided} "
                 f"groups_coded={self.groups_coded}"
             )
-        if self.join_code_probes or self.groups_global_coded \
-                or self.dict_remaps:
+        if self.join_code_probes or self.groups_global_coded:
             lines.append(
                 f"  shared dicts: join_code_probes={self.join_code_probes} "
-                f"groups_global_coded={self.groups_global_coded} "
-                f"dict_remaps={self.dict_remaps}"
+                f"groups_global_coded={self.groups_global_coded}"
             )
         if self.plan_cache_hits or self.plan_cache_misses:
             lines.append(
@@ -443,7 +439,6 @@ class OLxPBench:
         report.groups_coded += exec_stats.groups_coded
         report.join_code_probes += exec_stats.join_code_probes
         report.groups_global_coded += exec_stats.groups_global_coded
-        report.dict_remaps += exec_stats.dict_remaps
         report.segments_merged += exec_stats.segments_merged
         report.plan_cache_hits += exec_stats.plan_cache_hits
         report.plan_cache_misses += exec_stats.plan_cache_misses

@@ -63,11 +63,7 @@ class Database:
                  supports_foreign_keys: bool = True,
                  with_columnar: bool = False,
                  columnar_segment_rows: int | None = None,
-                 columnar_encoding: bool = True,
-                 sorted_compaction: bool = True,
-                 shared_dicts: bool = True,
                  shared_dict_cardinality: int | None = None,
-                 segment_sketches: bool = True,
                  sketch_budget_bytes: int | None = None,
                  sort_keys: dict[str, tuple[str, ...]] | None = None,
                  default_isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
@@ -89,27 +85,13 @@ class Database:
         self.retain_wal = retain_wal
         self.storage = RowStorage(self.partition_map,
                                   failpoints=self.failpoints)
-        # sorted_compaction=True (default) keeps the columnar replica in
-        # the delta–main organisation: replication applies into plain
-        # delta tails, compaction merges into sort-key-ordered encoded
-        # main segments.  False preserves the arrival-order engine
-        # byte-for-byte (the recorded A/B baseline).  sort_keys overrides
-        # the per-table sort key (default: the primary key), e.g.
-        # Database(sort_keys={"ORDER_LINE": ("OL_I_ID",)}).
-        self.columnar_encoding = columnar_encoding
-        self.sorted_compaction = sorted_compaction
-        # shared_dicts=True (default) installs one table-level dictionary
-        # per string column domain (FK columns alias the referenced
-        # column's), built during compaction seals; joins, group-bys and
-        # pushed predicates then run on global integer codes across
-        # segments.  False preserves the per-segment-dictionary engine
-        # byte-for-byte (the recorded A/B baseline).
-        self.shared_dicts = shared_dicts and columnar_encoding
-        # segment_sketches=True (default) lets sketch-eligible full-scan
-        # aggregates fold cached per-segment exact partials instead of
-        # rows; False is the byte-identical A/B baseline.
-        # sketch_budget_bytes bounds the replica-wide sketch LRU.
-        self.segment_sketches = segment_sketches and with_columnar
+        # The columnar replica is delta–main: replication applies into
+        # plain delta tails, compaction merges into sort-key-ordered
+        # encoded main segments.  sort_keys overrides the per-table sort
+        # key (default: the primary key), e.g.
+        # Database(sort_keys={"ORDER_LINE": ("OL_I_ID",)});
+        # shared_dict_cardinality caps each table-level string dictionary
+        # and sketch_budget_bytes bounds the replica-wide sketch LRU.
         self.sort_keys = {name.upper(): tuple(columns)
                           for name, columns in (sort_keys or {}).items()}
         # sort_keys names not yet matched by a created table: checked at
@@ -122,9 +104,6 @@ class Database:
                 columnar_segment_rows if columnar_segment_rows is not None
                 else SEGMENT_ROWS,
                 partition_map=self.partition_map,
-                encode=columnar_encoding,
-                sorted_compaction=sorted_compaction,
-                shared_dicts=self.shared_dicts,
                 **({} if shared_dict_cardinality is None
                    else {"shared_dict_cardinality": shared_dict_cardinality}),
                 **({} if sketch_budget_bytes is None
@@ -140,18 +119,9 @@ class Database:
         self.degraded_statements_total = 0
         self.txn_manager = TransactionManager(self.storage,
                                               failpoints=self.failpoints)
-        # columnar_encoding=False reverts the whole columnar path to the
-        # pre-encoding engine (plain segments, prune-only pushdown): the
-        # recorded A/B baseline the encoding benchmarks compare against
         self.planner = Planner(self.catalog,
                                build_vectorized=self.columnar is not None,
-                               encoded_pushdown=columnar_encoding,
-                               sorted_scan=(self.columnar is not None
-                                            and sorted_compaction),
-                               sort_keys=self.sort_keys,
-                               shared_dicts=(self.columnar is not None
-                                             and self.shared_dicts),
-                               segment_sketches=self.segment_sketches)
+                               sort_keys=self.sort_keys)
         self.supports_foreign_keys = supports_foreign_keys
         self.enforce_foreign_keys = enforce_foreign_keys and supports_foreign_keys
         self.default_isolation = default_isolation
@@ -307,13 +277,13 @@ class Database:
         applied = self.columnar.apply_from_partitions(self.storage.wals,
                                                       limit)
         if applied == 0:
-            # nothing new: no prefix to truncate, no demotions to re-encode
+            # nothing new: no prefix to truncate, no fresh delta to merge
             # (this path runs once per simulated request via engine ticks)
             return 0
         if not self.retain_wal:
             for pid, wal in enumerate(self.storage.wals):
                 wal.truncate_upto(self.columnar.applied_lsns[pid])
-        if self.pool is not None and self.sorted_compaction:
+        if self.pool is not None:
             # ordered compaction moves off the query path: merge the fresh
             # delta eagerly (segment-granular, so cost is bounded by the
             # delta's key-range overlap) on a pool worker while queries
@@ -322,7 +292,6 @@ class Database:
             self.pool.submit_background(self._background_compact,
                                         name="columnar-compaction")
         else:
-            # re-encode segments demoted by in-place overwrites this chunk
             self._compact_with_retry()
         return applied
 
@@ -424,20 +393,6 @@ class Database:
         plan, _hit, _evicted, _contended = self._prepare(sql)
         return plan
 
-    def _cache_key(self, sql: str) -> tuple:
-        """Plan-cache key: the SQL text plus every engine-affecting flag.
-
-        The planner compiles different physical plans depending on the
-        encoding pushdown, order-awareness, shared-dictionary and
-        segment-sketch toggles, so an A/B flip of
-        ``planner.encoded_pushdown`` / ``planner.sorted_scan`` /
-        ``planner.shared_dicts`` / ``planner.segment_sketches`` on a
-        shared Database must never serve a plan built under the other
-        setting.
-        """
-        return (sql, self.planner.encoded_pushdown, self.planner.sorted_scan,
-                self.planner.shared_dicts, self.planner.segment_sketches)
-
     def _lock_plan_cache(self) -> bool:
         """Take the plan-cache mutex; True when another session held it."""
         if self._plan_cache_lock.acquire(blocking=False):
@@ -454,12 +409,11 @@ class Database:
         session encounters, both attributed to the statement's ExecStats.
         """
         cache = self._plan_cache
-        key = self._cache_key(sql)
         contended = 1 if self._lock_plan_cache() else 0
         try:
-            plan = cache.get(key)
+            plan = cache.get(sql)
             if plan is not None:
-                cache.move_to_end(key)
+                cache.move_to_end(sql)
                 self.plan_cache_hits += 1
                 return plan, True, 0, contended
         finally:
@@ -472,15 +426,15 @@ class Database:
         if self._lock_plan_cache():
             contended += 1
         try:
-            racer = cache.get(key)
+            racer = cache.get(sql)
             if racer is not None:
                 # another session planned the same statement while we were
                 # outside the lock: keep the installed plan
-                cache.move_to_end(key)
+                cache.move_to_end(sql)
                 self.plan_cache_hits += 1
                 return racer, True, 0, contended
             self.plan_cache_misses += 1
-            cache[key] = plan
+            cache[sql] = plan
             while len(cache) > self.plan_cache_size:
                 cache.popitem(last=False)
                 evicted += 1

@@ -124,8 +124,9 @@ class Executor:
         self.catalog = catalog
         self.columnar = columnar
         self.enforce_foreign_keys = enforce_foreign_keys
-        # batch-at-a-time execution for columnar-routed statements; row
-        # pipeline only when False (benchmark A/B comparisons flip this)
+        # batch-at-a-time execution for columnar-routed statements; False
+        # runs the row plan nodes over the same replica instead — the
+        # correctness oracle tests and the fig05 ladder compare against
         self.use_vectorized = use_vectorized
         self.partition_map = partition_map
         self.pool = pool

@@ -890,47 +890,23 @@ class Planner:
     database without a columnar replica turns it off so every prepare
     doesn't build an unreachable operator tree.
 
-    ``encoded_pushdown`` gates exact in-scan predicate evaluation: when
-    False the vectorized plan reverts to prune-only pushdown (zone-map
-    segment skipping with every conjunct re-applied above the scan) — the
-    pre-encoding engine, kept as the recorded A/B benchmark baseline.
-
-    ``sorted_scan`` enables order-aware planning against a delta–main
-    replica: the planner tracks the scan's sort-key ordering through
-    VFilter/VProject (and the order-preserving probe side of VHashJoin)
-    and replaces Sort/TopN with ``SortedMerge`` when the ORDER BY is an
-    ascending prefix of the scanned table's sort key.  ``sort_keys`` maps
-    UPPER table names to sort-key column tuples overriding the default
-    (the primary key).
+    The vectorized plan is order-aware: the planner tracks the scan's
+    sort-key ordering through VFilter/VProject (and the order-preserving
+    probe side of VHashJoin) and replaces Sort/TopN with ``SortedMerge``
+    when the ORDER BY is a uniformly ascending or descending prefix of
+    the scanned table's sort key.  ``sort_keys`` maps UPPER table names to
+    sort-key column tuples overriding the default (the primary key).
     """
 
     def __init__(self, catalog: Catalog, build_vectorized: bool = True,
-                 encoded_pushdown: bool = True,
-                 sorted_scan: bool = False,
-                 sort_keys: dict[str, tuple[str, ...]] | None = None,
-                 shared_dicts: bool = False,
-                 segment_sketches: bool = False):
+                 sort_keys: dict[str, tuple[str, ...]] | None = None):
         self.catalog = catalog
         self.build_vectorized = build_vectorized
-        self.encoded_pushdown = encoded_pushdown
-        self.sorted_scan = sorted_scan
         self.sort_keys = sort_keys or {}
-        # shared table-level dictionaries: when on, single-column equi-
-        # joins on plain column refs carry code-key lineage so VHashJoin
-        # can build/probe on global integer codes
-        self.shared_dicts = shared_dicts
-        # segment sketches: when on, aggregate plans whose input is a bare
-        # columnar scan (no joins, every predicate pushed exactly) are
-        # marked sketch-eligible so whole-segment batches fold through the
-        # replica's cached per-segment partials; part of the plan-cache
-        # key so flipping the flag can never serve a mismatched plan
-        self.segment_sketches = segment_sketches
 
-    def sort_key_of(self, table: Table) -> list[str] | None:
-        """Sort-key column names of ``table`` (None when order-awareness
-        is off): the configured override, or the primary key."""
-        if not self.sorted_scan:
-            return None
+    def sort_key_of(self, table: Table) -> list[str]:
+        """Sort-key column names of ``table``: the configured override, or
+        the primary key."""
         override = self.sort_keys.get(table.name.upper())
         columns = override if override is not None else table.primary_key
         return [self._column_key(table, c) for c in columns]
@@ -1116,10 +1092,10 @@ class Planner:
         """``(key positions, reverse)`` when the sort can ride the scan's
         sort-key order; ``None`` when a Sort is required.
 
-        Requirements: order-aware planning on, an ORDER BY present, all
-        keys in the *same* direction (uniformly ASC rides the forward
-        scan, uniformly DESC the reverse scan; a mixed ordering matches
-        neither walk), no DISTINCT (Distinct re-orders first occurrences),
+        Requirements: an ORDER BY present, all keys in the *same*
+        direction (uniformly ASC rides the forward scan, uniformly DESC
+        the reverse scan; a mixed ordering matches neither walk), no
+        DISTINCT (Distinct re-orders first occurrences),
         and the j-th key must be a plain reference to the j-th sort-key
         column of the scanned base table (so the scan's ordering is the
         query's ordering).  VFilter/VProject preserve row order and
@@ -1129,8 +1105,7 @@ class Planner:
         if base_scan is None or not spec.key_positions or select.distinct:
             return None
         sort_columns = self.sort_key_of(base_scan.table)
-        if sort_columns is None or \
-                len(spec.key_positions) > len(sort_columns):
+        if len(spec.key_positions) > len(sort_columns):
             return None
         table = base_scan.table
         reverse = spec.key_positions[0][1]
@@ -1458,12 +1433,9 @@ class Planner:
         if self._access_path(base_table, binding, base_conjs).kind != "seq":
             return None
         pushed, exact = self._pushed_predicates(base_table, base_conjs)
-        if not self.encoded_pushdown:
-            exact = set()
         base_scan = VColumnarScan(base_table, binding, pushed,
                                   self._referenced_columns(select, base_table,
-                                                           binding),
-                                  filter_in_scan=self.encoded_pushdown)
+                                                           binding))
         node = base_scan
         # column lineage of the pipeline schema: batch position ->
         # (table name, table column position) for columns that flow
@@ -1505,12 +1477,9 @@ class Planner:
             consumed |= used
             right_pushed, right_exact = self._pushed_predicates(right_table,
                                                                 right_conjs)
-            if not self.encoded_pushdown:
-                right_exact = set()
             right_node: object = VColumnarScan(
                 right_table, right_binding, right_pushed,
-                self._referenced_columns(select, right_table, right_binding),
-                filter_in_scan=self.encoded_pushdown)
+                self._referenced_columns(select, right_table, right_binding))
             # the scan's schema may be a projected subset of the table —
             # compile filters and keys against it, not the full layout
             scan_schema = right_node.schema
@@ -1520,8 +1489,10 @@ class Planner:
             if residual_right:
                 right_node = VFilter(right_node, compile_batch_predicate(
                     _and_all(residual_right), scan_schema, sub))
+            # single-column equi-joins on plain column refs carry code-key
+            # lineage so VHashJoin can build/probe on global integer codes
             code_key = None
-            if (self.shared_dicts and len(left_keys) == 1
+            if (len(left_keys) == 1
                     and isinstance(left_keys[0], ast.ColumnRef)
                     and isinstance(right_keys[0], ast.ColumnRef)):
                 lref, rref = left_keys[0], right_keys[0]
@@ -1579,8 +1550,7 @@ class Planner:
                 arg_fn = None
             specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
         sketch_key = None
-        if self.segment_sketches and base_scan is not None \
-                and vnode is base_scan:
+        if base_scan is not None and vnode is base_scan:
             # ``vnode is base_scan`` ⟺ the aggregate consumes the scan
             # directly: no joins, no residual filter, every pushed
             # predicate exact — so a whole-segment batch means *all* of
@@ -1589,7 +1559,7 @@ class Planner:
                                           input_schema)
             if sketch_key is not None:
                 base_scan.emit_segments = True
-                if base_scan.pushed and base_scan.filter_in_scan \
+                if base_scan.pushed \
                         and all(p.not_null for p in base_scan.pushed):
                     # IS NOT NULL-only filters select deterministically
                     # from segment content, so filtered sealed-segment

@@ -122,12 +122,10 @@ class ExecStats:
     segments_merged: int = 0
     groups_coded: int = 0
     # shared-dictionary counters: join probe rows compared as global
-    # integer codes (no string materialisation), batches grouped against
-    # the table-level accumulator array, and per-segment->global remap
-    # arrays built to bridge segments sealed outside compaction
+    # integer codes (no string materialisation) and batches grouped
+    # against the table-level accumulator array
     join_code_probes: int = 0
     groups_global_coded: int = 0
-    dict_remaps: int = 0
     # statement-plan LRU cache outcome for this statement: lookup result,
     # LRU entries this statement's insert displaced, and how many times the
     # cache mutex was found held by another session (contention is zero in
@@ -203,7 +201,6 @@ class ExecStats:
         self.groups_coded += other.groups_coded
         self.join_code_probes += other.join_code_probes
         self.groups_global_coded += other.groups_global_coded
-        self.dict_remaps += other.dict_remaps
         self.plan_cache_hits += other.plan_cache_hits
         self.plan_cache_misses += other.plan_cache_misses
         self.plan_cache_evictions += other.plan_cache_evictions

@@ -541,30 +541,15 @@ class _LazyColumn:
         ranges.append((start, previous + 1))
         return column, ranges
 
-    def dict_codes(self):
-        """``(codes, dictionary)`` of the selection when the source column
-        is dictionary-encoded — grouping happens in code space and only
-        surviving group keys ever decode.  ``None`` otherwise."""
-        column = self._column
-        if not isinstance(column, DictColumn):
-            return None
-        codes = column.codes
-        return [codes[i] for i in self._selection], column.values
-
-    def shared_codes(self, stats=None):
-        """The selection's codes in the source column's (local) code space,
-        with the global bridge passed through — see
-        ``DictColumn.shared_codes``.  ``None`` when the source column has
-        no table-level dictionary."""
+    def shared_codes(self):
+        """``(global codes of the selection, table dictionary)`` — see
+        ``SharedDictColumn.shared_codes``.  ``None`` when the source
+        column is not sealed into a table-level dictionary."""
         source = getattr(self._column, "shared_codes", None)
         if source is None:
             return None
-        found = source(stats if stats is not None else self._stats)
-        if found is None:
-            return None
-        codes, to_global, shared, values = found
-        return ([codes[i] for i in self._selection], to_global,
-                shared, values)
+        codes, shared = source()
+        return [codes[i] for i in self._selection], shared
 
     def __len__(self) -> int:
         return len(self._selection)
@@ -716,18 +701,13 @@ class VColumnarScan(VectorNode):
     def __init__(self, table, binding: str,
                  pushed: list[PushedPredicate] | None = None,
                  columns: list[str] | None = None,
-                 filter_in_scan: bool = True,
                  ordered: bool = False,
                  descending: bool = False):
         self.table = table
         self.binding = binding
         self.pushed = pushed or []
         self.columns = columns
-        # False reproduces the prune-only pushdown of the pre-encoding
-        # engine: pushed predicates skip segments via zone maps but rows
-        # are re-filtered above the scan (the A/B baseline mode)
-        self.filter_in_scan = filter_in_scan
-        # True asks a delta–main table for merge-on-read in sort-key order
+        # True asks the table for merge-on-read in sort-key order
         # (main segments interleaved with the delta overlay), so the
         # planner can elide the Sort above — set by the planner when the
         # ORDER BY is a (uniformly ascending or uniformly descending)
@@ -836,9 +816,6 @@ class VColumnarScan(VectorNode):
 
     def _partition_segments(self, part, snap, preds, skip_segment, stats):
         """Segments to scan, in physical order (span-pruned main + delta)."""
-        if snap is None:
-            yield from part.scan_segments(skip_segment)
-            return
         main, start, stop = self._main_segment_span(part, snap, preds, stats)
         for segment in main[start:stop]:
             if segment.live_count and not skip_segment(segment):
@@ -850,12 +827,11 @@ class VColumnarScan(VectorNode):
     def _live_selection(self, segment, preds, stats):
         """Surviving offsets after pushed predicates and the live bitmap.
 
-        ``None`` means *every row* (fully-live segment with no in-scan
-        filtering — the zero-copy case); otherwise a (possibly empty)
+        ``None`` means *every row* (fully-live segment, every predicate
+        absorbed — the zero-copy case); otherwise a (possibly empty)
         offset list in physical order.
         """
-        selection = (self._segment_selection(segment, preds, stats)
-                     if self.filter_in_scan else None)
+        selection = self._segment_selection(segment, preds, stats)
         if selection is None:
             if segment.live_count == segment.size:
                 return None
@@ -903,19 +879,17 @@ class VColumnarScan(VectorNode):
     def _scan_partition(self, part, ctx, preds, skip_segment):
         name = self.table.name
         stats = ctx.stats
-        snap = None
-        if getattr(part, "sorted_mode", False):
-            # one consistent view of (main segments, bounds, delta tail):
-            # a background compaction swapping the main mid-scan cannot
-            # change what this scan reads
-            snap = part.read_snapshot()
-            stats.delta_rows_pending += sum(
-                segment.live_count for segment in snap[3])
-            if self.ordered:
-                scan = (self._scan_partition_ordered_reverse
-                        if self.descending else self._scan_partition_ordered)
-                yield from scan(part, ctx, preds, skip_segment, snap)
-                return
+        # one consistent view of (main segments, bounds, delta tail): a
+        # background compaction swapping the main mid-scan cannot change
+        # what this scan reads
+        snap = part.read_snapshot()
+        stats.delta_rows_pending += sum(
+            segment.live_count for segment in snap[3])
+        if self.ordered:
+            scan = (self._scan_partition_ordered_reverse
+                    if self.descending else self._scan_partition_ordered)
+            yield from scan(part, ctx, preds, skip_segment, snap)
+            return
         scanned = 0
         for segment in self._partition_segments(part, snap, preds,
                                                 skip_segment, stats):
@@ -1147,10 +1121,8 @@ class VColumnarScan(VectorNode):
                 return
             preds.append(pred)
 
-        shared_of = getattr(ctx.columnar, "shared_dict", None)
-        if shared_of is not None:
-            for pred in preds:
-                pred.bind_shared(shared_of(name, pred.position))
+        for pred in preds:
+            pred.bind_shared(ctx.columnar.shared_dict(name, pred.position))
 
         def skip_segment(segment):
             if any(not pred.zone_allows(segment) for pred in preds):
@@ -1264,13 +1236,10 @@ class VHashJoin(VectorNode):
         key = self.code_key
         if key is None or ctx.columnar is None:
             return None
-        shared_of = getattr(ctx.columnar, "shared_dict", None)
-        if shared_of is None:
-            return None
-        return shared_of(key[2], key[3])
+        return ctx.columnar.shared_dict(key[2], key[3])
 
     @staticmethod
-    def _batch_codes(batch, position, probe_dict, stats):
+    def _batch_codes(batch, position, probe_dict):
         """Global codes of one batch's key column in ``probe_dict``'s code
         space, or None when the column doesn't share that dictionary."""
         if position >= len(batch.columns):
@@ -1279,13 +1248,10 @@ class VHashJoin(VectorNode):
         source = getattr(column, "shared_codes", None)
         if source is None:
             return None
-        found = source(stats)
-        if found is None or found[2] is not probe_dict:
+        found = source()
+        if found is None or found[1] is not probe_dict:
             return None
-        codes, to_global = found[0], found[1]
-        if to_global is None:
-            return codes
-        return [to_global[c] if c >= 0 else -1 for c in codes]
+        return found[0]
 
     def _build_coded(self, ctx, probe_dict) -> tuple[dict, dict]:
         """Build keyed on global codes: ``code_table`` maps a code (-1 for
@@ -1300,8 +1266,7 @@ class VHashJoin(VectorNode):
         lookup = probe_dict.lookup
         for batch in self.right.execute_batches(ctx):
             rows = list(batch.rows())
-            codes = self._batch_codes(batch, position, probe_dict,
-                                      ctx.stats)
+            codes = self._batch_codes(batch, position, probe_dict)
             if codes is not None:
                 for row, code in zip(rows, codes):
                     bucket = code_table.get(code)
@@ -1334,8 +1299,7 @@ class VHashJoin(VectorNode):
         left_join = self.kind == "LEFT"
         lookup = probe_dict.lookup
         for batch in batches:
-            codes = self._batch_codes(batch, position, probe_dict,
-                                      ctx.stats)
+            codes = self._batch_codes(batch, position, probe_dict)
             out_left: list[int] = []
             out_right: list[tuple] = []
             if codes is not None:
@@ -1547,11 +1511,11 @@ class BatchAggregate(BatchNode):
     of the scan (``group_positions``), batches whose key column is
     run-length encoded group run-at-a-time — one group lookup per run,
     one bulk fold over each argument's run span — and batches whose key
-    column is dictionary-encoded group by the integer DICT *codes* (one
-    group-id slot per dictionary code, decoding only the surviving group
-    keys).  Group creation order is first-encounter scan order, identical
-    to the generic value path, so results (and emission order) do not
-    change.
+    column is sealed into a table-level dictionary group by its global
+    integer *codes* (one group-id slot per code, persisted across the
+    partial's batches, decoding only the surviving group keys).  Group
+    creation order is first-encounter scan order, identical to the
+    generic value path, so results (and emission order) do not change.
     """
 
     def __init__(self, child: VectorNode, group_fns, agg_specs,
@@ -1586,8 +1550,8 @@ class BatchAggregate(BatchNode):
         of a per-row scatter.  Group creation order is run order = scan
         order, and the bulk folds are exact, so results are bit-identical
         to the generic value path.  Returns False when the key column
-        carries no runs — the caller tries dictionary codes, then the
-        generic path.
+        carries no runs — the caller tries global dictionary codes, then
+        the generic path.
         """
         column = batch.columns[position]
         runs_source = getattr(column, "iter_runs", None)
@@ -1625,23 +1589,23 @@ class BatchAggregate(BatchNode):
         Batches whose key column lives in a shared (table-level)
         dictionary resolve groups through ONE code-indexed slot array
         persisted across every batch of this partial — no per-segment slot
-        rebuild, no per-segment key lookup.  Rows bucket by *local* code
-        (per-code C-speed selections for few distincts, one
-        insertion-ordered pass otherwise) and each bucket bulk-folds its
-        aggregate arguments into its group; only the distinct codes
-        translate through the segment's remap.  Group creation order is
-        first-encounter scan order and the folds are exact, so results are
-        bit-identical to the generic value path.  Returns False when the
-        key column has no shared dictionary.
+        rebuild, no per-segment key lookup.  Rows bucket by code (per-code
+        C-speed selections for few distincts, one insertion-ordered pass
+        otherwise) and each bucket bulk-folds its aggregate arguments into
+        its group.  Group creation order is first-encounter scan order and
+        the folds are exact, so results are bit-identical to the generic
+        value path.  Returns False when the key column is not sealed into
+        a shared dictionary (plain delta, demoted domain).
         """
         column = batch.columns[position]
         source = getattr(column, "shared_codes", None)
         if source is None:
             return False
-        found = source(ctx.stats)
+        found = source()
         if found is None or len(column) != len(batch):
             return False
-        codes, to_global, shared, values = found
+        codes, shared = found
+        values = shared.values
         slots = slot_state.get(id(shared))
         if slots is None:
             slots = slot_state[id(shared)] = []
@@ -1667,11 +1631,7 @@ class BatchAggregate(BatchNode):
                     bucket.append(i)
             ordered = list(grouped.items())
         for code, sel in ordered:
-            if code < 0:
-                slot = 0                              # the NULL key slot
-            else:
-                gcode = code if to_global is None else to_global[code]
-                slot = gcode + 1
+            slot = code + 1                           # slot 0: the NULL key
             if slot >= len(slots):
                 slots.extend([None] * (slot + 1 - len(slots)))
             gid = slots[slot]
@@ -1689,34 +1649,6 @@ class BatchAggregate(BatchNode):
         ctx.stats.groups_global_coded += 1
         return True
 
-    def _fold_coded(self, batch, ctx, groups: GroupedAggregation, arg_cols,
-                    position: int) -> bool:
-        """Group one batch by dictionary codes (code-indexed slots).
-
-        Returns False when the key column carries no dictionary — the
-        caller falls back to the generic value path for this batch.
-        """
-        column = batch.columns[position]
-        source = getattr(column, "dict_codes", None)
-        if source is None:
-            return False
-        found = source()
-        if found is None:
-            return False
-        codes, dictionary = found
-        # one slot per dictionary code, plus slot [-1] for the NULL key
-        slots: list = [None] * (len(dictionary) + 1)
-        gids = []
-        for code in codes:
-            gid = slots[code]
-            if gid is None:
-                gid = slots[code] = groups.gid(
-                    (None,) if code < 0 else (dictionary[code],))
-            gids.append(gid)
-        groups.scatter(gids, arg_cols)
-        ctx.stats.groups_coded += 1
-        return True
-
     def _fold_batch(self, batch, ctx, groups: GroupedAggregation, arg_cols,
                     slot_state: dict):
         """Fold one batch into ``groups`` through the exact cascade."""
@@ -1731,9 +1663,7 @@ class BatchAggregate(BatchNode):
                 self._fold_runs(batch, ctx, groups, arg_cols,
                                 coded_position)
                 or self._fold_global_coded(batch, ctx, groups, arg_cols,
-                                           coded_position, slot_state)
-                or self._fold_coded(batch, ctx, groups, arg_cols,
-                                    coded_position)):
+                                           coded_position, slot_state)):
             return
         key_cols = [fn(batch, ctx) for fn in self.group_fns]
         groups.scatter(groups.assign(zip(*key_cols)), arg_cols)
@@ -1754,8 +1684,7 @@ class BatchAggregate(BatchNode):
         """
         specs = self.agg_specs
         sketch_key = self.sketch_key
-        sketches = (getattr(ctx.columnar, "sketches", None)
-                    if sketch_key is not None else None)
+        sketches = ctx.columnar.sketches if sketch_key is not None else None
         # shared-dictionary slot arrays persisted across every batch of
         # this partial (one per table dictionary encountered)
         slot_state: dict = {}

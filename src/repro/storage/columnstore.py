@@ -9,43 +9,35 @@ analytics, which is exactly the mechanism TiDB relies on in the paper.
 Storage is organised the way real columnar engines (TiFlash, SingleStore's
 columnstore) organise it: fixed-size *segments* of column arrays, each with
 
-* a **live bitmap** (deletes only clear a bit; slots are reused when the
-  same primary key is reinserted),
+* a **live bitmap** (deletes only clear a bit),
 * per-column **zone maps** (min/max over every value ever written to the
   segment — widen-only, so they stay a conservative superset of the live
   values and pruning can never drop a matching row),
-* a **physical encoding** per column, chosen when the segment fills up
-  (*seals*): ``DICT`` (low-cardinality strings -> int codes + per-segment
-  dictionary), ``RLE`` (long constant runs -> (value, length) pairs),
-  ``NATIVE`` (homogeneous ints/floats -> ``array('q')``/``array('d')``
-  typed arrays with a null set), falling back to ``PLAIN`` object lists.
+* a **physical encoding** per column, chosen when a compaction merge
+  *seals* the segment: ``DICT`` (low-cardinality strings -> int codes in
+  the table-level shared dictionary, or a per-segment one once that
+  dictionary overflows its cap), ``RLE`` (long constant runs -> (value,
+  length) pairs), ``NATIVE`` (homogeneous ints/floats ->
+  ``array('q')``/``array('d')`` typed arrays with a null set), falling
+  back to ``PLAIN`` object lists.
 
-Tables come in two physical organisations:
+Every table is organised **delta–main** (TiFlash's delta tree): WAL
+records apply into unsorted *plain delta* tail segments, which never
+seal, while ``compact()`` merges delta rows with the existing main rows
+into *main* segments kept globally ordered on the table's **sort key**
+(default: the primary key).  Ordering lengthens RLE runs, makes zone maps
+disjoint, and lets range predicates on a sort-key prefix bind a
+*contiguous segment span* located by binary search (``main_span``)
+instead of checking every zone map.  Updates of main rows kill the old
+slot and append the new version to the delta, so main segments stay
+immutable (and encoded) between merges; scans are merge-on-read over main
+plus the small delta overlay.
 
-* **arrival order** (``sorted_compaction=False``): segments fill in WAL
-  apply order, seal when full, and in-place overwrites demote a sealed
-  segment back to PLAIN until ``compact()`` re-encodes it — the PR 4
-  engine, kept byte-for-byte as the A/B baseline;
-* **delta–main** (``sorted_compaction=True``): WAL records apply into
-  unsorted *plain delta* tail segments (replication semantics unchanged),
-  while ``compact()`` merges delta rows with the existing main rows into
-  *main* segments kept globally ordered on the table's **sort key**
-  (default: the primary key) — TiFlash's delta-tree merge.  Ordering
-  lengthens RLE runs, makes zone maps disjoint, and lets range predicates
-  on a sort-key prefix bind a *contiguous segment span* located by binary
-  search (``main_span``) instead of checking every zone map.  Updates of
-  main rows kill the old slot and append the new version to the delta, so
-  main segments stay immutable (and encoded) between merges; scans are
-  merge-on-read over main plus the small delta overlay.
-
-WAL records always apply into *unencoded* tail segments (replication
-semantics are unchanged); an in-place overwrite of a sealed segment demotes
-it back to PLAIN, and ``compact()`` re-encodes demoted segments.  Encoded
-columns implement the sequence protocol, so every reader that iterates or
-indexes a column slice works unchanged — but they also expose code-space
-selection primitives (``select_eq``/``select_range``/``select_in``) and run
-iteration (``iter_runs``) that the vectorized executor uses to filter and
-aggregate *without decoding*.
+Encoded columns implement the sequence protocol, so every reader that
+iterates or indexes a column slice works unchanged — but they also expose
+code-space selection primitives (``select_eq``/``select_range``/
+``select_in``) and run iteration (``iter_runs``) that the vectorized
+executor uses to filter and aggregate *without decoding*.
 
 ``scan_batches`` exposes the segments as column-slice batches for the
 vectorized executor; ``scan`` keeps the row-tuple view for the row pipeline.
@@ -123,9 +115,9 @@ def _plain_bytes(values) -> int:
 class TableDictionary:
     """One shared value<->code map covering a whole column *domain*.
 
-    Installed per DICT-eligible (string) column when the replica runs with
-    ``shared_dicts=True``; FK columns alias the referenced column's
-    dictionary so both sides of a PK/FK join live in one code space.
+    Installed per DICT-eligible (string) column; FK columns alias the
+    referenced column's dictionary so both sides of a PK/FK join live in
+    one code space.
     Append-only: codes, once handed out, never change — sealed segments
     referencing the dictionary stay valid forever.  When the domain's
     cardinality exceeds ``cap`` the dictionary *demotes* (``active`` goes
@@ -142,7 +134,7 @@ class TableDictionary:
         self.code_of: dict = {}
         self.cap = cap
         self.active = True
-        # True once any sealed column/remap references the value list; a
+        # True once any sealed column references the value list; a
         # dictionary demoted before that can free its dead values
         self.referenced = False
         # protects value/code appends only; reads (lookup) ride on the
@@ -196,32 +188,6 @@ class TableDictionary:
             self.referenced = True
             return codes
 
-    def remap(self, values: list) -> list | None:
-        """Per-segment-code -> global-code array for a segment dictionary.
-
-        Bridges segments sealed before the shared dictionary existed (or
-        outside compaction) into the global code space; unseen values are
-        appended.  ``None`` when the dictionary demoted — the caller stays
-        in segment code space.
-        """
-        with self._lock:
-            if not self.active:
-                return None
-            code_of = self.code_of
-            dictionary = self.values
-            out = []
-            for value in values:
-                code = code_of.get(value)
-                if code is None:
-                    if len(dictionary) >= self.cap:
-                        self._demote_locked()
-                        return None
-                    code = code_of[value] = len(dictionary)
-                    dictionary.append(value)
-                out.append(code)
-            self.referenced = True
-            return out
-
 
 class DictColumn:
     """Dictionary-encoded column: int codes + a per-segment dictionary.
@@ -230,46 +196,15 @@ class DictColumn:
     predicates translate the literal to a code once (``code_for``) and
     compare ints; a literal absent from the dictionary proves the whole
     segment predicate-free (*dictionary membership check*).
-
-    ``shared`` (optional) points at the table-level ``TableDictionary`` of
-    the column's domain: ``shared_codes`` then bridges this segment into
-    the global code space through a lazily-built remap array, so joins and
-    group-bys can stay in integer space across segments sealed before the
-    shared dictionary covered them.
     """
 
     encoding = Encoding.DICT
-    __slots__ = ("codes", "values", "code_of", "shared", "_remap")
+    __slots__ = ("codes", "values", "code_of")
 
-    def __init__(self, codes: array, values: list, code_of: dict,
-                 shared: TableDictionary | None = None):
+    def __init__(self, codes: array, values: list, code_of: dict):
         self.codes = codes
         self.values = values
         self.code_of = code_of
-        self.shared = shared
-        self._remap = None
-
-    def shared_codes(self, stats=None):
-        """``(codes, to_global, shared_dict, local_values)`` or None.
-
-        ``codes`` are in this segment's local space; ``to_global`` maps a
-        local code to its global one (built once per sealed column, counted
-        in ``stats.dict_remaps``).  Callers bucket/probe on local codes and
-        translate only the distinct ones.
-        """
-        shared = self.shared
-        if shared is None:
-            return None
-        remap = self._remap
-        if remap is None:
-            remap = shared.remap(self.values)
-            if remap is None:          # dictionary demoted: no bridge
-                self.shared = None
-                return None
-            self._remap = remap
-            if stats is not None:
-                stats.dict_remaps += 1
-        return self.codes, remap, shared, self.values
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -298,11 +233,6 @@ class DictColumn:
         values = self.values
         return [None if (c := codes[i]) < 0 else values[c]
                 for i in selection]
-
-    def dict_codes(self):
-        """``(codes, dictionary)`` for code-space grouping: one group-id
-        slot per dictionary code, values decoded only for surviving keys."""
-        return self.codes, self.values
 
     def code_for(self, value):
         """Code of ``value`` in this segment's dictionary (None if absent)."""
@@ -349,16 +279,18 @@ class SharedDictColumn(DictColumn):
     distinct count rather than the table's.
     """
 
-    __slots__ = ("code_set",)
+    __slots__ = ("shared", "code_set")
 
     def __init__(self, codes: array, shared: TableDictionary,
                  code_set: frozenset):
-        super().__init__(codes, shared.values, shared.code_of, shared)
+        super().__init__(codes, shared.values, shared.code_of)
+        self.shared = shared
         self.code_set = code_set
 
-    def shared_codes(self, stats=None):
-        # codes are already global: identity bridge, no remap to build
-        return self.codes, None, self.shared, self.values
+    def shared_codes(self):
+        """``(global codes, table dictionary)`` — what code-space joins and
+        group-bys consume instead of decoded strings."""
+        return self.codes, self.shared
 
     def code_for(self, value):
         """Global code of ``value`` if present in *this segment*."""
@@ -655,8 +587,7 @@ def _encoded_bytes(column) -> int:
     return _plain_bytes(column)
 
 
-def _encode_column(values: list, shared: TableDictionary | None = None,
-                   encode_shared: bool = True):
+def _encode_column(values: list, shared: TableDictionary | None = None):
     """Pick and build the cheapest safe encoding for a sealed column slice.
 
     Returns the original list when no encoding applies (``PLAIN``).  The
@@ -665,13 +596,9 @@ def _encode_column(values: list, shared: TableDictionary | None = None,
     hashable low-cardinality strings, and RLE requires genuinely long runs
     (value equality across a run is exact, so round-tripping is lossless).
 
-    ``shared`` is the column's table-level dictionary (when the replica
-    runs with shared dictionaries): with ``encode_shared`` the string
-    branch encodes straight into the global code space (demotion falls
-    through to the per-segment choices); without it — the replication
-    fill-time seal, which must not pay the table-wide dictionary walk —
-    the per-segment dictionary is built as usual but keeps a reference to
-    ``shared`` so readers can bridge via a remap array later.
+    ``shared`` is the column's table-level dictionary: the string branch
+    encodes straight into its global code space, and falls through to the
+    per-segment choices once the dictionary has demoted.
     """
     n = len(values)
     if n == 0:
@@ -736,7 +663,7 @@ def _encode_column(values: list, shared: TableDictionary | None = None,
                     if nulls else frozenset())
         return NativeColumn(data, null_set)
     if all_str:
-        if shared is not None and encode_shared and shared.active:
+        if shared is not None and shared.active:
             shared_codes = shared.encode(values)
             if shared_codes is not None:
                 code_set = frozenset(
@@ -757,9 +684,7 @@ def _encode_column(values: list, shared: TableDictionary | None = None,
                     break
             codes.append(code)
         else:
-            return DictColumn(
-                codes, dictionary, code_of,
-                shared if shared is not None and shared.active else None)
+            return DictColumn(codes, dictionary, code_of)
     if n // runs >= RLE_FALLBACK_AVG_RUN:
         return build_rle()
     return values
@@ -768,14 +693,14 @@ def _encode_column(values: list, shared: TableDictionary | None = None,
 class Segment:
     """One fixed-capacity block of column arrays with zone maps.
 
-    Open segments hold plain lists and receive WAL applies; a segment that
-    fills up is *sealed* (each column encoded).  In-place overwrites demote
-    a sealed segment back to plain lists and mark it dirty for re-encoding
-    at the next compaction.
+    Delta segments hold plain lists and receive WAL applies (appends and
+    in-place overwrites); the main segments a compaction merge builds are
+    *sealed* (each column encoded) and immutable from then on, apart from
+    the live bitmap.
     """
 
     __slots__ = ("capacity", "columns", "live", "size", "live_count",
-                 "mins", "maxs", "zone_valid", "encoded", "dirty",
+                 "mins", "maxs", "zone_valid", "encoded",
                  "plain_bytes", "encoded_bytes", "sketch_epoch")
 
     def __init__(self, n_columns: int, capacity: int = SEGMENT_ROWS):
@@ -791,11 +716,10 @@ class Segment:
         self.maxs: list = [None] * n_columns
         self.zone_valid = [True] * n_columns  # False after a type clash
         self.encoded = False
-        self.dirty = False          # demoted since the last seal
         self.plain_bytes = 0
         self.encoded_bytes = 0
-        # bumped by every mutation of sealed content (kill/revive/demote/
-        # re-seal): a cached sketch built at epoch E is served only while
+        # bumped by every mutation of sealed content (kill/revive/seal):
+        # a cached sketch built at epoch E is served only while
         # the segment is still at epoch E, so a bypassed eager-invalidation
         # hook can never surface a stale partial
         self.sketch_epoch = 0
@@ -855,32 +779,16 @@ class Segment:
         return offset
 
     def write(self, offset: int, values: tuple):
-        """Overwrite a slot in place (replicated UPDATE / reinsert).
-
-        Encoded columns are immutable: the first overwrite demotes the
-        segment back to plain lists (re-encoded at the next compaction).
-        """
-        if self.encoded:
-            self.demote()
+        """Overwrite a delta slot in place (replicated UPDATE / reinsert
+        of a row that still lives in the plain delta)."""
         for col, value in zip(self.columns, values):
             col[offset] = value
 
-    def demote(self):
-        """Decode every encoded column back to a plain list."""
-        for pos, col in enumerate(self.columns):
-            if not isinstance(col, list):
-                self.columns[pos] = col.decode()
-        self.encoded = False
-        self.dirty = True
-        self.sketch_epoch += 1
-
-    def seal(self, shared_dicts: dict | None = None,
-             encode_shared: bool = True):
-        """Encode every column (called when the segment fills / compacts).
+    def seal(self, shared_dicts: dict | None = None):
+        """Encode every column (called on the segments a merge builds).
 
         ``shared_dicts`` maps column positions to their table-level
-        ``TableDictionary``; compaction-time seals encode through it
-        (``encode_shared``), fill-time seals only attach the reference.
+        ``TableDictionary``; string columns encode through it.
 
         The encode is atomic: every column is encoded into a list built
         aside, published with single assignments only once all columns
@@ -890,10 +798,9 @@ class Segment:
         plain_total = 0
         encoded_total = 0
         new_columns: list = []
-        for pos, col in enumerate(self.columns):
-            values = col if isinstance(col, list) else col.decode()
+        for pos, values in enumerate(self.columns):
             shared = shared_dicts.get(pos) if shared_dicts else None
-            encoded = _encode_column(values, shared, encode_shared)
+            encoded = _encode_column(values, shared)
             new_columns.append(encoded)
             plain_total += _plain_bytes(values)
             encoded_total += _encoded_bytes(encoded)
@@ -901,7 +808,6 @@ class Segment:
         self.plain_bytes = plain_total
         self.encoded_bytes = encoded_total
         self.encoded = True
-        self.dirty = False
         self.sketch_epoch += 1
 
     def kill(self, offset: int):
@@ -952,7 +858,7 @@ class SegmentSketchCache:
     ``(id(segment), plan sketch key)`` and pin the ``Segment`` object (so
     an id can never be recycled under a live entry) together with the
     segment's ``sketch_epoch`` at build time: any mutation of sealed
-    content — slot kill/revive, demotion, re-seal — bumps the epoch, so a
+    content — slot kill/revive, re-seal — bumps the epoch, so a
     stale partial is unservable even if an eager invalidation hook were
     bypassed.  Memory is bounded by ``budget_bytes``: inserts evict
     least-recently-used entries past the budget.  Counters (`evicted`,
@@ -1045,17 +951,14 @@ class SegmentSketchCache:
 class ColumnarTable:
     """Column-major storage for one table, in fixed-size segments.
 
-    ``sorted_compaction=True`` switches the table to the delta–main
-    organisation: ``_segments`` becomes the unsorted plain delta tail and
+    Delta–main: ``_segments`` is the unsorted plain delta tail and
     ``_main_segments`` holds the sort-key-ordered (encoded) segments
     produced by ``compact()`` merges.  ``sort_key`` is a tuple of column
     positions (defaults to the primary key).
     """
 
     def __init__(self, table: Table, segment_rows: int = SEGMENT_ROWS,
-                 encode: bool = True,
                  sort_key: tuple[int, ...] | None = None,
-                 sorted_compaction: bool = False,
                  merge_totals: list | None = None,
                  lock: threading.RLock | None = None,
                  shared_dicts: dict | None = None,
@@ -1075,19 +978,17 @@ class ColumnarTable:
         self._lock = lock if lock is not None else threading.RLock()
         self.table = table
         self.segment_rows = segment_rows
-        self.encode = encode
-        self.sorted_mode = sorted_compaction
         # column position -> table-level TableDictionary (shared across
-        # the table's partitions); None disables shared dictionaries
+        # the table's partitions); None for a table outside a replica
         self.shared_dicts = shared_dicts
         self.sort_positions: tuple[int, ...] = (
             tuple(sort_key) if sort_key is not None else table.pk_positions)
-        # arrival-order segments (unsorted mode) / plain delta tail (sorted)
+        # the unsorted plain delta tail
         self._segments: list[Segment] = []
         self._pk_to_slot: dict[tuple, int] = {}
-        # sort-key-ordered merged segments (sorted mode only), with the
-        # canonical sort-key tuple of each segment's first and last
-        # physical row — the sorted zone-map index main_span() bisects
+        # sort-key-ordered merged segments, with the canonical sort-key
+        # tuple of each segment's first and last physical row — the
+        # sorted zone-map index main_span() bisects
         self._main_segments: list[Segment] = []
         self._main_pk_to_slot: dict[tuple, int] = {}   # live main rows only
         self.main_lo: list[tuple] = []
@@ -1096,7 +997,7 @@ class ColumnarTable:
         # zone-map widening deferred until the end of the apply chunk:
         # (segment, values) pairs grouped and flushed by flush_zone_maps()
         self._zone_pending: list[tuple[Segment, tuple]] = []
-        self.encode_events = 0      # seals + compaction re-encodes
+        self.encode_events = 0      # compaction seals
         # ordered-compaction accounting: per-table cumulative counters,
         # plus the replica's shared [segments, rows] totals so replica-wide
         # reads stay O(1) instead of sweeping tables x partitions
@@ -1120,7 +1021,7 @@ class ColumnarTable:
                 slot % self.segment_rows)
 
     def _delta_append(self, pk: tuple, values: tuple) -> Segment:
-        """Append a new live row to the delta/arrival tail."""
+        """Append a new live row to the delta tail."""
         if not self._segments or self._segments[-1].full:
             self._segments.append(
                 Segment(len(self.table.columns), self.segment_rows))
@@ -1132,40 +1033,6 @@ class ColumnarTable:
         return segment
 
     def apply(self, pk: tuple, values: tuple | None, op: LogOp):
-        with self._lock:
-            self._apply_locked(pk, values, op)
-
-    def _apply_locked(self, pk: tuple, values: tuple | None, op: LogOp):
-        if self.sorted_mode:
-            self._apply_sorted(pk, values, op)
-            return
-        slot = self._pk_to_slot.get(pk)
-        if op is LogOp.DELETE or values is None:
-            if slot is not None:
-                segment, offset = self._locate(slot)
-                if segment.live[offset]:
-                    segment.kill(offset)
-                    self.row_count -= 1
-                    self._sketch_invalidate(segment)
-            return
-        if slot is None:
-            segment = self._delta_append(pk, values)
-            if segment.full and self.encode:
-                self.flush_zone_maps()
-                # replication hot path: per-segment encode only, with the
-                # shared dictionary attached for later remap bridging
-                segment.seal(self.shared_dicts, encode_shared=False)
-                self.encode_events += 1
-        else:
-            segment, offset = self._locate(slot)
-            if not segment.live[offset]:
-                segment.revive(offset)
-                self.row_count += 1
-            segment.write(offset, values)
-            self._sketch_invalidate(segment)
-        self._zone_pending.append((segment, values))
-
-    def _apply_sorted(self, pk: tuple, values: tuple | None, op: LogOp):
         """Delta–main apply: main segments are immutable between merges.
 
         Deletes kill the row wherever it lives (delta slot or main live
@@ -1175,38 +1042,39 @@ class ColumnarTable:
         per-row deduplication.  Delta segments never seal: they stay plain
         until the next merge re-sorts them into main.
         """
-        slot = self._pk_to_slot.get(pk)
-        if op is LogOp.DELETE or values is None:
-            if slot is not None:
-                segment, offset = self._locate(slot)
-                if segment.live[offset]:
-                    segment.kill(offset)
-                    self.row_count -= 1
-            else:
+        with self._lock:
+            slot = self._pk_to_slot.get(pk)
+            if op is LogOp.DELETE or values is None:
+                if slot is not None:
+                    segment, offset = self._locate(slot)
+                    if segment.live[offset]:
+                        segment.kill(offset)
+                        self.row_count -= 1
+                else:
+                    main_slot = self._main_pk_to_slot.pop(pk, None)
+                    if main_slot is not None:
+                        segment, offset = self._locate_main(main_slot)
+                        segment.kill(offset)
+                        self.row_count -= 1
+                        self._sketch_invalidate(segment)
+                return
+            if slot is None:
                 main_slot = self._main_pk_to_slot.pop(pk, None)
                 if main_slot is not None:
+                    # supersede the main version; the dead slot is
+                    # reclaimed by the next merge
                     segment, offset = self._locate_main(main_slot)
                     segment.kill(offset)
                     self.row_count -= 1
                     self._sketch_invalidate(segment)
-            return
-        if slot is None:
-            main_slot = self._main_pk_to_slot.pop(pk, None)
-            if main_slot is not None:
-                # supersede the main version; the dead slot is reclaimed
-                # by the next merge
-                segment, offset = self._locate_main(main_slot)
-                segment.kill(offset)
-                self.row_count -= 1
-                self._sketch_invalidate(segment)
-            segment = self._delta_append(pk, values)
-        else:
-            segment, offset = self._locate(slot)
-            if not segment.live[offset]:
-                segment.revive(offset)
-                self.row_count += 1
-            segment.write(offset, values)
-        self._zone_pending.append((segment, values))
+                segment = self._delta_append(pk, values)
+            else:
+                segment, offset = self._locate(slot)
+                if not segment.live[offset]:
+                    segment.revive(offset)
+                    self.row_count += 1
+                segment.write(offset, values)
+            self._zone_pending.append((segment, values))
 
     def flush_zone_maps(self):
         """Batch-widen zone maps for everything applied since the last
@@ -1237,36 +1105,22 @@ class ColumnarTable:
     def compact(self, force: bool = False) -> int:
         """Background compaction; returns the number of segments produced.
 
-        Arrival-order tables re-encode demoted (dirty) sealed-size
-        segments.  Delta–main tables merge the delta tail into the sorted
-        main segments once the delta reaches a full segment's worth of
-        live rows (``force=True`` merges any non-empty delta) — the
-        threshold amortises the main rewrite over many applied chunks.
+        Merges the delta tail into the sorted main segments once the
+        delta reaches a full segment's worth of live rows (``force=True``
+        merges any non-empty delta) — the threshold amortises the main
+        rewrite over many applied chunks.
         """
         with self._lock:
-            if self.sorted_mode:
-                self.flush_zone_maps()
-                pending = self.delta_live_rows()
-                if pending == 0:
-                    return 0
-                if not force and pending < self.segment_rows:
-                    return 0
-                return self._merge_delta()
-            if not self.encode:
-                return 0
             self.flush_zone_maps()
-            compacted = 0
-            for segment in self._segments:
-                if segment.dirty and segment.full:
-                    segment.seal(self.shared_dicts)
-                    self.encode_events += 1
-                    compacted += 1
-            return compacted
+            pending = self.delta_live_rows()
+            if pending == 0:
+                return 0
+            if not force and pending < self.segment_rows:
+                return 0
+            return self._merge_delta()
 
     def delta_live_rows(self) -> int:
-        """Live rows waiting in the delta tail (0 for arrival-order tables)."""
-        if not self.sorted_mode:
-            return 0
+        """Live rows waiting in the delta tail."""
         return sum(segment.live_count for segment in self._segments)
 
     def _live_rows_of(self, segments: list[Segment]) -> list[tuple]:
@@ -1345,12 +1199,11 @@ class ColumnarTable:
             for row in chunk:
                 segment.append(row)
             segment.observe_batch(chunk)
-            if self.encode:
-                # ordered compaction is where shared dictionaries are
-                # built/refreshed: every merged segment encodes straight
-                # into the global code space
-                segment.seal(self.shared_dicts)
-                self.encode_events += 1
+            # ordered compaction is where shared dictionaries are
+            # built/refreshed: every merged segment encodes straight
+            # into the global code space
+            segment.seal(self.shared_dicts)
+            self.encode_events += 1
             segments.append(segment)
             lows.append(canonical_key_of(chunk[0], sort_positions))
             highs.append(canonical_key_of(chunk[-1], sort_positions))
@@ -1450,15 +1303,19 @@ class ColumnarTable:
         snapshot even while a background merge swaps the lists.
         """
         with self._lock:
-            if self.sorted_mode:
-                return self._main_segments + self._segments
-            return list(self._segments)
+            return self._main_segments + self._segments
 
     def encoding_stats(self) -> dict:
-        """Segment/byte accounting of the encoding layer."""
+        """Segment/byte accounting of the encoding layer.
+
+        Counts over ONE ``_all_segments`` snapshot: a background merge
+        swapping the main list between two reads would pair one list's
+        total with another's encoded count.
+        """
         self.flush_zone_maps()
+        segments = self._all_segments()
         stats = {
-            "segments_total": len(self._all_segments()),
+            "segments_total": len(segments),
             "segments_encoded": 0,
             "bytes_plain": 0,
             "bytes_encoded": 0,
@@ -1471,7 +1328,7 @@ class ColumnarTable:
             "dicts_shared": 0,
             "dicts_per_segment": 0,
         }
-        for segment in self._all_segments():
+        for segment in segments:
             if not segment.encoded:
                 continue
             stats["segments_encoded"] += 1
@@ -1497,67 +1354,49 @@ class ColumnarTable:
     def scan(self) -> Iterator[tuple[tuple, tuple]]:
         """Yield ``(pk, values)`` for live rows as of the applied watermark.
 
-        Sorted tables scan in physical order (sorted main, then the delta
-        overlay) so the row pipeline sees the same row sequence as the
-        vectorized scan; arrival-order tables keep pk-insertion order.
+        Physical order (sorted main, then the delta overlay), so the row
+        pipeline sees the same row sequence as the vectorized scan.
         """
         self.flush_zone_maps()
-        if self.sorted_mode:
-            pk_of = self.table.pk_of
-            for segment in self._all_segments():
-                if segment.live_count == 0:
-                    continue
-                live = segment.live
-                columns = segment.columns
-                for offset in range(segment.size):
-                    if live[offset]:
-                        values = tuple(col[offset] for col in columns)
-                        yield pk_of(values), values
-            return
-        segments = self._segments
-        width = self.segment_rows
-        for pk, slot in self._pk_to_slot.items():
-            segment = segments[slot // width]
-            offset = slot % width
-            if segment.live[offset]:
-                yield pk, tuple(col[offset] for col in segment.columns)
+        pk_of = self.table.pk_of
+        for segment in self._all_segments():
+            if segment.live_count == 0:
+                continue
+            live = segment.live
+            columns = segment.columns
+            for offset in range(segment.size):
+                if live[offset]:
+                    values = tuple(col[offset] for col in columns)
+                    yield pk_of(values), values
 
     def column_values(self, column: str) -> list:
         """Materialise one live column (used by columnar aggregate fast paths)."""
         self.flush_zone_maps()
         pos = self.table.position(column)
-        if self.sorted_mode:
-            values: list = []
-            for segment in self._all_segments():
-                if segment.live_count == 0:
-                    continue
-                column_data = segment.columns[pos]
-                if segment.live_count == segment.size:
-                    values.extend(column_data)
-                else:
-                    live = segment.live
-                    values.extend(column_data[i] for i in range(segment.size)
-                                  if live[i])
-            return values
-        segments = self._segments
-        width = self.segment_rows
-        return [
-            segments[slot // width].columns[pos][slot % width]
-            for slot in self._pk_to_slot.values()
-            if segments[slot // width].live[slot % width]
-        ]
+        values: list = []
+        for segment in self._all_segments():
+            if segment.live_count == 0:
+                continue
+            column_data = segment.columns[pos]
+            if segment.live_count == segment.size:
+                values.extend(column_data)
+            else:
+                live = segment.live
+                values.extend(column_data[i] for i in range(segment.size)
+                              if live[i])
+        return values
 
     def segments(self) -> list[Segment]:
         self.flush_zone_maps()
         return list(self._all_segments())
 
     def main_segments(self) -> list[Segment]:
-        """The sort-key-ordered merged segments (sorted mode)."""
+        """The sort-key-ordered merged segments."""
         self.flush_zone_maps()
         return self._main_segments
 
     def delta_segments(self) -> list[Segment]:
-        """The unsorted plain delta tail (sorted mode)."""
+        """The unsorted plain delta tail."""
         self.flush_zone_maps()
         return self._segments
 
@@ -1604,17 +1443,6 @@ class ColumnarTable:
             if skip_segment is not None and skip_segment(segment):
                 continue
             yield self.segment_batch(segment, positions)
-
-    def scan_segments(self, skip_segment=None) -> Iterator[Segment]:
-        """Yield non-empty segments (zone maps flushed), applying
-        ``skip_segment`` pruning — the encoded-execution scan entry point."""
-        self.flush_zone_maps()
-        for segment in self._all_segments():
-            if segment.live_count == 0:
-                continue
-            if skip_segment is not None and skip_segment(segment):
-                continue
-            yield segment
 
 
 class PartitionedColumnarView:
@@ -1686,19 +1514,10 @@ class ColumnarReplica:
     exactly how TiFlash tracks progress per region.  ``apply_from_partitions``
     merges the streams by global ``seq``, which reproduces the single-stream
     apply order bit-for-bit regardless of the partition count.
-
-    ``encode=False`` forces every segment to stay PLAIN — the parity
-    baseline the encoding tests and benchmarks compare against.
-    ``sorted_compaction=True`` switches every table to the delta–main
-    organisation (sort-key-ordered main segments + plain delta tails);
-    False preserves the arrival-order engine byte-for-byte.
     """
 
     def __init__(self, segment_rows: int = SEGMENT_ROWS,
                  partition_map: PartitionMap | None = None,
-                 encode: bool = True,
-                 sorted_compaction: bool = False,
-                 shared_dicts: bool = False,
                  shared_dict_cardinality: int = SHARED_DICT_MAX_CARDINALITY,
                  failpoints=None,
                  sketch_budget_bytes: int = SKETCH_BUDGET_BYTES):
@@ -1720,19 +1539,16 @@ class ColumnarReplica:
         # table -> one ColumnarTable per partition
         self._tables: dict[str, list[ColumnarTable]] = {}
         self.segment_rows = segment_rows
-        self.encode = encode
-        self.sorted_compaction = sorted_compaction
         # table-level shared dictionaries, keyed by column *domain*
         # ((table, column), with FK columns aliased to the referenced
         # column so PK/FK joins share one code space); per-table position
         # maps are what the tables and operators look through
-        self.shared_dicts = shared_dicts and encode
         self.shared_dict_cardinality = shared_dict_cardinality
         self._domain_dicts: dict[tuple, TableDictionary] = {}
         self._table_dicts: dict[str, dict[int, TableDictionary]] = {}
         self.applied_lsns = [0] * self.pmap.partitions
         self.applied_ts = 0
-        # scan_cost_factor cache, invalidated whenever a seal/compact
+        # scan_cost_factor cache, invalidated whenever a compaction seal
         # changes the encoded byte accounting (keyed on total encode events)
         self._scan_factor_cache: tuple[int, float] = (-1, 1.0)
         # replica-wide [segments, rows] merge totals, incremented by each
@@ -1768,8 +1584,6 @@ class ColumnarReplica:
         return (table.name.upper(), column_name.upper())
 
     def _register_shared_dicts(self, table: Table) -> dict | None:
-        if not self.shared_dicts:
-            return None
         shared: dict[int, TableDictionary] = {}
         for pos, column in enumerate(table.columns):
             if not isinstance(column.col_type, VarcharType):
@@ -1784,7 +1598,7 @@ class ColumnarReplica:
         return shared or None
 
     def shared_dict(self, table_name: str, position: int):
-        """Table-level dictionary of one column (None when absent/off)."""
+        """Table-level dictionary of one column (None for non-strings)."""
         return self._table_dicts.get(table_name.upper(), {}).get(position)
 
     def register_table(self, table: Table,
@@ -1794,9 +1608,8 @@ class ColumnarReplica:
             raise CatalogError(f"columnar table {table.name!r} already exists")
         shared = self._register_shared_dicts(table)
         self._tables[key] = [
-            ColumnarTable(table, self.segment_rows, encode=self.encode,
+            ColumnarTable(table, self.segment_rows,
                           sort_key=sort_key,
-                          sorted_compaction=self.sorted_compaction,
                           merge_totals=self._merge_totals,
                           lock=self._lock,
                           shared_dicts=shared,
@@ -1865,13 +1678,9 @@ class ColumnarReplica:
                 part.flush_zone_maps()
 
     def compact(self, force: bool = False) -> int:
-        """Background compaction across tables and partitions.
-
-        Arrival-order replicas re-encode segments demoted by in-place
-        overwrites; delta–main replicas additionally merge delta tails
-        into the sorted main segments (``force=True`` merges every
-        non-empty delta regardless of the amortisation threshold).
-        """
+        """Background compaction across tables and partitions: merge delta
+        tails into the sorted main segments (``force=True`` merges every
+        non-empty delta regardless of the amortisation threshold)."""
         return sum(part.compact(force)
                    for parts in self._tables.values() for part in parts)
 

@@ -227,3 +227,17 @@ class TestPlanCacheLRU:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             Database(plan_cache_size=0)
+
+    def test_one_engine_so_plans_are_cached_under_their_sql(self):
+        # there is one columnar engine: no constructor switch selects
+        # another, so nothing but the statement text can key a plan
+        for flag in ("columnar_encoding", "sorted_compaction",
+                     "shared_dicts", "segment_sketches"):
+            with pytest.raises(TypeError):
+                Database(with_columnar=True, **{flag: False})
+        db = Database(with_columnar=True)
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY)")
+        sql = "SELECT a FROM t ORDER BY a"
+        plan = db.prepare(sql)
+        assert list(db._plan_cache) == [sql]
+        assert db._plan_cache[sql] is plan

@@ -1,6 +1,5 @@
 """Encoding-aware columnar segments: round-trips, code-space predicates,
-analytical parity vs the PLAIN-forced engine, and the encoding/plan-cache
-stat counters."""
+analytical parity vs the row oracle, and the encoding stat counters."""
 
 import math
 from array import array
@@ -16,7 +15,6 @@ from repro.storage.columnstore import (
     RLEColumn,
     _encode_column,
 )
-from repro.workloads import make_workload
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ class TestCodeSpaceSelection:
 
 
 # ---------------------------------------------------------------------------
-# engine level: encoded vs PLAIN-forced parity
+# engine level: encoded execution vs the row oracle
 # ---------------------------------------------------------------------------
 
 def _fill_encoded(db, n=512):
@@ -190,25 +188,14 @@ def _fill_encoded(db, n=512):
     db.replicate()
 
 
-def _make_encoded_db(segment_rows=64, encoding=True, partitions=1):
-    # pinned to the arrival-order engine: this suite regression-tests the
-    # PR 4 encoding layer (seal-on-fill, demote-on-overwrite, re-encode on
-    # compact), which sorted_compaction=False keeps as the A/B baseline;
-    # the delta–main engine has its own suite (test_sorted_compaction.py)
-    db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
-                  columnar_encoding=encoding, partitions=partitions,
-                  sorted_compaction=False)
+def _make_encoded_db(segment_rows=64):
+    # every fill below replicates at least one segment's worth of rows, so
+    # the stock merge threshold seals them into encoded main segments
+    db = Database(with_columnar=True, columnar_segment_rows=segment_rows)
     db.execute_ddl(
         "CREATE TABLE e (id INT PRIMARY KEY, grp INT, tag VARCHAR(8), "
         "v DOUBLE, q INT)")
     return db
-
-
-def _routed(db, sql, params=()):
-    with db.connect() as conn:
-        result = conn.execute(sql, params, route_columnar=True)
-        conn.commit()
-    return result
 
 
 QUERIES = [
@@ -225,33 +212,32 @@ QUERIES = [
 
 
 class TestEncodedEngineParity:
-    def test_queries_identical_to_plain_forced_engine(self):
-        enc = _make_encoded_db(encoding=True)
-        plain = _make_encoded_db(encoding=False)
+    def test_queries_identical_to_plain_forced_engine(self, routed):
+        enc = _make_encoded_db()
         _fill_encoded(enc)
-        _fill_encoded(plain)
         for sql, params in QUERIES:
-            a = _routed(enc, sql, params)
-            b = _routed(plain, sql, params)
+            a = routed(enc, sql, params)
+            b = routed(enc, sql, params, vectorized=False)
+            assert a.stats.vectorized and not b.stats.vectorized, sql
             assert a.rows == b.rows, sql
             assert a.columns == b.columns, sql
 
-    def test_eq_on_dict_column_counts_and_prunes(self):
-        enc = _make_encoded_db(encoding=True)
+    def test_eq_on_dict_column_counts_and_prunes(self, routed):
+        enc = _make_encoded_db()
         _fill_encoded(enc)
-        hit = _routed(enc, "SELECT COUNT(*) FROM e WHERE tag = 't1'")
+        hit = routed(enc, "SELECT COUNT(*) FROM e WHERE tag = 't1'")
         assert hit.stats.segments_encoded > 0
-        miss = _routed(enc, "SELECT COUNT(*) FROM e WHERE tag = 'absent'")
+        miss = routed(enc, "SELECT COUNT(*) FROM e WHERE tag = 'absent'")
         assert miss.rows == [(0,)]
         # a literal absent from every segment dictionary prunes everything
         assert miss.stats.segments_pruned >= miss.stats.segments_encoded
         assert miss.stats.batches_scanned == 0
 
-    def test_rle_run_skipping_counted(self):
+    def test_rle_run_skipping_counted(self, routed):
         # two 32-row runs *within* every 64-row segment (>= RLE_MIN_AVG_RUN
         # so the column run-length encodes), so zone maps cannot prune and
         # the RLE selection must skip whole runs
-        enc = _make_encoded_db(encoding=True)
+        enc = _make_encoded_db()
         with enc.connect() as conn:
             for i in range(512):
                 conn.execute(
@@ -259,50 +245,31 @@ class TestEncodedEngineParity:
                     "VALUES (?, ?, 'r', 1.0, 1)", (i, (i % 64) // 32))
             conn.commit()
         enc.replicate()
-        result = _routed(enc, "SELECT COUNT(*) FROM e WHERE grp = 1")
+        result = routed(enc, "SELECT COUNT(*) FROM e WHERE grp = 1")
         assert result.rows == [(256,)]
         assert result.stats.runs_skipped > 0
         assert result.stats.segments_encoded > 0
         assert result.stats.segments_pruned == 0
 
-    def test_in_pushdown_with_params(self):
-        enc = _make_encoded_db(encoding=True)
-        plain = _make_encoded_db(encoding=False)
+    def test_in_pushdown_with_params(self, routed):
+        enc = _make_encoded_db()
         _fill_encoded(enc)
-        _fill_encoded(plain)
         sql = "SELECT COUNT(*) FROM e WHERE grp IN (?, ?)"
         for params in ((1, 5), (None, 2), (None, None), (99, 98)):
-            assert _routed(enc, sql, params).rows == \
-                _routed(plain, sql, params).rows, params
+            assert routed(enc, sql, params).rows == \
+                routed(enc, sql, params, vectorized=False).rows, params
 
-    def test_update_demotes_then_compact_reencodes(self):
-        enc = _make_encoded_db(encoding=True)
+    def test_lazy_decode_counters(self, routed):
+        enc = _make_encoded_db()
         _fill_encoded(enc)
-        table = enc.columnar.table("e")
-        sealed = [s for s in table.segments() if s.encoded]
-        assert sealed, "no segment sealed"
-        with enc.connect() as conn:
-            conn.execute("UPDATE e SET v = 999.0 WHERE id = 3")
-            conn.commit()
-        # replicate applies the overwrite (demote) and then compacts
-        enc.replicate()
-        target = table.segments()[0]
-        assert target.encoded and not target.dirty
-        assert _routed(enc, "SELECT v FROM e WHERE id = 3").rows == [(999.0,)]
-        result = _routed(enc, "SELECT COUNT(*) FROM e WHERE v = 999.0")
-        assert result.rows == [(1,)]
-
-    def test_lazy_decode_counters(self):
-        enc = _make_encoded_db(encoding=True)
-        _fill_encoded(enc)
-        result = _routed(enc, "SELECT SUM(q) FROM e WHERE grp = 2")
+        result = routed(enc, "SELECT SUM(q) FROM e WHERE grp = 2")
         # the filter column (grp) itself is never materialised; q is folded
         # either via decode or via typed-slice fast paths
         assert result.stats.segments_encoded > 0
         assert result.stats.columns_decoded <= result.stats.batches_scanned
 
     def test_encoding_stats_accounting(self):
-        enc = _make_encoded_db(encoding=True)
+        enc = _make_encoded_db()
         _fill_encoded(enc)
         stats = enc.columnar.encoding_stats()
         assert stats["segments_encoded"] > 0
@@ -312,19 +279,9 @@ class TestEncodedEngineParity:
             stats["segments_encoded"] * 5  # five columns per segment
         assert 0.0 < enc.columnar.scan_cost_factor() < 1.0
 
-    def test_plain_forced_engine_never_encodes(self):
-        plain = _make_encoded_db(encoding=False)
-        _fill_encoded(plain)
-        stats = plain.columnar.encoding_stats()
-        assert stats["segments_encoded"] == 0
-        assert plain.columnar.scan_cost_factor() == 1.0
-        result = _routed(plain, "SELECT COUNT(*) FROM e WHERE grp = 3")
-        assert result.stats.segments_encoded == 0
-        assert result.stats.runs_skipped == 0
-
 
 class TestZoneMapBatching:
-    def test_pruning_correct_after_chunked_apply(self):
+    def test_pruning_correct_after_chunked_apply(self, routed):
         """Zone maps widened per applied-WAL chunk must prune exactly like
         per-row widening did."""
         db = _make_encoded_db(segment_rows=32)
@@ -337,110 +294,48 @@ class TestZoneMapBatching:
         # replicate in awkward chunk sizes: widening happens per chunk
         while db.replication_lag() > 0:
             db.replicate(limit=7)
-        result = _routed(db, "SELECT COUNT(*) FROM e WHERE id BETWEEN 40 AND 50")
+        result = routed(db, "SELECT COUNT(*) FROM e WHERE id BETWEEN 40 AND 50")
         assert result.rows == [(11,)]
         assert result.stats.segments_pruned >= 1
         # a value outside every zone map prunes all segments
-        nothing = _routed(db, "SELECT COUNT(*) FROM e WHERE id = 100000")
+        nothing = routed(db, "SELECT COUNT(*) FROM e WHERE id = 100000")
         assert nothing.rows == [(0,)]
         assert nothing.stats.batches_scanned == 0
 
-    def test_mutation_visibility_with_deferred_widening(self):
+    def test_mutation_visibility_with_deferred_widening(self, routed):
         db = _make_encoded_db(segment_rows=16)
         _fill_encoded(db, 48)
         with db.connect() as conn:
             conn.execute("UPDATE e SET v = ? WHERE id = 2", (5555.5,))
             conn.commit()
         db.replicate()
-        found = _routed(db, "SELECT id FROM e WHERE v > 5000 ORDER BY id")
+        found = routed(db, "SELECT id FROM e WHERE v > 5000 ORDER BY id")
         assert found.rows == [(2,)]
 
 
 # ---------------------------------------------------------------------------
-# workload-level parity: encoded vs PLAIN across partitions and lag
+# workload level: this layer's view of the parity matrix
 # ---------------------------------------------------------------------------
-
-def _build_workload_db(name, scale, seed, encoding, partitions):
-    # 64-row segments so sealing (and therefore encoding) engages even on
-    # the per-partition shards of the smallest 0.05-scale tables; pinned
-    # to the arrival-order engine (see _make_encoded_db)
-    db = Database(with_columnar=True, columnar_segment_rows=64,
-                  columnar_encoding=encoding, partitions=partitions,
-                  sorted_compaction=False)
-    workload = make_workload(name)
-    workload.install(db, Random(seed), scale, with_foreign_keys=False)
-    return db, workload
-
-
-def _mutate(db, workload, seed, rounds=2):
-    """Apply a deterministic stream of OLTP transactions (same seed =>
-    identical WAL streams on every engine)."""
-    from repro.core.session import run_transaction
-
-    rng = Random(seed)
-    with db.connect() as conn:
-        for _ in range(rounds):
-            for profile in workload.oltp_transactions():
-                run_transaction(conn, "oltp", profile.name, profile.program,
-                                rng)
-
-
-def _run_analytical(db, workload, seed):
-    outputs = []
-    for profile in workload.analytical_queries():
-        rng = Random(f"{profile.name}:{seed}")
-        with db.connect() as conn:
-            class _S:
-                def execute(self, sql, params=()):
-                    result = conn.execute(sql, params, route_columnar=True)
-                    outputs.append((profile.name, result.columns,
-                                    result.rows))
-                    return result
-
-                def query_scalar(self, sql, params=()):
-                    return self.execute(sql, params).scalar()
-            profile.program(_S(), rng)
-            conn.commit()
-    return outputs
-
 
 @pytest.mark.parametrize("workload_name", ["subenchmark", "fibenchmark",
                                            "tabenchmark"])
 @pytest.mark.parametrize("partitions", [1, 2, 8])
 class TestWorkloadParity:
-    def test_fully_replicated_byte_identical(self, workload_name, partitions):
-        enc, workload = _build_workload_db(workload_name, 0.05, 7, True,
-                                           partitions)
-        plain, _ = _build_workload_db(workload_name, 0.05, 7, False,
-                                      partitions)
-        enc.replicate()
-        plain.replicate()
-        assert enc.columnar.encoding_stats()["segments_encoded"] > 0, \
-            "encoding never engaged — shrink segment_rows"
-        enc_out = _run_analytical(enc, workload, seed=7)
-        plain_out = _run_analytical(plain, workload, seed=7)
-        assert enc_out == plain_out
+    """Byte parity with the row oracle is asserted inside the shared
+    ``workload_parity`` cell (tests/conftest.py); what this suite adds is
+    that encoded segments were what got scanned."""
 
-    def test_mid_replication_byte_identical(self, workload_name, partitions):
-        # install() fully replicates, so lag comes from a deterministic
-        # OLTP mutation stream applied identically to both engines; then
-        # only a prefix replicates and both replicas sit mid-lag at the
-        # same watermark
-        enc, workload = _build_workload_db(workload_name, 0.05, 9, True,
-                                           partitions)
-        plain, _ = _build_workload_db(workload_name, 0.05, 9, False,
-                                      partitions)
-        _mutate(enc, workload, seed=13)
-        _mutate(plain, workload, seed=13)
-        lag = enc.replication_lag()
-        assert lag == plain.replication_lag() and lag > 1
-        applied_enc = enc.replicate(limit=lag // 2)
-        applied_plain = plain.replicate(limit=lag // 2)
-        assert applied_enc == applied_plain
-        assert enc.replication_lag() > 0
-        enc_out = _run_analytical(enc, workload, seed=9)
-        plain_out = _run_analytical(plain, workload, seed=9)
-        assert enc_out == plain_out
+    def test_fully_replicated_byte_identical(self, workload_parity,
+                                             workload_name, partitions):
+        cell = workload_parity(workload_name, partitions, lagged=False)
+        assert cell.stats.segments_encoded > 0
+        assert cell.encoding["segments_encoded"] > 0
+
+    def test_mid_replication_byte_identical(self, workload_parity,
+                                            workload_name, partitions):
+        cell = workload_parity(workload_name, partitions, lagged=True)
+        assert cell.stats.segments_encoded > 0
+        assert cell.encoding["segments_encoded"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,11 @@ from repro.db import Database
 from repro.exec import BackgroundTaskError, WorkerPool, default_workers
 from repro.sql.planner import SortedMerge
 from repro.sql.result import ExecStats
-from repro.workloads import make_workload
 
 
-def _make_db(workers=0, partitions=1, segment_rows=32,
-             sorted_compaction=True):
+def _make_db(workers=0, partitions=1, segment_rows=32):
     db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
-                  sorted_compaction=sorted_compaction, partitions=partitions,
-                  workers=workers)
+                  partitions=partitions, workers=workers)
     db.execute_ddl(
         "CREATE TABLE t (a INT, b INT, tag VARCHAR(8), v DOUBLE, "
         "id INT PRIMARY KEY)")
@@ -40,13 +37,6 @@ def _fill(db, n=256, seed=11):
                 (i // 32, i % 7, f"g{i % 3}", float(i) * 0.5, i))
         conn.commit()
     db.replicate()
-
-
-def _routed(db, sql, params=()):
-    with db.connect() as conn:
-        result = conn.execute(sql, params, route_columnar=True)
-        conn.commit()
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +148,15 @@ _QUERIES = [
 
 @pytest.mark.parametrize("partitions", [1, 2, 8])
 class TestPooledStatementParity:
-    def test_rows_identical_and_stats_consistent(self, partitions):
+    def test_rows_identical_and_stats_consistent(self, routed, partitions):
         seq = _make_db(workers=0, partitions=partitions)
         par = _make_db(workers=4, partitions=partitions)
         _fill(seq, 256)
         _fill(par, 256)
         par.quiesce()
         for sql, params in _QUERIES:
-            r0 = _routed(seq, sql, params)
-            r1 = _routed(par, sql, params)
+            r0 = routed(seq, sql, params)
+            r1 = routed(par, sql, params)
             assert r1.rows == r0.rows, sql
             assert r1.columns == r0.columns
             # physical-work counters agree: the pool re-partitions the
@@ -177,11 +167,11 @@ class TestPooledStatementParity:
                 r0.stats.partial_aggregates, sql
         par.pool.shutdown()
 
-    def test_pool_counters_flow(self, partitions):
+    def test_pool_counters_flow(self, routed, partitions):
         par = _make_db(workers=4, partitions=partitions)
         _fill(par, 256)
         par.quiesce()
-        result = _routed(par, "SELECT b, COUNT(*) FROM t GROUP BY b "
+        result = routed(par, "SELECT b, COUNT(*) FROM t GROUP BY b "
                               "ORDER BY b")
         if partitions > 1:
             assert result.stats.pool_workers == 4
@@ -193,74 +183,27 @@ class TestPooledStatementParity:
 # workload-level byte parity: pooled vs sequential, full and mid-lag
 # ---------------------------------------------------------------------------
 
-def _build_workload_db(name, scale, seed, workers, partitions):
-    db = Database(with_columnar=True, columnar_segment_rows=64,
-                  sorted_compaction=True, partitions=partitions,
-                  workers=workers)
-    workload = make_workload(name)
-    workload.install(db, Random(seed), scale, with_foreign_keys=False)
-    return db, workload
-
-
-def _mutate(db, workload, seed, rounds=2):
-    from repro.core.session import run_transaction
-
-    rng = Random(seed)
-    with db.connect() as conn:
-        for _ in range(rounds):
-            for profile in workload.oltp_transactions():
-                run_transaction(conn, "oltp", profile.name, profile.program,
-                                rng)
-
-
-def _run_analytical(db, workload, seed):
-    outputs = []
-    for profile in workload.analytical_queries():
-        rng = Random(f"{profile.name}:{seed}")
-        with db.connect() as conn:
-            class _S:
-                def execute(self, sql, params=()):
-                    result = conn.execute(sql, params, route_columnar=True)
-                    outputs.append((profile.name, result.columns,
-                                    result.rows))
-                    return result
-
-                def query_scalar(self, sql, params=()):
-                    return self.execute(sql, params).scalar()
-            profile.program(_S(), rng)
-            conn.commit()
-    return outputs
-
-
 @pytest.mark.parametrize("workload_name", ["subenchmark", "fibenchmark",
                                            "tabenchmark"])
 @pytest.mark.parametrize("partitions", [1, 2, 8])
 class TestPooledWorkloadParity:
-    def test_fully_replicated_byte_identical(self, workload_name, partitions):
-        seq, workload = _build_workload_db(workload_name, 0.05, 7, 0,
-                                           partitions)
-        par, _ = _build_workload_db(workload_name, 0.05, 7, 4, partitions)
-        seq.replicate()
-        par.replicate()
-        par.quiesce()
-        assert _run_analytical(par, workload, seed=7) == \
-            _run_analytical(seq, workload, seed=7)
-        par.pool.shutdown()
+    """The parity matrix's ``workers`` axis: the pooled cell (itself
+    checked cold and warm against the row oracle on its own replica) must
+    answer exactly what the sequential cell answered."""
 
-    def test_mid_replication_byte_identical(self, workload_name, partitions):
-        seq, workload = _build_workload_db(workload_name, 0.05, 9, 0,
-                                           partitions)
-        par, _ = _build_workload_db(workload_name, 0.05, 9, 4, partitions)
-        _mutate(seq, workload, seed=13)
-        _mutate(par, workload, seed=13)
-        lag = seq.replication_lag()
-        assert lag == par.replication_lag() and lag > 1
-        assert seq.replicate(limit=lag // 2) == par.replicate(limit=lag // 2)
-        par.quiesce()
-        assert seq.replication_lag() > 0
-        assert _run_analytical(par, workload, seed=9) == \
-            _run_analytical(seq, workload, seed=9)
-        par.pool.shutdown()
+    def test_fully_replicated_byte_identical(self, workload_parity,
+                                             workload_name, partitions):
+        par = workload_parity(workload_name, partitions, lagged=False,
+                              workers=4)
+        seq = workload_parity(workload_name, partitions, lagged=False)
+        assert par.outputs == seq.outputs
+
+    def test_mid_replication_byte_identical(self, workload_parity,
+                                            workload_name, partitions):
+        par = workload_parity(workload_name, partitions, lagged=True,
+                              workers=4)
+        seq = workload_parity(workload_name, partitions, lagged=True)
+        assert par.outputs == seq.outputs
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +243,7 @@ class TestBackgroundCompaction:
 # ---------------------------------------------------------------------------
 
 class TestConcurrentStress:
-    def test_scans_during_apply_and_compaction(self):
+    def test_scans_during_apply_and_compaction(self, routed):
         db = _make_db(workers=4, partitions=4, segment_rows=16)
         _fill(db, 128)
         db.quiesce()
@@ -328,14 +271,14 @@ class TestConcurrentStress:
         thread.start()
         try:
             for _ in range(30):
-                result = _routed(
+                result = routed(
                     db, "SELECT COUNT(*), SUM(id), SUM(v) FROM t")
                 count, id_sum, v_sum = result.rows[0]
                 # every committed row satisfies v == id / 2: any torn read
                 # of a segment mid-swap would break the invariant
                 assert count >= 128
                 assert v_sum == pytest.approx(id_sum * 0.5)
-                ordered = _routed(db, "SELECT id FROM t ORDER BY id")
+                ordered = routed(db, "SELECT id FROM t ORDER BY id")
                 ids = [row[0] for row in ordered.rows]
                 assert ids == sorted(ids) and len(ids) == len(set(ids))
         finally:
@@ -343,11 +286,11 @@ class TestConcurrentStress:
             thread.join()
         assert not errors
         db.quiesce()
-        final = _routed(db, "SELECT COUNT(*) FROM t").scalar()
+        final = routed(db, "SELECT COUNT(*) FROM t").scalar()
         assert final >= 128
         db.pool.shutdown()
 
-    def test_no_lost_stat_counts_under_pool(self):
+    def test_no_lost_stat_counts_under_pool(self, routed):
         seq = _make_db(workers=0, partitions=8)
         par = _make_db(workers=4, partitions=8)
         _fill(seq, 256)
@@ -355,8 +298,8 @@ class TestConcurrentStress:
         par.quiesce()
         sql = "SELECT a, b, COUNT(*), SUM(v) FROM t GROUP BY a, b " \
               "ORDER BY a, b"
-        r0 = _routed(seq, sql)
-        r1 = _routed(par, sql)
+        r0 = routed(seq, sql)
+        r1 = routed(par, sql)
         assert r1.rows == r0.rows
         # additive counters accumulated across four worker threads match
         # the sequential totals exactly — nothing dropped, nothing doubled
@@ -377,32 +320,30 @@ class TestReverseOrderedScan:
         plan, _hit, _e, _c = db._prepare(sql)
         return plan.vectorized_root
 
-    def test_desc_elides_sort(self):
+    def test_desc_elides_sort(self, routed):
         db = _make_db()
         _fill(db, 256)
         root = self._plan_root(db, "SELECT id, v FROM t ORDER BY id DESC")
         assert isinstance(root, SortedMerge) and root.reverse
-        result = _routed(db, "SELECT id, v FROM t ORDER BY id DESC")
+        result = routed(db, "SELECT id, v FROM t ORDER BY id DESC")
         assert result.stats.sort_elided == 1
         assert [row[0] for row in result.rows] == list(range(255, -1, -1))
 
-    def test_desc_parity_with_arrival_engine(self):
-        srt = _make_db(sorted_compaction=True, partitions=2)
-        arr = _make_db(sorted_compaction=False, partitions=2)
+    def test_desc_parity_with_arrival_engine(self, routed):
+        srt = _make_db(partitions=2)
         _fill(srt, 200)
-        _fill(arr, 200)
         for sql, params in [
             ("SELECT id, tag FROM t ORDER BY id DESC", ()),
             ("SELECT id FROM t WHERE a >= ? ORDER BY id DESC", (2,)),
             ("SELECT id, v FROM t ORDER BY id DESC LIMIT 7", ()),
         ]:
-            expect = _routed(arr, sql, params)
-            got = _routed(srt, sql, params)
+            expect = routed(srt, sql, params, vectorized=False)
+            got = routed(srt, sql, params)
             assert got.rows == expect.rows, sql
             assert got.stats.sort_elided == 1
             assert expect.stats.sort_elided == 0
 
-    def test_desc_with_delta_overlay(self):
+    def test_desc_with_delta_overlay(self, routed):
         db = _make_db(segment_rows=64)
         _fill(db, 192)
         # now leave fresh rows unmerged in the delta (below the merge
@@ -419,31 +360,31 @@ class TestReverseOrderedScan:
         table = db.columnar.table("t")
         assert table.delta_live_rows() > 0, \
             "delta unexpectedly merged — the overlay case is not covered"
-        result = _routed(db, "SELECT id FROM t ORDER BY id DESC")
+        result = routed(db, "SELECT id FROM t ORDER BY id DESC")
         ids = [row[0] for row in result.rows]
         assert ids == sorted(ids, reverse=True)
         assert ids[0] == 500 and len(ids) == 193
         assert result.stats.sort_elided == 1
 
-    def test_mixed_directions_still_sort(self):
+    def test_mixed_directions_still_sort(self, routed):
         db = _make_db()
         _fill(db, 64)
         root = self._plan_root(
             db, "SELECT a, id FROM t ORDER BY a DESC, id ASC")
         assert not isinstance(root, SortedMerge)
-        result = _routed(db, "SELECT a, id FROM t ORDER BY a DESC, id ASC")
+        result = routed(db, "SELECT a, id FROM t ORDER BY a DESC, id ASC")
         assert result.stats.sort_elided == 0
         rows = result.rows
         assert rows == sorted(rows, key=lambda r: (-r[0], r[1]))
 
-    def test_desc_pooled_parity(self):
+    def test_desc_pooled_parity(self, routed):
         seq = _make_db(workers=0, partitions=4)
         par = _make_db(workers=4, partitions=4)
         _fill(seq, 256)
         _fill(par, 256)
         par.quiesce()
         sql = "SELECT id, tag, v FROM t ORDER BY id DESC"
-        assert _routed(par, sql).rows == _routed(seq, sql).rows
+        assert routed(par, sql).rows == routed(seq, sql).rows
         par.pool.shutdown()
 
 
@@ -496,7 +437,7 @@ class TestSegmentGranularMerge:
             assert any(s is old for s in main_after)
         assert table.row_count == 160
 
-    def test_bounds_stay_consistent_after_merges(self):
+    def test_bounds_stay_consistent_after_merges(self, routed):
         db = _make_db(segment_rows=16, partitions=2)
         _fill(db, 200)
         rng = Random(5)
@@ -518,21 +459,26 @@ class TestSegmentGranularMerge:
                     for key in pair]
             assert flat == sorted(flat)
         # point lookups in the columnar path still find every row
-        result = _routed(db, "SELECT COUNT(*) FROM t")
+        result = routed(db, "SELECT COUNT(*) FROM t")
         assert result.scalar() == 200
 
-    def test_query_parity_after_narrow_merges(self):
+    def test_query_parity_after_narrow_merges(self, routed):
         srt = _make_db(segment_rows=32)
-        arr = _make_db(segment_rows=32, sorted_compaction=False)
-        for db in (srt, arr):
-            _fill(db, 192)
-            with db.connect() as conn:
-                for i in (10, 60, 61, 150):
-                    conn.execute("UPDATE t SET v = -1.0 WHERE id = ?", (i,))
-                conn.commit()
-            db.replicate()
+        _fill(srt, 192)
+        with srt.connect() as conn:
+            for i in (10, 60, 61, 150):
+                conn.execute("UPDATE t SET v = -1.0 WHERE id = ?", (i,))
+            conn.commit()
+        srt.replicate()
+        merged_before = srt.columnar.segments_merged_total()
         srt.columnar.compact(force=True)
+        assert srt.columnar.segments_merged_total() > merged_before
         for sql in ["SELECT id, v FROM t ORDER BY id",
                     "SELECT b, COUNT(*), SUM(v) FROM t GROUP BY b ORDER BY b",
                     "SELECT COUNT(*) FROM t WHERE v < 0"]:
-            assert _routed(srt, sql).rows == _routed(arr, sql).rows, sql
+            # the row store is the independent witness here: the replica
+            # is fully caught up, so it must hold exactly these rows
+            with srt.connect() as conn:
+                expect = conn.execute(sql)
+                conn.commit()
+            assert routed(srt, sql).rows == expect.rows, sql

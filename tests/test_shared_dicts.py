@@ -1,9 +1,7 @@
 """Shared table-level dictionaries: compaction-time builds, FK domain
-aliasing, code-space joins/group-bys/predicates, cardinality-overflow
-demotion, lazy per-segment remaps in arrival mode, plan-cache isolation of
-the ``shared_dicts`` flag, counter plumbing, and three-workload byte-parity
-of the shared-dictionary engine against the per-segment-dictionary engine
-across partitions, fully replicated and mid-lag."""
+aliasing, code-space joins/group-bys/predicates checked against the row
+oracle on the same replica, cardinality-overflow demotion, counter
+plumbing, and this layer's view of the three-workload parity matrix."""
 
 from random import Random
 
@@ -18,7 +16,6 @@ from repro.storage.columnstore import (
     SharedDictColumn,
     TableDictionary,
 )
-from repro.workloads import make_workload
 
 # 7 nations: coprime with the partition counts under test, so the nation
 # column never collapses to a constant (RLE) inside one hash partition
@@ -26,11 +23,8 @@ NATIONS = [f"n{i}" for i in range(7)]
 TIERS = ["GC", "BC"]
 
 
-def _make_db(segment_rows=64, shared_dicts=True, sorted_compaction=True,
-             partitions=1, cardinality=None):
+def _make_db(segment_rows=64, partitions=1, cardinality=None):
     db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
-                  sorted_compaction=sorted_compaction,
-                  shared_dicts=shared_dicts,
                   shared_dict_cardinality=cardinality,
                   partitions=partitions)
     db.execute_ddl(
@@ -63,20 +57,6 @@ def _fill(db, n=256, seed=11, null_every=0):
         conn.commit()
     db.replicate()
     return db
-
-
-def _routed(db, sql, params=()):
-    with db.connect() as conn:
-        result = conn.execute(sql, params, route_columnar=True)
-        conn.commit()
-    return result
-
-
-def _pair(**kwargs):
-    """(shared-dictionary engine, per-segment baseline), identically
-    loaded."""
-    return (_fill(_make_db(shared_dicts=True, **kwargs)),
-            _fill(_make_db(shared_dicts=False, **kwargs)))
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +94,13 @@ class TestSharedDictStorage:
         assert stats["shared_dict_bytes"] > 0
         assert stats["dict_code_bytes"] > 0
         assert stats["shared_dicts_total"] >= 3
-        baseline = _fill(_make_db(shared_dicts=False)).columnar \
-            .encoding_stats()
-        assert baseline["dicts_shared"] == 0
-        assert baseline["shared_dicts_total"] == 0
-        assert baseline["dict_value_bytes"] > 0
+        # the unique note column blows its cap: those segments carry
+        # their own dictionaries, whose value bytes are counted per segment
+        demoted = _fill(_make_db(cardinality=8)).columnar.encoding_stats()
+        assert demoted["dicts_per_segment"] > 0
+        assert demoted["dict_value_bytes"] > 0
 
-    def test_cardinality_overflow_demotes_to_per_segment(self):
+    def test_cardinality_overflow_demotes_to_per_segment(self, routed):
         # cap of 8 holds the nations but not the 256 distinct notes
         db = _fill(_make_db(cardinality=8))
         stats = db.columnar.encoding_stats()
@@ -130,17 +110,22 @@ class TestSharedDictStorage:
         assert any(isinstance(seg.columns[1], SharedDictColumn)
                    for seg in table.main_segments())
         note_cols = [seg.columns[3] for seg in table.main_segments()]
-        assert all(type(c) is not SharedDictColumn for c in note_cols)
-        # demoted domains still answer queries correctly
-        baseline = _fill(_make_db(shared_dicts=False))
+        assert all(type(c) is DictColumn for c in note_cols)
+        # demoted domains still answer queries correctly; a GROUP BY on
+        # the demoted column takes the generic assign + scatter fold
         for sql in [
             "SELECT note FROM cust WHERE note = 'note-77'",
             "SELECT nation, COUNT(*) FROM cust GROUP BY nation "
             "ORDER BY nation",
             "SELECT COUNT(*) FROM cust WHERE note IN "
             "('note-1', 'note-2', 'nope')",
+            "SELECT note, COUNT(*), SUM(amount) FROM cust GROUP BY note",
         ]:
-            assert _routed(db, sql).rows == _routed(baseline, sql).rows, sql
+            got = routed(db, sql)
+            assert got.stats.vectorized, sql
+            assert got.rows == routed(db, sql, vectorized=False).rows, sql
+        assert got.stats.groups_global_coded == 0
+        assert len(got.rows) == 256
 
     def test_demoted_unreferenced_dictionary_frees_values(self):
         dictionary = TableDictionary(cap=4)
@@ -160,47 +145,46 @@ class TestSharedDictStorage:
 # ---------------------------------------------------------------------------
 
 class TestGlobalCodeGroupBy:
-    def test_group_by_matches_per_segment_engine(self):
-        shared, baseline = _pair()
+    def test_group_by_matches_per_segment_engine(self, routed):
+        shared = _fill(_make_db())
         sql = ("SELECT tier, COUNT(*), SUM(amount), AVG(amount) FROM cust "
                "GROUP BY tier ORDER BY tier")
-        a = _routed(shared, sql)
-        b = _routed(baseline, sql)
+        a = routed(shared, sql)
+        b = routed(shared, sql, vectorized=False)
         assert a.rows == b.rows
         assert a.stats.groups_global_coded > 0
         assert b.stats.groups_global_coded == 0
 
-    def test_group_by_with_null_keys(self):
+    def test_group_by_with_null_keys(self, routed):
         shared = _fill(_make_db(), null_every=5)
-        baseline = _fill(_make_db(shared_dicts=False), null_every=5)
         sql = "SELECT tier, COUNT(*) FROM cust GROUP BY tier ORDER BY tier"
-        a = _routed(shared, sql)
-        assert a.rows == _routed(baseline, sql).rows
+        a = routed(shared, sql)
+        assert a.rows == routed(shared, sql, vectorized=False).rows
         assert a.rows[0][0] is None
         assert a.stats.groups_global_coded > 0
 
-    def test_emission_order_matches_without_order_by(self):
-        shared, baseline = _pair()
+    def test_emission_order_matches_without_order_by(self, routed):
+        shared = _fill(_make_db())
         sql = "SELECT nation, COUNT(*), SUM(amount) FROM cust GROUP BY nation"
-        a = _routed(shared, sql)
+        a = routed(shared, sql)
         assert a.stats.groups_global_coded > 0
-        assert a.rows == _routed(baseline, sql).rows
+        assert a.rows == routed(shared, sql, vectorized=False).rows
 
     @pytest.mark.parametrize("partitions", [2, 8])
-    def test_partitioned_group_by_single_accumulator(self, partitions):
-        shared, baseline = _pair(partitions=partitions)
+    def test_partitioned_group_by_single_accumulator(self, routed,
+                                                     partitions):
+        shared = _fill(_make_db(partitions=partitions))
         shared.columnar.compact(force=True)
-        baseline.columnar.compact(force=True)
         sql = ("SELECT nation, COUNT(*), SUM(amount) FROM cust "
                "GROUP BY nation ORDER BY nation")
-        a = _routed(shared, sql)
-        assert a.rows == _routed(baseline, sql).rows
+        a = routed(shared, sql)
+        assert a.rows == routed(shared, sql, vectorized=False).rows
         assert a.stats.groups_global_coded > 0
 
 
 class TestCodeSpacePredicates:
-    def test_eq_and_in_match_per_segment_engine(self):
-        shared, baseline = _pair()
+    def test_eq_and_in_match_per_segment_engine(self, routed):
+        shared = _fill(_make_db())
         for sql, params in [
             ("SELECT id FROM cust WHERE tier = ? ORDER BY id", ("GC",)),
             ("SELECT COUNT(*) FROM cust WHERE nation IN (?, ?, ?)",
@@ -208,12 +192,14 @@ class TestCodeSpacePredicates:
             ("SELECT COUNT(*) FROM cust WHERE tier = ? AND nation = ?",
              ("BC", "n3")),
         ]:
-            assert _routed(shared, sql, params).rows \
-                == _routed(baseline, sql, params).rows, sql
+            got = routed(shared, sql, params)
+            assert got.stats.segments_encoded > 0, sql
+            assert got.rows \
+                == routed(shared, sql, params, vectorized=False).rows, sql
 
-    def test_absent_literal_prunes_every_segment(self):
+    def test_absent_literal_prunes_every_segment(self, routed):
         shared = _fill(_make_db())
-        result = _routed(shared,
+        result = routed(shared,
                          "SELECT COUNT(*) FROM cust WHERE tier = 'XX'")
         assert result.rows == [(0,)]
         assert result.stats.batches_scanned == 0
@@ -223,92 +209,48 @@ class TestCodeSpaceJoin:
     JOIN_SQL = ("SELECT c.id, n.region FROM cust c JOIN nation n "
                 "ON c.nation = n.name ORDER BY c.id")
 
-    def test_fk_join_probes_codes(self):
-        shared, baseline = _pair()
-        a = _routed(shared, self.JOIN_SQL)
-        b = _routed(baseline, self.JOIN_SQL)
+    def test_fk_join_probes_codes(self, routed):
+        shared = _fill(_make_db())
+        a = routed(shared, self.JOIN_SQL)
+        b = routed(shared, self.JOIN_SQL, vectorized=False)
         assert a.rows == b.rows and len(a.rows) == 256
         assert a.stats.join_code_probes > 0
         assert b.stats.join_code_probes == 0
 
-    def test_join_without_shared_domain(self):
+    def test_join_without_shared_domain(self, routed):
         # tier and region live in DIFFERENT dictionary domains (no FK):
         # the build side falls back to per-value translation against the
         # probe side's dictionary, results stay identical
-        shared, baseline = _pair()
+        shared = _fill(_make_db())
         sql = ("SELECT c.id, n.name FROM cust c JOIN nation n "
                "ON c.tier = n.region ORDER BY c.id, n.name")
-        a = _routed(shared, sql)
-        b = _routed(baseline, sql)
+        a = routed(shared, sql)
+        b = routed(shared, sql, vectorized=False)
+        assert a.stats.join_code_probes > 0
         assert a.rows == b.rows and len(a.rows) > 0
 
-    def test_left_join_matches(self):
-        shared, baseline = _pair()
-        extra = ("INSERT INTO cust (id, nation, tier, note, amount) "
-                 "VALUES (999, NULL, 'GC', 'x', 1.0)")
-        for db in (shared, baseline):
-            with db.connect() as conn:
-                conn.execute(extra)
-                conn.commit()
-            db.replicate()
+    def test_left_join_matches(self, routed):
+        shared = _fill(_make_db())
+        with shared.connect() as conn:
+            conn.execute("INSERT INTO cust (id, nation, tier, note, amount) "
+                         "VALUES (999, NULL, 'GC', 'x', 1.0)")
+            conn.commit()
+        shared.replicate()
         sql = ("SELECT c.id, n.region FROM cust c LEFT JOIN nation n "
                "ON c.nation = n.name ORDER BY c.id")
-        a = _routed(shared, sql)
-        b = _routed(baseline, sql)
+        a = routed(shared, sql)
+        b = routed(shared, sql, vectorized=False)
+        assert a.stats.join_code_probes > 0
         assert a.rows == b.rows
         assert a.rows[-1] == (999, None)
 
     @pytest.mark.parametrize("partitions", [2, 8])
-    def test_partitioned_join(self, partitions):
-        shared, baseline = _pair(partitions=partitions)
+    def test_partitioned_join(self, routed, partitions):
+        shared = _fill(_make_db(partitions=partitions))
         shared.columnar.compact(force=True)
-        baseline.columnar.compact(force=True)
-        a = _routed(shared, self.JOIN_SQL)
-        assert a.rows == _routed(baseline, self.JOIN_SQL).rows
+        a = routed(shared, self.JOIN_SQL)
+        assert a.rows == routed(shared, self.JOIN_SQL, vectorized=False).rows
         assert a.stats.join_code_probes > 0
-
-
-class TestArrivalModeRemap:
-    def test_fill_sealed_segments_remap_lazily(self):
-        # arrival mode seals full segments at fill time, before the shared
-        # dictionary saw their values: the first code-space consumer builds
-        # a per-segment->global remap array
-        shared = _fill(_make_db(sorted_compaction=False))
-        baseline = _fill(_make_db(sorted_compaction=False,
-                                  shared_dicts=False))
-        table = shared.columnar.table("cust")
-        assert any(isinstance(seg.columns[1], DictColumn)
-                   and not isinstance(seg.columns[1], SharedDictColumn)
-                   for seg in table.segments())
-        sql = ("SELECT nation, COUNT(*), SUM(amount) FROM cust "
-               "GROUP BY nation ORDER BY nation")
-        a = _routed(shared, sql)
-        assert a.rows == _routed(baseline, sql).rows
-        assert a.stats.dict_remaps > 0
-        assert a.stats.groups_global_coded > 0
-        # remaps are cached: a second scan builds none
-        again = _routed(shared, sql)
-        assert again.rows == a.rows
-        assert again.stats.dict_remaps == 0
-
-
-# ---------------------------------------------------------------------------
-# plan cache: the shared_dicts flag is part of the key
-# ---------------------------------------------------------------------------
-
-class TestPlanCacheSharedDictsKey:
-    def test_flag_flip_replans(self):
-        db = _fill(_make_db())
-        sql = ("SELECT c.id, n.region FROM cust c JOIN nation n "
-               "ON c.nation = n.name ORDER BY c.id")
-        shared_plan = db.prepare(sql)
-        db.planner.shared_dicts = False
-        value_plan = db.prepare(sql)
-        assert value_plan is not shared_plan
-        # the re-planned join still answers correctly (no stale code_key)
-        assert len(_routed(db, sql).rows) == 256
-        db.planner.shared_dicts = True
-        assert db.prepare(sql) is shared_plan
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +264,12 @@ class TestCounterPlumbing:
             engine="test", window_ms=1000.0)
         report.join_code_probes = 123
         report.groups_global_coded = 45
-        report.dict_remaps = 6
         return report
 
     def test_summary_and_text_show_shared_dict_counters(self):
         text = render_text(self._report())
         assert "join_code_probes=123" in text
         assert "groups_global_coded=45" in text
-        assert "dict_remaps=6" in text
         assert "join_code_probes=123" in self._report().summary_text()
 
     def test_csv_carries_shared_dict_counters(self):
@@ -341,78 +281,27 @@ class TestCounterPlumbing:
         rows = list(csv_mod.DictReader(io.StringIO(render_csv([report]))))
         assert rows[0]["join_code_probes"] == "123"
         assert rows[0]["groups_global_coded"] == "45"
-        assert rows[0]["dict_remaps"] == "6"
 
 
 # ---------------------------------------------------------------------------
-# workload-level byte-parity: shared vs per-segment dictionaries
+# workload level: this layer's view of the parity matrix
 # ---------------------------------------------------------------------------
-
-def _build_workload_db(name, scale, seed, shared, partitions):
-    db = Database(with_columnar=True, columnar_segment_rows=64,
-                  sorted_compaction=True, shared_dicts=shared,
-                  partitions=partitions)
-    workload = make_workload(name)
-    workload.install(db, Random(seed), scale, with_foreign_keys=False)
-    return db, workload
-
-
-def _mutate(db, workload, seed, rounds=2):
-    from repro.core.session import run_transaction
-
-    rng = Random(seed)
-    with db.connect() as conn:
-        for _ in range(rounds):
-            for profile in workload.oltp_transactions():
-                run_transaction(conn, "oltp", profile.name, profile.program,
-                                rng)
-
-
-def _run_analytical(db, workload, seed):
-    outputs = []
-    for profile in workload.analytical_queries():
-        rng = Random(f"{profile.name}:{seed}")
-        with db.connect() as conn:
-            class _S:
-                def execute(self, sql, params=()):
-                    result = conn.execute(sql, params, route_columnar=True)
-                    outputs.append((profile.name, result.columns,
-                                    result.rows))
-                    return result
-
-                def query_scalar(self, sql, params=()):
-                    return self.execute(sql, params).scalar()
-            profile.program(_S(), rng)
-            conn.commit()
-    return outputs
-
 
 @pytest.mark.parametrize("workload_name", ["subenchmark", "fibenchmark",
                                            "tabenchmark"])
 @pytest.mark.parametrize("partitions", [1, 2, 8])
 class TestWorkloadParity:
-    def test_fully_replicated_byte_identical(self, workload_name, partitions):
-        shr, workload = _build_workload_db(workload_name, 0.05, 7, True,
-                                           partitions)
-        per, _ = _build_workload_db(workload_name, 0.05, 7, False,
-                                    partitions)
-        shr.replicate()
-        per.replicate()
-        assert shr.columnar.encoding_stats()["dicts_shared"] > 0, \
-            "shared dictionaries never engaged"
-        assert _run_analytical(shr, workload, seed=7) == \
-            _run_analytical(per, workload, seed=7)
+    """Byte parity with the row oracle is asserted inside the shared
+    ``workload_parity`` cell (tests/conftest.py); what this suite adds is
+    that string columns were sealed into table-level dictionaries."""
 
-    def test_mid_replication_byte_identical(self, workload_name, partitions):
-        shr, workload = _build_workload_db(workload_name, 0.05, 9, True,
-                                           partitions)
-        per, _ = _build_workload_db(workload_name, 0.05, 9, False,
-                                    partitions)
-        _mutate(shr, workload, seed=13)
-        _mutate(per, workload, seed=13)
-        lag = shr.replication_lag()
-        assert lag == per.replication_lag() and lag > 1
-        assert shr.replicate(limit=lag // 2) == per.replicate(limit=lag // 2)
-        assert shr.replication_lag() > 0
-        assert _run_analytical(shr, workload, seed=9) == \
-            _run_analytical(per, workload, seed=9)
+    def test_fully_replicated_byte_identical(self, workload_parity,
+                                             workload_name, partitions):
+        cell = workload_parity(workload_name, partitions, lagged=False)
+        assert cell.encoding["dicts_shared"] > 0, \
+            "shared dictionaries never engaged"
+
+    def test_mid_replication_byte_identical(self, workload_parity,
+                                            workload_name, partitions):
+        cell = workload_parity(workload_name, partitions, lagged=True)
+        assert cell.encoding["dicts_shared"] > 0

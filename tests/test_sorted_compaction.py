@@ -1,7 +1,7 @@
 """Delta–main columnar replica: ordered compaction, merge-on-read scans,
-order-aware planning (sort elision), span pruning, encoded group-by, and
-three-workload byte-parity of the sorted engine against the arrival-order
-(PR 4) engine across partitions, fully replicated and mid-lag."""
+order-aware planning (sort elision), span pruning, encoded group-by — each
+checked against the row oracle on the same replica — and this layer's view
+of the three-workload parity matrix."""
 
 from random import Random
 
@@ -9,14 +9,10 @@ import pytest
 
 from repro.db import Database
 from repro.sql.planner import SortedMerge
-from repro.workloads import make_workload
 
 
-def _make_db(segment_rows=64, sorted_compaction=True, encoding=True,
-             partitions=1, sort_keys=None):
+def _make_db(segment_rows=64, partitions=1, sort_keys=None):
     db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
-                  columnar_encoding=encoding,
-                  sorted_compaction=sorted_compaction,
                   sort_keys=sort_keys, partitions=partitions)
     db.execute_ddl(
         "CREATE TABLE t (a INT, b INT, tag VARCHAR(8), v DOUBLE, "
@@ -39,13 +35,6 @@ def _fill_shuffled(db, n=256, seed=11):
     db.replicate()
 
 
-def _routed(db, sql, params=()):
-    with db.connect() as conn:
-        result = conn.execute(sql, params, route_columnar=True)
-        conn.commit()
-    return result
-
-
 # ---------------------------------------------------------------------------
 # storage level: merge mechanics
 # ---------------------------------------------------------------------------
@@ -55,7 +44,6 @@ class TestOrderedCompaction:
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 256)
         table = db.columnar.table("t")
-        assert table.sorted_mode
         main = table.main_segments()
         assert len(main) == 4 and all(s.encoded for s in main)
         assert table.delta_live_rows() == 0
@@ -85,7 +73,7 @@ class TestOrderedCompaction:
         assert db.columnar.compact(force=True) > 0
         assert table.delta_live_rows() == 0
 
-    def test_update_supersedes_main_version(self):
+    def test_update_supersedes_main_version(self, routed):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 128)
         table = db.columnar.table("t")
@@ -96,15 +84,15 @@ class TestOrderedCompaction:
         # newest version lives in the delta; the main slot is dead
         assert table.delta_live_rows() == 1
         assert table.row_count == 128
-        assert _routed(db, "SELECT v FROM t WHERE id = 40").rows == [(999.0,)]
-        assert _routed(db, "SELECT COUNT(*) FROM t WHERE v = 999.0").rows \
+        assert routed(db, "SELECT v FROM t WHERE id = 40").rows == [(999.0,)]
+        assert routed(db, "SELECT COUNT(*) FROM t WHERE v = 999.0").rows \
             == [(1,)]
         # after a forced merge the row is back in (sorted) main
         db.columnar.compact(force=True)
         assert table.delta_live_rows() == 0
-        assert _routed(db, "SELECT v FROM t WHERE id = 40").rows == [(999.0,)]
+        assert routed(db, "SELECT v FROM t WHERE id = 40").rows == [(999.0,)]
 
-    def test_delete_then_reinsert_through_merge(self):
+    def test_delete_then_reinsert_through_merge(self, routed):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 128)
         table = db.columnar.table("t")
@@ -119,12 +107,12 @@ class TestOrderedCompaction:
             conn.commit()
         db.replicate()
         assert table.row_count == 128
-        assert _routed(db, "SELECT v FROM t WHERE id = 7").rows == [(-1.0,)]
+        assert routed(db, "SELECT v FROM t WHERE id = 7").rows == [(-1.0,)]
         db.columnar.compact(force=True)
         # merge reclaimed the dead slot: live rows only, still sorted
         ids = [row[4] for _pk, row in table.scan()]
         assert ids == sorted(ids) and len(ids) == 128
-        assert _routed(db, "SELECT v FROM t WHERE id = 7").rows == [(-1.0,)]
+        assert routed(db, "SELECT v FROM t WHERE id = 7").rows == [(-1.0,)]
 
     def test_sort_keys_typo_raises_at_replication(self):
         from repro.errors import CatalogError
@@ -160,33 +148,33 @@ class TestOrderedCompaction:
 # ---------------------------------------------------------------------------
 
 class TestSpanPruning:
-    def test_range_on_sort_key_binds_contiguous_span(self):
+    def test_range_on_sort_key_binds_contiguous_span(self, routed):
         db = _make_db(segment_rows=32)
         _fill_shuffled(db, 256)
-        result = _routed(db, "SELECT COUNT(*) FROM t WHERE id BETWEEN ? AND ?",
+        result = routed(db, "SELECT COUNT(*) FROM t WHERE id BETWEEN ? AND ?",
                          (64, 95))
         assert result.rows == [(32,)]
         # 8 main segments of 32 sorted ids: the range lands in one
         assert result.stats.segments_pruned >= 6
         assert result.stats.batches_scanned <= 2
 
-    def test_span_with_custom_sort_key(self):
+    def test_span_with_custom_sort_key(self, routed):
         db = _make_db(segment_rows=32, sort_keys={"t": ("a", "id")})
         _fill_shuffled(db, 256)
         # equality on the first sort column + range on the second
-        result = _routed(
+        result = routed(
             db, "SELECT COUNT(*) FROM t WHERE a = 3 AND id < 120")
         assert result.rows == [(24,)]
         assert result.stats.segments_pruned > 0
 
-    def test_empty_span_prunes_everything(self):
+    def test_empty_span_prunes_everything(self, routed):
         db = _make_db(segment_rows=32)
         _fill_shuffled(db, 256)
-        result = _routed(db, "SELECT COUNT(*) FROM t WHERE id > 100000")
+        result = routed(db, "SELECT COUNT(*) FROM t WHERE id > 100000")
         assert result.rows == [(0,)]
         assert result.stats.batches_scanned == 0
 
-    def test_delta_rows_pending_counted(self):
+    def test_delta_rows_pending_counted(self, routed):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 128)
         with db.connect() as conn:
@@ -196,7 +184,7 @@ class TestSpanPruning:
                     "VALUES (0, 0, 'd', 0.0, ?)", (i,))
             conn.commit()
         db.replicate()
-        result = _routed(db, "SELECT COUNT(*) FROM t")
+        result = routed(db, "SELECT COUNT(*) FROM t")
         assert result.rows == [(130,)]
         assert result.stats.delta_rows_pending == 2
 
@@ -205,23 +193,20 @@ class TestMergeOnRead:
     """ORDER BY/LIMIT correctness when results span delta and main."""
 
     @pytest.mark.parametrize("partitions", [1, 2])
-    def test_order_by_spans_delta_and_main(self, partitions):
+    def test_order_by_spans_delta_and_main(self, routed, partitions):
         db = _make_db(segment_rows=64, partitions=partitions)
-        unsorted = _make_db(segment_rows=64, sorted_compaction=False,
-                            partitions=partitions)
-        for engine in (db, unsorted):
-            _fill_shuffled(engine, 200)
-            # interleave fresh rows (kept in the delta of the sorted
-            # engine: below the merge threshold) with merged history
-            with engine.connect() as conn:
-                for i in (205, 3, 77, 130, 199):
-                    conn.execute("DELETE FROM t WHERE id = ?", (i,))
-                for i in (205, 3, 77, 130, 401, 402):
-                    conn.execute(
-                        "INSERT INTO t (a, b, tag, v, id) "
-                        "VALUES (0, 1, 'm', ?, ?)", (float(i), i))
-                conn.commit()
-            engine.replicate()
+        _fill_shuffled(db, 200)
+        # interleave fresh rows (kept in the delta: below the merge
+        # threshold) with merged history
+        with db.connect() as conn:
+            for i in (205, 3, 77, 130, 199):
+                conn.execute("DELETE FROM t WHERE id = ?", (i,))
+            for i in (205, 3, 77, 130, 401, 402):
+                conn.execute(
+                    "INSERT INTO t (a, b, tag, v, id) "
+                    "VALUES (0, 1, 'm', ?, ?)", (float(i), i))
+            conn.commit()
+        db.replicate()
         assert db.columnar.delta_rows_pending() > 0
         for sql, params in [
             ("SELECT id, v FROM t ORDER BY id", ()),
@@ -230,16 +215,16 @@ class TestMergeOnRead:
             ("SELECT id, tag FROM t WHERE v < 60 ORDER BY id", ()),
             ("SELECT id FROM t ORDER BY id DESC LIMIT 4", ()),
         ]:
-            got = _routed(db, sql, params)
-            expected = _routed(unsorted, sql, params)
+            got = routed(db, sql, params)
+            expected = routed(db, sql, params, vectorized=False)
             assert got.rows == expected.rows, sql
         # the ascending prefix queries rode the scan order
-        elided = _routed(db, "SELECT id FROM t ORDER BY id LIMIT 9")
+        elided = routed(db, "SELECT id FROM t ORDER BY id LIMIT 9")
         assert elided.stats.sort_elided == 1
         assert elided.stats.sort_rows == 0
-        # DESC rides the reverse scan (sort elided since the worker-pool
-        # PR); parity with the sorting engine is asserted above
-        desc = _routed(db, "SELECT id FROM t ORDER BY id DESC LIMIT 4")
+        # DESC rides the reverse scan; parity with the sorting row plan
+        # is asserted above
+        desc = routed(db, "SELECT id FROM t ORDER BY id DESC LIMIT 4")
         assert desc.stats.sort_elided == 1
         assert desc.stats.sort_rows == 0
 
@@ -291,32 +276,10 @@ class TestSortElisionPlanning:
             _vectorized_root(db, "SELECT b, id FROM t ORDER BY id"),
             SortedMerge)
 
-    def test_unsorted_engine_never_elides(self):
-        db = _make_db(sorted_compaction=False)
-        root = _vectorized_root(db, "SELECT id FROM t ORDER BY id")
-        assert not isinstance(root, SortedMerge)
-
     def test_distinct_keeps_sort(self):
         db = _make_db()
         root = _vectorized_root(db, "SELECT DISTINCT id FROM t ORDER BY id")
         assert not isinstance(root, SortedMerge)
-
-    def test_plan_cache_keyed_on_engine_flags(self):
-        """A/B toggles on a shared Database must re-plan, not serve the
-        other engine's physical plan."""
-        db = _make_db()
-        sql = "SELECT id FROM t ORDER BY id"
-        sorted_plan = db.prepare(sql)
-        assert isinstance(sorted_plan.vectorized_root, SortedMerge)
-        db.planner.sorted_scan = False
-        unsorted_plan = db.prepare(sql)
-        assert unsorted_plan is not sorted_plan
-        assert not isinstance(unsorted_plan.vectorized_root, SortedMerge)
-        db.planner.sorted_scan = True
-        assert db.prepare(sql) is sorted_plan
-        # encoded-pushdown flips are isolated the same way
-        db.planner.encoded_pushdown = False
-        assert db.prepare(sql) is not sorted_plan
 
 
 # ---------------------------------------------------------------------------
@@ -324,24 +287,20 @@ class TestSortElisionPlanning:
 # ---------------------------------------------------------------------------
 
 class TestEncodedGroupBy:
-    def test_dict_group_by_matches_plain_and_skips_decode(self):
+    def test_dict_group_by_matches_plain_and_skips_decode(self, routed):
         enc = _make_db(segment_rows=64)
-        plain = _make_db(segment_rows=64, encoding=False)
         _fill_shuffled(enc, 256)
-        _fill_shuffled(plain, 256)
         sql = ("SELECT tag, COUNT(*), SUM(v), AVG(v) FROM t "
                "GROUP BY tag ORDER BY tag")
-        a = _routed(enc, sql)
-        b = _routed(plain, sql)
+        a = routed(enc, sql)
+        b = routed(enc, sql, vectorized=False)
         assert a.rows == b.rows
-        # shared dictionaries (the default since PR 8) supersede the
-        # per-segment coded fold with the global-code fold
-        assert a.stats.groups_coded + a.stats.groups_global_coded > 0
+        assert a.stats.groups_global_coded > 0
         # the group-key column never materialises
         assert a.stats.columns_decoded <= a.stats.batches_scanned
-        assert b.stats.groups_coded + b.stats.groups_global_coded == 0
+        assert b.stats.groups_global_coded == 0
 
-    def test_dict_group_by_with_nulls(self):
+    def test_dict_group_by_with_nulls(self, routed):
         enc = _make_db(segment_rows=32)
         rng = Random(3)
         ids = list(range(128))
@@ -353,20 +312,19 @@ class TestEncodedGroupBy:
                     (0, 0, None if i % 5 == 0 else f"k{i % 2}", 1.0, i))
             conn.commit()
         enc.replicate()
-        result = _routed(
+        result = routed(
             enc, "SELECT tag, COUNT(*) FROM t GROUP BY tag ORDER BY tag")
         assert result.rows == [(None, 26), ("k0", 51), ("k1", 51)]
 
-    def test_grouped_emission_order_unchanged(self):
+    def test_grouped_emission_order_unchanged(self, routed):
         """Without ORDER BY, groups emit in first-encounter scan order —
-        identical between the code path and the generic value path."""
+        identical between the code path and the row oracle's value path."""
         enc = _make_db(segment_rows=64)
         _fill_shuffled(enc, 256)
-        coded = _routed(enc, "SELECT tag, COUNT(*) FROM t GROUP BY tag")
-        assert coded.stats.groups_coded + coded.stats.groups_global_coded > 0
-        enc.planner.encoded_pushdown = False  # new plan; generic fold
-        generic = _routed(enc, "SELECT tag, COUNT(*) FROM t GROUP BY tag")
-        assert coded.rows == generic.rows
+        sql = "SELECT tag, COUNT(*) FROM t GROUP BY tag"
+        coded = routed(enc, sql)
+        assert coded.stats.groups_global_coded > 0
+        assert coded.rows == routed(enc, sql, vectorized=False).rows
 
 
 class TestRunGroupedFold:
@@ -375,71 +333,62 @@ class TestRunGroupedFold:
     never dictionary-encode, so ``groups_coded > 0`` on these queries can
     only come from the run fold."""
 
-    def _filled(self, **kwargs):
-        db = _make_db(segment_rows=64, sort_keys={"t": ("a", "id")},
-                      **kwargs)
+    def _filled(self):
+        db = _make_db(segment_rows=64, sort_keys={"t": ("a", "id")})
         _fill_shuffled(db, 256)
         db.columnar.compact(force=True)
         return db
 
-    def test_rle_group_by_matches_plain(self):
+    def test_rle_group_by_matches_plain(self, routed):
         enc = self._filled()
-        plain = self._filled(encoding=False)
         table = enc.columnar.table("t")
         assert any(type(s.columns[0]).__name__ == "RLEColumn"
                    for s in table.main_segments())
         sql = ("SELECT a, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), "
                "MAX(b), MIN(tag) FROM t GROUP BY a ORDER BY a")
-        a = _routed(enc, sql)
-        b = _routed(plain, sql)
+        a = routed(enc, sql)
+        b = routed(enc, sql, vectorized=False)
         assert a.rows == b.rows
         assert a.stats.groups_coded > 0
         assert b.stats.groups_coded == 0
 
-    def test_rle_group_by_with_null_keys_and_args(self):
-        dbs = []
-        for encoding in (True, False):
-            db = _make_db(segment_rows=64, encoding=encoding,
-                          sort_keys={"t": ("a", "id")})
-            with db.connect() as conn:
-                for i in range(256):
-                    conn.execute(
-                        "INSERT INTO t (a, b, tag, v, id) "
-                        "VALUES (?, ?, ?, ?, ?)",
-                        (None if i < 64 else i // 64, i % 7, f"g{i % 3}",
-                         None if i % 13 == 0 else float(i) * 0.5, i))
-                conn.commit()
-            db.replicate()
-            db.columnar.compact(force=True)
-            dbs.append(db)
-        enc, plain = dbs
+    def test_rle_group_by_with_null_keys_and_args(self, routed):
+        enc = _make_db(segment_rows=64, sort_keys={"t": ("a", "id")})
+        with enc.connect() as conn:
+            for i in range(256):
+                conn.execute(
+                    "INSERT INTO t (a, b, tag, v, id) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (None if i < 64 else i // 64, i % 7, f"g{i % 3}",
+                     None if i % 13 == 0 else float(i) * 0.5, i))
+            conn.commit()
+        enc.replicate()
+        enc.columnar.compact(force=True)
         sql = ("SELECT a, COUNT(*), COUNT(v), SUM(v), AVG(v), "
                "COUNT(DISTINCT b), SUM(DISTINCT b) FROM t "
                "GROUP BY a ORDER BY a")
-        a = _routed(enc, sql)
-        b = _routed(plain, sql)
+        a = routed(enc, sql)
+        b = routed(enc, sql, vectorized=False)
         assert a.rows == b.rows
         assert a.rows[0][0] is None and a.rows[0][1] == 64
         assert a.stats.groups_coded > 0
 
-    def test_run_grouped_computed_args(self):
+    def test_run_grouped_computed_args(self, routed):
         enc = self._filled()
-        plain = self._filled(encoding=False)
         sql = ("SELECT a, SUM(v * 2.0), AVG(b + 1), COUNT(v + b) FROM t "
                "GROUP BY a ORDER BY a")
-        a = _routed(enc, sql)
+        a = routed(enc, sql)
         assert a.stats.groups_coded > 0
-        assert a.rows == _routed(plain, sql).rows
+        assert a.rows == routed(enc, sql, vectorized=False).rows
 
-    def test_run_grouped_emission_order_unchanged(self):
+    def test_run_grouped_emission_order_unchanged(self, routed):
         """Without ORDER BY, groups emit in first-encounter scan order —
-        identical between the run fold and the generic value path."""
+        identical between the run fold and the row oracle's value path."""
         enc = self._filled()
-        coded = _routed(enc, "SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a")
+        sql = "SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a"
+        coded = routed(enc, sql)
         assert coded.stats.groups_coded > 0
-        enc.planner.encoded_pushdown = False  # new plan; generic fold
-        generic = _routed(enc, "SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a")
-        assert coded.rows == generic.rows
+        assert coded.rows == routed(enc, sql, vectorized=False).rows
 
 
 # ---------------------------------------------------------------------------
@@ -480,73 +429,24 @@ class TestDeltaMainCosting:
 
 
 # ---------------------------------------------------------------------------
-# workload-level byte-parity: sorted vs arrival-order engines
+# workload level: this layer's view of the parity matrix
 # ---------------------------------------------------------------------------
-
-def _build_workload_db(name, scale, seed, sorted_compaction, partitions):
-    db = Database(with_columnar=True, columnar_segment_rows=64,
-                  sorted_compaction=sorted_compaction, partitions=partitions)
-    workload = make_workload(name)
-    workload.install(db, Random(seed), scale, with_foreign_keys=False)
-    return db, workload
-
-
-def _mutate(db, workload, seed, rounds=2):
-    from repro.core.session import run_transaction
-
-    rng = Random(seed)
-    with db.connect() as conn:
-        for _ in range(rounds):
-            for profile in workload.oltp_transactions():
-                run_transaction(conn, "oltp", profile.name, profile.program,
-                                rng)
-
-
-def _run_analytical(db, workload, seed):
-    outputs = []
-    for profile in workload.analytical_queries():
-        rng = Random(f"{profile.name}:{seed}")
-        with db.connect() as conn:
-            class _S:
-                def execute(self, sql, params=()):
-                    result = conn.execute(sql, params, route_columnar=True)
-                    outputs.append((profile.name, result.columns,
-                                    result.rows))
-                    return result
-
-                def query_scalar(self, sql, params=()):
-                    return self.execute(sql, params).scalar()
-            profile.program(_S(), rng)
-            conn.commit()
-    return outputs
-
 
 @pytest.mark.parametrize("workload_name", ["subenchmark", "fibenchmark",
                                            "tabenchmark"])
 @pytest.mark.parametrize("partitions", [1, 2, 8])
 class TestWorkloadParity:
-    def test_fully_replicated_byte_identical(self, workload_name, partitions):
-        srt, workload = _build_workload_db(workload_name, 0.05, 7, True,
-                                           partitions)
-        arr, _ = _build_workload_db(workload_name, 0.05, 7, False,
-                                    partitions)
-        srt.replicate()
-        arr.replicate()
-        assert srt.columnar.segments_merged_total() > 0, \
-            "ordered compaction never engaged — shrink segment_rows"
-        assert _run_analytical(srt, workload, seed=7) == \
-            _run_analytical(arr, workload, seed=7)
+    """Byte parity with the row oracle is asserted inside the shared
+    ``workload_parity`` cell (tests/conftest.py); what this suite adds is
+    that ordered compaction built the main the scans read."""
 
-    def test_mid_replication_byte_identical(self, workload_name, partitions):
-        srt, workload = _build_workload_db(workload_name, 0.05, 9, True,
-                                           partitions)
-        arr, _ = _build_workload_db(workload_name, 0.05, 9, False,
-                                    partitions)
-        _mutate(srt, workload, seed=13)
-        _mutate(arr, workload, seed=13)
-        lag = srt.replication_lag()
-        assert lag == arr.replication_lag() and lag > 1
-        assert srt.replicate(limit=lag // 2) == arr.replicate(limit=lag // 2)
-        assert srt.replication_lag() > 0
-        assert _run_analytical(srt, workload, seed=9) == \
-            _run_analytical(arr, workload, seed=9)
+    def test_fully_replicated_byte_identical(self, workload_parity,
+                                             workload_name, partitions):
+        cell = workload_parity(workload_name, partitions, lagged=False)
+        assert cell.segments_merged > 0, \
+            "ordered compaction never engaged — shrink segment_rows"
+
+    def test_mid_replication_byte_identical(self, workload_parity,
+                                            workload_name, partitions):
+        cell = workload_parity(workload_name, partitions, lagged=True)
+        assert cell.segments_merged > 0

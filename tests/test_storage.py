@@ -293,7 +293,6 @@ class TestColumnarSegments:
             store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
         batches = list(store.scan_batches(columns=["v"]))
         assert [len(b) for b in batches] == [4, 4]
-        # sealed segments may return encoded column views: compare contents
         assert list(batches[0].columns[0]) == ["v0", "v1", "v2", "v3"]
         pruned = list(store.scan_batches(
             skip_segment=lambda s: not s.may_contain(0, 6, None)))
@@ -307,6 +306,28 @@ class TestColumnarSegments:
         store.apply((1,), None, LogOp.DELETE)
         (batch,) = list(store.scan_batches())
         assert list(batch.rows()) == [(0, "v0"), (2, "v2"), (3, "v3")]
+
+    def test_encoding_stats_count_one_snapshot(self):
+        """A merge publishing between two reads of the segment lists must
+        not pair one list's total with another's encoded count."""
+        store = self._table(segment_rows=4)
+        for i in range(8):
+            store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
+        store.compact(force=True)
+        read_segments = store._all_segments
+
+        def merge_lands_after_read():
+            segments = read_segments()
+            store._all_segments = read_segments
+            for i in range(8, 16):
+                store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
+            store.compact(force=True)
+            return segments
+
+        store._all_segments = merge_lands_after_read
+        stats = store.encoding_stats()
+        assert (stats["segments_encoded"], stats["segments_total"]) == (2, 2)
+        assert store.encoding_stats()["segments_total"] == 4
 
 
 class TestBufferPool:

@@ -219,35 +219,6 @@ class TestZoneMapPruning:
             assert vec.rows == [(applied_rows, applied_rows - 1)]
         assert applied_rows == 100
 
-    def test_delete_reinsert_reuses_slot(self):
-        # slot reuse is an arrival-order behaviour: the delta–main engine
-        # instead appends the reinsert to the delta tail and reclaims the
-        # dead main slot at the next merge (covered in
-        # tests/test_sorted_compaction.py)
-        db = Database(with_columnar=True, columnar_segment_rows=16,
-                      sorted_compaction=False)
-        db.execute_ddl(
-            "CREATE TABLE m (id INT PRIMARY KEY, grp INT, v DOUBLE, "
-            "note VARCHAR(16))")
-        _fill(db, 40)
-        ctable = db.columnar.table("m")
-        assert ctable.segment_count() == 3
-        with db.connect() as conn:
-            conn.execute("DELETE FROM m WHERE id = 5")
-            conn.commit()
-        db.replicate()
-        assert ctable.row_count == 39
-        with db.connect() as conn:
-            conn.execute(
-                "INSERT INTO m (id, grp, v, note) VALUES (5, 9, 77.0, 'z')")
-            conn.commit()
-        db.replicate()
-        # the reinsert reused the dead slot: no new segment, same count
-        assert ctable.segment_count() == 3
-        assert ctable.row_count == 40
-        vec = _routed(db, "SELECT grp, v FROM m WHERE id = 5")
-        assert vec.rows == [(9, 77.0)]
-
     def test_deleted_rows_invisible_to_batches(self):
         db = _make_db(segment_rows=16)
         _fill(db, 48)
