@@ -13,12 +13,14 @@ partials combined with ``merge`` — produces bit-identical results.  SUM/AVG
 achieve this with exact fixed-point integer accumulation (every finite
 double is an integer multiple of a power of two, so sums of scaled integers
 are exact and the final float conversion is one correctly-rounded
-division).  This is what lets partition-parallel scatter-gather plans and
-cached segment partials return byte-identical results to a single scan.
+division): one integer per group, all on one state-wide binary exponent.
+This is what lets partition-parallel scatter-gather plans and cached
+segment partials return byte-identical results to a single scan.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import repeat
 from operator import gt, lt
@@ -26,28 +28,23 @@ from operator import gt, lt
 from repro.errors import ExecutionError
 
 
-def _fold_float_mantissas(buckets: dict, values) -> bool:
-    """Fold an all-float slice into the exponent -> mantissa-sum dict
-    ``buckets`` exactly, at batch speed.
+def _scale_floats(values, exponent: int) -> tuple[int, list]:
+    """An all-float column as exact integer multiples of one ``2**e``:
+    ``(e, multiples)``, with ``e`` the finer of ``exponent`` and what the
+    column's smallest non-zero magnitude needs.
 
-    ``map(float.as_integer_ratio, ...)`` runs the expensive decomposition
-    as a C-level pipeline; the mantissa sums land in a local dict that is
-    committed only on success, so an inf/nan (which has no integer ratio)
-    aborts cleanly and returns False — the caller then takes the generic
-    per-value path, which handles non-finite floats.
+    Every double at least that large in magnitude is a multiple of its
+    ulp (and every double of ``2**-1074``), so one C-level ``ldexp`` pass
+    scales the whole column exactly.  Raises ``OverflowError`` /
+    ``ValueError`` for what no double can scale (inf, nan, a span wider
+    than the double range) before anything is returned — the caller then
+    takes the per-value path, which handles those.
     """
-    local: dict = {}
-    get = local.get
-    try:
-        for numerator, denominator in map(float.as_integer_ratio, values):
-            # denominator is 2^k: value = numerator * 2^-k
-            exponent = 1 - denominator.bit_length()
-            local[exponent] = get(exponent, 0) + numerator
-    except (OverflowError, ValueError):      # inf / nan in the slice
-        return False
-    for exponent, mantissa in local.items():
-        buckets[exponent] = buckets.get(exponent, 0) + mantissa
-    return True
+    low = min(filter(None, map(abs, values)), default=0.0)
+    if low:
+        exponent = min(exponent, max(math.frexp(low)[1] - 53, -1074))
+    return exponent, list(map(int, map(math.ldexp, values,
+                                       repeat(-exponent))))
 
 
 def _fold_typed_slice(buckets: dict, values):
@@ -87,21 +84,14 @@ def _fold_typed_slice(buckets: dict, values):
             return 0
     if getattr(values, "all_ints", False):
         return sum(values)                       # builtin sum: exact for ints
-    if getattr(values, "all_floats", False) \
-            and _fold_float_mantissas(buckets, values):
+    if getattr(values, "all_floats", False):
+        try:
+            exponent, scaled = _scale_floats(values, 0)
+        except (OverflowError, ValueError):
+            return None
+        buckets[exponent] = buckets.get(exponent, 0) + sum(scaled)
         return 0
     return None
-
-
-def _exact_ratio(buckets: dict, int_total: int) -> tuple[int, int]:
-    """The exact total of a group as ``numerator / 2^k`` (one big-int
-    fold, scaled to the smallest exponent present — every exponent is
-    <= 0, so the shifts are non-negative)."""
-    low = min(buckets)
-    numerator = int_total << -low
-    for exponent, mantissa in buckets.items():
-        numerator += mantissa << (exponent - low)
-    return numerator, 1 << -low
 
 
 # size of one state object and its empty columns (``nbytes`` estimates)
@@ -118,12 +108,12 @@ class _CountState:
     def grow(self, groups: int):
         self.counts += [0] * groups
 
-    def scatter(self, gids, column):
+    def scatter(self, gids, column, tally):
         if not self.star and column.count(None):
-            gids = [gid for gid, value in zip(gids, column)
-                    if value is not None]
+            tally = Counter(gid for gid, value in zip(gids, column)
+                            if value is not None)
         counts = self.counts
-        for gid, rows in Counter(gids).items():      # C-speed tally
+        for gid, rows in tally.items():
             counts[gid] += rows
 
     def fold(self, gid: int, values, rows: int):
@@ -145,28 +135,40 @@ class _SumState:
     """SUM / AVG: exact, order-insensitive totals per group.
 
     ``counts`` holds the non-NULL values folded, ``ints`` the exact integer
-    totals and ``buckets`` — created on a group's first float — the exact
-    integer sum of all float mantissas per binary exponent
-    (``buckets[gid][e]`` sums every ``m`` whose value was ``m * 2^e``):
-    small-int additions on the per-value hot path, one big-int
-    reconstruction per group in ``results``.  Results reproduce plain
-    Python ``+`` semantics (int stays int until a float joins) with the
-    float correctly rounded irrespective of fold order.  Anything without
-    an exact integer scaling — Decimals, inf/nan — falls back to ordered
-    addition in the sparse ``others``, preserving historical behaviour.
+    totals and ``fixed`` — ``None`` until a group's first float — the exact
+    float total as an integer multiple of one state-wide ``2**exponent``
+    (``exponent <= 0``, lowered when a finer value arrives, which rescales
+    the populated totals once): one small-int addition per value on the hot
+    path, one correctly-rounded true division per group in ``results``.
+    Results reproduce plain Python ``+`` semantics (int stays int until a
+    float joins) with the float correctly rounded irrespective of fold
+    order.  Anything without an exact integer scaling — Decimals, inf/nan —
+    falls back to ordered addition in the sparse ``others``, preserving
+    historical behaviour.
     """
 
     def __init__(self, average: bool):
         self.average = average
         self.counts: list = []
         self.ints: list = []
-        self.buckets: list = []
+        self.fixed: list = []
+        self.exponent = 0
         self.others: dict = {}
 
     def grow(self, groups: int):
         self.counts += [0] * groups
         self.ints += [0] * groups
-        self.buckets += [None] * groups
+        self.fixed += [None] * groups
+
+    def _align(self, exponent: int) -> int:
+        """Lower the state-wide exponent to ``exponent`` (a coarser one is
+        a no-op); returns the exponent now in force."""
+        shift = self.exponent - exponent
+        if shift > 0:
+            self.fixed = [None if total is None else total << shift
+                          for total in self.fixed]
+            self.exponent = exponent
+        return self.exponent
 
     def _add(self, gid: int, value, times: int = 1):
         """``times`` copies of one non-NULL value: exact for ints and
@@ -182,47 +184,46 @@ class _SumState:
             except (OverflowError, ValueError):  # inf / nan
                 pass
             else:
-                buckets = self.buckets[gid]
-                if buckets is None:
-                    buckets = self.buckets[gid] = {}
-                exponent = 1 - denominator.bit_length()
-                buckets[exponent] = \
-                    buckets.get(exponent, 0) + numerator * times
+                # denominator is 2^k: value = numerator * 2^-k
+                shift = 1 - denominator.bit_length() - self.exponent
+                if shift < 0:
+                    self._align(self.exponent + shift)
+                    shift = 0
+                fixed = self.fixed
+                fixed[gid] = (fixed[gid] or 0) + (numerator * times << shift)
                 return
         others = self.others
         for _ in range(times):      # inexact fallback keeps fold order
             others[gid] = others[gid] + value if gid in others else value
 
-    def scatter(self, gids, column):
+    def scatter(self, gids, column, tally):
         counts = self.counts
+        totals = None
         kinds = set(map(type, column))
         if kinds == {int}:
-            ints = self.ints
-            for gid, value in zip(gids, column):
-                counts[gid] += 1
-                ints[gid] += value
-            return
-        if kinds == {float}:
+            totals, values = self.ints, column
+        elif kinds == {float}:
             try:
-                # the expensive decomposition as one C-level pipeline
-                ratios = list(map(float.as_integer_ratio, column))
-            except (OverflowError, ValueError):  # inf / nan in the column
-                pass
+                exponent, values = _scale_floats(column, self.exponent)
+            except (OverflowError, ValueError):
+                pass               # inf / nan / too wide a span: per value
             else:
-                buckets_of = self.buckets
-                for gid, (numerator, denominator) in zip(gids, ratios):
+                self._align(exponent)
+                totals = self.fixed
+                for gid in tally:
+                    if totals[gid] is None:
+                        totals[gid] = 0
+        if totals is None:
+            add = self._add
+            for gid, value in zip(gids, column):
+                if value is not None:
                     counts[gid] += 1
-                    buckets = buckets_of[gid]
-                    if buckets is None:
-                        buckets = buckets_of[gid] = {}
-                    exponent = 1 - denominator.bit_length()
-                    buckets[exponent] = buckets.get(exponent, 0) + numerator
-                return
-        add = self._add
-        for gid, value in zip(gids, column):
-            if value is not None:
-                counts[gid] += 1
-                add(gid, value)
+                    add(gid, value)
+            return
+        for gid, value in zip(gids, values):
+            totals[gid] += value
+        for gid, rows in tally.items():
+            counts[gid] += rows
 
     def fold(self, gid: int, values, rows: int):
         """Bulk fold: RLE column slices fold run-at-a-time (value * n);
@@ -238,9 +239,7 @@ class _SumState:
                     self._add(gid, value, times)
             self.counts[gid] += count
             return
-        buckets = self.buckets[gid]
-        if buckets is None:
-            buckets = {}
+        buckets: dict = {}
         if rows and (int_total := _fold_typed_slice(buckets, values)) \
                 is not None:
             count = rows
@@ -267,23 +266,25 @@ class _SumState:
         self.counts[gid] += count
         self.ints[gid] += int_total
         if buckets:
-            self.buckets[gid] = buckets
+            # the slice's exponent -> mantissa-sum partial (also the typed
+            # columns' block format) lands on the state's one exponent
+            base = self._align(min(buckets))
+            total = self.fixed[gid] or 0
+            for exponent, mantissa in buckets.items():
+                total += mantissa << (exponent - base)
+            self.fixed[gid] = total
 
     def merge(self, other: "_SumState", remap: list):
-        counts, ints, buckets_of = self.counts, self.ints, self.buckets
-        for gid, count, int_total, sub in zip(remap, other.counts,
-                                              other.ints, other.buckets):
+        # ``other`` may be a cached, shared partial: it is only read, its
+        # totals shifted onto this state's (never coarser) exponent
+        shift = other.exponent - self._align(other.exponent)
+        counts, ints, fixed = self.counts, self.ints, self.fixed
+        for gid, count, int_total, total in zip(remap, other.counts,
+                                                other.ints, other.fixed):
             counts[gid] += count
             ints[gid] += int_total
-            if sub:
-                buckets = buckets_of[gid]
-                if buckets is None:
-                    # a copy: ``other`` may be a cached, shared partial
-                    buckets_of[gid] = dict(sub)
-                else:
-                    for exponent, mantissa in sub.items():
-                        buckets[exponent] = \
-                            buckets.get(exponent, 0) + mantissa
+            if total is not None:
+                fixed[gid] = (fixed[gid] or 0) + (total << shift)
         others = self.others
         for source, value in other.others.items():
             gid = remap[source]
@@ -291,34 +292,31 @@ class _SumState:
 
     def results(self) -> list:
         average = self.average
-        others = self.others
+        shift = -self.exponent
+        scale = 1 << shift
         out = []
-        for gid, (count, int_total, buckets) in enumerate(
-                zip(self.counts, self.ints, self.buckets)):
+        for count, int_total, total in zip(self.counts, self.ints,
+                                           self.fixed):
             if not count:
                 out.append(None)
-            elif gid in others:
-                total = others[gid]
-                if int_total:
-                    total = total + int_total
-                if buckets:
-                    numerator, scale = _exact_ratio(buckets, 0)
-                    total = total + numerator / scale
-                out.append(total / count if average else total)
-            elif buckets:
-                # one exact big-int sum, one correctly-rounded conversion
-                numerator, scale = _exact_ratio(buckets, int_total)
-                out.append(numerator / (scale * count if average else scale))
-            else:
+            elif total is None:
                 out.append(int_total / count if average else int_total)
+            else:
+                # the exact total, one correctly-rounded conversion
+                out.append(((int_total << shift) + total)
+                           / (scale * count if average else scale))
+        for gid, inexact in self.others.items():
+            # ordered addition absorbs what the group folded exactly
+            if self.ints[gid]:
+                inexact = inexact + self.ints[gid]
+            if self.fixed[gid] is not None:
+                inexact = inexact + self.fixed[gid] / scale
+            out[gid] = inexact / self.counts[gid] if average else inexact
         return out
 
     def nbytes(self, groups: int) -> int:
-        buckets = [bucket for bucket in self.buckets if bucket]
-        # three list slots + the total's int object per group; a dict per
-        # group that saw a float, an exponent and a mantissa int per entry
-        return _STATE_BYTES + 56 * groups + 200 * len(buckets) \
-            + 72 * sum(map(len, buckets))
+        # three list slots + the total's int object per group
+        return _STATE_BYTES + 64 * groups
 
 
 class _ExtremeState:
@@ -333,7 +331,7 @@ class _ExtremeState:
     def grow(self, groups: int):
         self.values += [None] * groups
 
-    def scatter(self, gids, column):
+    def scatter(self, gids, column, _tally=None):
         values = self.values
         better = self.better
         for gid, value in zip(gids, column):
@@ -373,7 +371,7 @@ class _DistinctState:
         self.seen += [None] * groups
         self.inner.grow(groups)
 
-    def scatter(self, gids, column):
+    def scatter(self, gids, column, _tally=None):
         seen_of = self.seen
         new_gids, new_values = [], []
         for gid, value in zip(gids, column):
@@ -386,7 +384,7 @@ class _DistinctState:
                 seen.add(value)
                 new_gids.append(gid)
                 new_values.append(value)
-        self.inner.scatter(new_gids, new_values)
+        self.inner.scatter(new_gids, new_values, Counter(new_gids))
 
     def fold(self, gid: int, values, rows: int):
         self.scatter(repeat(gid), values)
@@ -476,8 +474,12 @@ class GroupedAggregation:
         return gids
 
     def scatter(self, gids: list, columns):
-        for state, column in zip(self.states, columns):
-            state.scatter(gids, column)
+        if self.states:
+            # rows per group, tallied once (C speed) for COUNT(*) and every
+            # NULL-free SUM/AVG column of the batch
+            tally = Counter(gids)
+            for state, column in zip(self.states, columns):
+                state.scatter(gids, column, tally)
 
     def fold(self, gid: int, columns, rows: int):
         for state, column in zip(self.states, columns):

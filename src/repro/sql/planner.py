@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from itertools import groupby
+from operator import add
 
 from repro.catalog.schema import Catalog, Table
 from repro.errors import BindError, PlanError
@@ -54,6 +55,7 @@ from repro.sql.plannode import (
     BatchNode,
     PlanNode,
     batched,
+    build_table,
     chunked,
 )
 from repro.sql.vectorized import (
@@ -253,7 +255,14 @@ def _key_tuples(fns, rows: list, ctx):
 
 
 class HashJoin(BatchNode):
-    """Equi-join; builds on the right input, probes from the left."""
+    """Equi-join; builds on the right input, probes from the left.
+
+    The build maps a key to its one row while every key is unique (decided
+    from the data), to the list of its rows once one repeats; a probe
+    batch is one C-level ``map(build.get, keys)``, and when every row hits
+    a unique key (the FK -> PK shape) the joined rows are one
+    ``map(add, batch, hits)``.
+    """
 
     def __init__(self, left: PlanNode, right: PlanNode, left_fns, right_fns,
                  kind: str = "INNER"):
@@ -266,23 +275,33 @@ class HashJoin(BatchNode):
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         ctx.stats.join_ops += 1
-        build: dict = {}
+        keys: list = []
+        rows: list = []
         for batch in self.right.execute_batches(ctx):
-            for key, row in zip(_key_tuples(self.right_fns, batch, ctx),
-                                batch):
-                build.setdefault(key, []).append(row)
+            keys.extend(_key_tuples(self.right_fns, batch, ctx))
+            rows.extend(batch)
+        build, unique = build_table(keys, rows)
         null_row = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
         emitted = 0
         for batch in self.left.execute_batches(ctx, size):
-            joined = []
-            for key, row in zip(_key_tuples(self.left_fns, batch, ctx),
-                                batch):
-                matches = build.get(key)
-                if matches:
-                    joined += [row + match for match in matches]
-                elif left_outer:
-                    joined.append(row + null_row)
+            hits = list(map(build.get,
+                            _key_tuples(self.left_fns, batch, ctx)))
+            if not unique:
+                joined = []
+                for row, matches in zip(batch, hits):
+                    if matches:
+                        joined += [row + match for match in matches]
+                    elif left_outer:
+                        joined.append(row + null_row)
+            elif not hits.count(None):
+                joined = list(map(add, batch, hits))
+            elif left_outer:
+                joined = [row + (null_row if hit is None else hit)
+                          for row, hit in zip(batch, hits)]
+            else:
+                joined = [row + hit for row, hit in zip(batch, hits)
+                          if hit is not None]
             emitted += len(joined)
             yield from chunked(joined, size)
         ctx.stats.rows_joined += emitted

@@ -46,6 +46,20 @@ def chunked(rows: list, size: int):
         yield rows[start:start + size]
 
 
+def build_table(keys: list, entries) -> tuple[dict, bool]:
+    """A hash join's build side, ``(key -> entry table, unique)``: the bare
+    entry while every key is unique — decided from the data, never the
+    catalog — else (``unique`` False) the list of a key's entries in build
+    order.  An entry is a row (row join) or a row index (batch join)."""
+    table = dict(zip(keys, entries))
+    if len(table) == len(keys):
+        return table, True
+    table = {}
+    for key, entry in zip(keys, entries):
+        table.setdefault(key, []).append(entry)
+    return table, False
+
+
 class PlanNode:
     """Base plan operator: ``schema`` describes output rows."""
 

@@ -35,7 +35,13 @@ from repro.sql.functions import (
     like_to_predicate,
 )
 from repro.sql.ordering import canonical_value_key
-from repro.sql.plannode import BATCH_ROWS, BatchNode, PlanNode, chunked
+from repro.sql.plannode import (
+    BATCH_ROWS,
+    BatchNode,
+    PlanNode,
+    build_table,
+    chunked,
+)
 from repro.sql.result import Batch, SegmentBatch
 from repro.storage.columnstore import (
     DictColumn,
@@ -477,7 +483,7 @@ class _LazyColumn:
             if hasattr(column, "gather"):
                 data = column.gather(selection)
             else:
-                data = [column[i] for i in selection]
+                data = list(map(column.__getitem__, selection))
             self._data = data
             if self._stats is not None:
                 self._stats.columns_decoded += 1
@@ -1203,6 +1209,18 @@ class VProject(VectorNode):
 class VHashJoin(VectorNode):
     """Batch equi-join; builds on the right input, probes batch-at-a-time.
 
+    Late materialisation: a join is two index vectors, never a joined
+    tuple.  The build side is kept as concatenated columns plus a ``key ->
+    build row`` table — a bare index while every key is unique, a list of
+    indices once one repeats (decided from the data); a single-column key
+    is hashed as the bare value.  A probe batch is one C-level
+    ``map(table.get, keys)``.  When every row hits a unique key (the
+    FK -> PK shape) the probe batch's columns pass through as the objects
+    they are — still encoded, so typed folds and dictionary codes survive
+    the join — otherwise ``Batch.take`` gathers them; each build column
+    is a lazy gather over the hits, so one nothing above the join reads
+    is never built.
+
     Emission order matches the row pipeline's ``HashJoin`` exactly: left
     rows in scan order, matches per key in right-input order.  Partition
     streams pass through the probe side (the build side is broadcast, as a
@@ -1253,187 +1271,117 @@ class VHashJoin(VectorNode):
             return None
         return found[0]
 
-    def _build_coded(self, ctx, probe_dict) -> tuple[dict, dict]:
-        """Build keyed on global codes: ``code_table`` maps a code (-1 for
-        the NULL key, matching the value path's (None,) key semantics) to
-        its rows; ``value_table`` holds build rows whose key is absent from
-        the dictionary (plain delta rows, post-demotion segments) — probed
-        by value only when the probe row itself is dictionary-absent, so
-        no match can be missed or duplicated."""
-        code_table: dict = {}
-        value_table: dict = {}
-        position = self.code_key[1]
-        lookup = probe_dict.lookup
-        for batch in self.right.execute_batches(ctx):
-            rows = list(batch.rows())
-            codes = self._batch_codes(batch, position, probe_dict)
-            if codes is not None:
-                for row, code in zip(rows, codes):
-                    bucket = code_table.get(code)
-                    if bucket is None:
-                        code_table[code] = [row]
-                    else:
-                        bucket.append(row)
-                continue
-            column = batch.columns[position]
-            for row, value in zip(rows, column):
-                if value is None:
-                    code = -1
-                else:
-                    code = lookup(value)
-                    if code is None:
-                        value_table.setdefault(value, []).append(row)
-                        continue
-                bucket = code_table.get(code)
-                if bucket is None:
-                    code_table[code] = [row]
-                else:
-                    bucket.append(row)
-        return code_table, value_table
+    def _keys(self, batch, probing: bool, probe_dict, ctx):
+        """One batch's join keys in the build table's key space — the only
+        step that differs between the value and the code path.
 
-    def _probe_coded(self, batches, code_table: dict, value_table: dict,
-                     probe_dict, ctx):
-        right_width = len(self.right.schema)
-        null_row = (None,) * right_width
-        position = self.code_key[0]
+        Value space: the key column itself, or a zip of several.  Code
+        space: the column's global codes when it shares ``probe_dict``
+        (integer hashes, strings never materialise), else each value
+        translated once — ``-1`` is the NULL key (NULL keys match each
+        other, as value keys do) and ``None`` a dictionary-absent value.
+        """
+        if probe_dict is None:
+            key_cols = [fn(batch, ctx)
+                        for fn in (self.left_fns if probing
+                                   else self.right_fns)]
+            return key_cols[0] if len(key_cols) == 1 else zip(*key_cols)
+        position = self.code_key[0 if probing else 1]
+        codes = self._batch_codes(batch, position, probe_dict)
+        if codes is None:
+            # un-coded batch (delta overlay, demoted segment)
+            lookup = probe_dict.lookup
+            return [-1 if value is None else lookup(value)
+                    for value in batch.columns[position]]
+        if probing:
+            ctx.stats.join_code_probes += len(codes)
+        return codes
+
+    def _build(self, ctx, probe_dict) -> tuple[list, dict, dict, bool]:
+        """``(columns, table, value_table, unique)`` of the right input.
+
+        ``columns`` end in one NULL slot, so build row ``-1`` is the
+        NULL-extended row of a LEFT join.  ``value_table`` (code space
+        only) holds the build rows whose key the dictionary lacks (plain
+        delta rows, post-demotion segments), by value.
+        """
+        columns: list[list] = [[] for _ in range(len(self.right.schema))]
+        keys: list = []
+        for batch in self.right.execute_batches(ctx):
+            for out, column in zip(columns, batch.columns):
+                out.extend(column)
+            keys.extend(self._keys(batch, False, probe_dict, ctx))
+        value_table: dict = {}
+        if probe_dict is not None and None in keys:
+            values = columns[self.code_key[1]]
+            for row, key in enumerate(keys):
+                if key is None:
+                    value_table.setdefault(values[row], []).append(row)
+        table, unique = build_table(keys, range(len(keys)))
+        if value_table:
+            # those rows are keyed by value; a probe row is then answered
+            # by both tables, so both take the list shape
+            del table[None]
+            if unique:
+                table = {key: [row] for key, row in table.items()}
+                unique = False
+        for column in columns:
+            column.append(None)
+        return columns, table, value_table, unique
+
+    def _probe(self, batches, build, probe_dict, ctx):
+        columns, table, value_table, unique = build
         left_join = self.kind == "LEFT"
-        lookup = probe_dict.lookup
         for batch in batches:
-            codes = self._batch_codes(batch, position, probe_dict)
-            out_left: list[int] = []
-            out_right: list[tuple] = []
-            if codes is not None:
-                # pure code-space probe: integer hash per row, strings
-                # never materialise on either side.  value_table is only
-                # consulted (by decoded value) while it is non-empty: the
-                # dictionary may have grown since the build, so a value
-                # that was dictionary-absent at build time can carry a
-                # code now — its build rows still live in value_table.
-                ctx.stats.join_code_probes += len(codes)
-                get = code_table.get
-                dict_values = probe_dict.values
-                if not value_table and not left_join:
-                    # inner join, build fully in code space: collect the
-                    # hits in one C-level pass — misses (the common case
-                    # of a selective join) never reach the Python loop
-                    for i, matches in [(i, m) for i, c in enumerate(codes)
-                                       if (m := get(c))]:
-                        for match in matches:
-                            out_left.append(i)
-                            out_right.append(match)
+            hits = list(map(table.get,
+                            self._keys(batch, True, probe_dict, ctx)))
+            if value_table:
+                # probed by value as well: the dictionary may have grown
+                # since the build, so a value that was dictionary-absent
+                # then can carry a code now — its build rows still live
+                # in value_table, ahead of the coded ones in build order
+                hits = [extra + hit if extra and hit else extra or hit
+                        for hit, extra in zip(hits, map(
+                            value_table.get,
+                            batch.columns[self.code_key[0]]))]
+            if unique:
+                # out_left None: every probe row exactly once, in order
+                out_left, out_right = None, hits
+                if not hits.count(None):
+                    pass                      # the FK -> PK shape: all hit
+                elif left_join:
+                    out_right = [-1 if hit is None else hit for hit in hits]
                 else:
-                    for i, code in enumerate(codes):
-                        matches = get(code)
-                        if value_table and code >= 0:
-                            extra = value_table.get(dict_values[code])
-                            if extra:
-                                matches = (extra + matches if matches
-                                           else extra)
-                        if matches:
-                            for match in matches:
-                                out_left.append(i)
-                                out_right.append(match)
-                        elif left_join:
-                            out_left.append(i)
-                            out_right.append(null_row)
+                    out_left = [i for i, hit in enumerate(hits)
+                                if hit is not None]
+                    out_right = [hits[i] for i in out_left]
             else:
-                # un-coded probe batch (delta overlay, demoted segment):
-                # translate each value once; both tables can hold rows for
-                # one value (the dictionary grew mid-build), build order is
-                # value_table rows first
-                column = batch.columns[position]
-                for i, value in enumerate(column):
-                    if value is None:
-                        matches = code_table.get(-1)
-                    else:
-                        code = lookup(value)
-                        if code is not None:
-                            matches = code_table.get(code)
-                            if value_table:
-                                extra = value_table.get(value)
-                                if extra:
-                                    matches = (extra + matches if matches
-                                               else extra)
-                        else:
-                            matches = value_table.get(value)
+                out_left, out_right = [], []
+                for i, matches in enumerate(hits):
                     if matches:
-                        for match in matches:
-                            out_left.append(i)
-                            out_right.append(match)
+                        out_left += [i] * len(matches)
+                        out_right += matches
                     elif left_join:
                         out_left.append(i)
-                        out_right.append(null_row)
-            if not out_left:
+                        out_right.append(-1)
+            if not out_right:
                 continue
-            ctx.stats.rows_joined += len(out_left)
-            columns = [col.gather(out_left) if hasattr(col, "gather")
-                       else [col[i] for i in out_left]
-                       for col in batch.columns]
-            if out_right and right_width:
-                columns.extend(list(col) for col in zip(*out_right))
-            else:
-                columns.extend([] for _ in range(right_width))
-            yield Batch(columns, len(out_left))
-
-    def _build(self, ctx) -> dict:
-        build: dict = {}
-        setdefault = build.setdefault
-        for batch in self.right.execute_batches(ctx):
-            key_cols = [fn(batch, ctx) for fn in self.right_fns]
-            for row, key in zip(batch.rows(), zip(*key_cols)):
-                setdefault(key, []).append(row)
-        return build
-
-    def _probe(self, batches, build: dict, ctx):
-        right_width = len(self.right.schema)
-        null_row = (None,) * right_width
-        for batch in batches:
-            key_cols = [fn(batch, ctx) for fn in self.left_fns]
-            out_left: list[int] = []
-            out_right: list[tuple] = []
-            for i, key in enumerate(zip(*key_cols)):
-                matches = build.get(key)
-                if matches:
-                    for match in matches:
-                        out_left.append(i)
-                        out_right.append(match)
-                elif self.kind == "LEFT":
-                    out_left.append(i)
-                    out_right.append(null_row)
-            if not out_left:
-                continue
-            ctx.stats.rows_joined += len(out_left)
-            columns = [[col[i] for i in out_left] for col in batch.columns]
-            if out_right and right_width:
-                columns.extend(list(col) for col in zip(*out_right))
-            else:
-                columns.extend([] for _ in range(right_width))
-            yield Batch(columns, len(out_left))
+            ctx.stats.rows_joined += len(out_right)
+            left = batch.columns if out_left is None \
+                else batch.take(out_left).columns
+            yield Batch(left + [_LazyColumn(column, out_right)
+                                for column in columns], len(out_right))
 
     def execute_batches(self, ctx):
-        ctx.stats.join_ops += 1
-        probe_dict = self._probe_dict(ctx)
-        if probe_dict is not None:
-            code_table, value_table = self._build_coded(ctx, probe_dict)
-            yield from self._probe_coded(self.left.execute_batches(ctx),
-                                         code_table, value_table,
-                                         probe_dict, ctx)
-            return
-        build = self._build(ctx)
-        yield from self._probe(self.left.execute_batches(ctx), build, ctx)
+        for _pid, batches in self.execute_partitions(ctx):
+            yield from batches
 
     def execute_partitions(self, ctx):
         ctx.stats.join_ops += 1
         probe_dict = self._probe_dict(ctx)
-        if probe_dict is not None:
-            code_table, value_table = self._build_coded(ctx, probe_dict)
-            for pid, batches in self.left.execute_partitions(ctx):
-                yield pid, self._probe_coded(batches, code_table,
-                                             value_table, probe_dict, ctx)
-            return
-        build = self._build(ctx)
+        build = self._build(ctx, probe_dict)
         for pid, batches in self.left.execute_partitions(ctx):
-            yield pid, self._probe(batches, build, ctx)
+            yield pid, self._probe(batches, build, probe_dict, ctx)
 
     def children(self):
         return [self.left, self.right]

@@ -48,11 +48,13 @@ lookups stay on the row store, as in TiDB.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Iterator
+from itertools import repeat
 
 from repro.catalog.schema import Table
 from repro.catalog.types import VarcharType
@@ -420,7 +422,7 @@ class NativeColumn:
     """
 
     encoding = Encoding.NATIVE
-    __slots__ = ("data", "nulls", "_float_blocks")
+    __slots__ = ("data", "nulls", "_float_blocks", "_float_exponent")
 
     #: block width of the precomputed exact float partial sums
     SUM_BLOCK = 512
@@ -432,6 +434,9 @@ class NativeColumn:
         # dict per SUM_BLOCK values (sealed columns are immutable, so the
         # partials stay valid); False marks an unsupported column (inf/nan)
         self._float_blocks = None
+        # the finest binary exponent among them: every value of the column
+        # is an exact integer multiple of 2**_float_exponent
+        self._float_exponent = 0
 
     @property
     def all_ints(self) -> bool:
@@ -448,9 +453,10 @@ class NativeColumn:
         """Per-block exact float partial sums (built once per sealed column).
 
         Each block is a dict mapping binary exponent to the exact integer
-        sum of the mantissas of its values — the same representation the
-        executor's SUM/AVG state keeps per group, so folding a whole block is
-        a handful of small-int dict merges instead of per-value work.
+        sum of the mantissas of its values — the exchange format the
+        executor's SUM/AVG state shifts onto its one exponent per fold, so
+        folding a whole block is a handful of small-int dict merges instead
+        of per-value work.
         """
         blocks = self._float_blocks
         if blocks is None:
@@ -466,6 +472,7 @@ class NativeColumn:
                         exponent = 1 - denominator.bit_length()
                         local[exponent] = get(exponent, 0) + numerator
                     blocks.append(local)
+                self._float_exponent = min(map(min, blocks), default=0)
             except (OverflowError, ValueError):   # inf/nan: no partials
                 blocks = False
             self._float_blocks = blocks
@@ -475,9 +482,10 @@ class NativeColumn:
         """Fold the exact sum of ``data[start:stop]`` (floats) into the
         exponent->mantissa dict ``mantissas``.
 
-        Whole blocks merge from the precomputed partials; only the edge
-        values decompose individually.  Returns False when unsupported
-        (int column, NULLs, or non-finite floats present).
+        Whole blocks merge from the precomputed partials; the edges are
+        scaled by the column's finest exponent in one C-level ``ldexp``
+        pass each.  Returns False when unsupported (int column, NULLs, or
+        non-finite floats present).
         """
         if self.data.typecode != "d" or self.nulls:
             return False
@@ -497,10 +505,16 @@ class NativeColumn:
                     mantissas[exponent] = get(exponent, 0) + mantissa
             edges = (data[start:first_block * width],
                      data[last_block * width:stop])
-        for edge in edges:
-            for numerator, denominator in map(float.as_integer_ratio, edge):
-                exponent = 1 - denominator.bit_length()
-                mantissas[exponent] = get(exponent, 0) + numerator
+        finest = self._float_exponent
+        for edge in filter(None, edges):
+            try:
+                mantissas[finest] = get(finest, 0) + sum(map(
+                    int, map(math.ldexp, edge, repeat(-finest))))
+            except OverflowError:     # a span no double can scale: per value
+                for numerator, denominator in map(float.as_integer_ratio,
+                                                  edge):
+                    exponent = 1 - denominator.bit_length()
+                    mantissas[exponent] = get(exponent, 0) + numerator
         return True
 
     def range_int_sum(self, start: int, stop: int):

@@ -3,6 +3,7 @@ analytical parity vs the row oracle, and the encoding stat counters."""
 
 import math
 from array import array
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -166,6 +167,19 @@ class TestCodeSpaceSelection:
                 num, den = v.as_integer_ratio()
                 expected += num * ((1 << 1074) // den)
             assert total == expected
+
+    def test_native_block_partials_exact_when_no_double_can_scale(self):
+        # 1e300 beside 5e-324: scaling an edge by the column's finest
+        # exponent overflows, so those values decompose one by one
+        values = [1e300, 5e-324, -1e300, 0.5] * 300
+        column = _encode_column(values)
+        assert isinstance(column, NativeColumn)
+        for start, stop in ((0, 1200), (1, 7), (510, 1030)):
+            mantissas: dict = {}
+            assert column.fold_range_sum(mantissas, start, stop)
+            total = sum(m << (1074 + e) for e, m in mantissas.items())
+            assert total == sum(
+                Fraction(v) for v in values[start:stop]) * (1 << 1074)
 
     def test_native_block_partials_refuse_non_finite(self):
         column = _encode_column([1.0, float("inf"), 2.0] * 50)

@@ -194,6 +194,102 @@ class TestStateProperties:
                                   None)]
 
 
+class TestExponentAlignment:
+    """SUM / AVG keep each group's float total on one state-wide binary
+    exponent; the cases here move that exponent under populated state."""
+
+    @staticmethod
+    def _sum_state(groups):
+        return groups.states[SPECS.index(("SUM", False, False))]
+
+    @staticmethod
+    def _batch(key, values):
+        return [((key,), v, None) for v in values]
+
+    def test_finer_batches_rescale_populated_groups(self):
+        """Homogeneous float batches (the C-speed scaling) whose smallest
+        magnitude strictly decreases after groups exist."""
+        batches = [self._batch("a", [1024.0, 4096.0]),
+                   self._batch("b", [1.5, 3.0]) + self._batch("a", [2.0]),
+                   self._batch("a", [2.0 ** -30, 0.1]),
+                   self._batch("c", [2.0 ** -600]) + self._batch("b", [7.0]),
+                   self._batch("a", [64.0])]
+        groups = GroupedAggregation(SPECS)
+        exponents = []
+        for batch in batches:
+            groups.scatter(groups.assign(key for key, _v, _w in batch),
+                           _columns(batch))
+            exponents.append(self._sum_state(groups).exponent)
+        assert exponents[0] > exponents[1] > exponents[2] > exponents[3] \
+            == exponents[4]
+        assert _image(groups.rows()) \
+            == _expected([row for batch in batches for row in batch])
+        # coarsest last: the exponent is settled by the first batch
+        assert _image(_scattered(batches[::-1]).rows()) \
+            == _expected([row for batch in batches[::-1] for row in batch])
+
+    def test_merge_aligns_both_ways_and_never_touches_the_source(self):
+        """Partials on different exponents merged in both directions: the
+        target rescales itself or shifts what it reads, the source (a
+        cached, shared partial) is bit-identical afterwards."""
+        coarse = self._batch("k", [1024.0, 3.0]) + self._batch("c", [8.0])
+        fine = self._batch("k", [2.0 ** -40, 0.1]) + self._batch("f", [0.3])
+        for first, second in ((coarse, fine), (fine, coarse)):
+            source, other = _scattered([first]), _scattered([second])
+            assert self._sum_state(source).exponent \
+                != self._sum_state(other).exponent
+            before = _image(source.rows())
+            for _ in range(2):
+                target = _scattered([second])
+                target.merge(source)
+                assert _image(target.rows()) == _expected(second + first)
+                # later folds into the target move its exponent again
+                tiny = self._batch("k", [2.0 ** -700])
+                target.scatter(target.assign(key for key, _v, _w in tiny),
+                               _columns(tiny))
+                assert _image(target.rows()) \
+                    == _expected(second + first + tiny)
+                assert _image(source.rows()) == before
+            empty = GroupedAggregation(SPECS)
+            empty.merge(source)
+            assert _image(empty.rows()) == before
+
+    def test_span_no_double_can_scale(self):
+        """1e300 beside 5e-324: scaling the column by one power of two
+        overflows, so the C-speed path must refuse — answer still exact."""
+        rows = self._batch("k", [1e300, 5e-324, -1e300, 5e-324])
+        groups = _scattered([rows])
+        assert _image(groups.rows()) == _expected(rows)
+        assert groups.rows()[0][3] == 1e-323           # SUM(v)
+        for values in ([1e300, inf], [0.5, nan, 2.0]):
+            rows = self._batch("k", values)
+            assert _image(_scattered([rows]).rows()) == _expected(rows)
+
+    def test_all_zero_float_column_sums_to_float_zero(self):
+        rows = self._batch("k", [0.0, -0.0, 0.0])
+        groups = _scattered([rows])
+        assert _image(groups.rows()) == _expected(rows)
+        assert _bits(groups.rows()[0][3]) == ("float", (0.0).hex())
+        # ... and leaves a populated state's exponent alone
+        groups = _scattered([self._batch("k", [0.25]), rows])
+        assert self._sum_state(groups).exponent \
+            == self._sum_state(_scattered([self._batch("k", [0.25])])).exponent
+
+    def test_int_group_stays_int_beside_a_float_group(self):
+        """Homogeneous int and float batches into one state: "int stays
+        int until a float joins" is per group, not per state."""
+        batches = [self._batch("i", [1, 2]), self._batch("f", [0.5, 0.25]),
+                   self._batch("i", [3]), self._batch("late", [4]),
+                   self._batch("late", [0.5])]
+        groups = _scattered(batches)
+        assert _image(groups.rows()) \
+            == _expected([row for batch in batches for row in batch])
+        sums = {row[0]: row[3] for row in groups.rows()}
+        assert _bits(sums["i"]) == ("int", 6)
+        assert _bits(sums["f"]) == ("float", (0.75).hex())
+        assert _bits(sums["late"]) == ("float", (4.5).hex())
+
+
 # ---------------------------------------------------------------------------
 # SQL level: row pipeline vs vectorized vs warm sketch hit
 # ---------------------------------------------------------------------------
