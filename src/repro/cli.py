@@ -59,12 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_FIELDS = {
-    "workload": "workload", "mode": "mode", "loop": "loop",
-    "oltp_rate": "oltp_rate", "olap_rate": "olap_rate",
-    "hybrid_rate": "hybrid_rate", "duration_ms": "duration_ms",
-    "warmup_ms": "warmup_ms", "scale": "scale", "seed": "seed",
-}
+_CONFIG_FIELDS = ("workload", "mode", "loop", "oltp_rate", "olap_rate",
+                  "hybrid_rate", "duration_ms", "warmup_ms", "scale", "seed")
 
 
 def _config_from_args(args) -> BenchConfig:
@@ -73,10 +69,10 @@ def _config_from_args(args) -> BenchConfig:
     else:
         config = BenchConfig()
     overrides = {}
-    for arg_name, field in _CONFIG_FIELDS.items():
-        value = getattr(args, arg_name, None)
+    for name in _CONFIG_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[field] = value
+            overrides[name] = value
     if overrides:
         from dataclasses import replace
 
@@ -123,6 +119,7 @@ def cmd_run(args) -> int:
     print(f"installing {config.workload} (scale {config.scale}) on "
           f"{engine.name} ({engine.nodes} nodes)...", file=sys.stderr)
     bench = OLxPBench(engine, workload, scale=config.scale,
+                      with_foreign_keys=config.with_foreign_keys,
                       seed=config.seed)
     report = bench.run(config)
     if args.markdown:

@@ -4,6 +4,10 @@ The paper's client stores min/max/medium/90th/95th/99.9th/99.99th
 percentile latencies to a user-specified file; this module renders a
 ``RunReport`` as aligned text, Markdown, or CSV rows, and can render an
 ``InterferenceMatrix`` as the rate-grid tables behind Figs. 7-9.
+
+No counter is named here: the CSV's counter columns (like the text
+report's counter sections, ``RunReport.summary_text``) are derived from
+the ``ExecStats`` field declarations in ``sql/result.py``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import io
 
 from repro.core.runner import RunReport
 from repro.core.stats import LatencySummary
+from repro.sql.result import REPORT_SECTIONS
 
 _LATENCY_COLUMNS = ("count", "min", "mean", "median", "p90", "p95", "p99",
                     "p99.9", "p99.99", "max", "std")
@@ -69,6 +74,22 @@ def render_markdown(report: RunReport) -> str:
     return "\n".join(lines)
 
 
+def _counter_columns() -> list:
+    """``(CSV column, report attribute)`` for every reported counter, in
+    declaration order; the run-level two-phase commit count rides with the
+    partition counters, as it does in the text report."""
+    columns = []
+    for section, counters in REPORT_SECTIONS.items():
+        columns += [(csv_name, name) for name, _label, csv_name, _ in counters]
+        if section == "partitions":
+            columns.append(("multi_partition_commits",
+                            "multi_partition_commits"))
+    return columns
+
+
+_COUNTER_COLUMNS = _counter_columns()
+
+
 def render_csv(reports: list[RunReport]) -> str:
     """One CSV row per (run, class): the raw series behind the figures."""
     buffer = io.StringIO()
@@ -76,45 +97,18 @@ def render_csv(reports: list[RunReport]) -> str:
     writer.writerow([
         "workload", "engine", "mode", "loop", "oltp_rate", "olap_rate",
         "hybrid_rate", "class", "throughput", *_LATENCY_COLUMNS,
-        "vectorized_requests", "batches_scanned", "segments_pruned",
-        "segments_encoded", "runs_skipped",
-        "segments_merged", "delta_rows_pending", "sort_elided",
-        "groups_coded",
-        "join_code_probes", "groups_global_coded",
-        "plan_cache_hits", "plan_cache_misses",
-        "plan_cache_evictions", "plan_cache_contention",
-        "partitions_scanned", "partitions_pruned",
-        "multi_partition_commits",
-        "pool_workers", "gather_wait_ms", "bg_compactions",
-        "faults_injected", "faults_recovered", "degraded_statements",
-        "sketches_built", "sketches_hit", "sketch_rows_elided",
-        "sketch_invalidations",
+        *(column for column, _ in _COUNTER_COLUMNS),
     ])
     for report in reports:
         config = report.config
+        counters = [getattr(report, name) for _, name in _COUNTER_COLUMNS]
         for kind in sorted(report.classes):
             summary = report.latency(kind)
             writer.writerow([
                 config.workload, report.engine, config.mode, config.loop,
                 config.oltp_rate, config.olap_rate, config.hybrid_rate,
                 kind, report.throughput(kind),
-                *_latency_row(summary),
-                report.vectorized_statements, report.batches_scanned,
-                report.segments_pruned,
-                report.segments_encoded, report.runs_skipped,
-                report.segments_merged, report.delta_rows_pending,
-                report.sort_elided, report.groups_coded,
-                report.join_code_probes, report.groups_global_coded,
-                report.plan_cache_hits, report.plan_cache_misses,
-                report.plan_cache_evictions, report.plan_cache_contention,
-                report.partitions_scanned, report.partitions_pruned,
-                report.multi_partition_commits,
-                report.pool_workers, report.gather_wait_ms,
-                report.bg_compactions,
-                report.faults_injected, report.faults_recovered,
-                report.degraded_statements,
-                report.sketches_built, report.sketches_hit,
-                report.sketch_rows_elided, report.sketch_invalidations,
+                *_latency_row(summary), *counters,
             ])
     return buffer.getvalue()
 

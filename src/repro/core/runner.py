@@ -31,21 +31,24 @@ from random import Random
 
 from repro.core.config import BenchConfig
 from repro.core.session import run_transaction
-from repro.core.stats import ClassMetrics, LatencyCollector
+from repro.core.stats import ClassTable
 from repro.engines.base import HTAPCluster
 from repro.errors import ConfigError
+from repro.sql.result import REPORT_SECTIONS, ExecStats
 from repro.workloads.base import Workload, weighted_choice
 
 
-@dataclass
-class RunReport:
-    """Everything measured during one benchmark run."""
+@dataclass(kw_only=True)
+class RunReport(ExecStats, ClassTable):
+    """Everything measured during one benchmark run.
+
+    A report *is* the run's merged ``ExecStats`` — every request's counters
+    accumulated by ``merge``, readable and assignable as ``report.<counter>``
+    — plus the per-class table and what only a run has.
+    """
 
     config: BenchConfig
     engine: str
-    window_ms: float
-    classes: dict = field(default_factory=dict)       # kind -> ClassMetrics
-    per_transaction: dict = field(default_factory=dict)  # name -> collector
     lock_wait_ms: float = 0.0
     lock_waits: int = 0
     lock_acquisitions: int = 0
@@ -53,57 +56,9 @@ class RunReport:
     utilisation: dict = field(default_factory=dict)
     columnar_routed: int = 0
     columnar_refused: int = 0
-    # vectorized-executor counters (aggregated over every request)
-    vectorized_statements: int = 0
-    batches_scanned: int = 0
-    segments_pruned: int = 0
-    # encoding-aware execution counters (aggregated over every request)
-    segments_encoded: int = 0
-    runs_skipped: int = 0
-    columns_decoded: int = 0
-    values_decoded: int = 0
-    # delta–main compaction observability: ordered-merge output segments
-    # over the run, delta-overlay rows merge-on-read scans considered,
-    # ORDER BYs satisfied by scan order, and code-space grouped batches
-    segments_merged: int = 0
-    delta_rows_pending: int = 0
-    sort_elided: int = 0
-    groups_coded: int = 0
-    # shared-dictionary counters: join rows probed as global codes and
-    # batches grouped against the table-level accumulator
-    join_code_probes: int = 0
-    groups_global_coded: int = 0
-    # plan-cache outcome over the run, plus the replica's encoding layer
-    # accounting at run end (segments/bytes/compression, None when the
-    # engine has no columnar replica)
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_cache_evictions: int = 0
-    plan_cache_contention: int = 0
+    # the replica's encoding layer accounting at run end (segments/bytes/
+    # compression, None when the engine has no columnar replica)
     encoding: dict | None = None
-    # partition counters (aggregated over every request)
-    partitions_scanned: int = 0
-    partitions_pruned: int = 0
-    partial_aggregates: int = 0
-    # worker-pool counters: pool width requests ran under (max over the
-    # run; 0 = sequential), ordered-gather blocking time, and background
-    # compactions scheduled off the query path
-    pool_workers: int = 0
-    gather_wait_ms: float = 0.0
-    bg_compactions: int = 0
-    # fault counters (aggregated over every request): injected faults,
-    # faults survived via retry/fallback/degraded routing, and statements
-    # the circuit breaker degraded to the row pipeline
-    faults_injected: int = 0
-    faults_recovered: int = 0
-    degraded_statements: int = 0
-    # segment-sketch counters (aggregated over every request): cached
-    # whole-segment aggregate partials built / served, input rows elided
-    # by cache hits, and cache entries dropped by kills or compactions
-    sketches_built: int = 0
-    sketches_hit: int = 0
-    sketch_rows_elided: int = 0
-    sketch_invalidations: int = 0
     # commit-path split over the run (fast path vs two-phase)
     single_partition_commits: int = 0
     multi_partition_commits: int = 0
@@ -115,22 +70,11 @@ class RunReport:
             return 0.0
         return self.multi_partition_commits / total
 
-    def metrics(self, kind: str) -> ClassMetrics:
-        return self.classes.setdefault(kind, ClassMetrics())
-
-    def throughput(self, kind: str) -> float:
-        if kind not in self.classes:
-            return 0.0
-        return self.classes[kind].throughput(self.window_ms)
-
-    def latency(self, kind: str):
-        if kind not in self.classes:
-            return LatencyCollector().summary()
-        return self.classes[kind].latency.summary()
-
-    def transaction_latency(self, name: str):
-        collector = self.per_transaction.get(name)
-        return collector.summary() if collector else LatencyCollector().summary()
+    def _counter_line(self, section: str) -> str:
+        cells = " ".join(
+            f"{label}={getattr(self, name):{text_format}}"
+            for name, label, _csv, text_format in REPORT_SECTIONS[section])
+        return f"  {section}: {cells}"
 
     def summary_text(self) -> str:
         lines = [
@@ -152,67 +96,27 @@ class RunReport:
                 f"  locks: acquisitions={self.lock_acquisitions} "
                 f"waits={self.lock_waits} wait_ms={self.lock_wait_ms:.1f}"
             )
-        if self.vectorized_statements:
-            lines.append(
-                f"  vectorized: statements={self.vectorized_statements} "
-                f"batches={self.batches_scanned} "
-                f"segments_pruned={self.segments_pruned} "
-                f"segments_encoded={self.segments_encoded} "
-                f"runs_skipped={self.runs_skipped}"
-            )
-        if self.encoding and self.encoding.get("segments_encoded"):
-            lines.append(
-                f"  encoding: segments={self.encoding['segments_encoded']}"
-                f"/{self.encoding['segments_total']} "
-                f"bytes_saved={self.encoding['bytes_saved']} "
-                f"compression={self.encoding['compression_ratio']:.2f}x"
-            )
-        if self.segments_merged or self.sort_elided \
-                or self.delta_rows_pending or self.groups_coded:
-            lines.append(
-                f"  delta-main: segments_merged={self.segments_merged} "
-                f"delta_rows_pending={self.delta_rows_pending} "
-                f"sort_elided={self.sort_elided} "
-                f"groups_coded={self.groups_coded}"
-            )
-        if self.join_code_probes or self.groups_global_coded:
-            lines.append(
-                f"  shared dicts: join_code_probes={self.join_code_probes} "
-                f"groups_global_coded={self.groups_global_coded}"
-            )
-        if self.plan_cache_hits or self.plan_cache_misses:
-            lines.append(
-                f"  plan cache: hits={self.plan_cache_hits} "
-                f"misses={self.plan_cache_misses} "
-                f"evictions={self.plan_cache_evictions} "
-                f"contention={self.plan_cache_contention}"
-            )
-        if self.pool_workers or self.bg_compactions:
-            lines.append(
-                f"  pool: workers={self.pool_workers} "
-                f"gather_wait_ms={self.gather_wait_ms:.1f} "
-                f"bg_compactions={self.bg_compactions}"
-            )
-        if self.faults_injected or self.faults_recovered \
-                or self.degraded_statements:
-            lines.append(
-                f"  faults: injected={self.faults_injected} "
-                f"recovered={self.faults_recovered} "
-                f"degraded_statements={self.degraded_statements}"
-            )
-        if self.sketches_built or self.sketches_hit \
-                or self.sketch_invalidations:
-            lines.append(
-                f"  sketches: built={self.sketches_built} "
-                f"hit={self.sketches_hit} "
-                f"rows_elided={self.sketch_rows_elided} "
-                f"invalidations={self.sketch_invalidations}"
-            )
+        # one line per declared counter section with a non-zero counter, in
+        # declaration order; the replica's encoding accounting rides after
+        # the executor's own section, and ``partitions`` closes the report
+        # because it carries the run's commit split
+        for section, counters in REPORT_SECTIONS.items():
+            if section == "partitions":
+                continue
+            if any(getattr(self, name) for name, *_ in counters):
+                lines.append(self._counter_line(section))
+            if section == "vectorized" and self.encoding \
+                    and self.encoding.get("segments_encoded"):
+                lines.append(
+                    f"  encoding: segments={self.encoding['segments_encoded']}"
+                    f"/{self.encoding['segments_total']} "
+                    f"bytes_saved={self.encoding['bytes_saved']} "
+                    f"compression={self.encoding['compression_ratio']:.2f}x"
+                )
         commits = self.single_partition_commits + self.multi_partition_commits
         if commits:
             lines.append(
-                f"  partitions: scanned={self.partitions_scanned} "
-                f"pruned={self.partitions_pruned} "
+                f"{self._counter_line('partitions')} "
                 f"multi_partition_commits={self.multi_partition_commits}"
                 f"/{commits} "
                 f"({self.multi_partition_commit_fraction:.1%})"
@@ -411,72 +315,24 @@ class OLxPBench:
         )
         breakdown = self.engine.account(now, work, columnar)
         latency = breakdown.total
-        exec_stats = work.combined_stats()
+        work.merge_into(report)
         if replica is not None:
-            # ordered-compaction merges triggered while serving this
-            # request (the engine tick replicates + compacts): attribute
-            # them to the statement window that caused them
-            exec_stats.segments_merged += \
+            # replica-side events while serving this request (the engine
+            # tick replicates + compacts): ordered-compaction merges, and
+            # sketch entries dropped by replication kills or compaction
+            # re-seals, belong to the run like the statements' own counters
+            report.segments_merged += \
                 replica.segments_merged_total() - merges_before
-            # sketch invalidations are replica-side events (kills during
-            # replication, compaction re-seals): attribute them to the
-            # request whose engine tick caused them, like the merges
-            exec_stats.sketch_invalidations += \
+            report.sketch_invalidations += \
                 replica.sketches.invalidated - sketch_inv_before
-        # background compactions the engine scheduled while serving this
-        # request, attributed the same way as the merges above
-        exec_stats.bg_compactions += \
+        # background compactions the engine scheduled meanwhile, likewise
+        report.bg_compactions += \
             self.engine.db.bg_compactions_total - bg_before
-        report.batches_scanned += exec_stats.batches_scanned
-        report.segments_pruned += exec_stats.segments_pruned
-        report.vectorized_statements += exec_stats.vectorized_statements
-        report.segments_encoded += exec_stats.segments_encoded
-        report.runs_skipped += exec_stats.runs_skipped
-        report.columns_decoded += exec_stats.columns_decoded
-        report.values_decoded += exec_stats.values_decoded
-        report.delta_rows_pending += exec_stats.delta_rows_pending
-        report.sort_elided += exec_stats.sort_elided
-        report.groups_coded += exec_stats.groups_coded
-        report.join_code_probes += exec_stats.join_code_probes
-        report.groups_global_coded += exec_stats.groups_global_coded
-        report.segments_merged += exec_stats.segments_merged
-        report.plan_cache_hits += exec_stats.plan_cache_hits
-        report.plan_cache_misses += exec_stats.plan_cache_misses
-        report.plan_cache_evictions += exec_stats.plan_cache_evictions
-        report.plan_cache_contention += exec_stats.plan_cache_contention
-        report.partitions_scanned += exec_stats.partitions_scanned
-        report.partitions_pruned += exec_stats.partitions_pruned
-        report.partial_aggregates += exec_stats.partial_aggregates
-        report.pool_workers = max(report.pool_workers,
-                                  exec_stats.pool_workers)
-        report.gather_wait_ms += exec_stats.gather_wait_ms
-        report.bg_compactions += exec_stats.bg_compactions
-        report.faults_injected += exec_stats.faults_injected
-        report.faults_recovered += exec_stats.faults_recovered
-        report.degraded_statements += exec_stats.degraded_statements
-        report.sketches_built += exec_stats.sketches_built
-        report.sketches_hit += exec_stats.sketches_hit
-        report.sketch_rows_elided += exec_stats.sketch_rows_elided
-        report.sketch_invalidations += exec_stats.sketch_invalidations
 
-        measured = now >= config.warmup_ms
-        if measured:
-            metrics = report.metrics(kind)
-            metrics.attempted += 1
-            if work.aborted:
-                metrics.aborted += 1
-            elif now + latency <= config.total_ms:
-                metrics.completed += 1
-            metrics.latency.add(latency)
-            metrics.queue_wait_ms += breakdown.queue_wait
-            metrics.lock_wait_ms += breakdown.lock_wait
-            metrics.service_ms += breakdown.service
-            metrics.io_ms += breakdown.io
-            collector = report.per_transaction.get(profile.name)
-            if collector is None:
-                collector = LatencyCollector(profile.name)
-                report.per_transaction[profile.name] = collector
-            collector.add(latency)
+        if now >= config.warmup_ms:
+            report.observe(kind, profile.name, latency, breakdown,
+                           aborted=work.aborted,
+                           completed=now + latency <= config.total_ms)
         return latency
 
     def _rng_for(self, kind: str, config: BenchConfig) -> Random:

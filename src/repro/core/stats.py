@@ -144,6 +144,62 @@ class ClassMetrics:
             return 0.0
         return self.completed / (window_ms / 1000.0)
 
+    def observe(self, latency: float, breakdown, aborted: bool,
+                completed: bool, admission_wait_ms: float = 0.0):
+        """Record one measured request: its outcome (``completed`` says it
+        finished inside the window), its latency and the latency's
+        breakdown (anything with ``queue_wait`` / ``lock_wait`` /
+        ``service`` / ``io``)."""
+        self.attempted += 1
+        if aborted:
+            self.aborted += 1
+        elif completed:
+            self.completed += 1
+        self.latency.add(latency)
+        self.queue_wait_ms += breakdown.queue_wait
+        self.lock_wait_ms += breakdown.lock_wait
+        self.service_ms += breakdown.service
+        self.io_ms += breakdown.io
+        self.admission_wait_ms += admission_wait_ms
+
+
+@dataclass(kw_only=True)
+class ClassTable:
+    """Per-class and per-transaction measurements of one run: the part a
+    ``RunReport`` and a ``ServerReport`` share."""
+
+    window_ms: float
+    classes: dict = field(default_factory=dict)          # kind -> ClassMetrics
+    per_transaction: dict = field(default_factory=dict)  # name -> collector
+
+    def metrics(self, kind: str) -> ClassMetrics:
+        return self.classes.setdefault(kind, ClassMetrics())
+
+    def throughput(self, kind: str) -> float:
+        if kind not in self.classes:
+            return 0.0
+        return self.classes[kind].throughput(self.window_ms)
+
+    def latency(self, kind: str) -> LatencySummary:
+        if kind not in self.classes:
+            return EMPTY_SUMMARY
+        return self.classes[kind].latency.summary()
+
+    def transaction_latency(self, name: str) -> LatencySummary:
+        collector = self.per_transaction.get(name)
+        return collector.summary() if collector else EMPTY_SUMMARY
+
+    def observe(self, kind: str, name: str, latency: float, breakdown,
+                aborted: bool, completed: bool,
+                admission_wait_ms: float = 0.0):
+        """Record one measured request under its class and transaction."""
+        self.metrics(kind).observe(latency, breakdown, aborted, completed,
+                                   admission_wait_ms)
+        collector = self.per_transaction.get(name)
+        if collector is None:
+            collector = self.per_transaction[name] = LatencyCollector(name)
+        collector.add(latency)
+
 
 def describe(values) -> dict:
     """Convenience: summary dict of an arbitrary numeric sequence."""

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from random import Random
 
-from repro.core.stats import ClassMetrics, LatencyCollector
+from repro.core.stats import ClassTable
 from repro.engines.base import HTAPCluster
 from repro.errors import ConfigError
 from repro.server.admission import AdmissionController, AdmissionPolicy
@@ -71,33 +71,16 @@ def mixed_population(workload: Workload, oltp_clients: int,
 
 
 @dataclass
-class ServerReport:
+class ServerReport(ClassTable):
     """Everything measured during one server run."""
 
     engine: str
     workload: str
-    window_ms: float
     clients: int
     admission_enabled: bool
-    classes: dict = field(default_factory=dict)          # kind -> ClassMetrics
-    per_transaction: dict = field(default_factory=dict)  # name -> collector
     admission: dict = field(default_factory=dict)
     sessions: list = field(default_factory=list)         # per-session dicts
     plan_cache: dict = field(default_factory=dict)
-    stream_quanta: int = 0
-
-    def metrics(self, kind: str) -> ClassMetrics:
-        return self.classes.setdefault(kind, ClassMetrics())
-
-    def throughput(self, kind: str) -> float:
-        if kind not in self.classes:
-            return 0.0
-        return self.classes[kind].throughput(self.window_ms)
-
-    def latency(self, kind: str):
-        if kind not in self.classes:
-            return LatencyCollector().summary()
-        return self.classes[kind].latency.summary()
 
     def summary_text(self) -> str:
         lines = [
@@ -261,23 +244,10 @@ class Server:
             state.session.stats.admission_wait_ms += admission_wait
             latency = admission_wait + breakdown.total + overhead
             if state.first_arrival >= warmup_ms:
-                metrics = report.metrics(spec.kind)
-                metrics.attempted += 1
-                if work.aborted:
-                    metrics.aborted += 1
-                elif completion <= total_ms:
-                    metrics.completed += 1
-                metrics.latency.add(latency)
-                metrics.queue_wait_ms += breakdown.queue_wait
-                metrics.lock_wait_ms += breakdown.lock_wait
-                metrics.service_ms += breakdown.service
-                metrics.io_ms += breakdown.io
-                metrics.admission_wait_ms += admission_wait
-                collector = report.per_transaction.get(profile.name)
-                if collector is None:
-                    collector = LatencyCollector(profile.name)
-                    report.per_transaction[profile.name] = collector
-                collector.add(latency)
+                report.observe(spec.kind, profile.name, latency, breakdown,
+                               aborted=work.aborted,
+                               completed=completion <= total_ms,
+                               admission_wait_ms=admission_wait)
             state.profile = None
             heapq.heappush(heap, (completion + spec.think_ms,
                                   next(seq), idx))
@@ -287,8 +257,6 @@ class Server:
              **s.session.stats.as_dict()}
             for s in states
         ]
-        report.stream_quanta = sum(s.session.stats.stream_quanta
-                                   for s in states)
         report.plan_cache = {
             "hits": self.db.plan_cache_hits - cache_base[0],
             "misses": self.db.plan_cache_misses - cache_base[1],

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.session import run_transaction
 from repro.db.database import Database
 from repro.sim.work import WorkResult
-from repro.sql.planner import SelectPlan
-from repro.sql.result import DMLResult, ExecStats, Result
-from repro.sql.vectorized import BatchRows
+from repro.sql.result import REPORT_SECTIONS, DMLResult, ExecStats, Result
 from repro.txn.manager import IsolationLevel
 
 
@@ -47,8 +45,6 @@ class SessionStats:
     rejections: int = 0
     backoff_ms: float = 0.0
     admission_wait_ms: float = 0.0
-    # partition streams drained by execute_streamed
-    stream_quanta: int = 0
     exec: ExecStats = field(default_factory=ExecStats)
 
     def as_dict(self) -> dict:
@@ -62,10 +58,8 @@ class SessionStats:
             "rejections": self.rejections,
             "backoff_ms": self.backoff_ms,
             "admission_wait_ms": self.admission_wait_ms,
-            "stream_quanta": self.stream_quanta,
-            "faults_injected": self.exec.faults_injected,
-            "faults_recovered": self.exec.faults_recovered,
-            "degraded_statements": self.exec.degraded_statements,
+            **{name: getattr(self.exec, name)
+               for name, *_ in REPORT_SECTIONS["faults"]},
         }
 
 
@@ -118,72 +112,6 @@ class ClientSession:
     def query_scalar(self, sql: str, params: tuple = ()):
         return self.execute(sql, params).scalar()
 
-    # -- partition-parallel statement pipeline -------------------------------
-
-    def execute_streamed(self, sql: str, params: tuple = ()) -> Result:
-        """Columnar-routed SELECT drained one partition stream at a time.
-
-        Where the plan's vectorized root preserves the scatter shape
-        (``BatchRows.execute_streams``), the session pulls each partition's
-        row stream as its own quantum — the cooperative-scheduler shape of
-        partition-parallel execution.  Ineligible statements (DML, FOR
-        UPDATE, row-pipeline-only plans, missing replica tables) fall back
-        to ``execute`` unchanged, so results are always identical to the
-        row-at-a-time path.
-        """
-        plan, cache_hit, evicted, contended = self.db._prepare(sql)
-        root = getattr(plan, "vectorized_root", None)
-        if (not isinstance(plan, SelectPlan) or plan.for_update is not None
-                or not isinstance(root, BatchRows)
-                or self.db.columnar is None
-                or not all(self.db.columnar.has_table(t)
-                           for t in plan.vectorized_tables)):
-            return self.execute(sql, params, route_columnar=True)
-        autocommit = not self.conn.in_transaction
-        if autocommit:
-            self.conn.begin()
-        txn = self.conn._txn
-        txn.statement_begin()
-        ctx = self.db.executor._context(txn, tuple(params),
-                                        route_columnar=True)
-        ctx.stats.vectorized = True
-        ctx.stats.vectorized_statements = 1
-        rows: list = []
-        quanta = 0
-        try:
-            if ctx.pool is not None:
-                # real scatter-gather: drain every partition stream on the
-                # worker pool, gather row lists in partition order (same
-                # rows, same order as the quantum-at-a-time loop)
-                streams = list(root.execute_streams(ctx))
-                quanta = len(streams)
-                tasks = [(pid, lambda s=stream: list(s))
-                         for pid, stream in enumerate(streams)]
-                for _pid, drained in ctx.pool.scatter_ordered(ctx, tasks):
-                    rows.extend(drained)
-            else:
-                for stream in root.execute_streams(ctx):
-                    rows.extend(stream)
-                    quanta += 1
-        except Exception:
-            if autocommit:
-                self.conn.rollback()
-            raise
-        ctx.stats.rows_returned = len(rows)
-        if cache_hit:
-            ctx.stats.plan_cache_hits += 1
-        else:
-            ctx.stats.plan_cache_misses += 1
-        ctx.stats.plan_cache_evictions += evicted
-        ctx.stats.plan_cache_contention += contended
-        if autocommit:
-            self.conn.commit()
-        result = Result(plan.columns, rows, ctx.stats)
-        self.stats.statements += 1
-        self.stats.stream_quanta += quanta
-        self.stats.exec.merge(ctx.stats)
-        return result
-
     # -- whole-transaction dispatch (what the Server schedules) --------------
 
     def run_program(self, name: str, program, rng,
@@ -201,7 +129,7 @@ class ClientSession:
         self.stats.retries += work.retries
         self.stats.statements += (work.n_statements
                                   + work.n_realtime_statements)
-        self.stats.exec.merge(work.combined_stats())
+        work.merge_into(self.stats.exec)
         return work
 
     # -- lifecycle -----------------------------------------------------------

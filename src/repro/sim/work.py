@@ -39,9 +39,13 @@ class WorkResult:
     def read_only(self) -> bool:
         return not self.write_keys
 
-    def combined_stats(self) -> ExecStats:
-        total = ExecStats()
+    def merge_into(self, total: ExecStats):
+        """Accumulate the online and the real-time part into ``total``."""
         total.merge(self.stats)
         if self.realtime_stats is not None:
             total.merge(self.realtime_stats)
+
+    def combined_stats(self) -> ExecStats:
+        total = ExecStats()
+        self.merge_into(total)
         return total

@@ -5,12 +5,19 @@ simulator's cost model: every operator records what it physically touched
 (rows scanned per store, index/PK lookups, join/sort/aggregate volumes,
 writes), and the per-engine cost model converts those counts into simulated
 service time.
+
+A counter is declared once, as one ``counter(...)`` field line in the
+``ExecStats`` class body.  Everything else is derived from
+``dataclasses.fields(ExecStats)`` at import, in declaration order:
+``ExecStats.merge`` (by merge kind), the run report (``core.runner.RunReport``
+subclasses ``ExecStats``), its text sections and its CSV columns
+(``REPORT_SECTIONS``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class Batch:
@@ -74,152 +81,148 @@ class SegmentBatch(Batch):
         self.segment = segment
 
 
+def counter(default=0, *, merge: str = "sum", section: str | None = None,
+            label: str | None = None, csv: str | None = None,
+            text_format: str = ""):
+    """Declare one ``ExecStats`` field: its default plus, as field metadata,
+    everything the rest of the system derives from the declaration.
+
+    ``merge`` is how two statements' values combine: ``"sum"``, ``"max"``,
+    ``"or"`` (flags) or ``"table"`` (a per-table ``defaultdict`` of sums,
+    whatever ``default`` says).  A counter with a ``section`` is *reported*:
+    the run report prints ``label=value`` (``text_format`` applied) on that
+    section's text line and ``value`` in CSV column ``csv``; ``label`` and
+    ``csv`` default to the field's own name.
+    """
+    metadata = {"merge": merge}
+    if section is not None:
+        metadata.update(section=section, label=label, csv=csv,
+                        text_format=text_format)
+    if merge == "table":
+        return field(default_factory=lambda: defaultdict(int),
+                     metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class ExecStats:
-    """Physical work done by one statement execution."""
+    """Physical work done by one statement execution.
+
+    This class body is the one place a counter is declared: ``merge``, the
+    run report's text sections and the CSV columns are all derived from
+    these fields (see ``counter``), in declaration order.
+    """
 
     # rows pulled from the row store / columnar replica, per table
-    rows_row_store: dict = field(default_factory=lambda: defaultdict(int))
+    rows_row_store: dict = counter(merge="table")
     # subset of rows_row_store read through key-ordered prefix scans
     # (sequential page access, unlike random point lookups)
-    rows_row_prefix: dict = field(default_factory=lambda: defaultdict(int))
-    rows_columnar: dict = field(default_factory=lambda: defaultdict(int))
+    rows_row_prefix: dict = counter(merge="table")
+    rows_columnar: dict = counter(merge="table")
     # number of full-table scans started, per table
-    full_scans: dict = field(default_factory=lambda: defaultdict(int))
-    pk_lookups: int = 0
-    index_lookups: int = 0
-    index_range_scans: int = 0
-    rows_joined: int = 0
-    join_ops: int = 0
-    sort_rows: int = 0
-    agg_input_rows: int = 0
-    groups: int = 0
-    subqueries: int = 0
-    rows_returned: int = 0
+    full_scans: dict = counter(merge="table")
+    pk_lookups: int = counter()
+    index_lookups: int = counter()
+    index_range_scans: int = counter()
+    rows_joined: int = counter()
+    join_ops: int = counter()
+    sort_rows: int = counter()
+    agg_input_rows: int = counter()
+    groups: int = counter()
+    subqueries: int = counter()
+    rows_returned: int = counter()
     # committed-write intents, per table
-    writes: dict = field(default_factory=lambda: defaultdict(int))
-    used_columnar: bool = False
+    writes: dict = counter(merge="table")
+    used_columnar: bool = counter(False, merge="or")
     # vectorized-executor counters; ``vectorized`` is the per-statement
     # flag (ORed on merge), ``vectorized_statements`` the additive count
-    vectorized: bool = False
-    vectorized_statements: int = 0
-    batches_scanned: int = 0
-    segments_pruned: int = 0
+    vectorized: bool = counter(False, merge="or")
+    vectorized_statements: int = counter(
+        section="vectorized", label="statements", csv="vectorized_requests")
+    batches_scanned: int = counter(section="vectorized", label="batches")
+    segments_pruned: int = counter(section="vectorized")
     # encoding-aware execution counters: encoded segments the scan touched,
     # whole RLE runs skipped by code-space predicates, and how much the
     # lazy-materialisation layer actually decoded
-    segments_encoded: int = 0
-    runs_skipped: int = 0
-    columns_decoded: int = 0
-    values_decoded: int = 0
-    # delta–main counters: ORDER BYs satisfied by scan order (Sort/TopN
-    # elided), delta-overlay rows the merge-on-read scans had to consider,
-    # ordered-compaction merge output (the benchmark runner attributes the
-    # merges a request's engine tick triggered to that request's stats),
-    # and batches grouped in DICT-code space by the encoded group-by
-    sort_elided: int = 0
-    delta_rows_pending: int = 0
-    segments_merged: int = 0
-    groups_coded: int = 0
+    segments_encoded: int = counter(section="vectorized")
+    runs_skipped: int = counter(section="vectorized")
+    columns_decoded: int = counter()
+    values_decoded: int = counter()
+    # delta–main counters: ordered-compaction merge output (the benchmark
+    # runner attributes the merges a request's engine tick triggered to
+    # the run report), delta-overlay rows the merge-on-read scans had to
+    # consider, ORDER BYs satisfied by scan order (Sort/TopN elided), and
+    # batches grouped in DICT-code space by the encoded group-by
+    segments_merged: int = counter(section="delta-main")
+    delta_rows_pending: int = counter(section="delta-main")
+    sort_elided: int = counter(section="delta-main")
+    groups_coded: int = counter(section="delta-main")
     # shared-dictionary counters: join probe rows compared as global
     # integer codes (no string materialisation) and batches grouped
     # against the table-level accumulator array
-    join_code_probes: int = 0
-    groups_global_coded: int = 0
+    join_code_probes: int = counter(section="shared dicts")
+    groups_global_coded: int = counter(section="shared dicts")
     # statement-plan LRU cache outcome for this statement: lookup result,
     # LRU entries this statement's insert displaced, and how many times the
     # cache mutex was found held by another session (contention is zero in
     # the cooperative scheduler; it becomes live under a real worker pool)
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_cache_evictions: int = 0
-    plan_cache_contention: int = 0
+    plan_cache_hits: int = counter(section="plan cache", label="hits")
+    plan_cache_misses: int = counter(section="plan cache", label="misses")
+    plan_cache_evictions: int = counter(section="plan cache",
+                                        label="evictions")
+    plan_cache_contention: int = counter(section="plan cache",
+                                         label="contention")
     # partition counters: how many hash partitions each access touched and
     # how many it proved irrelevant (PK routing / partition-key pruning)
-    partitions_scanned: int = 0
-    partitions_pruned: int = 0
+    partitions_scanned: int = counter(section="partitions", label="scanned")
+    partitions_pruned: int = counter(section="partitions", label="pruned")
     # scatter-gather: widest partition fan-out of any one scan (maxed on
     # merge — it feeds the engine's parallelism model), and the number of
     # per-partition partial aggregates that were merged
-    scatter_partitions: int = 0
-    partial_aggregates: int = 0
+    scatter_partitions: int = counter(merge="max")
+    partial_aggregates: int = counter()
     # worker-pool counters: pool size the statement ran under (maxed on
     # merge; 0 = sequential baseline), wall time the ordered gather spent
     # blocked on out-of-order partition completions, and background
     # compactions the engine scheduled off the query path
-    pool_workers: int = 0
-    gather_wait_ms: float = 0.0
-    bg_compactions: int = 0
+    pool_workers: int = counter(merge="max", section="pool", label="workers")
+    gather_wait_ms: float = counter(0.0, section="pool", text_format=".1f")
+    bg_compactions: int = counter(section="pool")
     # fault counters: injected faults this statement hit, faults it
     # survived (retry / inline fallback / degraded route), and statements
     # the circuit breaker degraded from the columnar to the row pipeline
-    faults_injected: int = 0
-    faults_recovered: int = 0
-    degraded_statements: int = 0
+    faults_injected: int = counter(section="faults", label="injected")
+    faults_recovered: int = counter(section="faults", label="recovered")
+    degraded_statements: int = counter(section="faults")
     # segment-sketch counters: cached whole-segment aggregate partials
     # built / served, input rows elided by cache hits, and cache entries
     # dropped by slot kills or compaction re-seals
-    sketches_built: int = 0
-    sketches_hit: int = 0
-    sketch_rows_elided: int = 0
-    sketch_invalidations: int = 0
+    sketches_built: int = counter(section="sketches", label="built")
+    sketches_hit: int = counter(section="sketches", label="hit")
+    sketch_rows_elided: int = counter(section="sketches",
+                                      label="rows_elided")
+    sketch_invalidations: int = counter(section="sketches",
+                                        label="invalidations")
 
     def merge(self, other: "ExecStats"):
-        """Accumulate ``other`` into this object (used per transaction)."""
-        for table, n in other.rows_row_store.items():
-            self.rows_row_store[table] += n
-        for table, n in other.rows_row_prefix.items():
-            self.rows_row_prefix[table] += n
-        for table, n in other.rows_columnar.items():
-            self.rows_columnar[table] += n
-        for table, n in other.full_scans.items():
-            self.full_scans[table] += n
-        for table, n in other.writes.items():
-            self.writes[table] += n
-        self.pk_lookups += other.pk_lookups
-        self.index_lookups += other.index_lookups
-        self.index_range_scans += other.index_range_scans
-        self.rows_joined += other.rows_joined
-        self.join_ops += other.join_ops
-        self.sort_rows += other.sort_rows
-        self.agg_input_rows += other.agg_input_rows
-        self.groups += other.groups
-        self.subqueries += other.subqueries
-        self.rows_returned += other.rows_returned
-        self.used_columnar = self.used_columnar or other.used_columnar
-        self.vectorized = self.vectorized or other.vectorized
-        self.vectorized_statements += other.vectorized_statements
-        self.batches_scanned += other.batches_scanned
-        self.segments_pruned += other.segments_pruned
-        self.segments_encoded += other.segments_encoded
-        self.runs_skipped += other.runs_skipped
-        self.columns_decoded += other.columns_decoded
-        self.values_decoded += other.values_decoded
-        self.sort_elided += other.sort_elided
-        self.delta_rows_pending += other.delta_rows_pending
-        self.segments_merged += other.segments_merged
-        self.groups_coded += other.groups_coded
-        self.join_code_probes += other.join_code_probes
-        self.groups_global_coded += other.groups_global_coded
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.plan_cache_evictions += other.plan_cache_evictions
-        self.plan_cache_contention += other.plan_cache_contention
-        self.partitions_scanned += other.partitions_scanned
-        self.partitions_pruned += other.partitions_pruned
-        self.scatter_partitions = max(self.scatter_partitions,
-                                      other.scatter_partitions)
-        self.partial_aggregates += other.partial_aggregates
-        self.pool_workers = max(self.pool_workers, other.pool_workers)
-        self.gather_wait_ms += other.gather_wait_ms
-        self.bg_compactions += other.bg_compactions
-        self.faults_injected += other.faults_injected
-        self.faults_recovered += other.faults_recovered
-        self.degraded_statements += other.degraded_statements
-        self.sketches_built += other.sketches_built
-        self.sketches_hit += other.sketches_hit
-        self.sketch_rows_elided += other.sketch_rows_elided
-        self.sketch_invalidations += other.sketch_invalidations
+        """Accumulate ``other`` into this object, each field by its declared
+        merge kind; ``other`` is never mutated.  Runs once per statement, so
+        zero values (most counters of most statements) are skipped."""
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _TABLE_COUNTERS:
+            if theirs[name]:
+                totals = mine[name]
+                for table, n in theirs[name].items():
+                    totals[table] += n
+        for name in _SUM_COUNTERS:
+            if theirs[name]:
+                mine[name] += theirs[name]
+        for name in _MAX_COUNTERS:
+            if theirs[name] > mine[name]:
+                mine[name] = theirs[name]
+        for name in _OR_FLAGS:
+            if theirs[name]:
+                mine[name] = True
 
     @property
     def total_rows_scanned(self) -> int:
@@ -234,6 +237,33 @@ class ExecStats:
         touched = set(self.rows_row_store) | set(self.rows_columnar)
         touched |= set(self.writes)
         return touched
+
+
+def _names_merged_by(kind: str) -> tuple:
+    return tuple(f.name for f in fields(ExecStats)
+                 if f.metadata["merge"] == kind)
+
+
+_TABLE_COUNTERS = _names_merged_by("table")
+_SUM_COUNTERS = _names_merged_by("sum")
+_MAX_COUNTERS = _names_merged_by("max")
+_OR_FLAGS = _names_merged_by("or")
+
+
+def _report_sections() -> dict:
+    sections: dict[str, list] = {}
+    for f in fields(ExecStats):
+        meta = f.metadata
+        if "section" in meta:
+            sections.setdefault(meta["section"], []).append(
+                (f.name, meta["label"] or f.name, meta["csv"] or f.name,
+                 meta["text_format"]))
+    return sections
+
+
+# the reported counters grouped by text section, sections and counters in
+# declaration order: {section: [(name, label, csv column, text format)]}
+REPORT_SECTIONS = _report_sections()
 
 
 class Result:

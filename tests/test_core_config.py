@@ -93,3 +93,49 @@ class TestXML:
         path.write_text(XML)
         config = BenchConfig.from_xml(str(path))
         assert config.workload == "fibenchmark"
+
+
+FK_XML = """
+<olxpbench>
+  <workload>fibenchmark</workload>
+  <rates oltp="100" olap="0" hybrid="0"/>
+  <run duration_ms="300" warmup_ms="50"/>
+  <data scale="0.02" seed="5" with_foreign_keys="true"/>
+</olxpbench>
+"""
+
+
+class TestCLIForeignKeys:
+    """``<data with_foreign_keys="true"/>`` must reach the runner: it is
+    the paper's semantically consistent schema variant, and the runner is
+    what refuses it on an engine without foreign keys."""
+
+    @pytest.fixture()
+    def config_path(self, tmp_path):
+        path = tmp_path / "config.xml"
+        path.write_text(FK_XML)
+        return str(path)
+
+    def test_rejected_on_memsql(self, config_path):
+        from repro.cli import main
+
+        with pytest.raises(ConfigError, match="foreign keys"):
+            main(["run", "--config", config_path, "--engine", "memsql"])
+
+    def test_installs_foreign_keys_on_tidb(self, config_path, monkeypatch,
+                                           capsys):
+        from repro import cli
+
+        engines = []
+        make_engine = cli.make_engine
+
+        def capturing_make_engine(*args, **kwargs):
+            engines.append(make_engine(*args, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(cli, "make_engine", capturing_make_engine)
+        assert cli.main(["run", "--config", config_path,
+                         "--engine", "tidb"]) == 0
+        assert "oltp" in capsys.readouterr().out
+        tables = engines[0].db.catalog.tables()
+        assert any(table.foreign_keys for table in tables)

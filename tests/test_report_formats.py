@@ -1,15 +1,21 @@
-"""Interference-matrix and CSV round-trips used by the figure pipeline."""
+"""Interference-matrix and CSV round-trips used by the figure pipeline,
+plus the table-driven counter-plumbing test (declaration -> merge -> run
+report -> text / CSV)."""
 
+import copy
 import csv
 import io
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
 from repro.analysis import InterferenceMatrix
 from repro.core import BenchConfig, OLxPBench
 from repro.core.report import render_csv, render_text
+from repro.core.runner import RunReport
 from repro.engines import TiDBCluster
+from repro.sql.result import REPORT_SECTIONS, ExecStats
 from repro.workloads import make_workload
 
 
@@ -67,3 +73,145 @@ def test_matrix_rows_carry_latency_series(reports):
     for _rate, _olap, tput, avg, p95 in matrix.rows():
         assert tput > 0
         assert p95 >= avg * 0.5
+
+
+# ---------------------------------------------------------------------------
+# counter plumbing, table-driven: every check below iterates the ExecStats
+# field declarations, so a counter added there is covered with no edit here
+# ---------------------------------------------------------------------------
+
+# the CSV header as of PR 20, pinned: reordering or renaming a declared
+# counter changes what downstream figure scripts read, and must fail here
+CSV_HEADER = (
+    "workload,engine,mode,loop,oltp_rate,olap_rate,hybrid_rate,class,"
+    "throughput,count,min,mean,median,p90,p95,p99,p99.9,p99.99,max,std,"
+    "vectorized_requests,batches_scanned,segments_pruned,segments_encoded,"
+    "runs_skipped,segments_merged,delta_rows_pending,sort_elided,"
+    "groups_coded,join_code_probes,groups_global_coded,plan_cache_hits,"
+    "plan_cache_misses,plan_cache_evictions,plan_cache_contention,"
+    "partitions_scanned,partitions_pruned,multi_partition_commits,"
+    "pool_workers,gather_wait_ms,bg_compactions,faults_injected,"
+    "faults_recovered,degraded_statements,sketches_built,sketches_hit,"
+    "sketch_rows_elided,sketch_invalidations")
+
+
+def _primes():
+    candidate = 100
+    while True:
+        candidate += 1
+        if all(candidate % p for p in range(2, int(candidate ** 0.5) + 1)):
+            yield candidate
+
+
+def _empty_report() -> RunReport:
+    return RunReport(config=BenchConfig(workload="subenchmark"),
+                     engine="test", window_ms=1000.0)
+
+
+class TestDeclaredCounters:
+    def test_run_report_redeclares_no_counter(self):
+        declared = {f.name for f in fields(ExecStats)}
+        assert not declared & set(RunReport.__annotations__)
+        assert declared <= {f.name for f in fields(RunReport)}
+
+    def test_every_field_merges_by_its_declared_kind(self):
+        mine, other = ExecStats(), ExecStats()
+        for f in fields(ExecStats):
+            kind = f.metadata["merge"]
+            if kind == "table":
+                getattr(mine, f.name).update(T=1, U=2)
+                getattr(other, f.name).update(U=3, V=4)
+            elif kind == "or":
+                setattr(other, f.name, True)
+            else:
+                assert kind in ("sum", "max"), (f.name, kind)
+                setattr(mine, f.name, type(f.default)(3))
+                setattr(other, f.name, type(f.default)(7))
+        untouched = copy.deepcopy(other)
+        mine.merge(other)
+        assert other == untouched
+        expected = {"sum": 10, "max": 7, "or": True,
+                    "table": {"T": 1, "U": 5, "V": 4}}
+        for f in fields(ExecStats):
+            assert getattr(mine, f.name) == expected[f.metadata["merge"]], \
+                f.name
+        # merging an all-zero statement changes nothing (max and flags
+        # keep the larger side), and the totals are still defaultdicts
+        mine.merge(ExecStats())
+        for f in fields(ExecStats):
+            assert getattr(mine, f.name) == expected[f.metadata["merge"]], \
+                f.name
+            if f.metadata["merge"] == "table":
+                assert getattr(mine, f.name)["never seen"] == 0
+
+    def test_every_reported_counter_reaches_text_and_csv(self):
+        report = _empty_report()
+        report.single_partition_commits = 1   # the partitions line needs one
+        report.metrics("oltp")
+        reported = [f for f in fields(ExecStats) if "section" in f.metadata]
+        values = dict(zip((f.name for f in reported), _primes()))
+        for name, value in values.items():
+            setattr(report, name, value)
+        lines = {line.split(":", 1)[0].strip(): line.split()
+                 for line in report.summary_text().splitlines()[1:]}
+        (row,) = csv.DictReader(io.StringIO(render_csv([report])))
+        derived = {name: (section, label, column, text_format)
+                   for section, counters in REPORT_SECTIONS.items()
+                   for name, label, column, text_format in counters}
+        assert list(derived) == [f.name for f in reported]
+        for f in reported:
+            section, label, column, text_format = derived[f.name]
+            assert section == f.metadata["section"]
+            cell = f"{label}={format(values[f.name], text_format)}"
+            assert cell in lines[section], (f.name, cell)
+            assert row[column] == str(values[f.name]), f.name
+        # nothing else leaks: an unreported counter shows up nowhere
+        unreported = _empty_report()
+        unreported.metrics("oltp")
+        for f in fields(ExecStats):
+            if "section" not in f.metadata and f.metadata["merge"] == "sum":
+                setattr(unreported, f.name, 424243)
+        assert "424243" not in render_text(unreported)
+        assert "424243" not in render_csv([unreported])
+
+    def test_csv_header_is_pinned(self):
+        assert render_csv([]).strip() == CSV_HEADER
+
+    def test_report_equals_the_merge_of_what_the_engine_accounted(self):
+        """One real hybrid run: the report's counters are exactly the
+        ``WorkResult`` stats the run handed to ``engine.account``, merged —
+        plus the replica-side events the runner attributes itself."""
+        engine = TiDBCluster(nodes=4)
+        bench = OLxPBench(engine, make_workload("fibenchmark"), scale=0.02,
+                          seed=3)
+        accounted = []
+        account = engine.account
+
+        def capturing_account(now, work, columnar=False):
+            accounted.append(work)
+            return account(now, work, columnar)
+
+        engine.account = capturing_account
+        replica = engine.db.columnar
+        merges_before = replica.segments_merged_total()
+        invalidated_before = replica.sketches.invalidated
+        background_before = engine.db.bg_compactions_total
+        report = bench.run(BenchConfig(
+            workload="fibenchmark", mode="hybrid", hybrid_rate=30,
+            oltp_rate=50, olap_rate=4, duration_ms=600, warmup_ms=100))
+        assert any(w.realtime_stats is not None for w in accounted)
+        expected = ExecStats()
+        for work in accounted:
+            for stats in (work.stats, work.realtime_stats):
+                if stats is not None:
+                    expected.merge(stats)
+        expected.segments_merged += \
+            replica.segments_merged_total() - merges_before
+        expected.sketch_invalidations += \
+            replica.sketches.invalidated - invalidated_before
+        expected.bg_compactions += \
+            engine.db.bg_compactions_total - background_before
+        assert expected.rows_returned and expected.plan_cache_hits
+        for f in fields(ExecStats):
+            assert getattr(report, f.name) == getattr(expected, f.name), \
+                f.name

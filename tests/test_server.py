@@ -307,48 +307,3 @@ class TestSequentialParity:
         via_server = query_results(ClientSession(db, 1, kind="olap"),
                                    queries)
         assert sequential == via_server
-
-
-class TestStreamedExecution:
-    @staticmethod
-    def _orders_db(partitions: int) -> Database:
-        db = Database(with_columnar=True, partitions=partitions)
-        db.execute_ddl(
-            "CREATE TABLE orders (o_id INT PRIMARY KEY, amount INT, "
-            "region VARCHAR(8))")
-        with db.connect() as conn:
-            for i in range(1, 401):
-                conn.execute(
-                    "INSERT INTO orders (o_id, amount, region) "
-                    "VALUES (?, ?, ?)",
-                    (i, i % 97, f"r{i % 4}"))
-            conn.commit()
-        db.replicate()
-        return db
-
-    @pytest.mark.parametrize("partitions", [1, 2, 8])
-    def test_streamed_rows_match_row_pipeline(self, partitions):
-        db = self._orders_db(partitions)
-        session = ClientSession(db, 1, kind="olap")
-        sql = "SELECT region, amount FROM orders WHERE amount > 50"
-        plain = session.execute(sql, route_columnar=True)
-        streamed = session.execute_streamed(sql)
-        assert sorted(plain.rows) == sorted(streamed.rows)
-        assert streamed.stats.vectorized
-
-    def test_streamed_drains_one_quantum_per_partition(self):
-        db = self._orders_db(4)
-        session = ClientSession(db, 1, kind="olap")
-        session.execute_streamed("SELECT amount FROM orders")
-        assert session.stats.stream_quanta == 4
-
-    def test_ineligible_statement_falls_back(self):
-        db = self._orders_db(2)
-        session = ClientSession(db, 1)
-        result = session.execute_streamed(
-            "SELECT amount FROM orders WHERE o_id = 7")
-        assert len(result.rows) == 1
-        # DML always takes the normal path
-        dml = session.execute_streamed(
-            "UPDATE orders SET amount = 1 WHERE o_id = 7")
-        assert dml.rowcount == 1
