@@ -290,11 +290,12 @@ class Executor:
             stats.index_range_scans += 1
             stats.partitions_scanned += 1
             stats.partitions_pruned += ctx.partition_count - 1
-            for pk, values in txn.pk_prefix_scan(name, prefix):
-                stats.rows_row_store[name] += 1
-                stats.rows_row_prefix[name] += 1
-                if matches(values):
-                    yield pk, values
+            for pks, rows in txn.pk_prefix_scan_batches(name, prefix):
+                stats.rows_row_store[name] += len(rows)
+                stats.rows_row_prefix[name] += len(rows)
+                for pk, values in zip(pks, rows):
+                    if matches(values):
+                        yield pk, values
             return
 
         if path.kind in ("index", "index_prefix"):

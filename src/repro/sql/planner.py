@@ -20,14 +20,19 @@ partitions from pushed partition-key equality predicates.
 
 
 Joins become hash joins whenever an equi-join key is available, otherwise
-nested loops.  Single-table predicates are pushed to the scans (and
-re-applied there, which also re-validates possibly-stale index entries).
+nested loops.  Single-table predicates are pushed to the scans; the filter
+above a scan holds only the *residual* — what the access path does not
+already prove.  The bound equalities of a PK lookup or PK-prefix scan hold
+for every row it returns and are not evaluated again; a secondary-index
+path proves nothing (its entries may be stale), so its filter re-applies
+the whole predicate.
 
 Operators speak the two-way protocol of ``repro.sql.plannode``: the full
-scan, filters, projections, hash joins, aggregates and sorts are written
-batch-at-a-time (``BatchNode``), so a draining statement moves lists of
-rows from the MVCC store to the pipeline breakers; the lazy consumers
-(``Limit``, nested-loop and index joins) still pull row by row.
+and PK-prefix scans, filters, projections, hash and index joins,
+aggregates and sorts are written batch-at-a-time (``BatchNode``), so a
+draining statement moves lists of rows from the MVCC store to the pipeline
+breakers; the lazy consumers (``Limit``, nested-loop joins) still pull row
+by row.
 """
 
 from __future__ import annotations
@@ -143,8 +148,9 @@ class PKLookup(PlanNode):
             yield values
 
 
-class PKPrefixScan(PlanNode):
-    """Range scan over a prefix of the (composite) primary key."""
+class PKPrefixScan(BatchNode):
+    """Range scan over a prefix of the (composite) primary key; the store's
+    prefix-scan batches pass straight through."""
 
     def __init__(self, table: Table, binding: str, prefix_fns):
         self.table = table
@@ -152,7 +158,8 @@ class PKPrefixScan(PlanNode):
         self.prefix_fns = prefix_fns
         self.schema = Schema([(binding, col) for col in table.column_names])
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        name = self.table.name
         prefix = tuple(fn((), ctx) for fn in self.prefix_fns)
         ctx.stats.index_range_scans += 1
         # the prefix includes the partition key, so one partition serves it
@@ -160,13 +167,15 @@ class PKPrefixScan(PlanNode):
         ctx.stats.partitions_pruned += ctx.partition_count - 1
         count = 0
         try:
-            for _pk, values in ctx.txn.pk_prefix_scan(self.table.name,
-                                                      prefix):
-                count += 1
-                yield values
+            for _pks, rows in ctx.txn.pk_prefix_scan_batches(name, prefix,
+                                                             size):
+                count += len(rows)
+                yield rows
         finally:
-            ctx.stats.rows_row_store[self.table.name] += count
-            ctx.stats.rows_row_prefix[self.table.name] += count
+            # also reached when a lazy consumer closes the scan early: the
+            # rows it did pull are charged
+            ctx.stats.rows_row_store[name] += count
+            ctx.stats.rows_row_prefix[name] += count
 
 
 class IndexScan(PlanNode):
@@ -344,7 +353,7 @@ class NestedLoopJoin(PlanNode):
         return [self.left, self.right]
 
 
-class IndexJoin(PlanNode):
+class IndexJoin(BatchNode):
     """Index nested-loop join: per outer row, look the inner rows up by
     primary key, PK prefix, or a secondary index.
 
@@ -352,6 +361,11 @@ class IndexJoin(PlanNode):
     keys cover the inner table's PK (or an index) — exactly the plan a real
     optimiser picks for TPC-C's StockLevel join, keeping OLTP transactions
     point-read-shaped instead of scan-shaped.
+
+    Both sides are read ``size`` rows at a time and a batch goes out as soon
+    as ``size`` joined rows are ready, so the row-at-a-time reading under a
+    ``Limit`` looks up — and charges — no inner row past the last one asked
+    for.
     """
 
     def __init__(self, left: PlanNode, table: Table, binding: str,
@@ -375,22 +389,31 @@ class IndexJoin(PlanNode):
             self._recheck_positions = tuple(
                 table.position(c) for c in index.columns)
 
-    def _inner_rows(self, key: tuple, ctx):
+    def _inner_batches(self, key: tuple, ctx, size: int):
+        """The inner rows under ``key`` as lists of at most ``size`` rows,
+        each charged to the statistics when it is read."""
         name = self.table.name
         if self.lookup == "pk":
             ctx.stats.pk_lookups += 1
             values = ctx.txn.get(name, key)
-            if values is not None:
-                ctx.stats.rows_row_store[name] += 1
-                yield values
-            return
+            if values is None:
+                return ()
+            ctx.stats.rows_row_store[name] += 1
+            return ([values],)
         if self.lookup == "pk_prefix":
-            ctx.stats.index_range_scans += 1
-            for _pk, values in ctx.txn.pk_prefix_scan(name, key):
-                ctx.stats.rows_row_store[name] += 1
-                ctx.stats.rows_row_prefix[name] += 1
-                yield values
-            return
+            return self._prefix_batches(key, ctx, size)
+        return batched(self._index_rows(key, ctx), size)
+
+    def _prefix_batches(self, key: tuple, ctx, size: int):
+        name = self.table.name
+        ctx.stats.index_range_scans += 1
+        for _pks, rows in ctx.txn.pk_prefix_scan_batches(name, key, size):
+            ctx.stats.rows_row_store[name] += len(rows)
+            ctx.stats.rows_row_prefix[name] += len(rows)
+            yield rows
+
+    def _index_rows(self, key: tuple, ctx):
+        name = self.table.name
         ctx.stats.index_lookups += 1
         store = ctx.txn.manager.storage.store(name)
         pks = store.index(self.index_name).lookup(key)
@@ -411,24 +434,37 @@ class IndexJoin(PlanNode):
                 ctx.stats.rows_row_store[name] += 1
                 yield values
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         ctx.stats.join_ops += 1
         null_row = (None,) * len(self.table.columns)
+        left_outer = self.kind == "LEFT"
         key_fns = self.key_fns
         inner_filter = self.inner_filter
+        inner_batches = self._inner_batches
         emitted = 0
-        for left_row in self.left.execute(ctx):
-            key = tuple(fn(left_row, ctx) for fn in key_fns)
-            matched = False
-            for inner in self._inner_rows(key, ctx):
-                if inner_filter is not None and not inner_filter(inner, ctx):
-                    continue
-                matched = True
-                emitted += 1
-                yield left_row + inner
-            if not matched and self.kind == "LEFT":
-                emitted += 1
-                yield left_row + null_row
+        joined: list = []
+        for batch in self.left.execute_batches(ctx, size):
+            for left_row, key in zip(batch, _key_tuples(key_fns, batch, ctx)):
+                matched = False
+                for inner in inner_batches(key, ctx, size):
+                    if inner_filter is not None:
+                        inner = [row for row in inner
+                                 if inner_filter(row, ctx)]
+                    if inner:
+                        matched = True
+                        emitted += len(inner)
+                        joined += [left_row + row for row in inner]
+                        if len(joined) >= size:
+                            yield from chunked(joined, size)
+                            joined = []
+                if left_outer and not matched:
+                    emitted += 1
+                    joined.append(left_row + null_row)
+                    if len(joined) >= size:
+                        yield joined
+                        joined = []
+        if joined:
+            yield joined
         ctx.stats.rows_joined += emitted
 
     def children(self):
@@ -778,11 +814,15 @@ class Distinct(BatchNode):
 class AccessPath:
     """How DML statements locate their target rows."""
 
-    kind: str  # "pk" | "pk_prefix" | "index" | "seq"
+    kind: str  # "pk" | "pk_prefix" | "index" | "index_prefix" | "seq"
     table: Table
     key_fns: list
     index_name: str | None
-    filter_fn: object | None  # full WHERE, compiled against the table schema
+    # the conjuncts the path itself does not prove (None when it proves them
+    # all), compiled against the table schema: the bound equalities of a
+    # pk / pk_prefix path hold for every row it returns, so only the rest
+    # is evaluated per row; an index path proves nothing (stale entries)
+    filter_fn: object | None
 
 
 @dataclass
@@ -1200,9 +1240,6 @@ class Planner:
         base_path = self._access_path(base_table, base_ref.binding,
                                       base_conjs)
         node = self._path_to_node(base_path, base_ref.binding)
-        if base_conjs:
-            node = Filter(node, compile_expr(_and_all(base_conjs),
-                                             node.schema, sub))
         # "selective" = the running pipeline produces few rows, so an
         # index nested-loop join into the next table is the right plan
         selective = base_path.kind != "seq"
@@ -1760,76 +1797,66 @@ class Planner:
 
     def _scan_with_filter(self, table: Table, binding: str,
                           conjuncts: list[ast.Expr]) -> PlanNode:
-        path = self._access_path(table, binding, conjuncts)
-        node = self._path_to_node(path, binding)
-        if conjuncts:
-            node = Filter(
-                node,
-                compile_expr(_and_all(conjuncts), node.schema,
-                             self._plan_subquery),
-            )
-        return node
+        return self._path_to_node(
+            self._access_path(table, binding, conjuncts), binding)
 
     def _access_path(self, table: Table, binding: str,
                      conjuncts: list[ast.Expr]) -> AccessPath:
         """Pick pk / pk_prefix / index / seq for the given predicates."""
         eq: dict[str, ast.Expr] = {}
+        bound_by: dict[str, ast.Expr] = {}   # column -> the conjunct in eq
         for conjunct in conjuncts:
             if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
                 continue
             left, right = conjunct.left, conjunct.right
+            if isinstance(right, ast.ColumnRef) and _is_constant(left):
+                left, right = right, left
             if isinstance(left, ast.ColumnRef) and _is_constant(right):
                 if table.has_column(left.name.upper()) or \
                         table.has_column(left.name):
-                    eq.setdefault(self._column_key(table, left.name), right)
-            elif isinstance(right, ast.ColumnRef) and _is_constant(left):
-                if table.has_column(right.name.upper()) or \
-                        table.has_column(right.name):
-                    eq.setdefault(self._column_key(table, right.name), left)
+                    column = self._column_key(table, left.name)
+                    if column not in eq:
+                        eq[column] = right
+                        bound_by[column] = conjunct
 
         empty = Schema([])
         sub = self._plan_subquery
 
-        def fns(exprs):
-            return [compile_expr(e, empty, sub) for e in exprs]
-
-        full_filter = (
-            compile_expr(
-                _and_all(conjuncts),
+        def path(kind, columns, index_name=None):
+            proved = {id(bound_by[c]) for c in columns} \
+                if kind in ("pk", "pk_prefix") else ()
+            residual = [c for c in conjuncts if id(c) not in proved]
+            filter_fn = compile_expr(
+                _and_all(residual),
                 Schema([(binding, c) for c in table.column_names]),
                 sub,
-            ) if conjuncts else None
-        )
+            ) if residual else None
+            return AccessPath(kind, table,
+                              [compile_expr(eq[c], empty, sub)
+                               for c in columns],
+                              index_name, filter_fn)
+
+        def bound_prefix(columns):
+            prefix = []
+            for col in columns:
+                if col not in eq:
+                    break
+                prefix.append(col)
+            return prefix
 
         pk = [self._column_key(table, c) for c in table.primary_key]
-        if all(col in eq for col in pk):
-            return AccessPath("pk", table, fns([eq[c] for c in pk]),
-                              None, full_filter)
-        prefix = []
-        for col in pk:
-            if col in eq:
-                prefix.append(eq[col])
-            else:
-                break
+        prefix = bound_prefix(pk)
         if prefix:
-            return AccessPath("pk_prefix", table, fns(prefix),
-                              None, full_filter)
+            return path("pk" if len(prefix) == len(pk) else "pk_prefix",
+                        prefix)
         for index in table.indexes.values():
             idx_cols = [self._column_key(table, c) for c in index.columns]
             if all(col in eq for col in idx_cols):
-                return AccessPath("index", table,
-                                  fns([eq[c] for c in idx_cols]),
-                                  index.name, full_filter)
-            idx_prefix = []
-            for col in idx_cols:
-                if col in eq:
-                    idx_prefix.append(eq[col])
-                else:
-                    break
+                return path("index", idx_cols, index.name)
+            idx_prefix = bound_prefix(idx_cols)
             if idx_prefix:
-                return AccessPath("index_prefix", table, fns(idx_prefix),
-                                  index.name, full_filter)
-        return AccessPath("seq", table, [], None, full_filter)
+                return path("index_prefix", idx_prefix, index.name)
+        return path("seq", [])
 
     @staticmethod
     def _column_key(table: Table, name: str) -> str:
@@ -1840,17 +1867,21 @@ class Planner:
         return name
 
     def _path_to_node(self, path: AccessPath, binding: str) -> PlanNode:
+        """The scan of ``path`` under a ``Filter`` of what it leaves
+        unproved."""
         if path.kind == "pk":
-            return PKLookup(path.table, binding, path.key_fns)
-        if path.kind == "pk_prefix":
-            return PKPrefixScan(path.table, binding, path.key_fns)
-        if path.kind == "index":
-            return IndexScan(path.table, binding, path.index_name,
-                             path.key_fns, prefix=False)
-        if path.kind == "index_prefix":
-            return IndexScan(path.table, binding, path.index_name,
-                             path.key_fns, prefix=True)
-        return SeqScan(path.table, binding)
+            node = PKLookup(path.table, binding, path.key_fns)
+        elif path.kind == "pk_prefix":
+            node = PKPrefixScan(path.table, binding, path.key_fns)
+        elif path.kind in ("index", "index_prefix"):
+            node = IndexScan(path.table, binding, path.index_name,
+                             path.key_fns,
+                             prefix=path.kind == "index_prefix")
+        else:
+            node = SeqScan(path.table, binding)
+        if path.filter_fn is not None:
+            node = Filter(node, path.filter_fn)
+        return node
 
     # -- aggregation --------------------------------------------------------------
 

@@ -4,13 +4,13 @@ Every row operator offers its output two ways:
 
 * ``execute(ctx)`` yields row tuples one at a time and reads no further
   ahead than its consumer pulls — what the *lazy* consumers call (``Limit``,
-  the outer side of nested-loop and index joins), so a closed generator
-  never read, or charged to ``ExecStats``, a row nobody asked for;
+  the outer side of a nested-loop join), so a closed generator never read,
+  or charged to ``ExecStats``, a row nobody asked for;
 * ``execute_batches(ctx, size)`` yields the same rows, in the same order, as
   non-empty lists of at most ``size`` rows, reading its streaming input at
   most ``size`` rows ahead — what the *draining* consumers call (aggregates,
-  join builds and probes, sorts, the statement result), trading one
-  generator hop per row for one per batch.
+  hash-join builds and probes, the index join's outer side, sorts, the
+  statement result), trading one generator hop per row for one per batch.
 
 A node implements whichever is natural and inherits the other: plain
 ``PlanNode`` subclasses write ``execute`` and get chunked batches;

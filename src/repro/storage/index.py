@@ -77,15 +77,25 @@ class OrderedIndex:
     def lookup(self, key: tuple) -> set:
         return self._entries.get(key, set())
 
+    def prefix_keys(self, prefix: tuple) -> list[tuple]:
+        """The keys starting with ``prefix``, in key order: one slice
+        between two bisects.  A prefix the keys cannot be ordered against —
+        a NULL, or a value of another type — equals none of them."""
+        keys = self._keys
+        n = len(prefix)
+        try:
+            lo = bisect.bisect_left(keys, prefix)
+            hi = bisect.bisect_right(keys, prefix, lo,
+                                     key=lambda key: key[:n])
+        except TypeError:
+            return []
+        return keys[lo:hi]
+
     def prefix_scan(self, prefix: tuple) -> Iterator[tuple[tuple, set]]:
         """Yield ``(key, pks)`` for every key starting with ``prefix``."""
-        lo = bisect.bisect_left(self._keys, prefix)
-        n = len(prefix)
-        for i in range(lo, len(self._keys)):
-            key = self._keys[i]
-            if key[:n] != prefix:
-                break
-            yield key, self._entries[key]
+        entries = self._entries
+        for key in self.prefix_keys(prefix):
+            yield key, entries[key]
 
     def range_scan(
         self, low: tuple | None, high: tuple | None

@@ -14,16 +14,17 @@ routes to exactly one shard; full scans preserve the database-global row
 arrival order (via a placement map), so query results are independent of
 the partition count.
 
-Full scans are **batch-at-a-time**: ``scan_batches`` walks the version
-chains directly and hands out parallel ``(pks, rows)`` lists, so the row
-pipeline above pays per-batch — not per-row — generator hops.
+Full scans and PK-prefix scans are **batch-at-a-time**: ``scan_batches``
+and ``pk_prefix_scan_batches`` walk the version chains directly and hand
+out parallel ``(pks, rows)`` lists, so the row pipeline above pays
+per-batch — not per-row — generator hops.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.catalog.schema import IndexDef, Table
 from repro.errors import CatalogError, IntegrityError
@@ -67,9 +68,9 @@ def _visible_values(chain: list[RowVersion], ts: int) -> tuple | None:
     return None
 
 
-def _scan_chain_batches(chains: dict[tuple, list[RowVersion]], ts: int,
-                        size: int) -> Iterator[tuple[list, list]]:
-    """Snapshot scan over ``chains`` in dict order, ``size`` rows at a time.
+def _scan_chain_batches(chains: Iterable[tuple[tuple, list[RowVersion]]],
+                        ts: int, size: int) -> Iterator[tuple[list, list]]:
+    """Snapshot scan over ``(pk, chain)`` pairs, ``size`` rows at a time.
 
     Yields parallel ``(pks, rows)`` lists of the rows visible at ``ts``.
     The newest version is tested inline — it is the visible one for every
@@ -78,7 +79,7 @@ def _scan_chain_batches(chains: dict[tuple, list[RowVersion]], ts: int,
     """
     pks: list = []
     rows: list = []
-    for pk, chain in chains.items():
+    for pk, chain in chains:
         newest = chain[-1]
         values = newest.values if newest.begin_ts <= ts \
             else _visible_values(chain, ts)
@@ -154,7 +155,7 @@ class TableStore:
                      ) -> Iterator[tuple[list, list]]:
         """Parallel ``(pks, rows)`` lists of the rows visible at ``ts``, in
         first-install order, at most ``size`` rows per batch."""
-        return _scan_chain_batches(self._chains, ts, size)
+        return _scan_chain_batches(self._chains.items(), ts, size)
 
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
         """Yield ``(pk, values)`` for every row visible at ``ts``."""
@@ -163,8 +164,11 @@ class TableStore:
     def pk_lookup(self, pk: tuple, ts: int) -> tuple | None:
         return self.get(pk, ts)
 
-    def pk_prefix_scan(self, prefix: tuple, ts: int) -> Iterator[tuple[tuple, tuple]]:
-        """Scan rows whose primary key starts with ``prefix``.
+    def pk_prefix_scan_batches(self, prefix: tuple, ts: int,
+                               size: int = SCAN_BATCH_ROWS
+                               ) -> Iterator[tuple[list, list]]:
+        """``scan_batches`` over the rows whose primary key starts with
+        ``prefix``, in key order.
 
         Served from the ordered PK index (the B+-tree analogue), so a prefix
         lookup touches only matching keys.  Note this only helps predicates
@@ -172,10 +176,12 @@ class TableStore:
         (tabenchmark's ``sub_nbr``) still needs a full scan, which is exactly
         the slow-query behaviour the paper reports for both DBMSs.
         """
-        for pk, _entry in self._pk_index.prefix_scan(prefix):
-            values = self.get(pk, ts)
-            if values is not None:
-                yield pk, values
+        pks = self._pk_index.prefix_keys(prefix)
+        return _scan_chain_batches(
+            zip(pks, map(self._chains.__getitem__, pks)), ts, size)
+
+    def pk_prefix_scan(self, prefix: tuple, ts: int) -> Iterator[tuple[tuple, tuple]]:
+        return iter_pairs(self.pk_prefix_scan_batches(prefix, ts))
 
     # -- commit-time installation -------------------------------------------
 
@@ -331,7 +337,7 @@ class PartitionedTableStore:
 
     def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
                      ) -> Iterator[tuple[list, list]]:
-        return _scan_chain_batches(self._placement, ts, size)
+        return _scan_chain_batches(self._placement.items(), ts, size)
 
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
         return iter_pairs(self.scan_batches(ts))
@@ -339,12 +345,14 @@ class PartitionedTableStore:
     def pk_lookup(self, pk: tuple, ts: int) -> tuple | None:
         return self.get(pk, ts)
 
-    def pk_prefix_scan(self, prefix: tuple, ts: int) -> Iterator[tuple[tuple, tuple]]:
+    def pk_prefix_scan_batches(self, prefix: tuple, ts: int,
+                               size: int = SCAN_BATCH_ROWS
+                               ) -> Iterator[tuple[list, list]]:
         """Prefix scans always bind to one shard: the partition key is the
         first primary-key column and every prefix includes it."""
-        yield from self.shards[
+        return self.shards[
             self.pmap.partition_of_value(prefix[0])
-        ].pk_prefix_scan(prefix, ts)
+        ].pk_prefix_scan_batches(prefix, ts, size)
 
     # -- commit-time installation -------------------------------------------
 

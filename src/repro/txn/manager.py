@@ -13,8 +13,9 @@ fresh commit timestamp (optimistic concurrency, as in TiDB's default mode):
 Reads merge the transaction's own write buffer over the store snapshot, so a
 transaction always sees its own effects — crucial for hybrid transactions,
 whose embedded real-time query must observe the online statements that
-precede it.  Full scans overlay the buffer batch-at-a-time, and cost
-nothing extra when the transaction has not written to the scanned table.
+precede it.  Full and PK-prefix scans overlay the buffer batch-at-a-time,
+and cost nothing extra when the transaction has not written to the scanned
+table.
 """
 
 from __future__ import annotations
@@ -127,16 +128,20 @@ class Transaction:
     def scan(self, table: str) -> Iterator[tuple[tuple, tuple]]:
         return iter_pairs(self.scan_batches(table))
 
-    def pk_prefix_scan(self, table: str, prefix: tuple) -> Iterator[tuple[tuple, tuple]]:
+    def pk_prefix_scan_batches(self, table: str, prefix: tuple,
+                               size: int = SCAN_BATCH_ROWS
+                               ) -> Iterator[tuple[list, list]]:
+        """``scan_batches`` over the rows whose primary key starts with
+        ``prefix``: key order, then this transaction's own new rows."""
         self._check_active()
-        base = self._manager.storage.store(table).pk_prefix_scan(
-            prefix, self.read_ts)
+        base = self._manager.storage.store(table).pk_prefix_scan_batches(
+            prefix, self.read_ts, size)
         local = self._local.get(table.upper())
-        if not local:
-            return base
-        n = len(prefix)
-        return self._merged(base, {pk: values for pk, values in local.items()
-                                   if pk[:n] == prefix})
+        if local:
+            n = len(prefix)
+            local = {pk: values for pk, values in local.items()
+                     if pk[:n] == prefix}
+        return self._overlaid(base, local, size) if local else base
 
     def index_candidate_pks(self, table: str, index_name: str, key: tuple) -> set:
         """Primary keys the index suggests; caller re-checks visibility."""
@@ -162,25 +167,11 @@ class Transaction:
         return self._local.get(table.upper(), {}).items()
 
     @staticmethod
-    def _merged(base: Iterator, local: dict) -> Iterator[tuple[tuple, tuple]]:
-        """Overlay buffered writes ``local`` (consumed) on a base row scan:
-        rewritten rows are replaced in position, deleted rows dropped and
-        new rows appended in write order."""
-        for pk, values in base:
-            if pk in local:
-                values = local.pop(pk)
-                if values is None:
-                    continue
-            yield pk, values
-        for pk, values in local.items():
-            if values is not None:
-                yield pk, values
-
-    @staticmethod
     def _overlaid(base: Iterator, local: dict, size: int
                   ) -> Iterator[tuple[list, list]]:
-        """``_merged`` batch-at-a-time: same replace / drop / append order,
-        one membership pass per batch instead of a generator hop per row."""
+        """Overlay buffered writes ``local`` on a base scan, batch by batch:
+        rewritten rows are replaced in position, deleted rows dropped and
+        new rows appended in write order."""
         pending = dict(local)
         for pks, rows in base:
             hits = [i for i, pk in enumerate(pks) if pk in pending]

@@ -215,3 +215,83 @@ class TestDeclaredCounters:
         for f in fields(ExecStats):
             assert getattr(report, f.name) == getattr(expected, f.name), \
                 f.name
+
+
+# ---------------------------------------------------------------------------
+# "counters identical" as a test: two fixed-seed figure-shaped runs (scale
+# 0.3, workers=0) against literals recorded at PR 20's head, before PR 21
+# touched the engine.  Every ExecStats counter not listed must be zero /
+# empty.  A PR that means to move a counter or a simulated mean edits the
+# literal and says in CHANGES.md by how much and why; an optimisation that
+# claims "same work, faster" must leave it alone.
+# ---------------------------------------------------------------------------
+
+PINNED_SUBENCHMARK_MIXED = {
+    "agg_input_rows": 107498, "batches_scanned": 48, "columns_decoded": 101,
+    "delta_rows_pending": 26844,
+    "full_scans": {"customer": 3, "district": 2, "history": 5,
+                   "new_order": 1, "order_line": 4, "warehouse": 1},
+    "groups": 192, "index_range_scans": 92, "join_ops": 10,
+    "partial_aggregates": 44, "partitions_pruned": 4308,
+    "partitions_scanned": 1500, "pk_lookups": 2297,
+    "plan_cache_hits": 1799, "plan_cache_misses": 36,
+    "rows_columnar": {"customer": 9000, "district": 20, "history": 15043,
+                      "new_order": 967, "order_line": 82996,
+                      "warehouse": 1},
+    "rows_joined": 10049, "rows_returned": 1051,
+    "rows_row_prefix": {"customer": 11400, "new_order": 1928,
+                        "order_line": 15849, "orders": 3904},
+    "rows_row_store": {"customer": 11507, "district": 133, "item": 328,
+                       "new_order": 1948, "order_line": 15849,
+                       "orders": 3944, "stock": 1609, "warehouse": 60},
+    "scatter_partitions": 4, "segments_encoded": 32,
+    "sketch_rows_elided": 2709, "sketches_built": 1, "sketches_hit": 3,
+    "sort_rows": 168, "used_columnar": True, "values_decoded": 242795,
+    "vectorized": True, "vectorized_statements": 11,
+    "writes": {"customer": 46, "district": 60, "history": 26,
+               "new_order": 54, "order_line": 552, "orders": 54,
+               "stock": 328, "warehouse": 26},
+}
+PINNED_SUBENCHMARK_SIM_MEAN_MS = {"olap": 110.5331, "oltp": 24.557935}
+
+PINNED_FIBENCHMARK_HYBRID = {
+    "agg_input_rows": 432000,
+    "full_scans": {"checking": 32, "saving": 23},
+    "groups": 55, "join_ops": 13, "partitions_pruned": 408,
+    "partitions_scanned": 356, "pk_lookups": 136, "plan_cache_hits": 164,
+    "plan_cache_misses": 14, "rows_joined": 13, "rows_returned": 105,
+    "rows_row_store": {"checking": 288093, "saving": 207043},
+    "writes": {"checking": 55, "saving": 18},
+}
+PINNED_FIBENCHMARK_SIM_MEAN_MS = {"hybrid": 51.595415}
+
+
+class TestCountersPinned:
+    @staticmethod
+    def _check(report, counters: dict, sim_mean_ms: dict):
+        for f in fields(ExecStats):
+            value = getattr(report, f.name)
+            if f.metadata["merge"] == "table":
+                value = dict(value)
+            assert value == counters.get(f.name, type(value)()), f.name
+        assert {kind: round(report.latency(kind).mean, 6)
+                for kind in report.classes} == sim_mean_ms
+
+    def test_subenchmark_mixed_run(self):
+        bench = OLxPBench(TiDBCluster(replication_apply_rate=10.0),
+                          make_workload("subenchmark"), scale=0.3, seed=3)
+        report = bench.run(BenchConfig(
+            workload="subenchmark", oltp_rate=20, olap_rate=4,
+            duration_ms=3000, warmup_ms=500))
+        assert report.rows_row_prefix   # the run takes the PK-prefix path
+        self._check(report, PINNED_SUBENCHMARK_MIXED,
+                    PINNED_SUBENCHMARK_SIM_MEAN_MS)
+
+    def test_fibenchmark_hybrid_run(self):
+        bench = OLxPBench(TiDBCluster(), make_workload("fibenchmark"),
+                          scale=0.3, seed=3)
+        report = bench.run(BenchConfig(
+            workload="fibenchmark", mode="hybrid", hybrid_rate=30,
+            oltp_rate=0, olap_rate=0, duration_ms=1500, warmup_ms=300))
+        self._check(report, PINNED_FIBENCHMARK_HYBRID,
+                    PINNED_FIBENCHMARK_SIM_MEAN_MS)

@@ -8,6 +8,7 @@ joins) depend on the planner making the same choices a real optimiser would.
 import pytest
 
 from repro.db import Database
+from repro.sql.executor import ExecContext
 from repro.sql.planner import (
     Filter,
     HashJoin,
@@ -19,6 +20,7 @@ from repro.sql.planner import (
     SeqScan,
     SelectPlan,
 )
+from repro.workloads import make_workload
 
 
 @pytest.fixture
@@ -188,3 +190,124 @@ class TestPlanCorrectnessParity:
         assert scan.stats.rows_row_store["t"] == 30
         prefix = loaded.query("SELECT c FROM t WHERE a = 1")
         assert prefix.stats.rows_row_prefix["t"] == 3
+
+
+def plan_nodes(plan: SelectPlan) -> list:
+    """Every node of the row plan, root first."""
+    nodes, frontier = [], [plan.root]
+    while frontier:
+        node = frontier.pop()
+        nodes.append(node)
+        frontier.extend(node.children())
+    return nodes
+
+
+class TestResidualPredicates:
+    """The filter above a scan holds only what the access path does not
+    prove: the bound equalities of a PK lookup / PK-prefix scan are not
+    evaluated again, a secondary-index path rechecks everything."""
+
+    @pytest.fixture(scope="class")
+    def retail(self):
+        database = Database()
+        database.run_script(make_workload("subenchmark").schema_script())
+        return database
+
+    @pytest.mark.parametrize("sql", [
+        # subenchmark Q4, Q7 and Delivery's oldest-new-order lookup
+        "SELECT c_d_id, c_credit, COUNT(*), AVG(c_balance), MIN(c_balance) "
+        "FROM customer WHERE c_w_id = ? GROUP BY c_d_id, c_credit "
+        "ORDER BY c_d_id, c_credit",
+        "SELECT o_d_id, AVG(o_ol_cnt) FROM orders WHERE o_w_id = ? "
+        "GROUP BY o_d_id ORDER BY o_d_id",
+        "SELECT MIN(no_o_id) FROM new_order WHERE no_w_id = ? AND no_d_id = ?",
+    ], ids=["Q4", "Q7", "delivery_oldest"])
+    def test_prefix_only_predicates_plan_no_filter(self, retail, sql):
+        nodes = plan_nodes(retail.prepare(sql))
+        assert any(isinstance(node, PKPrefixScan) for node in nodes)
+        assert not any(isinstance(node, Filter) for node in nodes)
+
+    def test_stock_level_residual_is_the_order_id_range(self, retail):
+        plan = retail.prepare(
+            "SELECT COUNT(DISTINCT s.s_i_id) FROM order_line ol "
+            "JOIN stock s ON s.s_i_id = ol.ol_i_id AND s.s_w_id = ol.ol_w_id "
+            "WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? AND ol.ol_o_id >= ? "
+            "AND ol.ol_o_id < ? AND s.s_quantity < ?")
+        join = join_node(plan)
+        assert isinstance(join, IndexJoin) and join.lookup == "pk"
+        residual = join.left
+        assert isinstance(residual, Filter)
+        assert isinstance(residual.child, PKPrefixScan)
+        table = retail.catalog.table("order_line")
+        ctx = ExecContext(None, (1, 2, 80, 100, 15))
+
+        def line(w_id, d_id, o_id):
+            row = [None] * len(table.columns)
+            for column, value in (("ol_w_id", w_id), ("ol_d_id", d_id),
+                                  ("ol_o_id", o_id)):
+                row[table.position(column)] = value
+            return tuple(row)
+
+        # only the range is evaluated: a row of another district — which
+        # the scan can never produce — would pass
+        assert residual.predicate(line(1, 2, 80), ctx)
+        assert residual.predicate(line(9, 9, 99), ctx)
+        assert not residual.predicate(line(1, 2, 79), ctx)
+        assert not residual.predicate(line(1, 2, 100), ctx)
+
+    def test_point_select_by_full_pk_has_no_filter(self, db):
+        plan = db.prepare("SELECT c FROM t WHERE a = ? AND b = ?")
+        assert not any(isinstance(node, Filter) for node in plan_nodes(plan))
+        # ... but what the key does not prove stays
+        db.bulk_load("t", [(1, 1, 5, "x")])
+        assert db.query("SELECT c FROM t WHERE a = ? AND b = ? AND a = ?",
+                        (1, 1, 2)).rows == []
+        assert db.query("SELECT c FROM t WHERE a = ? AND a = ?",
+                        (1, 2)).rows == []
+
+    @pytest.mark.parametrize("where, prefix", [
+        ("name = 'new'", False), ("c = 7", True)],
+        ids=["index", "index_prefix"])
+    def test_index_paths_recheck_the_whole_predicate(self, db, where,
+                                                     prefix):
+        """An index entry says what a row's *newest* version holds: a
+        snapshot that still sees the version before the update must not get
+        the row from the lookup under the new key, and the transaction's
+        own buffered rows (every one is a candidate) are filtered too."""
+        db.run_script("CREATE INDEX idx_t_c_name ON t (c, name)")
+        db.bulk_load("t", [(1, 1, 5, "old"), (2, 2, 7, "new")])
+        plan = db.prepare(f"SELECT a FROM t WHERE {where}")
+        scan = scan_node(plan)
+        assert isinstance(scan, IndexScan) and scan.prefix is prefix
+        with db.connect() as reader:
+            reader.begin()
+            with db.connect() as writer:
+                writer.execute(
+                    "UPDATE t SET name = 'new', c = 7 WHERE a = 1 AND b = 1")
+            reader.execute("INSERT INTO t (a, b, c, name) "
+                           "VALUES (3, 3, 0, 'mine')")
+            assert reader.execute(f"SELECT a FROM t WHERE {where}").rows \
+                == [(2,)]
+        assert sorted(db.query(f"SELECT a FROM t WHERE {where}").rows) \
+            == [(1,), (2,)]
+
+    @pytest.mark.parametrize("params", [(None,), ("x",)],
+                             ids=["null", "mistyped"])
+    def test_null_or_mistyped_prefix_matches_nothing(self, db, params):
+        """Was a bare ``TypeError`` out of ``bisect``; the full-key form
+        already returned no rows."""
+        db.bulk_load("t", [(1, 1, 5, "x"), (1, 2, 6, "y")])
+        with db.connect() as conn:
+            select = conn.execute("SELECT c FROM t WHERE a = ?", params)
+            assert select.rows == []
+            assert not select.stats.rows_row_store.get("t")
+            for sql in ("UPDATE t SET c = 0 WHERE a = ?",
+                        "DELETE FROM t WHERE a = ?"):
+                result = conn.execute(sql, params)
+                assert result.rowcount == 0
+                assert not result.stats.rows_row_store.get("t")
+                assert not result.stats.writes
+            assert conn.execute("SELECT c FROM t WHERE a = NULL").rows == []
+            assert conn.execute("SELECT c FROM t WHERE a = ? AND b = ?",
+                                params + (1,)).rows == []
+            assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 2
