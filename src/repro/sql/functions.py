@@ -16,13 +16,24 @@ are exact and the final float conversion is one correctly-rounded
 division): one integer per group, all on one state-wide binary exponent.
 This is what lets partition-parallel scatter-gather plans and cached
 segment partials return byte-identical results to a single scan.
+
+Exact does not mean per value.  A slice that belongs to one group (a
+global aggregate's whole batch, an RLE run's span, a code bucket) folds in
+C-level passes whenever it is homogeneous and NULL-free — a sealed typed
+array says so, a plain ``list`` (every row-store batch and plain-delta
+column) is asked with one ``set(map(type, ...))`` census: ints through
+builtin ``sum``, floats through ``_fold_floats``, which has ``math.fsum``
+spell the true sum out as two or three doubles and converts only those.
+The per-value loop is what remains for NULLs, ``bool``, mixed types,
+``Decimal`` and non-finite floats; grouped batches ``scatter`` instead,
+which needs a scaled value per row rather than a total.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from operator import gt, lt
 
 from repro.errors import ExecutionError
@@ -47,17 +58,64 @@ def _scale_floats(values, exponent: int) -> tuple[int, list]:
                                        repeat(-exponent))))
 
 
-def _fold_typed_slice(buckets: dict, values):
-    """Fold a typed-array column slice (NATIVE encoding) exactly: floats
-    into ``buckets``, ints into the returned total.
+#: passes of ``math.fsum`` an expansion may take: three parts and the zero
+#: that proves nothing is left — ~160 bits of span, far beyond a column of
+#: like-sized values (balances take two parts)
+_EXPANSION_PASSES = 4
 
-    Dense ranges of a sealed typed column — whole unfiltered segments, or
-    RLE-run-shaped selections — fold via the column's precomputed exact
-    block partials (floats) or one builtin ``sum`` over the array slice
-    (ints), without materialising a single Python value.  Non-contiguous
-    typed slices fall back to C-pipeline folds over the gathered values.
-    Returns None when ``values`` carries no typed-slice guarantee; the
-    caller then runs the generic per-value fold.
+
+def _fold_floats(buckets: dict, values) -> bool:
+    """Fold a re-iterable all-float column into ``buckets`` exactly, in
+    C-level passes; False (``buckets`` untouched) when it cannot.
+
+    The true sum is spelled out as a non-overlapping expansion (Shewchuk
+    1997, what ``math.fsum`` keeps internally): ``s1 = fsum(values)`` is
+    the exact sum rounded once, so ``values + [-s1]`` sums exactly to the
+    rounding error, whose ``fsum`` is ``s2``, and so on.  A sum of doubles
+    is a multiple of ``2**-1074``, so a pass returns ``0.0`` only when
+    nothing is left — then ``s1 + s2 + ...`` *is* the sum, and each part
+    lands in its exponent bucket like any single value.  inf and an
+    overflowing intermediate sum (``fsum`` raises), nan and sums too wide
+    for ``_EXPANSION_PASSES`` (no pass reaches zero) fold nothing: the
+    caller's per-value path handles them.
+    """
+    negated: list = []
+    try:
+        for _ in range(_EXPANSION_PASSES):
+            part = math.fsum(chain(values, negated))
+            if not part:
+                break
+            negated.append(-part)
+        else:
+            return False
+        # (0, 1) keeps a zero sum a *float* total, as any 0.0 folded does
+        ratios = [part.as_integer_ratio() for part in negated] or [(0, 1)]
+    except (OverflowError, ValueError):
+        return False
+    for numerator, denominator in ratios:
+        exponent = 1 - denominator.bit_length()
+        buckets[exponent] = buckets.get(exponent, 0) - numerator
+    return True
+
+
+def _fold_typed_slice(buckets: dict, values):
+    """Fold a homogeneous NULL-free column slice exactly, in C-level
+    passes: floats into ``buckets``, ints into the returned total.
+
+    * Dense ranges of a sealed typed column (NATIVE encoding) — whole
+      unfiltered segments, or RLE-run-shaped selections — fold via the
+      column's precomputed exact block partials (floats) or one builtin
+      ``sum`` over the array slice (ints), without materialising a single
+      Python value.
+    * Non-contiguous typed slices carry the type guarantee as a flag
+      (``all_ints`` / ``all_floats``); a plain ``list`` — every row-store
+      batch, plain-delta column and gathered slice — proves it with one
+      type census.  Ints fold with builtin ``sum``, floats with
+      ``_fold_floats``.
+
+    Returns None when no guarantee holds (NULLs, ``bool``, mixed types,
+    ``Decimal``) or the floats refuse the bulk fold; the caller then runs
+    the generic per-value fold, ``buckets`` untouched.
     """
     source = getattr(values, "contiguous_source", None)
     if source is not None and (found := source()) is not None:
@@ -82,14 +140,15 @@ def _fold_typed_slice(buckets: dict, values):
             # non-finite), so a False can only happen on the first range —
             # nothing was committed and the generic fold takes over
             return 0
-    if getattr(values, "all_ints", False):
+    if type(values) is list:
+        kinds = set(map(type, values))
+        all_ints, all_floats = kinds == {int}, kinds == {float}
+    else:
+        all_ints = getattr(values, "all_ints", False)
+        all_floats = getattr(values, "all_floats", False)
+    if all_ints:
         return sum(values)                       # builtin sum: exact for ints
-    if getattr(values, "all_floats", False):
-        try:
-            exponent, scaled = _scale_floats(values, 0)
-        except (OverflowError, ValueError):
-            return None
-        buckets[exponent] = buckets.get(exponent, 0) + sum(scaled)
+    if all_floats and _fold_floats(buckets, values):
         return 0
     return None
 
@@ -227,9 +286,11 @@ class _SumState:
 
     def fold(self, gid: int, values, rows: int):
         """Bulk fold: RLE column slices fold run-at-a-time (value * n);
-        typed-array slices (NATIVE encoding) fold at C speed exploiting
-        their no-NULL homogeneous-type guarantee; other slices fold
-        through an inlined int/float split."""
+        homogeneous NULL-free slices — typed arrays (NATIVE encoding) by
+        guarantee, plain lists by census — fold in C-level passes
+        (``_fold_typed_slice``); what is left (NULLs, ``bool``, mixed
+        types, ``Decimal``, inf / nan) folds value by value through an
+        inlined int/float split."""
         runs = getattr(values, "iter_runs", None)
         if runs is not None:
             count = 0
@@ -343,11 +404,17 @@ class _ExtremeState:
     def fold(self, gid: int, values, rows: int):
         runs = getattr(values, "iter_runs", None)
         if runs is not None:
-            present = [v for v, _n in runs() if v is not None]
-        else:
+            values = [v for v, _n in runs()]
+        try:
+            # a NULL raises on its first comparison (a lone one is picked
+            # and then skipped by ``scatter``), an empty slice always
+            best = self.pick(values)
+        except (TypeError, ValueError):
             present = [v for v in values if v is not None]
-        if present:
-            self.scatter((gid,), (self.pick(present),))
+            if not present:
+                return
+            best = self.pick(present)
+        self.scatter((gid,), (best,))
 
     def merge(self, other: "_ExtremeState", remap: list):
         self.scatter(remap, other.values)

@@ -59,6 +59,7 @@ from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
     PlanNode,
+    argument_columns,
     batched,
     build_table,
     chunked,
@@ -474,7 +475,9 @@ class IndexJoin(BatchNode):
 @dataclass
 class AggSpec:
     """One aggregate to compute: function name, argument fn (None = ``*``),
-    DISTINCT flag."""
+    DISTINCT flag.  Structurally equal arguments of one statement share
+    one ``arg_fn`` (``Planner._agg_specs``), which is what lets
+    ``argument_columns`` evaluate each once per batch."""
 
     name: str
     arg_fn: object | None
@@ -507,9 +510,8 @@ class Aggregate(BatchNode):
         rows = 0
         for batch in self.child.execute_batches(ctx):
             rows += len(batch)
-            arg_cols = [None if spec.arg_fn is None
-                        else eval_column(spec.arg_fn, batch, ctx)
-                        for spec in specs]
+            arg_cols = argument_columns(
+                specs, lambda fn: eval_column(fn, batch, ctx))
             if group_fns:
                 gids = groups.assign(_key_tuples(group_fns, batch, ctx))
                 groups.scatter(gids, arg_cols)
@@ -1598,13 +1600,7 @@ class Planner:
             if isinstance(g, ast.ColumnRef) else None
             for g in select.group_by
         ]
-        specs = []
-        for agg in aggs:
-            if agg.args and not isinstance(agg.args[0], ast.Star):
-                arg_fn = compile_batch_expr(agg.args[0], input_schema, sub)
-            else:
-                arg_fn = None
-            specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
+        specs = self._agg_specs(aggs, compile_batch_expr, input_schema)
         sketch_key = None
         if base_scan is not None and vnode is base_scan:
             # ``vnode is base_scan`` ⟺ the aggregate consumes the scan
@@ -1913,14 +1909,25 @@ class Planner:
         input_schema = node.schema
         group_fns = [compile_expr(g, input_schema, sub)
                      for g in select.group_by]
+        specs = self._agg_specs(aggs, compile_expr, input_schema)
+        return Aggregate(node, group_fns, specs)
+
+    def _agg_specs(self, aggs: list[ast.FuncCall], compile_arg,
+                   input_schema) -> list[AggSpec]:
+        """One ``AggSpec`` per aggregate; structurally equal argument
+        expressions (``AVG(bal), MAX(bal)``) share one compiled fn."""
+        arg_fns: dict = {}
         specs = []
         for agg in aggs:
+            arg_fn = None
             if agg.args and not isinstance(agg.args[0], ast.Star):
-                arg_fn = compile_expr(agg.args[0], input_schema, sub)
-            else:
-                arg_fn = None
+                arg = agg.args[0]
+                if arg not in arg_fns:
+                    arg_fns[arg] = compile_arg(arg, input_schema,
+                                               self._plan_subquery)
+                arg_fn = arg_fns[arg]
             specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
-        return Aggregate(node, group_fns, specs)
+        return specs
 
     def _rewrite_above_aggregate(self, select: ast.Select,
                                  agg_node: Aggregate) -> ast.Select:

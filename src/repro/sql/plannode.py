@@ -60,6 +60,17 @@ def build_table(keys: list, entries) -> tuple[dict, bool]:
     return table, False
 
 
+def argument_columns(specs, evaluate) -> list:
+    """One argument column per aggregate spec of a batch, each distinct
+    ``arg_fn`` passed to ``evaluate`` once; ``COUNT(*)`` (no ``arg_fn``)
+    gets ``None`` — it needs the rows, not a value."""
+    columns = {None: None}
+    for spec in specs:
+        if spec.arg_fn not in columns:
+            columns[spec.arg_fn] = evaluate(spec.arg_fn)
+    return [columns[spec.arg_fn] for spec in specs]
+
+
 class PlanNode:
     """Base plan operator: ``schema`` describes output rows."""
 

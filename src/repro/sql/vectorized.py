@@ -39,6 +39,7 @@ from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
     PlanNode,
+    argument_columns,
     build_table,
     chunked,
 )
@@ -1647,8 +1648,8 @@ class BatchAggregate(BatchNode):
                     # slot state (its group ids are its own), cache it,
                     # and fall through to the merge below
                     cached = self._new_groups()
-                    arg_cols = [None if s.arg_fn is None
-                                else s.arg_fn(batch, ctx) for s in specs]
+                    arg_cols = argument_columns(
+                        specs, lambda fn: fn(batch, ctx))
                     self._fold_batch(batch, ctx, cached, arg_cols, {})
                     sketches.store(segment, sketch_key, cached,
                                    cached.nbytes())
@@ -1660,8 +1661,7 @@ class BatchAggregate(BatchNode):
                 groups.merge(cached)
                 continue
             rows += n
-            arg_cols = [None if s.arg_fn is None else s.arg_fn(batch, ctx)
-                        for s in specs]
+            arg_cols = argument_columns(specs, lambda fn: fn(batch, ctx))
             self._fold_batch(batch, ctx, groups, arg_cols, slot_state)
         # agg_input_rows records physical fold work for the cost model:
         # rows elided by sketch hits are counted in sketch_rows_elided

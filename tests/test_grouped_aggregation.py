@@ -17,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
-from repro.sql.functions import GroupedAggregation
+from repro.sql.functions import (
+    GroupedAggregation,
+    _fold_floats,
+    _fold_typed_slice,
+)
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -288,6 +292,137 @@ class TestExponentAlignment:
         assert _bits(sums["i"]) == ("int", 6)
         assert _bits(sums["f"]) == ("float", (0.75).hex())
         assert _bits(sums["late"]) == ("float", (4.5).hex())
+
+
+# ---------------------------------------------------------------------------
+# the bulk fold of a plain column: one group, every way to feed it
+# ---------------------------------------------------------------------------
+
+SUM_SPECS = [("SUM", False, False), ("AVG", False, False),
+             ("COUNT", False, False)]
+
+# five doubles spanning 2**997 .. 2**-1074: three parts survive the
+# cancellation, so the expansion needs all four passes; without the
+# -1e300 it needs a fifth and the bulk fold must refuse
+_WIDE = [1e300, 1.0, 1e-300, 5e-324, -1e300]
+# cancels to zero, but any two of a sign overflow an intermediate sum
+_HUGE = [1e308, 1e308, -1e308, -1e308]
+
+_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),       # subnormals too
+    st.sampled_from([0.0, -0.0, 0.1, 5e-324, -5e-324, 2.5e-308]),
+).map(lambda v: [v])
+_float_chunks = st.one_of(_floats, st.sampled_from([_WIDE, _HUGE]))
+_ints = st.integers(-10**6, 10**6).map(lambda v: [v])
+_odd = st.sampled_from([inf, -inf, nan, None]).map(lambda v: [v])
+# pure columns half the time (what a bulk fold needs), anything otherwise
+_values = st.one_of(
+    st.lists(_float_chunks, max_size=30), st.lists(_ints, max_size=30),
+    st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
+    st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
+).map(lambda chunks: sum(chunks, []))
+_FEEDS = ("fold", "view", "scatter", "merge")
+
+
+class _Flagged:
+    """A re-iterable slice that is not a ``list`` and carries the typed
+    columns' guarantee as a flag — what a gathered NATIVE column looks
+    like to ``fold``."""
+
+    def __init__(self, values):
+        self._values = values
+        kinds = set(map(type, values))
+        self.all_ints, self.all_floats = kinds == {int}, kinds == {float}
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+    def count(self, value):
+        return self._values.count(value)
+
+
+def _feed(groups, piece, feed):
+    if feed == "merge":
+        partial = GroupedAggregation(SUM_SPECS)
+        _feed(partial, piece, "fold")
+        groups.merge(partial)
+    elif feed == "scatter":
+        groups.scatter(groups.assign([()] * len(piece)), [piece] * 3)
+    else:
+        column = _Flagged(piece) if feed == "view" else piece
+        groups.fold(groups.gid(()), [column] * 3, len(piece))
+
+
+def _sum_oracle(values):
+    present = [v for v in values if v is not None]
+    if not present:
+        return [(None, None, 0)]
+    return [(_exact_sum(present), _exact_sum(present, len(present)),
+             len(present))]
+
+
+class TestBulkFold:
+    @given(_values, st.lists(st.integers(0, 150), max_size=6),
+           st.lists(st.sampled_from(_FEEDS), min_size=7, max_size=7),
+           st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_any_cut_any_feed(self, values, cuts, feeds, rng):
+        rng.shuffle(values)
+        groups = GroupedAggregation(SUM_SPECS)
+        groups.gid(())
+        for piece, feed in zip(_split(values, cuts), feeds):
+            _feed(groups, piece, feed)
+        assert _image(groups.rows()) == _image(_sum_oracle(values))
+
+    def test_expansion_passes(self):
+        """Four passes spell out three parts; a span that needs a fifth,
+        an overflowing intermediate, inf and nan refuse — and a refusal
+        leaves ``buckets`` as it found them."""
+        buckets = {-3: 5}
+        assert _fold_floats(buckets, _WIDE)
+        assert sum(Fraction(m) * Fraction(2) ** e
+                   for e, m in buckets.items()) - Fraction(5, 8) \
+            == sum(map(Fraction, _WIDE))
+        for refused in (_WIDE[:-1], _HUGE, [1.0, inf], [inf, -inf],
+                        [0.5, nan]):
+            for column in (refused, _Flagged(refused)):
+                buckets = {-3: 5}
+                assert _fold_typed_slice(buckets, column) is None
+                assert buckets == {-3: 5}
+            groups = GroupedAggregation(SUM_SPECS)
+            _feed(groups, refused, "fold")
+            assert _image(groups.rows()) == _image(_sum_oracle(refused))
+
+    def test_zero_sums_stay_float(self):
+        """An all-zero FLOAT column sums to ``0.0``, not ``0`` — and the
+        exact total has no sign to keep, so ``[-0.0, -0.0]`` does too."""
+        for zeros in ([0.0] * 5, [-0.0, -0.0], [1.5, -1.5], [0.0]):
+            for feed in _FEEDS:
+                groups = GroupedAggregation(SUM_SPECS)
+                _feed(groups, zeros, feed)
+                assert _image(groups.rows()) \
+                    == [(("float", (0.0).hex()),) * 2
+                        + (("int", len(zeros)),)], (zeros, feed)
+
+    def test_only_a_pure_column_is_bulk_folded(self):
+        """The census is on exact types: a ``bool`` in an int column, a
+        NULL or an int among floats all keep the per-value path."""
+        assert _fold_typed_slice({}, [1, 2, 3]) == 6
+        buckets: dict = {}
+        assert _fold_typed_slice(buckets, [0.5, 0.25]) == 0
+        assert buckets == {-2: 3}
+        for mixed in ([1, True, 2], [0.5, None], [0.5, 1], [], [None]):
+            buckets = {}
+            assert _fold_typed_slice(buckets, mixed) is None
+            assert buckets == {}
+        groups = GroupedAggregation(SUM_SPECS)
+        _feed(groups, [1, True, 2], "fold")
+        assert _image(groups.rows()) \
+            == [(("int", 4), ("float", (4 / 3).hex()), ("int", 3))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """SQL execution semantics: selections, joins, aggregation, DML, stats."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.errors import BindError, ExecutionError, IntegrityError, PlanError
+from repro.sql import planner, vectorized
+from repro.sql.functions import SCALARS, sql_abs
+from repro.sql.plannode import argument_columns
 
 
 class TestSelect:
@@ -199,6 +206,188 @@ class TestAggregation:
     def test_having_without_group_rejected(self, orders_db):
         with pytest.raises(PlanError):
             orders_db.query("SELECT o_id FROM orders HAVING o_id > 1")
+
+
+# -- global aggregates: row store == columnar replica == a Python oracle ------
+
+def _sized(element, largest):
+    """Lists whose *size* is drawn first: left alone hypothesis keeps
+    tables nearly empty."""
+    return st.integers(0, largest).flatmap(
+        lambda n: st.lists(element, min_size=n, max_size=n))
+
+
+# (f FLOAT, n INT, x nullable FLOAT, m nullable INT); ``+ 0.0`` folds -0.0
+# into 0.0 so MIN / MAX ties cannot tell scan orders apart
+_float = st.one_of(
+    st.floats(-1e6, 1e6).map(lambda v: round(v, 2) + 0.0),
+    st.sampled_from([0.0, 0.1, 1e15 + 0.5, -1e15, 2.0 ** -40, 1e-300]))
+_int = st.integers(-10**6, 10**6)
+_agg_row = st.tuples(_float, _int, st.one_of(st.none(), _float),
+                     st.one_of(st.none(), _int))
+
+# argument expression -> the oracle's value of it for one row
+_ARGS = {
+    "f": lambda f, n, x, m: f,
+    "n": lambda f, n, x, m: n,
+    "x": lambda f, n, x, m: x,
+    "m": lambda f, n, x, m: m,
+    "n * 1.0": lambda f, n, x, m: n * 1.0,
+    "f * 0": lambda f, n, x, m: f * 0,
+    "-x": lambda f, n, x, m: None if x is None else -x,
+}
+# WHERE clause -> the oracle's reading of it on (id, f, n, x, m)
+_FILTERS = {
+    "": lambda i, f, n, x, m: True,
+    " WHERE id >= 5": lambda i, f, n, x, m: i >= 5,
+    " WHERE n < 0": lambda i, f, n, x, m: n < 0,
+    " WHERE x IS NULL": lambda i, f, n, x, m: x is None,     # all-NULL input
+    " WHERE id < 0": lambda i, f, n, x, m: False,            # empty input
+}
+
+
+def _aggregate_oracle(values):
+    """``SUM, AVG, MIN, MAX, COUNT(arg), COUNT(*)`` of one argument column:
+    the exact total rounded once, int while every addend is."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return (None, None, None, None, 0, len(values))
+    exact = sum(map(Fraction, present))
+    mean = exact / len(present)
+    total = int(exact) if all(type(v) is int for v in present) \
+        else exact.numerator / exact.denominator
+    return (total, mean.numerator / mean.denominator, min(present),
+            max(present), len(present), len(values))
+
+
+def _typed(rows):
+    return [[(type(v).__name__, v) for v in row] for row in rows]
+
+
+class TestGlobalAggregateDifferential:
+    DDL = ("CREATE TABLE t (id INT PRIMARY KEY, f DOUBLE, n INT, x DOUBLE, "
+           "m INT)")
+
+    @staticmethod
+    def _check(rows, run):
+        """Every argument under every filter, ``run(sql)`` against the
+        oracle over ``rows`` (``{id: (f, n, x, m)}``)."""
+        for where, keep in _FILTERS.items():
+            kept = [row for i, row in rows.items() if keep(i, *row)]
+            for arg, value_of in _ARGS.items():
+                sql = (f"SELECT SUM({arg}), AVG({arg}), MIN({arg}), "
+                       f"MAX({arg}), COUNT({arg}), COUNT(*) FROM t{where}")
+                expected = _aggregate_oracle([value_of(*row)
+                                              for row in kept])
+                assert _typed(run(sql)) == _typed([expected]), sql
+
+    @given(_sized(_agg_row, 40), _sized(_agg_row, 3),
+           st.lists(st.integers(0, 39), max_size=4),
+           st.lists(st.tuples(st.integers(0, 39), _float), max_size=3))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_row_store_replica_and_oracle_agree(self, routed, loaded,
+                                                inserted, deleted, updated):
+        """Sealed 8-row segments first; then the same statements over main
+        segments with dead rows under a plain delta."""
+        db = Database(with_columnar=True, columnar_segment_rows=8)
+        db.execute_ddl(self.DDL)
+        db.bulk_load("t", [(i, *row) for i, row in enumerate(loaded)])
+        db.replicate()
+        db.columnar.compact(force=True)
+        rows = dict(enumerate(loaded))
+
+        def check():
+            self._check(rows, lambda sql: db.query(sql).rows)
+            self._check(rows, lambda sql: routed(db, sql).rows)
+            self._check(rows, lambda sql: routed(db, sql,
+                                                 vectorized=False).rows)
+
+        check()
+        with db.connect() as conn:
+            conn.begin()
+            self._mutate(conn, rows, inserted, deleted, updated)
+            conn.commit()
+        db.replicate()
+        check()
+
+    @staticmethod
+    def _mutate(conn, rows, inserted, deleted, updated):
+        """Apply the drawn changes through ``conn`` and to the model."""
+        for i in deleted:
+            if rows.pop(i, None) is not None:
+                conn.execute("DELETE FROM t WHERE id = ?", (i,))
+        for i, value in updated:
+            if i in rows:
+                f, n, x, m = rows[i]
+                rows[i] = (value, n, None if x is None else value, m)
+                conn.execute("UPDATE t SET f = ?, x = ? WHERE id = ?",
+                             (*rows[i][::2], i))
+        for i, row in enumerate(inserted, start=100):
+            rows[i] = row
+            conn.execute("INSERT INTO t (id, f, n, x, m) VALUES "
+                         "(?, ?, ?, ?, ?)", (i, *row))
+
+    @given(_sized(_agg_row, 40), _sized(_agg_row, 3),
+           st.lists(st.integers(0, 39), max_size=4),
+           st.lists(st.tuples(st.integers(0, 39), _float), max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_inside_a_transaction_that_wrote_the_table(self, loaded, inserted,
+                                                       deleted, updated):
+        """The hybrid shape: the real-time aggregate sees the open
+        transaction's own updates, inserts and deletes (the write-buffer
+        overlay re-cuts the scan's batches), and none of them afterwards."""
+        db = Database()
+        db.execute_ddl(self.DDL)
+        db.bulk_load("t", [(i, *row) for i, row in enumerate(loaded)])
+        rows = dict(enumerate(loaded))
+        with db.connect() as conn:
+            conn.begin()
+            self._mutate(conn, rows, inserted, deleted, updated)
+            self._check(rows, lambda sql: conn.execute(sql).rows)
+            conn.rollback()
+        self._check(dict(enumerate(loaded)), lambda sql: db.query(sql).rows)
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_one_evaluation_per_distinct_argument(self, monkeypatch, routed,
+                                                  columnar):
+        """``SUM(ABS(bal)), AVG(ABS(bal))`` computes ``ABS`` once per row
+        and ``MAX(bal), MIN(bal)`` cut ``bal`` out of a batch once, not
+        once per aggregate; ``COUNT(*)`` beside them needs no column."""
+        calls, evaluated = [], []
+
+        def counted_abs(value):
+            calls.append(value)
+            return sql_abs(value)
+
+        def counted_columns(specs, evaluate):
+            def counted(fn):
+                evaluated.append(fn)
+                return evaluate(fn)
+            columns = argument_columns(specs, counted)
+            assert [c is None for c in columns] \
+                == [False, False, True, False, False, False]
+            return columns
+
+        monkeypatch.setitem(SCALARS, "ABS", counted_abs)
+        for module in (planner, vectorized):
+            monkeypatch.setattr(module, "argument_columns", counted_columns)
+        db = Database(with_columnar=True)
+        db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, bal DOUBLE)")
+        balances = [(-1) ** i * (i + 0.25) for i in range(50)]
+        db.bulk_load("t", list(enumerate(balances)))
+        db.replicate()
+        sql = ("SELECT SUM(ABS(bal)), AVG(ABS(bal)), COUNT(*), MAX(bal), "
+               "MIN(bal), SUM(ABS(bal - 1)) FROM t")
+        result = routed(db, sql) if columnar else db.query(sql)
+        assert bool(result.stats.vectorized) == columnar
+        total = sum(map(abs, balances))
+        assert result.rows == [(total, total / 50, 50, max(balances),
+                                min(balances),
+                                sum(abs(b - 1) for b in balances))]
+        # one 50-row batch: three distinct arguments under five aggregates
+        assert len(evaluated) == len(set(evaluated)) == 3
+        assert sorted(calls) == sorted(balances + [b - 1 for b in balances])
 
 
 class TestSubqueries:
