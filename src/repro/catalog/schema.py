@@ -9,6 +9,7 @@ in ``repro.storage``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.catalog.types import SQLType
 from repro.errors import CatalogError
@@ -79,6 +80,13 @@ class Table:
         if not primary_key:
             raise CatalogError(f"table {name!r} must declare a primary key")
         self.primary_key = tuple(primary_key)
+        # fixed for the table's lifetime; ``pk_of`` runs once per written
+        # and per replicated row, so the positions are not re-derived there
+        self.pk_positions: tuple[int, ...] = tuple(
+            self._positions[c.upper()] for c in self.primary_key)
+        self._pk_getter = (
+            itemgetter(*self.pk_positions) if len(self.pk_positions) > 1
+            else lambda values, pos=self.pk_positions[0]: (values[pos],))
         self.foreign_keys = list(foreign_keys or [])
         self.indexes: dict[str, IndexDef] = {}
 
@@ -99,13 +107,9 @@ class Table:
         except KeyError:
             raise CatalogError(f"no column {name!r} in table {self.name!r}") from None
 
-    @property
-    def pk_positions(self) -> tuple[int, ...]:
-        return tuple(self._positions[c.upper()] for c in self.primary_key)
-
     def pk_of(self, values: tuple) -> tuple:
         """Extract the primary-key tuple from a full row tuple."""
-        return tuple(values[i] for i in self.pk_positions)
+        return self._pk_getter(values)
 
     def add_index(self, index: IndexDef):
         if index.name in self.indexes:

@@ -7,7 +7,9 @@ One total order over the SQL value domain is load-bearing in three places:
   segment-layout-independent);
 * sorted compaction physically orders main segments by the table's sort
   key using the canonical *value* key (it must never raise on mixed or
-  NULL sort-key values);
+  NULL sort-key values) — taken a column at a time by
+  ``canonical_column_keys``, which lets a homogeneous column stand as its
+  own key;
 * the merge-on-read scan and the sort-elision operator compare the same
   canonical keys when interleaving delta rows and partition streams.
 
@@ -18,6 +20,10 @@ canonical key orders identically — it only *extends* that order to pairs
 """
 
 from __future__ import annotations
+
+from operator import ne
+
+_NUMBER_TYPES = frozenset((int, float, bool))
 
 
 def sort_key(value):
@@ -50,6 +56,25 @@ def canonical_row_key(row: tuple):
     return tuple(canonical_value_key(v) for v in row)
 
 
-def canonical_key_of(values, positions) -> tuple:
-    """Canonical key tuple of ``values`` restricted to ``positions``."""
-    return tuple(canonical_value_key(values[p]) for p in positions)
+def canonical_column_keys(columns: list[list]) -> list:
+    """One sort key per row of the parallel value lists ``columns``,
+    ordering exactly like the rows' ``canonical_row_key`` tuples.
+
+    A column that one type census proves all strings, or all numbers
+    without a NaN, keys by its own values: inside one class
+    ``canonical_value_key`` compares ``(class, "", a) < (class, "", b)``,
+    which is ``a < b`` with the same equal-then-next-column rule.  Any
+    other column (NULLs, mixed classes, NaN, exotic types) maps through
+    ``canonical_value_key`` once.  A single column is returned as its own
+    key list — a bare value orders like the 1-tuple around it.
+    """
+    keyed = []
+    for values in columns:
+        types = set(map(type, values))
+        natural = types == {str} or (
+            types <= _NUMBER_TYPES
+            # ne(v, v) holds for NaN only
+            and not (float in types and any(map(ne, values, values))))
+        keyed.append(values if natural
+                     else list(map(canonical_value_key, values)))
+    return keyed[0] if len(keyed) == 1 else list(zip(*keyed))

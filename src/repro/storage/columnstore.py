@@ -39,6 +39,13 @@ code-space selection primitives (``select_eq``/``select_range``/
 ``select_in``) and run iteration (``iter_runs``) that the vectorized
 executor uses to filter and aggregate *without decoding*.
 
+The merge itself stays columnar (``_merge_delta``): live values are
+gathered as concatenated columns, the sort orders an index vector keyed by
+the key columns themselves, each output segment is one gather per column
+(``Segment.from_columns``), and ``seal`` takes one type census per column
+that drives both its encoding choice and its byte accounting — no row
+tuple is built and no homogeneous column is walked value by value.
+
 ``scan_batches`` exposes the segments as column-slice batches for the
 vectorized executor; ``scan`` keeps the row-tuple view for the row pipeline.
 Columnar tables support full scans only (no secondary indexes): point
@@ -52,14 +59,15 @@ import math
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import chain, compress, islice, repeat
+from operator import eq, is_, ne, sub
 
 from repro.catalog.schema import Table
 from repro.catalog.types import VarcharType
 from repro.errors import CatalogError
-from repro.sql.ordering import canonical_key_of
+from repro.sql.ordering import canonical_column_keys, canonical_row_key
 from repro.sql.result import Batch
 from repro.storage.partition import PartitionMap
 from repro.storage.wal import LogOp, WriteAheadLog
@@ -82,9 +90,6 @@ SHARED_DICT_MAX_CARDINALITY = 4096
 
 # default LRU budget for cached per-segment aggregate partials (sketches)
 SKETCH_BUDGET_BYTES = 32 << 20
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 
 class Encoding:
@@ -109,9 +114,45 @@ def _approx_value_bytes(value) -> int:
     return 48
 
 
-def _plain_bytes(values) -> int:
-    """Approximate footprint of a plain object-list column."""
-    return 56 + 8 * len(values) + sum(_approx_value_bytes(v) for v in values)
+_NONE_TYPE = type(None)
+# the estimate of every value of these exact types is the same number
+_FIXED_VALUE_BYTES = {kind: _approx_value_bytes(kind())
+                      for kind in (_NONE_TYPE, float, int, bool)}
+_STR_BASE_BYTES = _approx_value_bytes("")
+
+
+def _type_census(values) -> dict:
+    """``exact type -> count`` of one column: the one pass that sizes a
+    column (``_plain_bytes``) and picks its encoding (``_encode_column``)."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:          # the common case needs no tally
+        return {kinds.pop(): len(values)}
+    return Counter(map(type, values))
+
+
+def _plain_bytes(values, census: dict | None = None) -> int:
+    """Approximate footprint of a plain object-list column.
+
+    The sum of ``_approx_value_bytes`` over ``values``, taken per type
+    from the census: bytes per value x count for the fixed-size types,
+    one ``sum(map(len, ...))`` for strings; only values of a type outside
+    that table are sized one call at a time.
+    """
+    if census is None:
+        census = _type_census(values)
+    total = 56 + 8 * len(values)
+    for kind, count in census.items():
+        fixed = _FIXED_VALUE_BYTES.get(kind)
+        if fixed is not None:
+            total += fixed * count
+        elif kind is str:
+            strings = (values if count == len(values)
+                       else (v for v in values if type(v) is str))
+            total += _STR_BASE_BYTES * count + sum(map(len, strings))
+        else:
+            total += sum(_approx_value_bytes(v) for v in values
+                         if type(v) is kind)
+    return total
 
 
 class TableDictionary:
@@ -601,14 +642,47 @@ def _encoded_bytes(column) -> int:
     return _plain_bytes(column)
 
 
-def _encode_column(values: list, shared: TableDictionary | None = None):
+def _same_run(value, previous) -> bool:
+    """May ``value`` extend the RLE run of ``previous``?  Equal values of
+    one type — ``1`` / ``1.0`` / ``True`` and ``0.0`` / ``-0.0`` compare
+    equal but decode differently, so they start a new run."""
+    if value is previous:
+        return True
+    if value != previous or type(value) is not type(previous):
+        return False
+    return (value != 0 or type(value) is not float
+            or math.copysign(1.0, value) == math.copysign(1.0, previous))
+
+
+def _plain_floats(values) -> bool:
+    """No NaN and no ``-0.0`` among the floats (and NULLs) of ``values`` —
+    the two floats ``!=`` alone cannot delimit runs for: a NaN differs
+    from itself, and ``-0.0`` equals the ``0.0`` it must not merge with."""
+    if any(map(ne, values, values)):
+        return False
+    zeros = compress(values, map(eq, values, repeat(0.0)))
+    return -1.0 not in map(math.copysign, repeat(1.0), zeros)
+
+
+def _encode_column(values: list, shared: TableDictionary | None = None,
+                   census: dict | None = None):
     """Pick and build the cheapest safe encoding for a sealed column slice.
 
     Returns the original list when no encoding applies (``PLAIN``).  The
     choice is conservative: NATIVE requires a *homogeneous* int or float
     column (so decoding cannot change a value's type), DICT requires
     hashable low-cardinality strings, and RLE requires genuinely long runs
-    (value equality across a run is exact, so round-tripping is lossless).
+    (a run holds equal values of one type and, for zeros, one sign, so
+    round-tripping is lossless).
+
+    One type census (``census``, taken here when the caller has none)
+    decides which of the three a column can be.  Where it finds a single
+    non-NULL type among int / str / float — floats without NaN or
+    ``-0.0`` — inequality of neighbours alone delimits the runs, so one
+    ``!=`` pass over adjacent pairs yields the run starts, and a
+    NULL-free typed array is built straight from the list.  Any other
+    census (mixed types, ``bool``, NaN, ``-0.0``, exotic values) counts
+    and builds its runs one value at a time.
 
     ``shared`` is the column's table-level dictionary: the string branch
     encodes straight into its global code space, and falls through to the
@@ -617,46 +691,42 @@ def _encode_column(values: list, shared: TableDictionary | None = None):
     n = len(values)
     if n == 0:
         return values
-    runs = 1
-    previous = values[0]
-    all_int = True
-    all_float = True
-    all_str = True
-    nulls = 0
-    try:
-        for value in values:
-            if value is not previous and value != previous:
-                runs += 1
-            previous = value
-            if value is None:
-                nulls += 1
-                continue
-            if all_int and not (type(value) is int
-                                and _INT64_MIN <= value <= _INT64_MAX):
-                all_int = False
-            if all_float and type(value) is not float:
-                all_float = False
-            if all_str and type(value) is not str:
-                all_str = False
-    except TypeError:
-        # a value that cannot even be compared for equality (exotic type
-        # clash): keep the object list untouched
-        return values
-    if nulls:
-        all_int = all_int and nulls < n
-        all_float = all_float and nulls < n
-    if nulls == n:
-        all_int = all_float = all_str = False
+    if census is None:
+        census = _type_census(values)
+    nulls = census.get(_NONE_TYPE, 0)
+    kinds = census.keys() - {_NONE_TYPE}
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    starts = None       # run start offsets, when one ``!=`` pass finds them
+    if not kinds or kind is int or kind is str or (
+            kind is float and _plain_floats(values)):
+        starts = [0, *compress(range(1, n),
+                               map(ne, values, islice(values, 1, None)))]
+        runs = len(starts)
+    else:
+        runs = 1
+        previous = values[0]
+        try:
+            for value in values:
+                if value is not previous and value != previous:
+                    runs += 1
+                previous = value
+        except TypeError:
+            # a value that cannot even be compared for equality (exotic
+            # type clash): keep the object list untouched
+            return values
 
     def build_rle():
+        if starts is not None:
+            return RLEColumn(
+                list(map(values.__getitem__, starts)),
+                array("q", map(sub, chain(islice(starts, 1, None), (n,)),
+                               starts)))
         run_values: list = []
         run_lengths = array("q")
         previous_value = values[0]
         count = 0
         for value in values:
-            if count and (value is previous_value
-                          or (value == previous_value
-                              and type(value) is type(previous_value))):
+            if count and _same_run(value, previous_value):
                 count += 1
                 continue
             if count:
@@ -670,13 +740,17 @@ def _encode_column(values: list, shared: TableDictionary | None = None):
 
     if n // runs >= RLE_MIN_AVG_RUN:
         return build_rle()
-    if all_int or all_float:
-        data = array("q" if all_int else "d",
-                     [0 if v is None else v for v in values])
-        null_set = (frozenset(i for i, v in enumerate(values) if v is None)
-                    if nulls else frozenset())
-        return NativeColumn(data, null_set)
-    if all_str:
+    if kind is int or kind is float:
+        typecode = "q" if kind is int else "d"
+        try:
+            if not nulls:
+                return NativeColumn(array(typecode, values), frozenset())
+            return NativeColumn(
+                array(typecode, [0 if v is None else v for v in values]),
+                frozenset(compress(range(n), map(is_, values, repeat(None)))))
+        except OverflowError:
+            pass        # an int outside int64: no typed array holds it
+    if kind is str:
         if shared is not None and shared.active:
             shared_codes = shared.encode(values)
             if shared_codes is not None:
@@ -746,6 +820,21 @@ class Segment:
         return [getattr(col, "encoding", Encoding.PLAIN)
                 for col in self.columns]
 
+    @classmethod
+    def from_columns(cls, columns: list[list], capacity: int) -> Segment:
+        """A segment born whole from parallel column slices, every row
+        live — what a compaction merge cuts out of its sorted columns
+        (no per-row ``append``).  Zone maps take one ``min`` / ``max`` per
+        column."""
+        segment = cls(len(columns), capacity)
+        segment.columns = columns
+        segment.size = segment.live_count = len(columns[0])
+        segment.live = [True] * segment.size
+        for pos, values in enumerate(columns):
+            segment._widen(pos, values if None not in values
+                           else [v for v in values if v is not None])
+        return segment
+
     def observe_batch(self, rows: list[tuple]):
         """Widen the zone maps to cover a whole applied-WAL chunk at once.
 
@@ -754,29 +843,31 @@ class Segment:
         batches all widening behind the chunk.
         """
         for pos in range(len(self.columns)):
-            if not self.zone_valid[pos]:
-                continue
-            try:
-                values = [v for row in rows
-                          if (v := row[pos]) is not None]
-                if not values:
-                    continue
-                low = min(values)
-                high = max(values)
-                current = self.mins[pos]
-                if current is None:
+            if self.zone_valid[pos]:
+                self._widen(pos, [v for row in rows
+                                  if (v := row[pos]) is not None])
+
+    def _widen(self, pos: int, values: list):
+        """Widen column ``pos``'s zone map over the non-NULL ``values``."""
+        if not values:
+            return
+        try:
+            low = min(values)
+            high = max(values)
+            current = self.mins[pos]
+            if current is None:
+                self.mins[pos] = low
+                self.maxs[pos] = high
+            else:
+                if low < current:
                     self.mins[pos] = low
+                if high > self.maxs[pos]:
                     self.maxs[pos] = high
-                else:
-                    if low < current:
-                        self.mins[pos] = low
-                    if high > self.maxs[pos]:
-                        self.maxs[pos] = high
-            except TypeError:
-                # mixed uncomparable types: disable pruning on this column
-                self.zone_valid[pos] = False
-                self.mins[pos] = None
-                self.maxs[pos] = None
+        except TypeError:
+            # mixed uncomparable types: disable pruning on this column
+            self.zone_valid[pos] = False
+            self.mins[pos] = None
+            self.maxs[pos] = None
 
     def append(self, values: tuple) -> int:
         """Append a live row; returns its offset within the segment.
@@ -804,6 +895,9 @@ class Segment:
         ``shared_dicts`` maps column positions to their table-level
         ``TableDictionary``; string columns encode through it.
 
+        One type census per column drives both its encoding choice and
+        its plain-byte accounting.
+
         The encode is atomic: every column is encoded into a list built
         aside, published with single assignments only once all columns
         succeeded — a crash mid-seal leaves the segment fully plain (and
@@ -814,10 +908,14 @@ class Segment:
         new_columns: list = []
         for pos, values in enumerate(self.columns):
             shared = shared_dicts.get(pos) if shared_dicts else None
-            encoded = _encode_column(values, shared)
+            census = _type_census(values)
+            encoded = _encode_column(values, shared, census)
             new_columns.append(encoded)
-            plain_total += _plain_bytes(values)
-            encoded_total += _encoded_bytes(encoded)
+            plain = _plain_bytes(values, census)
+            plain_total += plain
+            # a column left PLAIN is the same list: same bytes
+            encoded_total += (plain if encoded is values
+                              else _encoded_bytes(encoded))
         self.columns = new_columns
         self.plain_bytes = plain_total
         self.encoded_bytes = encoded_total
@@ -1137,21 +1235,20 @@ class ColumnarTable:
         """Live rows waiting in the delta tail."""
         return sum(segment.live_count for segment in self._segments)
 
-    def _live_rows_of(self, segments: list[Segment]) -> list[tuple]:
-        """Materialise the live rows of ``segments`` as value tuples."""
-        rows: list[tuple] = []
+    def _live_columns(self, segments: list[Segment]) -> list[list]:
+        """The live values of ``segments``, concatenated column by column
+        (sealed columns bulk-decode; the live bitmap filters in C)."""
+        columns: list[list] = [[] for _ in self.table.columns]
         for segment in segments:
             if segment.live_count == 0:
                 continue
-            columns = [col if isinstance(col, list) else col.decode()
-                       for col in segment.columns]
-            live = segment.live
-            if segment.live_count == segment.size:
-                rows.extend(zip(*columns))
-            else:
-                rows.extend(tuple(col[i] for col in columns)
-                            for i in range(segment.size) if live[i])
-        return rows
+            all_live = segment.live_count == segment.size
+            for out, column in zip(columns, segment.columns):
+                values = (column if isinstance(column, list)
+                          else column.decode())
+                out.extend(values if all_live
+                           else compress(values, segment.live))
+        return columns
 
     def _merge_delta(self) -> int:
         """Ordered compaction: merge the delta into the sorted main.
@@ -1169,6 +1266,13 @@ class ColumnarTable:
         lengthens RLE runs and keeps the per-segment key ranges disjoint —
         the precondition for ``main_span`` binary search.
 
+        **Columnar throughout**: no row tuple is built.  The live values
+        are gathered as concatenated columns, the sort keys come from the
+        key columns themselves (``canonical_column_keys``: a homogeneous
+        column's natural order *is* its canonical order), the sort orders
+        an index vector, and every output segment is one gather per column
+        through its slice of that vector (``Segment.from_columns``).
+
         **Swap, don't mutate**: the new segment/bound lists are built
         aside and installed with single assignments, and untouched
         ``Segment`` objects are shared between the old and new lists — an
@@ -1178,49 +1282,49 @@ class ColumnarTable:
         sort_positions = self.sort_positions
         pk_positions = self.table.pk_positions
 
-        if sort_positions == pk_positions:
-            def merge_key(row):
-                return canonical_key_of(row, sort_positions)
-        else:
-            def merge_key(row):
-                return (canonical_key_of(row, sort_positions)
-                        + canonical_key_of(row, pk_positions))
+        def sort_key_at(columns, row):
+            return canonical_row_key([columns[p][row]
+                                      for p in sort_positions])
 
-        delta_rows = self._live_rows_of(self._segments)
-        if not delta_rows:
+        delta = self._live_columns(self._segments)
+        if not delta[0]:
             return 0
         main = self._main_segments
+        start = stop = 0
         if main:
-            delta_keys = [canonical_key_of(row, sort_positions)
-                          for row in delta_rows]
-            start, stop = self.main_span(min(delta_keys), max(delta_keys))
-        else:
-            start, stop = 0, 0
+            keys = canonical_column_keys([delta[p] for p in sort_positions])
+            rows = range(len(keys))
+            start, stop = self.main_span(
+                sort_key_at(delta, min(rows, key=keys.__getitem__)),
+                sort_key_at(delta, max(rows, key=keys.__getitem__)))
 
-        rows = self._live_rows_of(main[start:stop])
-        rows.extend(delta_rows)
-        rows.sort(key=merge_key)
+        columns = self._live_columns(main[start:stop])
+        for column, tail in zip(columns, delta):
+            column.extend(tail)
+        # sort key then primary key (unique, so the order is total)
+        keys = canonical_column_keys([columns[p] for p in dict.fromkeys(
+            sort_positions + pk_positions)])
+        n_rows = len(columns[0])
+        order = sorted(range(n_rows), key=keys.__getitem__)
+        del delta, keys     # dead weight while the segments are built
 
-        n_columns = len(self.table.columns)
         width = self.segment_rows
-        pk_of = self.table.pk_of
         segments: list[Segment] = []
         lows: list[tuple] = []
         highs: list[tuple] = []
-        for begin in range(0, len(rows), width):
-            chunk = rows[begin:begin + width]
-            segment = Segment(n_columns, width)
-            for row in chunk:
-                segment.append(row)
-            segment.observe_batch(chunk)
+        for begin in range(0, n_rows, width):
+            picks = order[begin:begin + width]
+            chunk = [list(map(column.__getitem__, picks))
+                     for column in columns]
+            lows.append(sort_key_at(chunk, 0))
+            highs.append(sort_key_at(chunk, -1))
+            segment = Segment.from_columns(chunk, width)
             # ordered compaction is where shared dictionaries are
             # built/refreshed: every merged segment encodes straight
             # into the global code space
             segment.seal(self.shared_dicts)
             self.encode_events += 1
             segments.append(segment)
-            lows.append(canonical_key_of(chunk[0], sort_positions))
-            highs.append(canonical_key_of(chunk[-1], sort_positions))
         # crash point: everything above built fresh objects aside; the
         # publish below is the first mutation.  A fault here leaves the
         # old main + delta fully queryable (compaction simply re-runs).
@@ -1233,13 +1337,15 @@ class ColumnarTable:
         region_hi = stop * width
         shift = (len(segments) - (stop - start)) * width
         pk_map: dict[tuple, int] = {}
-        for pk, slot in self._main_pk_to_slot.items():
-            if slot < region_lo:
-                pk_map[pk] = slot
-            elif slot >= region_hi:
-                pk_map[pk] = slot + shift
-        for offset, row in enumerate(rows):
-            pk_map[pk_of(row)] = region_lo + offset
+        if start or stop < len(main):
+            for pk, slot in self._main_pk_to_slot.items():
+                if slot < region_lo:
+                    pk_map[pk] = slot
+                elif slot >= region_hi:
+                    pk_map[pk] = slot + shift
+        pk_map.update(zip(
+            zip(*(map(columns[p].__getitem__, order) for p in pk_positions)),
+            range(region_lo, region_lo + n_rows)))
         # sketches of the rewritten region die with their segments;
         # untouched segments outside [start, stop) keep theirs — that
         # sharing is what carries warm sketches across disjoint-delta
@@ -1255,10 +1361,10 @@ class ColumnarTable:
         self._zone_pending = []
         self.compactions += 1
         self.segments_merged_total += len(segments)
-        self.rows_merged_total += len(rows)
+        self.rows_merged_total += n_rows
         if self._merge_totals is not None:
             self._merge_totals[0] += len(segments)
-            self._merge_totals[1] += len(rows)
+            self._merge_totals[1] += n_rows
         return len(segments)
 
     # -- consistent read snapshots -------------------------------------

@@ -105,6 +105,21 @@ class TestTable:
         assert not make_table().composite_primary_key()
         assert table.pk_of((1, 2)) == (1, 2)
 
+    def test_pk_positions_are_computed_once(self):
+        single = make_table()
+        assert single.pk_positions == (0,)
+        assert single.pk_positions is single.pk_positions
+        # key columns out of declaration order, named in another case
+        composite = Table(
+            "t3", [Column("a", INT), Column("b", INT), Column("c", INT)],
+            primary_key=("C", "a"))
+        assert composite.pk_positions == (2, 0)
+        assert composite.pk_positions is composite.pk_positions
+        assert composite.pk_of((1, 2, 3)) == (3, 1)
+        assert composite.pk_of([1, 2, 3]) == (3, 1)
+        # a single-column key is still a 1-tuple
+        assert single.pk_of([7, "x", 1.0]) == (7,)
+
     def test_requires_primary_key(self):
         with pytest.raises(CatalogError):
             Table("bad", [Column("a", INT)], primary_key=())

@@ -187,6 +187,69 @@ class TestCodeSpaceSelection:
         assert not column.fold_range_sum({}, 0, 10)
 
 
+def _decoded(column):
+    return column if isinstance(column, list) else column.decode()
+
+
+class TestRunBoundaries:
+    """A run holds values that decode alike: equal, of one type and — for
+    zeros — of one sign.  ``repr`` tells ``0.0`` from ``-0.0`` and ``1``
+    from ``1.0`` where ``==`` does not."""
+
+    @pytest.mark.parametrize("values", [
+        [0.0] * 50 + [-0.0] * 50,
+        [-0.0] * 50 + [0.0] * 50,
+        [-0.0] * 100,
+        [0.0] * 40 + [None] * 40 + [-0.0] * 40 + [0.0] * 40,
+        ([0.0] * 64 + [-0.0] * 64) * 3,
+        [2.5] * 64 + [-0.0] * 64 + [0.0] * 64,
+        [0] * 50 + [-0.0] * 50 + [0.0] * 50 + [False] * 50,
+    ])
+    def test_rle_keeps_the_sign_of_zero(self, values):
+        column = _encode_column(values)
+        assert isinstance(column, RLEColumn)
+        assert list(map(repr, column.decode())) == list(map(repr, values))
+        # one run per stretch of identical reprs
+        stretches = 1 + sum(repr(a) != repr(b)
+                            for a, b in zip(values, values[1:]))
+        assert len(column.run_values) == stretches
+
+    def test_negative_zero_survives_every_encoding(self):
+        # NATIVE (short runs) and PLAIN (mixed) never lost it: pin that
+        for values in ([0.0, -0.0, 1.5] * 40, [0.0, -0.0, 1, None] * 40):
+            column = _encode_column(values)
+            assert not isinstance(column, RLEColumn)
+            assert list(map(repr, _decoded(column))) == \
+                list(map(repr, values))
+
+    def test_shared_nan_object_stays_one_run(self):
+        nan = float("nan")
+        column = _encode_column([nan] * 100 + [1.0] * 100)
+        assert isinstance(column, RLEColumn)
+        assert list(column.run_lengths) == [100, 100]
+        assert column.run_values[0] is nan
+        assert list(map(repr, column.decode())) == \
+            ["nan"] * 100 + ["1.0"] * 100
+
+    def test_distinct_nan_objects_stay_native(self):
+        # a NaN differs from every other NaN: a hundred one-value runs
+        values = [float("nan") for _ in range(100)]
+        column = _encode_column(values)
+        assert isinstance(column, NativeColumn)
+        assert all(math.isnan(v) for v in column.decode())
+
+    def test_census_path_agrees_with_a_supplied_census(self):
+        from collections import Counter
+
+        for values in ([7] * 90 + [None] * 10, ["a", "b"] * 64,
+                       [1.5, None] * 64, [1 << 70] * 64, [None] * 64):
+            alone = _encode_column(values)
+            given = _encode_column(values, None,
+                                   Counter(map(type, values)))
+            assert type(alone) is type(given)
+            assert _decoded(alone) == _decoded(given) == values
+
+
 # ---------------------------------------------------------------------------
 # engine level: encoded execution vs the row oracle
 # ---------------------------------------------------------------------------
@@ -292,6 +355,32 @@ class TestEncodedEngineParity:
         assert sum(stats["encodings"].values()) == \
             stats["segments_encoded"] * 5  # five columns per segment
         assert 0.0 < enc.columnar.scan_cost_factor() < 1.0
+
+
+class TestSignOfZeroThroughTheEngine:
+    def test_select_is_repr_identical_to_the_row_store_after_a_merge(self):
+        db = Database(with_columnar=True, columnar_segment_rows=64)
+        db.execute_ddl("CREATE TABLE z (id INT PRIMARY KEY, x DOUBLE)")
+        with db.connect() as conn:
+            for i in range(128):
+                conn.execute("INSERT INTO z (id, x) VALUES (?, ?)",
+                             (i, 0.0 if i < 64 or i >= 96 else -0.0))
+            conn.commit()
+        db.replicate()
+        db.columnar.compact(force=True)
+        table = db.columnar.table("z")
+        assert table.delta_live_rows() == 0
+        assert any(isinstance(s.columns[1], RLEColumn)
+                   for s in table.main_segments())
+        sql = "SELECT id, x FROM z ORDER BY id"
+        with db.connect() as conn:
+            row_side = conn.execute(sql).rows
+            columnar = conn.execute(sql, (), route_columnar=True)
+            conn.commit()
+        assert columnar.stats.vectorized
+        assert repr(columnar.rows) == repr(row_side)
+        assert [repr(x) for _i, x in row_side[60:68]] == \
+            ["0.0"] * 4 + ["-0.0"] * 4
 
 
 class TestZoneMapBatching:

@@ -711,3 +711,147 @@ class TestCrashRecoverySweep:
         assert fp.recoveries_total() >= 1
         crash.pool.shutdown()
         ref.quiesce()
+
+
+# -- the merge builds aside: old snapshots stay readable, a fault publishes
+# -- nothing ------------------------------------------------------------------
+
+
+class TestMergeBuildsAside:
+    def _db(self, **kwargs) -> Database:
+        db = Database(with_columnar=True, columnar_segment_rows=16,
+                      retain_wal=True, **kwargs)
+        db.execute_ddl(
+            "CREATE TABLE m (id INT PRIMARY KEY, g INT, tag VARCHAR(4), "
+            "v DOUBLE)")
+        db.bulk_load("m", [(i, i % 3, f"t{i % 3}", i * 0.5)
+                           for i in range(0, 120, 2)])
+        db.replicate()
+        db.quiesce()
+        db.columnar.compact(force=True)
+        return db
+
+    @staticmethod
+    def _insert(db: Database, ids):
+        with db.connect() as conn:
+            conn.begin()
+            for i in ids:
+                conn.execute(
+                    "INSERT INTO m (id, g, tag, v) VALUES (?, ?, ?, ?)",
+                    (i, i % 3, f"t{i % 3}", i * 0.5))
+            conn.commit()
+
+    @staticmethod
+    def _read(snapshot, delta_sizes):
+        """Every live row reachable from one ``read_snapshot``: main
+        segments to the end, delta segments up to their snapshot-time
+        sizes (a delta tail may only grow past them)."""
+        main, lows, highs, delta = snapshot
+        sized = [(s, s.size) for s in main] + list(zip(delta, delta_sizes))
+        rows = [tuple(col[i] for col in segment.columns)
+                for segment, size in sized
+                for i in range(size) if segment.live[i]]
+        return rows, list(lows), list(highs), [id(s) for s in main]
+
+    def test_old_snapshot_reads_to_the_end_across_a_merge(self):
+        db = self._db()
+        table = db.columnar.table("m")
+        self._insert(db, (201, 203))            # a delta tail to snapshot
+        db.columnar.apply_from_partitions(db.storage.wals)
+        snapshot = table.read_snapshot()
+        delta_sizes = [s.size for s in snapshot[3]]
+        before = self._read(snapshot, delta_sizes)
+        assert len(before[0]) == 62 and len(before[3]) == 4
+        # new keys between, before and after every main key: the whole
+        # main is the rewrite region
+        self._insert(db, range(1, 121, 8))
+        db.columnar.apply_from_partitions(db.storage.wals)
+        assert table.compact(force=True) > 0
+        assert table.delta_live_rows() == 0
+        # the table moved on ...
+        assert table.row_count == 77
+        assert all(new is not old for new in table.main_segments()
+                   for old in snapshot[0])
+        # ... the old snapshot did not
+        assert self._read(snapshot, delta_sizes) == before
+
+    def test_fault_before_publish_leaves_main_and_delta_untouched(self):
+        db = self._db()
+        table = db.columnar.table("m")
+        # the delta brings no new string, so a merge that builds aside and
+        # is thrown away leaves even the shared dictionaries as they were
+        self._insert(db, range(1, 41, 2))
+        with db.connect() as conn:
+            conn.execute("UPDATE m SET v = -1.0 WHERE id = 100")
+            conn.execute("DELETE FROM m WHERE id = 50")
+            conn.commit()
+        db.columnar.apply_from_partitions(db.storage.wals)
+        stats = db.columnar.encoding_stats()
+        main = list(table.main_segments())
+        delta = list(table.delta_segments())
+        bounds = (list(table.main_lo), list(table.main_hi))
+        slots = dict(table._main_pk_to_slot)
+        dump = _dump_tables(db)
+        db.failpoints.arm("compact.merge", always=True)
+        for _ in range(2):
+            with pytest.raises(InjectedFaultError):
+                db.columnar.compact(force=True)
+        db.failpoints.disarm_all()
+        # no half-built segment is reachable: same objects, same bounds
+        assert [id(s) for s in table.main_segments()] == \
+            [id(s) for s in main]
+        assert [id(s) for s in table.delta_segments()] == \
+            [id(s) for s in delta]
+        assert (table.main_lo, table.main_hi) == bounds
+        assert table._main_pk_to_slot == slots
+        assert all(s.encoded for s in table.main_segments())
+        assert not any(s.encoded for s in table.delta_segments())
+        assert db.columnar.encoding_stats() == stats
+        assert _dump_tables(db) == dump         # main + delta queryable
+        assert table.delta_live_rows() == 21 and table.row_count == 79
+        # the inline path (replicate -> compact) absorbs the same fault
+        db.failpoints.arm("compact.merge", always=True)
+        self._insert(db, (41,))
+        db.replicate()
+        db.failpoints.disarm_all()
+        assert db.bg_compaction_failures == 1
+        assert [id(s) for s in table.main_segments()] == \
+            [id(s) for s in main]
+        assert table.delta_live_rows() == 22
+        dump = _dump_tables(db)
+        assert (41, 2, "t2", 20.5) in dump["m"]
+        # recovery is idempotent; its re-replication merges, fault-free
+        first = db.recover()
+        state = (_dump_tables(db), db.columnar.encoding_stats())
+        assert db.recover() == first
+        assert (_dump_tables(db), db.columnar.encoding_stats()) == state
+        assert state[0] == dump
+        assert db.columnar.delta_rows_pending() == 0
+        assert db.columnar.table("m").row_count == 80
+
+    def test_background_compaction_builds_the_same_main(self):
+        pooled = self._db(workers=2)
+        inline = self._db()
+        for db in (pooled, inline):
+            self._insert(db, range(1, 121, 8))
+            with db.connect() as conn:
+                conn.execute("DELETE FROM m WHERE id = 50")
+                conn.commit()
+            db.replicate()      # pooled: schedules compact(force=True)
+            db.quiesce()
+        inline.columnar.compact(force=True)
+        assert pooled.bg_compactions_total >= 1
+
+        def layout(db):
+            table = db.columnar.table("m")
+            return repr([(
+                [c if isinstance(c, list) else c.decode()
+                 for c in s.columns], s.live, s.mins, s.maxs, s.encodings(),
+                s.plain_bytes, s.encoded_bytes)
+                for s in table.main_segments()]
+                + [table.main_lo, table.main_hi,
+                   sorted(table._main_pk_to_slot.items())])
+
+        assert layout(pooled) == layout(inline)
+        assert pooled.columnar.table("m").delta_live_rows() == 0
+        pooled.pool.shutdown()

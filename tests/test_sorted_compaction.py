@@ -3,12 +3,29 @@ order-aware planning (sort elision), span pruning, encoded group-by — each
 checked against the row oracle on the same replica — and this layer's view
 of the three-workload parity matrix."""
 
+from array import array
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.catalog import FLOAT, INT, VARCHAR, Column, Table
 from repro.db import Database
+from repro.sql.ordering import canonical_value_key
 from repro.sql.planner import SortedMerge
+from repro.storage.columnstore import (
+    DICT_MAX_CARDINALITY,
+    RLE_FALLBACK_AVG_RUN,
+    RLE_MIN_AVG_RUN,
+    ColumnarReplica,
+    DictColumn,
+    NativeColumn,
+    RLEColumn,
+    Segment,
+    SharedDictColumn,
+)
+from repro.storage.wal import LogOp
 
 
 def _make_db(segment_rows=64, partitions=1, sort_keys=None):
@@ -450,3 +467,458 @@ class TestWorkloadParity:
                                             workload_name, partitions):
         cell = workload_parity(workload_name, partitions, lagged=True)
         assert cell.segments_merged > 0
+
+
+# ---------------------------------------------------------------------------
+# the columnar merge against the row-wise merge it replaced
+# ---------------------------------------------------------------------------
+#
+# ``_oracle_merge_delta`` is the merge as it stood before it went columnar,
+# kept verbatim (``self`` became ``table``): live rows as value tuples, one
+# ``canonical_key_of`` tuple per row as the sort key, ``Segment.append`` row
+# by row, and a seal that encodes and sizes every column one value at a
+# time.  The one edit is the run test of ``build_rle``, which tells ``-0.0``
+# from ``0.0`` like the engine's now does.  Two replicas receive the same
+# applies; one merges through the engine, one through the oracle, and
+# everything a reader or a counter can see must agree.
+
+def _oracle_value_bytes(value):
+    if value is None:
+        return 8
+    if isinstance(value, float):
+        return 24
+    if isinstance(value, int):
+        return 28
+    if isinstance(value, str):
+        return 49 + len(value)
+    return 48
+
+
+def _oracle_plain_bytes(values):
+    return 56 + 8 * len(values) + sum(_oracle_value_bytes(v) for v in values)
+
+
+def _oracle_encoded_bytes(column):
+    if isinstance(column, SharedDictColumn):
+        return (64 + column.codes.itemsize * len(column.codes)
+                + 8 * len(column.code_set))
+    if isinstance(column, DictColumn):
+        return (64 + column.codes.itemsize * len(column.codes)
+                + _oracle_plain_bytes(column.values))
+    if isinstance(column, RLEColumn):
+        return (64 + 2 * column.run_lengths.itemsize * len(column.run_lengths)
+                + _oracle_plain_bytes(column.run_values))
+    if isinstance(column, NativeColumn):
+        return (64 + column.data.itemsize * len(column.data)
+                + 8 * len(column.nulls))
+    return _oracle_plain_bytes(column)
+
+
+def _oracle_encode_column(values, shared=None):
+    n = len(values)
+    if n == 0:
+        return values
+    runs = 1
+    previous = values[0]
+    all_int = True
+    all_float = True
+    all_str = True
+    nulls = 0
+    try:
+        for value in values:
+            if value is not previous and value != previous:
+                runs += 1
+            previous = value
+            if value is None:
+                nulls += 1
+                continue
+            if all_int and not (type(value) is int
+                                and -(1 << 63) <= value <= (1 << 63) - 1):
+                all_int = False
+            if all_float and type(value) is not float:
+                all_float = False
+            if all_str and type(value) is not str:
+                all_str = False
+    except TypeError:
+        return values
+    if nulls:
+        all_int = all_int and nulls < n
+        all_float = all_float and nulls < n
+    if nulls == n:
+        all_int = all_float = all_str = False
+
+    def build_rle():
+        run_values = []
+        run_lengths = array("q")
+        previous_value = values[0]
+        count = 0
+        for value in values:
+            if count and (value is previous_value
+                          or (value == previous_value
+                              and type(value) is type(previous_value)
+                              and repr(value) == repr(previous_value))):
+                count += 1
+                continue
+            if count:
+                run_values.append(previous_value)
+                run_lengths.append(count)
+            previous_value = value
+            count = 1
+        run_values.append(previous_value)
+        run_lengths.append(count)
+        return RLEColumn(run_values, run_lengths)
+
+    if n // runs >= RLE_MIN_AVG_RUN:
+        return build_rle()
+    if all_int or all_float:
+        data = array("q" if all_int else "d",
+                     [0 if v is None else v for v in values])
+        null_set = (frozenset(i for i, v in enumerate(values) if v is None)
+                    if nulls else frozenset())
+        return NativeColumn(data, null_set)
+    if all_str:
+        if shared is not None and shared.active:
+            shared_codes = shared.encode(values)
+            if shared_codes is not None:
+                code_set = frozenset(
+                    c for c in set(shared_codes) if c >= 0)
+                return SharedDictColumn(shared_codes, shared, code_set)
+        code_of = {}
+        codes = array("i")
+        dictionary = []
+        for value in values:
+            if value is None:
+                codes.append(-1)
+                continue
+            code = code_of.get(value)
+            if code is None:
+                code = code_of[value] = len(dictionary)
+                dictionary.append(value)
+                if len(dictionary) > DICT_MAX_CARDINALITY:
+                    break
+            codes.append(code)
+        else:
+            return DictColumn(codes, dictionary, code_of)
+    if n // runs >= RLE_FALLBACK_AVG_RUN:
+        return build_rle()
+    return values
+
+
+def _oracle_seal(segment, shared_dicts=None):
+    plain_total = 0
+    encoded_total = 0
+    new_columns = []
+    for pos, values in enumerate(segment.columns):
+        shared = shared_dicts.get(pos) if shared_dicts else None
+        encoded = _oracle_encode_column(values, shared)
+        new_columns.append(encoded)
+        plain_total += _oracle_plain_bytes(values)
+        encoded_total += _oracle_encoded_bytes(encoded)
+    segment.columns = new_columns
+    segment.plain_bytes = plain_total
+    segment.encoded_bytes = encoded_total
+    segment.encoded = True
+    segment.sketch_epoch += 1
+
+
+def _oracle_live_rows_of(segments):
+    rows = []
+    for segment in segments:
+        if segment.live_count == 0:
+            continue
+        columns = [col if isinstance(col, list) else col.decode()
+                   for col in segment.columns]
+        live = segment.live
+        if segment.live_count == segment.size:
+            rows.extend(zip(*columns))
+        else:
+            rows.extend(tuple(col[i] for col in columns)
+                        for i in range(segment.size) if live[i])
+    return rows
+
+
+def _oracle_merge_delta(table):
+    def canonical_key_of(values, positions):
+        return tuple(canonical_value_key(values[p]) for p in positions)
+
+    sort_positions = table.sort_positions
+    pk_positions = table.table.pk_positions
+
+    if sort_positions == pk_positions:
+        def merge_key(row):
+            return canonical_key_of(row, sort_positions)
+    else:
+        def merge_key(row):
+            return (canonical_key_of(row, sort_positions)
+                    + canonical_key_of(row, pk_positions))
+
+    delta_rows = _oracle_live_rows_of(table._segments)
+    if not delta_rows:
+        return 0
+    main = table._main_segments
+    if main:
+        delta_keys = [canonical_key_of(row, sort_positions)
+                      for row in delta_rows]
+        start, stop = table.main_span(min(delta_keys), max(delta_keys))
+    else:
+        start, stop = 0, 0
+
+    rows = _oracle_live_rows_of(main[start:stop])
+    rows.extend(delta_rows)
+    rows.sort(key=merge_key)
+
+    n_columns = len(table.table.columns)
+    width = table.segment_rows
+    pk_of = table.table.pk_of
+    segments = []
+    lows = []
+    highs = []
+    for begin in range(0, len(rows), width):
+        chunk = rows[begin:begin + width]
+        segment = Segment(n_columns, width)
+        for row in chunk:
+            segment.append(row)
+        segment.observe_batch(chunk)
+        _oracle_seal(segment, table.shared_dicts)
+        table.encode_events += 1
+        segments.append(segment)
+        lows.append(canonical_key_of(chunk[0], sort_positions))
+        highs.append(canonical_key_of(chunk[-1], sort_positions))
+    region_lo = start * width
+    region_hi = stop * width
+    shift = (len(segments) - (stop - start)) * width
+    pk_map = {}
+    for pk, slot in table._main_pk_to_slot.items():
+        if slot < region_lo:
+            pk_map[pk] = slot
+        elif slot >= region_hi:
+            pk_map[pk] = slot + shift
+    for offset, row in enumerate(rows):
+        pk_map[pk_of(row)] = region_lo + offset
+    if table._sketches is not None:
+        table._sketches.drop_segments(main[start:stop])
+    table._main_segments = main[:start] + segments + main[stop:]
+    table.main_lo = table.main_lo[:start] + lows + table.main_lo[stop:]
+    table.main_hi = table.main_hi[:start] + highs + table.main_hi[stop:]
+    table._main_pk_to_slot = pk_map
+    table._segments = []
+    table._pk_to_slot = {}
+    table._zone_pending = []
+    table.compactions += 1
+    table.segments_merged_total += len(segments)
+    table.rows_merged_total += len(rows)
+    if table._merge_totals is not None:
+        table._merge_totals[0] += len(segments)
+        table._merge_totals[1] += len(rows)
+    return len(segments)
+
+
+def _visible_state(replica, table):
+    """Everything a reader, a counter or the next merge can observe —
+    through ``repr``, which tells ``1`` / ``1.0`` / ``True`` and ``0.0`` /
+    ``-0.0`` apart and makes every NaN alike."""
+    segments = []
+    for segment in table._main_segments:
+        segments.append((
+            [col if isinstance(col, list) else col.decode()
+             for col in segment.columns],
+            segment.live, segment.size, segment.live_count,
+            segment.mins, segment.maxs, segment.zone_valid,
+            segment.encodings(), segment.encoded,
+            segment.plain_bytes, segment.encoded_bytes))
+    dictionaries = {
+        pos: (shared.values, shared.active, shared.referenced)
+        for pos, shared in (table.shared_dicts or {}).items()}
+    return repr((
+        segments, table.main_lo, table.main_hi,
+        sorted(table._main_pk_to_slot.items(), key=repr),
+        len(table._segments), table.delta_live_rows(), table._pk_to_slot,
+        len(table._zone_pending), table.row_count, table.compactions, table.segments_merged_total,
+        table.rows_merged_total, table.encode_events,
+        replica._merge_totals, dictionaries,
+        {k: v for k, v in sorted(replica.encoding_stats().items())},
+    ))
+
+
+MERGE_COLUMNS = ("k", "j", "s", "x", "t")
+
+
+def _merge_replica(segment_rows, sort_key, composite_pk, shared_cap):
+    table = Table(
+        "m", [Column("k", INT), Column("j", INT), Column("s", INT),
+              Column("x", FLOAT), Column("t", VARCHAR(16))],
+        primary_key=("k", "j") if composite_pk else ("k",))
+    replica = ColumnarReplica(segment_rows=segment_rows,
+                              shared_dict_cardinality=shared_cap)
+    replica.register_table(
+        table, None if sort_key is None
+        else tuple(MERGE_COLUMNS.index(c) for c in sort_key))
+    return replica, replica.table_partitions("m")[0]
+
+
+def _check_merges_agree(segment_rows, sort_key, composite_pk, shared_cap,
+                        batches):
+    """Apply each batch of ``(k, j, row-or-None)`` to two replicas, merge
+    one through the engine and one through the oracle, compare."""
+    engine_replica, engine = _merge_replica(
+        segment_rows, sort_key, composite_pk, shared_cap)
+    oracle_replica, oracle = _merge_replica(
+        segment_rows, sort_key, composite_pk, shared_cap)
+    for batch in batches:
+        for k, j, rest in batch:
+            pk = (k, j) if composite_pk else (k,)
+            for table in (engine, oracle):
+                if rest is None:
+                    table.apply(pk, None, LogOp.DELETE)
+                else:
+                    table.apply(pk, (k, j) + tuple(rest), LogOp.INSERT)
+        engine.flush_zone_maps()
+        oracle.flush_zone_maps()
+        assert _visible_state(engine_replica, engine) == \
+            _visible_state(oracle_replica, oracle)      # same input
+        made = engine._merge_delta()
+        assert made == _oracle_merge_delta(oracle)
+        assert _visible_state(engine_replica, engine) == \
+            _visible_state(oracle_replica, oracle)
+        # the slot map points at exactly the live main rows
+        pk_of = engine.table.pk_of
+        for pk, slot in engine._main_pk_to_slot.items():
+            segment, offset = engine._locate_main(slot)
+            assert segment.live[offset]
+            assert pk_of([col[offset] for col in segment.columns]) == pk
+        assert len(engine._main_pk_to_slot) == engine.row_count
+
+
+_NAN = float("nan")
+# each a value domain for one column of one scenario
+_INT_DOMAINS = [
+    st.integers(0, 3),
+    st.one_of(st.none(), st.none(), st.integers(0, 2)),       # NULL-heavy
+    st.none(),                                                # all NULL
+    st.sampled_from([0, 1, 2, 1.0, 2.0, 0.5]),                # int / float
+    st.sampled_from([0, 1, True, False, 2]),                  # bool among
+    st.sampled_from([1 << 70, -(1 << 63) - 1, 1 << 63, 5, -5]),
+    st.sampled_from([0, "a", None, 1.5, "b"]),                # mixed classes
+]
+_FLOAT_DOMAINS = [
+    st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([_NAN, float("nan"), 1.0, float("inf"),
+                     float("-inf"), None]),
+    st.floats(allow_nan=True, allow_infinity=True, width=32),
+    st.none(),
+    st.just(0.0),
+]
+_STR_DOMAINS = [
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(["a", "b", "c", "d", "e", None]),   # straddles cap 4
+    st.integers(0, 40).map(lambda i: f"v{i}"),
+    st.none(),
+]
+
+
+def _sized(elements, largest):
+    # sizes drawn first and uniformly: left to itself hypothesis keeps the
+    # lists — and so the tables — nearly empty
+    return st.integers(0, largest).flatmap(
+        lambda size: st.lists(elements, min_size=size, max_size=size))
+
+
+@st.composite
+def merge_scenarios(draw):
+    # drawn rows make short runs; striped batches repeat a few drawn values
+    # over stretches of keys, the only way a 32- or 64-row segment sees the
+    # long runs RLE needs
+    striped = draw(st.booleans())
+    segment_rows = draw(st.sampled_from([32, 64] if striped
+                                        else [8, 8, 8, 3, 32]))
+    sort_key = draw(st.sampled_from(
+        [None, ("s",), ("s", "k"), ("x", "s"), ("t",), ("j", "k")]))
+    composite_pk = draw(st.booleans())
+    shared_cap = draw(st.sampled_from([4, 4096]))
+    values = st.tuples(draw(st.sampled_from(_INT_DOMAINS)),
+                       draw(st.sampled_from(_FLOAT_DOMAINS)),
+                       draw(st.sampled_from(_STR_DOMAINS)))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        # a key window per batch: the delta's envelope covers none, part
+        # or all of what earlier batches merged into main
+        low = draw(st.integers(0, 60))
+        if striped:
+            pool = draw(st.lists(values, min_size=1, max_size=4))
+            stripe = draw(st.sampled_from([1, 16, 40, 200]))
+            dead = draw(st.sampled_from([0, 0, 5, 7]))
+            keys = range(low, low + draw(st.sampled_from([40, 150])),
+                         draw(st.sampled_from([1, 1, 3])))
+            batches.append([
+                (k, 0, None if dead and k % dead == 0
+                 else pool[k // stripe % len(pool)]) for k in keys])
+        else:
+            span = draw(st.sampled_from([2, 10, 60]))
+            op = st.tuples(st.integers(low, low + span), st.integers(0, 1),
+                           st.one_of(st.none(), values, values))
+            batches.append(draw(_sized(op, 40)))
+    return segment_rows, sort_key, composite_pk, shared_cap, batches
+
+
+class TestColumnarMergeDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(merge_scenarios())
+    def test_generated_tables_merge_like_the_row_wise_oracle(self, scenario):
+        _check_merges_agree(*scenario)
+
+    @pytest.mark.parametrize("distinct", [255, 256, 257, 258])
+    @pytest.mark.parametrize("shared_cap", [200, 4096])
+    def test_string_domain_straddling_the_dictionary_caps(self, distinct,
+                                                          shared_cap):
+        # one 600-row segment holding 255..258 distinct strings: at or
+        # under DICT_MAX_CARDINALITY the column dictionary-encodes, over
+        # it the column stays plain; a 200-entry shared dictionary demotes
+        # on the way and hands over to the per-segment one
+        load = [(k, 0, (k % 7, float(k % 5), f"t{k % distinct}"))
+                for k in range(600)]
+        churn = [(k, 0, None if k % 9 == 0
+                  else (k % 3, -0.0, f"t{(k * 7) % distinct}"))
+                 for k in range(0, 600, 4)]
+        _check_merges_agree(600, None, False, shared_cap, [load, churn])
+
+    def test_runs_of_signed_zeros(self):
+        # x holds 0.0 / -0.0 in stretches: one ``!=`` run, several RLE runs
+        load = [(k, 0, (k // 50, (0.0, -0.0, 0.0, None)[k // 40 % 4], "a"))
+                for k in range(200)]
+        flip = [(k, 0, (0, -0.0, "a")) for k in range(0, 200, 2)]
+        for sort_key in (None, ("x", "k")):
+            _check_merges_agree(64, sort_key, False, 4096, [load, flip])
+
+    def test_reinsert_of_a_deleted_key_and_dead_main_rows(self):
+        load = [(k, 0, (k % 4, 0.5 * k, "a")) for k in range(40)]
+        kill = [(k, 0, None) for k in range(5, 30, 3)]
+        back = [(k, 0, (9, -1.0, "b")) for k in range(5, 30, 6)]
+        for sort_key in (None, ("s",), ("s", "k")):
+            _check_merges_agree(8, sort_key, False, 4096,
+                                [load, kill + back, kill, back])
+
+    def test_envelope_covering_none_part_and_all_of_main(self):
+        load = [(k, 0, (k % 4, 1.0, "a")) for k in range(0, 80, 2)]
+        beyond = [(k, 0, (0, 2.0, "b")) for k in range(100, 110)]
+        inside = [(k, 0, (1, 3.0, "c")) for k in range(21, 41, 2)]
+        across = [(k, 0, (2, 4.0, "d")) for k in (1, 55, 109, 200)]
+        _check_merges_agree(8, None, False, 4096,
+                            [load, beyond, inside, across])
+
+    def test_duplicate_sort_keys_tie_break_on_the_primary_key(self):
+        # every row shares one sort-key value: the order is the PK's
+        load = [(k, j, (1, 0.0, "a")) for k in (5, 3, 9, 1, 7)
+                for j in (1, 0)]
+        more = [(k, 0, (1, 0.0, "a")) for k in (4, 8, 2, 6)]
+        _check_merges_agree(3, ("s",), True, 4096, [load, more])
+
+    def test_nan_and_mixed_class_sort_keys(self):
+        nan = float("nan")
+        load = [(k, 0, (("a", None, 2, 1.5, True)[k % 5],
+                        (nan, 1.0, -0.0, 0.0, float("inf"))[k % 5], "a"))
+                for k in range(30)]
+        more = [(k, 0, ((1, "b", None)[k % 3], float("nan"), None))
+                for k in range(10, 50, 3)]
+        for sort_key in (("x",), ("s",), ("x", "s"), ("s", "x")):
+            _check_merges_agree(8, sort_key, False, 4096, [load, more])
