@@ -14,7 +14,7 @@ multi-partition commit fraction and the partition-parallel OLAP speedup.
 """
 
 from conftest import fresh_bench, run_once
-from record import load_bench, record_bench
+from record import record_bench
 
 from repro.analysis import ScalingStudy
 
@@ -133,16 +133,9 @@ def test_fig10_scalability(benchmark, series):
     }
     benchmark.extra_info["scatter_gather"] = scatter
 
-    # the worker-pool bench (bench_fig10_pool.py) owns the "pool" section
-    # of the shared record: carry it through this regeneration
-    try:
-        previous_pool = load_bench("fig10").get("pool")
-    except FileNotFoundError:
-        previous_pool = None
     record_bench("fig10", {
         "figure": "fig10",
         "workload": "subenchmark",
-        **({"pool": previous_pool} if previous_pool else {}),
         "node_counts": list(NODE_COUNTS),
         "oltp_growth_4_to_16": {"tidb": tidb_oltp, "oceanbase": ob_oltp},
         "oltp_p95_growth_4_to_16": {"tidb": tidb_oltp_p95,

@@ -24,8 +24,8 @@ Headline (recorded in ``BENCH_fig11.json``, floor-checked in CI): at >= 16
 mixed clients, p99 commit latency with admission control on is at least 2x
 lower than with it off, and stays within a small factor of the no-flood
 baseline.  A parity section proves the server — running on a *pooled*
-database (``workers=2``: scatter-gather folds plus background ordered
-compaction) — returns byte-identical query results to the sequential
+database (``workers=2``: ordered compaction runs on the background
+lane) — returns byte-identical query results to the sequential
 ``workers=0`` runner's connection across partition counts {1, 2, 8}.
 """
 
@@ -189,8 +189,8 @@ PARITY_WORKERS = 2
 
 def _parity_point(partitions: int) -> bool:
     """Server session on a *pooled* database vs the sequential runner on a
-    ``workers=0`` database: the worker pool (scatter-gather fold plus
-    background ordered compaction) must not change a single byte."""
+    ``workers=0`` database: background ordered compaction must not change
+    a single byte of what inline compaction answers."""
     def installed(workers: int) -> Database:
         db = Database(with_columnar=True, partitions=partitions,
                       workers=workers)

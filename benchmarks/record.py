@@ -36,10 +36,6 @@ def record_bench(name: str, payload: dict) -> Path:
     return path
 
 
-def load_bench(name: str) -> dict:
-    return json.loads(bench_path(name).read_text(encoding="utf-8"))
-
-
 def classify(speedup: float) -> str:
     """Win >= 1.2x / neutral / regression < 1.0x (SNIPPETS Snippet 3)."""
     if speedup >= 1.2:
@@ -114,39 +110,6 @@ def check_fig05(path: str, min_speedup: float = 5.0,
                   "FAIL: regression — the engine is slower than its row "
                   "oracle")
             return 1
-    print("OK")
-    return 0
-
-
-def check_fig10(path: str, min_pool_speedup: float = 1.4) -> int:
-    """CI floor for the worker-pool record: pooled execution (background
-    ordered compaction + scatter-gather fold) must beat the ``workers=0``
-    sequential engine by ``min_pool_speedup`` wall-clock on the grouped
-    full-scan aggregate, with byte-identical answers and both levers
-    (run-grouped encoded fold, background compactions) engaged."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    pool = payload.get("pool")
-    if not pool:
-        print("FAIL: no pool section — regenerate the record with "
-              "benchmarks/bench_fig10_pool.py")
-        return 1
-    speedup = pool["speedup"]
-    print(f"pooled grouped full-scan aggregate speedup: {speedup:.2f}x "
-          f"over workers=0 at {pool['partitions']} partitions / "
-          f"{pool['workers']} workers (floor {min_pool_speedup:g}x)")
-    if speedup < min_pool_speedup:
-        print("FAIL: pooled speedup below the conservative floor")
-        return 1
-    if not pool.get("parity"):
-        print("FAIL: pooled results no longer byte-identical to the "
-              "sequential engine")
-        return 1
-    if not pool.get("groups_coded"):
-        print("FAIL: the run-grouped encoded fold never engaged")
-        return 1
-    if not pool.get("bg_compactions"):
-        print("FAIL: replicate() scheduled no background compactions")
-        return 1
     print("OK")
     return 0
 
@@ -237,11 +200,11 @@ def main(argv: list[str]) -> int:
             return check_fig11(argv[1], min_ab_ratio, max_on_over_baseline,
                                min_chaos_ratio)
         if "fig10" in Path(argv[1]).name:
-            min_pool_speedup = 1.4
-            if "--min-pool-speedup" in argv:
-                min_pool_speedup = float(
-                    argv[argv.index("--min-pool-speedup") + 1])
-            return check_fig10(argv[1], min_pool_speedup)
+            # fig10 records simulated scaling shapes only (asserted by its
+            # bench); there is no wall-clock floor to check
+            print(f"FAIL: no floor check for {argv[1]}; the fig10 shapes "
+                  "are asserted by benchmarks/bench_fig10_scalability.py")
+            return 1
         min_speedup = 5.0
         min_sketch_speedup = 3.0
         if "--min-speedup" in argv:

@@ -125,24 +125,22 @@ class Database:
         self.supports_foreign_keys = supports_foreign_keys
         self.enforce_foreign_keys = enforce_foreign_keys and supports_foreign_keys
         self.default_isolation = default_isolation
-        # workers=0 (default) keeps the exact sequential engine — the
-        # recorded A/B baseline.  workers=N (or None = CPU count) creates
-        # the shared pool: partition scans scatter onto it with ordered
-        # gather, and ordered compaction moves off the query path as a
-        # background pool task.
+        # statements always run on the calling thread.  workers=0 (the
+        # default) compacts inline, inside replicate(); workers=N (or None
+        # = CPU count) creates a pool and ordered compaction moves off the
+        # query path as a background pool task.
         if workers == 0:
             self.pool = None
         else:
             from repro.exec import WorkerPool
 
-            self.pool = WorkerPool(workers, failpoints=self.failpoints)
+            self.pool = WorkerPool(workers)
         self.bg_compactions_total = 0
         self.bg_compaction_failures = 0
         self.executor = Executor(
             self.catalog, self.columnar,
             enforce_foreign_keys=self.enforce_foreign_keys,
             partition_map=self.partition_map,
-            pool=self.pool,
             failpoints=self.failpoints,
         )
         # bounded LRU keyed on SQL text: statements beyond the capacity
@@ -151,7 +149,7 @@ class Database:
         self._plan_cache: OrderedDict[str, object] = OrderedDict()
         # one mutex guards every LRU mutation (lookup move_to_end, insert,
         # eviction): OrderedDict reordering is not atomic, so interleaved
-        # sessions on a real worker pool would otherwise corrupt the
+        # sessions on real threads would otherwise corrupt the
         # recency chain.  Planning itself happens outside the lock.
         self._plan_cache_lock = threading.Lock()
         self.plan_cache_size = plan_cache_size

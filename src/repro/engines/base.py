@@ -63,8 +63,7 @@ class HTAPCluster:
                  buffer_pool_pages: int = 512,
                  rows_per_page: int = 64,
                  replication_apply_rate: float | None = None,
-                 partitions: int | None = None,
-                 workers: int = 0):
+                 partitions: int | None = None):
         if nodes < 2:
             raise ValueError("a distributed cluster needs at least 2 nodes")
         self.nodes = nodes
@@ -73,16 +72,13 @@ class HTAPCluster:
         # redistributes data (TiDB regions / OceanBase tablets), it does
         # not just add compute
         self.partitions = partitions if partitions is not None else nodes
-        # workers > 0 backs scatter-gather with a real thread pool (0 is
-        # the sequential baseline); the simulated parallelism model then
-        # caps fan-out at the measured pool width
-        self.workers = workers
+        # the embedded database compacts inline (workers=0): simulated
+        # time, not a thread pool, models the cluster's parallelism
         self.db = Database(
             supports_foreign_keys=self.supports_foreign_keys,
             with_columnar=self.has_columnar_store,
             default_isolation=self.default_isolation,
             partitions=self.partitions,
-            workers=workers,
         )
         self.cost = CostModel(self._scaled_params(cost_params
                                                   or self.default_costs()))
@@ -311,12 +307,7 @@ class HTAPCluster:
         scatter = work.stats.scatter_partitions
         if not columnar or scatter <= 1:
             return 1
-        fanout = min(scatter, self._target_group(work, columnar).nodes)
-        if work.stats.pool_workers > 0:
-            # the request actually ran on a worker pool: measured pool
-            # width caps the effective fan-out the cost model credits
-            fanout = min(fanout, work.stats.pool_workers)
-        return fanout
+        return min(scatter, self._target_group(work, columnar).nodes)
 
     def _network_hops(self, work: WorkResult, columnar: bool) -> int:
         # client -> SQL layer -> storage and back: 2 logical hops, plus one

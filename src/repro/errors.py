@@ -80,9 +80,9 @@ class ConnectionStateError(TransactionError):
 class TransientError(ReproError):
     """A fault the caller may retry: the operation failed, state is clean.
 
-    Retry loops (``run_transaction``, the worker pool's task wrapper)
-    treat this family as retryable alongside ``TransactionAborted``.
-    Anything not in this family is assumed fatal and propagates.
+    Retry loops (``run_transaction``, the compaction wrappers) treat
+    this family as retryable alongside ``TransactionAborted``.  Anything
+    not in this family is assumed fatal and propagates.
     """
 
 

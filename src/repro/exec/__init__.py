@@ -1,4 +1,4 @@
-"""Partition-parallel execution: the shared worker pool."""
+"""The worker pool: ordered compaction off the query path."""
 
 from repro.exec.pool import BackgroundTaskError, WorkerPool, default_workers
 

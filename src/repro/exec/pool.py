@@ -1,38 +1,16 @@
-"""Shared worker pool for partition-parallel execution.
+"""Background lane for ordered compaction.
 
-One ``WorkerPool`` per ``Database(workers=N)`` runs per-partition work —
-columnar partition scans, per-partition partial aggregates, the row
-streams behind ``execute_streams`` — concurrently, plus background
-ordered compaction off the query path.
+One ``WorkerPool`` per ``Database(workers=N)`` (``N > 0``) runs the
+columnar replica's ordered compaction off the query path: ``replicate()``
+schedules a forced delta->main merge as a background task, and queries
+keep scanning their pre-swap segment snapshot while it runs.  Statements
+themselves always execute on the calling thread.
 
-Two invariants make the pool safe and deterministic:
+A failed background task never poisons the pool: it is surfaced (with
+the task's name) at the next ``drain_background``, and ``shutdown``
+always releases the executor even when the drain raises.
 
-* **Ordered gather.** ``scatter_ordered`` submits one task per partition
-  in partition-id order and consumes results in the same order, so
-  pooled output is byte-identical to the sequential engine (and to
-  ``SortedMerge``'s k-way merge contract, which assumes streams arrive
-  in partition order).  The wall time the gatherer spends blocked on an
-  out-of-order completion is charged to ``ExecStats.gather_wait_ms``.
-* **Per-worker statistics.** Each task binds a private ``ExecStats`` to
-  the execution context through a thread-local (``ExecContext.stats``),
-  so operators running on worker threads never race the statement's
-  main accumulator; the gatherer merges the locals back in partition
-  order, which keeps even dict-ordering-sensitive counters
-  deterministic.
-
-Fault behaviour: a partition task that fails with a ``TransientError``
-is retried with capped backoff; when retries are exhausted the gatherer
-runs the thunk *inline* (sequential fallback for that partition), so a
-flaky worker degrades throughput, never correctness.  The ``pool.task``
-failpoint fires *before* the thunk body, which is what makes the retry
-safe — the row streams behind ``execute_streams`` are one-shot
-generators, and a fault after partial consumption could not be retried
-without losing rows.  A failed background task never poisons the pool:
-it is surfaced (with the task's name) at the next ``drain_background``,
-and ``shutdown`` always releases the executor even when the drain
-raises.
-
-Sealed segments are immutable and shared read-only across workers; the
+Sealed segments are immutable and shared read-only with the merge; the
 mutable replica touch points (delta tails, zone-map widening, segment
 swap) are serialised by the replica lock in ``storage.columnstore``.
 """
@@ -41,10 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
-
-from repro.errors import TransientError
 
 
 def default_workers() -> int:
@@ -61,116 +36,20 @@ class BackgroundTaskError(RuntimeError):
 
 
 class WorkerPool:
-    """A thread pool with ordered scatter-gather and background tasks.
+    """A thread pool that runs named background tasks.
 
-    Threads (not processes) are the default: segments are shared
-    in-memory structures, and the per-partition work is dominated by
-    interpreter bytecode that releases the GIL at allocation points —
-    the architectural win this pool buys is overlap (scans against
-    compacted main while compaction of the next delta runs behind the
-    query path), not core-parallel bytecode.
+    Threads (not processes): segments are shared in-memory structures,
+    and what the lane buys is overlap — scans against compacted main
+    while the next delta merges behind the query path.
     """
 
-    #: Transient-task retry schedule: attempts beyond the first, with the
-    #: pre-attempt sleep in seconds (capped exponential backoff).  Small
-    #: absolute values — the faults being retried are injected or
-    #: simulated, not real I/O.
-    TASK_RETRIES = 3
-    BACKOFF_BASE_S = 0.001
-    BACKOFF_CAP_S = 0.008
-
-    def __init__(self, workers: int | None = None, failpoints=None):
+    def __init__(self, workers: int | None = None):
         self.workers = max(1, int(workers if workers is not None
                                   else default_workers()))
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-exec")
         self._background: list[tuple[str, Future]] = []
         self._bg_lock = threading.Lock()
-        self._failpoints = failpoints
-        # monotone fault counters (read by Database.quiesce / reports)
-        self.task_retries_total = 0
-        self.task_fallbacks_total = 0
-
-    # -- foreground: ordered scatter-gather --------------------------------
-
-    def scatter_ordered(self, ctx, tasks):
-        """Run ``(pid, thunk)`` pairs concurrently; yield ``(pid, result)``
-        in submission (partition-id) order.
-
-        Each thunk executes with a worker-local ``ExecStats`` bound to
-        ``ctx``; the locals are merged into the statement's stats in
-        partition order at gather time, and blocked gather time is
-        charged to ``gather_wait_ms``.  Transient task faults retry with
-        capped backoff, then fall back to inline execution on the
-        gatherer thread.
-        """
-        from repro.sql.result import ExecStats
-
-        failpoints = self._failpoints
-        fallback = object()  # sentinel: retries exhausted, run inline
-
-        def run(thunk):
-            local = ExecStats()
-            ctx.bind_worker_stats(local)
-            try:
-                # only the pre-body failpoint is retried: the thunk has
-                # not started, so nothing (one-shot row streams!) has
-                # been consumed.  Faults raised *inside* the thunk body
-                # propagate — they cannot be retried safely.
-                attempt = 0
-                while failpoints is not None:
-                    try:
-                        failpoints.fire("pool.task")
-                        break
-                    except TransientError:
-                        attempt += 1
-                        local.faults_injected += 1
-                        if attempt > self.TASK_RETRIES:
-                            return fallback, local
-                        self.task_retries_total += 1
-                        time.sleep(min(
-                            self.BACKOFF_BASE_S * (2 ** (attempt - 1)),
-                            self.BACKOFF_CAP_S))
-                result = thunk()
-                if attempt:
-                    failpoints.record_recovery("pool.task")
-                    local.faults_recovered += 1
-                return result, local
-            finally:
-                ctx.unbind_worker_stats()
-
-        futures = [(pid, self._executor.submit(run, thunk), thunk)
-                   for pid, thunk in tasks]
-        stats = ctx.stats
-        stats.pool_workers = max(stats.pool_workers, self.workers)
-        for pid, future, thunk in futures:
-            began = time.perf_counter()
-            result, local = future.result()
-            if result is fallback:
-                # retries exhausted: run this partition inline on the
-                # gatherer, without the failpoint — the sequential
-                # fallback must always succeed (order is preserved
-                # because the gather loop is already positional)
-                self.task_fallbacks_total += 1
-                ctx.bind_worker_stats(local)
-                try:
-                    result = thunk()
-                finally:
-                    ctx.unbind_worker_stats()
-                local.faults_recovered += 1
-                if failpoints is not None:
-                    failpoints.record_recovery("pool.task")
-            stats.gather_wait_ms += (time.perf_counter() - began) * 1000.0
-            stats.merge(local)
-            yield pid, result
-
-    def map_ordered(self, ctx, thunks) -> list:
-        """``scatter_ordered`` over anonymous thunks; returns results in
-        submission order."""
-        return [result for _i, result in
-                self.scatter_ordered(ctx, list(enumerate(thunks)))]
-
-    # -- background: compaction off the query path -------------------------
 
     def submit_background(self, fn, name: str = "background") -> Future:
         """Schedule ``fn`` on the pool without a waiting consumer.

@@ -2,7 +2,8 @@
 
 A *failpoint* is a named place in the engine where a fault can be made to
 happen on demand: the WAL append path, the replica apply loop, the
-compaction merge, a pool task, the 2PC prepare step, a columnar scan.
+compaction merge, a background compaction, the 2PC prepare step, a
+columnar scan.
 Production code calls ``registry.fire(name)`` at the seam; the call is a
 no-op unless a test (or the chaos benchmark arm) has *armed* that name.
 
@@ -26,7 +27,7 @@ and ``BENCH_fig11.json["chaos"]`` rather than vanishing into logs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from repro.errors import InjectedFaultError
@@ -39,7 +40,6 @@ FAILPOINT_NAMES = (
     "wal.read",        # transient read failure on the replication feed
     "replica.apply",   # crash mid-apply on the columnar replica
     "compact.merge",   # crash mid-compaction (before publish)
-    "pool.task",       # partition task failure before execution
     "pool.background", # background compaction failure
     "txn.prepare",     # participant failure at 2PC prepare
     "replica.scan",    # replica cannot serve a columnar scan

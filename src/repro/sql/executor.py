@@ -34,42 +34,19 @@ class ExecContext:
     def __init__(self, txn: Transaction, params: tuple = (),
                  columnar=None, route_columnar: bool = False,
                  enforce_foreign_keys: bool = False, catalog=None,
-                 partition_map=None, pool=None):
+                 partition_map=None):
         self.txn = txn
         self.params = params
-        self._stats = ExecStats()
+        self.stats = ExecStats()
         self.columnar = columnar
         self.route_columnar = route_columnar
         self.enforce_foreign_keys = enforce_foreign_keys
         self.catalog = catalog
         self.partition_map = partition_map
-        # shared worker pool (None = sequential execution); operators that
-        # scatter per-partition work check this before going parallel
-        self.pool = pool
         self._subquery_cache: dict[int, list] = {}
         # reentrant: executing one subplan can reach a *nested* uncorrelated
         # subquery on the same thread (a plain Lock would self-deadlock)
         self._subquery_lock = threading.RLock()
-        # worker threads draining one partition bind a private ExecStats
-        # here so operator accumulation never races the statement's main
-        # collector; the pool merges the locals back at ordered gather
-        self._tls = threading.local()
-
-    @property
-    def stats(self) -> ExecStats:
-        local = getattr(self._tls, "stats", None)
-        return self._stats if local is None else local
-
-    @stats.setter
-    def stats(self, value: ExecStats):
-        self._stats = value
-
-    def bind_worker_stats(self, stats: ExecStats):
-        """Route this thread's operator accumulation into ``stats``."""
-        self._tls.stats = stats
-
-    def unbind_worker_stats(self):
-        self._tls.stats = None
 
     @property
     def partition_count(self) -> int:
@@ -90,8 +67,7 @@ class ExecContext:
     # -- uncorrelated subquery execution with per-statement caching ---------
 
     def _run_subplan(self, subplan: SelectPlan) -> list:
-        # serialised: worker threads can reach this through row-pipeline
-        # expressions, and one cached execution per subplan is the contract
+        # serialised: one cached execution per subplan is the contract
         key = id(subplan)
         with self._subquery_lock:
             cached = self._subquery_cache.get(key)
@@ -120,7 +96,7 @@ class Executor:
     def __init__(self, catalog, columnar=None,
                  enforce_foreign_keys: bool = False,
                  use_vectorized: bool = True,
-                 partition_map=None, pool=None, failpoints=None):
+                 partition_map=None, failpoints=None):
         self.catalog = catalog
         self.columnar = columnar
         self.enforce_foreign_keys = enforce_foreign_keys
@@ -129,7 +105,6 @@ class Executor:
         # correctness oracle tests and the fig05 ladder compare against
         self.use_vectorized = use_vectorized
         self.partition_map = partition_map
-        self.pool = pool
         self.failpoints = failpoints
 
     def _context(self, txn: Transaction, params: tuple,
@@ -141,7 +116,6 @@ class Executor:
             enforce_foreign_keys=self.enforce_foreign_keys,
             catalog=self.catalog,
             partition_map=self.partition_map,
-            pool=self.pool,
         )
 
     # -- SELECT ---------------------------------------------------------------

@@ -729,14 +729,6 @@ class SortedMerge(PlanNode):
             streams = list(streams_fn(ctx))
         else:
             streams = [self.child.execute(ctx)]
-        pool = ctx.pool
-        if pool is not None and remaining is None and len(streams) > 1:
-            # no limit means every stream is fully consumed anyway:
-            # drain the partition streams on the pool, then merge the
-            # materialised runs (gather order keeps determinism)
-            tasks = [(pid, lambda s=stream: list(s))
-                     for pid, stream in enumerate(streams)]
-            streams = [rows for _pid, rows in pool.scatter_ordered(ctx, tasks)]
         # decorate each row with its key once: the k-way merge and the tie
         # grouping both read the precomputed key instead of rebuilding the
         # canonical tuple per comparison stage

@@ -165,7 +165,8 @@ class ExecStats:
     # statement-plan LRU cache outcome for this statement: lookup result,
     # LRU entries this statement's insert displaced, and how many times the
     # cache mutex was found held by another session (contention is zero in
-    # the cooperative scheduler; it becomes live under a real worker pool)
+    # the cooperative scheduler; it becomes live when sessions run on real
+    # threads)
     plan_cache_hits: int = counter(section="plan cache", label="hits")
     plan_cache_misses: int = counter(section="plan cache", label="misses")
     plan_cache_evictions: int = counter(section="plan cache",
@@ -181,15 +182,11 @@ class ExecStats:
     # per-partition partial aggregates that were merged
     scatter_partitions: int = counter(merge="max")
     partial_aggregates: int = counter()
-    # worker-pool counters: pool size the statement ran under (maxed on
-    # merge; 0 = sequential baseline), wall time the ordered gather spent
-    # blocked on out-of-order partition completions, and background
-    # compactions the engine scheduled off the query path
-    pool_workers: int = counter(merge="max", section="pool", label="workers")
-    gather_wait_ms: float = counter(0.0, section="pool", text_format=".1f")
+    # worker-pool counter: background compactions the engine scheduled
+    # off the query path
     bg_compactions: int = counter(section="pool")
     # fault counters: injected faults this statement hit, faults it
-    # survived (retry / inline fallback / degraded route), and statements
+    # survived (retry / degraded route), and statements
     # the circuit breaker degraded from the columnar to the row pipeline
     faults_injected: int = counter(section="faults", label="injected")
     faults_recovered: int = counter(section="faults", label="recovered")

@@ -1400,23 +1400,7 @@ class BatchRows(PlanNode):
         self.schema = child.schema
 
     def execute(self, ctx):
-        pool = ctx.pool
-        if pool is None:
-            for batch in self.child.execute_batches(ctx):
-                yield from batch.rows()
-            return
-        # scatter: each partition stream drains to rows on a worker;
-        # gather in partition order keeps the output byte-identical to
-        # the sequential walk
-        streams = list(self.child.execute_partitions(ctx))
-        if len(streams) <= 1:
-            for _pid, batches in streams:
-                yield from self._rows_of(batches)
-            return
-        tasks = [(pid, lambda b=batches: list(self._rows_of(b)))
-                 for pid, batches in streams]
-        for _pid, rows in pool.scatter_ordered(ctx, tasks):
-            yield from rows
+        return self._rows_of(self.child.execute_batches(ctx))
 
     @staticmethod
     def _rows_of(batches):
@@ -1670,38 +1654,15 @@ class BatchAggregate(BatchNode):
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         groups = self._new_groups()
         partials = 0
-        pool = ctx.pool
-        if pool is not None:
-            # scatter: fold each partition stream into a private partial
-            # on a worker; gather merges the partials in partition order,
-            # reproducing the sequential group-insertion order exactly
-            streams = list(self.child.execute_partitions(ctx))
-            partials = len(streams)
-            if partials > 1:
-                tasks = []
-                for pid, batches in streams:
-                    def fold(b=batches):
-                        partial = self._new_groups()
-                        self._fold(b, ctx, partial)
-                        return partial
-                    tasks.append((pid, fold))
-                for _pid, partial in pool.scatter_ordered(ctx, tasks):
-                    if not groups:
-                        groups = partial
-                    else:
-                        groups.merge(partial)
-            elif partials == 1:
-                self._fold(streams[0][1], ctx, groups)
-        else:
-            for _pid, batches in self.child.execute_partitions(ctx):
-                partials += 1
-                if not groups:
-                    # first (or only) stream folds straight into the result
-                    self._fold(batches, ctx, groups)
-                    continue
-                partial = self._new_groups()
-                self._fold(batches, ctx, partial)
-                groups.merge(partial)
+        for _pid, batches in self.child.execute_partitions(ctx):
+            partials += 1
+            if not groups:
+                # first (or only) stream folds straight into the result
+                self._fold(batches, ctx, groups)
+                continue
+            partial = self._new_groups()
+            self._fold(batches, ctx, partial)
+            groups.merge(partial)
         if partials > 1:
             ctx.stats.partial_aggregates += partials
         if not self.group_fns:

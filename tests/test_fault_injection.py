@@ -50,8 +50,8 @@ class TestFailpointRegistry:
 
     def test_always_with_max_triggers(self):
         registry = FailpointRegistry()
-        registry.arm("pool.task", always=True, max_triggers=2)
-        fired = [registry.evaluate("pool.task") for _ in range(4)]
+        registry.arm("compact.merge", always=True, max_triggers=2)
+        fired = [registry.evaluate("compact.merge") for _ in range(4)]
         assert fired == [True, True, False, False]
 
     def test_probability_is_seed_deterministic(self):
@@ -109,7 +109,7 @@ class TestFailpointRegistry:
     def test_catalogue_is_complete(self):
         assert set(FAILPOINT_NAMES) == {
             "wal.append", "wal.read", "replica.apply", "compact.merge",
-            "pool.task", "pool.background", "txn.prepare", "replica.scan",
+            "pool.background", "txn.prepare", "replica.scan",
         }
 
 
@@ -278,7 +278,7 @@ class TestTornCommitAtomicity:
             db.recover()
 
 
-# -- worker pool: retry, inline fallback, named background failures ----------
+# -- worker pool: named background failures, absorbed compaction faults -----
 
 
 class TestPoolFaults:
@@ -296,55 +296,6 @@ class TestPoolFaults:
             return conn.execute(
                 "SELECT g, SUM(v) FROM p GROUP BY g ORDER BY g",
                 (), route_columnar=True)
-
-    def test_transient_task_fault_is_retried(self):
-        db = self._pooled_db()
-        expected = self._scan(db).rows
-        db.failpoints.arm("pool.task", always=True, max_triggers=2)
-        result = self._scan(db)
-        db.failpoints.disarm_all()
-        assert result.rows == expected
-        assert db.pool.task_retries_total >= 1
-        assert db.pool.task_fallbacks_total == 0
-        assert result.stats.faults_injected >= 1
-        assert result.stats.faults_recovered >= 1
-
-    def test_exhausted_retries_fall_back_inline(self):
-        db = self._pooled_db()
-        expected = self._scan(db).rows
-        db.failpoints.arm("pool.task", always=True)  # never stops firing
-        result = self._scan(db)
-        db.failpoints.disarm_all()
-        assert result.rows == expected
-        assert db.pool.task_fallbacks_total >= 1
-        stats = db.failpoints.stats("pool.task")
-        assert stats.recoveries >= 1
-
-    def test_thunk_body_errors_propagate_unretried(self):
-        db = self._pooled_db()
-
-        class _Ctx:
-            stats = None
-
-            def bind_worker_stats(self, local):
-                pass
-
-            def unbind_worker_stats(self):
-                pass
-
-        from repro.sql.result import ExecStats
-
-        ctx = _Ctx()
-        ctx.stats = ExecStats()
-        pool = WorkerPool(workers=2, failpoints=db.failpoints)
-        try:
-            def boom():
-                raise ZeroDivisionError("from the thunk body")
-
-            with pytest.raises(ZeroDivisionError):
-                pool.map_ordered(ctx, [boom])
-        finally:
-            pool.shutdown()
 
     def test_background_failure_is_named_and_does_not_wedge(self):
         pool = WorkerPool(workers=2)
@@ -696,14 +647,7 @@ class TestCrashRecoverySweep:
                 conn.execute(f"SELECT COUNT(*) FROM {table.name}", (),
                              route_columnar=True)
         assert not crash.replica_breaker.is_open
-
-        # 8. pool task faults retry transparently during the final pass
-        fp.arm("pool.task", always=True, max_triggers=2)
-        final = _analytical_outputs(crash, workload)
-        fp.disarm_all()
-        if fp.stats("pool.task").hits:  # single-partition plans skip scatter
-            assert crash.pool.task_retries_total >= 1
-        assert final == expected
+        assert _analytical_outputs(crash, workload) == expected
 
         # full-table byte parity, row store and columnar replica alike
         assert _dump_tables(crash) == _dump_tables(ref)

@@ -1,9 +1,10 @@
-"""Worker-pool execution: scatter-gather scans, background compaction,
-reverse ordered scans and segment-granular merges.
+"""Worker-pool execution: background compaction, the calling-thread
+statement contract, reverse ordered scans and segment-granular merges.
 
 The contract under test everywhere: ``Database(workers=N)`` produces
 byte-identical results to the sequential ``workers=0`` baseline — the pool
-changes wall-clock shape, never answers.
+only moves ordered compaction off the query path, and every statement
+operator runs on the thread that executes the statement.
 """
 
 import threading
@@ -12,9 +13,9 @@ from random import Random
 import pytest
 
 from repro.db import Database
-from repro.exec import BackgroundTaskError, WorkerPool, default_workers
+from repro.exec import default_workers
 from repro.sql.planner import SortedMerge
-from repro.sql.result import ExecStats
+from repro.sql.vectorized import BatchAggregate, BatchRows
 
 
 def _make_db(workers=0, partitions=1, segment_rows=32):
@@ -39,93 +40,9 @@ def _fill(db, n=256, seed=11):
     db.replicate()
 
 
-# ---------------------------------------------------------------------------
-# the pool itself
-# ---------------------------------------------------------------------------
-
-class _Ctx:
-    """Minimal stand-in for ExecContext's worker-stats protocol."""
-
-    def __init__(self):
-        self.stats = ExecStats()
-        self._tls = threading.local()
-
-    def bind_worker_stats(self, stats):
-        self._tls.stats = stats
-
-    def unbind_worker_stats(self):
-        self._tls.stats = None
-
-
 class TestWorkerPool:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
-
-    def test_map_ordered_preserves_order(self):
-        pool = WorkerPool(4)
-        try:
-            ctx = _Ctx()
-            out = list(pool.map_ordered(
-                ctx, [lambda i=i: i * i for i in range(32)]))
-            assert out == [i * i for i in range(32)]
-        finally:
-            pool.shutdown()
-
-    def test_scatter_merges_worker_stats(self):
-        pool = WorkerPool(3)
-        try:
-            ctx = _Ctx()
-
-            def work(n):
-                # runs on a worker: the bound thread-local collector must
-                # receive this, not the main collector
-                local = ctx._tls.stats
-                local.rows_columnar["t"] += n
-                local.batches_scanned += 1
-                return n
-
-            tasks = [(pid, lambda n=pid: work(n)) for pid in range(8)]
-            gathered = list(pool.scatter_ordered(ctx, tasks))
-            assert [pid for pid, _ in gathered] == list(range(8))
-            assert ctx.stats.rows_columnar["t"] == sum(range(8))
-            assert ctx.stats.batches_scanned == 8
-            assert ctx.stats.pool_workers == 3
-            assert ctx.stats.gather_wait_ms >= 0.0
-        finally:
-            pool.shutdown()
-
-    def test_worker_exception_propagates(self):
-        pool = WorkerPool(2)
-        try:
-            ctx = _Ctx()
-
-            def boom():
-                raise ValueError("worker failed")
-
-            with pytest.raises(ValueError, match="worker failed"):
-                list(pool.scatter_ordered(ctx, [(0, boom)]))
-        finally:
-            pool.shutdown()
-
-    def test_background_drain_reraises(self):
-        pool = WorkerPool(2)
-        try:
-            done = []
-            pool.submit_background(lambda: done.append(1))
-            pool.drain_background()
-            assert done == [1]
-            pool.submit_background(lambda: 1 / 0, name="divide")
-            with pytest.raises(BackgroundTaskError) as info:
-                pool.drain_background()
-            assert info.value.task_name == "divide"
-            assert isinstance(info.value.__cause__, ZeroDivisionError)
-            # the failure must not wedge the pool: it keeps working
-            done2 = []
-            pool.submit_background(lambda: done2.append(1))
-            pool.drain_background()
-            assert done2 == [1]
-        finally:
-            pool.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +76,9 @@ class TestPooledStatementParity:
             r1 = routed(par, sql, params)
             assert r1.rows == r0.rows, sql
             assert r1.columns == r0.columns
-            # physical-work counters agree: the pool re-partitions the
-            # work, it does not change what is scanned or aggregated
+            # physical-work counters agree: background compaction moves
+            # merge work off the query path, it does not change what is
+            # scanned or aggregated
             assert r1.stats.agg_input_rows == r0.stats.agg_input_rows, sql
             assert r1.stats.groups == r0.stats.groups, sql
             assert r1.stats.partial_aggregates == \
@@ -168,15 +86,72 @@ class TestPooledStatementParity:
         par.pool.shutdown()
 
     def test_pool_counters_flow(self, routed, partitions):
+        # matched replicas: the sequential arm is force-compacted too, so
+        # a pooled statement's counters must equal the sequential ones
+        # field for field — the pool adds no counter of its own
+        seq = _make_db(workers=0, partitions=partitions)
         par = _make_db(workers=4, partitions=partitions)
+        _fill(seq, 256)
+        _fill(par, 256)
+        seq.columnar.compact(force=True)
+        par.quiesce()
+        assert par.bg_compactions_total >= 1
+        sql = "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b"
+        r0 = routed(seq, sql)
+        r1 = routed(par, sql)
+        assert r1.rows == r0.rows
+        assert r1.stats == r0.stats
+        assert r1.stats.scatter_partitions == partitions
+        par.pool.shutdown()
+
+
+class TestStatementsRunOnTheCallingThread:
+    """The pool never runs a statement operator: partition folds and
+    partition row streams drain on the thread that executes the
+    statement, with answers byte-identical to ``workers=0``."""
+
+    SHAPES = [
+        # grouped full-scan aggregate: one partial fold per partition
+        ("SELECT b, COUNT(*), SUM(v), AVG(a) FROM t GROUP BY b", ()),
+        # filtered projection: batches flattened by BatchRows
+        ("SELECT id, v, tag FROM t WHERE b < ?", (4,)),
+        # sort-elided ORDER BY: SortedMerge k-way merges partition streams
+        ("SELECT id, tag, v FROM t ORDER BY id", ()),
+    ]
+
+    def test_every_operator_runs_on_the_caller(self, routed, monkeypatch):
+        seq = _make_db(workers=0, partitions=8)
+        par = _make_db(workers=4, partitions=8)
+        _fill(seq, 256)
         _fill(par, 256)
         par.quiesce()
-        result = routed(par, "SELECT b, COUNT(*) FROM t GROUP BY b "
-                              "ORDER BY b")
-        if partitions > 1:
-            assert result.stats.pool_workers == 4
-            assert result.stats.scatter_partitions == partitions
-        par.pool.shutdown()
+        threads: list = []
+        fold, rows_of = BatchAggregate._fold, BatchRows._rows_of
+
+        def recording_fold(self, batches, ctx, groups):
+            threads.append(threading.get_ident())
+            return fold(self, batches, ctx, groups)
+
+        def recording_rows_of(batches):
+            # a generator: records the thread that *drains* the stream
+            threads.append(threading.get_ident())
+            yield from rows_of(batches)
+
+        monkeypatch.setattr(BatchAggregate, "_fold", recording_fold)
+        monkeypatch.setattr(BatchRows, "_rows_of",
+                            staticmethod(recording_rows_of))
+        try:
+            for sql, params in self.SHAPES:
+                expect = routed(seq, sql, params)
+                threads.clear()
+                got = routed(par, sql, params)
+                assert repr(got.rows) == repr(expect.rows), sql
+                assert got.stats.scatter_partitions == 8, sql
+                assert threads, f"{sql}: the recorded hook never ran"
+                assert set(threads) == {threading.get_ident()}, sql
+            assert routed(par, self.SHAPES[2][0]).stats.sort_elided == 1
+        finally:
+            par.pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,10 @@ def test_matrix_rows_carry_latency_series(reports):
 # field declarations, so a counter added there is covered with no edit here
 # ---------------------------------------------------------------------------
 
-# the CSV header as of PR 20, pinned: reordering or renaming a declared
-# counter changes what downstream figure scripts read, and must fail here
+# the CSV header, pinned: reordering or renaming a declared counter
+# changes what downstream figure scripts read, and must fail here.  The
+# pool's worker-count and gather-wait columns went with its scatter-gather
+# lane; no script or committed CSV in the repository read either column.
 CSV_HEADER = (
     "workload,engine,mode,loop,oltp_rate,olap_rate,hybrid_rate,class,"
     "throughput,count,min,mean,median,p90,p95,p99,p99.9,p99.99,max,std,"
@@ -90,9 +92,8 @@ CSV_HEADER = (
     "groups_coded,join_code_probes,groups_global_coded,plan_cache_hits,"
     "plan_cache_misses,plan_cache_evictions,plan_cache_contention,"
     "partitions_scanned,partitions_pruned,multi_partition_commits,"
-    "pool_workers,gather_wait_ms,bg_compactions,faults_injected,"
-    "faults_recovered,degraded_statements,sketches_built,sketches_hit,"
-    "sketch_rows_elided,sketch_invalidations")
+    "bg_compactions,faults_injected,faults_recovered,degraded_statements,"
+    "sketches_built,sketches_hit,sketch_rows_elided,sketch_invalidations")
 
 
 def _primes():
