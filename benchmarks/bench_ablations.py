@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of three design choices of the simulated cluster.
 
 * open-loop vs closed-loop load generation (the framework supports both;
   open loop keeps the arrival rate exact under slowdowns, closed loop

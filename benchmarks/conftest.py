@@ -6,7 +6,8 @@ to the measured one, and records both in ``benchmark.extra_info`` so
 ``pytest benchmarks/ --benchmark-only`` leaves a machine-readable trail.
 
 Absolute numbers are not expected to match the paper's physical testbed
-(see DESIGN.md); each bench asserts only the *shape* criteria.
+(README's opening and *Benchmarks* section: the shapes come from the
+mechanisms); each bench asserts only the *shape* criteria.
 """
 
 from __future__ import annotations

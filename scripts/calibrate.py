@@ -1,7 +1,8 @@
 """Calibration harness: prints the headline paper shapes from quick runs.
 
 Not part of the library — a development tool used to tune the cost-model
-constants (see DESIGN.md).  Run:  python scripts/calibrate.py [section]
+constants (``CostParams`` and the per-engine calibrations at the end of
+``src/repro/sim/costmodel.py``).  Run:  python scripts/calibrate.py [section]
 """
 
 from __future__ import annotations

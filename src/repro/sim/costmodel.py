@@ -8,9 +8,10 @@ MemSQL-like, OceanBase-like) carries its own ``CostParams`` — that is where
 hardware differences live (in-memory vs SSD, columnar scan speed, vertical
 partitioning join amplification, distributed-commit overheads).
 
-The constants are calibration knobs, documented in DESIGN.md; the shapes of
-the paper's results come from the *mechanisms* (shared queues, buffer-pool
-eviction, lock holding, replication lag), not from the absolute values.
+The constants are calibration knobs, grounded per engine in the comment
+above ``TIDB_COSTS``; the shapes of the paper's results come from the
+*mechanisms* (shared queues, buffer-pool eviction, lock holding,
+replication lag), not from the absolute values.
 """
 
 from __future__ import annotations

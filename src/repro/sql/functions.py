@@ -32,6 +32,7 @@ which needs a scaled value per row rather than a total.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from itertools import chain, repeat
 from operator import gt, lt
@@ -152,6 +153,9 @@ def _fold_typed_slice(buckets: dict, values):
         return 0
     return None
 
+
+#: below this magnitude ``ldexp`` rounds a second time (subnormal results)
+_MIN_NORMAL = sys.float_info.min
 
 # size of one state object and its empty columns (``nbytes`` estimates)
 _STATE_BYTES = 400
@@ -353,8 +357,10 @@ class _SumState:
 
     def results(self) -> list:
         average = self.average
-        shift = -self.exponent
+        exponent = self.exponent
+        shift = -exponent
         scale = 1 << shift
+        ldexp = math.ldexp
         out = []
         for count, int_total, total in zip(self.counts, self.ints,
                                            self.fixed):
@@ -362,10 +368,20 @@ class _SumState:
                 out.append(None)
             elif total is None:
                 out.append(int_total / count if average else int_total)
-            else:
+            elif average:
                 # the exact total, one correctly-rounded conversion
-                out.append(((int_total << shift) + total)
-                           / (scale * count if average else scale))
+                out.append(((int_total << shift) + total) / (scale * count))
+            else:
+                # ``float`` rounds once and scaling a normal double is
+                # exact: the division's bits without a big-int division.
+                # An overflowing ``float`` or a subnormal result divides.
+                exact = (int_total << shift) + total
+                try:
+                    value = ldexp(float(exact), exponent)
+                except OverflowError:
+                    value = 0.0
+                out.append(exact / scale
+                           if -_MIN_NORMAL < value < _MIN_NORMAL else value)
         for gid, inexact in self.others.items():
             # ordered addition absorbs what the group folded exactly
             if self.ints[gid]:
@@ -494,6 +510,15 @@ class _GroupIds(dict):
         return gid
 
 
+def _gather(column, rows: list) -> list:
+    """``column`` at ``rows``; a deferred column decodes in full either way,
+    so the work counted for it does not depend on how many rows are read."""
+    gather = getattr(column, "gather", None)
+    if gather is not None:
+        return gather(rows)
+    return list(map(column.__getitem__, rows))
+
+
 class GroupedAggregation:
     """The state of one (partial) grouped aggregation.
 
@@ -503,7 +528,8 @@ class GroupedAggregation:
     over the same rows yields the same bits:
 
     * ``scatter(gids, columns)`` — a batch, row ``i`` into group
-      ``gids[i]`` (``assign`` computes the batch's ``gids`` column once);
+      ``gids[i]`` (``assign_columns`` computes the batch's ``gids`` column
+      once);
     * ``fold(gid, columns, rows)`` — a slice that belongs to one group,
       folded in bulk (RLE runs, typed arrays and whole global-aggregate
       columns keep their C-speed paths);
@@ -512,12 +538,26 @@ class GroupedAggregation:
 
     ``specs`` is one ``(name, count_star, distinct)`` per aggregate; a
     column of ``COUNT(*)`` is ``None`` — it needs the rows, not a value.
+
+    ``dependent`` is one flag per GROUP BY column (none for a global
+    aggregate).  A *dependent* column is fixed by the columns kept before
+    it — the planner proves that from a primary key — so only the kept
+    columns are hashed: as the bare value when one is kept, as a tuple
+    otherwise.  A new group reads each dependent value once, from its first
+    row, and ``rows`` rebuilds the full GROUP BY key once per group.  The
+    first appearance of the kept key is the first appearance of the full
+    key, so groups, their order and their key values are unchanged.
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, dependent=()):
         self.gids = _GroupIds()
         self.states = [_make_state(*spec) for spec in specs]
         self._sized = 0
+        self.width = len(dependent)
+        self.kept = [i for i, flag in enumerate(dependent) if not flag]
+        self.dependent = [i for i, flag in enumerate(dependent) if flag]
+        # one list per dependent column, indexed by group id
+        self.dependent_values: list = [[] for _ in self.dependent]
 
     def __len__(self) -> int:
         return len(self.gids)
@@ -529,16 +569,36 @@ class GroupedAggregation:
                 state.grow(new)
             self._sized += new
 
-    def gid(self, key: tuple) -> int:
+    def gid(self, key) -> int:
         gid = self.gids[key]
         self._grow()
         return gid
 
-    def assign(self, keys) -> list:
-        """The group id of every key, new groups created in order."""
-        gids = list(map(self.gids.__getitem__, keys))
+    def assign(self, keys, dependents=()) -> list:
+        """The group id of every key, new groups created in order; each new
+        group reads the ``dependents`` columns (aligned with ``keys``) at
+        its first row."""
+        gids = self.gids
+        old = len(gids)
+        ids = list(map(gids.__getitem__, keys))
+        if dependents:
+            # new ids first appear in increasing order, so each search
+            # resumes where the last one stopped: one pass in all
+            rows, row = [], 0
+            for gid in range(old, len(gids)):
+                row = ids.index(gid, row)
+                rows.append(row)
+            for values, column in zip(self.dependent_values, dependents):
+                values += _gather(column, rows)
         self._grow()
-        return gids
+        return ids
+
+    def assign_columns(self, columns) -> list:
+        """The group id of every row of a batch given as its GROUP BY
+        columns."""
+        kept = [columns[i] for i in self.kept]
+        return self.assign(kept[0] if len(kept) == 1 else zip(*kept),
+                           [columns[i] for i in self.dependent])
 
     def scatter(self, gids: list, columns):
         if self.states:
@@ -553,24 +613,34 @@ class GroupedAggregation:
             state.fold(gid, column, rows)
 
     def merge(self, other: "GroupedAggregation"):
-        remap = self.assign(other.gids)
+        remap = self.assign(other.gids, other.dependent_values)
         for state, sub in zip(self.states, other.states):
             state.merge(sub, remap)
 
     def rows(self) -> list:
         """One ``key + results`` tuple per group, in group-id order."""
-        if not self.states:
-            return list(self.gids)
-        results = zip(*[state.results() for state in self.states])
-        return [key + values for key, values in zip(self.gids, results)]
+        results = [state.results() for state in self.states]
+        if not self.width:
+            # no GROUP BY list: the global group's ``()``, or whole-tuple keys
+            return [key + values for key, values in
+                    zip(self.gids, zip(*results))] if results \
+                else list(self.gids)
+        # the full key, once per group: kept columns from the ids' keys
+        columns = [None] * self.width
+        kept = [self.gids] if len(self.kept) == 1 \
+            else list(zip(*self.gids)) or [()] * len(self.kept)
+        for position, values in chain(zip(self.kept, kept),
+                                      zip(self.dependent,
+                                          self.dependent_values)):
+            columns[position] = values
+        return list(zip(*columns, *results))
 
     def nbytes(self) -> int:
         """Deterministic size estimate (the sketch cache's LRU budget):
         the id dict's entry and key tuple per group, plus each state
         column's slots."""
         groups = len(self.gids)
-        width = len(next(iter(self.gids), ()))
-        return _STATE_BYTES + (110 + 50 * width) * groups \
+        return _STATE_BYTES + (110 + 50 * self.width) * groups \
             + sum(state.nbytes(groups) for state in self.states)
 
 

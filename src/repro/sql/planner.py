@@ -248,8 +248,16 @@ class Project(BatchNode):
         self.child = child
         self.fns = fns
         self.schema = Schema([(None, name) for name in names])
+        # every input column in place (an aggregate's SELECT list, say):
+        # the child's rows are the output rows, renamed by the schema only
+        self.identity = bool(fns) and [getattr(fn, "position", None)
+                                       for fn in fns] \
+            == list(range(len(child.schema)))
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        if self.identity:
+            yield from self.child.execute_batches(ctx, size)
+            return
         fns = self.fns
         for batch in self.child.execute_batches(ctx, size):
             # column-at-a-time, re-cut into rows by one C-level zip
@@ -488,23 +496,27 @@ class Aggregate(BatchNode):
     """Hash aggregation into one ``GroupedAggregation``.
 
     Each input batch is cut into group-key and argument columns once; the
-    key tuples become the batch's group-id column and every aggregate
-    scatters its argument column through it (the global aggregate folds the
-    whole column into its single group).  Groups are created — and emitted
-    — in first-appearance order.
+    kept key columns become the batch's group-id column (dependent ones are
+    read once per new group, see ``Planner._dependent_keys``) and every
+    aggregate scatters its argument column through it (the global aggregate
+    folds the whole column into its single group).  Groups are created —
+    and emitted — in first-appearance order.
     """
 
-    def __init__(self, child: PlanNode, group_fns, agg_specs: list[AggSpec]):
+    def __init__(self, child: PlanNode, group_fns, agg_specs: list[AggSpec],
+                 dependent: tuple):
         self.child = child
         self.group_fns = group_fns
         self.agg_specs = agg_specs
+        # one flag per group key: fixed by the keys before it, never hashed
+        self.dependent = dependent
         names = [f"__G{i}" for i in range(len(group_fns))]
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
-        groups = GroupedAggregation((s.name, s.arg_fn is None, s.distinct)
-                                    for s in self.agg_specs)
+        groups = GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
+                                     for s in self.agg_specs), self.dependent)
         group_fns = self.group_fns
         specs = self.agg_specs
         rows = 0
@@ -513,7 +525,8 @@ class Aggregate(BatchNode):
             arg_cols = argument_columns(
                 specs, lambda fn: eval_column(fn, batch, ctx))
             if group_fns:
-                gids = groups.assign(_key_tuples(group_fns, batch, ctx))
+                gids = groups.assign_columns(
+                    [eval_column(fn, batch, ctx) for fn in group_fns])
                 groups.scatter(gids, arg_cols)
             else:
                 groups.fold(groups.gid(()), arg_cols, len(batch))
@@ -1006,10 +1019,11 @@ class Planner:
         if vsource is not None:
             vtables = tuple(vsource[1])
         if has_group or aggs:
-            row_agg = self._plan_aggregate(select, node, aggs)
+            dependent = self._dependent_keys(select)
+            row_agg = self._plan_aggregate(select, node, aggs, dependent)
             if vsource is not None:
                 vnode = self._plan_batch_aggregate(select, vsource[0], aggs,
-                                                   vsource[2])
+                                                   vsource[2], dependent)
             node = row_agg
             select = self._rewrite_above_aggregate(select, node)
         elif select.having is not None:
@@ -1579,8 +1593,8 @@ class Planner:
     _SKETCH_AGGS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
     def _plan_batch_aggregate(self, select: ast.Select, vnode,
-                              aggs: list[ast.FuncCall],
-                              base_scan=None) -> BatchAggregate:
+                              aggs: list[ast.FuncCall], base_scan,
+                              dependent: tuple) -> BatchAggregate:
         sub = self._plan_subquery
         input_schema = vnode.schema
         group_fns = [compile_batch_expr(g, input_schema, sub)
@@ -1611,7 +1625,7 @@ class Planner:
                     # filter positions — see _sketch_key)
                     base_scan.emit_filtered_segments = True
         return BatchAggregate(vnode, group_fns, specs, group_positions,
-                              sketch_key=sketch_key)
+                              sketch_key=sketch_key, dependent=dependent)
 
     def _sketch_key(self, select: ast.Select, aggs: list[ast.FuncCall],
                     scan, input_schema) -> tuple | None:
@@ -1896,13 +1910,67 @@ class Planner:
         return aggs
 
     def _plan_aggregate(self, select: ast.Select, node: PlanNode,
-                        aggs: list[ast.FuncCall]) -> Aggregate:
+                        aggs: list[ast.FuncCall],
+                        dependent: tuple) -> Aggregate:
         sub = self._plan_subquery
         input_schema = node.schema
         group_fns = [compile_expr(g, input_schema, sub)
                      for g in select.group_by]
         specs = self._agg_specs(aggs, compile_expr, input_schema)
-        return Aggregate(node, group_fns, specs)
+        return Aggregate(node, group_fns, specs, dependent)
+
+    def _dependent_keys(self, select: ast.Select) -> tuple:
+        """One flag per GROUP BY column: True when the column is fixed by
+        the columns kept (hashed) before it, so the aggregate never hashes
+        it — the functional-dependency reduction of grouping keys (Simmen,
+        Shekita & Malkemus, SIGMOD 1996).
+
+        A plain non-PK column of binding ``T`` depends when every PK column
+        of ``T`` is a kept GROUP BY column or equated to one by an ``=``
+        between two plain column refs in WHERE or an INNER join's ON: rows
+        with equal kept keys then joined one row of ``T``.  Expressions,
+        LEFT joins and computed join keys prove nothing; GROUP BY order
+        decides which of two columns that pin each other is kept.
+        """
+        flags = [False] * len(select.group_by)
+        if select.table is None or not flags:
+            return tuple(flags)
+        tables = {ref.binding: self.catalog.table(ref.name)
+                  for ref in [select.table] + [j.table for j in select.joins]}
+
+        def resolve(expr):
+            """``(binding, column position)`` of a plain column of FROM."""
+            if not isinstance(expr, ast.ColumnRef):
+                return None
+            found = [(binding, table.position(expr.name))
+                     for binding, table in tables.items()
+                     if table.has_column(expr.name) and (
+                         expr.table is None or expr.table.upper() == binding)]
+            return found[0] if len(found) == 1 else None
+
+        conjuncts = _flatten_and(select.where)
+        for join in select.joins:
+            if join.kind == "INNER":
+                conjuncts += _flatten_and(join.condition)
+        # LEFT-joined tables: their rows may be NULL-extended
+        outer = {j.table.binding for j in select.joins if j.kind != "INNER"}
+        pairs = [(resolve(c.left), resolve(c.right)) for c in conjuncts
+                 if isinstance(c, ast.BinaryOp) and c.op == "="]
+        kept: set = set()
+        for i, expr in enumerate(select.group_by):
+            column = resolve(expr)
+            if column is None:
+                continue
+            binding, position = column
+            pk = tables[binding].pk_positions
+            pinned = kept | {a for a, b in pairs if b in kept} \
+                | {b for a, b in pairs if a in kept}
+            if binding not in outer and position not in pk \
+                    and all((binding, p) in pinned for p in pk):
+                flags[i] = True
+            else:
+                kept.add(column)
+        return tuple(flags)
 
     def _agg_specs(self, aggs: list[ast.FuncCall], compile_arg,
                    input_schema) -> list[AggSpec]:

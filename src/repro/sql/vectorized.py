@@ -32,6 +32,7 @@ from repro.sql.expressions import Schema, _null_safe_binop, compile_expr
 from repro.sql.functions import (
     SCALARS,
     GroupedAggregation,
+    _gather,
     like_to_predicate,
 )
 from repro.sql.ordering import canonical_value_key
@@ -1452,10 +1453,13 @@ class BatchAggregate(BatchNode):
     """
 
     def __init__(self, child: VectorNode, group_fns, agg_specs,
-                 group_positions: list | None = None, sketch_key=None):
+                 group_positions: list | None = None, sketch_key=None,
+                 dependent: tuple = ()):
         self.child = child
         self.group_fns = group_fns
         self.agg_specs = agg_specs
+        # one flag per group key: fixed by the keys before it, never hashed
+        self.dependent = dependent or (False,) * len(group_fns)
         # batch-column position of each group key when it is a direct
         # column reference (None for computed keys)
         self.group_positions = group_positions
@@ -1469,8 +1473,8 @@ class BatchAggregate(BatchNode):
         self.schema = Schema([(None, name) for name in names])
 
     def _new_groups(self) -> GroupedAggregation:
-        return GroupedAggregation((s.name, s.arg_fn is None, s.distinct)
-                                  for s in self.agg_specs)
+        return GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
+                                   for s in self.agg_specs), self.dependent)
 
     def _fold_runs(self, batch, ctx, groups: GroupedAggregation, arg_cols,
                    position: int) -> bool:
@@ -1502,7 +1506,7 @@ class BatchAggregate(BatchNode):
         offset = 0
         for value, length in runs_source():
             stop = offset + length
-            groups.fold(groups.gid((value,)), [
+            groups.fold(groups.gid(value), [
                 None if col is None                   # COUNT(*): rows suffice
                 else col[offset:stop] if span_type is None   # computed: a list
                 else span_type(col, offset, stop)
@@ -1570,14 +1574,12 @@ class BatchAggregate(BatchNode):
             gid = slots[slot]
             if gid is None:
                 gid = slots[slot] = groups.gid(
-                    (None,) if code < 0 else (values[code],))
+                    None if code < 0 else values[code])
             if len(sel) == n:
                 cols = arg_cols
             else:
                 cols = [None if col is None                   # COUNT(*)
-                        else col.gather(sel) if hasattr(col, "gather")
-                        else [col[i] for i in sel]
-                        for col in arg_cols]
+                        else _gather(col, sel) for col in arg_cols]
             groups.fold(gid, cols, len(sel))
         ctx.stats.groups_global_coded += 1
         return True
@@ -1598,8 +1600,8 @@ class BatchAggregate(BatchNode):
                 or self._fold_global_coded(batch, ctx, groups, arg_cols,
                                            coded_position, slot_state)):
             return
-        key_cols = [fn(batch, ctx) for fn in self.group_fns]
-        groups.scatter(groups.assign(zip(*key_cols)), arg_cols)
+        groups.scatter(groups.assign_columns(
+            [fn(batch, ctx) for fn in self.group_fns]), arg_cols)
 
     def _fold(self, batches, ctx, groups: GroupedAggregation):
         """Fold one batch stream into ``groups`` (a partial aggregate).

@@ -1,8 +1,9 @@
 """subenchmark data loader (TPC-C population rules, scaled down).
 
 ``scale`` sets the warehouse count (scale 1.0 = 1 warehouse; the paper used
-50 on its physical cluster — DESIGN.md documents the substitution).  Within
-a warehouse the TPC-C card ratios are preserved at reduced cardinality:
+50 on its physical cluster — README's *Benchmarks* section: the benches
+assert the figures' shapes, not absolute numbers).  Within a warehouse the
+TPC-C card ratios are preserved at reduced cardinality:
 10 districts, ``CUSTOMERS_PER_DISTRICT`` customers each, one initial order
 per customer with 5-15 lines, ~30% undelivered (NEW_ORDER backlog), one
 stock row per item, and one initial HISTORY row per customer.

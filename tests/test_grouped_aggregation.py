@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import inf, isnan, nan
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.sql.functions import (
     GroupedAggregation,
     _fold_floats,
     _fold_typed_slice,
+    _SumState,
 )
 
 # ---------------------------------------------------------------------------
@@ -425,6 +427,77 @@ class TestBulkFold:
             == [(("int", 4), ("float", (4 / 3).hex()), ("int", 3))]
 
 
+def _sum_result(int_total, total, exponent):
+    """One group's SUM result from a state holding exactly these totals."""
+    state = _SumState(average=False)
+    state.grow(1)
+    state.counts[0], state.ints[0], state.fixed[0] = 1, int_total, total
+    state.exponent = exponent
+    return state.results()[0]
+
+
+def _division(int_total, total, exponent):
+    """The exact total over ``2**-exponent``: one correctly-rounded big-int
+    division."""
+    return ((int_total << -exponent) + total) / (1 << -exponent)
+
+
+class TestSumResultConversion:
+    """A SUM's float total converts as ``ldexp(float(N), exponent)``:
+    ``float`` rounds once and scaling a normal double is exact, so the bits
+    are the division's.  Where ``ldexp`` would round a second time — a
+    subnormal result — or ``float(N)`` overflows, it divides instead."""
+
+    CASES = [
+        (0, 0, 0), (0, 0, -60), (0, -3, -2),
+        # subnormal results: 2**-1074 up to just below the smallest normal
+        (0, 1, -1074), (0, 3, -1075), (0, -5, -1076),
+        (0, 2 ** 52 - 1, -1074), (0, (2 ** 52 - 1) * 2 ** 70 + 2 ** 69, -1144),
+        # a sticky bit below the 53rd: rounding to 53 bits first makes an
+        # exact tie that the subnormal rounding then breaks the wrong way
+        (0, 2 ** 59 + 2 ** 49 + 1, -1124), (0, -(2 ** 59 + 2 ** 49 + 1), -1124),
+        # the normal boundary, approached from below with rounding
+        (0, 2 ** 52, -1074), (0, 2 ** 178 - 1, -1200),
+        (0, 2 ** 178 - 2 ** 124, -1200), (0, -(2 ** 178 - 1), -1200),
+        # ties and sticky bits where the 53-bit rounding happens
+        (0, 2 ** 60 + 2 ** 7, -70), (0, 2 ** 60 + 2 ** 7 + 1, -70),
+        (0, 2 ** 60 + 3 * 2 ** 7, -70),
+        # ``float(N)`` overflows, the result does not
+        (0, 2 ** 1100, -100), (0, -(2 ** 1030 + 1), -64),
+        # the largest finite result, from above the double range
+        (0, (2 ** 53 - 1) * 2 ** 1021, -50),
+        # mixed int / float totals
+        (3, 2 ** 40 + 1, -40), (-7, 5, -3), (10 ** 30, 12345, -60),
+        (1, -(2 ** 1074), -1074),
+    ]
+
+    def test_cases(self):
+        for int_total, total, exponent in self.CASES:
+            assert _sum_result(int_total, total, exponent).hex() \
+                == _division(int_total, total, exponent).hex(), \
+                (int_total, total, exponent)
+
+    def test_overflow_raises_as_the_division_does(self):
+        for args in ((0, 2 ** 1025, -1), (0, 2 ** 1100, -70)):
+            with pytest.raises(OverflowError):
+                _division(*args)
+            with pytest.raises(OverflowError):
+                _sum_result(*args)
+
+    @given(st.integers(-10 ** 20, 10 ** 20),
+           st.integers(-(2 ** 1100), 2 ** 1100) | st.integers(-9, 9),
+           st.integers(-1200, 0))
+    @settings(max_examples=500, deadline=None)
+    def test_generated(self, int_total, total, exponent):
+        try:
+            expected = _division(int_total, total, exponent).hex()
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _sum_result(int_total, total, exponent)
+        else:
+            assert _sum_result(int_total, total, exponent).hex() == expected
+
+
 # ---------------------------------------------------------------------------
 # SQL level: row pipeline vs vectorized vs warm sketch hit
 # ---------------------------------------------------------------------------
@@ -550,15 +623,23 @@ class TestSketchSizeEstimate:
         return [(value, nbytes) for _seg, _epoch, value, nbytes in entries]
 
     def test_estimate_within_2x_of_a_real_partial(self):
+        # the estimates are pinned: they are the sketch cache's LRU budget
+        # and feed the simulated scan cost, so a key-layout change (a bare
+        # single key, a dependent column) must not move them
         shapes = [
-            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 7),
-            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 900),
-            ("SELECT k, j, COUNT(*), SUM(w) FROM t GROUP BY k, j", 300),
-            ("SELECT j, SUM(j), MAX(w) FROM t GROUP BY j", 2000),
-            ("SELECT COUNT(*), AVG(v) FROM t", 5),
+            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 7, [5600] * 4),
+            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 900,
+             [249600, 249200, 248800, 251200]),
+            ("SELECT k, j, COUNT(*), SUM(w) FROM t GROUP BY k, j", 300,
+             [297000, 297870, 297000, 296710]),
+            ("SELECT j, SUM(j), MAX(w) FROM t GROUP BY j", 2000,
+             [211344, 210288, 210288, 210816]),
+            ("SELECT COUNT(*), AVG(v) FROM t", 5, [1390] * 4),
         ]
-        for sql, groups in shapes:
-            for partial, estimate in self._cached_partials(sql, groups):
+        for sql, groups, pinned in shapes:
+            partials = self._cached_partials(sql, groups)
+            assert [estimate for _p, estimate in partials] == pinned
+            for partial, estimate in partials:
                 assert estimate == partial.nbytes()
                 actual = _deep_sizeof(partial, set())
                 assert actual / 2 <= estimate <= actual * 2, (sql, groups)

@@ -21,7 +21,8 @@ def stats_with(**kwargs) -> ExecStats:
 
 class TestCalibrationContracts:
     """The inequalities between the shipped engine calibrations that the
-    paper's findings depend on (see DESIGN.md's calibration inventory)."""
+    paper's findings depend on (see the grounding comment above
+    ``TIDB_COSTS`` in ``sim/costmodel.py``)."""
 
     def test_memsql_point_path_cheapest(self):
         assert MEMSQL_COSTS.pk_lookup < OCEANBASE_COSTS.pk_lookup
