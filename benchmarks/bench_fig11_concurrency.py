@@ -23,10 +23,9 @@ parity sweep, all floor-checked in CI as ``BENCH_fig11.json["chaos"]``.
 Headline (recorded in ``BENCH_fig11.json``, floor-checked in CI): at >= 16
 mixed clients, p99 commit latency with admission control on is at least 2x
 lower than with it off, and stays within a small factor of the no-flood
-baseline.  A parity section proves the server — running on a *pooled*
-database (``workers=2``: ordered compaction runs on the background
-lane) — returns byte-identical query results to the sequential
-``workers=0`` runner's connection across partition counts {1, 2, 8}.
+baseline.  A parity section proves a server session returns
+byte-identical query results to the sequential runner's connection on a
+separately installed database, across partition counts {1, 2, 8}.
 """
 
 from __future__ import annotations
@@ -184,26 +183,21 @@ def _chaos_run(fault: bool) -> dict:
     }
 
 
-PARITY_WORKERS = 2
-
-
 def _parity_point(partitions: int) -> bool:
-    """Server session on a *pooled* database vs the sequential runner on a
-    ``workers=0`` database: background ordered compaction must not change
-    a single byte of what inline compaction answers."""
-    def installed(workers: int) -> Database:
-        db = Database(with_columnar=True, partitions=partitions,
-                      workers=workers)
+    """Server session vs the sequential runner, each on its own installed
+    database: the server's session multiplexing must not change a single
+    byte of what the runner's connection answers."""
+    def installed() -> Database:
+        db = Database(with_columnar=True, partitions=partitions)
         workload = make_workload(WORKLOAD, scale=PARITY_SCALE)
         workload.install(db, Random(7), PARITY_SCALE)
-        db.quiesce()
         return db
 
     queries = make_workload(WORKLOAD,
                             scale=PARITY_SCALE).analytical_queries()
-    sequential = query_results(Session(installed(0).connect()), queries)
+    sequential = query_results(Session(installed().connect()), queries)
     via_server = query_results(
-        ClientSession(installed(PARITY_WORKERS), 1, kind="olap"), queries)
+        ClientSession(installed(), 1, kind="olap"), queries)
     return sequential == via_server
 
 
@@ -271,7 +265,6 @@ def test_fig11_concurrency(benchmark, series):
 
     parity = {
         "partitions": list(PARITY_PARTITIONS),
-        "workers": PARITY_WORKERS,
         "queries": len(make_workload(WORKLOAD,
                                      scale=PARITY_SCALE).analytical_queries()),
         "identical": all(_parity_point(p) for p in PARITY_PARTITIONS),

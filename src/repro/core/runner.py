@@ -300,7 +300,6 @@ class OLxPBench:
                          if replica is not None else 0)
         sketch_inv_before = (replica.sketches.invalidated
                              if replica is not None else 0)
-        bg_before = self.engine.db.bg_compactions_total
         columnar = False
         if kind == "olap":
             columnar = self.engine.route_analytical(now)
@@ -325,9 +324,6 @@ class OLxPBench:
                 replica.segments_merged_total() - merges_before
             report.sketch_invalidations += \
                 replica.sketches.invalidated - sketch_inv_before
-        # background compactions the engine scheduled meanwhile, likewise
-        report.bg_compactions += \
-            self.engine.db.bg_compactions_total - bg_before
 
         if now >= config.warmup_ms:
             report.observe(kind, profile.name, latency, breakdown,

@@ -69,7 +69,6 @@ class Database:
                  default_isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
                  partitions: int = 1,
                  plan_cache_size: int = 256,
-                 workers: int | None = 0,
                  failpoints: FailpointRegistry | None = None,
                  retain_wal: bool = False):
         if plan_cache_size <= 0:
@@ -125,18 +124,9 @@ class Database:
         self.supports_foreign_keys = supports_foreign_keys
         self.enforce_foreign_keys = enforce_foreign_keys and supports_foreign_keys
         self.default_isolation = default_isolation
-        # statements always run on the calling thread.  workers=0 (the
-        # default) compacts inline, inside replicate(); workers=N (or None
-        # = CPU count) creates a pool and ordered compaction moves off the
-        # query path as a background pool task.
-        if workers == 0:
-            self.pool = None
-        else:
-            from repro.exec import WorkerPool
-
-            self.pool = WorkerPool(workers)
-        self.bg_compactions_total = 0
-        self.bg_compaction_failures = 0
+        # transient compaction faults replicate() absorbed (see
+        # _compact_with_retry); the delta stays pending for the next merge
+        self.compaction_failures = 0
         self.executor = Executor(
             self.catalog, self.columnar,
             enforce_foreign_keys=self.enforce_foreign_keys,
@@ -281,42 +271,21 @@ class Database:
         if not self.retain_wal:
             for pid, wal in enumerate(self.storage.wals):
                 wal.truncate_upto(self.columnar.applied_lsns[pid])
-        if self.pool is not None:
-            # ordered compaction moves off the query path: merge the fresh
-            # delta eagerly (segment-granular, so cost is bounded by the
-            # delta's key-range overlap) on a pool worker while queries
-            # keep scanning their pre-swap segment snapshot
-            self.bg_compactions_total += 1
-            self.pool.submit_background(self._background_compact,
-                                        name="columnar-compaction")
-        else:
-            self._compact_with_retry()
+        self._compact_with_retry()
         return applied
 
-    def _background_compact(self):
-        """Pool-side compaction wrapper.
+    def _compact_with_retry(self):
+        """Threshold compaction inside ``replicate``.
 
         A *transient* failure (injected fault, flaky merge) is absorbed:
         the unpublished merge left the old main + delta fully queryable,
         the delta stays pending, and the next ``replicate`` retries — a
-        compaction fault must never poison the pool or fail a query.
-        Non-transient exceptions propagate and are surfaced, with the
-        task's name, at the next ``quiesce``.
+        compaction fault must never fail the write path or a query.
         """
-        try:
-            self.failpoints.fire("pool.background")
-            self.columnar.compact(force=True)
-        except TransientError as exc:
-            self.bg_compaction_failures += 1
-            self.failpoints.record_recovery(
-                getattr(exc, "failpoint", None) or "pool.background")
-
-    def _compact_with_retry(self):
-        """Inline compaction: absorb transient faults the same way."""
         try:
             self.columnar.compact()
         except TransientError as exc:
-            self.bg_compaction_failures += 1
+            self.compaction_failures += 1
             self.failpoints.record_recovery(
                 getattr(exc, "failpoint", None) or "compact.merge")
 
@@ -338,14 +307,6 @@ class Database:
 
         Returns ``{"records_dropped", "torn_commits", "replicated"}``.
         """
-        if self.pool is not None:
-            from repro.exec import BackgroundTaskError
-            try:
-                self.pool.drain_background()
-            except BackgroundTaskError:
-                # a poisoned background task may be the very crash being
-                # recovered from; the rebuild below supersedes its work
-                pass
         dropped = []
         for wal in self.storage.wals:
             dropped.extend(wal.recover())
@@ -375,15 +336,6 @@ class Database:
         if self.columnar is None:
             return 0
         return self.columnar.total_lag(self.storage.wals)
-
-    def quiesce(self):
-        """Block until scheduled background work (compaction) finishes.
-
-        Tests and benchmarks call this to compare engine states at a
-        deterministic point; a no-op for the sequential baseline.
-        """
-        if self.pool is not None:
-            self.pool.drain_background()
 
     # -- statement preparation -----------------------------------------------------
 

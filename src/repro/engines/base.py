@@ -72,8 +72,8 @@ class HTAPCluster:
         # redistributes data (TiDB regions / OceanBase tablets), it does
         # not just add compute
         self.partitions = partitions if partitions is not None else nodes
-        # the embedded database compacts inline (workers=0): simulated
-        # time, not a thread pool, models the cluster's parallelism
+        # the embedded database compacts inline, inside replicate():
+        # simulated time, not a thread pool, models the cluster's parallelism
         self.db = Database(
             supports_foreign_keys=self.supports_foreign_keys,
             with_columnar=self.has_columnar_store,

@@ -2,8 +2,7 @@
 
 A *failpoint* is a named place in the engine where a fault can be made to
 happen on demand: the WAL append path, the replica apply loop, the
-compaction merge, a background compaction, the 2PC prepare step, a
-columnar scan.
+compaction merge, the 2PC prepare step, a columnar scan.
 Production code calls ``registry.fire(name)`` at the seam; the call is a
 no-op unless a test (or the chaos benchmark arm) has *armed* that name.
 
@@ -12,12 +11,12 @@ Arming is deterministic two ways:
 * **count-based** (``on_hits={3}``) — fire on exactly those hit ordinals.
   Hit numbering is global per failpoint and survives re-arming only via
   ``reset_counters()``.  This is the mode the crash-sweep tests use: it
-  is reproducible even under real pool threads, because which *hit*
+  is reproducible even under real threads, because which *hit*
   fires does not depend on thread interleaving of *other* failpoints.
 * **probability-based** (``probability=0.05``) — each hit draws from a
   per-failpoint ``Random(f"{seed}:{name}")``.  Deterministic whenever the
   hit order is deterministic, which the cooperative session server
-  (``workers=0``) guarantees; the chaos benchmark runs in that mode.
+  guarantees; the chaos benchmark runs in that mode.
 
 Counters (hits / triggers / recoveries) are kept per failpoint and
 surfaced through ``ExecStats`` so fault activity shows up in RunReport
@@ -40,7 +39,6 @@ FAILPOINT_NAMES = (
     "wal.read",        # transient read failure on the replication feed
     "replica.apply",   # crash mid-apply on the columnar replica
     "compact.merge",   # crash mid-compaction (before publish)
-    "pool.background", # background compaction failure
     "txn.prepare",     # participant failure at 2PC prepare
     "replica.scan",    # replica cannot serve a columnar scan
 )
@@ -91,7 +89,7 @@ class FailpointRegistry:
     """Named, seeded, deterministically-triggered failpoints.
 
     One registry is threaded through a ``Database`` and shared by every
-    layer (WAL, replica, pool, txn manager, executor).  The unarmed fast
+    layer (WAL, replica, txn manager, executor).  The unarmed fast
     path is a single attribute read — a database that never arms anything
     pays nothing measurable.
     """

@@ -182,9 +182,6 @@ class ExecStats:
     # per-partition partial aggregates that were merged
     scatter_partitions: int = counter(merge="max")
     partial_aggregates: int = counter()
-    # worker-pool counter: background compactions the engine scheduled
-    # off the query path
-    bg_compactions: int = counter(section="pool")
     # fault counters: injected faults this statement hit, faults it
     # survived (retry / degraded route), and statements
     # the circuit breaker degraded from the columnar to the row pipeline

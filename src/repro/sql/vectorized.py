@@ -888,8 +888,8 @@ class VColumnarScan(VectorNode):
         name = self.table.name
         stats = ctx.stats
         # one consistent view of (main segments, bounds, delta tail): a
-        # background compaction swapping the main mid-scan cannot change
-        # what this scan reads
+        # compaction on another thread swapping the main mid-scan cannot
+        # change what this scan reads
         snap = part.read_snapshot()
         stats.delta_rows_pending += sum(
             segment.live_count for segment in snap[3])

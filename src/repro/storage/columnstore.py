@@ -1083,10 +1083,11 @@ class ColumnarTable:
         # the touched segment's partials eagerly (epoch checks backstop)
         self._sketches = sketches
         # serialises the mutable touch points (WAL apply, zone-map
-        # widening, compaction swap) against concurrent pool workers; a
+        # widening, compaction swap) so a writer thread may replicate()
+        # (apply + inline compaction) while other threads scan; a
         # replica shares one lock across its tables so a chunk apply is
-        # atomic with respect to background compaction.  Re-entrant
-        # because compact() nests flush_zone_maps().
+        # atomic with respect to compaction.  Re-entrant because
+        # compact() nests flush_zone_maps().
         self._lock = lock if lock is not None else threading.RLock()
         self.table = table
         self.segment_rows = segment_rows
@@ -1215,7 +1216,7 @@ class ColumnarTable:
             segment.observe_batch(rows)
 
     def compact(self, force: bool = False) -> int:
-        """Background compaction; returns the number of segments produced.
+        """Ordered compaction; returns the number of segments produced.
 
         Merges the delta tail into the sorted main segments once the
         delta reaches a full segment's worth of live rows (``force=True``
@@ -1349,7 +1350,7 @@ class ColumnarTable:
         # sketches of the rewritten region die with their segments;
         # untouched segments outside [start, stop) keep theirs — that
         # sharing is what carries warm sketches across disjoint-delta
-        # merges (including PR 7's background compactions)
+        # merges
         if self._sketches is not None:
             self._sketches.drop_segments(main[start:stop])
         self._main_segments = main[:start] + segments + main[stop:]
@@ -1374,7 +1375,7 @@ class ColumnarTable:
         """Atomic ``(main_segments, main_lo, main_hi, delta_segments)``.
 
         Scans must take main list + bound lists + delta in one locked
-        read: a background merge swap between two separate reads would
+        read: a merge swap on a writer thread between two separate reads would
         pair pre-swap segments with post-swap bounds.  The returned lists
         stay internally consistent forever — compaction swaps in fresh
         lists instead of mutating these (sealed segments are immutable;
@@ -1420,7 +1421,7 @@ class ColumnarTable:
         """Every segment in physical scan order (main first, then delta).
 
         Locked so the main + delta concatenation is one consistent
-        snapshot even while a background merge swaps the lists.
+        snapshot even while a writer thread's merge swaps the lists.
         """
         with self._lock:
             return self._main_segments + self._segments
@@ -1428,7 +1429,7 @@ class ColumnarTable:
     def encoding_stats(self) -> dict:
         """Segment/byte accounting of the encoding layer.
 
-        Counts over ONE ``_all_segments`` snapshot: a background merge
+        Counts over ONE ``_all_segments`` snapshot: a writer thread's merge
         swapping the main list between two reads would pair one list's
         total with another's encoded count.
         """
@@ -1653,7 +1654,7 @@ class ColumnarReplica:
         # (the executor and planner hold references to the replica)
         self._registrations: list[tuple] = []
         # one re-entrant lock shared by every table of the replica: a WAL
-        # apply chunk, a zone-map flush and a background compaction swap
+        # apply chunk, a zone-map flush and a compaction swap
         # are mutually atomic, while sealed-segment reads stay lock-free
         self._lock = threading.RLock()
         # table -> one ColumnarTable per partition

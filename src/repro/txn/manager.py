@@ -265,8 +265,8 @@ class TransactionManager:
         self._latest_ts = 0
         # single-allocator invariant: every timestamp comes from _next_ts
         # under this lock.  Sessions multiplexed by the cooperative server
-        # never overlap inside it (contention stays 0 there); a real worker
-        # pool serialises here, and the monotonicity assertion below would
+        # never overlap inside it (contention stays 0 there); real threads
+        # serialise here, and the monotonicity assertion below would
         # catch any unlocked allocation path racing past it.
         self._ts_lock = threading.Lock()
         self.ts_lock_contention = 0

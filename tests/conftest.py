@@ -136,55 +136,47 @@ class ParityCell:
     segments_merged: int   # ordered-compaction output over the cell
 
 
-def _parity_cell(name: str, partitions: int, lagged: bool,
-                 workers: int) -> ParityCell:
+def _parity_cell(name: str, partitions: int, lagged: bool) -> ParityCell:
     seed = 9 if lagged else 7
     # 64-row segments so merges, encodings, shared dictionaries and
     # sketches all engage on the per-partition shards of a 0.05-scale load
     db = Database(with_columnar=True, columnar_segment_rows=64,
-                  partitions=partitions, workers=workers)
-    try:
-        workload = make_workload(name)
-        workload.install(db, Random(seed), 0.05, with_foreign_keys=False)
-        if lagged:
-            # warm the sketches at the pre-mutation watermark, then leave
-            # the replica mid-lag: half the mutation stream applied
-            _run_analytical(db, workload, seed)
-            _mutate(db, workload, seed=13)
-            lag = db.replication_lag()
-            assert lag > 1
-            db.replicate(limit=lag // 2)
-            assert db.replication_lag() > 0
-        db.quiesce()
-        cold, _ = _run_analytical(db, workload, seed)
-        warm, stats = _run_analytical(db, workload, seed)
-        oracle, _ = _run_analytical(db, workload, seed, vectorized=False)
-        assert stats.vectorized_statements > 0
-        assert cold == oracle
-        assert warm == oracle
-        return ParityCell(oracle, stats, db.columnar.encoding_stats(),
-                          db.columnar.segments_merged_total())
-    finally:
-        if db.pool is not None:
-            db.pool.shutdown()
+                  partitions=partitions)
+    workload = make_workload(name)
+    workload.install(db, Random(seed), 0.05, with_foreign_keys=False)
+    if lagged:
+        # warm the sketches at the pre-mutation watermark, then leave
+        # the replica mid-lag: half the mutation stream applied
+        _run_analytical(db, workload, seed)
+        _mutate(db, workload, seed=13)
+        lag = db.replication_lag()
+        assert lag > 1
+        db.replicate(limit=lag // 2)
+        assert db.replication_lag() > 0
+    cold, _ = _run_analytical(db, workload, seed)
+    warm, stats = _run_analytical(db, workload, seed)
+    oracle, _ = _run_analytical(db, workload, seed, vectorized=False)
+    assert stats.vectorized_statements > 0
+    assert cold == oracle
+    assert warm == oracle
+    return ParityCell(oracle, stats, db.columnar.encoding_stats(),
+                      db.columnar.segments_merged_total())
 
 
 @pytest.fixture(scope="session")
 def workload_parity():
     """The one workload parity matrix: ``workload_parity(name, partitions,
-    lagged, workers=0)`` loads the workload, optionally leaves the replica
+    lagged)`` loads the workload, optionally leaves the replica
     mid-lag, runs the analytical set on the engine cold, then warm, and
     asserts both byte-identical to the row oracle on the same replica.
 
     Cells are computed once per session: the layer suites each assert
-    their own engagement counter on the shared ``ParityCell``, and the
-    pooled suite compares its ``workers`` arm with the sequential cell.
+    their own engagement counter on the shared ``ParityCell``.
     """
     cells: dict[tuple, ParityCell] = {}
 
-    def cell(name: str, partitions: int, lagged: bool,
-             workers: int = 0) -> ParityCell:
-        key = (name, partitions, lagged, workers)
+    def cell(name: str, partitions: int, lagged: bool) -> ParityCell:
+        key = (name, partitions, lagged)
         if key not in cells:
             cells[key] = _parity_cell(*key)
         return cells[key]

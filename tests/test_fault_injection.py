@@ -1,8 +1,8 @@
 """Deterministic fault injection: failpoint mechanics, crash-consistent
 recovery (WAL torn tails, replica rebuild, atomic compaction, 2PC prepare
-aborts), pool retry/fallback, and graceful query degradation — capped by
-a crash-at-every-failpoint sweep asserting byte parity against an
-uncrashed run across three workloads and partition counts {1, 2, 8}."""
+aborts), absorbed compaction faults, and graceful query degradation —
+capped by a crash-at-every-failpoint sweep asserting byte parity against
+an uncrashed run across three workloads and partition counts {1, 2, 8}."""
 
 from random import Random
 
@@ -18,7 +18,6 @@ from repro.errors import (
     WALBoundsError,
     WALCorruptionError,
 )
-from repro.exec import BackgroundTaskError, WorkerPool
 from repro.fault import FAILPOINT_NAMES, CircuitBreaker, FailpointRegistry
 from repro.storage.wal import LogOp, WriteAheadLog
 from repro.workloads import make_workload
@@ -109,7 +108,7 @@ class TestFailpointRegistry:
     def test_catalogue_is_complete(self):
         assert set(FAILPOINT_NAMES) == {
             "wal.append", "wal.read", "replica.apply", "compact.merge",
-            "pool.background", "txn.prepare", "replica.scan",
+            "txn.prepare", "replica.scan",
         }
 
 
@@ -276,65 +275,6 @@ class TestTornCommitAtomicity:
         db.replicate()  # truncates the applied prefix
         with pytest.raises(ConfigError):
             db.recover()
-
-
-# -- worker pool: named background failures, absorbed compaction faults -----
-
-
-class TestPoolFaults:
-    def _pooled_db(self) -> Database:
-        db = Database(with_columnar=True, partitions=4, workers=2,
-                      columnar_segment_rows=64)
-        db.execute_ddl("CREATE TABLE p (id INT PRIMARY KEY, g INT, v INT)")
-        db.bulk_load("p", [(i, i % 5, i) for i in range(200)])
-        db.replicate()
-        db.quiesce()
-        return db
-
-    def _scan(self, db: Database):
-        with db.connect() as conn:
-            return conn.execute(
-                "SELECT g, SUM(v) FROM p GROUP BY g ORDER BY g",
-                (), route_columnar=True)
-
-    def test_background_failure_is_named_and_does_not_wedge(self):
-        pool = WorkerPool(workers=2)
-
-        def fail():
-            raise RuntimeError("compaction exploded")
-
-        pool.submit_background(fail, name="columnar-compaction")
-        with pytest.raises(BackgroundTaskError) as info:
-            pool.drain_background()
-        assert info.value.task_name == "columnar-compaction"
-        assert isinstance(info.value.__cause__, RuntimeError)
-        # the pool is still usable and shutdown releases cleanly
-        done = []
-        pool.submit_background(lambda: done.append(1), name="ok")
-        pool.drain_background()
-        assert done == [1]
-        pool.shutdown()
-
-    def test_shutdown_surfaces_failure_but_releases_executor(self):
-        pool = WorkerPool(workers=1)
-        pool.submit_background(lambda: 1 / 0, name="divide")
-        with pytest.raises(BackgroundTaskError):
-            pool.shutdown()
-        # the executor was shut down despite the raise
-        assert pool._executor._shutdown
-
-    def test_injected_background_compaction_never_poisons_the_pool(self):
-        db = self._pooled_db()
-        before = db.bg_compaction_failures
-        db.query("INSERT INTO p (id, g, v) VALUES (?, ?, ?)", (900, 1, 9))
-        db.failpoints.arm("pool.background", always=True, max_triggers=1)
-        db.replicate()
-        db.quiesce()  # must not raise: the injected fault was absorbed
-        db.failpoints.disarm_all()
-        assert db.bg_compaction_failures == before + 1
-        # delta stays pending but queries remain correct (merge-on-read)
-        rows = self._scan(db).rows
-        assert sum(v for _g, v in rows) == sum(range(200)) + 9
 
 
 # -- 2PC prepare faults ------------------------------------------------------
@@ -555,7 +495,7 @@ class TestCrashRecoverySweep:
     def test_crash_everywhere_then_byte_parity(self, workload_name,
                                                partitions):
         crash, workload = _install(workload_name, partitions,
-                                   retain_wal=True, workers=2)
+                                   retain_wal=True)
         # the ref gets its own workload instance: profiles carry a
         # monotone clock, so sharing one would skew the reference run
         ref, ref_workload = _install(workload_name, partitions)
@@ -605,35 +545,24 @@ class TestCrashRecoverySweep:
         fp.disarm_all()
         crash.recover()
 
-        # 5. background compaction fault: absorbed, never poisons the pool
+        # 5. crash mid-compaction: nothing published, recover and re-merge
         _bump(crash, table, column, keys)
-        before_bg = crash.bg_compaction_failures
-        fp.arm("pool.background", always=True, max_triggers=1)
-        crash.replicate()
-        crash.quiesce()  # must not raise
-        fp.disarm_all()
-        assert crash.bg_compaction_failures == before_bg + 1
-
-        # 6. crash mid-compaction: nothing published, recover and re-merge
-        _bump(crash, table, column, keys)
-        fp.arm("compact.merge", always=True, max_triggers=2)
-        crash.replicate()          # background merge absorbs trigger 1
-        crash.quiesce()
+        fp.arm("compact.merge", always=True, max_triggers=1)
+        crash.replicate()          # 8 rows: below the inline merge threshold
         with pytest.raises(InjectedFaultError):
-            crash.columnar.compact(force=True)  # trigger 2, on this thread
+            crash.columnar.compact(force=True)  # the forced merge: trigger 1
         fp.disarm_all()
         crash.recover()
         crash.columnar.compact(force=True)
-        crash.quiesce()
 
         # bring the reference to the same logical state, fault-free
-        for _ in range(4):
+        for _ in range(3):
             _bump(ref, table, column, keys)
         ref.replicate()
         ref.columnar.compact(force=True)
         expected = _analytical_outputs(ref, ref_workload)
 
-        # 7. replica scans degrade to the row pipeline, answers unchanged
+        # 6. replica scans degrade to the row pipeline, answers unchanged
         fp.arm("replica.scan", always=True)
         degraded = _analytical_outputs(crash, workload)
         fp.disarm_all()
@@ -653,8 +582,6 @@ class TestCrashRecoverySweep:
         assert _dump_tables(crash) == _dump_tables(ref)
         assert fp.triggers_total() >= 7
         assert fp.recoveries_total() >= 1
-        crash.pool.shutdown()
-        ref.quiesce()
 
 
 # -- the merge builds aside: old snapshots stay readable, a fault publishes
@@ -662,16 +589,15 @@ class TestCrashRecoverySweep:
 
 
 class TestMergeBuildsAside:
-    def _db(self, **kwargs) -> Database:
+    def _db(self) -> Database:
         db = Database(with_columnar=True, columnar_segment_rows=16,
-                      retain_wal=True, **kwargs)
+                      retain_wal=True)
         db.execute_ddl(
             "CREATE TABLE m (id INT PRIMARY KEY, g INT, tag VARCHAR(4), "
             "v DOUBLE)")
         db.bulk_load("m", [(i, i % 3, f"t{i % 3}", i * 0.5)
                            for i in range(0, 120, 2)])
         db.replicate()
-        db.quiesce()
         db.columnar.compact(force=True)
         return db
 
@@ -758,7 +684,7 @@ class TestMergeBuildsAside:
         self._insert(db, (41,))
         db.replicate()
         db.failpoints.disarm_all()
-        assert db.bg_compaction_failures == 1
+        assert db.compaction_failures == 1
         assert [id(s) for s in table.main_segments()] == \
             [id(s) for s in main]
         assert table.delta_live_rows() == 22
@@ -772,30 +698,3 @@ class TestMergeBuildsAside:
         assert state[0] == dump
         assert db.columnar.delta_rows_pending() == 0
         assert db.columnar.table("m").row_count == 80
-
-    def test_background_compaction_builds_the_same_main(self):
-        pooled = self._db(workers=2)
-        inline = self._db()
-        for db in (pooled, inline):
-            self._insert(db, range(1, 121, 8))
-            with db.connect() as conn:
-                conn.execute("DELETE FROM m WHERE id = 50")
-                conn.commit()
-            db.replicate()      # pooled: schedules compact(force=True)
-            db.quiesce()
-        inline.columnar.compact(force=True)
-        assert pooled.bg_compactions_total >= 1
-
-        def layout(db):
-            table = db.columnar.table("m")
-            return repr([(
-                [c if isinstance(c, list) else c.decode()
-                 for c in s.columns], s.live, s.mins, s.maxs, s.encodings(),
-                s.plain_bytes, s.encoded_bytes)
-                for s in table.main_segments()]
-                + [table.main_lo, table.main_hi,
-                   sorted(table._main_pk_to_slot.items())])
-
-        assert layout(pooled) == layout(inline)
-        assert pooled.columnar.table("m").delta_live_rows() == 0
-        pooled.pool.shutdown()

@@ -83,7 +83,9 @@ def test_matrix_rows_carry_latency_series(reports):
 # the CSV header, pinned: reordering or renaming a declared counter
 # changes what downstream figure scripts read, and must fail here.  The
 # pool's worker-count and gather-wait columns went with its scatter-gather
-# lane; no script or committed CSV in the repository read either column.
+# lane, and its background-compaction count column with the background
+# compaction lane (replicate() compacts inline only); no script or
+# committed CSV in the repository read any of them.
 CSV_HEADER = (
     "workload,engine,mode,loop,oltp_rate,olap_rate,hybrid_rate,class,"
     "throughput,count,min,mean,median,p90,p95,p99,p99.9,p99.99,max,std,"
@@ -92,7 +94,7 @@ CSV_HEADER = (
     "groups_coded,join_code_probes,groups_global_coded,plan_cache_hits,"
     "plan_cache_misses,plan_cache_evictions,plan_cache_contention,"
     "partitions_scanned,partitions_pruned,multi_partition_commits,"
-    "bg_compactions,faults_injected,faults_recovered,degraded_statements,"
+    "faults_injected,faults_recovered,degraded_statements,"
     "sketches_built,sketches_hit,sketch_rows_elided,sketch_invalidations")
 
 
@@ -196,7 +198,6 @@ class TestDeclaredCounters:
         replica = engine.db.columnar
         merges_before = replica.segments_merged_total()
         invalidated_before = replica.sketches.invalidated
-        background_before = engine.db.bg_compactions_total
         report = bench.run(BenchConfig(
             workload="fibenchmark", mode="hybrid", hybrid_rate=30,
             oltp_rate=50, olap_rate=4, duration_ms=600, warmup_ms=100))
@@ -210,8 +211,6 @@ class TestDeclaredCounters:
             replica.segments_merged_total() - merges_before
         expected.sketch_invalidations += \
             replica.sketches.invalidated - invalidated_before
-        expected.bg_compactions += \
-            engine.db.bg_compactions_total - background_before
         assert expected.rows_returned and expected.plan_cache_hits
         for f in fields(ExecStats):
             assert getattr(report, f.name) == getattr(expected, f.name), \
@@ -220,7 +219,7 @@ class TestDeclaredCounters:
 
 # ---------------------------------------------------------------------------
 # "counters identical" as a test: two fixed-seed figure-shaped runs (scale
-# 0.3, workers=0) against literals recorded at PR 20's head, before PR 21
+# 0.3) against literals recorded at PR 20's head, before PR 21
 # touched the engine.  Every ExecStats counter not listed must be zero /
 # empty.  A PR that means to move a counter or a simulated mean edits the
 # literal and says in CHANGES.md by how much and why; an optimisation that
