@@ -2,28 +2,21 @@
 
 ``ExecContext`` carries everything an operator needs at run time: bound
 parameters, the active transaction, the statistics collector, and the store
-routing decision (row vs columnar).  DML statements locate their targets via
-the planner's ``AccessPath`` and apply changes through the transaction's
-buffered-write API, so MVCC and validation semantics come for free.
+routing decision (row vs columnar).  UPDATE / DELETE targets and
+``SELECT … FOR UPDATE`` locks are the rows of the planner's scan node under
+its residual filter — the same operators a SELECT reads through — and
+changes go through the transaction's buffered-write API, so MVCC and
+validation semantics come for free.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.errors import (
-    ExecutionError,
-    IntegrityError,
-    PlanError,
-    ReplicaUnavailableError,
-)
-from repro.sql.planner import (
-    AccessPath,
-    DeletePlan,
-    InsertPlan,
-    SelectPlan,
-    UpdatePlan,
-)
+from repro.catalog.schema import Table
+from repro.errors import ExecutionError, IntegrityError, ReplicaUnavailableError
+from repro.sql.plannode import PlanNode
+from repro.sql.planner import DeletePlan, InsertPlan, SelectPlan, UpdatePlan
 from repro.sql.result import DMLResult, ExecStats, Result
 from repro.txn.manager import Transaction
 
@@ -130,10 +123,14 @@ class Executor:
             # session layer re-routes the statement to the row pipeline
             raise ReplicaUnavailableError(
                 "injected fault at failpoint 'replica.scan'")
-        ctx = self._context(txn, params, route_columnar)
+        ctx = self._context(txn, params, route_columnar=False)
         if plan.for_update is not None:
-            for pk, _values in self._find_targets(plan.for_update, ctx):
-                txn.lock_for_update(plan.for_update.table.name, pk)
+            # the lock read takes the row store whatever the routing, so
+            # the transaction's own writes are locked too
+            table, source = plan.for_update
+            for pk, _values in _targets(table, source, ctx):
+                txn.lock_for_update(table.name, pk)
+        ctx.route_columnar = route_columnar
         root = plan.root
         if (route_columnar and self.use_vectorized
                 and plan.vectorized_root is not None
@@ -202,7 +199,7 @@ class Executor:
                        params: tuple = ()) -> DMLResult:
         ctx = self._context(txn, params, route_columnar=False)
         table = plan.table
-        targets = list(self._find_targets(plan.path, ctx))
+        targets = _targets(table, plan.source, ctx)
         count = 0
         for pk, values in targets:
             new_values = list(values)
@@ -229,85 +226,15 @@ class Executor:
     def execute_delete(self, plan: DeletePlan, txn: Transaction,
                        params: tuple = ()) -> DMLResult:
         ctx = self._context(txn, params, route_columnar=False)
-        targets = list(self._find_targets(plan.path, ctx))
+        targets = _targets(plan.table, plan.source, ctx)
         for pk, _values in targets:
             txn.delete(plan.table.name, pk)
             ctx.stats.writes[plan.table.name] += 1
         return DMLResult(len(targets), ctx.stats)
 
-    # -- access-path interpretation for DML ---------------------------------------
 
-    def _find_targets(self, path: AccessPath, ctx: ExecContext):
-        """Yield ``(pk, values)`` rows matched by ``path`` under ``ctx``."""
-        table = path.table
-        name = table.name
-        txn = ctx.txn
-        stats = ctx.stats
-
-        def matches(values: tuple) -> bool:
-            return path.filter_fn is None or path.filter_fn(values, ctx)
-
-        if path.kind == "pk":
-            key = tuple(fn((), ctx) for fn in path.key_fns)
-            stats.pk_lookups += 1
-            stats.partitions_scanned += 1
-            stats.partitions_pruned += ctx.partition_count - 1
-            values = txn.get(name, key)
-            if values is not None:
-                stats.rows_row_store[name] += 1
-                if matches(values):
-                    yield key, values
-            return
-
-        if path.kind == "pk_prefix":
-            prefix = tuple(fn((), ctx) for fn in path.key_fns)
-            stats.index_range_scans += 1
-            stats.partitions_scanned += 1
-            stats.partitions_pruned += ctx.partition_count - 1
-            for pks, rows in txn.pk_prefix_scan_batches(name, prefix):
-                stats.rows_row_store[name] += len(rows)
-                stats.rows_row_prefix[name] += len(rows)
-                for pk, values in zip(pks, rows):
-                    if matches(values):
-                        yield pk, values
-            return
-
-        if path.kind in ("index", "index_prefix"):
-            key = tuple(fn((), ctx) for fn in path.key_fns)
-            stats.index_lookups += 1
-            stats.partitions_scanned += ctx.partition_count
-            store = txn.manager.storage.store(name)
-            idx = store.index(path.index_name)
-            if path.kind == "index_prefix":
-                pks = set()
-                for _k, entry in idx.prefix_scan(key):
-                    pks |= entry
-            else:
-                pks = set(idx.lookup(key))
-            seen = set()
-            for pk, values in txn.local_rows(name):
-                seen.add(pk)
-                if values is not None:
-                    stats.rows_row_store[name] += 1
-                    if matches(values):
-                        yield pk, values
-            for pk in pks:
-                if pk in seen:
-                    continue
-                values = txn.get(name, pk)
-                if values is not None:
-                    stats.rows_row_store[name] += 1
-                    if matches(values):
-                        yield pk, values
-            return
-
-        if path.kind == "seq":
-            stats.full_scans[name] += 1
-            stats.partitions_scanned += ctx.partition_count
-            for pk, values in txn.scan(name):
-                stats.rows_row_store[name] += 1
-                if matches(values):
-                    yield pk, values
-            return
-
-        raise PlanError(f"unknown access path kind {path.kind!r}")
+def _targets(table: Table, source: PlanNode, ctx: ExecContext) -> list:
+    """``(pk, values)`` of every row ``source`` — a statement's scan under
+    its residual filter — reads."""
+    pk_of = table.pk_of
+    return [(pk_of(values), values) for values in source.rows(ctx)]

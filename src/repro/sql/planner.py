@@ -25,7 +25,10 @@ above a scan holds only the *residual* — what the access path does not
 already prove.  The bound equalities of a PK lookup or PK-prefix scan hold
 for every row it returns and are not evaluated again; a secondary-index
 path proves nothing (its entries may be stale), so its filter re-applies
-the whole predicate.
+the whole predicate.  That scan under its residual filter is also what
+UPDATE / DELETE read their targets and ``SELECT … FOR UPDATE`` its locks
+through, and an index join probes its inner table with the keyed read of
+a ``PKLookup`` / ``PKPrefixScan``: one reader per access path.
 
 Operators speak the two-way protocol of ``repro.sql.plannode``: the full
 and PK-prefix scans, filters, projections, hash and index joins,
@@ -128,8 +131,13 @@ class SeqScan(BatchNode):
             counter[name] += count
 
 
-class PKLookup(PlanNode):
-    """Point lookup by full primary key."""
+class PKLookup(BatchNode):
+    """Point lookup by full primary key.
+
+    ``key_fns`` compute the key from the row that drives the lookup: the
+    empty row for a scan, the outer row for an ``IndexJoin``'s inner side,
+    which calls the keyed ``read`` once per outer row.
+    """
 
     def __init__(self, table: Table, binding: str, key_fns):
         self.table = table
@@ -137,46 +145,51 @@ class PKLookup(PlanNode):
         self.key_fns = key_fns
         self.schema = Schema([(binding, col) for col in table.column_names])
 
-    def execute(self, ctx):
-        key = tuple(fn((), ctx) for fn in self.key_fns)
+    def read(self, key: tuple, ctx, size: int = BATCH_ROWS):
+        """The row under ``key`` as batches (none when it is absent),
+        charged as one PK lookup."""
         ctx.stats.pk_lookups += 1
+        values = ctx.txn.get(self.table.name, key)
+        if values is None:
+            return ()
+        ctx.stats.rows_row_store[self.table.name] += 1
+        return ([values],)
+
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         # PK routing is perfect partition pruning: one partition read
         ctx.stats.partitions_scanned += 1
         ctx.stats.partitions_pruned += ctx.partition_count - 1
-        values = ctx.txn.get(self.table.name, key)
-        if values is not None:
-            ctx.stats.rows_row_store[self.table.name] += 1
-            yield values
+        return self.read(tuple(fn((), ctx) for fn in self.key_fns), ctx)
 
 
 class PKPrefixScan(BatchNode):
     """Range scan over a prefix of the (composite) primary key; the store's
-    prefix-scan batches pass straight through."""
+    prefix-scan batches pass straight through.  ``key_fns`` compute the
+    prefix as ``PKLookup``'s compute its key."""
 
-    def __init__(self, table: Table, binding: str, prefix_fns):
+    def __init__(self, table: Table, binding: str, key_fns):
         self.table = table
         self.binding = binding
-        self.prefix_fns = prefix_fns
+        self.key_fns = key_fns
         self.schema = Schema([(binding, col) for col in table.column_names])
 
-    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+    def read(self, prefix: tuple, ctx, size: int = BATCH_ROWS):
+        """The rows under ``prefix`` as the store's batches, each charged
+        as it is read, all to one range scan."""
         name = self.table.name
-        prefix = tuple(fn((), ctx) for fn in self.prefix_fns)
-        ctx.stats.index_range_scans += 1
+        stats = ctx.stats
+        stats.index_range_scans += 1
+        for _pks, rows in ctx.txn.pk_prefix_scan_batches(name, prefix, size):
+            stats.rows_row_store[name] += len(rows)
+            stats.rows_row_prefix[name] += len(rows)
+            yield rows
+
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         # the prefix includes the partition key, so one partition serves it
         ctx.stats.partitions_scanned += 1
         ctx.stats.partitions_pruned += ctx.partition_count - 1
-        count = 0
-        try:
-            for _pks, rows in ctx.txn.pk_prefix_scan_batches(name, prefix,
-                                                             size):
-                count += len(rows)
-                yield rows
-        finally:
-            # also reached when a lazy consumer closes the scan early: the
-            # rows it did pull are charged
-            ctx.stats.rows_row_store[name] += count
-            ctx.stats.rows_row_prefix[name] += count
+        yield from self.read(tuple(fn((), ctx) for fn in self.key_fns), ctx,
+                             size)
 
 
 class IndexScan(PlanNode):
@@ -366,6 +379,10 @@ class IndexJoin(BatchNode):
     """Index nested-loop join: per outer row, look the inner rows up by
     primary key, PK prefix, or a secondary index.
 
+    ``inner`` is the inner table's ``PKLookup`` or ``PKPrefixScan``, whose
+    keyed ``read`` serves each probe, or an ``IndexScan`` naming the
+    secondary index; its key fns are compiled against the outer row.
+
     Chosen when the outer input is selective (not a full scan) and the join
     keys cover the inner table's PK (or an index) — exactly the plan a real
     optimiser picks for TPC-C's StockLevel join, keeping OLTP transactions
@@ -377,55 +394,29 @@ class IndexJoin(BatchNode):
     for.
     """
 
-    def __init__(self, left: PlanNode, table: Table, binding: str,
-                 lookup: str, key_fns, index_name: str | None = None,
-                 inner_filter=None, kind: str = "INNER"):
-        # lookup: "pk" | "pk_prefix" | "index"
+    def __init__(self, left: PlanNode, inner: PlanNode, inner_filter=None,
+                 kind: str = "INNER"):
         self.left = left
-        self.table = table
-        self.binding = binding
-        self.lookup = lookup
-        self.key_fns = key_fns
-        self.index_name = index_name
+        self.inner = inner
         self.inner_filter = inner_filter
         self.kind = kind
-        right_schema = Schema([(binding, col) for col in table.column_names])
-        self.schema = left.schema + right_schema
+        self.schema = left.schema + inner.schema
         # index entries may be stale: remember the key positions to re-check
         self._recheck_positions: tuple[int, ...] = ()
-        if lookup == "index" and index_name is not None:
-            index = table.indexes[index_name]
+        if isinstance(inner, IndexScan):
+            table = inner.table
             self._recheck_positions = tuple(
-                table.position(c) for c in index.columns)
+                table.position(c)
+                for c in table.indexes[inner.index_name].columns)
 
-    def _inner_batches(self, key: tuple, ctx, size: int):
-        """The inner rows under ``key`` as lists of at most ``size`` rows,
-        each charged to the statistics when it is read."""
-        name = self.table.name
-        if self.lookup == "pk":
-            ctx.stats.pk_lookups += 1
-            values = ctx.txn.get(name, key)
-            if values is None:
-                return ()
-            ctx.stats.rows_row_store[name] += 1
-            return ([values],)
-        if self.lookup == "pk_prefix":
-            return self._prefix_batches(key, ctx, size)
+    def _index_batches(self, key: tuple, ctx, size: int):
         return batched(self._index_rows(key, ctx), size)
 
-    def _prefix_batches(self, key: tuple, ctx, size: int):
-        name = self.table.name
-        ctx.stats.index_range_scans += 1
-        for _pks, rows in ctx.txn.pk_prefix_scan_batches(name, key, size):
-            ctx.stats.rows_row_store[name] += len(rows)
-            ctx.stats.rows_row_prefix[name] += len(rows)
-            yield rows
-
     def _index_rows(self, key: tuple, ctx):
-        name = self.table.name
+        name = self.inner.table.name
         ctx.stats.index_lookups += 1
         store = ctx.txn.manager.storage.store(name)
-        pks = store.index(self.index_name).lookup(key)
+        pks = store.index(self.inner.index_name).lookup(key)
         positions = self._recheck_positions
         seen_local = set()
         for pk, values in ctx.txn.local_rows(name):
@@ -445,24 +436,25 @@ class IndexJoin(BatchNode):
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         ctx.stats.join_ops += 1
-        null_row = (None,) * len(self.table.columns)
+        inner = self.inner
+        null_row = (None,) * len(inner.schema)
         left_outer = self.kind == "LEFT"
-        key_fns = self.key_fns
+        key_fns = inner.key_fns
         inner_filter = self.inner_filter
-        inner_batches = self._inner_batches
+        inner_batches = self._index_batches \
+            if isinstance(inner, IndexScan) else inner.read
         emitted = 0
         joined: list = []
         for batch in self.left.execute_batches(ctx, size):
             for left_row, key in zip(batch, _key_tuples(key_fns, batch, ctx)):
                 matched = False
-                for inner in inner_batches(key, ctx, size):
+                for rows in inner_batches(key, ctx, size):
                     if inner_filter is not None:
-                        inner = [row for row in inner
-                                 if inner_filter(row, ctx)]
-                    if inner:
+                        rows = [row for row in rows if inner_filter(row, ctx)]
+                    if rows:
                         matched = True
-                        emitted += len(inner)
-                        joined += [left_row + row for row in inner]
+                        emitted += len(rows)
+                        joined += [left_row + row for row in rows]
                         if len(joined) >= size:
                             yield from chunked(joined, size)
                             joined = []
@@ -818,25 +810,12 @@ class Distinct(BatchNode):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AccessPath:
-    """How DML statements locate their target rows."""
-
-    kind: str  # "pk" | "pk_prefix" | "index" | "index_prefix" | "seq"
-    table: Table
-    key_fns: list
-    index_name: str | None
-    # the conjuncts the path itself does not prove (None when it proves them
-    # all), compiled against the table schema: the bound equalities of a
-    # pk / pk_prefix path hold for every row it returns, so only the rest
-    # is evaluated per row; an index path proves nothing (stale entries)
-    filter_fn: object | None
-
-
-@dataclass
 class SelectPlan:
     root: PlanNode
     columns: list[str]
-    for_update: AccessPath | None = None
+    # FOR UPDATE: the table and the scan (under its residual filter) whose
+    # rows the statement locks before it runs
+    for_update: tuple[Table, PlanNode] | None = None
     # alternative vectorized physical plan (None when any operator is
     # unsupported); used when the statement is routed to the columnar
     # replica and every scanned table is replicated
@@ -867,7 +846,7 @@ class InsertPlan:
 @dataclass
 class UpdatePlan:
     table: Table
-    path: AccessPath
+    source: PlanNode   # the target rows: a scan under its residual filter
     set_positions: list[int]
     set_fns: list
 
@@ -875,7 +854,7 @@ class UpdatePlan:
 @dataclass
 class DeletePlan:
     table: Table
-    path: AccessPath
+    source: PlanNode
 
 
 # ---------------------------------------------------------------------------
@@ -1042,16 +1021,16 @@ class Planner:
             vroot = self._finish_vector(select, vector_source, spec,
                                         base_scan)
 
-        for_update_path = None
+        for_update = None
         if select.for_update:
             if select.joins or select.table is None:
                 raise PlanError("FOR UPDATE supports single-table SELECT only")
             table = self.catalog.table(select.table.name)
-            for_update_path = self._access_path(
-                table, select.table.binding, _flatten_and(select.where)
-            )
+            source, _selective = self._access_path(
+                table, select.table.binding, _flatten_and(select.where))
+            for_update = (table, source)
 
-        return SelectPlan(root, spec.names, for_update_path,
+        return SelectPlan(root, spec.names, for_update,
                           vectorized_root=vroot, vectorized_tables=vtables)
 
     # -- presentation: select list, ORDER BY keys, DISTINCT, LIMIT ----------
@@ -1238,19 +1217,14 @@ class Planner:
         base_table = self.catalog.table(base_ref.name)
         bindings[base_ref.binding] = base_table
 
-        aggregates_present = bool(select.group_by) or \
-            self._collect_aggregates(select)
-
         base_schema = Schema([(base_ref.binding, c)
                               for c in base_table.column_names])
         base_conjs = self._single_table_conjuncts(base_ref.binding, conjuncts,
                                                   base_schema)
-        base_path = self._access_path(base_table, base_ref.binding,
-                                      base_conjs)
-        node = self._path_to_node(base_path, base_ref.binding)
         # "selective" = the running pipeline produces few rows, so an
         # index nested-loop join into the next table is the right plan
-        selective = base_path.kind != "seq"
+        node, selective = self._access_path(base_table, base_ref.binding,
+                                            base_conjs)
         consumed: set[int] = {id(c) for c in base_conjs}
 
         for join_index, join in enumerate(select.joins):
@@ -1301,7 +1275,7 @@ class Planner:
                     )
             elif left_keys:
                 selective = False
-                right_node = self._scan_with_filter(
+                right_node, _selective = self._access_path(
                     right_table, right_binding, right_conjs)
                 for conjunct_id in used:
                     consumed.add(conjunct_id)
@@ -1313,7 +1287,7 @@ class Planner:
                 )
             else:
                 selective = False
-                right_node = self._scan_with_filter(
+                right_node, _selective = self._access_path(
                     right_table, right_binding, right_conjs)
                 condition_exprs = residual_on
                 residual_on = []
@@ -1339,7 +1313,6 @@ class Planner:
         if remaining:
             node = Filter(node, compile_expr(_and_all(remaining),
                                              node.schema, sub))
-        del aggregates_present
         return node, bindings
 
     def _try_index_join(self, node: PlanNode, right_table: Table,
@@ -1369,9 +1342,8 @@ class Planner:
         pk = [self._column_key(right_table, c)
               for c in right_table.primary_key]
         if all(c in key_by_column for c in pk):
-            return IndexJoin(node, right_table, right_binding, "pk",
-                             outer_fns(pk), inner_filter=inner_filter,
-                             kind=kind), True
+            inner = PKLookup(right_table, right_binding, outer_fns(pk))
+            return IndexJoin(node, inner, inner_filter, kind), True
         if kind == "LEFT":
             return None  # non-exact probes break null-extension rechecks
         prefix = []
@@ -1381,17 +1353,16 @@ class Planner:
             else:
                 break
         if prefix:
-            return IndexJoin(node, right_table, right_binding, "pk_prefix",
-                             outer_fns(prefix), inner_filter=inner_filter,
-                             kind=kind), False
+            inner = PKPrefixScan(right_table, right_binding,
+                                 outer_fns(prefix))
+            return IndexJoin(node, inner, inner_filter, kind), False
         for index in right_table.indexes.values():
             idx_cols = [self._column_key(right_table, c)
                         for c in index.columns]
             if all(c in key_by_column for c in idx_cols):
-                return IndexJoin(node, right_table, right_binding, "index",
-                                 outer_fns(idx_cols), index_name=index.name,
-                                 inner_filter=inner_filter,
-                                 kind=kind), False
+                inner = IndexScan(right_table, right_binding, index.name,
+                                  outer_fns(idx_cols))
+                return IndexJoin(node, inner, inner_filter, kind), False
         return None
 
     def _single_table_conjuncts(self, binding: str, pool: list[ast.Expr],
@@ -1494,7 +1465,8 @@ class Planner:
         tables = [base_table.name]
         base_conjs = self._single_table_conjuncts(binding, conjuncts,
                                                   base_schema)
-        if self._access_path(base_table, binding, base_conjs).kind != "seq":
+        _scan, selective = self._access_path(base_table, binding, base_conjs)
+        if selective:
             return None
         pushed, exact = self._pushed_predicates(base_table, base_conjs)
         base_scan = VColumnarScan(base_table, binding, pushed,
@@ -1533,8 +1505,9 @@ class Planner:
             )
             if not left_keys:
                 return None  # non-equi joins stay on the row pipeline
-            if self._access_path(right_table, right_binding,
-                                 right_conjs).kind != "seq":
+            _scan, selective = self._access_path(right_table, right_binding,
+                                                 right_conjs)
+            if selective:
                 return None  # row plan would index-access the fresh store
             residual_on = [c for c in on_pool
                            if id(c) not in consumed and id(c) not in used]
@@ -1797,14 +1770,16 @@ class Planner:
 
     # -- scans --------------------------------------------------------------------
 
-    def _scan_with_filter(self, table: Table, binding: str,
-                          conjuncts: list[ast.Expr]) -> PlanNode:
-        return self._path_to_node(
-            self._access_path(table, binding, conjuncts), binding)
-
     def _access_path(self, table: Table, binding: str,
-                     conjuncts: list[ast.Expr]) -> AccessPath:
-        """Pick pk / pk_prefix / index / seq for the given predicates."""
+                     conjuncts: list[ast.Expr]) -> tuple[PlanNode, bool]:
+        """``(scan, selective)`` for the given predicates: a PK lookup, PK
+        prefix scan, secondary-index scan or (not selective) full scan,
+        under a ``Filter`` of what it leaves unproved.
+
+        The bound equalities of a PK lookup or prefix scan hold for every
+        row it returns, so only the rest is evaluated per row; an index
+        scan proves nothing (its entries may be stale).
+        """
         eq: dict[str, ast.Expr] = {}
         bound_by: dict[str, ast.Expr] = {}   # column -> the conjunct in eq
         for conjunct in conjuncts:
@@ -1824,19 +1799,8 @@ class Planner:
         empty = Schema([])
         sub = self._plan_subquery
 
-        def path(kind, columns, index_name=None):
-            proved = {id(bound_by[c]) for c in columns} \
-                if kind in ("pk", "pk_prefix") else ()
-            residual = [c for c in conjuncts if id(c) not in proved]
-            filter_fn = compile_expr(
-                _and_all(residual),
-                Schema([(binding, c) for c in table.column_names]),
-                sub,
-            ) if residual else None
-            return AccessPath(kind, table,
-                              [compile_expr(eq[c], empty, sub)
-                               for c in columns],
-                              index_name, filter_fn)
+        def key_fns(columns):
+            return [compile_expr(eq[c], empty, sub) for c in columns]
 
         def bound_prefix(columns):
             prefix = []
@@ -1846,19 +1810,28 @@ class Planner:
                 prefix.append(col)
             return prefix
 
+        proved: set[int] = set()
         pk = [self._column_key(table, c) for c in table.primary_key]
         prefix = bound_prefix(pk)
         if prefix:
-            return path("pk" if len(prefix) == len(pk) else "pk_prefix",
-                        prefix)
-        for index in table.indexes.values():
-            idx_cols = [self._column_key(table, c) for c in index.columns]
-            if all(col in eq for col in idx_cols):
-                return path("index", idx_cols, index.name)
-            idx_prefix = bound_prefix(idx_cols)
-            if idx_prefix:
-                return path("index_prefix", idx_prefix, index.name)
-        return path("seq", [])
+            proved = {id(bound_by[c]) for c in prefix}
+            scan_type = PKLookup if len(prefix) == len(pk) else PKPrefixScan
+            scan = scan_type(table, binding, key_fns(prefix))
+        else:
+            scan = SeqScan(table, binding)
+            for index in table.indexes.values():
+                idx_cols = [self._column_key(table, c) for c in index.columns]
+                if idx_prefix := bound_prefix(idx_cols):
+                    scan = IndexScan(table, binding, index.name,
+                                     key_fns(idx_prefix),
+                                     prefix=len(idx_prefix) < len(idx_cols))
+                    break
+        node = scan
+        residual = [c for c in conjuncts if id(c) not in proved]
+        if residual:
+            node = Filter(scan, compile_expr(_and_all(residual), scan.schema,
+                                             sub))
+        return node, not isinstance(scan, SeqScan)
 
     @staticmethod
     def _column_key(table: Table, name: str) -> str:
@@ -1867,23 +1840,6 @@ class Planner:
             if col.upper() == name.upper():
                 return col
         return name
-
-    def _path_to_node(self, path: AccessPath, binding: str) -> PlanNode:
-        """The scan of ``path`` under a ``Filter`` of what it leaves
-        unproved."""
-        if path.kind == "pk":
-            node = PKLookup(path.table, binding, path.key_fns)
-        elif path.kind == "pk_prefix":
-            node = PKPrefixScan(path.table, binding, path.key_fns)
-        elif path.kind in ("index", "index_prefix"):
-            node = IndexScan(path.table, binding, path.index_name,
-                             path.key_fns,
-                             prefix=path.kind == "index_prefix")
-        else:
-            node = SeqScan(path.table, binding)
-        if path.filter_fn is not None:
-            node = Filter(node, path.filter_fn)
-        return node
 
     # -- aggregation --------------------------------------------------------------
 
@@ -2045,18 +2001,19 @@ class Planner:
     def plan_update(self, update: ast.Update) -> UpdatePlan:
         table = self.catalog.table(update.table)
         binding = table.name.upper()
-        path = self._access_path(table, binding, _flatten_and(update.where))
-        schema = Schema([(binding, c) for c in table.column_names])
+        source, _selective = self._access_path(table, binding,
+                                               _flatten_and(update.where))
+        schema = source.schema
         positions = []
         fns = []
         for clause in update.sets:
             column = self._column_key(table, clause.column)
             positions.append(table.position(column))
             fns.append(compile_expr(clause.value, schema, self._plan_subquery))
-        return UpdatePlan(table, path, positions, fns)
+        return UpdatePlan(table, source, positions, fns)
 
     def plan_delete(self, delete: ast.Delete) -> DeletePlan:
         table = self.catalog.table(delete.table)
-        binding = table.name.upper()
-        path = self._access_path(table, binding, _flatten_and(delete.where))
-        return DeletePlan(table, path)
+        source, _selective = self._access_path(
+            table, table.name.upper(), _flatten_and(delete.where))
+        return DeletePlan(table, source)

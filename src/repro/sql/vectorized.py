@@ -460,6 +460,11 @@ class _EvalPred:
         return [i for i, v in enumerate(column) if test(v)], 0
 
 
+def _zone_pruned(segment, preds) -> bool:
+    """Do the zone maps (or segment dictionaries) rule ``segment`` out?"""
+    return any(not pred.zone_allows(segment) for pred in preds)
+
+
 class _LazyColumn:
     """A deferred gather of one column at the surviving scan offsets.
 
@@ -894,9 +899,8 @@ class VColumnarScan(VectorNode):
         stats.delta_rows_pending += sum(
             segment.live_count for segment in snap[3])
         if self.ordered:
-            scan = (self._scan_partition_ordered_reverse
-                    if self.descending else self._scan_partition_ordered)
-            yield from scan(part, ctx, preds, skip_segment, snap)
+            yield from self._scan_partition_ordered(part, ctx, preds,
+                                                    skip_segment, snap)
             return
         scanned = 0
         for segment in self._partition_segments(part, snap, preds,
@@ -934,160 +938,115 @@ class VColumnarScan(VectorNode):
         delta_rows.sort(key=lambda entry: entry[0])
         return delta_rows
 
-    def _scan_partition_ordered(self, part, ctx, preds, skip_segment, snap):
-        """Merge-on-read in sort-key order.
+    @staticmethod
+    def _overlay_units(main, start, stop, lows, highs, delta_rows, preds):
+        """The forward merge-on-read walk as ``(segment, lo, hi)`` units:
+        ``delta_rows[lo:hi]`` keyed in the gap before the next scanned main
+        segment (``segment`` None) or inside ``segment``'s key range; a
+        zone-pruned segment is a unit of its own (``lo`` None) and its
+        range's rows fall to the next gap."""
+        total = len(delta_rows)
+        cursor = 0
+        for idx in range(start, stop):
+            segment = main[idx]
+            if segment.live_count == 0:
+                continue
+            if _zone_pruned(segment, preds):
+                yield segment, None, None
+                continue
+            cut = cursor
+            while cut < total and delta_rows[cut][0] < lows[idx]:
+                cut += 1
+            if cut > cursor:
+                yield None, cursor, cut
+            cursor = cut
+            while cursor < total and delta_rows[cursor][0] <= highs[idx]:
+                cursor += 1
+            yield segment, cut, cursor
+        if cursor < total:
+            yield None, cursor, total
 
-        The surviving delta rows are sorted once and interleaved with the
-        (already sorted) main segments: rows keyed before a segment's
-        range are emitted ahead of it, rows keyed inside it are row-merged
-        into that segment's batch, and segments untouched by the overlay
-        stream through as zero-copy/lazy batches exactly like the
-        unordered scan.  The resulting batch stream is non-decreasing on
-        the canonical sort key end-to-end — the property the planner's
-        sort elision relies on.
+    def _scan_partition_ordered(self, part, ctx, preds, skip_segment, snap):
+        """Merge-on-read in sort-key order, or its reverse (``descending``).
+
+        The surviving delta rows are sorted once and cut by the forward
+        walk (``_overlay_units``) into runs keyed between main segments
+        and runs keyed inside one.  Ascending, the units stream in order:
+        a gap run is one overlay batch, a segment with overlay rows inside
+        is row-merged with them, and an untouched segment streams through
+        as zero-copy/lazy batches exactly like the unordered scan.
+        Descending, the same units stream last-to-first with each unit's
+        rows reversed (an untouched segment is gathered ascending — RLE
+        gathers require ascending selections — then reversed).  The batch
+        stream is monotone on the canonical sort key end-to-end — the
+        property the planner's sort elision relies on; rows tied on a
+        segment-boundary key may sit on either side of it, and the
+        ``SortedMerge`` above re-sorts tie groups canonically.
+
+        A zone-pruned segment is counted, and a gap run emitted, as the
+        stream reaches them, so a scan closed early charges nothing past
+        where it stopped.
         """
         stats = ctx.stats
         positions = self.positions
         key_positions = part.sort_positions
+        descending = self.descending
         scanned = 0
 
         delta_rows = self._delta_overlay_rows(part, preds, skip_segment,
                                               stats, snap[3])
-        total_delta = len(delta_rows)
+        main, start, stop = self._main_segment_span(part, snap, preds, stats)
+        units = self._overlay_units(main, start, stop, snap[1], snap[2],
+                                    delta_rows, preds)
+        if descending:
+            units = reversed(list(units))
 
-        def overlay_batch(entries):
+        def batch_of(rows):
             nonlocal scanned
+            if descending:
+                rows.reverse()
             stats.batches_scanned += 1
-            scanned += len(entries)
-            rows = [entry[1] for entry in entries]
+            scanned += len(rows)
             return Batch([list(col) for col in zip(*rows)], len(rows))
 
-        main, start, stop = self._main_segment_span(part, snap, preds, stats)
-        _main, lows, highs, _delta = snap
-        cursor = 0
-        for idx in range(start, stop):
-            segment = main[idx]
-            if segment.live_count == 0 or skip_segment(segment):
+        gap = None      # a gap run's rows, emitted ahead of the next segment
+        for segment, lo, hi in units:
+            if segment is None:
+                gap = [entry[1] for entry in delta_rows[lo:hi]]
                 continue
-            cut = cursor
-            while cut < total_delta and delta_rows[cut][0] < lows[idx]:
-                cut += 1
-            if cut > cursor:
-                yield overlay_batch(delta_rows[cursor:cut])
-                cursor = cut
-            overlap = cursor
-            segment_hi = highs[idx]
-            while overlap < total_delta and \
-                    delta_rows[overlap][0] <= segment_hi:
-                overlap += 1
+            if lo is None:
+                stats.segments_pruned += 1
+                continue
+            if gap:
+                yield batch_of(gap)
+                gap = None
             if segment.encoded:
                 stats.segments_encoded += 1
             selection = self._live_selection(segment, preds, stats)
-            if overlap == cursor:
-                # no overlay inside this segment: emit it exactly like the
-                # unordered scan (zero-copy / lazy gathers)
+            if lo == hi and not descending:
                 batch, rows = self._segment_emit(segment, selection, stats)
                 if batch is not None:
                     scanned += rows
                     yield batch
                 continue
-            # overlay rows key inside this segment: row-level merge
             if selection is None:
                 selection = list(range(segment.size))
-            entries = delta_rows[cursor:overlap]
-            cursor = overlap
             columns = segment.columns
-            merged: list[tuple] = []
-            pending = 0
-            n_entries = len(entries)
-            for offset in selection:
-                key = tuple(canonical_value_key(columns[p][offset])
-                            for p in key_positions)
-                while pending < n_entries and entries[pending][0] <= key:
-                    merged.append(entries[pending][1])
-                    pending += 1
-                merged.append(tuple(columns[p][offset] for p in positions))
-            while pending < n_entries:
-                merged.append(entries[pending][1])
-                pending += 1
-            stats.batches_scanned += 1
-            scanned += len(merged)
-            yield Batch([list(col) for col in zip(*merged)], len(merged))
-        if cursor < total_delta:
-            yield overlay_batch(delta_rows[cursor:])
-        stats.rows_columnar[self.table.name] += scanned
-
-    def _scan_partition_ordered_reverse(self, part, ctx, preds, skip_segment,
-                                        snap):
-        """Merge-on-read in *reverse* sort-key order.
-
-        The mirror of ``_scan_partition_ordered``: main segments are
-        walked last-to-first, each segment's rows are gathered ascending
-        (RLE gathers require ascending selections) and then reversed, and
-        the sorted delta overlay is consumed from its high end.  The batch
-        stream is non-increasing on the canonical sort key, which is what
-        the planner's DESC sort elision relies on; rows with equal keys
-        may appear in either order — the ``SortedMerge`` above re-sorts
-        tie groups canonically.
-        """
-        stats = ctx.stats
-        positions = self.positions
-        key_positions = part.sort_positions
-        scanned = 0
-
-        delta_rows = self._delta_overlay_rows(part, preds, skip_segment,
-                                              stats, snap[3])
-
-        def overlay_batch(entries):
-            nonlocal scanned
-            stats.batches_scanned += 1
-            scanned += len(entries)
-            rows = [entry[1] for entry in reversed(entries)]
-            return Batch([list(col) for col in zip(*rows)], len(rows))
-
-        main, start, stop = self._main_segment_span(part, snap, preds, stats)
-        _main, lows, highs, _delta = snap
-        hi_cursor = len(delta_rows)
-        for idx in range(stop - 1, start - 1, -1):
-            segment = main[idx]
-            if segment.live_count == 0 or skip_segment(segment):
-                continue
-            # overlay rows keyed above this segment stream first
-            cut = hi_cursor
-            segment_hi = highs[idx]
-            while cut > 0 and delta_rows[cut - 1][0] > segment_hi:
-                cut -= 1
-            if cut < hi_cursor:
-                yield overlay_batch(delta_rows[cut:hi_cursor])
-                hi_cursor = cut
-            overlap = hi_cursor
-            segment_lo = lows[idx]
-            while overlap > 0 and delta_rows[overlap - 1][0] >= segment_lo:
-                overlap -= 1
-            if segment.encoded:
-                stats.segments_encoded += 1
-            selection = self._live_selection(segment, preds, stats)
-            if selection is None:
-                selection = list(range(segment.size))
-            if overlap == hi_cursor:
+            if lo == hi:
                 if not selection:
                     continue
-                # untouched segment: gather ascending, emit reversed
-                columns = [segment.columns[p].gather(selection)
-                           if hasattr(segment.columns[p], "gather")
-                           else [segment.columns[p][i] for i in selection]
-                           for p in positions]
-                for column in columns:
+                gathered = [columns[p].gather(selection)
+                            if hasattr(columns[p], "gather")
+                            else [columns[p][i] for i in selection]
+                            for p in positions]
+                for column in gathered:
                     column.reverse()
                 stats.batches_scanned += 1
                 scanned += len(selection)
-                yield Batch(columns, len(selection))
+                yield Batch(gathered, len(selection))
                 continue
-            # overlay rows key inside this segment: ascending row-level
-            # merge (same interleave rule as the forward scan), reversed
-            entries = delta_rows[overlap:hi_cursor]
-            hi_cursor = overlap
-            columns = segment.columns
+            # overlay rows key inside this segment: row-level merge
+            entries = delta_rows[lo:hi]
             merged: list[tuple] = []
             pending = 0
             n_entries = len(entries)
@@ -1098,15 +1057,10 @@ class VColumnarScan(VectorNode):
                     merged.append(entries[pending][1])
                     pending += 1
                 merged.append(tuple(columns[p][offset] for p in positions))
-            while pending < n_entries:
-                merged.append(entries[pending][1])
-                pending += 1
-            merged.reverse()
-            stats.batches_scanned += 1
-            scanned += len(merged)
-            yield Batch([list(col) for col in zip(*merged)], len(merged))
-        if hi_cursor > 0:
-            yield overlay_batch(delta_rows[:hi_cursor])
+            merged += [entry[1] for entry in entries[pending:]]
+            yield batch_of(merged)
+        if gap:
+            yield batch_of(gap)
         stats.rows_columnar[self.table.name] += scanned
 
     def execute_partitions(self, ctx):
@@ -1133,11 +1087,8 @@ class VColumnarScan(VectorNode):
             pred.bind_shared(ctx.columnar.shared_dict(name, pred.position))
 
         def skip_segment(segment):
-            if any(not pred.zone_allows(segment) for pred in preds):
-                # read ctx.stats here, not the closed-over collector: the
-                # check runs on whichever thread drains the partition and
-                # must hit that worker's local stats
-                ctx.stats.segments_pruned += 1
+            if _zone_pruned(segment, preds):
+                stats.segments_pruned += 1
                 return True
             return False
 

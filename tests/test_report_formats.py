@@ -265,6 +265,23 @@ PINNED_FIBENCHMARK_HYBRID = {
 }
 PINNED_FIBENCHMARK_SIM_MEAN_MS = {"hybrid": 51.595415}
 
+PINNED_TABENCHMARK_HYBRID = {
+    "agg_input_rows": 900139,
+    "full_scans": {"call_forwarding": 30, "special_facility": 8,
+                   "subscriber": 27},
+    "groups": 61, "index_lookups": 7, "index_range_scans": 44,
+    "join_ops": 7, "partitions_pruned": 204, "partitions_scanned": 356,
+    "pk_lookups": 28, "plan_cache_hits": 134, "plan_cache_misses": 14,
+    "rows_joined": 7, "rows_returned": 136,
+    "rows_row_prefix": {"call_forwarding": 7, "special_facility": 34,
+                        "subscriber": 27},
+    "rows_row_store": {"call_forwarding": 673578,
+                       "special_facility": 208612, "subscriber": 162027},
+    "writes": {"call_forwarding": 8, "special_facility": 5,
+               "subscriber": 17},
+}
+PINNED_TABENCHMARK_SIM_MEAN_MS = {"hybrid": 139.751124}
+
 
 class TestCountersPinned:
     @staticmethod
@@ -295,3 +312,15 @@ class TestCountersPinned:
             oltp_rate=0, olap_rate=0, duration_ms=1500, warmup_ms=300))
         self._check(report, PINNED_FIBENCHMARK_HYBRID,
                     PINNED_FIBENCHMARK_SIM_MEAN_MS)
+
+    def test_tabenchmark_hybrid_run(self):
+        """The one figure run that reads a secondary index (the live
+        ``is_active`` count) and probes an index join by PK prefix."""
+        bench = OLxPBench(TiDBCluster(), make_workload("tabenchmark"),
+                          scale=0.3, seed=3)
+        report = bench.run(BenchConfig(
+            workload="tabenchmark", mode="hybrid", hybrid_rate=30,
+            oltp_rate=0, olap_rate=0, duration_ms=1500, warmup_ms=300))
+        assert report.index_lookups and report.rows_row_prefix
+        self._check(report, PINNED_TABENCHMARK_HYBRID,
+                    PINNED_TABENCHMARK_SIM_MEAN_MS)

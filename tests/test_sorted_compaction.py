@@ -7,7 +7,7 @@ from array import array
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import FLOAT, INT, VARCHAR, Column, Table
@@ -244,6 +244,56 @@ class TestMergeOnRead:
         desc = routed(db, "SELECT id FROM t ORDER BY id DESC LIMIT 4")
         assert desc.stats.sort_elided == 1
         assert desc.stats.sort_rows == 0
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ordered_scans_match_the_row_oracle(self, routed, data):
+        """Merge-on-read both ways over a non-unique sort key: 8-row main
+        segments whose key ranges tie at their boundaries, and a delta
+        overlay keyed before, inside, between, on and after them."""
+        db = Database(with_columnar=True, columnar_segment_rows=8,
+                      sort_keys={"q": ("k",)},
+                      partitions=data.draw(st.sampled_from([1, 2])))
+        db.execute_ddl("CREATE TABLE q (id INT PRIMARY KEY, k INT, v INT)")
+        # multiples of 10: ties inside and across segments, and key room
+        # between neighbouring segments for the overlay to land in
+        main = data.draw(st.integers(8, 40).flatmap(lambda n: st.lists(
+            st.integers(0, 12).map(lambda k: 10 * k), min_size=n,
+            max_size=n)))
+        with db.connect() as conn:
+            for i, k in enumerate(main):
+                conn.execute("INSERT INTO q (id, k, v) VALUES (?, ?, ?)",
+                             (i, k, i % 5))
+            conn.commit()
+        db.replicate()
+        db.columnar.compact(force=True)
+        # overlay keys: anywhere from below to above main, often exactly a
+        # main key (so often a segment boundary)
+        keys = st.one_of(st.integers(-15, 135), st.sampled_from(main))
+        ids = st.integers(0, len(main) - 1)
+        # at most 7 rows: the delta stays below the 8-row merge threshold;
+        # an insert takes a fresh id, an update moves a main row's key
+        ops = data.draw(_sized(st.tuples(
+            st.sampled_from(["insert", "insert", "update", "delete"]), ids,
+            keys), 7))
+        with db.connect() as conn:
+            for j, (op, i, k) in enumerate(ops):
+                if op == "insert":
+                    conn.execute("INSERT INTO q (id, k, v) VALUES (?, ?, 9)",
+                                 (100 + j, k))
+                elif op == "update":
+                    conn.execute("UPDATE q SET k = ? WHERE id = ?", (k, i))
+                else:
+                    conn.execute("DELETE FROM q WHERE id = ?", (i,))
+            conn.commit()
+        db.replicate()
+        limit = data.draw(st.sampled_from(["", " LIMIT 1", " LIMIT 5"]))
+        for order in ("k", "k DESC"):
+            sql = f"SELECT id, k, v FROM q ORDER BY {order}{limit}"
+            got = routed(db, sql)
+            assert got.rows == routed(db, sql, vectorized=False).rows, sql
+            assert got.stats.sort_elided == 1, sql
 
 
 # ---------------------------------------------------------------------------

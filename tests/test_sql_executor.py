@@ -465,6 +465,124 @@ class TestDML:
         assert result.stats.writes["orders"] == 1
 
 
+def _off_pk_reader(partitions):
+    """``(db, conn, txn, visible)`` over ``s (id, g, h, v)`` indexed on
+    ``(g, h)``: row 5's ``g`` changed before ``txn`` began, row 4's after
+    (its index entry now points at a key ``txn`` does not see), and ``txn``
+    holds its own insert of row 7 and delete of row 3.  The replica stops
+    at the snapshot's start."""
+    db = Database(partitions=partitions, with_columnar=True)
+    db.run_script("CREATE TABLE s (id INT PRIMARY KEY, g INT, h INT, v INT);"
+                  "CREATE INDEX idx_s_gh ON s (g, h)")
+    with db.connect() as conn:
+        for row in ((1, 1, 1, 10), (2, 1, 2, 20), (3, 1, 1, 30),
+                    (4, 2, 1, 40), (5, 2, 2, 50), (6, 3, 1, 60)):
+            conn.execute("INSERT INTO s (id, g, h, v) VALUES (?, ?, ?, ?)",
+                         row)
+        conn.commit()
+        conn.execute("UPDATE s SET g = 1 WHERE id = 5")
+        conn.commit()
+    db.replicate()
+    conn = db.connect()
+    txn = conn.begin()
+    with db.connect() as other:
+        other.execute("UPDATE s SET g = 1 WHERE id = 4")
+        other.commit()
+    conn.execute("INSERT INTO s (id, g, h, v) VALUES (7, 1, 1, 70)")
+    conn.execute("DELETE FROM s WHERE id = 3")
+    visible = {(1,): (1, 1, 1, 10), (2,): (2, 1, 2, 20),
+               (4,): (4, 2, 1, 40), (5,): (5, 1, 2, 50),
+               (6,): (6, 3, 1, 60), (7,): (7, 1, 1, 70)}
+    return db, conn, txn, visible
+
+
+# (WHERE, params, python predicate, path's index lookups, full scans,
+#  rows the path reads): a full secondary-index key (candidates: the own
+# insert, row 1 and row 4's entry, which the filter drops), an index
+# prefix with a residual (the own insert, rows 1, 2, 4 and 5) and a
+# residual-only full scan of the six visible rows
+OFF_PK_PATHS = {
+    "index": ("g = ? AND h = ?", (1, 1),
+              lambda r: r[1] == 1 and r[2] == 1, 1, 0, 3),
+    "index_prefix": ("g = ? AND v > ?", (1, 15),
+                     lambda r: r[1] == 1 and r[3] > 15, 1, 0, 5),
+    "seq": ("v > ? AND h = ?", (25, 1),
+            lambda r: r[3] > 25 and r[2] == 1, 0, 1, 6),
+}
+
+
+@pytest.mark.parametrize("partitions", [1, 2, 8])
+@pytest.mark.parametrize("path", sorted(OFF_PK_PATHS))
+@pytest.mark.parametrize("statement", ["UPDATE", "DELETE", "FOR UPDATE"])
+def test_off_pk_dml_and_lock_targets_match_scan_oracle(partitions, path,
+                                                       statement):
+    """UPDATE / DELETE / ``SELECT … FOR UPDATE`` targets through a
+    secondary index and a full scan, over the transaction's own writes and
+    a committed index-key change: target rows, resulting rows, locks and
+    every row-access counter.  The FOR UPDATE runs routed columnar; its
+    lock read still reads the row store, own writes included."""
+    db, conn, txn, visible = _off_pk_reader(partitions)
+    where, params, keep, index_lookups, full_scans, read = \
+        OFF_PK_PATHS[path]
+    targets = sorted(pk for pk, row in visible.items() if keep(row))
+    after = dict(visible)
+    locks = db.txn_manager.locks
+    # every target is write-locked, by the write or by FOR UPDATE
+    held = locks.held_by(txn.txn_id) | {("S", pk) for pk in targets}
+    # reads of the path: the target (or lock) read on the row store, plus
+    # a FOR UPDATE's own read — the same path, but a routed full scan
+    # takes the replica, where rows 3, 4 and 6 match
+    row_reads, replica_reads = 1, 0
+    if statement == "UPDATE":
+        result = conn.execute(f"UPDATE s SET v = v + 1 WHERE {where}", params)
+        for pk in targets:
+            after[pk] = after[pk][:3] + (after[pk][3] + 1,)
+    elif statement == "DELETE":
+        result = conn.execute(f"DELETE FROM s WHERE {where}", params)
+        for pk in targets:
+            del after[pk]
+    else:
+        result = conn.execute(f"SELECT id FROM s WHERE {where} FOR UPDATE",
+                              params, route_columnar=True)
+        if path == "seq":
+            replica_reads = 1
+            assert sorted(result.rows) == [(3,), (4,), (6,)]
+        else:
+            row_reads = 2
+            assert sorted(result.rows) == targets
+    if statement == "FOR UPDATE":
+        written = {}
+    else:
+        assert result.rowcount == len(targets)
+        written = {"s": len(targets)} if targets else {}
+    assert dict(result.stats.writes) == written
+    assert locks.held_by(txn.txn_id) == held
+    assert dict(txn.scan("s")) == after
+    stats = result.stats
+    scans = (row_reads + replica_reads) * full_scans
+    assert dict(
+        pk_lookups=stats.pk_lookups,
+        index_range_scans=stats.index_range_scans,
+        index_lookups=stats.index_lookups,
+        full_scans=dict(stats.full_scans),
+        partitions_scanned=stats.partitions_scanned,
+        partitions_pruned=stats.partitions_pruned,
+        rows_row_store=dict(stats.rows_row_store),
+        rows_row_prefix=dict(stats.rows_row_prefix),
+        rows_columnar=dict(stats.rows_columnar),
+    ) == dict(
+        pk_lookups=0, index_range_scans=0,
+        index_lookups=row_reads * index_lookups,
+        full_scans={"s": scans} if scans else {},
+        partitions_scanned=(row_reads + replica_reads) * partitions,
+        partitions_pruned=0,
+        rows_row_store={"s": row_reads * read},
+        rows_row_prefix={},
+        rows_columnar={"s": 6} if replica_reads else {},
+    )
+    conn.rollback()
+
+
 class TestNullSemantics:
     @pytest.fixture
     def null_db(self):

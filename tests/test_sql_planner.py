@@ -110,14 +110,14 @@ class TestJoinStrategies:
             "WHERE u.id = ?")
         node = join_node(plan)
         assert isinstance(node, IndexJoin)
-        assert node.lookup == "pk"
+        assert isinstance(node.inner, PKLookup)
 
     def test_selective_outer_pk_prefix_index_join(self, db):
         plan = db.prepare(
             "SELECT t.c FROM u JOIN t ON t.a = u.t_a WHERE u.id = ?")
         node = join_node(plan)
         assert isinstance(node, IndexJoin)
-        assert node.lookup == "pk_prefix"
+        assert isinstance(node.inner, PKPrefixScan)
 
     def test_selective_outer_secondary_index_join(self, db):
         plan = db.prepare(
@@ -125,8 +125,8 @@ class TestJoinStrategies:
             "WHERE t.a = ? AND t.b = ?")
         node = join_node(plan)
         assert isinstance(node, IndexJoin)
-        assert node.lookup == "index"
-        assert node.index_name == "idx_u_ta"
+        assert isinstance(node.inner, IndexScan)
+        assert node.inner.index_name == "idx_u_ta"
 
     def test_unselective_outer_uses_hash_join(self, db):
         plan = db.prepare("SELECT COUNT(*) FROM t JOIN u ON u.id = t.c")
@@ -234,7 +234,8 @@ class TestResidualPredicates:
             "WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? AND ol.ol_o_id >= ? "
             "AND ol.ol_o_id < ? AND s.s_quantity < ?")
         join = join_node(plan)
-        assert isinstance(join, IndexJoin) and join.lookup == "pk"
+        assert isinstance(join, IndexJoin) and \
+            isinstance(join.inner, PKLookup)
         residual = join.left
         assert isinstance(residual, Filter)
         assert isinstance(residual.child, PKPrefixScan)
