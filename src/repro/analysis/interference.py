@@ -72,14 +72,6 @@ class InterferenceMatrix:
         worst = max(c.avg_latency_ms for c in cells)
         return worst / baseline.avg_latency_ms
 
-    def p95_inflation(self, primary_rate: float) -> float:
-        cells = self._cells_at_primary(primary_rate)
-        baseline = next((c for c in cells if c.secondary_rate == 0), None)
-        if baseline is None or baseline.p95_latency_ms <= 0:
-            return 1.0
-        worst = max(c.p95_latency_ms for c in cells)
-        return worst / baseline.p95_latency_ms
-
     def worst_throughput_drop(self) -> float:
         rates = {c.primary_rate for c in self.cells}
         return max((self.throughput_drop(r) for r in rates), default=0.0)

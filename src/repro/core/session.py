@@ -61,12 +61,6 @@ class Session:
         finally:
             self._in_realtime = False
 
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def had_realtime_query(self) -> bool:
-        return self._realtime_stats is not None
-
 
 def run_transaction(connection: Connection, kind: str, name: str, program,
                     rng, route_columnar: bool = False,

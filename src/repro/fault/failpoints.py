@@ -26,7 +26,7 @@ and ``BENCH_fig11.json["chaos"]`` rather than vanishing into logs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from random import Random
 
 from repro.errors import InjectedFaultError
@@ -65,8 +65,7 @@ class FailpointStats:
     recoveries: int = 0  # times a caller recovered from this fault
 
     def as_dict(self) -> dict:
-        return {"hits": self.hits, "triggers": self.triggers,
-                "recoveries": self.recoveries}
+        return asdict(self)
 
 
 @dataclass

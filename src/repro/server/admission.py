@@ -102,10 +102,6 @@ class AdmissionController:
         self._expire(now)
         return len(self._busy[queue])
 
-    def scans_in_flight(self, now: float) -> int:
-        self._expire(now)
-        return len(self._scans)
-
     # -- admission protocol ----------------------------------------------------
 
     def request(self, kind: str, now: float, scan: bool = False

@@ -22,7 +22,7 @@ the engine after the logical execution finishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.session import run_transaction
 from repro.db.database import Database
@@ -48,16 +48,10 @@ class SessionStats:
     exec: ExecStats = field(default_factory=ExecStats)
 
     def as_dict(self) -> dict:
+        """Every scalar field, then the statement fault counters."""
         return {
-            "transactions": self.transactions,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "retries": self.retries,
-            "statements": self.statements,
-            "deferrals": self.deferrals,
-            "rejections": self.rejections,
-            "backoff_ms": self.backoff_ms,
-            "admission_wait_ms": self.admission_wait_ms,
+            **{f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "exec"},
             **{name: getattr(self.exec, name)
                for name, *_ in REPORT_SECTIONS["faults"]},
         }

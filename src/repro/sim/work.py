@@ -32,10 +32,6 @@ class WorkResult:
     commit_partitions: tuple = ()
 
     @property
-    def multi_partition_commit(self) -> bool:
-        return len(self.commit_partitions) > 1
-
-    @property
     def read_only(self) -> bool:
         return not self.write_keys
 

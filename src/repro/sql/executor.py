@@ -11,8 +11,6 @@ validation semantics come for free.
 
 from __future__ import annotations
 
-import threading
-
 from repro.catalog.schema import Table
 from repro.errors import ExecutionError, IntegrityError, ReplicaUnavailableError
 from repro.sql.plannode import PlanNode
@@ -37,9 +35,6 @@ class ExecContext:
         self.catalog = catalog
         self.partition_map = partition_map
         self._subquery_cache: dict[int, list] = {}
-        # reentrant: executing one subplan can reach a *nested* uncorrelated
-        # subquery on the same thread (a plain Lock would self-deadlock)
-        self._subquery_lock = threading.RLock()
 
     @property
     def partition_count(self) -> int:
@@ -60,14 +55,14 @@ class ExecContext:
     # -- uncorrelated subquery execution with per-statement caching ---------
 
     def _run_subplan(self, subplan: SelectPlan) -> list:
-        # serialised: one cached execution per subplan is the contract
+        # one cached execution per subplan per statement; a statement runs
+        # on the calling thread, so nothing else reaches this context
         key = id(subplan)
-        with self._subquery_lock:
-            cached = self._subquery_cache.get(key)
-            if cached is None:
-                self.stats.subqueries += 1
-                cached = subplan.root.rows(self)
-                self._subquery_cache[key] = cached
+        cached = self._subquery_cache.get(key)
+        if cached is None:
+            self.stats.subqueries += 1
+            cached = subplan.root.rows(self)
+            self._subquery_cache[key] = cached
         return cached
 
     def subquery_values(self, subplan: SelectPlan) -> set:

@@ -8,14 +8,14 @@ Both executors aggregate into one ``GroupedAggregation``: group keys map to
 dense group ids and every aggregate keeps a *state column* indexed by group
 id, so a group costs a few list slots rather than a set of objects.  Every
 state is **order-insensitive and mergeable**: folding the same multiset of
-values in any order — row by row, as bulk slices, or as per-partition
-partials combined with ``merge`` — produces bit-identical results.  SUM/AVG
+values in any order — row by row, as bulk slices, or as partials combined
+with ``merge`` — produces bit-identical results.  SUM/AVG
 achieve this with exact fixed-point integer accumulation (every finite
 double is an integer multiple of a power of two, so sums of scaled integers
 are exact and the final float conversion is one correctly-rounded
 division): one integer per group, all on one state-wide binary exponent.
-This is what lets partition-parallel scatter-gather plans and cached
-segment partials return byte-identical results to a single scan.
+This is what lets every partition stream fold into one state and cached
+segment partials (sketches) merge into it, byte-identical to a single scan.
 
 Exact does not mean per value.  A slice that belongs to one group (a
 global aggregate's whole batch, an RLE run's span, a code bucket) folds in

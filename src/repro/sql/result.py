@@ -177,9 +177,9 @@ class ExecStats:
     # how many it proved irrelevant (PK routing / partition-key pruning)
     partitions_scanned: int = counter(section="partitions", label="scanned")
     partitions_pruned: int = counter(section="partitions", label="pruned")
-    # scatter-gather: widest partition fan-out of any one scan (maxed on
-    # merge — it feeds the engine's parallelism model), and the number of
-    # per-partition partial aggregates that were merged
+    # widest partition fan-out of any one scan (maxed on merge — it feeds
+    # the engine's parallelism model), and the partition streams an
+    # aggregate folded when it read more than one
     scatter_partitions: int = counter(merge="max")
     partial_aggregates: int = counter()
     # fault counters: injected faults this statement hit, faults it
@@ -219,18 +219,8 @@ class ExecStats:
                 mine[name] = True
 
     @property
-    def total_rows_scanned(self) -> int:
-        return (sum(self.rows_row_store.values())
-                + sum(self.rows_columnar.values()))
-
-    @property
     def total_writes(self) -> int:
         return sum(self.writes.values())
-
-    def tables_touched(self) -> set:
-        touched = set(self.rows_row_store) | set(self.rows_columnar)
-        touched |= set(self.writes)
-        return touched
 
 
 def _names_merged_by(kind: str) -> tuple:
@@ -282,9 +272,6 @@ class Result:
 
     def first(self) -> tuple | None:
         return self.rows[0] if self.rows else None
-
-    def as_dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def __repr__(self):
         return f"Result({self.columns}, {len(self.rows)} rows)"

@@ -670,9 +670,10 @@ class VectorNode:
     """Base batch operator: ``execute_batches(ctx)`` yields ``Batch``es.
 
     ``execute_partitions(ctx)`` additionally exposes the stream as
-    ``(partition_id, batch-iterator)`` pairs — the scatter half of the
-    scatter-gather plan.  Operators that cannot preserve partition
-    identity fall back to the default single-stream shape.
+    ``(partition_id, batch-iterator)`` pairs — the streams an aggregate
+    above folds, one after another, into its one state.  Operators that
+    cannot preserve partition identity fall back to the default
+    single-stream shape.
     """
 
     schema: Schema
@@ -1178,7 +1179,7 @@ class VHashJoin(VectorNode):
     rows in scan order, matches per key in right-input order.  Partition
     streams pass through the probe side (the build side is broadcast, as a
     distributed engine would broadcast the smaller input), so a partitioned
-    left input keeps feeding the scatter-gather aggregate above.
+    left input keeps feeding the aggregate above stream by stream.
     """
 
     def __init__(self, left: VectorNode, right: VectorNode,
@@ -1386,11 +1387,10 @@ class BatchAggregate(BatchNode):
     materialised row list, emitted in chunks rather than re-batched from
     a per-row generator (Q5 passes 13 k group rows up to its TopN).
 
-    This operator is the *gather* half of the scatter-gather plan: each
-    partition stream of the child is folded into its own partial aggregate,
-    and the partials are merged in partition order.  The state is
-    order-insensitive and mergeable, so the merged result is bit-identical
-    to aggregating one concatenated stream — and to the row pipeline.
+    Every partition stream of the child folds, in partition order, into
+    the one result state, as the row ``Aggregate`` folds its input.  The
+    state is order-insensitive, so the result is bit-identical to
+    aggregating one concatenated stream — and to the row pipeline.
 
     **Encoded group-by**: when the single grouping key is a plain column
     of the scan (``group_positions``), batches whose key column is
@@ -1398,7 +1398,7 @@ class BatchAggregate(BatchNode):
     one bulk fold over each argument's run span — and batches whose key
     column is sealed into a table-level dictionary group by its global
     integer *codes* (one group-id slot per code, persisted across the
-    partial's batches, decoding only the surviving group keys).  Group
+    stream's batches, decoding only the surviving group keys).  Group
     creation order is first-encounter scan order, identical to the
     generic value path, so results (and emission order) do not change.
     """
@@ -1476,7 +1476,7 @@ class BatchAggregate(BatchNode):
 
         Batches whose key column lives in a shared (table-level)
         dictionary resolve groups through ONE code-indexed slot array
-        persisted across every batch of this partial — no per-segment slot
+        persisted across every batch of the stream — no per-segment slot
         rebuild, no per-segment key lookup.  Rows bucket by code (per-code
         C-speed selections for few distincts, one insertion-ordered pass
         otherwise) and each bucket bulk-folds its aggregate arguments into
@@ -1555,7 +1555,7 @@ class BatchAggregate(BatchNode):
             [fn(batch, ctx) for fn in self.group_fns]), arg_cols)
 
     def _fold(self, batches, ctx, groups: GroupedAggregation):
-        """Fold one batch stream into ``groups`` (a partial aggregate).
+        """Fold one batch stream into ``groups``.
 
         ``SegmentBatch``es (whole sealed segments with no surviving
         predicate) fold through the replica's sketch cache: a hit merges
@@ -1572,7 +1572,7 @@ class BatchAggregate(BatchNode):
         sketch_key = self.sketch_key
         sketches = ctx.columnar.sketches if sketch_key is not None else None
         # shared-dictionary slot arrays persisted across every batch of
-        # this partial (one per table dictionary encountered)
+        # this stream (one per table dictionary encountered)
         slot_state: dict = {}
         rows = 0
         for batch in batches:
@@ -1606,18 +1606,12 @@ class BatchAggregate(BatchNode):
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         groups = self._new_groups()
-        partials = 0
+        streams = 0
         for _pid, batches in self.child.execute_partitions(ctx):
-            partials += 1
-            if not groups:
-                # first (or only) stream folds straight into the result
-                self._fold(batches, ctx, groups)
-                continue
-            partial = self._new_groups()
-            self._fold(batches, ctx, partial)
-            groups.merge(partial)
-        if partials > 1:
-            ctx.stats.partial_aggregates += partials
+            streams += 1
+            self._fold(batches, ctx, groups)
+        if streams > 1:
+            ctx.stats.partial_aggregates += streams
         if not self.group_fns:
             # global aggregate over an empty input still yields one row
             groups.gid(())

@@ -25,15 +25,6 @@ class BufferPoolStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.accesses
-        return self.hits / total if total else 1.0
-
 
 class BufferPool:
     """Bounded LRU page cache with hit/miss accounting."""

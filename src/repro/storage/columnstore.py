@@ -1,8 +1,9 @@
 """Columnar replica store (the TiFlash analogue).
 
 The columnar store is kept consistent with the row store through
-*asynchronous log replication*: ``apply_from(wal)`` consumes WAL records past
-the replica's watermark and applies them to per-column arrays.  Readers see
+*asynchronous log replication*: ``apply_from_partitions(wals)`` merges the
+partition WAL streams by global ``seq`` and applies the records past each
+partition's watermark to per-column arrays.  Readers see
 data as of the replica's ``applied_ts`` — fresher replication means fresher
 analytics, which is exactly the mechanism TiDB relies on in the paper.
 
@@ -46,8 +47,8 @@ the key columns themselves, each output segment is one gather per column
 that drives both its encoding choice and its byte accounting — no row
 tuple is built and no homogeneous column is walked value by value.
 
-``scan_batches`` exposes the segments as column-slice batches for the
-vectorized executor; ``scan`` keeps the row-tuple view for the row pipeline.
+The vectorized executor reads segments through ``read_snapshot``;
+``scan`` keeps the row-tuple view for the row pipeline.
 Columnar tables support full scans only (no secondary indexes): point
 lookups stay on the row store, as in TiDB.
 """
@@ -68,7 +69,6 @@ from repro.catalog.schema import Table
 from repro.catalog.types import VarcharType
 from repro.errors import CatalogError
 from repro.sql.ordering import canonical_column_keys, canonical_row_key
-from repro.sql.result import Batch
 from repro.storage.partition import PartitionMap
 from repro.storage.wal import LogOp, WriteAheadLog
 
@@ -1069,30 +1069,25 @@ class ColumnarTable:
     positions (defaults to the primary key).
     """
 
-    def __init__(self, table: Table, segment_rows: int = SEGMENT_ROWS,
-                 sort_key: tuple[int, ...] | None = None,
-                 merge_totals: list | None = None,
-                 lock: threading.RLock | None = None,
-                 shared_dicts: dict | None = None,
-                 failpoints=None,
-                 sketches: SegmentSketchCache | None = None):
-        if segment_rows <= 0:
-            raise ValueError("segment_rows must be positive")
+    def __init__(self, table: Table, segment_rows: int,
+                 sort_key: tuple[int, ...] | None, merge_totals: list,
+                 lock: threading.RLock, sketches: SegmentSketchCache,
+                 shared_dicts: dict | None, failpoints):
         self._failpoints = failpoints
         # replica-wide sketch cache: kills/revives/overwrites invalidate
         # the touched segment's partials eagerly (epoch checks backstop)
         self._sketches = sketches
         # serialises the mutable touch points (WAL apply, zone-map
         # widening, compaction swap) so a writer thread may replicate()
-        # (apply + inline compaction) while other threads scan; a
+        # (apply + inline compaction) while other threads scan; the
         # replica shares one lock across its tables so a chunk apply is
         # atomic with respect to compaction.  Re-entrant because
         # compact() nests flush_zone_maps().
-        self._lock = lock if lock is not None else threading.RLock()
+        self._lock = lock
         self.table = table
         self.segment_rows = segment_rows
         # column position -> table-level TableDictionary (shared across
-        # the table's partitions); None for a table outside a replica
+        # the table's partitions); None for a table with no string column
         self.shared_dicts = shared_dicts
         self.sort_positions: tuple[int, ...] = (
             tuple(sort_key) if sort_key is not None else table.pk_positions)
@@ -1120,10 +1115,6 @@ class ColumnarTable:
         self._merge_totals = merge_totals
 
     # -- write path (WAL application) ----------------------------------
-
-    def _sketch_invalidate(self, segment: Segment):
-        if self._sketches is not None:
-            self._sketches.invalidate(segment)
 
     def _locate(self, slot: int) -> tuple[Segment, int]:
         return (self._segments[slot // self.segment_rows],
@@ -1169,7 +1160,7 @@ class ColumnarTable:
                         segment, offset = self._locate_main(main_slot)
                         segment.kill(offset)
                         self.row_count -= 1
-                        self._sketch_invalidate(segment)
+                        self._sketches.invalidate(segment)
                 return
             if slot is None:
                 main_slot = self._main_pk_to_slot.pop(pk, None)
@@ -1179,7 +1170,7 @@ class ColumnarTable:
                     segment, offset = self._locate_main(main_slot)
                     segment.kill(offset)
                     self.row_count -= 1
-                    self._sketch_invalidate(segment)
+                    self._sketches.invalidate(segment)
                 segment = self._delta_append(pk, values)
             else:
                 segment, offset = self._locate(slot)
@@ -1351,8 +1342,7 @@ class ColumnarTable:
         # untouched segments outside [start, stop) keep theirs — that
         # sharing is what carries warm sketches across disjoint-delta
         # merges
-        if self._sketches is not None:
-            self._sketches.drop_segments(main[start:stop])
+        self._sketches.drop_segments(main[start:stop])
         self._main_segments = main[:start] + segments + main[stop:]
         self.main_lo = self.main_lo[:start] + lows + self.main_lo[stop:]
         self.main_hi = self.main_hi[:start] + highs + self.main_hi[stop:]
@@ -1363,9 +1353,8 @@ class ColumnarTable:
         self.compactions += 1
         self.segments_merged_total += len(segments)
         self.rows_merged_total += n_rows
-        if self._merge_totals is not None:
-            self._merge_totals[0] += len(segments)
-            self._merge_totals[1] += n_rows
+        self._merge_totals[0] += len(segments)
+        self._merge_totals[1] += n_rows
         return len(segments)
 
     # -- consistent read snapshots -------------------------------------
@@ -1434,41 +1423,7 @@ class ColumnarTable:
         total with another's encoded count.
         """
         self.flush_zone_maps()
-        segments = self._all_segments()
-        stats = {
-            "segments_total": len(segments),
-            "segments_encoded": 0,
-            "bytes_plain": 0,
-            "bytes_encoded": 0,
-            "encodings": {Encoding.PLAIN: 0, Encoding.DICT: 0,
-                          Encoding.RLE: 0, Encoding.NATIVE: 0},
-            # dictionary accounting: code bytes split from the dictionary
-            # value bytes, and shared (table-level) vs per-segment counts
-            "dict_code_bytes": 0,
-            "dict_value_bytes": 0,
-            "dicts_shared": 0,
-            "dicts_per_segment": 0,
-        }
-        for segment in segments:
-            if not segment.encoded:
-                continue
-            stats["segments_encoded"] += 1
-            stats["bytes_plain"] += segment.plain_bytes
-            stats["bytes_encoded"] += segment.encoded_bytes
-            for encoding in segment.encodings():
-                stats["encodings"][encoding] += 1
-            for column in segment.columns:
-                if not isinstance(column, DictColumn):
-                    continue
-                stats["dict_code_bytes"] += \
-                    column.codes.itemsize * len(column.codes)
-                if isinstance(column, SharedDictColumn):
-                    stats["dicts_shared"] += 1
-                else:
-                    stats["dicts_per_segment"] += 1
-                    stats["dict_value_bytes"] += _plain_bytes(column.values)
-        stats["bytes_saved"] = stats["bytes_plain"] - stats["bytes_encoded"]
-        return stats
+        return _encoding_stats(self._all_segments())
 
     # -- read path ------------------------------------------------------
 
@@ -1490,26 +1445,9 @@ class ColumnarTable:
                     values = tuple(col[offset] for col in columns)
                     yield pk_of(values), values
 
-    def column_values(self, column: str) -> list:
-        """Materialise one live column (used by columnar aggregate fast paths)."""
-        self.flush_zone_maps()
-        pos = self.table.position(column)
-        values: list = []
-        for segment in self._all_segments():
-            if segment.live_count == 0:
-                continue
-            column_data = segment.columns[pos]
-            if segment.live_count == segment.size:
-                values.extend(column_data)
-            else:
-                live = segment.live
-                values.extend(column_data[i] for i in range(segment.size)
-                              if live[i])
-        return values
-
     def segments(self) -> list[Segment]:
         self.flush_zone_maps()
-        return list(self._all_segments())
+        return self._all_segments()
 
     def main_segments(self) -> list[Segment]:
         """The sort-key-ordered merged segments."""
@@ -1521,61 +1459,13 @@ class ColumnarTable:
         self.flush_zone_maps()
         return self._segments
 
-    def segment_count(self) -> int:
-        return len(self._all_segments())
-
-    def segment_batch(self, segment: Segment,
-                      positions: list[int] | None = None) -> Batch:
-        """Live column-slices of one segment as a ``Batch``.
-
-        Batches reference (or copy live subsets of) the underlying arrays;
-        they are only guaranteed stable until the next ``apply``.  Columns
-        of sealed segments come back as encoded views (sequence-compatible).
-        """
-        self.flush_zone_maps()
-        if positions is None:
-            columns = segment.columns
-        else:
-            columns = [segment.columns[p] for p in positions]
-        if segment.live_count == segment.size:
-            return Batch(list(columns), segment.size)
-        live = segment.live
-        keep = [i for i in range(segment.size) if live[i]]
-        return Batch([col.gather(keep) if hasattr(col, "gather")
-                      else [col[i] for i in keep] for col in columns],
-                     len(keep))
-
-    def scan_batches(self, columns: list[str] | None = None,
-                     skip_segment=None) -> Iterator[Batch]:
-        """Yield live rows segment-at-a-time as column-slice batches.
-
-        ``columns`` optionally projects to the named columns (table order is
-        preserved otherwise).  ``skip_segment`` is an optional predicate
-        ``(Segment) -> bool``; segments for which it returns True are
-        skipped — the hook zone-map pruning plugs into.
-        """
-        self.flush_zone_maps()
-        positions = None
-        if columns is not None:
-            positions = [self.table.position(c) for c in columns]
-        for segment in self._all_segments():
-            if segment.live_count == 0:
-                continue
-            if skip_segment is not None and skip_segment(segment):
-                continue
-            yield self.segment_batch(segment, positions)
-
 
 class PartitionedColumnarView:
-    """Read-only union over one table's per-partition columnar stores.
+    """Read-only union over one table's per-partition columnar stores: the
+    row count and the row-tuple ``scan`` the row pipeline reads.
+    Partition-aware operators go straight to the per-partition tables."""
 
-    Presents the ``ColumnarTable`` read interface so row-pipeline scans and
-    introspection work unchanged against partitioned replicas; partition-
-    aware operators go straight to the per-partition tables instead.
-    """
-
-    def __init__(self, table: Table, parts: list[ColumnarTable]):
-        self.table = table
+    def __init__(self, parts: list[ColumnarTable]):
         self.parts = parts
 
     @property
@@ -1586,45 +1476,44 @@ class PartitionedColumnarView:
         for part in self.parts:
             yield from part.scan()
 
-    def column_values(self, column: str) -> list:
-        values: list = []
-        for part in self.parts:
-            values.extend(part.column_values(column))
-        return values
 
-    def segments(self) -> list[Segment]:
-        return [s for part in self.parts for s in part.segments()]
-
-    def segment_count(self) -> int:
-        return sum(p.segment_count() for p in self.parts)
-
-    def encoding_stats(self) -> dict:
-        return _merge_encoding_stats(p.encoding_stats() for p in self.parts)
-
-    def scan_batches(self, columns: list[str] | None = None,
-                     skip_segment=None) -> Iterator[Batch]:
-        for part in self.parts:
-            yield from part.scan_batches(columns, skip_segment)
-
-
-def _merge_encoding_stats(stats_iter) -> dict:
-    merged = {
-        "segments_total": 0, "segments_encoded": 0,
-        "bytes_plain": 0, "bytes_encoded": 0, "bytes_saved": 0,
+def _encoding_stats(segments: list[Segment]) -> dict:
+    """Segment/byte accounting of the encoding layer over ``segments``."""
+    stats = {
+        "segments_total": len(segments),
+        "segments_encoded": 0,
+        "bytes_plain": 0,
+        "bytes_encoded": 0,
+        "bytes_saved": 0,
         "encodings": {Encoding.PLAIN: 0, Encoding.DICT: 0,
                       Encoding.RLE: 0, Encoding.NATIVE: 0},
-        "dict_code_bytes": 0, "dict_value_bytes": 0,
-        "dicts_shared": 0, "dicts_per_segment": 0,
+        # dictionary accounting: code bytes split from the dictionary
+        # value bytes, and shared (table-level) vs per-segment counts
+        "dict_code_bytes": 0,
+        "dict_value_bytes": 0,
+        "dicts_shared": 0,
+        "dicts_per_segment": 0,
     }
-    for stats in stats_iter:
-        for key in ("segments_total", "segments_encoded",
-                    "bytes_plain", "bytes_encoded", "bytes_saved",
-                    "dict_code_bytes", "dict_value_bytes",
-                    "dicts_shared", "dicts_per_segment"):
-            merged[key] += stats[key]
-        for encoding, count in stats["encodings"].items():
-            merged["encodings"][encoding] += count
-    return merged
+    for segment in segments:
+        if not segment.encoded:
+            continue
+        stats["segments_encoded"] += 1
+        stats["bytes_plain"] += segment.plain_bytes
+        stats["bytes_encoded"] += segment.encoded_bytes
+        for encoding in segment.encodings():
+            stats["encodings"][encoding] += 1
+        for column in segment.columns:
+            if not isinstance(column, DictColumn):
+                continue
+            stats["dict_code_bytes"] += \
+                column.codes.itemsize * len(column.codes)
+            if isinstance(column, SharedDictColumn):
+                stats["dicts_shared"] += 1
+            else:
+                stats["dicts_per_segment"] += 1
+                stats["dict_value_bytes"] += _plain_bytes(column.values)
+    stats["bytes_saved"] = stats["bytes_plain"] - stats["bytes_encoded"]
+    return stats
 
 
 class ColumnarReplica:
@@ -1683,16 +1572,6 @@ class ColumnarReplica:
     def partitions(self) -> int:
         return self.pmap.partitions
 
-    @property
-    def applied_lsn(self) -> int:
-        """Applied watermark of unpartitioned replicas (single stream)."""
-        if len(self.applied_lsns) != 1:
-            raise CatalogError(
-                "partitioned replica has one watermark per partition; "
-                "use .applied_lsns"
-            )
-        return self.applied_lsns[0]
-
     @staticmethod
     def _dict_domain(table: Table, column_name: str) -> tuple:
         """Dictionary domain of one column: FK columns alias the referenced
@@ -1729,13 +1608,10 @@ class ColumnarReplica:
             raise CatalogError(f"columnar table {table.name!r} already exists")
         shared = self._register_shared_dicts(table)
         self._tables[key] = [
-            ColumnarTable(table, self.segment_rows,
-                          sort_key=sort_key,
-                          merge_totals=self._merge_totals,
-                          lock=self._lock,
-                          shared_dicts=shared,
-                          failpoints=self._failpoints,
-                          sketches=self.sketches)
+            ColumnarTable(table, self.segment_rows, sort_key=sort_key,
+                          merge_totals=self._merge_totals, lock=self._lock,
+                          sketches=self.sketches, shared_dicts=shared,
+                          failpoints=self._failpoints)
             for _ in self.pmap.all_partitions()
         ]
         self._registrations.append((table, sort_key))
@@ -1772,7 +1648,7 @@ class ColumnarReplica:
         parts = self.table_partitions(name)
         if len(parts) == 1:
             return parts[0]
-        return PartitionedColumnarView(parts[0].table, parts)
+        return PartitionedColumnarView(parts)
 
     def table_partitions(self, name: str) -> list[ColumnarTable]:
         """The per-partition columnar stores of one table."""
@@ -1799,9 +1675,10 @@ class ColumnarReplica:
                 part.flush_zone_maps()
 
     def compact(self, force: bool = False) -> int:
-        """Background compaction across tables and partitions: merge delta
-        tails into the sorted main segments (``force=True`` merges every
-        non-empty delta regardless of the amortisation threshold)."""
+        """Compaction across tables and partitions on the calling thread:
+        merge delta tails into the sorted main segments (``force=True``
+        merges every non-empty delta regardless of the amortisation
+        threshold; ``replicate()`` runs the thresholded form inline)."""
         return sum(part.compact(force)
                    for parts in self._tables.values() for part in parts)
 
@@ -1828,32 +1705,33 @@ class ColumnarReplica:
         return self._merge_totals[0]
 
     def encoding_stats(self) -> dict:
-        """Aggregate encoding accounting across tables and partitions."""
-        merged = _merge_encoding_stats(
-            part.encoding_stats()
-            for parts in self._tables.values() for part in parts)
+        """Encoding accounting across tables and partitions: one pass over
+        every partition's segments, collected under the replica lock."""
+        with self._lock:
+            segments = [segment for parts in self._tables.values()
+                        for part in parts for segment in part.segments()]
+        stats = _encoding_stats(segments)
         # the table-level dictionaries are stored once per domain — count
         # their value bytes here (per-segment dictionary bytes are already
         # inside each segment's encoded_bytes)
         shared_bytes = sum(_plain_bytes(d.values)
                            for d in self._domain_dicts.values())
-        merged["shared_dict_bytes"] = shared_bytes
-        merged["shared_dicts_total"] = len(self._domain_dicts)
-        merged["shared_dicts_demoted"] = sum(
+        stats["shared_dict_bytes"] = shared_bytes
+        stats["shared_dicts_total"] = len(self._domain_dicts)
+        stats["shared_dicts_demoted"] = sum(
             1 for d in self._domain_dicts.values() if not d.active)
         # cached segment sketches are replica memory too: count them into
         # the encoded footprint so the compression ratio stays truthful
         # when sketches are enabled
-        merged["sketch_bytes"] = self.sketches.total_bytes
-        merged["sketches_cached"] = len(self.sketches)
-        merged["sketch_evictions"] = self.sketches.evicted
-        merged["bytes_encoded"] += shared_bytes + merged["sketch_bytes"]
-        merged["bytes_saved"] = \
-            merged["bytes_plain"] - merged["bytes_encoded"]
-        plain = merged["bytes_plain"]
-        merged["compression_ratio"] = (
-            plain / merged["bytes_encoded"] if merged["bytes_encoded"] else 1.0)
-        return merged
+        stats["sketch_bytes"] = self.sketches.total_bytes
+        stats["sketches_cached"] = len(self.sketches)
+        stats["sketch_evictions"] = self.sketches.evicted
+        stats["bytes_encoded"] += shared_bytes + stats["sketch_bytes"]
+        stats["bytes_saved"] = stats["bytes_plain"] - stats["bytes_encoded"]
+        stats["compression_ratio"] = (
+            stats["bytes_plain"] / stats["bytes_encoded"]
+            if stats["bytes_encoded"] else 1.0)
+        return stats
 
     def scan_cost_factor(self) -> float:
         """Per-row columnar scan cost multiplier for the simulator.
@@ -1875,15 +1753,6 @@ class ColumnarReplica:
                                    / stats["bytes_plain"]))
         self._scan_factor_cache = (events, factor)
         return factor
-
-    def apply_from(self, wal: WriteAheadLog, limit: int | None = None) -> int:
-        """Apply pending records from the single stream (unpartitioned)."""
-        records = wal.read_from(self.applied_lsn, limit)
-        with self._lock:
-            for record in records:
-                self._apply_record(0, record)
-            self._flush_zone_maps()
-        return len(records)
 
     def apply_from_partitions(self, wals: list[WriteAheadLog],
                               limit: int | None = None) -> int:
@@ -1921,10 +1790,6 @@ class ColumnarReplica:
                     heapq.heappush(heap, (records[cursor].seq, pid, cursor))
             self._flush_zone_maps()
         return applied
-
-    def lag(self, wal: WriteAheadLog) -> int:
-        """Number of log records not yet applied (freshness gap)."""
-        return wal.head_lsn - self.applied_lsn
 
     def total_lag(self, wals: list[WriteAheadLog]) -> int:
         """Records not yet applied, summed across partition streams."""

@@ -383,10 +383,10 @@ class RowStorage:
     """All table stores of one logical database, plus per-partition WALs.
 
     With ``partitions == 1`` (the default) tables are plain ``TableStore``
-    objects and ``wal`` is the familiar single stream; with more partitions
-    each table is a ``PartitionedTableStore`` and every partition has its
-    own WAL, stamped with a database-global ``seq`` so consumers can merge
-    the streams back into commit order.
+    objects; with more partitions each table is a ``PartitionedTableStore``.
+    Every partition has its own WAL in ``wals`` (one stream when
+    unpartitioned), stamped with a database-global ``seq`` so consumers can
+    merge the streams back into commit order.
     """
 
     def __init__(self, partition_map: PartitionMap | None = None,
@@ -400,15 +400,6 @@ class RowStorage:
     @property
     def partitions(self) -> int:
         return self.pmap.partitions
-
-    @property
-    def wal(self) -> WriteAheadLog:
-        """The single WAL stream of unpartitioned storage."""
-        if len(self.wals) != 1:
-            raise CatalogError(
-                "partitioned storage has one WAL per partition; use .wals"
-            )
-        return self.wals[0]
 
     @property
     def wal_head(self) -> int:

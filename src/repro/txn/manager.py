@@ -143,20 +143,6 @@ class Transaction:
                      if pk[:n] == prefix}
         return self._overlaid(base, local, size) if local else base
 
-    def index_candidate_pks(self, table: str, index_name: str, key: tuple) -> set:
-        """Primary keys the index suggests; caller re-checks visibility."""
-        self._check_active()
-        return set(self._manager.storage.store(table).index(index_name).lookup(key))
-
-    def index_range_pks(self, table: str, index_name: str,
-                        low: tuple | None, high: tuple | None) -> set:
-        self._check_active()
-        idx = self._manager.storage.store(table).index(index_name)
-        pks: set = set()
-        for _key, entry in idx.range_scan(low, high):
-            pks |= entry
-        return pks
-
     def local_rows(self, table: str) -> Iterable[tuple[tuple, tuple | None]]:
         """This transaction's buffered writes for ``table`` (pk, values|None).
 
@@ -375,11 +361,3 @@ class TransactionManager:
     def _finish(self, txn: Transaction):
         self.locks.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
-
-    def active_count(self) -> int:
-        return len(self._active)
-
-    def oldest_active_ts(self) -> int:
-        if not self._active:
-            return self._latest_ts
-        return min(t.read_ts for t in self._active.values())

@@ -237,7 +237,7 @@ class TestWALTruncation:
     def test_truncate_keeps_head_lsn_stable(self):
         db = _make_db(1)
         _load_points(db, n=32)  # install + replicate truncates
-        wal = db.storage.wal
+        wal = db.storage.wals[0]
         assert wal.head_lsn == 32
         assert len(wal) == 0  # fully compacted
         assert db.replication_lag() == 0
@@ -261,7 +261,7 @@ class TestWALTruncation:
         db = _make_db(1)
         _load_points(db, n=8)
         db.query("INSERT INTO p (id, grp, v) VALUES (?, ?, ?)", (100, 0, 1.0))
-        wal = db.storage.wal
+        wal = db.storage.wals[0]
         assert wal.head_lsn == 9
         assert [r.lsn for r in wal.read_from(8)] == [8]
         assert db.replicate() == 1

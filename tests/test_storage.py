@@ -1,10 +1,13 @@
 """Storage layer: MVCC row store, indexes, WAL, columnar replica, buffer pool."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import INT, VARCHAR, Column, IndexDef, Table
+from repro.db import Database
 from repro.errors import IntegrityError
 from repro.storage import (
     BufferPool,
@@ -17,6 +20,7 @@ from repro.storage import (
     WriteAheadLog,
 )
 from repro.storage.wal import LogOp
+from repro.workloads import make_workload
 
 
 def make_table():
@@ -194,10 +198,10 @@ class TestWALAndColumnar:
         replica.register_table(table)
         storage.apply_commit(1, [("t", (1,), (1, "a"), LogOp.INSERT)])
         storage.apply_commit(2, [("t", (2,), (2, "b"), LogOp.INSERT)])
-        assert replica.lag(storage.wal) == 2
-        applied = replica.apply_from(storage.wal)
+        assert replica.total_lag(storage.wals) == 2
+        applied = replica.apply_from_partitions(storage.wals)
         assert applied == 2
-        assert replica.lag(storage.wal) == 0
+        assert replica.total_lag(storage.wals) == 0
         assert dict(replica.table("t").scan()) == {
             (1,): (1, "a"), (2,): (2, "b")}
 
@@ -210,34 +214,24 @@ class TestWALAndColumnar:
         storage.apply_commit(1, [("t", (1,), (1, "a"), LogOp.INSERT)])
         storage.apply_commit(2, [("t", (1,), (1, "b"), LogOp.UPDATE)])
         storage.apply_commit(3, [("t", (1,), None, LogOp.DELETE)])
-        replica.apply_from(storage.wal, limit=2)
+        replica.apply_from_partitions(storage.wals, limit=2)
         assert dict(replica.table("t").scan()) == {(1,): (1, "b")}
-        replica.apply_from(storage.wal)
+        replica.apply_from_partitions(storage.wals)
         assert dict(replica.table("t").scan()) == {}
         assert replica.table("t").row_count == 0
-
-    def test_column_values_projection(self):
-        storage = RowStorage()
-        table = make_table()
-        storage.register_table(table)
-        replica = ColumnarReplica()
-        replica.register_table(table)
-        for i in range(5):
-            storage.apply_commit(i + 1,
-                                 [("t", (i,), (i, f"v{i}"), LogOp.INSERT)])
-        replica.apply_from(storage.wal)
-        assert sorted(replica.table("t").column_values("id")) == [0, 1, 2, 3, 4]
 
 
 class TestColumnarSegments:
     def _table(self, segment_rows=4) -> ColumnarTable:
-        return ColumnarTable(make_table(), segment_rows=segment_rows)
+        replica = ColumnarReplica(segment_rows=segment_rows)
+        replica.register_table(make_table())
+        return replica.table("t")
 
     def test_rows_split_across_segments(self):
         store = self._table(segment_rows=4)
         for i in range(10):
             store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
-        assert store.segment_count() == 3
+        assert len(store.segments()) == 3
         assert [s.live_count for s in store.segments()] == [4, 4, 2]
         assert store.row_count == 10
 
@@ -249,7 +243,7 @@ class TestColumnarSegments:
         assert store.row_count == 7
         assert store.segments()[0].live_count == 3
         store.apply((2,), (2, "new"), LogOp.INSERT)
-        assert store.segment_count() == 2  # no fresh slot allocated
+        assert len(store.segments()) == 2  # no fresh slot allocated
         assert store.row_count == 8
         assert dict(store.scan())[(2,)] == (2, "new")
 
@@ -287,26 +281,6 @@ class TestColumnarSegments:
         segment = store.segments()[0]
         assert not segment.may_contain(0, 1, 10)
 
-    def test_scan_batches_projection_and_skip(self):
-        store = self._table(segment_rows=4)
-        for i in range(8):
-            store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
-        batches = list(store.scan_batches(columns=["v"]))
-        assert [len(b) for b in batches] == [4, 4]
-        assert list(batches[0].columns[0]) == ["v0", "v1", "v2", "v3"]
-        pruned = list(store.scan_batches(
-            skip_segment=lambda s: not s.may_contain(0, 6, None)))
-        assert len(pruned) == 1
-        assert list(pruned[0].rows())[-1] == (7, "v7")
-
-    def test_scan_batches_filters_dead_rows(self):
-        store = self._table(segment_rows=4)
-        for i in range(4):
-            store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
-        store.apply((1,), None, LogOp.DELETE)
-        (batch,) = list(store.scan_batches())
-        assert list(batch.rows()) == [(0, "v0"), (2, "v2"), (3, "v3")]
-
     def test_encoding_stats_count_one_snapshot(self):
         """A merge publishing between two reads of the segment lists must
         not pair one list's total with another's encoded count."""
@@ -328,6 +302,77 @@ class TestColumnarSegments:
         stats = store.encoding_stats()
         assert (stats["segments_encoded"], stats["segments_total"]) == (2, 2)
         assert store.encoding_stats()["segments_total"] == 4
+
+
+# encoding accounting of a loaded replica with main segments, a delta tail
+# and warm sketches; a change meant to move it edits these and says why
+PINNED_REPLICA_ACCOUNTING = {
+    1: ({'segments_total': 23, 'segments_encoded': 16,
+         'bytes_plain': 30034680, 'bytes_encoded': 18535692,
+         'bytes_saved': 11498988,
+         'encodings': {'plain': 46, 'dict': 14, 'rle': 48, 'native': 60},
+         'dict_code_bytes': 229376, 'dict_value_bytes': 0,
+         'dicts_shared': 14, 'dicts_per_segment': 0,
+         'shared_dict_bytes': 4065360, 'shared_dicts_total': 38,
+         'shared_dicts_demoted': 14, 'sketch_bytes': 7168,
+         'sketches_cached': 7, 'sketch_evictions': 0,
+         'compression_ratio': 1.6203700406761183},
+        0.617142982711985,
+        {'segments_total': 9, 'segments_encoded': 8,
+         'bytes_plain': 11474752, 'bytes_encoded': 3174572,
+         'encodings': {'plain': 7, 'dict': 1, 'rle': 32, 'native': 40},
+         'dict_code_bytes': 16384, 'dict_value_bytes': 0,
+         'dicts_shared': 1, 'dicts_per_segment': 0,
+         'bytes_saved': 8300180}),
+    4: ({'segments_total': 23, 'segments_encoded': 12,
+         'bytes_plain': 26388560, 'bytes_encoded': 15991156,
+         'bytes_saved': 10397404,
+         'encodings': {'plain': 40, 'dict': 12, 'rle': 48, 'native': 48},
+         'dict_code_bytes': 196608, 'dict_value_bytes': 0,
+         'dicts_shared': 12, 'dicts_per_segment': 0,
+         'shared_dict_bytes': 3496016, 'shared_dicts_total': 38,
+         'shared_dicts_demoted': 12, 'sketch_bytes': 7168,
+         'sketches_cached': 7, 'sketch_evictions': 0,
+         'compression_ratio': 1.6501971464727128},
+        0.6059882009476834,
+        {'segments_total': 9, 'segments_encoded': 8,
+         'bytes_plain': 11474752, 'bytes_encoded': 3174572,
+         'encodings': {'plain': 7, 'dict': 1, 'rle': 32, 'native': 40},
+         'dict_code_bytes': 16384, 'dict_value_bytes': 0,
+         'dicts_shared': 1, 'dicts_per_segment': 0,
+         'bytes_saved': 8300180}),
+}
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_replica_encoding_accounting_pinned(partitions):
+    """Replica-wide and per-partition ``encoding_stats()`` and the
+    simulator's ``scan_cost_factor()`` over main segments, a delta tail
+    and warm sketches."""
+    db = Database(with_columnar=True, partitions=partitions)
+    make_workload("subenchmark").install(db, Random(3))
+    with db.connect() as conn:
+        keys = conn.execute("SELECT ol_w_id, ol_d_id, ol_o_id, ol_number "
+                            "FROM order_line WHERE ol_number = 1").rows[:200]
+        for key in keys:
+            conn.execute("UPDATE order_line SET ol_quantity = ol_quantity "
+                         "+ 1 WHERE ol_w_id = ? AND ol_d_id = ? "
+                         "AND ol_o_id = ? AND ol_number = ?", key)
+        conn.commit()
+    db.replicate()          # 200 delta rows: below a segment, no merge
+    assert db.columnar.delta_rows_pending() > 0
+    sql = "SELECT ol_w_id, SUM(ol_amount) FROM order_line GROUP BY ol_w_id"
+    for _ in range(2):      # cold builds the sketches, warm hits them
+        with db.connect() as conn:
+            warm = conn.execute(sql, (), route_columnar=True)
+            conn.commit()
+    assert warm.stats.sketches_hit > 0
+    replica, factor, order_line = PINNED_REPLICA_ACCOUNTING[partitions]
+    assert db.columnar.encoding_stats() == replica
+    assert db.columnar.scan_cost_factor() == factor
+    part = next(p for p in db.columnar.table_partitions("order_line")
+                if p.row_count)
+    assert part.encoding_stats() == order_line
 
 
 class TestBufferPool:
