@@ -1,4 +1,4 @@
-"""Analysis tools: Little's law, lock overhead, interference, scaling."""
+"""Analysis tools: freshness, lock overhead, interference, scaling."""
 
 from repro.analysis.freshness import (
     FreshnessProbe,
@@ -7,12 +7,6 @@ from repro.analysis.freshness import (
     staleness_ms,
 )
 from repro.analysis.interference import InterferenceCell, InterferenceMatrix
-from repro.analysis.littles_law import (
-    LoadPoint,
-    arrival_rate_for,
-    average_in_flight,
-    latency_for,
-)
 from repro.analysis.lock_overhead import (
     LockOverhead,
     lock_overhead,
@@ -27,10 +21,6 @@ __all__ = [
     "staleness_ms",
     "InterferenceCell",
     "InterferenceMatrix",
-    "LoadPoint",
-    "arrival_rate_for",
-    "average_in_flight",
-    "latency_for",
     "LockOverhead",
     "lock_overhead",
     "normalised_lock_overhead",

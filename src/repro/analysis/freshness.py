@@ -57,26 +57,3 @@ class FreshnessProbe:
         record = FreshnessSample(now_ms, lag, eligible)
         self.samples.append(record)
         return record
-
-    @property
-    def max_lag(self) -> float:
-        return max((s.lag_records for s in self.samples), default=0.0)
-
-    @property
-    def columnar_availability(self) -> float:
-        """Fraction of samples where analytics could use the replica."""
-        if not self.samples:
-            return 1.0
-        eligible = sum(1 for s in self.samples if s.columnar_eligible)
-        return eligible / len(self.samples)
-
-    def time_to_catch_up(self) -> float:
-        """Simulated ms needed to drain the current lag at the apply rate
-        (infinity when the engine has no replica)."""
-        if self.engine.replication is None:
-            return 0.0
-        lag = replication_lag_records(self.engine)
-        rate = self.engine.replication.apply_rate
-        if lag <= 0:
-            return 0.0
-        return lag / rate

@@ -121,15 +121,6 @@ class Table:
                 )
         self.indexes[index.name] = index
 
-    def composite_primary_key(self) -> bool:
-        """True when the primary key spans more than one column.
-
-        The paper makes composite keys a first-class concern: tabenchmark
-        changes SUBSCRIBER's key to (s_id, sf_type) and both evaluated DBMSs
-        handle lookups on a non-prefix key column poorly.
-        """
-        return len(self.primary_key) > 1
-
     def __repr__(self):
         return f"Table({self.name}, cols={len(self.columns)}, pk={self.primary_key})"
 

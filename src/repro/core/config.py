@@ -10,7 +10,7 @@ describes.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 
@@ -78,16 +78,6 @@ class BenchConfig:
     @property
     def total_ms(self) -> float:
         return self.warmup_ms + self.duration_ms
-
-    def with_rates(self, oltp: float | None = None, olap: float | None = None,
-                   hybrid: float | None = None) -> "BenchConfig":
-        """Copy with updated rates (the sweep helper benches lean on)."""
-        return replace(
-            self,
-            oltp_rate=self.oltp_rate if oltp is None else oltp,
-            olap_rate=self.olap_rate if olap is None else olap,
-            hybrid_rate=self.hybrid_rate if hybrid is None else hybrid,
-        )
 
     # -- construction helpers --------------------------------------------------
 

@@ -166,11 +166,6 @@ class HTAPCluster:
         """
         return pid % self.oltp_nodes()
 
-    def partition_placement(self) -> dict[int, int]:
-        """Partition id -> node index, for reports and tests."""
-        return {pid: self.partition_node(pid)
-                for pid in range(self.partitions)}
-
     def commit_participant_nodes(self, work: WorkResult) -> int:
         """Distinct transactional nodes involved in the commit."""
         if not work.commit_partitions:

@@ -65,14 +65,6 @@ class WriteConflictError(TransactionAborted):
     """First-committer-wins validation failed under snapshot isolation."""
 
 
-class DeadlockError(TransactionAborted):
-    """The lock manager chose this transaction as a deadlock victim."""
-
-
-class LockTimeoutError(TransactionAborted):
-    """A lock could not be acquired within the configured timeout."""
-
-
 class ConnectionStateError(TransactionError):
     """Operation illegal in the connection's current state."""
 

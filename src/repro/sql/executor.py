@@ -2,11 +2,11 @@
 
 ``ExecContext`` carries everything an operator needs at run time: bound
 parameters, the active transaction, the statistics collector, and the store
-routing decision (row vs columnar).  UPDATE / DELETE targets and
-``SELECT … FOR UPDATE`` locks are the rows of the planner's scan node under
-its residual filter — the same operators a SELECT reads through — and
-changes go through the transaction's buffered-write API, so MVCC and
-validation semantics come for free.
+routing decision (row vs columnar).  UPDATE / DELETE targets and the
+``SELECT … FOR UPDATE`` rows a commit validates are the rows of the
+planner's scan node under its residual filter — the same operators a
+SELECT reads through — and changes go through the transaction's
+buffered-write API, so MVCC and validation semantics come for free.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class Executor:
                 "injected fault at failpoint 'replica.scan'")
         ctx = self._context(txn, params, route_columnar=False)
         if plan.for_update is not None:
-            # the lock read takes the row store whatever the routing, so
-            # the transaction's own writes are locked too
+            # the FOR UPDATE read takes the row store whatever the
+            # routing, so the transaction's own writes are targets too
             table, source = plan.for_update
             for pk, _values in _targets(table, source, ctx):
                 txn.lock_for_update(table.name, pk)

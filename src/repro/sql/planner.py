@@ -26,9 +26,10 @@ already prove.  The bound equalities of a PK lookup or PK-prefix scan hold
 for every row it returns and are not evaluated again; a secondary-index
 path proves nothing (its entries may be stale), so its filter re-applies
 the whole predicate.  That scan under its residual filter is also what
-UPDATE / DELETE read their targets and ``SELECT … FOR UPDATE`` its locks
-through, and an index join probes its inner table with the keyed read of
-a ``PKLookup`` / ``PKPrefixScan``: one reader per access path.
+UPDATE / DELETE read their targets through and ``SELECT … FOR UPDATE`` the
+rows its commit validates, and an index join probes its inner table with
+the keyed read of a ``PKLookup`` / ``PKPrefixScan``: one reader per access
+path.
 
 Operators speak the two-way protocol of ``repro.sql.plannode``: the full
 and PK-prefix scans, filters, projections, hash and index joins,
@@ -814,7 +815,7 @@ class SelectPlan:
     root: PlanNode
     columns: list[str]
     # FOR UPDATE: the table and the scan (under its residual filter) whose
-    # rows the statement locks before it runs
+    # rows the statement's commit validates
     for_update: tuple[Table, PlanNode] | None = None
     # alternative vectorized physical plan (None when any operator is
     # unsupported); used when the statement is routed to the columnar

@@ -94,6 +94,3 @@ class BufferPool:
             self._pages.popitem(last=False)
             self.stats.evictions += 1
         self._pages[page] = None
-
-    def reset_stats(self):
-        self.stats = BufferPoolStats()

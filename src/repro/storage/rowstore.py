@@ -180,9 +180,6 @@ class TableStore:
         return _scan_chain_batches(
             zip(pks, map(self._chains.__getitem__, pks)), ts, size)
 
-    def pk_prefix_scan(self, prefix: tuple, ts: int) -> Iterator[tuple[tuple, tuple]]:
-        return iter_pairs(self.pk_prefix_scan_batches(prefix, ts))
-
     # -- commit-time installation -------------------------------------------
 
     def install(self, pk: tuple, values: tuple | None, commit_ts: int):
@@ -309,9 +306,6 @@ class PartitionedTableStore:
     def shard_of(self, pk: tuple) -> TableStore:
         return self.shards[self.pmap.partition_of_pk(pk)]
 
-    def partition_of(self, pk: tuple) -> int:
-        return self.pmap.partition_of_pk(pk)
-
     # -- index management --------------------------------------------------
 
     def create_index(self, index: IndexDef, ordered: bool = True):
@@ -367,9 +361,6 @@ class PartitionedTableStore:
     @property
     def row_count(self) -> int:
         return sum(shard.row_count for shard in self.shards)
-
-    def partition_row_counts(self) -> list[int]:
-        return [shard.row_count for shard in self.shards]
 
     def version_count(self) -> int:
         return sum(shard.version_count() for shard in self.shards)
@@ -427,9 +418,6 @@ class RowStorage:
     def stores(self) -> dict[str, TableStore | PartitionedTableStore]:
         return self._stores
 
-    def partition_of(self, pk: tuple) -> int:
-        return self.pmap.partition_of_pk(pk)
-
     def partitions_touched(self, writes) -> tuple[int, ...]:
         """Sorted distinct partition ids a write set lands on."""
         return tuple(sorted({
@@ -464,9 +452,6 @@ class RowStorage:
         for table_name, pk, values, op in writes:
             self.store(table_name).install(pk, values, commit_ts)
         return records
-
-    def table_rows(self, name: str) -> int:
-        return self.store(name).row_count
 
     def total_rows(self) -> int:
         return sum(s.row_count for s in self._stores.values())

@@ -1,6 +1,6 @@
-"""Transactions: MVCC manager, isolation levels, lock manager."""
+"""Transactions: MVCC manager, isolation levels, first-committer-wins
+validation of written and ``SELECT … FOR UPDATE`` rows."""
 
-from repro.txn.locks import LockManager, LockMode, LockStats
 from repro.txn.manager import (
     IsolationLevel,
     Transaction,
@@ -10,9 +10,6 @@ from repro.txn.manager import (
 
 __all__ = [
     "IsolationLevel",
-    "LockManager",
-    "LockMode",
-    "LockStats",
     "Transaction",
     "TransactionManager",
     "TxnStatus",

@@ -10,6 +10,12 @@ fresh commit timestamp (optimistic concurrency, as in TiDB's default mode):
   (MemSQL only offers this level, per the paper); no first-committer-wins
   validation, conflicts instead surface as lock waits in the simulator.
 
+``SELECT … FOR UPDATE`` takes no lock (TiDB's optimistic mode): its target
+rows join the validated keys, so under the two validating levels a
+concurrent commit that updated, deleted or inserted one of them after
+``start_ts`` aborts this commit.  A transaction whose only effect is
+``FOR UPDATE`` validates its keys and then commits read-only.
+
 Reads merge the transaction's own write buffer over the store snapshot, so a
 transaction always sees its own effects — crucial for hybrid transactions,
 whose embedded real-time query must observe the online statements that
@@ -32,7 +38,6 @@ from repro.errors import (
 )
 from repro.storage.rowstore import SCAN_BATCH_ROWS, RowStorage, iter_pairs
 from repro.storage.wal import LogOp
-from repro.txn.locks import LockManager, LockMode
 
 
 class IsolationLevel(Enum):
@@ -76,9 +81,8 @@ class Transaction:
         # the same buffer per table, table -> {pk: values | None}: what a
         # scan of that table overlays on the store snapshot
         self._local: dict[str, dict[tuple, tuple | None]] = {}
-        self._read_keys: set[tuple] = set()
-        self.lock_conflicts: list[int] = []  # txn ids we conflicted with
-        self.statements = 0
+        # (table, pk) of SELECT ... FOR UPDATE targets: validated at commit
+        self.for_update_keys: set[tuple] = set()
 
     @property
     def manager(self) -> "TransactionManager":
@@ -95,7 +99,6 @@ class Transaction:
     def statement_begin(self):
         """Per-statement bookkeeping; refreshes the snapshot under RC."""
         self._check_active()
-        self.statements += 1
         if self.isolation.statement_snapshot:
             self.read_ts = self._manager.current_ts()
 
@@ -110,7 +113,6 @@ class Transaction:
     def get(self, table: str, pk: tuple) -> tuple | None:
         self._check_active()
         key = (table.upper(), pk)
-        self._read_keys.add(key)
         if key in self._writes:
             return self._writes[key][0]
         return self._manager.storage.store(table).get(pk, self.read_ts)
@@ -183,7 +185,6 @@ class Transaction:
             raise IntegrityError(
                 f"duplicate primary key {pk} in table {table}"
             )
-        self._lock(table.upper(), pk)
         self._buffer(key, values, LogOp.INSERT)
 
     def update(self, table: str, pk: tuple, values: tuple):
@@ -191,7 +192,6 @@ class Transaction:
         key = (table.upper(), pk)
         if self.get(table, pk) is None:
             raise IntegrityError(f"update of missing row {pk} in table {table}")
-        self._lock(table.upper(), pk)
         op = LogOp.INSERT if key in self._writes and \
             self._writes[key][1] is LogOp.INSERT else LogOp.UPDATE
         self._buffer(key, values, op)
@@ -201,7 +201,6 @@ class Transaction:
         key = (table.upper(), pk)
         if self.get(table, pk) is None:
             raise IntegrityError(f"delete of missing row {pk} in table {table}")
-        self._lock(table.upper(), pk)
         self._buffer(key, None, LogOp.DELETE)
 
     def _buffer(self, key: tuple, values: tuple | None, op: LogOp):
@@ -210,16 +209,9 @@ class Transaction:
         self._local.setdefault(table, {})[pk] = values
 
     def lock_for_update(self, table: str, pk: tuple):
-        """SELECT ... FOR UPDATE: take the write intent without writing."""
+        """SELECT ... FOR UPDATE: validate the row at commit, write nothing."""
         self._check_active()
-        self._lock(table.upper(), pk)
-
-    def _lock(self, table: str, pk: tuple):
-        conflicts = self._manager.locks.acquire(
-            self.txn_id, table, pk, LockMode.EXCLUSIVE
-        )
-        if conflicts:
-            self.lock_conflicts.extend(conflicts)
+        self.for_update_keys.add((table.upper(), pk))
 
     # -- introspection --------------------------------------------------------
 
@@ -242,10 +234,8 @@ class Transaction:
 class TransactionManager:
     """Issues timestamps, runs commit validation, installs write sets."""
 
-    def __init__(self, storage: RowStorage, lock_manager: LockManager | None = None,
-                 failpoints=None):
+    def __init__(self, storage: RowStorage, failpoints=None):
         self.storage = storage
-        self.locks = lock_manager or LockManager()
         self.failpoints = failpoints
         self._ts = itertools.count(1)
         self._latest_ts = 0
@@ -257,8 +247,6 @@ class TransactionManager:
         self._ts_lock = threading.Lock()
         self.ts_lock_contention = 0
         self._txn_ids = itertools.count(1)
-        self._active: dict[int, Transaction] = {}
-        self.commits = 0
         self.aborts = 0
         # commit-path classification: one participant partition -> fast
         # path; several -> two-phase (all logged under one commit_ts)
@@ -294,20 +282,18 @@ class TransactionManager:
 
     def begin(self, isolation: IsolationLevel = IsolationLevel.SNAPSHOT
               ) -> Transaction:
-        txn = Transaction(self, next(self._txn_ids), self._latest_ts, isolation)
-        self._active[txn.txn_id] = txn
-        return txn
+        return Transaction(self, next(self._txn_ids), self._latest_ts,
+                           isolation)
 
     def commit(self, txn: Transaction):
         txn._check_active()
         try:
+            if txn.isolation.validates_writes:
+                self._validate(txn)
             if txn.is_read_only:
                 txn.status = TxnStatus.COMMITTED
                 txn.commit_ts = self._latest_ts
-                self.commits += 1
                 return
-            if txn.isolation.validates_writes:
-                self._validate(txn)
             write_set = txn.write_set
             participants = self.storage.partitions_touched(write_set)
             if len(participants) > 1 and self.failpoints is not None:
@@ -332,32 +318,29 @@ class TransactionManager:
             else:
                 self.single_partition_commits += 1
             txn.status = TxnStatus.COMMITTED
-            self.commits += 1
         except Exception:
             txn.status = TxnStatus.ABORTED
             self.aborts += 1
             raise
-        finally:
-            self._finish(txn)
 
     def rollback(self, txn: Transaction):
         if txn.status is TxnStatus.ACTIVE:
             txn.status = TxnStatus.ABORTED
             self.aborts += 1
-            self._finish(txn)
 
     def _validate(self, txn: Transaction):
-        """First-committer-wins: abort if any written row changed since start."""
-        for table, pk, _values, op in txn.write_set:
+        """First-committer-wins: abort if any written or ``FOR UPDATE`` row
+        changed since start.  A key both written and selected ``FOR
+        UPDATE`` is checked once, by the write rule."""
+        writes = txn._writes
+        for key in itertools.chain(writes, txn.for_update_keys - writes.keys()):
+            table, pk = key
             latest = self.storage.store(table).latest_committed(pk)
             if latest is not None and latest.begin_ts > txn.start_ts:
-                if op is LogOp.INSERT and latest.values is None:
+                if (latest.values is None and key in writes
+                        and writes[key][1] is LogOp.INSERT):
                     continue  # concurrent delete then our insert is fine
                 raise WriteConflictError(
-                    f"write-write conflict on {table}{pk}: committed at "
+                    f"write conflict on {table}{pk}: committed at "
                     f"{latest.begin_ts} > snapshot {txn.start_ts}"
                 )
-
-    def _finish(self, txn: Transaction):
-        self.locks.release_all(txn.txn_id)
-        self._active.pop(txn.txn_id, None)

@@ -274,7 +274,8 @@ def make_queries() -> list[TransactionProfile]:
     ]
 
 
-# table-access footprint used by tests and the Table I bench
+# table-access footprint of each query: the data behind the tests of the
+# stitch schema's query coverage (paper §III-B2)
 QUERY_TABLES = {
     "Q1": {"order_line"},
     "Q2": {"item", "supplier", "stock", "nation", "region"},

@@ -1,14 +1,10 @@
-"""Analysis tools: Little's law, lock overhead, interference, scaling."""
+"""Analysis tools: lock overhead, interference, scaling."""
 
 import pytest
 
 from repro.analysis import (
     InterferenceMatrix,
-    LoadPoint,
     ScalingStudy,
-    arrival_rate_for,
-    average_in_flight,
-    latency_for,
     lock_overhead,
     normalised_lock_overhead,
 )
@@ -31,36 +27,6 @@ def report_with(kind="oltp", completed=100, latencies=(10.0,),
     report.lock_acquisitions = acquisitions
     report.busy_ms = {"row": busy}
     return report
-
-
-class TestLittlesLaw:
-    def test_l_equals_lambda_w(self):
-        # 100 req/s at 50 ms each -> 5 in flight
-        assert average_in_flight(100.0, 50.0) == pytest.approx(5.0)
-
-    def test_inverses(self):
-        rate = arrival_rate_for(target_in_flight=45.0, avg_latency_ms=90.0)
-        assert rate == pytest.approx(500.0)
-        assert latency_for(45.0, rate) == pytest.approx(90.0)
-
-    def test_paper_operating_point(self):
-        """The paper holds L ~= 45 online transactions in a stable TiDB."""
-        rate = arrival_rate_for(45.0, avg_latency_ms=1500.0)
-        assert average_in_flight(rate, 1500.0) == pytest.approx(45.0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            average_in_flight(-1, 10)
-        with pytest.raises(ValueError):
-            arrival_rate_for(10, 0)
-        with pytest.raises(ValueError):
-            latency_for(10, 0)
-
-    def test_load_point_residual(self):
-        point = LoadPoint(100.0, 50.0, measured_in_flight=6.0)
-        assert point.predicted_in_flight == pytest.approx(5.0)
-        assert point.residual == pytest.approx(1.0)
-        assert LoadPoint(1.0, 1.0).residual is None
 
 
 class TestLockOverhead:

@@ -54,19 +54,5 @@ class TestProbe:
         engine.db.bulk_load("t", ((i, i) for i in range(10_000)))
         second = probe.sample(1.0)
         assert not second.columnar_eligible
-        assert probe.max_lag >= 9000
-        assert probe.columnar_availability == 0.5
-
-    def test_time_to_catch_up(self, engine):
-        engine.db.bulk_load("t", ((i, i) for i in range(1500)))
-        probe = FreshnessProbe(engine)
-        probe.sample(0.0)
-        expected = replication_lag_records(engine) / \
-            engine.replication.apply_rate
-        assert probe.time_to_catch_up() == pytest.approx(expected)
-
-    def test_no_replica_catches_up_instantly(self):
-        memsql = MemSQLCluster(nodes=4)
-        probe = FreshnessProbe(memsql)
-        assert probe.time_to_catch_up() == 0.0
-        assert probe.columnar_availability == 1.0
+        assert max(s.lag_records for s in probe.samples) >= 9000
+        assert [s.columnar_eligible for s in probe.samples] == [True, False]

@@ -101,8 +101,8 @@ class TestTable:
     def test_composite_pk_detection(self):
         table = Table("t2", [Column("a", INT), Column("b", INT)],
                       primary_key=("a", "b"))
-        assert table.composite_primary_key()
-        assert not make_table().composite_primary_key()
+        assert table.pk_positions == (0, 1)
+        assert make_table().pk_positions == (0,)
         assert table.pk_of((1, 2)) == (1, 2)
 
     def test_pk_positions_are_computed_once(self):

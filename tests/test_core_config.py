@@ -26,13 +26,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             BenchConfig(**kwargs)
 
-    def test_with_rates_copies(self):
-        base = BenchConfig(oltp_rate=10, olap_rate=1)
-        swept = base.with_rates(olap=4)
-        assert swept.olap_rate == 4
-        assert swept.oltp_rate == 10
-        assert base.olap_rate == 1  # original untouched
-
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             BenchConfig.from_dict({"tps": 100})

@@ -178,7 +178,7 @@ class TestAccounting:
         tidb.account(0.0, olap_work(rows=20_000))
         tidb.reset_sim()
         assert tidb.groups["row"].busy_ms == 0.0
-        assert tidb.db.storage.table_rows("t") >= 1000
+        assert tidb.db.storage.store("t").row_count >= 1000
         assert tidb.account(0.0, oltp_work()).queue_wait == 0.0
 
 

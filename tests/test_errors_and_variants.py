@@ -13,7 +13,6 @@ class TestErrorHierarchy:
                      "BindError", "PlanError", "ExecutionError",
                      "IntegrityError", "TransactionError",
                      "TransactionAborted", "WriteConflictError",
-                     "DeadlockError", "LockTimeoutError",
                      "ConnectionStateError", "ConfigError", "WorkloadError",
                      "UnsupportedFeatureError"):
             cls = getattr(errors, name)
@@ -22,18 +21,13 @@ class TestErrorHierarchy:
     def test_aborts_are_transaction_errors(self):
         assert issubclass(errors.WriteConflictError,
                           errors.TransactionAborted)
-        assert issubclass(errors.DeadlockError, errors.TransactionAborted)
-        assert issubclass(errors.LockTimeoutError,
-                          errors.TransactionAborted)
         assert issubclass(errors.TransactionAborted,
                           errors.TransactionError)
 
     def test_retry_protocol_catchable_as_one_type(self):
-        """Drivers retry on TransactionAborted; both abort kinds qualify."""
-        for exc in (errors.WriteConflictError("x"),
-                    errors.DeadlockError("y")):
-            with pytest.raises(errors.TransactionAborted):
-                raise exc
+        """Drivers retry on TransactionAborted; a write conflict qualifies."""
+        with pytest.raises(errors.TransactionAborted):
+            raise errors.WriteConflictError("x")
 
     def test_syntax_error_carries_position(self):
         err = errors.SQLSyntaxError("bad", position=17)

@@ -63,7 +63,7 @@ class TestPartitionedRowStore:
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
         db.bulk_load("t", [(i, i) for i in range(16)])
         store = db.storage.store("t")
-        assert store.partition_row_counts() == [4, 4, 4, 4]
+        assert [shard.row_count for shard in store.shards] == [4, 4, 4, 4]
         for i in range(16):
             assert store.shards[db.partition_map.partition_of_value(i)] \
                 .get((i,), ts=10**6) is not None
@@ -349,7 +349,8 @@ class TestEnginePartitioning:
         engine = make_engine("tidb", nodes=8)
         assert engine.partitions == 8
         assert engine.db.partitions == 8
-        assert set(engine.partition_placement().values()) <= \
+        assert {engine.partition_node(pid)
+                for pid in range(engine.partitions)} <= \
             set(range(engine.oltp_nodes()))
 
     def test_partition_count_override(self):

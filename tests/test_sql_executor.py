@@ -518,18 +518,19 @@ def test_off_pk_dml_and_lock_targets_match_scan_oracle(partitions, path,
                                                        statement):
     """UPDATE / DELETE / ``SELECT … FOR UPDATE`` targets through a
     secondary index and a full scan, over the transaction's own writes and
-    a committed index-key change: target rows, resulting rows, locks and
-    every row-access counter.  The FOR UPDATE runs routed columnar; its
-    lock read still reads the row store, own writes included."""
+    a committed index-key change: target rows, resulting rows, the keys
+    the commit validates and every row-access counter.  The FOR UPDATE
+    runs routed columnar; its target read still reads the row store, own
+    writes included."""
     db, conn, txn, visible = _off_pk_reader(partitions)
     where, params, keep, index_lookups, full_scans, read = \
         OFF_PK_PATHS[path]
     targets = sorted(pk for pk, row in visible.items() if keep(row))
     after = dict(visible)
-    locks = db.txn_manager.locks
-    # every target is write-locked, by the write or by FOR UPDATE
-    held = locks.held_by(txn.txn_id) | {("S", pk) for pk in targets}
-    # reads of the path: the target (or lock) read on the row store, plus
+    # the commit validates exactly the targets, written or selected FOR
+    # UPDATE, plus the transaction's own earlier writes
+    validated = txn.written_keys() | {("S", pk) for pk in targets}
+    # reads of the path: the target read on the row store, plus
     # a FOR UPDATE's own read — the same path, but a routed full scan
     # takes the replica, where rows 3, 4 and 6 match
     row_reads, replica_reads = 1, 0
@@ -556,7 +557,7 @@ def test_off_pk_dml_and_lock_targets_match_scan_oracle(partitions, path,
         assert result.rowcount == len(targets)
         written = {"s": len(targets)} if targets else {}
     assert dict(result.stats.writes) == written
-    assert locks.held_by(txn.txn_id) == held
+    assert txn.written_keys() | txn.for_update_keys == validated
     assert dict(txn.scan("s")) == after
     stats = result.stats
     scans = (row_reads + replica_reads) * full_scans

@@ -19,6 +19,7 @@ from repro.storage import (
     TableStore,
     WriteAheadLog,
 )
+from repro.storage.rowstore import iter_pairs
 from repro.storage.wal import LogOp
 from repro.workloads import make_workload
 
@@ -134,7 +135,7 @@ class TestMVCCTableStore:
         for a in range(3):
             for b in range(3):
                 store.install((a, b), (a, b, a * b), commit_ts=1)
-        rows = dict(store.pk_prefix_scan((1,), ts=1))
+        rows = dict(iter_pairs(store.pk_prefix_scan_batches((1,), ts=1)))
         assert set(rows) == {(1, 0), (1, 1), (1, 2)}
 
     def test_secondary_index_maintained_on_update(self):

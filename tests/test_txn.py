@@ -1,8 +1,10 @@
-"""Transactions: isolation levels, write conflicts, locks, visibility."""
+"""Transactions: isolation levels, write conflicts, FOR UPDATE validation,
+visibility."""
 
 import pytest
 
 from repro.catalog import INT, VARCHAR, Column, Table
+from repro.db import Database
 from repro.errors import (
     ConnectionStateError,
     IntegrityError,
@@ -11,8 +13,6 @@ from repro.errors import (
 from repro.storage import RowStorage
 from repro.txn import (
     IsolationLevel,
-    LockManager,
-    LockMode,
     TransactionManager,
     TxnStatus,
 )
@@ -156,73 +156,92 @@ class TestConflicts:
         with pytest.raises(IntegrityError):
             txn.update("t", (9,), (9, "x"))
 
-    def test_locks_released_after_commit(self, manager):
-        txn = manager.begin()
-        txn.insert("t", (1,), (1, "a"))
-        assert manager.locks.active_lock_count() == 1
-        txn.commit()
-        assert manager.locks.active_lock_count() == 0
 
-    def test_lock_conflicts_recorded(self, manager):
-        committed_insert(manager, 1, "a")
-        t1 = manager.begin(IsolationLevel.READ_COMMITTED)
-        t2 = manager.begin(IsolationLevel.READ_COMMITTED)
-        t1.update("t", (1,), (1, "x"))
-        t2.update("t", (1,), (1, "y"))
-        assert t2.lock_conflicts == [t1.txn_id]
-        assert manager.locks.stats.conflicts == 1
+@pytest.fixture
+def accounts():
+    db = Database(partitions=4)
+    db.execute_ddl("CREATE TABLE acct (id INT PRIMARY KEY, bal INT)")
+    db.bulk_load("acct", [(i, 10 * i) for i in range(1, 9)])
+    return db
 
 
-class TestLockManager:
-    def test_shared_locks_compatible(self):
-        locks = LockManager()
-        assert locks.acquire(1, "t", (1,), LockMode.SHARED) == []
-        assert locks.acquire(2, "t", (1,), LockMode.SHARED) == []
+def select_for_update(db, isolation, where):
+    """Open a transaction whose only statement is ``SELECT … FOR UPDATE``."""
+    conn = db.connect(isolation=isolation)
+    txn = conn.begin()
+    conn.execute(f"SELECT id FROM acct WHERE {where} FOR UPDATE")
+    return conn, txn
 
-    def test_exclusive_conflicts_with_shared(self):
-        locks = LockManager()
-        locks.acquire(1, "t", (1,), LockMode.SHARED)
-        assert locks.acquire(2, "t", (1,), LockMode.EXCLUSIVE) == [1]
 
-    def test_reacquire_is_noop(self):
-        locks = LockManager()
-        locks.acquire(1, "t", (1,))
-        assert locks.acquire(1, "t", (1,)) == []
-        assert locks.stats.acquisitions == 1
+# concurrent autocommit statements that each leave row 1 with a committed
+# version newer than the FOR UPDATE transaction's snapshot
+CONCURRENT_CHANGES = {
+    "update": ["UPDATE acct SET bal = bal + 1 WHERE id = 1"],
+    "delete": ["DELETE FROM acct WHERE id = 1"],
+    "reinsert": ["DELETE FROM acct WHERE id = 1",
+                 "INSERT INTO acct (id, bal) VALUES (1, 10)"],
+}
 
-    def test_shared_upgrades_to_exclusive(self):
-        locks = LockManager()
-        locks.acquire(1, "t", (1,), LockMode.SHARED)
-        locks.acquire(1, "t", (1,), LockMode.EXCLUSIVE)
-        assert locks.holders_of("t", (1,)) == {1: LockMode.EXCLUSIVE}
 
-    def test_deadlock_cycle_detected(self):
-        locks = LockManager()
-        locks.acquire(1, "t", (1,))
-        locks.acquire(2, "t", (2,))
-        locks.acquire(1, "t", (2,))   # 1 waits for 2
-        locks.acquire(2, "t", (1,))   # 2 waits for 1 -> cycle
-        assert locks.would_deadlock(2)
-        assert locks.stats.deadlocks >= 1
+class TestForUpdateValidation:
+    """``SELECT … FOR UPDATE`` takes no lock (TiDB's optimistic mode): its
+    rows join first-committer-wins validation at commit."""
 
-    def test_no_deadlock_on_chain(self):
-        locks = LockManager()
-        locks.acquire(1, "t", (1,))
-        locks.acquire(2, "t", (1,))  # 2 waits for 1
-        assert not locks.would_deadlock(2)
+    @pytest.mark.parametrize("change", sorted(CONCURRENT_CHANGES))
+    def test_snapshot_concurrent_write_aborts_commit(self, accounts, change):
+        conn, txn = select_for_update(accounts, IsolationLevel.SNAPSHOT,
+                                      "id = 1")
+        assert txn.for_update_keys == {("ACCT", (1,))}
+        for sql in CONCURRENT_CHANGES[change]:
+            accounts.query(sql)
+        aborts = accounts.txn_manager.aborts
+        with pytest.raises(WriteConflictError):
+            conn.commit()
+        assert txn.status is TxnStatus.ABORTED
+        assert accounts.txn_manager.aborts == aborts + 1
 
-    def test_release_all_clears_edges(self):
-        locks = LockManager()
-        locks.acquire(1, "t", (1,))
-        locks.acquire(2, "t", (1,))
-        locks.release_all(1)
-        assert locks.holders_of("t", (1,)) == {2: LockMode.EXCLUSIVE}
-        assert not locks.would_deadlock(2)
+    def test_read_committed_validates_nothing(self, accounts):
+        conn, txn = select_for_update(
+            accounts, IsolationLevel.READ_COMMITTED, "id = 1")
+        assert txn.for_update_keys == {("ACCT", (1,))}
+        accounts.query("UPDATE acct SET bal = bal + 1 WHERE id = 1")
+        conn.commit()
+        assert txn.status is TxnStatus.COMMITTED
 
-    def test_per_table_accounting(self):
-        locks = LockManager()
-        locks.acquire(1, "a", (1,))
-        locks.acquire(1, "a", (2,))
-        locks.acquire(1, "b", (1,))
-        assert locks.stats.by_table["a"] == 2
-        assert locks.stats.by_table["b"] == 1
+    def test_write_to_unselected_row_does_not_abort(self, accounts):
+        conn, txn = select_for_update(accounts, IsolationLevel.SNAPSHOT,
+                                      "id = 1")
+        accounts.query("UPDATE acct SET bal = bal + 1 WHERE id = 2")
+        accounts.query("INSERT INTO acct (id, bal) VALUES (9, 90)")
+        conn.commit()
+        assert txn.status is TxnStatus.COMMITTED
+        assert txn.for_update_keys == {("ACCT", (1,))}
+
+    def test_for_update_only_commit_is_read_only(self, accounts):
+        manager = accounts.txn_manager
+        counts = (manager.single_partition_commits,
+                  manager.multi_partition_commits, manager.current_ts())
+        conn, txn = select_for_update(accounts, IsolationLevel.SNAPSHOT,
+                                      "id <= 4")
+        assert txn.for_update_keys == {("ACCT", (i,)) for i in range(1, 5)}
+        conn.commit()
+        assert txn.status is TxnStatus.COMMITTED
+        assert txn.commit_partitions == ()
+        assert (manager.single_partition_commits,
+                manager.multi_partition_commits,
+                manager.current_ts()) == counts
+
+    def test_written_key_checked_once_by_the_write_rule(self, accounts):
+        """Row 1 is selected FOR UPDATE and then deleted and re-inserted:
+        a concurrent delete is the write rule's one exception, so the
+        FOR UPDATE does not turn it into a conflict."""
+        conn, txn = select_for_update(accounts, IsolationLevel.SNAPSHOT,
+                                      "id = 1")
+        conn.execute("DELETE FROM acct WHERE id = 1")
+        conn.execute("INSERT INTO acct (id, bal) VALUES (1, 11)")
+        accounts.query("DELETE FROM acct WHERE id = 1")
+        conn.commit()
+        assert txn.status is TxnStatus.COMMITTED
+        assert txn.for_update_keys <= txn.written_keys()
+        assert accounts.query(
+            "SELECT bal FROM acct WHERE id = 1").rows == [(11,)]

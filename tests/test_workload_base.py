@@ -112,7 +112,7 @@ class TestInstall:
         workload = Fibenchmark()
         workload.install(db, Random(5), scale=0.01)
         assert db.catalog.has_table("account")
-        assert db.storage.table_rows("account") >= 100
+        assert db.storage.store("account").row_count >= 100
         assert db.replication_lag() == 0  # install replicates
 
     def test_feature_summary_without_db_probes_schema(self):

@@ -27,24 +27,25 @@ class TestSubenchLoader:
         return install("subenchmark", scale=1.0)
 
     def test_cardinalities(self, db):
-        assert db.storage.table_rows("warehouse") == 1
-        assert db.storage.table_rows("district") == DISTRICTS_PER_WAREHOUSE
-        assert db.storage.table_rows("customer") == \
+        assert db.storage.store("warehouse").row_count == 1
+        assert db.storage.store("district").row_count == \
+            DISTRICTS_PER_WAREHOUSE
+        assert db.storage.store("customer").row_count == \
             DISTRICTS_PER_WAREHOUSE * CUSTOMERS_PER_DISTRICT
-        assert db.storage.table_rows("item") == ITEMS
-        assert db.storage.table_rows("stock") == ITEMS
-        assert db.storage.table_rows("orders") == \
-            db.storage.table_rows("customer")
-        assert db.storage.table_rows("history") == \
-            db.storage.table_rows("customer")
+        assert db.storage.store("item").row_count == ITEMS
+        assert db.storage.store("stock").row_count == ITEMS
+        assert db.storage.store("orders").row_count == \
+            db.storage.store("customer").row_count
+        assert db.storage.store("history").row_count == \
+            db.storage.store("customer").row_count
 
     def test_order_lines_match_declared_counts(self, db):
         declared = db.query("SELECT SUM(o_ol_cnt) FROM orders").scalar()
-        assert db.storage.table_rows("order_line") == declared
+        assert db.storage.store("order_line").row_count == declared
 
     def test_new_order_backlog_fraction(self, db):
-        undelivered = db.storage.table_rows("new_order")
-        orders = db.storage.table_rows("orders")
+        undelivered = db.storage.store("new_order").row_count
+        orders = db.storage.store("orders").row_count
         assert 0.2 < undelivered / orders < 0.4
 
     def test_undelivered_orders_have_null_carrier(self, db):
@@ -62,8 +63,8 @@ class TestSubenchLoader:
 
     def test_warehouse_scale(self):
         db = install("subenchmark", scale=2.0)
-        assert db.storage.table_rows("warehouse") == 2
-        assert db.storage.table_rows("district") == \
+        assert db.storage.store("warehouse").row_count == 2
+        assert db.storage.store("district").row_count == \
             2 * DISTRICTS_PER_WAREHOUSE
 
     def test_last_name_syllables(self):
@@ -112,9 +113,9 @@ class TestChbenchLoader:
         return install("chbenchmark", scale=1.0)
 
     def test_tpch_side_tables(self, db):
-        assert db.storage.table_rows("supplier") == 100
-        assert db.storage.table_rows("nation") == 25
-        assert db.storage.table_rows("region") == 5
+        assert db.storage.store("supplier").row_count == 100
+        assert db.storage.store("nation").row_count == 25
+        assert db.storage.store("region").row_count == 5
 
     def test_nation_region_linkage(self, db):
         dangling = db.query(
