@@ -49,7 +49,6 @@ _FIG05_ENGAGEMENT = {
     "selective_district": ("segments_pruned", "segments_encoded",
                            "runs_skipped"),
     "sorted_range_scan": ("segments_pruned",),
-    "ordered_topn": ("sort_elided",),
     "grouped_report": ("groups_global_coded",),
     "code_space_join": ("join_code_probes",),
     "full_scan_sketch_grouped": ("sketches_built", "sketches_hit",

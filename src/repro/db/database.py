@@ -119,8 +119,7 @@ class Database:
         self.txn_manager = TransactionManager(self.storage,
                                               failpoints=self.failpoints)
         self.planner = Planner(self.catalog,
-                               build_vectorized=self.columnar is not None,
-                               sort_keys=self.sort_keys)
+                               build_vectorized=self.columnar is not None)
         self.supports_foreign_keys = supports_foreign_keys
         self.enforce_foreign_keys = enforce_foreign_keys and supports_foreign_keys
         self.default_isolation = default_isolation
@@ -146,7 +145,6 @@ class Database:
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_evictions = 0
-        self.plan_cache_contention = 0
 
     @property
     def partitions(self) -> int:
@@ -340,58 +338,42 @@ class Database:
     # -- statement preparation -----------------------------------------------------
 
     def prepare(self, sql: str):
-        plan, _hit, _evicted, _contended = self._prepare(sql)
+        plan, _hit, _evicted = self._prepare(sql)
         return plan
 
-    def _lock_plan_cache(self) -> bool:
-        """Take the plan-cache mutex; True when another session held it."""
-        if self._plan_cache_lock.acquire(blocking=False):
-            return False
-        self.plan_cache_contention += 1
-        self._plan_cache_lock.acquire()
-        return True
-
-    def _prepare(self, sql: str) -> tuple[object, bool, int, int]:
+    def _prepare(self, sql: str) -> tuple[object, bool, int]:
         """Plan lookup through the LRU.
 
-        Returns ``(plan, cache_hit, evictions, contention)`` — the entries
-        this statement's insert displaced and the lock-held-by-another-
-        session encounters, both attributed to the statement's ExecStats.
+        Returns ``(plan, cache_hit, evictions)`` — the entries this
+        statement's insert displaced, attributed to its ExecStats.
         """
         cache = self._plan_cache
-        contended = 1 if self._lock_plan_cache() else 0
-        try:
+        with self._plan_cache_lock:
             plan = cache.get(sql)
             if plan is not None:
                 cache.move_to_end(sql)
                 self.plan_cache_hits += 1
-                return plan, True, 0, contended
-        finally:
-            self._plan_cache_lock.release()
+                return plan, True, 0
         # parse + plan outside the lock: planning is the expensive part and
         # needs no cache state
         statement = parse_sql(sql)
         plan = self.planner.plan(statement)
         evicted = 0
-        if self._lock_plan_cache():
-            contended += 1
-        try:
+        with self._plan_cache_lock:
             racer = cache.get(sql)
             if racer is not None:
                 # another session planned the same statement while we were
                 # outside the lock: keep the installed plan
                 cache.move_to_end(sql)
                 self.plan_cache_hits += 1
-                return racer, True, 0, contended
+                return racer, True, 0
             self.plan_cache_misses += 1
             cache[sql] = plan
             while len(cache) > self.plan_cache_size:
                 cache.popitem(last=False)
                 evicted += 1
                 self.plan_cache_evictions += 1
-        finally:
-            self._plan_cache_lock.release()
-        return plan, False, evicted, contended
+        return plan, False, evicted
 
     # -- connections ------------------------------------------------------------------
 
@@ -467,7 +449,7 @@ class Connection:
         transaction."""
         if self._closed:
             raise ConnectionStateError("connection is closed")
-        plan, cache_hit, evicted, contended = self.db._prepare(sql)
+        plan, cache_hit, evicted = self.db._prepare(sql)
         autocommit = self._txn is None
         if autocommit:
             self.begin()
@@ -513,7 +495,6 @@ class Connection:
         else:
             result.stats.plan_cache_misses += 1
         result.stats.plan_cache_evictions += evicted
-        result.stats.plan_cache_contention += contended
         if autocommit:
             self.commit()
         return result

@@ -110,8 +110,7 @@ class ServerReport(ClassTable):
             cache = self.plan_cache
             lines.append(
                 f"  plan cache: hits={cache['hits']} "
-                f"misses={cache['misses']} evictions={cache['evictions']} "
-                f"contention={cache['contention']}"
+                f"misses={cache['misses']} evictions={cache['evictions']}"
             )
         return "\n".join(lines)
 
@@ -174,8 +173,7 @@ class Server:
         self.admission.reset()
         self._scan_hints = {}
         cache_base = (self.db.plan_cache_hits, self.db.plan_cache_misses,
-                      self.db.plan_cache_evictions,
-                      self.db.plan_cache_contention)
+                      self.db.plan_cache_evictions)
         total_ms = warmup_ms + duration_ms
         states = [
             _ClientState(
@@ -261,7 +259,6 @@ class Server:
             "hits": self.db.plan_cache_hits - cache_base[0],
             "misses": self.db.plan_cache_misses - cache_base[1],
             "evictions": self.db.plan_cache_evictions - cache_base[2],
-            "contention": self.db.plan_cache_contention - cache_base[3],
         }
         for state in states:
             state.session.close()

@@ -45,9 +45,8 @@ class CostParams:
     # delta–main replica maintenance: ordered compaction re-sorts and
     # re-encodes rows in the background (charged to the columnar group per
     # merge), and every scan of a lagging sorted replica pays a small
-    # per-row premium for its delta-overlay rows — they sit in plain,
-    # unencoded tail segments (and ordered scans additionally interleave
-    # them), so they cost more than encoded main rows
+    # per-row premium for its delta-tail rows — they sit in plain,
+    # unencoded tail segments, so they cost more than encoded main rows
     compaction_per_row: float = 0.0008
     delta_merge_per_row: float = 0.0007
     # storage characteristics
@@ -131,9 +130,6 @@ class CostModel:
         cpu += stats.index_range_scans * p.index_lookup
         cpu += stats.join_ops * p.join_op * amplify
         cpu += stats.rows_joined * p.join_per_row * amplify
-        # an elided sort contributes no sort_rows: ordered scans replace
-        # the materialising sort with a streaming merge, whose demand is
-        # the per-row delta-overlay charge below
         cpu += stats.sort_rows * p.sort_per_row
         cpu += stats.delta_rows_pending * p.delta_merge_per_row / parallel
         agg_parallel = parallel if stats.partial_aggregates else 1

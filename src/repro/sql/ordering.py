@@ -1,6 +1,6 @@
 """Canonical value/row ordering shared across the engine layers.
 
-One total order over the SQL value domain is load-bearing in three places:
+One total order over the SQL value domain is load-bearing in two places:
 
 * ``Sort``/``TopN`` break ORDER BY ties with the canonical *row* key, so
   query output is a pure function of the input multiset (partition- and
@@ -9,14 +9,12 @@ One total order over the SQL value domain is load-bearing in three places:
   key using the canonical *value* key (it must never raise on mixed or
   NULL sort-key values) — taken a column at a time by
   ``canonical_column_keys``, which lets a homogeneous column stand as its
-  own key;
-* the merge-on-read scan and the sort-elision operator compare the same
-  canonical keys when interleaving delta rows and partition streams.
+  own key.
 
-Keeping the helpers in one module guarantees all three agree: wherever
-``_sort_key`` comparison is defined (NULLs first, then value), the
+Keeping the helpers in one module guarantees both agree: wherever
+``sort_key`` comparison is defined (NULLs first, then value), the
 canonical key orders identically — it only *extends* that order to pairs
-``_sort_key`` would raise on (mixed types).
+``sort_key`` would raise on (mixed types).
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ def canonical_value_key(value):
 
 
 def canonical_row_key(row: tuple):
-    """Canonical whole-row tiebreak used by Sort/TopN and sort elision."""
+    """Canonical whole-row tiebreak used by Sort/TopN."""
     return tuple(canonical_value_key(v) for v in row)
 
 

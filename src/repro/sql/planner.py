@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from operator import add
 
 from repro.catalog.schema import Catalog, Table
@@ -58,7 +57,7 @@ from repro.sql.expressions import (
     expr_display_name,
 )
 from repro.sql.functions import GroupedAggregation
-from repro.sql.ordering import canonical_row_key, canonical_value_key, sort_key
+from repro.sql.ordering import canonical_row_key, sort_key
 from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
@@ -556,10 +555,10 @@ class Sort(BatchNode):
         ctx.stats.sort_rows += len(rows)
         # canonical tiebreak first, then stable sorts from the
         # least-significant key backwards
-        rows.sort(key=_canonical_row_key)
+        rows.sort(key=canonical_row_key)
         for fn, descending in reversed(self.key_specs):
             rows.sort(
-                key=lambda row: _sort_key(fn(row, ctx)),
+                key=lambda row: sort_key(fn(row, ctx)),
                 reverse=descending,
             )
         yield from chunked(rows, size)
@@ -568,20 +567,12 @@ class Sort(BatchNode):
         return [self.child]
 
 
-# canonical ordering helpers shared with sorted compaction and the
-# merge-on-read scan (repro.sql.ordering); the old private names stay as
-# aliases for the operators below
-_sort_key = sort_key
-_canonical_value_key = canonical_value_key
-_canonical_row_key = canonical_row_key
-
-
 class _TopNKey:
     """Composite sort key with per-component direction.
 
     Compares exactly like the planner's successive sorts: component ``i``
     ascending unless ``descs[i]``, NULLs first ascending / last descending
-    (the order ``reverse=True`` over ``_sort_key`` produces), ties broken
+    (the order ``reverse=True`` over ``sort_key`` produces), ties broken
     by the canonical row key (always ascending).
     """
 
@@ -662,8 +653,8 @@ class TopN(BatchNode):
                        if descending != descs[0]), len(descs))
 
         def full_key(row):
-            return _TopNKey(tuple(_sort_key(fn(row, ctx)) for fn in fns),
-                            descs, _canonical_row_key(row))
+            return _TopNKey(tuple(sort_key(fn(row, ctx)) for fn in fns),
+                            descs, canonical_row_key(row))
 
         rows: list = []             # rows that can still reach the output
         leads: list = []            # their sort-key prefixes
@@ -686,81 +677,6 @@ class TopN(BatchNode):
         if len(rows) > limit:
             rows, leads = self._cut(rows, leads, full_key)
         yield from chunked(sorted(rows, key=full_key), size)
-
-    def children(self):
-        return [self.child]
-
-
-class SortedMerge(PlanNode):
-    """ORDER BY satisfied by scan order: the sort (or heap TopN) is elided.
-
-    The child's row stream arrives ordered on the ORDER BY keys (an
-    ascending prefix of the scanned table's sort key, delivered by the
-    merge-on-read columnar scan); partition streams, each key-sorted on
-    its own, are k-way merged.  Output is *exactly* ``Sort`` followed by
-    ``Limit``: rows stream out grouped by key, with each tie group sorted
-    by the canonical whole-row key — the same tiebreak ``Sort``/``TopN``
-    apply — so eliding the sort can never change results.  With a
-    ``limit`` this degrades to a streaming limit: the scan stops being
-    consumed as soon as enough rows (plus the tail of the last tie group)
-    have been seen.
-
-    ``reverse=True`` handles a uniformly-DESC ordering prefix: partition
-    streams arrive non-increasing on the key (the scan walks segments
-    last-to-first) and are merged descending.  Tie groups are still
-    emitted in ascending canonical whole-row order — exactly what
-    ``Sort``'s stable descending passes over an ascending-tiebroken list
-    produce.
-    """
-
-    def __init__(self, child: PlanNode, key_positions: list[int],
-                 limit: int | None = None, reverse: bool = False):
-        self.child = child
-        self.key_positions = key_positions
-        self.limit = limit
-        self.reverse = reverse
-        self.schema = child.schema
-
-    def _key_of(self, row: tuple) -> tuple:
-        return tuple(canonical_value_key(row[p]) for p in self.key_positions)
-
-    def execute(self, ctx):
-        ctx.stats.sort_elided += 1
-        remaining = self.limit
-        if remaining is not None and remaining <= 0:
-            return
-        key_of = self._key_of
-        streams_fn = getattr(self.child, "execute_streams", None)
-        if streams_fn is not None:
-            streams = list(streams_fn(ctx))
-        else:
-            streams = [self.child.execute(ctx)]
-        # decorate each row with its key once: the k-way merge and the tie
-        # grouping both read the precomputed key instead of rebuilding the
-        # canonical tuple per comparison stage
-        decorated = [((key_of(row), row) for row in stream)
-                     for stream in streams]
-        if len(decorated) == 1:
-            merged = decorated[0]
-        else:
-            merged = heapq.merge(*decorated, key=lambda entry: entry[0],
-                                 reverse=self.reverse)
-        for _key, group in groupby(merged, key=lambda entry: entry[0]):
-            rows = (entry[1] for entry in group)
-            if remaining is None:
-                ready = sorted(rows, key=canonical_row_key)
-            else:
-                # only the first `remaining` rows of this tie group can be
-                # emitted: heap-select them so a huge group (low-cardinality
-                # ordering prefix) costs O(n log limit), not a full sort
-                ready = heapq.nsmallest(remaining, rows,
-                                        key=canonical_row_key)
-            for row in ready:
-                yield row
-                if remaining is not None:
-                    remaining -= 1
-            if remaining is not None and remaining <= 0:
-                return
 
     def children(self):
         return [self.child]
@@ -935,27 +851,11 @@ class Planner:
     ``build_vectorized`` gates the second (vectorized) physical plan; a
     database without a columnar replica turns it off so every prepare
     doesn't build an unreachable operator tree.
-
-    The vectorized plan is order-aware: the planner tracks the scan's
-    sort-key ordering through VFilter/VProject (and the order-preserving
-    probe side of VHashJoin) and replaces Sort/TopN with ``SortedMerge``
-    when the ORDER BY is a uniformly ascending or descending prefix of
-    the scanned table's sort key.  ``sort_keys`` maps UPPER table names to
-    sort-key column tuples overriding the default (the primary key).
     """
 
-    def __init__(self, catalog: Catalog, build_vectorized: bool = True,
-                 sort_keys: dict[str, tuple[str, ...]] | None = None):
+    def __init__(self, catalog: Catalog, build_vectorized: bool = True):
         self.catalog = catalog
         self.build_vectorized = build_vectorized
-        self.sort_keys = sort_keys or {}
-
-    def sort_key_of(self, table: Table) -> list[str]:
-        """Sort-key column names of ``table``: the configured override, or
-        the primary key."""
-        override = self.sort_keys.get(table.name.upper())
-        columns = override if override is not None else table.primary_key
-        return [self._column_key(table, c) for c in columns]
 
     # -- public entry points ------------------------------------------------
 
@@ -994,7 +894,6 @@ class Planner:
         aggs = self._collect_aggregates(select)
         vnode = None          # row-yielding vectorized pipeline (aggregated)
         vector_source = None  # batch-yielding source (batch projection)
-        base_scan = None      # the leftmost VColumnarScan (order tracking)
         vtables: tuple = ()
         if vsource is not None:
             vtables = tuple(vsource[1])
@@ -1010,7 +909,6 @@ class Planner:
             raise PlanError("HAVING requires GROUP BY or aggregates")
         elif vsource is not None:
             vector_source = vsource[0]
-            base_scan = vsource[2]
 
         spec = self._presentation_spec(select, node.schema)
 
@@ -1019,8 +917,7 @@ class Planner:
         if vnode is not None:
             vroot = self._finish_row(select, vnode, spec)
         elif vector_source is not None:
-            vroot = self._finish_vector(select, vector_source, spec,
-                                        base_scan)
+            vroot = self._finish_vector(select, vector_source, spec)
 
         for_update = None
         if select.for_update:
@@ -1104,76 +1001,14 @@ class Planner:
         return self._presentation_tail(select, node, spec)
 
     def _finish_vector(self, select: ast.Select, vnode,
-                       spec: "_Presentation",
-                       base_scan: VColumnarScan | None = None) -> PlanNode:
+                       spec: "_Presentation") -> PlanNode:
         """Presentation over a (non-aggregated) batch source: project
-        column-at-a-time, then bridge to the shared row tail.
-
-        Order awareness: when the ORDER BY keys are an ascending prefix of
-        the base scan's sort key, the scan is switched to ordered
-        merge-on-read and the Sort/TopN is elided (``SortedMerge``) — a
-        streaming pass that only canonical-sorts tie groups.
-        """
+        column-at-a-time, then bridge to the shared row tail."""
         sub = self._plan_subquery
         fns = [compile_batch_expr(e, vnode.schema, sub)
                for e in spec.all_exprs]
         node = BatchRows(VProject(vnode, fns, spec.all_names))
-        elided = self._elidable_key_positions(select, spec, base_scan)
-        if elided is None:
-            return self._presentation_tail(select, node, spec)
-        keys, reverse = elided
-        base_scan.ordered = True
-        base_scan.descending = reverse
-        node = SortedMerge(node, keys, select.limit, reverse=reverse)
-        if spec.hidden:
-            node = Project(
-                node,
-                [column_fn(i) for i in range(len(spec.names))],
-                spec.names,
-            )
-        return node
-
-    def _elidable_key_positions(self, select: ast.Select,
-                                spec: "_Presentation",
-                                base_scan: VColumnarScan | None):
-        """``(key positions, reverse)`` when the sort can ride the scan's
-        sort-key order; ``None`` when a Sort is required.
-
-        Requirements: an ORDER BY present, all keys in the *same*
-        direction (uniformly ASC rides the forward scan, uniformly DESC
-        the reverse scan; a mixed ordering matches neither walk), no
-        DISTINCT (Distinct re-orders first occurrences),
-        and the j-th key must be a plain reference to the j-th sort-key
-        column of the scanned base table (so the scan's ordering is the
-        query's ordering).  VFilter/VProject preserve row order and
-        VHashJoin preserves probe-side order, so the property survives the
-        whole vectorized pipeline.
-        """
-        if base_scan is None or not spec.key_positions or select.distinct:
-            return None
-        sort_columns = self.sort_key_of(base_scan.table)
-        if len(spec.key_positions) > len(sort_columns):
-            return None
-        table = base_scan.table
-        reverse = spec.key_positions[0][1]
-        for j, (position, descending) in enumerate(spec.key_positions):
-            if descending != reverse:
-                return None
-            expr = spec.all_exprs[position]
-            if not isinstance(expr, ast.ColumnRef):
-                return None
-            if expr.table is not None:
-                if expr.table.upper() != base_scan.binding:
-                    return None
-            elif select.joins:
-                # an unqualified name could bind to a joined table; only
-                # trust it when the base table is the sole binding
-                return None
-            if not table.has_column(expr.name):
-                return None
-            if self._column_key(table, expr.name) != sort_columns[j]:
-                return None
-        return [position for position, _desc in spec.key_positions], reverse
+        return self._presentation_tail(select, node, spec)
 
     def _presentation_tail(self, select: ast.Select, node: PlanNode,
                            spec: "_Presentation") -> PlanNode:

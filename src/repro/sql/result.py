@@ -150,29 +150,23 @@ class ExecStats:
     values_decoded: int = counter()
     # delta–main counters: ordered-compaction merge output (the benchmark
     # runner attributes the merges a request's engine tick triggered to
-    # the run report), delta-overlay rows the merge-on-read scans had to
-    # consider, ORDER BYs satisfied by scan order (Sort/TopN elided), and
-    # batches grouped in DICT-code space by the encoded group-by
+    # the run report), delta-tail rows the merge-on-read scans had to
+    # consider, and batches grouped in DICT-code space by the encoded
+    # group-by
     segments_merged: int = counter(section="delta-main")
     delta_rows_pending: int = counter(section="delta-main")
-    sort_elided: int = counter(section="delta-main")
     groups_coded: int = counter(section="delta-main")
     # shared-dictionary counters: join probe rows compared as global
     # integer codes (no string materialisation) and batches grouped
     # against the table-level accumulator array
     join_code_probes: int = counter(section="shared dicts")
     groups_global_coded: int = counter(section="shared dicts")
-    # statement-plan LRU cache outcome for this statement: lookup result,
-    # LRU entries this statement's insert displaced, and how many times the
-    # cache mutex was found held by another session (contention is zero in
-    # the cooperative scheduler; it becomes live when sessions run on real
-    # threads)
+    # statement-plan LRU cache outcome for this statement: lookup result
+    # and LRU entries this statement's insert displaced
     plan_cache_hits: int = counter(section="plan cache", label="hits")
     plan_cache_misses: int = counter(section="plan cache", label="misses")
     plan_cache_evictions: int = counter(section="plan cache",
                                         label="evictions")
-    plan_cache_contention: int = counter(section="plan cache",
-                                         label="contention")
     # partition counters: how many hash partitions each access touched and
     # how many it proved irrelevant (PK routing / partition-key pruning)
     partitions_scanned: int = counter(section="partitions", label="scanned")

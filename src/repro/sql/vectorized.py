@@ -25,6 +25,7 @@ and fold order of ``repro.sql.expressions``.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 from repro.errors import ExecutionError
 from repro.sql import ast
@@ -714,21 +715,11 @@ class VColumnarScan(VectorNode):
 
     def __init__(self, table, binding: str,
                  pushed: list[PushedPredicate] | None = None,
-                 columns: list[str] | None = None,
-                 ordered: bool = False,
-                 descending: bool = False):
+                 columns: list[str] | None = None):
         self.table = table
         self.binding = binding
         self.pushed = pushed or []
         self.columns = columns
-        # True asks the table for merge-on-read in sort-key order
-        # (main segments interleaved with the delta overlay), so the
-        # planner can elide the Sort above — set by the planner when the
-        # ORDER BY is a (uniformly ascending or uniformly descending)
-        # prefix of the table's sort key; ``descending`` flips the walk to
-        # reverse sort-key order
-        self.ordered = ordered
-        self.descending = descending
         self.partition_position = table.pk_positions[0]
         names = table.column_names if columns is None else columns
         self.positions = [table.position(c) for c in names]
@@ -806,8 +797,8 @@ class VColumnarScan(VectorNode):
             break
         return tuple(lo), tuple(hi)
 
-    def _main_segment_span(self, part, snap, preds, stats):
-        """``(main_segments, start, stop)`` after binary-search pruning.
+    def _partition_segments(self, part, snap, preds, skip_segment, stats):
+        """Segments to scan, in physical order: span-pruned main, then delta.
 
         Sorted main segments have disjoint, ordered key ranges, so a
         predicate binding a sort-key prefix selects one contiguous span
@@ -816,25 +807,15 @@ class VColumnarScan(VectorNode):
         consistent ``read_snapshot()`` — segments and bounds come from one
         locked view so a concurrent compaction swap cannot misalign them.
         """
-        main, main_lo, main_hi, _delta = snap
-        if not main or not preds:
-            return main, 0, len(main)
-        lo, hi = self._span_keys(part, preds)
-        if not lo and not hi:
-            return main, 0, len(main)
-        start, stop = part.span_of(main_lo, main_hi, lo, hi)
-        stats.segments_pruned += sum(
-            1 for idx in range(len(main))
-            if (idx < start or idx >= stop) and main[idx].live_count)
-        return main, start, stop
-
-    def _partition_segments(self, part, snap, preds, skip_segment, stats):
-        """Segments to scan, in physical order (span-pruned main + delta)."""
-        main, start, stop = self._main_segment_span(part, snap, preds, stats)
-        for segment in main[start:stop]:
-            if segment.live_count and not skip_segment(segment):
-                yield segment
-        for segment in snap[3]:
+        main, main_lo, main_hi, delta = snap
+        start, stop = 0, len(main)
+        lo, hi = self._span_keys(part, preds) if main and preds else ((), ())
+        if lo or hi:
+            start, stop = part.span_of(main_lo, main_hi, lo, hi)
+            stats.segments_pruned += sum(
+                1 for idx in range(len(main))
+                if (idx < start or idx >= stop) and main[idx].live_count)
+        for segment in chain(main[start:stop], delta):
             if segment.live_count and not skip_segment(segment):
                 yield segment
 
@@ -860,8 +841,7 @@ class VColumnarScan(VectorNode):
         """``(batch, rows)`` for one segment's surviving selection.
 
         ``selection=None`` emits zero-copy column views; an empty
-        selection emits nothing (``(None, 0)``).  Shared by the ordered
-        and unordered scans so batch emission cannot diverge.
+        selection emits nothing (``(None, 0)``).
         """
         positions = self.positions
         if selection is None:
@@ -899,10 +879,6 @@ class VColumnarScan(VectorNode):
         snap = part.read_snapshot()
         stats.delta_rows_pending += sum(
             segment.live_count for segment in snap[3])
-        if self.ordered:
-            yield from self._scan_partition_ordered(part, ctx, preds,
-                                                    skip_segment, snap)
-            return
         scanned = 0
         for segment in self._partition_segments(part, snap, preds,
                                                 skip_segment, stats):
@@ -914,155 +890,6 @@ class VColumnarScan(VectorNode):
                 scanned += rows
                 yield batch
         stats.rows_columnar[name] += scanned
-
-    def _delta_overlay_rows(self, part, preds, skip_segment, stats,
-                            delta_segments) -> list[tuple]:
-        """Surviving delta rows as sorted ``(canonical key, projected row)``."""
-        positions = self.positions
-        key_positions = part.sort_positions
-        delta_rows: list[tuple] = []
-        for segment in delta_segments:
-            if segment.live_count == 0 or skip_segment(segment):
-                continue
-            selection = self._live_selection(segment, preds, stats)
-            if selection is None:
-                selection = list(range(segment.size))
-            if not selection:
-                continue
-            columns = segment.columns
-            for i in selection:
-                delta_rows.append((
-                    tuple(canonical_value_key(columns[p][i])
-                          for p in key_positions),
-                    tuple(columns[p][i] for p in positions),
-                ))
-        delta_rows.sort(key=lambda entry: entry[0])
-        return delta_rows
-
-    @staticmethod
-    def _overlay_units(main, start, stop, lows, highs, delta_rows, preds):
-        """The forward merge-on-read walk as ``(segment, lo, hi)`` units:
-        ``delta_rows[lo:hi]`` keyed in the gap before the next scanned main
-        segment (``segment`` None) or inside ``segment``'s key range; a
-        zone-pruned segment is a unit of its own (``lo`` None) and its
-        range's rows fall to the next gap."""
-        total = len(delta_rows)
-        cursor = 0
-        for idx in range(start, stop):
-            segment = main[idx]
-            if segment.live_count == 0:
-                continue
-            if _zone_pruned(segment, preds):
-                yield segment, None, None
-                continue
-            cut = cursor
-            while cut < total and delta_rows[cut][0] < lows[idx]:
-                cut += 1
-            if cut > cursor:
-                yield None, cursor, cut
-            cursor = cut
-            while cursor < total and delta_rows[cursor][0] <= highs[idx]:
-                cursor += 1
-            yield segment, cut, cursor
-        if cursor < total:
-            yield None, cursor, total
-
-    def _scan_partition_ordered(self, part, ctx, preds, skip_segment, snap):
-        """Merge-on-read in sort-key order, or its reverse (``descending``).
-
-        The surviving delta rows are sorted once and cut by the forward
-        walk (``_overlay_units``) into runs keyed between main segments
-        and runs keyed inside one.  Ascending, the units stream in order:
-        a gap run is one overlay batch, a segment with overlay rows inside
-        is row-merged with them, and an untouched segment streams through
-        as zero-copy/lazy batches exactly like the unordered scan.
-        Descending, the same units stream last-to-first with each unit's
-        rows reversed (an untouched segment is gathered ascending — RLE
-        gathers require ascending selections — then reversed).  The batch
-        stream is monotone on the canonical sort key end-to-end — the
-        property the planner's sort elision relies on; rows tied on a
-        segment-boundary key may sit on either side of it, and the
-        ``SortedMerge`` above re-sorts tie groups canonically.
-
-        A zone-pruned segment is counted, and a gap run emitted, as the
-        stream reaches them, so a scan closed early charges nothing past
-        where it stopped.
-        """
-        stats = ctx.stats
-        positions = self.positions
-        key_positions = part.sort_positions
-        descending = self.descending
-        scanned = 0
-
-        delta_rows = self._delta_overlay_rows(part, preds, skip_segment,
-                                              stats, snap[3])
-        main, start, stop = self._main_segment_span(part, snap, preds, stats)
-        units = self._overlay_units(main, start, stop, snap[1], snap[2],
-                                    delta_rows, preds)
-        if descending:
-            units = reversed(list(units))
-
-        def batch_of(rows):
-            nonlocal scanned
-            if descending:
-                rows.reverse()
-            stats.batches_scanned += 1
-            scanned += len(rows)
-            return Batch([list(col) for col in zip(*rows)], len(rows))
-
-        gap = None      # a gap run's rows, emitted ahead of the next segment
-        for segment, lo, hi in units:
-            if segment is None:
-                gap = [entry[1] for entry in delta_rows[lo:hi]]
-                continue
-            if lo is None:
-                stats.segments_pruned += 1
-                continue
-            if gap:
-                yield batch_of(gap)
-                gap = None
-            if segment.encoded:
-                stats.segments_encoded += 1
-            selection = self._live_selection(segment, preds, stats)
-            if lo == hi and not descending:
-                batch, rows = self._segment_emit(segment, selection, stats)
-                if batch is not None:
-                    scanned += rows
-                    yield batch
-                continue
-            if selection is None:
-                selection = list(range(segment.size))
-            columns = segment.columns
-            if lo == hi:
-                if not selection:
-                    continue
-                gathered = [columns[p].gather(selection)
-                            if hasattr(columns[p], "gather")
-                            else [columns[p][i] for i in selection]
-                            for p in positions]
-                for column in gathered:
-                    column.reverse()
-                stats.batches_scanned += 1
-                scanned += len(selection)
-                yield Batch(gathered, len(selection))
-                continue
-            # overlay rows key inside this segment: row-level merge
-            entries = delta_rows[lo:hi]
-            merged: list[tuple] = []
-            pending = 0
-            n_entries = len(entries)
-            for offset in selection:
-                key = tuple(canonical_value_key(columns[p][offset])
-                            for p in key_positions)
-                while pending < n_entries and entries[pending][0] <= key:
-                    merged.append(entries[pending][1])
-                    pending += 1
-                merged.append(tuple(columns[p][offset] for p in positions))
-            merged += [entry[1] for entry in entries[pending:]]
-            yield batch_of(merged)
-        if gap:
-            yield batch_of(gap)
-        stats.rows_columnar[self.table.name] += scanned
 
     def execute_partitions(self, ctx):
         name = self.table.name
@@ -1353,22 +1180,8 @@ class BatchRows(PlanNode):
         self.schema = child.schema
 
     def execute(self, ctx):
-        return self._rows_of(self.child.execute_batches(ctx))
-
-    @staticmethod
-    def _rows_of(batches):
-        for batch in batches:
+        for batch in self.child.execute_batches(ctx):
             yield from batch.rows()
-
-    def execute_streams(self, ctx):
-        """Per-partition row streams (scatter shape preserved).
-
-        The sort-elision operator merges these by sort key: each partition
-        stream of an ordered scan is key-sorted on its own, so a k-way
-        merge reproduces one globally ordered stream without a sort.
-        """
-        for _pid, batches in self.child.execute_partitions(ctx):
-            yield self._rows_of(batches)
 
     def children(self):
         return [self.child]

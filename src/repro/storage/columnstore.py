@@ -1449,16 +1449,6 @@ class ColumnarTable:
         self.flush_zone_maps()
         return self._all_segments()
 
-    def main_segments(self) -> list[Segment]:
-        """The sort-key-ordered merged segments."""
-        self.flush_zone_maps()
-        return self._main_segments
-
-    def delta_segments(self) -> list[Segment]:
-        """The unsorted plain delta tail."""
-        self.flush_zone_maps()
-        return self._segments
-
 
 class PartitionedColumnarView:
     """Read-only union over one table's per-partition columnar stores: the

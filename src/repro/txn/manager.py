@@ -240,12 +240,10 @@ class TransactionManager:
         self._ts = itertools.count(1)
         self._latest_ts = 0
         # single-allocator invariant: every timestamp comes from _next_ts
-        # under this lock.  Sessions multiplexed by the cooperative server
-        # never overlap inside it (contention stays 0 there); real threads
-        # serialise here, and the monotonicity assertion below would
-        # catch any unlocked allocation path racing past it.
+        # under this lock.  Real threads serialise here, and the
+        # monotonicity assertion below would catch any unlocked allocation
+        # path racing past it.
         self._ts_lock = threading.Lock()
-        self.ts_lock_contention = 0
         self._txn_ids = itertools.count(1)
         self.aborts = 0
         # commit-path classification: one participant partition -> fast
@@ -260,10 +258,7 @@ class TransactionManager:
         return self._latest_ts
 
     def _next_ts(self) -> int:
-        if not self._ts_lock.acquire(blocking=False):
-            self.ts_lock_contention += 1
-            self._ts_lock.acquire()
-        try:
+        with self._ts_lock:
             ts = next(self._ts)
             if ts <= self._latest_ts:
                 raise AssertionError(
@@ -272,8 +267,6 @@ class TransactionManager:
                 )
             self._latest_ts = ts
             return ts
-        finally:
-            self._ts_lock.release()
 
     def allocate_commit_ts(self) -> int:
         """Allocate a fresh commit timestamp for out-of-band committed

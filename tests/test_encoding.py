@@ -371,7 +371,7 @@ class TestSignOfZeroThroughTheEngine:
         table = db.columnar.table("z")
         assert table.delta_live_rows() == 0
         assert any(isinstance(s.columns[1], RLEColumn)
-                   for s in table.main_segments())
+                   for s in table.read_snapshot()[0])
         sql = "SELECT id, x FROM z ORDER BY id"
         with db.connect() as conn:
             row_side = conn.execute(sql).rows

@@ -640,7 +640,7 @@ class TestMergeBuildsAside:
         assert table.delta_live_rows() == 0
         # the table moved on ...
         assert table.row_count == 77
-        assert all(new is not old for new in table.main_segments()
+        assert all(new is not old for new in table.read_snapshot()[0]
                    for old in snapshot[0])
         # ... the old snapshot did not
         assert self._read(snapshot, delta_sizes) == before
@@ -657,8 +657,8 @@ class TestMergeBuildsAside:
             conn.commit()
         db.columnar.apply_from_partitions(db.storage.wals)
         stats = db.columnar.encoding_stats()
-        main = list(table.main_segments())
-        delta = list(table.delta_segments())
+        snap = table.read_snapshot()
+        main, delta = list(snap[0]), list(snap[3])
         bounds = (list(table.main_lo), list(table.main_hi))
         slots = dict(table._main_pk_to_slot)
         dump = _dump_tables(db)
@@ -668,14 +668,13 @@ class TestMergeBuildsAside:
                 db.columnar.compact(force=True)
         db.failpoints.disarm_all()
         # no half-built segment is reachable: same objects, same bounds
-        assert [id(s) for s in table.main_segments()] == \
-            [id(s) for s in main]
-        assert [id(s) for s in table.delta_segments()] == \
-            [id(s) for s in delta]
+        now_main, _lo, _hi, now_delta = table.read_snapshot()
+        assert [id(s) for s in now_main] == [id(s) for s in main]
+        assert [id(s) for s in now_delta] == [id(s) for s in delta]
         assert (table.main_lo, table.main_hi) == bounds
         assert table._main_pk_to_slot == slots
-        assert all(s.encoded for s in table.main_segments())
-        assert not any(s.encoded for s in table.delta_segments())
+        assert all(s.encoded for s in now_main)
+        assert not any(s.encoded for s in now_delta)
         assert db.columnar.encoding_stats() == stats
         assert _dump_tables(db) == dump         # main + delta queryable
         assert table.delta_live_rows() == 21 and table.row_count == 79
@@ -685,7 +684,7 @@ class TestMergeBuildsAside:
         db.replicate()
         db.failpoints.disarm_all()
         assert db.compaction_failures == 1
-        assert [id(s) for s in table.main_segments()] == \
+        assert [id(s) for s in table.read_snapshot()[0]] == \
             [id(s) for s in main]
         assert table.delta_live_rows() == 22
         dump = _dump_tables(db)

@@ -1,4 +1,5 @@
-"""Real-thread execution, reverse ordered scans and segment-granular merges.
+"""Real-thread execution, DESC ordering over the replica and
+segment-granular merges.
 
 The thread-safety promise under test: a writer thread may ``replicate()``
 — WAL apply plus the inline compaction it triggers — while other threads
@@ -11,7 +12,6 @@ from random import Random
 import pytest
 
 from repro.db import Database
-from repro.sql.planner import SortedMerge
 
 
 def _make_db(partitions=1, segment_rows=32):
@@ -91,21 +91,14 @@ class TestConcurrentStress:
 
 
 # ---------------------------------------------------------------------------
-# reverse ordered scans: DESC sort elision
+# DESC orderings over sorted main segments and the delta tail
 # ---------------------------------------------------------------------------
 
 class TestReverseOrderedScan:
-    def _plan_root(self, db, sql):
-        plan, _hit, _e, _c = db._prepare(sql)
-        return plan.vectorized_root
-
-    def test_desc_elides_sort(self, routed):
+    def test_desc_over_sorted_main(self, routed):
         db = _make_db()
         _fill(db, 256)
-        root = self._plan_root(db, "SELECT id, v FROM t ORDER BY id DESC")
-        assert isinstance(root, SortedMerge) and root.reverse
         result = routed(db, "SELECT id, v FROM t ORDER BY id DESC")
-        assert result.stats.sort_elided == 1
         assert [row[0] for row in result.rows] == list(range(255, -1, -1))
 
     def test_desc_parity_with_arrival_engine(self, routed):
@@ -119,14 +112,12 @@ class TestReverseOrderedScan:
             expect = routed(srt, sql, params, vectorized=False)
             got = routed(srt, sql, params)
             assert got.rows == expect.rows, sql
-            assert got.stats.sort_elided == 1
-            assert expect.stats.sort_elided == 0
 
     def test_desc_with_delta_overlay(self, routed):
         db = _make_db(segment_rows=64)
         _fill(db, 192)
         # now leave fresh rows unmerged in the delta (below the merge
-        # threshold) so the reverse scan must interleave the overlay
+        # threshold) so the ordering spans main and the delta tail
         with db.connect() as conn:
             conn.execute(
                 "INSERT INTO t (a, b, tag, v, id) VALUES (?, ?, ?, ?, ?)",
@@ -143,16 +134,11 @@ class TestReverseOrderedScan:
         ids = [row[0] for row in result.rows]
         assert ids == sorted(ids, reverse=True)
         assert ids[0] == 500 and len(ids) == 193
-        assert result.stats.sort_elided == 1
 
     def test_mixed_directions_still_sort(self, routed):
         db = _make_db()
         _fill(db, 64)
-        root = self._plan_root(
-            db, "SELECT a, id FROM t ORDER BY a DESC, id ASC")
-        assert not isinstance(root, SortedMerge)
         result = routed(db, "SELECT a, id FROM t ORDER BY a DESC, id ASC")
-        assert result.stats.sort_elided == 0
         rows = result.rows
         assert rows == sorted(rows, key=lambda r: (-r[0], r[1]))
 
@@ -166,7 +152,7 @@ class TestSegmentGranularMerge:
         db = _make_db(segment_rows=32)
         _fill(db, 256)  # 8 sorted main segments of 32 rows
         table = db.columnar.table("t")
-        main_before = list(table.main_segments())
+        main_before = list(table.read_snapshot()[0])
         assert len(main_before) == 8
         merged_before = table.segments_merged_total
         # touch keys inside one segment's range only
@@ -177,7 +163,7 @@ class TestSegmentGranularMerge:
             conn.commit()
         db.replicate()
         table.compact(force=True)
-        main_after = list(table.main_segments())
+        main_after = list(table.read_snapshot()[0])
         # untouched prefix and suffix segments survive by identity: the
         # merge spliced new segments into the overlap region only
         rewritten = table.segments_merged_total - merged_before
@@ -191,7 +177,7 @@ class TestSegmentGranularMerge:
         db = _make_db(segment_rows=32)
         _fill(db, 128)
         table = db.columnar.table("t")
-        main_before = list(table.main_segments())
+        main_before = list(table.read_snapshot()[0])
         with db.connect() as conn:
             for i in range(1000, 1032):
                 conn.execute(
@@ -200,7 +186,7 @@ class TestSegmentGranularMerge:
             conn.commit()
         db.replicate()
         table.compact(force=True)
-        main_after = table.main_segments()
+        main_after = table.read_snapshot()[0]
         # keys beyond the old high end: every old segment survives
         for old in main_before:
             assert any(s is old for s in main_after)
@@ -220,7 +206,7 @@ class TestSegmentGranularMerge:
             db.replicate()
         db.columnar.compact(force=True)
         for part in db.columnar.table_partitions("t"):
-            main = part.main_segments()
+            main = part.read_snapshot()[0]
             assert len(part.main_lo) == len(main) == len(part.main_hi)
             for lo, hi in zip(part.main_lo, part.main_hi):
                 assert lo <= hi

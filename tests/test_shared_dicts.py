@@ -69,7 +69,7 @@ class TestSharedDictStorage:
         table = db.columnar.table("cust")
         nation_dict = db.columnar.shared_dict("cust", 1)
         assert isinstance(nation_dict, TableDictionary)
-        shared_cols = [seg.columns[1] for seg in table.main_segments()]
+        shared_cols = [seg.columns[1] for seg in table.read_snapshot()[0]]
         assert len(shared_cols) >= 2
         assert all(isinstance(c, SharedDictColumn) for c in shared_cols)
         # every segment's codes index the SAME table-level dictionary
@@ -108,8 +108,8 @@ class TestSharedDictStorage:
         # nation column stays shared; note column fell back
         table = db.columnar.table("cust")
         assert any(isinstance(seg.columns[1], SharedDictColumn)
-                   for seg in table.main_segments())
-        note_cols = [seg.columns[3] for seg in table.main_segments()]
+                   for seg in table.read_snapshot()[0])
+        note_cols = [seg.columns[3] for seg in table.read_snapshot()[0]]
         assert all(type(c) is DictColumn for c in note_cols)
         # demoted domains still answer queries correctly; a GROUP BY on
         # the demoted column takes the generic assign + scatter fold

@@ -1,7 +1,7 @@
 """Delta–main columnar replica: ordered compaction, merge-on-read scans,
-order-aware planning (sort elision), span pruning, encoded group-by — each
-checked against the row oracle on the same replica — and this layer's view
-of the three-workload parity matrix."""
+span pruning, encoded group-by — each checked against the row oracle on
+the same replica — and this layer's view of the three-workload parity
+matrix."""
 
 from array import array
 from random import Random
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.catalog import FLOAT, INT, VARCHAR, Column, Table
 from repro.db import Database
 from repro.sql.ordering import canonical_value_key
-from repro.sql.planner import SortedMerge
 from repro.storage.columnstore import (
     DICT_MAX_CARDINALITY,
     RLE_FALLBACK_AVG_RUN,
@@ -61,7 +60,7 @@ class TestOrderedCompaction:
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 256)
         table = db.columnar.table("t")
-        main = table.main_segments()
+        main = table.read_snapshot()[0]
         assert len(main) == 4 and all(s.encoded for s in main)
         assert table.delta_live_rows() == 0
         # ids are globally sorted across main segments
@@ -235,23 +234,15 @@ class TestMergeOnRead:
             got = routed(db, sql, params)
             expected = routed(db, sql, params, vectorized=False)
             assert got.rows == expected.rows, sql
-        # the ascending prefix queries rode the scan order
-        elided = routed(db, "SELECT id FROM t ORDER BY id LIMIT 9")
-        assert elided.stats.sort_elided == 1
-        assert elided.stats.sort_rows == 0
-        # DESC rides the reverse scan; parity with the sorting row plan
-        # is asserted above
-        desc = routed(db, "SELECT id FROM t ORDER BY id DESC LIMIT 4")
-        assert desc.stats.sort_elided == 1
-        assert desc.stats.sort_rows == 0
 
     @given(st.data())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_ordered_scans_match_the_row_oracle(self, routed, data):
-        """Merge-on-read both ways over a non-unique sort key: 8-row main
-        segments whose key ranges tie at their boundaries, and a delta
-        overlay keyed before, inside, between, on and after them."""
+        """ORDER BY both ways over a non-unique sort key: TopN / Sort
+        tie-breaking over 8-row main segments whose key ranges tie at
+        their boundaries, and a delta tail keyed before, inside, between,
+        on and after them."""
         db = Database(with_columnar=True, columnar_segment_rows=8,
                       sort_keys={"q": ("k",)},
                       partitions=data.draw(st.sampled_from([1, 2])))
@@ -293,60 +284,6 @@ class TestMergeOnRead:
             sql = f"SELECT id, k, v FROM q ORDER BY {order}{limit}"
             got = routed(db, sql)
             assert got.rows == routed(db, sql, vectorized=False).rows, sql
-            assert got.stats.sort_elided == 1, sql
-
-
-# ---------------------------------------------------------------------------
-# planner level: order awareness
-# ---------------------------------------------------------------------------
-
-def _vectorized_root(db, sql):
-    return db.prepare(sql).vectorized_root
-
-
-class TestSortElisionPlanning:
-    def test_pk_prefix_order_by_elides_sort(self):
-        db = _make_db()
-        root = _vectorized_root(db, "SELECT id, v FROM t ORDER BY id")
-        assert isinstance(root, SortedMerge)
-
-    def test_limit_becomes_streaming(self):
-        db = _make_db()
-        root = _vectorized_root(db, "SELECT id FROM t ORDER BY id LIMIT 5")
-        assert isinstance(root, SortedMerge) and root.limit == 5
-
-    def test_descending_elides_via_reverse_scan(self):
-        db = _make_db()
-        root = _vectorized_root(db, "SELECT id FROM t ORDER BY id DESC")
-        assert isinstance(root, SortedMerge) and root.reverse
-
-    def test_mixed_directions_keep_sort(self):
-        db = _make_db(sort_keys={"t": ("b", "id")})
-        root = _vectorized_root(db,
-                                "SELECT b, id FROM t ORDER BY b DESC, id")
-        assert not isinstance(root, SortedMerge)
-
-    def test_non_prefix_keeps_sort(self):
-        db = _make_db()
-        root = _vectorized_root(db, "SELECT id, v FROM t ORDER BY v")
-        assert not isinstance(root, SortedMerge)
-
-    def test_custom_sort_key_prefix_elides(self):
-        db = _make_db(sort_keys={"t": ("b", "id")})
-        assert isinstance(
-            _vectorized_root(db, "SELECT b, id FROM t ORDER BY b"),
-            SortedMerge)
-        assert isinstance(
-            _vectorized_root(db, "SELECT b, id FROM t ORDER BY b, id"),
-            SortedMerge)
-        assert not isinstance(
-            _vectorized_root(db, "SELECT b, id FROM t ORDER BY id"),
-            SortedMerge)
-
-    def test_distinct_keeps_sort(self):
-        db = _make_db()
-        root = _vectorized_root(db, "SELECT DISTINCT id FROM t ORDER BY id")
-        assert not isinstance(root, SortedMerge)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +347,7 @@ class TestRunGroupedFold:
         enc = self._filled()
         table = enc.columnar.table("t")
         assert any(type(s.columns[0]).__name__ == "RLEColumn"
-                   for s in table.main_segments())
+                   for s in table.read_snapshot()[0])
         sql = ("SELECT a, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), "
                "MAX(b), MIN(tag) FROM t GROUP BY a ORDER BY a")
         a = routed(enc, sql)
@@ -482,13 +419,13 @@ class TestDeltaMainCosting:
         assert model.statement_cost(lagging).cpu > \
             model.statement_cost(clean).cpu
 
-    def test_sort_elision_drops_sort_demand(self):
+    def test_sort_rows_drive_sort_demand(self):
         from repro.sim.costmodel import CostModel, CostParams
         from repro.sql.result import ExecStats
 
         model = CostModel(CostParams())
         sorted_stats = ExecStats()
-        sorted_stats.sort_elided = 1          # no sort_rows recorded
+        sorted_stats.sort_rows = 0
         full_sort = ExecStats()
         full_sort.sort_rows = 20_000
         assert model.statement_cost(sorted_stats).cpu < \
