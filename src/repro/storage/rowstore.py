@@ -11,13 +11,31 @@ Storage is hash-partitioned (``repro.storage.partition``): a table is a set
 of ``TableStore`` shards, one per partition, each with its own secondary
 index shards, and the WAL is one stream per partition.  Primary-key access
 routes to exactly one shard; full scans preserve the database-global row
-arrival order (via a placement map), so query results are independent of
-the partition count.
+arrival order (via the newest map below), so query results are independent
+of the partition count.
 
 Full scans and PK-prefix scans are **batch-at-a-time**: ``scan_batches``
-and ``pk_prefix_scan_batches`` walk the version chains directly and hand
-out parallel ``(pks, rows)`` lists, so the row pipeline above pays
-per-batch — not per-row — generator hops.
+and ``pk_prefix_scan_batches`` hand out parallel ``(pks, rows)`` lists, so
+the row pipeline above pays per-batch — not per-row — generator hops.
+
+Beside the chains, each table keeps one **newest map**, ``pk -> values``
+of the newest committed version (None for a tombstone) in first-install
+order, and ``last_commit_ts``, the timestamp of the newest commit
+installed; a partitioned table's shards share their parent's map.  A
+snapshot at or after ``last_commit_ts`` sees exactly the newest map, so
+its scan is sliced from C-level copies of it (HyPer's newest-version-in-
+place MVCC: version checks are paid only by snapshots older than the
+newest write).  Tombstones are filtered out only when the table (or, for
+a prefix scan, the shard) holds any — more keys than live rows.  Older
+snapshots walk the version chains.  Both paths take their key list when
+the scan is called, so a scan still being consumed when a later commit
+lands neither raises nor sees that commit.
+
+Invalidation rule: commits install one at a time, in timestamp order, and
+a writer stores ``last_commit_ts`` *before* it stores the value.  A reader
+reads ``last_commit_ts``, copies the map, then checks ``last_commit_ts``
+has not changed; if it has, a commit landed during the copy and the
+reader walks the chains instead.
 """
 
 from __future__ import annotations
@@ -94,6 +112,33 @@ def _scan_chain_batches(chains: Iterable[tuple[tuple, list[RowVersion]]],
         yield pks, rows
 
 
+def _newest_batches(store, ts: int, size: int, keys: list | None = None
+                    ) -> Iterator[tuple[list, list]] | None:
+    """Batches of ``store``'s newest map — every key in first-install order,
+    or ``keys`` — sliced from C-level copies of it.  None when the snapshot
+    ``ts`` is older than ``store.last_commit_ts`` or a commit landed during
+    the copy (the module docstring's invalidation rule): walk the chains."""
+    last = store.last_commit_ts
+    if ts < last:
+        return None
+    newest = store._newest
+    if keys is None:
+        pks = list(newest)
+        rows = list(newest.values())
+    else:
+        pks = keys
+        rows = list(map(newest.__getitem__, keys))
+    tombstones = store.tombstones
+    if store.last_commit_ts != last:
+        return None
+    if tombstones:
+        # a row is a non-empty tuple, so only a tombstone's None is falsy
+        pks = list(itertools.compress(pks, rows))
+        rows = list(filter(None, rows))
+    return ((pks[i:i + size], rows[i:i + size])
+            for i in range(0, len(rows), size))
+
+
 def iter_pairs(batches) -> Iterator[tuple[tuple, tuple]]:
     """``(pk, values)`` pairs of a stream of ``(pks, rows)`` batches."""
     for pks, rows in batches:
@@ -101,11 +146,16 @@ def iter_pairs(batches) -> Iterator[tuple[tuple, tuple]]:
 
 
 class TableStore:
-    """Version chains plus secondary indexes for one table."""
+    """Version chains plus secondary indexes for one table (or one shard
+    of a partitioned table, given the table's shared newest map)."""
 
-    def __init__(self, table: Table):
+    def __init__(self, table: Table,
+                 newest: dict[tuple, tuple | None] | None = None):
         self.table = table
         self._chains: dict[tuple, list[RowVersion]] = {}
+        # pk -> newest committed values, first-install order (module doc)
+        self._newest = {} if newest is None else newest
+        self.last_commit_ts = 0
         self._indexes: dict[str, HashIndex | OrderedIndex] = {}
         # ordered index over primary keys, for efficient PK-prefix scans;
         # entries are never removed (readers re-check MVCC visibility)
@@ -151,18 +201,25 @@ class TableStore:
         chain = self._chains.get(pk)
         return chain[-1] if chain else None
 
+    @property
+    def tombstones(self) -> int:
+        """Keys whose newest version is a delete."""
+        return len(self._chains) - self.row_count
+
     def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
                      ) -> Iterator[tuple[list, list]]:
         """Parallel ``(pks, rows)`` lists of the rows visible at ``ts``, in
-        first-install order, at most ``size`` rows per batch."""
-        return _scan_chain_batches(self._chains.items(), ts, size)
+        first-install order, at most ``size`` rows per batch.  Only an
+        unpartitioned table's store serves full scans: a shard's newest map
+        is its parent's."""
+        batches = _newest_batches(self, ts, size)
+        if batches is None:
+            batches = _scan_chain_batches(list(self._chains.items()), ts, size)
+        return batches
 
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
         """Yield ``(pk, values)`` for every row visible at ``ts``."""
         return iter_pairs(self.scan_batches(ts))
-
-    def pk_lookup(self, pk: tuple, ts: int) -> tuple | None:
-        return self.get(pk, ts)
 
     def pk_prefix_scan_batches(self, prefix: tuple, ts: int,
                                size: int = SCAN_BATCH_ROWS
@@ -177,19 +234,27 @@ class TableStore:
         the slow-query behaviour the paper reports for both DBMSs.
         """
         pks = self._pk_index.prefix_keys(prefix)
-        return _scan_chain_batches(
-            zip(pks, map(self._chains.__getitem__, pks)), ts, size)
+        batches = _newest_batches(self, ts, size, pks)
+        if batches is None:
+            batches = _scan_chain_batches(
+                zip(pks, map(self._chains.__getitem__, pks)), ts, size)
+        return batches
 
     # -- commit-time installation -------------------------------------------
 
     def install(self, pk: tuple, values: tuple | None, commit_ts: int):
-        """Install a new committed version (tombstone when values is None)."""
+        """Install a new committed version (tombstone when values is None).
+
+        ``last_commit_ts`` is stored before the newest map's value, and the
+        map's key before the PK index's: readers rely on both orders."""
         chain = self._chains.get(pk)
+        if chain is None and values is None:
+            raise IntegrityError(
+                f"delete of non-existent row {pk} in {self.table.name}"
+            )
+        self.last_commit_ts = commit_ts
+        self._newest[pk] = values
         if chain is None:
-            if values is None:
-                raise IntegrityError(
-                    f"delete of non-existent row {pk} in {self.table.name}"
-                )
             self._chains[pk] = [RowVersion(commit_ts, values)]
             self._pk_index.insert(pk, pk)
             self.row_count += 1
@@ -230,8 +295,8 @@ class TableStore:
         """Drop versions invisible to every snapshot at or after ``watermark_ts``.
 
         Returns the number of versions reclaimed.  Chains keep at least the
-        newest version so reads stay correct, and are trimmed *in place*:
-        a partitioned table's placement map aliases the chain lists.
+        newest version, so reads — and the newest map beside them — stay
+        correct, and are trimmed *in place*.
         """
         reclaimed = 0
         for chain in self._chains.values():
@@ -287,19 +352,20 @@ class PartitionedTableStore:
     """One table as hash-partitioned ``TableStore`` shards.
 
     Exposes the same interface as ``TableStore`` so transactions and plan
-    operators are agnostic of the partition count.  Scans iterate a
-    placement map kept in global first-install order, which makes full-scan
-    row order identical to the single-partition layout — partitioning
-    redistributes data, it must never change query results.
+    operators are agnostic of the partition count.  Scans iterate the
+    newest map, which every shard writes into in global first-install
+    order, so full-scan row order is identical to the single-partition
+    layout — partitioning redistributes data, it must never change query
+    results.
     """
 
     def __init__(self, table: Table, pmap: PartitionMap):
         self.table = table
         self.pmap = pmap
-        self.shards = [TableStore(table) for _ in pmap.all_partitions()]
-        # pk -> its shard's version chain (the same list object, so no key
-        # is re-hashed to reach it), in first-install order: drives scans
-        self._placement: dict[tuple, list[RowVersion]] = {}
+        self._newest: dict[tuple, tuple | None] = {}
+        self.last_commit_ts = 0
+        self.shards = [TableStore(table, self._newest)
+                       for _ in pmap.all_partitions()]
 
     # -- routing -----------------------------------------------------------
 
@@ -329,15 +395,24 @@ class PartitionedTableStore:
     def latest_committed(self, pk: tuple) -> RowVersion | None:
         return self.shard_of(pk).latest_committed(pk)
 
+    @property
+    def tombstones(self) -> int:
+        return len(self._newest) - self.row_count
+
+    def _chain(self, pk: tuple) -> list[RowVersion]:
+        return self.shard_of(pk)._chains[pk]
+
     def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
                      ) -> Iterator[tuple[list, list]]:
-        return _scan_chain_batches(self._placement.items(), ts, size)
+        batches = _newest_batches(self, ts, size)
+        if batches is None:
+            pks = list(self._newest)
+            batches = _scan_chain_batches(zip(pks, map(self._chain, pks)),
+                                          ts, size)
+        return batches
 
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
         return iter_pairs(self.scan_batches(ts))
-
-    def pk_lookup(self, pk: tuple, ts: int) -> tuple | None:
-        return self.get(pk, ts)
 
     def pk_prefix_scan_batches(self, prefix: tuple, ts: int,
                                size: int = SCAN_BATCH_ROWS
@@ -351,10 +426,9 @@ class PartitionedTableStore:
     # -- commit-time installation -------------------------------------------
 
     def install(self, pk: tuple, values: tuple | None, commit_ts: int):
-        shard = self.shards[self.pmap.partition_of_pk(pk)]
-        shard.install(pk, values, commit_ts)
-        if pk not in self._placement:
-            self._placement[pk] = shard._chains[pk]
+        # stored before the shard stores the value: the invalidation rule
+        self.last_commit_ts = commit_ts
+        self.shard_of(pk).install(pk, values, commit_ts)
 
     # -- aggregates over shards ---------------------------------------------
 

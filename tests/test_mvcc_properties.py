@@ -12,12 +12,18 @@ bank schema and checks the invariants snapshot isolation must provide:
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.errors import TransactionAborted
+from repro.storage import rowstore
 from repro.txn import IsolationLevel
 
 N_ACCOUNTS = 6
@@ -247,3 +253,126 @@ def test_batch_scan_equals_point_reads_at_every_snapshot(ops, partitions,
     watermark = commit_ts // 2
     store.garbage_collect(watermark)
     check(range(watermark, commit_ts + 2))
+
+
+def _sized(elements, largest):
+    # the size first, uniformly: left to itself hypothesis keeps the history
+    # -- and so the table -- nearly empty
+    return st.integers(0, largest).flatmap(
+        lambda size: st.lists(elements, min_size=size, max_size=size))
+
+
+HISTORY = _sized(st.one_of(
+    st.tuples(st.sampled_from(["put", "put", "delete"]),
+              st.tuples(st.integers(0, 3), st.integers(0, 3)),
+              st.integers(0, 99)),
+    st.tuples(st.just("gc"), st.none(), st.integers(0, 40))), 40)
+
+
+def _flattened(batches) -> list[tuple]:
+    return [pair for pks, rows in batches for pair in zip(pks, rows)]
+
+
+@given(HISTORY, st.sampled_from([1, 2, 8]), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_newest_map_and_chain_walk_equal_point_reads(history, partitions,
+                                                     batch_rows):
+    """Puts, deletes, re-inserts and garbage collections over a composite-key
+    table.  After every step, full and PK-prefix scans below, at and above
+    the last commit are ``[(pk, get(pk, ts))]`` over the keys live at
+    ``ts``: first-install order for a full scan, key order for a prefix
+    scan.  The chain walk runs exactly for snapshots older than the scanned
+    store's last commit (a prefix scan reads one shard); every newer one is
+    sliced from the newest map."""
+    db = Database(partitions=partitions)
+    db.run_script("CREATE TABLE kv (a INT, b INT, v INT, PRIMARY KEY (a, b))")
+    store = db.storage.store("kv")
+    pmap = db.storage.pmap
+    installed: list[tuple] = []           # first-install order
+    live: set[tuple] = set()
+    shard_commit: dict[int, int] = {}     # partition -> its last commit ts
+    commit_ts = floor = 0
+
+    def check(ts, walk):
+        expected = [(pk, values) for pk in installed
+                    if (values := store.get(pk, ts)) is not None]
+        walk.reset_mock()
+        assert _flattened(store.scan_batches(ts, batch_rows)) == expected
+        assert walk.called == (ts < commit_ts)
+        for a in range(4):
+            walk.reset_mock()
+            assert _flattened(store.pk_prefix_scan_batches(
+                (a,), ts, batch_rows)) == sorted(
+                    pair for pair in expected if pair[0][0] == a)
+            assert walk.called == (
+                ts < shard_commit.get(pmap.partition_of_value(a), 0))
+
+    with mock.patch.object(rowstore, "_scan_chain_batches",
+                           wraps=rowstore._scan_chain_batches) as walk:
+        for op, pk, value in history:
+            if op == "gc":
+                watermark = min(value, commit_ts)
+                store.garbage_collect(watermark)
+                floor = max(floor, watermark)
+            elif op == "put" or pk in live:
+                commit_ts += 1
+                shard_commit[pmap.partition_of_pk(pk)] = commit_ts
+                if op == "put":
+                    store.install(pk, (*pk, value), commit_ts)
+                    if pk not in installed:
+                        installed.append(pk)
+                    live.add(pk)
+                else:
+                    store.install(pk, None, commit_ts)
+                    live.discard(pk)
+            assert store.row_count == len(live)
+            for ts in range(max(floor, commit_ts - 1), commit_ts + 2):
+                check(ts, walk)
+        for ts in range(floor, commit_ts + 2):
+            check(ts, walk)
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_newest_map_copy_racing_a_commit_is_discarded(partitions):
+    """A writer thread rewrites every row in each commit while this thread
+    scans at the newest fully installed commit.  A newest-map copy that a
+    commit lands in must be thrown away (the invalidation rule), so every
+    row scanned carries the snapshot's own commit number."""
+    db = Database(partitions=partitions)
+    db.run_script("CREATE TABLE kv (a INT, b INT, v INT, PRIMARY KEY (a, b))")
+    store = db.storage.store("kv")
+    keys = [(a, b) for a in range(4) for b in range(8)]
+    for pk in keys:
+        store.install(pk, (*pk, 1), 1)
+    published = [1]                       # newest commit fully installed
+    stop = threading.Event()
+
+    def writer():
+        for ts in range(2, 3000):
+            if stop.is_set():
+                return
+            for pk in keys:
+                store.install(pk, (*pk, ts), ts)
+            published[0] = ts
+            # hand over the interpreter: a scan at ts starts before the next
+            # commit does, which then lands at a random point inside it
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        while thread.is_alive() and time.monotonic() < deadline:
+            ts = published[0]
+            full = _flattened(store.scan_batches(ts, 8))
+            prefix = _flattened(store.pk_prefix_scan_batches((1,), ts, 8))
+            assert [pk for pk, _row in full] == keys
+            assert {row[2] for _pk, row in full} == {ts}
+            assert [row[2] for _pk, row in prefix] == [ts] * 8
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()

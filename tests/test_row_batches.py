@@ -138,6 +138,31 @@ def test_old_snapshot_tombstones_and_gc(partitions):
                for pk in pairs)
 
 
+@pytest.mark.parametrize("partitions", PARTITIONS)
+@pytest.mark.parametrize("older", (False, True),
+                         ids=("at_last_commit", "below_last_commit"))
+def test_scan_outlives_a_commit(partitions, older):
+    """A store scan partly consumed when a commit updates a row it has not
+    reached yet and inserts a new key finishes its own snapshot: no
+    ``dictionary changed size during iteration``, no row of the commit."""
+    db = _bank(partitions)
+    store = db.storage.store("acct")
+    ts = db.txn_manager.current_ts()
+    if older:
+        with db.connect() as writer:          # a commit the snapshot predates
+            writer.execute("UPDATE acct SET bal = -1 WHERE id = ?",
+                           (N_ROWS - 2,))
+    expected = [((i,), store.get((i,), ts)) for i in range(N_ROWS)]
+    batches = store.scan_batches(ts)
+    pks, rows = next(batches)
+    with db.connect() as writer:
+        writer.execute("UPDATE acct SET bal = -2 WHERE id = ?", (N_ROWS - 1,))
+        writer.execute("INSERT INTO acct VALUES (?, 0, 0)", (N_ROWS,))
+    flattened = [*zip(pks, rows),
+                 *(pair for pks, rows in batches for pair in zip(pks, rows))]
+    assert flattened == expected
+
+
 # -- (c) the cost model's inputs are unchanged --------------------------------
 
 _PINNED = ("rows_row_store", "full_scans", "partitions_scanned",
