@@ -45,7 +45,8 @@ class ForeignKey:
 
 @dataclass(frozen=True)
 class IndexDef:
-    """A secondary index definition. ``unique`` indexes reject duplicates."""
+    """A secondary index definition.  ``unique`` records ``CREATE UNIQUE
+    INDEX`` as parsed; nothing enforces it, so duplicates are accepted."""
 
     name: str
     table: str

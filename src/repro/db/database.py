@@ -47,8 +47,10 @@ from repro.txn.manager import IsolationLevel, Transaction, TransactionManager
 class Database:
     """One logical database: catalog + storage + transactions + SQL.
 
-    ``partitions`` hash-partitions every table (and the WAL and columnar
-    replica with it) on its partition key — the first primary-key column.
+    ``partitions`` hash-partitions every table on its partition key — the
+    first primary-key column.  The row store keeps one store per table
+    whatever the count; the placement lives in the WAL (one stream per
+    partition) and the columnar replica (one table per partition).
     Partitioning redistributes data, not semantics: every deterministic
     query result (ORDER BY output, aggregates, point/prefix reads, any
     row-store scan) is identical for every partition count; only the

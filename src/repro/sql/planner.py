@@ -416,7 +416,7 @@ class IndexJoin(BatchNode):
         name = self.inner.table.name
         ctx.stats.index_lookups += 1
         store = ctx.txn.manager.storage.store(name)
-        pks = store.index(self.inner.index_name).lookup(key)
+        pks = set(store.index(self.inner.index_name).lookup(key))
         positions = self._recheck_positions
         seen_local = set()
         for pk, values in ctx.txn.local_rows(name):

@@ -8,11 +8,10 @@ from repro.storage.columnstore import (
     PartitionedColumnarView,
     Segment,
 )
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import OrderedIndex
 from repro.storage.partition import PartitionMap, stable_hash
 from repro.storage.rowstore import (
     INF_TS,
-    PartitionedTableStore,
     RowStorage,
     RowVersion,
     TableStore,
@@ -27,12 +26,10 @@ __all__ = [
     "ColumnarTable",
     "PartitionedColumnarView",
     "Segment",
-    "HashIndex",
     "OrderedIndex",
     "PartitionMap",
     "stable_hash",
     "INF_TS",
-    "PartitionedTableStore",
     "RowStorage",
     "RowVersion",
     "TableStore",

@@ -36,8 +36,8 @@ plus the small delta overlay.
 
 Encoded columns implement the sequence protocol, so every reader that
 iterates or indexes a column slice works unchanged — but they also expose
-code-space selection primitives (``select_eq``/``select_range``/
-``select_in``) and run iteration (``iter_runs``) that the vectorized
+code-space selection primitives (``select_eq``/``select_in``/
+``select_where``) and run iteration (``iter_runs``) that the vectorized
 executor uses to filter and aggregate *without decoding*.
 
 The merge itself stays columnar (``_merge_delta``): live values are

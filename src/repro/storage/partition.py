@@ -4,9 +4,10 @@ Every table is hash-partitioned on its *partition key* — the first column
 of the primary key (TPC-C's ``w_id``, SmallBank's ``custid``, TATP's
 ``s_id``) — the same convention TiDB regions and OceanBase tablets follow
 for the benchmark schemas.  A ``PartitionMap`` is the single source of
-truth shared by the row store, the per-partition WAL streams, the columnar
-replica and the simulated clusters, so data placement is consistent across
-every layer.
+truth shared by the per-partition WAL streams, the row store's commit
+classification, the columnar replica and the simulated clusters, so data
+placement is consistent across every layer.  The row store itself keeps
+one store per table: placement there would change no result or counter.
 
 The hash must be stable across processes (``PYTHONHASHSEED`` randomises
 ``str.__hash__``), so partition routing uses CRC32 for strings and the raw

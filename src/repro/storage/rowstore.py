@@ -7,12 +7,12 @@ committing transaction's commit timestamp; there are no in-place updates, so
 readers never block writers (snapshot isolation's core property, shared by
 both TiDB and MemSQL in the paper's experiments).
 
-Storage is hash-partitioned (``repro.storage.partition``): a table is a set
-of ``TableStore`` shards, one per partition, each with its own secondary
-index shards, and the WAL is one stream per partition.  Primary-key access
-routes to exactly one shard; full scans preserve the database-global row
-arrival order (via the newest map below), so query results are independent
-of the partition count.
+Each table is one ``TableStore``, whatever the partition count.  Hash
+partitioning (``repro.storage.partition``) places the *log*: the WAL is one
+stream per partition, a commit is classified by the partitions its writes
+land on, and the columnar replica keeps one table per partition.  Row order
+is the database-global first-install order, so query results are
+independent of the partition count.
 
 Full scans and PK-prefix scans are **batch-at-a-time**: ``scan_batches``
 and ``pk_prefix_scan_batches`` hand out parallel ``(pks, rows)`` lists, so
@@ -21,32 +21,30 @@ the row pipeline above pays per-batch — not per-row — generator hops.
 Beside the chains, each table keeps one **newest map**, ``pk -> values``
 of the newest committed version (None for a tombstone) in first-install
 order, and ``last_commit_ts``, the timestamp of the newest commit
-installed; a partitioned table's shards share their parent's map.  A
-snapshot at or after ``last_commit_ts`` sees exactly the newest map, so
-its scan is sliced from C-level copies of it (HyPer's newest-version-in-
-place MVCC: version checks are paid only by snapshots older than the
-newest write).  Tombstones are filtered out only when the table (or, for
-a prefix scan, the shard) holds any — more keys than live rows.  Older
-snapshots walk the version chains.  Both paths take their key list when
-the scan is called, so a scan still being consumed when a later commit
-lands neither raises nor sees that commit.
+installed.  A snapshot at or after ``last_commit_ts`` sees exactly the
+newest map, so its full or PK-prefix scan is sliced from C-level copies of
+it (HyPer's newest-version-in-place MVCC: version checks are paid only by
+snapshots older than the newest write).  Tombstones are filtered out only
+when the table holds any — more keys than live rows.  Older snapshots
+walk the version chains.  Both paths take their key list when the scan is
+called, so a scan still being consumed when a later commit lands neither
+raises nor sees that commit.
 
-Invalidation rule: commits install one at a time, in timestamp order, and
-a writer stores ``last_commit_ts`` *before* it stores the value.  A reader
-reads ``last_commit_ts``, copies the map, then checks ``last_commit_ts``
-has not changed; if it has, a commit landed during the copy and the
-reader walks the chains instead.
+Invalidation rule, one per table: commits install one at a time, in
+timestamp order, and a writer stores the table's ``last_commit_ts``
+*before* it stores the value.  A reader reads ``last_commit_ts``, copies
+the map, then checks ``last_commit_ts`` has not changed; if it has, a
+commit landed during the copy and the reader walks the chains instead.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections.abc import Iterable, Iterator
 
 from repro.catalog.schema import IndexDef, Table
 from repro.errors import CatalogError, IntegrityError
-from repro.storage.index import HashIndex, OrderedIndex
+from repro.storage.index import OrderedIndex
 from repro.storage.partition import PartitionMap
 from repro.storage.wal import LogOp, WriteAheadLog
 
@@ -146,29 +144,26 @@ def iter_pairs(batches) -> Iterator[tuple[tuple, tuple]]:
 
 
 class TableStore:
-    """Version chains plus secondary indexes for one table (or one shard
-    of a partitioned table, given the table's shared newest map)."""
+    """Version chains, the newest map and secondary indexes of one table."""
 
-    def __init__(self, table: Table,
-                 newest: dict[tuple, tuple | None] | None = None):
+    def __init__(self, table: Table):
         self.table = table
         self._chains: dict[tuple, list[RowVersion]] = {}
         # pk -> newest committed values, first-install order (module doc)
-        self._newest = {} if newest is None else newest
+        self._newest: dict[tuple, tuple | None] = {}
         self.last_commit_ts = 0
-        self._indexes: dict[str, HashIndex | OrderedIndex] = {}
+        self._indexes: dict[str, OrderedIndex] = {}
         # ordered index over primary keys, for efficient PK-prefix scans;
         # entries are never removed (readers re-check MVCC visibility)
-        self._pk_index = OrderedIndex("__pk__", table.primary_key, unique=True)
+        self._pk_index = OrderedIndex("__pk__", table.primary_key)
         self.row_count = 0  # live rows (latest version is not a tombstone)
 
     # -- index management --------------------------------------------------
 
-    def create_index(self, index: IndexDef, ordered: bool = True):
+    def create_index(self, index: IndexDef):
         if index.name in self._indexes:
             raise CatalogError(f"index {index.name!r} already exists")
-        cls = OrderedIndex if ordered else HashIndex
-        idx = cls(index.name, index.columns, unique=index.unique)
+        idx = OrderedIndex(index.name, index.columns)
         self._indexes[index.name] = idx
         positions = [self.table.position(c) for c in index.columns]
         for pk, chain in self._chains.items():
@@ -176,16 +171,13 @@ class TableStore:
             if values is not None:
                 idx.insert(tuple(values[p] for p in positions), pk)
 
-    def index(self, name: str) -> HashIndex | OrderedIndex:
+    def index(self, name: str) -> OrderedIndex:
         try:
             return self._indexes[name]
         except KeyError:
             raise CatalogError(
                 f"no index {name!r} on table {self.table.name!r}"
             ) from None
-
-    def indexes(self) -> dict[str, HashIndex | OrderedIndex]:
-        return self._indexes
 
     def _index_key(self, idx, values: tuple) -> tuple:
         return tuple(values[self.table.position(c)] for c in idx.columns)
@@ -209,9 +201,7 @@ class TableStore:
     def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
                      ) -> Iterator[tuple[list, list]]:
         """Parallel ``(pks, rows)`` lists of the rows visible at ``ts``, in
-        first-install order, at most ``size`` rows per batch.  Only an
-        unpartitioned table's store serves full scans: a shard's newest map
-        is its parent's."""
+        first-install order, at most ``size`` rows per batch."""
         batches = _newest_batches(self, ts, size)
         if batches is None:
             batches = _scan_chain_batches(list(self._chains.items()), ts, size)
@@ -306,158 +296,18 @@ class TableStore:
         return reclaimed
 
 
-class _ShardedIndex:
-    """Union view over one secondary index's per-partition shards.
-
-    A secondary-index key says nothing about data placement, so lookups are
-    scatter operations over every shard (exactly why secondary-index access
-    costs extra network fan-out on a real distributed HTAP system).
-    """
-
-    def __init__(self, shards: list):
-        self._shards = shards
-        self.name = shards[0].name
-        self.columns = shards[0].columns
-        self.unique = shards[0].unique
-
-    def lookup(self, key: tuple) -> set:
-        pks: set = set()
-        for shard in self._shards:
-            pks |= shard.lookup(key)
-        return pks
-
-    def _merged(self, per_shard_iters):
-        """Stream the shard scans merged in key order, same-key entry sets
-        unioned.  Shard iterators already yield sorted keys, so the merge
-        is lazy — a consumer that stops early never drains the shards."""
-        merged = heapq.merge(*per_shard_iters, key=lambda item: item[0])
-        for key, group in itertools.groupby(merged,
-                                            key=lambda item: item[0]):
-            entries = [entry for _key, entry in group]
-            if len(entries) == 1:
-                yield key, entries[0]
-            else:
-                yield key, set().union(*entries)
-
-    def prefix_scan(self, prefix: tuple):
-        yield from self._merged(
-            [shard.prefix_scan(prefix) for shard in self._shards])
-
-    def range_scan(self, low: tuple | None, high: tuple | None):
-        yield from self._merged(
-            [shard.range_scan(low, high) for shard in self._shards])
-
-
-class PartitionedTableStore:
-    """One table as hash-partitioned ``TableStore`` shards.
-
-    Exposes the same interface as ``TableStore`` so transactions and plan
-    operators are agnostic of the partition count.  Scans iterate the
-    newest map, which every shard writes into in global first-install
-    order, so full-scan row order is identical to the single-partition
-    layout — partitioning redistributes data, it must never change query
-    results.
-    """
-
-    def __init__(self, table: Table, pmap: PartitionMap):
-        self.table = table
-        self.pmap = pmap
-        self._newest: dict[tuple, tuple | None] = {}
-        self.last_commit_ts = 0
-        self.shards = [TableStore(table, self._newest)
-                       for _ in pmap.all_partitions()]
-
-    # -- routing -----------------------------------------------------------
-
-    def shard_of(self, pk: tuple) -> TableStore:
-        return self.shards[self.pmap.partition_of_pk(pk)]
-
-    # -- index management --------------------------------------------------
-
-    def create_index(self, index: IndexDef, ordered: bool = True):
-        for shard in self.shards:
-            shard.create_index(index, ordered)
-
-    def index(self, name: str) -> _ShardedIndex:
-        return _ShardedIndex([shard.index(name) for shard in self.shards])
-
-    def indexes(self) -> dict:
-        return {
-            name: _ShardedIndex([s.index(name) for s in self.shards])
-            for name in self.shards[0].indexes()
-        }
-
-    # -- version chain access ----------------------------------------------
-
-    def get(self, pk: tuple, ts: int) -> tuple | None:
-        return self.shard_of(pk).get(pk, ts)
-
-    def latest_committed(self, pk: tuple) -> RowVersion | None:
-        return self.shard_of(pk).latest_committed(pk)
-
-    @property
-    def tombstones(self) -> int:
-        return len(self._newest) - self.row_count
-
-    def _chain(self, pk: tuple) -> list[RowVersion]:
-        return self.shard_of(pk)._chains[pk]
-
-    def scan_batches(self, ts: int, size: int = SCAN_BATCH_ROWS
-                     ) -> Iterator[tuple[list, list]]:
-        batches = _newest_batches(self, ts, size)
-        if batches is None:
-            pks = list(self._newest)
-            batches = _scan_chain_batches(zip(pks, map(self._chain, pks)),
-                                          ts, size)
-        return batches
-
-    def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:
-        return iter_pairs(self.scan_batches(ts))
-
-    def pk_prefix_scan_batches(self, prefix: tuple, ts: int,
-                               size: int = SCAN_BATCH_ROWS
-                               ) -> Iterator[tuple[list, list]]:
-        """Prefix scans always bind to one shard: the partition key is the
-        first primary-key column and every prefix includes it."""
-        return self.shards[
-            self.pmap.partition_of_value(prefix[0])
-        ].pk_prefix_scan_batches(prefix, ts, size)
-
-    # -- commit-time installation -------------------------------------------
-
-    def install(self, pk: tuple, values: tuple | None, commit_ts: int):
-        # stored before the shard stores the value: the invalidation rule
-        self.last_commit_ts = commit_ts
-        self.shard_of(pk).install(pk, values, commit_ts)
-
-    # -- aggregates over shards ---------------------------------------------
-
-    @property
-    def row_count(self) -> int:
-        return sum(shard.row_count for shard in self.shards)
-
-    def version_count(self) -> int:
-        return sum(shard.version_count() for shard in self.shards)
-
-    def garbage_collect(self, watermark_ts: int) -> int:
-        return sum(shard.garbage_collect(watermark_ts)
-                   for shard in self.shards)
-
-
 class RowStorage:
     """All table stores of one logical database, plus per-partition WALs.
 
-    With ``partitions == 1`` (the default) tables are plain ``TableStore``
-    objects; with more partitions each table is a ``PartitionedTableStore``.
-    Every partition has its own WAL in ``wals`` (one stream when
-    unpartitioned), stamped with a database-global ``seq`` so consumers can
-    merge the streams back into commit order.
+    Every table is one ``TableStore``.  Every partition has its own WAL in
+    ``wals`` (one stream when unpartitioned), stamped with a database-global
+    ``seq`` so consumers can merge the streams back into commit order.
     """
 
     def __init__(self, partition_map: PartitionMap | None = None,
                  failpoints=None):
         self.pmap = partition_map or PartitionMap(1)
-        self._stores: dict[str, TableStore | PartitionedTableStore] = {}
+        self._stores: dict[str, TableStore] = {}
         self.wals = [WriteAheadLog(failpoints)
                      for _ in self.pmap.all_partitions()]
         self._seq = 0  # database-global commit-order stamp
@@ -475,21 +325,18 @@ class RowStorage:
         key = table.name.upper()
         if key in self._stores:
             raise CatalogError(f"storage for {table.name!r} already exists")
-        if self.pmap.partitions == 1:
-            self._stores[key] = TableStore(table)
-        else:
-            self._stores[key] = PartitionedTableStore(table, self.pmap)
+        self._stores[key] = TableStore(table)
 
     def drop_table(self, name: str):
         self._stores.pop(name.upper(), None)
 
-    def store(self, name: str) -> TableStore | PartitionedTableStore:
+    def store(self, name: str) -> TableStore:
         try:
             return self._stores[name.upper()]
         except KeyError:
             raise CatalogError(f"no storage for table {name!r}") from None
 
-    def stores(self) -> dict[str, TableStore | PartitionedTableStore]:
+    def stores(self) -> dict[str, TableStore]:
         return self._stores
 
     def partitions_touched(self, writes) -> tuple[int, ...]:
@@ -532,4 +379,4 @@ class RowStorage:
 
 
 __all__ = ["INF_TS", "SCAN_BATCH_ROWS", "RowVersion", "TableStore",
-           "PartitionedTableStore", "RowStorage", "LogOp", "iter_pairs"]
+           "RowStorage", "LogOp", "iter_pairs"]

@@ -281,16 +281,14 @@ def test_newest_map_and_chain_walk_equal_point_reads(history, partitions,
     table.  After every step, full and PK-prefix scans below, at and above
     the last commit are ``[(pk, get(pk, ts))]`` over the keys live at
     ``ts``: first-install order for a full scan, key order for a prefix
-    scan.  The chain walk runs exactly for snapshots older than the scanned
-    store's last commit (a prefix scan reads one shard); every newer one is
-    sliced from the newest map."""
+    scan.  The chain walk runs exactly for snapshots older than the table's
+    last commit, for either scan; every newer one is sliced from the newest
+    map."""
     db = Database(partitions=partitions)
     db.run_script("CREATE TABLE kv (a INT, b INT, v INT, PRIMARY KEY (a, b))")
     store = db.storage.store("kv")
-    pmap = db.storage.pmap
     installed: list[tuple] = []           # first-install order
     live: set[tuple] = set()
-    shard_commit: dict[int, int] = {}     # partition -> its last commit ts
     commit_ts = floor = 0
 
     def check(ts, walk):
@@ -304,8 +302,7 @@ def test_newest_map_and_chain_walk_equal_point_reads(history, partitions,
             assert _flattened(store.pk_prefix_scan_batches(
                 (a,), ts, batch_rows)) == sorted(
                     pair for pair in expected if pair[0][0] == a)
-            assert walk.called == (
-                ts < shard_commit.get(pmap.partition_of_value(a), 0))
+            assert walk.called == (ts < commit_ts)
 
     with mock.patch.object(rowstore, "_scan_chain_batches",
                            wraps=rowstore._scan_chain_batches) as walk:
@@ -316,7 +313,6 @@ def test_newest_map_and_chain_walk_equal_point_reads(history, partitions,
                 floor = max(floor, watermark)
             elif op == "put" or pk in live:
                 commit_ts += 1
-                shard_commit[pmap.partition_of_pk(pk)] = commit_ts
                 if op == "put":
                     store.install(pk, (*pk, value), commit_ts)
                     if pk not in installed:
@@ -371,6 +367,49 @@ def test_newest_map_copy_racing_a_commit_is_discarded(partitions):
             assert [pk for pk, _row in full] == keys
             assert {row[2] for _pk, row in full} == {ts}
             assert [row[2] for _pk, row in prefix] == [ts] * 8
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_index_join_probe_racing_a_commit(partitions):
+    """A writer thread commits rows under the probed secondary-index key
+    while this thread runs an index nested-loop join through that key.  The
+    probe takes its pk set when it is called, so a commit landing while the
+    join still yields neither raises nor adds a row to the count."""
+    db = Database(partitions=partitions)
+    db.run_script("CREATE TABLE u (id INT PRIMARY KEY, k INT);"
+                  "CREATE TABLE t (id INT PRIMARY KEY, b INT);"
+                  "CREATE INDEX ib ON t (b)")
+    db.bulk_load("u", [(1, 7)])
+    db.bulk_load("t", [(i, 7) for i in range(5000)])
+    store = db.storage.store("t")
+    sql = "SELECT COUNT(*) FROM u JOIN t ON t.b = u.k WHERE u.id = 1"
+    stats = db.query(sql).stats
+    assert (stats.join_ops, stats.index_lookups) == (1, 1)  # IndexJoin
+    stop = threading.Event()
+
+    def writer():
+        for pk in range(5000, 1_000_000):
+            if stop.is_set():
+                return
+            # committed after every snapshot the joins read at
+            store.install((pk,), (pk, 7), 10**9 + pk)
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        joins = 0
+        while joins < 50 and time.monotonic() < deadline:
+            assert db.query(sql).rows == [(5000,)]
+            joins += 1
     finally:
         stop.set()
         thread.join(timeout=30)

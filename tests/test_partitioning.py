@@ -62,22 +62,33 @@ class TestPartitionedRowStore:
         db = _make_db(4, with_columnar=False)
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
         db.bulk_load("t", [(i, i) for i in range(16)])
-        store = db.storage.store("t")
-        assert [shard.row_count for shard in store.shards] == [4, 4, 4, 4]
+        wals = db.storage.wals
+        assert [len(wal) for wal in wals] == [4, 4, 4, 4]
         for i in range(16):
-            assert store.shards[db.partition_map.partition_of_value(i)] \
-                .get((i,), ts=10**6) is not None
+            records = wals[db.partition_map.partition_of_value(i)].read_from(0)
+            assert (i,) in [record.pk for record in records]
 
     def test_scan_order_matches_unpartitioned(self):
-        rows = [(i * 3 % 17, i) for i in range(17)]  # scrambled pk order
+        rows = [(i * 3 % 17, i % 4) for i in range(17)]  # scrambled pks
         dbs = [_make_db(p, with_columnar=False) for p in (1, 8)]
+        outputs = []
         for db in dbs:
             db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+            db.execute_ddl("CREATE INDEX ib ON t (b)")
             db.bulk_load("t", rows)
-        scans = [
-            [r for r in db.query("SELECT a, b FROM t").rows] for db in dbs
-        ]
-        assert scans[0] == scans[1]  # placement map preserves global order
+            scan = db.query("SELECT a, b FROM t").rows
+            by_index = db.query("SELECT a FROM t WHERE b = ?", (1,)).rows
+            with db.connect() as conn:
+                conn.execute("UPDATE t SET b = b + a WHERE b = ?", (2,))
+                conn.commit()
+            outputs.append((scan, by_index,
+                            db.query("SELECT a, b FROM t").rows))
+        # scan order, unordered index-scan order and the state after an
+        # UPDATE through the index are independent of the partition count
+        assert outputs[0] == outputs[1]
+        _scan, by_index, final = outputs[0]
+        assert sorted(by_index) == sorted((a,) for a, b in rows if b == 1)
+        assert dict(final) == {a: b + a if b == 2 else b for a, b in rows}
 
     def test_secondary_index_scatters_across_shards(self):
         db = _make_db(4, with_columnar=False)
@@ -85,9 +96,13 @@ class TestPartitionedRowStore:
         db.execute_ddl("CREATE INDEX ib ON t (b)")
         db.bulk_load("t", [(i, i % 3) for i in range(12)])
         idx = db.storage.store("t").index("ib")
-        assert len(idx.lookup((0,))) == 4  # pks from several shards
-        keys = [key for key, _ in idx.range_scan((0,), (2,))]
-        assert keys == [(0,), (1,), (2,)]  # merged in key order
+        assert idx.lookup((0,)) == {(0,), (3,), (6,), (9,)}  # 4 partitions
+        result = db.query("SELECT a FROM t WHERE b = ?", (0,))
+        assert sorted(result.rows) == [(0,), (3,), (6,), (9,)]
+        # a secondary-index key says nothing about placement: every
+        # partition is charged, none pruned
+        assert result.stats.partitions_scanned == 4
+        assert result.stats.partitions_pruned == 0
 
     def test_pk_prefix_scan_single_shard(self):
         db = _make_db(4, with_columnar=False)
@@ -207,8 +222,7 @@ class TestMultiPartitionCommits:
                 conn.execute("INSERT INTO t (a, b) VALUES (?, ?)", (a, a))
             conn.rollback()
         assert db.storage.store("t").row_count == 0
-        assert all(shard.version_count() == 0
-                   for shard in db.storage.store("t").shards)
+        assert db.storage.store("t").version_count() == 0
         assert [w.head_lsn for w in db.storage.wals] == heads
         assert db.txn_manager.single_partition_commits == 0
         assert db.txn_manager.multi_partition_commits == 0
