@@ -13,7 +13,7 @@ Layers, bottom-up:
   generators, hybrid transactions, statistics, reports.
 * ``repro.workloads`` — subenchmark, fibenchmark, tabenchmark and the
   CH-benCHmark baseline.
-* ``repro.analysis`` — freshness, lock-overhead and interference tools.
+* ``repro.analysis`` — lock-overhead, interference and scaling tools.
 """
 
 __version__ = "1.0.0"

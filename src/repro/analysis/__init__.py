@@ -1,11 +1,5 @@
-"""Analysis tools: freshness, lock overhead, interference, scaling."""
+"""Analysis tools: lock overhead, interference, scaling."""
 
-from repro.analysis.freshness import (
-    FreshnessProbe,
-    FreshnessSample,
-    replication_lag_records,
-    staleness_ms,
-)
 from repro.analysis.interference import InterferenceCell, InterferenceMatrix
 from repro.analysis.lock_overhead import (
     LockOverhead,
@@ -15,10 +9,6 @@ from repro.analysis.lock_overhead import (
 from repro.analysis.scaling import ScalingPoint, ScalingStudy
 
 __all__ = [
-    "FreshnessProbe",
-    "FreshnessSample",
-    "replication_lag_records",
-    "staleness_ms",
     "InterferenceCell",
     "InterferenceMatrix",
     "LockOverhead",

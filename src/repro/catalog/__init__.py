@@ -5,7 +5,6 @@ from repro.catalog.schema import (
     Column,
     ForeignKey,
     IndexDef,
-    SchemaVariant,
     Table,
 )
 from repro.catalog.types import (
@@ -25,7 +24,6 @@ __all__ = [
     "Column",
     "ForeignKey",
     "IndexDef",
-    "SchemaVariant",
     "Table",
     "SQLType",
     "type_from_name",

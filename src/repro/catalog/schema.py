@@ -8,7 +8,7 @@ in ``repro.storage``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.catalog.types import SQLType
@@ -169,21 +169,3 @@ class Catalog:
             "columns": sum(len(t.columns) for t in tables),
             "indexes": sum(len(t.indexes) for t in tables),
         }
-
-
-@dataclass
-class SchemaVariant:
-    """One of the two shipped schema flavours.
-
-    The paper ships every schema in two versions — with and without foreign
-    keys — because MemSQL does not support foreign keys.  ``build(catalog)``
-    creates the tables in a catalog.
-    """
-
-    name: str
-    with_foreign_keys: bool
-    tables: list[Table] = field(default_factory=list)
-
-    def build(self, catalog: Catalog):
-        for table in self.tables:
-            catalog.create_table(table)

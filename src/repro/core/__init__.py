@@ -7,7 +7,6 @@ from repro.core.stats import (
     ClassMetrics,
     LatencyCollector,
     LatencySummary,
-    describe,
     percentile,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "ClassMetrics",
     "LatencyCollector",
     "LatencySummary",
-    "describe",
     "percentile",
 ]

@@ -199,10 +199,3 @@ class ClassTable:
         if collector is None:
             collector = self.per_transaction[name] = LatencyCollector(name)
         collector.add(latency)
-
-
-def describe(values) -> dict:
-    """Convenience: summary dict of an arbitrary numeric sequence."""
-    collector = LatencyCollector()
-    collector.extend(values)
-    return collector.summary().as_dict()

@@ -340,6 +340,8 @@ class Database:
     # -- statement preparation -----------------------------------------------------
 
     def prepare(self, sql: str):
+        """The plan ``sql`` runs with, through the plan cache: the public
+        way to inspect a statement's plan tree."""
         plan, _hit, _evicted = self._prepare(sql)
         return plan
 

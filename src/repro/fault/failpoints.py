@@ -9,10 +9,10 @@ no-op unless a test (or the chaos benchmark arm) has *armed* that name.
 Arming is deterministic two ways:
 
 * **count-based** (``on_hits={3}``) — fire on exactly those hit ordinals.
-  Hit numbering is global per failpoint and survives re-arming only via
-  ``reset_counters()``.  This is the mode the crash-sweep tests use: it
-  is reproducible even under real threads, because which *hit*
-  fires does not depend on thread interleaving of *other* failpoints.
+  Hit numbering is global per failpoint and survives re-arming.  This is
+  the mode the crash-sweep tests use: it is reproducible even under real
+  threads, because which *hit* fires does not depend on thread
+  interleaving of *other* failpoints.
 * **probability-based** (``probability=0.05``) — each hit draws from a
   per-failpoint ``Random(f"{seed}:{name}")``.  Deterministic whenever the
   hit order is deterministic, which the cooperative session server
@@ -141,9 +141,6 @@ class FailpointRegistry:
             self._armed.clear()
             self._any_armed = False
 
-    def armed(self, name: str) -> bool:
-        return name in self._armed
-
     # -- firing ----------------------------------------------------------
 
     def evaluate(self, name: str) -> bool:
@@ -213,7 +210,3 @@ class FailpointRegistry:
         with self._lock:
             return {name: stats.as_dict()
                     for name, stats in sorted(self._stats.items())}
-
-    def reset_counters(self):
-        with self._lock:
-            self._stats.clear()

@@ -104,9 +104,9 @@ class CostModel:
 
         ``columnar_parallelism`` models partition-parallel scatter-gather:
         a columnar scan fanned out over N partitions on distinct nodes
-        finishes in ~1/N of the serial scan time (the per-partition partial
-        aggregates divide the same way), so the critical-path demand for
-        the columnar scan and aggregate components is divided by it.
+        finishes in ~1/N of the serial scan time, and so does the
+        aggregate fold over its rows, so the critical-path demand for the
+        columnar scan and aggregate components is divided by it.
 
         ``columnar_scan_factor`` scales the per-row columnar scan demand by
         the replica's *measured* compression ratio (encoded/plain bytes,
@@ -132,8 +132,7 @@ class CostModel:
         cpu += stats.rows_joined * p.join_per_row * amplify
         cpu += stats.sort_rows * p.sort_per_row
         cpu += stats.delta_rows_pending * p.delta_merge_per_row / parallel
-        agg_parallel = parallel if stats.partial_aggregates else 1
-        cpu += stats.agg_input_rows * p.agg_per_row / agg_parallel
+        cpu += stats.agg_input_rows * p.agg_per_row / parallel
         cpu += stats.total_writes * p.write_per_row
         return CostBreakdown(cpu=cpu)
 

@@ -113,8 +113,8 @@ class SeqScan(BatchNode):
             ctx.stats.partitions_scanned += \
                 ctx.columnar.partitions if ctx.columnar is not None else 1
             batches = batched(
-                (values for _pk, values in ctx.columnar.table(name).scan()),
-                size)
+                (values for part in ctx.columnar.table_partitions(name)
+                 for _pk, values in part.scan()), size)
         else:
             ctx.stats.partitions_scanned += ctx.partition_count
             batches = (rows for _pks, rows in ctx.txn.scan_batches(name, size))
@@ -192,10 +192,54 @@ class PKPrefixScan(BatchNode):
                              size)
 
 
+def _index_candidates(ctx, name: str, index_name: str, key: tuple,
+                      prefix: bool = False):
+    """Rows of table ``name`` that may carry ``key`` in ``index_name`` (a
+    key prefix when ``prefix``), as the statement's transaction sees them.
+
+    The index holds the keys of the table's newest committed rows, so it
+    answers only a snapshot at or after the table's ``last_commit_ts``,
+    re-checked after the candidate pks are copied (the row store's
+    newest-map rule): the transaction's own buffered rows, then the
+    committed candidates it has not rewritten.  An older snapshot, or a
+    copy a commit landed in, reads the transaction's full scan instead.
+    Either way the caller re-checks the key on every row.
+    """
+    txn = ctx.txn
+    store = txn.manager.storage.store(name)
+    last = store.last_commit_ts
+    pks = None
+    if txn.read_ts >= last:
+        idx = store.index(index_name)
+        if prefix:
+            pks = set()
+            for _key, entry in idx.prefix_scan(key):
+                pks |= entry
+        else:
+            pks = set(idx.lookup(key))
+        if store.last_commit_ts != last:
+            pks = None
+    if pks is None:
+        for _pks, rows in txn.scan_batches(name):
+            yield from rows
+        return
+    seen_local = set()
+    for pk, values in txn.local_rows(name):
+        seen_local.add(pk)
+        if values is not None:
+            yield values
+    for pk in pks:
+        if pk not in seen_local:
+            values = txn.get(name, pk)
+            if values is not None:
+                yield values
+
+
 class IndexScan(PlanNode):
-    """Secondary-index lookup; merges the transaction's own buffered rows so
-    uncommitted inserts stay visible.  Candidate rows may be stale, so the
-    planner always re-applies the key predicates in the filter above."""
+    """Secondary-index lookup through ``_index_candidates``, so the
+    transaction's own uncommitted inserts stay visible.  Candidate rows may
+    not carry the key, so the planner always re-applies the key predicates
+    in the filter above."""
 
     def __init__(self, table: Table, binding: str, index_name: str, key_fns,
                  prefix: bool = False):
@@ -212,29 +256,12 @@ class IndexScan(PlanNode):
         ctx.stats.index_lookups += 1
         # secondary-index keys say nothing about placement: scatter lookup
         ctx.stats.partitions_scanned += ctx.partition_count
-        store = ctx.txn.manager.storage.store(name)
-        idx = store.index(self.index_name)
-        if self.prefix:
-            pks = set()
-            for _k, entry in idx.prefix_scan(key):
-                pks |= entry
-        else:
-            pks = set(idx.lookup(key))
         count = 0
-        seen_local = set()
         try:
-            for pk, values in ctx.txn.local_rows(name):
-                seen_local.add(pk)
-                if values is not None:
-                    count += 1
-                    yield values
-            for pk in pks:
-                if pk in seen_local:
-                    continue
-                values = ctx.txn.get(name, pk)
-                if values is not None:
-                    count += 1
-                    yield values
+            for values in _index_candidates(ctx, name, self.index_name, key,
+                                            self.prefix):
+                count += 1
+                yield values
         finally:
             ctx.stats.rows_row_store[name] += count
 
@@ -401,7 +428,7 @@ class IndexJoin(BatchNode):
         self.inner_filter = inner_filter
         self.kind = kind
         self.schema = left.schema + inner.schema
-        # index entries may be stale: remember the key positions to re-check
+        # index candidates may not carry the key: remember its positions
         self._recheck_positions: tuple[int, ...] = ()
         if isinstance(inner, IndexScan):
             table = inner.table
@@ -415,22 +442,10 @@ class IndexJoin(BatchNode):
     def _index_rows(self, key: tuple, ctx):
         name = self.inner.table.name
         ctx.stats.index_lookups += 1
-        store = ctx.txn.manager.storage.store(name)
-        pks = set(store.index(self.inner.index_name).lookup(key))
         positions = self._recheck_positions
-        seen_local = set()
-        for pk, values in ctx.txn.local_rows(name):
-            seen_local.add(pk)
-            if values is not None and \
-                    tuple(values[p] for p in positions) == key:
-                ctx.stats.rows_row_store[name] += 1
-                yield values
-        for pk in pks:
-            if pk in seen_local:
-                continue
-            values = ctx.txn.get(name, pk)
-            if values is not None and \
-                    tuple(values[p] for p in positions) == key:
+        for values in _index_candidates(ctx, name, self.inner.index_name,
+                                        key):
+            if tuple(values[p] for p in positions) == key:
                 ctx.stats.rows_row_store[name] += 1
                 yield values
 
@@ -1614,7 +1629,7 @@ class Planner:
 
         The bound equalities of a PK lookup or prefix scan hold for every
         row it returns, so only the rest is evaluated per row; an index
-        scan proves nothing (its entries may be stale).
+        scan proves nothing (its candidates may not carry the key).
         """
         eq: dict[str, ast.Expr] = {}
         bound_by: dict[str, ast.Expr] = {}   # column -> the conjunct in eq

@@ -171,11 +171,9 @@ class ExecStats:
     # how many it proved irrelevant (PK routing / partition-key pruning)
     partitions_scanned: int = counter(section="partitions", label="scanned")
     partitions_pruned: int = counter(section="partitions", label="pruned")
-    # widest partition fan-out of any one scan (maxed on merge — it feeds
-    # the engine's parallelism model), and the partition streams an
-    # aggregate folded when it read more than one
+    # widest partition fan-out of any one columnar scan (maxed on merge —
+    # it feeds the engine's parallelism model)
     scatter_partitions: int = counter(merge="max")
-    partial_aggregates: int = counter()
     # fault counters: injected faults this statement hit, faults it
     # survived (retry / degraded route), and statements
     # the circuit breaker degraded from the columnar to the row pipeline

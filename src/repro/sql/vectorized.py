@@ -668,22 +668,12 @@ class _RunSpan(_ColumnSpan):
 # ---------------------------------------------------------------------------
 
 class VectorNode:
-    """Base batch operator: ``execute_batches(ctx)`` yields ``Batch``es.
-
-    ``execute_partitions(ctx)`` additionally exposes the stream as
-    ``(partition_id, batch-iterator)`` pairs — the streams an aggregate
-    above folds, one after another, into its one state.  Operators that
-    cannot preserve partition identity fall back to the default
-    single-stream shape.
-    """
+    """Base batch operator: ``execute_batches(ctx)`` yields ``Batch``es."""
 
     schema: Schema
 
     def execute_batches(self, ctx):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def execute_partitions(self, ctx):
-        yield 0, self.execute_batches(ctx)
 
     def children(self) -> list:
         return []
@@ -707,10 +697,11 @@ class VColumnarScan(VectorNode):
     as lazy gathers, so only columns (and positions) a downstream operator
     touches are ever decoded.
 
-    Under a partitioned replica the scan scatters across the per-partition
-    segment sets; a pushed *equality* predicate on the partition key (the
-    first primary-key column) prunes the scan to the one partition that
-    hash can reach, and zone maps prune segments within each partition.
+    Under a partitioned replica the scan reads the per-partition segment
+    sets one after another as one batch stream; a pushed *equality*
+    predicate on the partition key (the first primary-key column) prunes
+    the scan to the one partition that hash can reach, and zone maps prune
+    segments within each partition.
     """
 
     def __init__(self, table, binding: str,
@@ -891,7 +882,7 @@ class VColumnarScan(VectorNode):
                 yield batch
         stats.rows_columnar[name] += scanned
 
-    def execute_partitions(self, ctx):
+    def execute_batches(self, ctx):
         name = self.table.name
         stats = ctx.stats
         stats.full_scans[name] += 1
@@ -925,12 +916,8 @@ class VColumnarScan(VectorNode):
         stats.partitions_pruned += len(parts) - len(pids)
         stats.scatter_partitions = max(stats.scatter_partitions, len(pids))
         for pid in pids:
-            yield pid, self._scan_partition(parts[pid], ctx, preds,
+            yield from self._scan_partition(parts[pid], ctx, preds,
                                             skip_segment)
-
-    def execute_batches(self, ctx):
-        for _pid, batches in self.execute_partitions(ctx):
-            yield from batches
 
 
 class VFilter(VectorNode):
@@ -941,9 +928,9 @@ class VFilter(VectorNode):
         self.predicate = predicate
         self.schema = child.schema
 
-    def _apply(self, batches, ctx):
+    def execute_batches(self, ctx):
         predicate = self.predicate
-        for batch in batches:
+        for batch in self.child.execute_batches(ctx):
             selection = predicate(batch, ctx)
             if not selection:
                 continue
@@ -951,13 +938,6 @@ class VFilter(VectorNode):
                 yield batch
             else:
                 yield batch.take(selection)
-
-    def execute_batches(self, ctx):
-        yield from self._apply(self.child.execute_batches(ctx), ctx)
-
-    def execute_partitions(self, ctx):
-        for pid, batches in self.child.execute_partitions(ctx):
-            yield pid, self._apply(batches, ctx)
 
     def children(self):
         return [self.child]
@@ -971,17 +951,10 @@ class VProject(VectorNode):
         self.fns = fns
         self.schema = Schema([(None, name) for name in names])
 
-    def _apply(self, batches, ctx):
-        fns = self.fns
-        for batch in batches:
-            yield Batch([fn(batch, ctx) for fn in fns], len(batch))
-
     def execute_batches(self, ctx):
-        yield from self._apply(self.child.execute_batches(ctx), ctx)
-
-    def execute_partitions(self, ctx):
-        for pid, batches in self.child.execute_partitions(ctx):
-            yield pid, self._apply(batches, ctx)
+        fns = self.fns
+        for batch in self.child.execute_batches(ctx):
+            yield Batch([fn(batch, ctx) for fn in fns], len(batch))
 
     def children(self):
         return [self.child]
@@ -1003,10 +976,7 @@ class VHashJoin(VectorNode):
     is never built.
 
     Emission order matches the row pipeline's ``HashJoin`` exactly: left
-    rows in scan order, matches per key in right-input order.  Partition
-    streams pass through the probe side (the build side is broadcast, as a
-    distributed engine would broadcast the smaller input), so a partitioned
-    left input keeps feeding the aggregate above stream by stream.
+    rows in scan order, matches per key in right-input order.
     """
 
     def __init__(self, left: VectorNode, right: VectorNode,
@@ -1154,15 +1124,11 @@ class VHashJoin(VectorNode):
                                 for column in columns], len(out_right))
 
     def execute_batches(self, ctx):
-        for _pid, batches in self.execute_partitions(ctx):
-            yield from batches
-
-    def execute_partitions(self, ctx):
         ctx.stats.join_ops += 1
         probe_dict = self._probe_dict(ctx)
         build = self._build(ctx, probe_dict)
-        for pid, batches in self.left.execute_partitions(ctx):
-            yield pid, self._probe(batches, build, probe_dict, ctx)
+        yield from self._probe(self.left.execute_batches(ctx), build,
+                               probe_dict, ctx)
 
     def children(self):
         return [self.left, self.right]
@@ -1200,19 +1166,18 @@ class BatchAggregate(BatchNode):
     materialised row list, emitted in chunks rather than re-batched from
     a per-row generator (Q5 passes 13 k group rows up to its TopN).
 
-    Every partition stream of the child folds, in partition order, into
-    the one result state, as the row ``Aggregate`` folds its input.  The
-    state is order-insensitive, so the result is bit-identical to
-    aggregating one concatenated stream — and to the row pipeline.
+    The child's one batch stream (every partition the scan visits, in
+    partition order) folds into one state, as the row ``Aggregate`` folds
+    its input, so the result is bit-identical to the row pipeline's.
 
     **Encoded group-by**: when the single grouping key is a plain column
     of the scan (``group_positions``), batches whose key column is
     run-length encoded group run-at-a-time — one group lookup per run,
     one bulk fold over each argument's run span — and batches whose key
     column is sealed into a table-level dictionary group by its global
-    integer *codes* (one group-id slot per code, persisted across the
-    stream's batches, decoding only the surviving group keys).  Group
-    creation order is first-encounter scan order, identical to the
+    integer *codes* (one group-id slot per code, persisted across every
+    batch of every partition, decoding only the surviving group keys).
+    Group creation order is first-encounter scan order, identical to the
     generic value path, so results (and emission order) do not change.
     """
 
@@ -1289,7 +1254,7 @@ class BatchAggregate(BatchNode):
 
         Batches whose key column lives in a shared (table-level)
         dictionary resolve groups through ONE code-indexed slot array
-        persisted across every batch of the stream — no per-segment slot
+        persisted across every batch of the scan — no per-segment slot
         rebuild, no per-segment key lookup.  Rows bucket by code (per-code
         C-speed selections for few distincts, one insertion-ordered pass
         otherwise) and each bucket bulk-folds its aggregate arguments into
@@ -1368,7 +1333,7 @@ class BatchAggregate(BatchNode):
             [fn(batch, ctx) for fn in self.group_fns]), arg_cols)
 
     def _fold(self, batches, ctx, groups: GroupedAggregation):
-        """Fold one batch stream into ``groups``.
+        """Fold the child's batches into ``groups``.
 
         ``SegmentBatch``es (whole sealed segments with no surviving
         predicate) fold through the replica's sketch cache: a hit merges
@@ -1384,8 +1349,8 @@ class BatchAggregate(BatchNode):
         specs = self.agg_specs
         sketch_key = self.sketch_key
         sketches = ctx.columnar.sketches if sketch_key is not None else None
-        # shared-dictionary slot arrays persisted across every batch of
-        # this stream (one per table dictionary encountered)
+        # shared-dictionary slot arrays persisted across every batch, all
+        # partitions included (one per table dictionary encountered)
         slot_state: dict = {}
         rows = 0
         for batch in batches:
@@ -1419,12 +1384,7 @@ class BatchAggregate(BatchNode):
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         groups = self._new_groups()
-        streams = 0
-        for _pid, batches in self.child.execute_partitions(ctx):
-            streams += 1
-            self._fold(batches, ctx, groups)
-        if streams > 1:
-            ctx.stats.partial_aggregates += streams
+        self._fold(self.child.execute_batches(ctx), ctx, groups)
         if not self.group_fns:
             # global aggregate over an empty input still yields one row
             groups.gid(())

@@ -5,7 +5,6 @@ from repro.storage.columnstore import (
     SEGMENT_ROWS,
     ColumnarReplica,
     ColumnarTable,
-    PartitionedColumnarView,
     Segment,
 )
 from repro.storage.index import OrderedIndex
@@ -24,7 +23,6 @@ __all__ = [
     "SEGMENT_ROWS",
     "ColumnarReplica",
     "ColumnarTable",
-    "PartitionedColumnarView",
     "Segment",
     "OrderedIndex",
     "PartitionMap",

@@ -1450,23 +1450,6 @@ class ColumnarTable:
         return self._all_segments()
 
 
-class PartitionedColumnarView:
-    """Read-only union over one table's per-partition columnar stores: the
-    row count and the row-tuple ``scan`` the row pipeline reads.
-    Partition-aware operators go straight to the per-partition tables."""
-
-    def __init__(self, parts: list[ColumnarTable]):
-        self.parts = parts
-
-    @property
-    def row_count(self) -> int:
-        return sum(p.row_count for p in self.parts)
-
-    def scan(self) -> Iterator[tuple[tuple, tuple]]:
-        for part in self.parts:
-            yield from part.scan()
-
-
 def _encoding_stats(segments: list[Segment]) -> dict:
     """Segment/byte accounting of the encoding layer over ``segments``."""
     stats = {
@@ -1633,12 +1616,6 @@ class ColumnarReplica:
 
     def has_table(self, name: str) -> bool:
         return name.upper() in self._tables
-
-    def table(self, name: str) -> ColumnarTable | PartitionedColumnarView:
-        parts = self.table_partitions(name)
-        if len(parts) == 1:
-            return parts[0]
-        return PartitionedColumnarView(parts)
 
     def table_partitions(self, name: str) -> list[ColumnarTable]:
         """The per-partition columnar stores of one table."""

@@ -4,10 +4,13 @@
 (the stand-in for a B+-tree; Python's ``bisect`` over a sorted list gives the
 same asymptotics for our workload sizes).
 
-Index entries map an index-key tuple to the set of primary keys that have
-*ever* carried that key.  Readers must re-check visibility and the indexed
-predicate against the MVCC version they fetch — the classic "index may
-return stale entries" contract, which keeps index maintenance cheap.
+Index entries map an index-key tuple to the primary keys whose *newest
+committed* row carries that key: a commit that deletes a row or changes its
+key removes the old entry.  So the index answers only a snapshot at or
+after its table's ``last_commit_ts``; an older snapshot may miss a row
+(see ``repro.sql.planner._index_candidates``).  Readers still re-check the
+indexed predicate against the MVCC version they fetch, which may be their
+own transaction's buffered rewrite.
 """
 
 from __future__ import annotations
@@ -67,4 +70,6 @@ class OrderedIndex:
         """Yield ``(key, pks)`` for every key starting with ``prefix``."""
         entries = self._entries
         for key in self.prefix_keys(prefix):
-            yield key, entries[key]
+            pks = entries.get(key)
+            if pks is not None:             # a commit emptied it meanwhile
+                yield key, pks

@@ -204,7 +204,12 @@ class TableStore:
         first-install order, at most ``size`` rows per batch."""
         batches = _newest_batches(self, ts, size)
         if batches is None:
-            batches = _scan_chain_batches(list(self._chains.items()), ts, size)
+            # copying the keys allocates no object per row, so no garbage
+            # collection (which may run another thread's commit) can start
+            # inside the copy; ``list(items())`` could raise mid-copy
+            pks = list(self._chains)
+            batches = _scan_chain_batches(
+                zip(pks, map(self._chains.__getitem__, pks)), ts, size)
         return batches
 
     def scan(self, ts: int) -> Iterator[tuple[tuple, tuple]]:

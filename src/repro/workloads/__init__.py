@@ -8,12 +8,6 @@ from repro.workloads.base import TransactionProfile, Workload
 _REGISTRY: dict[str, type] = {}
 
 
-def register(cls: type) -> type:
-    """Class decorator/registration hook for workload implementations."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
 def make_workload(name: str, scale: float = 1.0) -> Workload:
     """Instantiate a workload by its benchmark name."""
     _ensure_loaded()
@@ -48,5 +42,4 @@ __all__ = [
     "Workload",
     "make_workload",
     "workload_names",
-    "register",
 ]

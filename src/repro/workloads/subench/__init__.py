@@ -23,10 +23,6 @@ class Subenchmark(Workload):
     def __init__(self, scale: float = 1.0):
         self._ctx = TpccContext(warehouses=loader.warehouse_count(scale))
 
-    @property
-    def context(self) -> TpccContext:
-        return self._ctx
-
     def schema_script(self, with_foreign_keys: bool = False) -> str:
         return schema.schema_script(with_foreign_keys)
 

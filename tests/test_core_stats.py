@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.stats import (
     ClassMetrics,
     LatencyCollector,
-    describe,
     percentile,
 )
 
@@ -93,9 +92,3 @@ class TestClassMetrics:
 
     def test_zero_window(self):
         assert ClassMetrics().throughput(0.0) == 0.0
-
-
-def test_describe_convenience():
-    d = describe([1, 2, 3])
-    assert d["count"] == 3
-    assert d["mean"] == pytest.approx(2.0)

@@ -368,7 +368,7 @@ class TestSignOfZeroThroughTheEngine:
             conn.commit()
         db.replicate()
         db.columnar.compact(force=True)
-        table = db.columnar.table("z")
+        table = db.columnar.table_partitions("z")[0]
         assert table.delta_live_rows() == 0
         assert any(isinstance(s.columns[1], RLEColumn)
                    for s in table.read_snapshot()[0])

@@ -3,8 +3,6 @@
 import pytest
 
 from repro import errors
-from repro.catalog import INT, Column, SchemaVariant, Table
-from repro.catalog.schema import Catalog
 
 
 class TestErrorHierarchy:
@@ -35,15 +33,6 @@ class TestErrorHierarchy:
 
 
 class TestSchemaVariant:
-    def test_variant_builds_tables_into_catalog(self):
-        table = Table("t", [Column("a", INT, nullable=False)],
-                      primary_key=("a",))
-        variant = SchemaVariant("no-fk", with_foreign_keys=False,
-                                tables=[table])
-        catalog = Catalog()
-        variant.build(catalog)
-        assert catalog.has_table("t")
-
     def test_workload_variants_differ_only_in_fks(self):
         """Both shipped schema flavours must define identical tables,
         columns and indexes — foreign keys are the only difference."""

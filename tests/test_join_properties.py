@@ -91,7 +91,7 @@ def _coded_probe_rows(db):
     probe_dict = db.columnar.shared_dict("l", 2)
     return sum(
         segment.live_count
-        for segment in db.columnar.table("l").read_snapshot()[0]
+        for segment in db.columnar.table_partitions("l")[0].read_snapshot()[0]
         if isinstance(segment.columns[2], SharedDictColumn)
         and segment.columns[2].shared is probe_dict)
 

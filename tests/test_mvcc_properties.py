@@ -415,3 +415,107 @@ def test_index_join_probe_racing_a_commit(partitions):
         thread.join(timeout=30)
         sys.setswitchinterval(interval)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_secondary_index_reads_at_an_older_snapshot(partitions):
+    """A commit that moves a row off an index key, or deletes it, removes
+    the row's index entry.  A transaction whose snapshot predates that
+    commit still sees the row through the index — by equality, by key
+    prefix and through an index join — as its sequential scan does, and
+    still sees its own buffered insert."""
+    db = Database(partitions=partitions)
+    db.run_script("CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT);"
+                  "CREATE INDEX idx_k ON t (k);"
+                  "CREATE TABLE p (id INT PRIMARY KEY, k INT, v INT);"
+                  "CREATE INDEX idx_kv ON p (k, v);"
+                  "CREATE TABLE u (id INT PRIMARY KEY, k INT)")
+    for name in ("t", "p"):
+        db.bulk_load(name, [(i, i % 2, i) for i in range(5)])
+    db.bulk_load("u", [(1, 1)])
+    index_reads = {
+        "SELECT id FROM t WHERE k = 1": "SELECT id FROM t WHERE k + 0 = 1",
+        "SELECT id FROM p WHERE k = 1": "SELECT id FROM p WHERE k + 0 = 1",
+        "SELECT t.id FROM u JOIN t ON t.k = u.k WHERE u.id = 1":
+            "SELECT id FROM t WHERE k + 0 = 1",
+    }
+    for sql in index_reads:
+        assert db.query(sql).stats.index_lookups == 1, sql
+
+    def ids(conn, sql):
+        return sorted(conn.execute(sql).rows)
+
+    old = db.connect()
+    old.begin()
+    with db.connect() as conn:
+        for name in ("t", "p"):
+            conn.execute(f"UPDATE {name} SET k = 7 WHERE id = 1")
+            conn.execute(f"DELETE FROM {name} WHERE id = 3")
+        conn.commit()
+    for sql, scan in index_reads.items():
+        assert ids(old, sql) == ids(old, scan) == [(1,), (3,)], sql
+    old.execute("INSERT INTO t (id, k, v) VALUES (9, 1, 9)")
+    assert ids(old, "SELECT id FROM t WHERE k = 1") == [(1,), (3,), (9,)]
+    old.rollback()
+    for sql, scan in index_reads.items():
+        assert db.query(sql).rows == db.query(scan).rows == [], sql
+    # a current snapshot reads the index: its own insert is the one row
+    with db.connect() as conn:
+        conn.execute("INSERT INTO t (id, k, v) VALUES (9, 1, 9)")
+        result = conn.execute("SELECT id FROM t WHERE k = 1")
+        assert result.rows == [(9,)]
+        assert dict(result.stats.rows_row_store) == {"t": 1}
+        conn.rollback()
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_index_prefix_scan_racing_a_commit_that_empties_a_key(partitions):
+    """A writer thread moves one row to a new key of a two-column index per
+    commit while this thread reads through the index by key prefix, so
+    commits empty keys the prefix scan has listed but not yet reached.
+    Each read's snapshot is taken between two commits; the commits after
+    it land during the read.  The scan skips an emptied key and a
+    candidate copy a commit landed in is discarded, so no read raises and
+    every read counts every row."""
+    db = Database(partitions=partitions)
+    db.run_script("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT);"
+                  "CREATE INDEX idx_ab ON t (a, b)")
+    n = 2000
+    db.bulk_load("t", [(i, 1, i) for i in range(n)])
+    sql = "SELECT COUNT(*) FROM t WHERE a = 1"
+    assert db.query(sql).stats.index_lookups == 1
+    between_commits = threading.Lock()
+    stop = threading.Event()
+
+    def writer():
+        with db.connect() as conn:
+            for step in range(1_000_000):
+                if stop.is_set():
+                    return
+                with between_commits:
+                    # a row at a spread-out position: the key it empties
+                    # is as often ahead of the prefix scan as behind it
+                    conn.execute("UPDATE t SET b = ? WHERE id = ?",
+                                 (n + step, step * 7919 % n))
+                    conn.commit()
+                time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 5.0
+        reads = 0
+        with db.connect() as conn:
+            while reads < 50 and time.monotonic() < deadline:
+                with between_commits:
+                    conn.begin()
+                assert conn.execute(sql).rows == [(n,)]
+                conn.commit()
+                reads += 1
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()

@@ -127,7 +127,7 @@ class TestReverseOrderedScan:
                              (float(i) * 10.0, i))
             conn.commit()
         db.replicate()
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         assert table.delta_live_rows() > 0, \
             "delta unexpectedly merged — the overlay case is not covered"
         result = routed(db, "SELECT id FROM t ORDER BY id DESC")
@@ -151,7 +151,7 @@ class TestSegmentGranularMerge:
     def test_narrow_delta_rewrites_only_overlap(self):
         db = _make_db(segment_rows=32)
         _fill(db, 256)  # 8 sorted main segments of 32 rows
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         main_before = list(table.read_snapshot()[0])
         assert len(main_before) == 8
         merged_before = table.segments_merged_total
@@ -176,7 +176,7 @@ class TestSegmentGranularMerge:
     def test_disjoint_append_does_not_rewrite_main(self):
         db = _make_db(segment_rows=32)
         _fill(db, 128)
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         main_before = list(table.read_snapshot()[0])
         with db.connect() as conn:
             for i in range(1000, 1032):

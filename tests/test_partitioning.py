@@ -143,7 +143,7 @@ class TestPartitionPruningCounters:
         assert result.stats.partitions_scanned == 1
         assert result.stats.partitions_pruned == 7
 
-    def test_columnar_scatter_records_fanout_and_partials(self):
+    def test_columnar_scatter_records_fanout(self):
         db = _make_db(8)
         _load_points(db, n=512)
         with db.connect() as conn:
@@ -154,7 +154,6 @@ class TestPartitionPruningCounters:
         assert result.stats.vectorized
         assert result.stats.partitions_scanned == 8
         assert result.stats.scatter_partitions == 8
-        assert result.stats.partial_aggregates == 8
 
     def test_zone_maps_prune_within_partitions(self):
         db = _make_db(4)
@@ -397,7 +396,6 @@ class TestEnginePartitioning:
         stats.agg_input_rows = 1_000_000
         stats.used_columnar = True
         stats.scatter_partitions = 16
-        stats.partial_aggregates = 16
         work = WorkResult(kind="olap", name="q", stats=stats, n_statements=1)
         parallel = engine._columnar_parallelism(work, columnar=True)
         assert parallel == engine.groups["columnar"].nodes  # node-bounded

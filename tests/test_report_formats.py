@@ -234,7 +234,7 @@ PINNED_SUBENCHMARK_MIXED = {
     "full_scans": {"customer": 3, "district": 2, "history": 5,
                    "new_order": 1, "order_line": 4, "warehouse": 1},
     "groups": 192, "index_range_scans": 92, "join_ops": 10,
-    "partial_aggregates": 44, "partitions_pruned": 4308,
+    "partitions_pruned": 4308,
     "partitions_scanned": 1500, "pk_lookups": 2297,
     "plan_cache_hits": 1799, "plan_cache_misses": 36,
     "rows_columnar": {"customer": 9000, "district": 20, "history": 15043,

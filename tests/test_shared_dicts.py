@@ -66,7 +66,7 @@ def _fill(db, n=256, seed=11, null_every=0):
 class TestSharedDictStorage:
     def test_compaction_seals_into_shared_code_space(self):
         db = _fill(_make_db())
-        table = db.columnar.table("cust")
+        table = db.columnar.table_partitions("cust")[0]
         nation_dict = db.columnar.shared_dict("cust", 1)
         assert isinstance(nation_dict, TableDictionary)
         shared_cols = [seg.columns[1] for seg in table.read_snapshot()[0]]
@@ -106,7 +106,7 @@ class TestSharedDictStorage:
         stats = db.columnar.encoding_stats()
         assert stats["shared_dicts_demoted"] >= 1
         # nation column stays shared; note column fell back
-        table = db.columnar.table("cust")
+        table = db.columnar.table_partitions("cust")[0]
         assert any(isinstance(seg.columns[1], SharedDictColumn)
                    for seg in table.read_snapshot()[0])
         note_cols = [seg.columns[3] for seg in table.read_snapshot()[0]]
@@ -180,6 +180,50 @@ class TestGlobalCodeGroupBy:
         a = routed(shared, sql)
         assert a.rows == routed(shared, sql, vectorized=False).rows
         assert a.stats.groups_global_coded > 0
+
+
+class TestOneStreamFold:
+    """The aggregate folds every partition's batches through one code ->
+    group-id slot array: a shared-dictionary key spread over every
+    partition, NULL among its values, groups the same way at every
+    partition count, on the engine, its row oracle and the sketch cache."""
+
+    # the always-true filter keeps the plan off the sketch cache, so every
+    # batch folds through the slot array
+    FILTERED = ("SELECT nation, COUNT(*), SUM(amount), MIN(note) FROM cust "
+                "WHERE amount >= ? GROUP BY nation")
+    WHOLE = ("SELECT nation, COUNT(*), SUM(amount), MIN(note) FROM cust "
+             "GROUP BY nation")
+
+    def test_every_partition_count_folds_alike(self, routed):
+        ordered = []
+        for partitions in (1, 2, 8):
+            db = _fill(_make_db(partitions=partitions))
+            with db.connect() as conn:
+                conn.execute("UPDATE cust SET nation = NULL WHERE id < 40")
+                conn.commit()
+            db.replicate()
+            db.columnar.compact(force=True)
+            for part in db.columnar.table_partitions("cust"):
+                assert {row[1] for _pk, row in part.scan()} \
+                    == {None, *NATIONS}, partitions
+            got = routed(db, self.FILTERED, (0.0,))
+            oracle = routed(db, self.FILTERED, (0.0,), vectorized=False)
+            # rows and emission order (first encounter, no ORDER BY)
+            assert got.rows == oracle.rows, partitions
+            assert got.stats.sketches_hit == got.stats.sketches_built == 0
+            assert got.stats.groups_global_coded \
+                == got.stats.batches_scanned > 0, partitions
+            assert oracle.stats.groups_global_coded == 0
+            cold = routed(db, self.WHOLE)
+            warm = routed(db, self.WHOLE)
+            assert cold.stats.sketches_built > 0
+            assert warm.stats.sketches_hit == warm.stats.batches_scanned > 0
+            assert cold.rows == warm.rows == got.rows, partitions
+            ordered.append(routed(db, self.FILTERED + " ORDER BY nation",
+                                  (0.0,)).rows)
+        assert len(ordered[0]) == len(NATIONS) + 1
+        assert ordered[0] == ordered[1] == ordered[2]
 
 
 class TestCodeSpacePredicates:

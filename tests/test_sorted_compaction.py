@@ -59,7 +59,7 @@ class TestOrderedCompaction:
     def test_merge_sorts_main_on_primary_key(self):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 256)
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         main = table.read_snapshot()[0]
         assert len(main) == 4 and all(s.encoded for s in main)
         assert table.delta_live_rows() == 0
@@ -75,7 +75,7 @@ class TestOrderedCompaction:
     def test_small_delta_stays_unmerged_until_threshold(self):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 128)
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         merges_before = table.compactions
         with db.connect() as conn:
             conn.execute(
@@ -92,7 +92,7 @@ class TestOrderedCompaction:
     def test_update_supersedes_main_version(self, routed):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 128)
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         with db.connect() as conn:
             conn.execute("UPDATE t SET v = 999.0 WHERE id = 40")
             conn.commit()
@@ -111,7 +111,7 @@ class TestOrderedCompaction:
     def test_delete_then_reinsert_through_merge(self, routed):
         db = _make_db(segment_rows=64)
         _fill_shuffled(db, 128)
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         with db.connect() as conn:
             conn.execute("DELETE FROM t WHERE id = 7")
             conn.commit()
@@ -144,7 +144,7 @@ class TestOrderedCompaction:
     def test_custom_sort_key(self):
         db = _make_db(segment_rows=32, sort_keys={"t": ("b", "id")})
         _fill_shuffled(db, 128)
-        table = db.columnar.table("t")
+        table = db.columnar.table_partitions("t")[0]
         rows = [row for _pk, row in table.scan()]
         keys = [(row[1], row[4]) for row in rows]
         assert keys == sorted(keys)
@@ -345,7 +345,7 @@ class TestRunGroupedFold:
 
     def test_rle_group_by_matches_plain(self, routed):
         enc = self._filled()
-        table = enc.columnar.table("t")
+        table = enc.columnar.table_partitions("t")[0]
         assert any(type(s.columns[0]).__name__ == "RLEColumn"
                    for s in table.read_snapshot()[0])
         sql = ("SELECT a, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), "

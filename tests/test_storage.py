@@ -192,7 +192,7 @@ class TestWALAndColumnar:
         applied = replica.apply_from_partitions(storage.wals)
         assert applied == 2
         assert replica.total_lag(storage.wals) == 0
-        assert dict(replica.table("t").scan()) == {
+        assert dict(replica.table_partitions("t")[0].scan()) == {
             (1,): (1, "a"), (2,): (2, "b")}
 
     def test_replica_update_and_delete(self):
@@ -205,17 +205,17 @@ class TestWALAndColumnar:
         storage.apply_commit(2, [("t", (1,), (1, "b"), LogOp.UPDATE)])
         storage.apply_commit(3, [("t", (1,), None, LogOp.DELETE)])
         replica.apply_from_partitions(storage.wals, limit=2)
-        assert dict(replica.table("t").scan()) == {(1,): (1, "b")}
+        assert dict(replica.table_partitions("t")[0].scan()) == {(1,): (1, "b")}
         replica.apply_from_partitions(storage.wals)
-        assert dict(replica.table("t").scan()) == {}
-        assert replica.table("t").row_count == 0
+        assert dict(replica.table_partitions("t")[0].scan()) == {}
+        assert replica.table_partitions("t")[0].row_count == 0
 
 
 class TestColumnarSegments:
     def _table(self, segment_rows=4) -> ColumnarTable:
         replica = ColumnarReplica(segment_rows=segment_rows)
         replica.register_table(make_table())
-        return replica.table("t")
+        return replica.table_partitions("t")[0]
 
     def test_rows_split_across_segments(self):
         store = self._table(segment_rows=4)
