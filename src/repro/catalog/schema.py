@@ -150,9 +150,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"table {name!r} does not exist") from None
 
-    def has_table(self, name: str) -> bool:
-        return name.upper() in self._tables
-
     def tables(self) -> list[Table]:
         return list(self._tables.values())
 

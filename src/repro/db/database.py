@@ -162,8 +162,15 @@ class Database:
         elif isinstance(statement, ast.CreateIndex):
             self._create_index(statement)
         elif isinstance(statement, ast.DropTable):
+            if self.columnar is not None:
+                # WAL records carry only the table name: apply the table's
+                # pending records now, or a re-created table of the same
+                # name would receive them
+                self.replicate()
             self.catalog.drop_table(statement.name)
             self.storage.drop_table(statement.name)
+            if self.columnar is not None:
+                self.columnar.drop_table(statement.name)
         else:
             raise SQLError(f"not a DDL statement: {sql!r}")
         self._plan_cache.clear()
@@ -228,7 +235,6 @@ class Database:
         from repro.storage.wal import LogOp
 
         table = self.catalog.table(table_name)
-        commit_ts = self.txn_manager.allocate_commit_ts()
         count = 0
         writes = []
         for row in rows:
@@ -241,7 +247,7 @@ class Database:
             writes.append((table.name, table.pk_of(values), values,
                            LogOp.INSERT))
             count += 1
-        self.storage.apply_commit(commit_ts, writes)
+        self.txn_manager.install_committed(writes)
         return count
 
     def replicate(self, limit: int | None = None) -> int:

@@ -2,11 +2,12 @@
 
 ``ExecContext`` carries everything an operator needs at run time: bound
 parameters, the active transaction, the statistics collector, and the store
-routing decision (row vs columnar).  UPDATE / DELETE targets and the
-``SELECT … FOR UPDATE`` rows a commit validates are the rows of the
-planner's scan node under its residual filter — the same operators a
-SELECT reads through — and changes go through the transaction's
-buffered-write API, so MVCC and validation semantics come for free.
+routing decision (row vs columnar).  UPDATE / DELETE targets are the
+rows of the planner's scan node under its residual filter, and the
+``SELECT … FOR UPDATE`` rows a commit validates are those of the
+statement's FROM node: the same operators a SELECT reads through.
+Changes go through the transaction's buffered-write API, so MVCC and
+validation semantics come for free.
 """
 
 from __future__ import annotations
@@ -24,15 +25,12 @@ class ExecContext:
 
     def __init__(self, txn: Transaction, params: tuple = (),
                  columnar=None, route_columnar: bool = False,
-                 enforce_foreign_keys: bool = False, catalog=None,
                  partition_map=None):
         self.txn = txn
         self.params = params
         self.stats = ExecStats()
         self.columnar = columnar
         self.route_columnar = route_columnar
-        self.enforce_foreign_keys = enforce_foreign_keys
-        self.catalog = catalog
         self.partition_map = partition_map
         self._subquery_cache: dict[int, list] = {}
 
@@ -41,16 +39,6 @@ class ExecContext:
         """Hash partitions of the row store (1 when unpartitioned)."""
         return self.partition_map.partitions \
             if self.partition_map is not None else 1
-
-    def wants_columnar(self, table_name: str) -> bool:
-        """Should a full scan of ``table_name`` go to the columnar replica?
-
-        Only when the statement was routed to the columnar store *and* the
-        replica actually has the table.  Point/index lookups never come here:
-        they always hit the row store, as in TiDB.
-        """
-        return (self.route_columnar and self.columnar is not None
-                and self.columnar.has_table(table_name))
 
     # -- uncorrelated subquery execution with per-statement caching ---------
 
@@ -101,8 +89,6 @@ class Executor:
             txn, params,
             columnar=self.columnar,
             route_columnar=route_columnar,
-            enforce_foreign_keys=self.enforce_foreign_keys,
-            catalog=self.catalog,
             partition_map=self.partition_map,
         )
 
@@ -129,9 +115,7 @@ class Executor:
         root = plan.root
         if (route_columnar and self.use_vectorized
                 and plan.vectorized_root is not None
-                and self.columnar is not None
-                and all(self.columnar.has_table(t)
-                        for t in plan.vectorized_tables)):
+                and self.columnar is not None):
             root = plan.vectorized_root
             ctx.stats.vectorized = True
             ctx.stats.vectorized_statements = 1

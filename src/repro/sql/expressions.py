@@ -64,9 +64,6 @@ class Schema:
     def binds(self, table: str | None, name: str) -> bool:
         return self.try_resolve(table, name) is not None
 
-    def bindings(self) -> set:
-        return {binding for binding, _ in self.entries if binding}
-
 
 def _null_safe_binop(op: str):
     if op == "+":

@@ -18,6 +18,13 @@ operators record what they touched/skipped in ``partitions_scanned`` /
 ``partitions_pruned``; the vectorized columnar scan additionally prunes
 partitions from pushed partition-key equality predicates.
 
+A SELECT gets two physical trees from one split of its FROM clause:
+``Planner._from_clause`` walks the tables once and hands each its
+single-table conjuncts and each join its equi keys and ON residue.
+``_plan_from`` picks access paths and join operators over that split for
+the row tree; ``_plan_vector_source`` mirrors it over the columnar
+replica only when the row tree just scans — every table a ``SeqScan``,
+every join a ``HashJoin``.
 
 Joins become hash joins whenever an equi-join key is available, otherwise
 nested loops.  Single-table predicates are pushed to the scans; the filter
@@ -26,10 +33,10 @@ already prove.  The bound equalities of a PK lookup or PK-prefix scan hold
 for every row it returns and are not evaluated again; a secondary-index
 path proves nothing (its entries may be stale), so its filter re-applies
 the whole predicate.  That scan under its residual filter is also what
-UPDATE / DELETE read their targets through and ``SELECT … FOR UPDATE`` the
-rows its commit validates, and an index join probes its inner table with
-the keyed read of a ``PKLookup`` / ``PKPrefixScan``: one reader per access
-path.
+UPDATE / DELETE read their targets through, a ``SELECT … FOR UPDATE``'s
+commit validates the rows of its FROM node (the scan under its filters),
+and an index join probes its inner table with the keyed read of a
+``PKLookup`` / ``PKPrefixScan``: one reader per access path.
 
 Operators speak the two-way protocol of ``repro.sql.plannode``: the full
 and PK-prefix scans, filters, projections, hash and index joins,
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from operator import add
 
 from repro.catalog.schema import Catalog, Table
@@ -84,6 +92,11 @@ from repro.sql.vectorized import (
 # plan nodes
 # ---------------------------------------------------------------------------
 
+def _table_schema(table: Table, binding: str) -> Schema:
+    """Every column of ``table`` under ``binding``, in table order."""
+    return Schema([(binding, col) for col in table.column_names])
+
+
 class DualScan(PlanNode):
     """Single empty row — SELECT without FROM."""
 
@@ -102,16 +115,18 @@ class SeqScan(BatchNode):
     def __init__(self, table: Table, binding: str):
         self.table = table
         self.binding = binding
-        self.schema = Schema([(binding, col) for col in table.column_names])
+        self.schema = _table_schema(table, binding)
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         name = self.table.name
         ctx.stats.full_scans[name] += 1
-        columnar = ctx.wants_columnar(name)
+        # a routed statement reads the replica, which holds every table;
+        # point and index lookups never come here: they always hit the
+        # row store, as in TiDB
+        columnar = ctx.route_columnar and ctx.columnar is not None
         if columnar:
             ctx.stats.used_columnar = True
-            ctx.stats.partitions_scanned += \
-                ctx.columnar.partitions if ctx.columnar is not None else 1
+            ctx.stats.partitions_scanned += ctx.columnar.partitions
             batches = batched(
                 (values for part in ctx.columnar.table_partitions(name)
                  for _pk, values in part.scan()), size)
@@ -143,7 +158,7 @@ class PKLookup(BatchNode):
         self.table = table
         self.binding = binding
         self.key_fns = key_fns
-        self.schema = Schema([(binding, col) for col in table.column_names])
+        self.schema = _table_schema(table, binding)
 
     def read(self, key: tuple, ctx, size: int = BATCH_ROWS):
         """The row under ``key`` as batches (none when it is absent),
@@ -171,7 +186,7 @@ class PKPrefixScan(BatchNode):
         self.table = table
         self.binding = binding
         self.key_fns = key_fns
-        self.schema = Schema([(binding, col) for col in table.column_names])
+        self.schema = _table_schema(table, binding)
 
     def read(self, prefix: tuple, ctx, size: int = BATCH_ROWS):
         """The rows under ``prefix`` as the store's batches, each charged
@@ -248,7 +263,7 @@ class IndexScan(PlanNode):
         self.index_name = index_name
         self.key_fns = key_fns
         self.prefix = prefix
-        self.schema = Schema([(binding, col) for col in table.column_names])
+        self.schema = _table_schema(table, binding)
 
     def execute(self, ctx):
         key = tuple(fn((), ctx) for fn in self.key_fns)
@@ -745,14 +760,12 @@ class Distinct(BatchNode):
 class SelectPlan:
     root: PlanNode
     columns: list[str]
-    # FOR UPDATE: the table and the scan (under its residual filter) whose
-    # rows the statement's commit validates
+    # FOR UPDATE: the table and the FROM node (its scan under the
+    # residual filters) whose rows the statement's commit validates
     for_update: tuple[Table, PlanNode] | None = None
-    # alternative vectorized physical plan (None when any operator is
-    # unsupported); used when the statement is routed to the columnar
-    # replica and every scanned table is replicated
+    # alternative vectorized physical plan, used when the statement is
+    # routed to the columnar replica; None unless the row plan only scans
     vectorized_root: PlanNode | None = None
-    vectorized_tables: tuple = ()
 
 
 @dataclass
@@ -766,6 +779,23 @@ class _Presentation:
     all_names: list = field(default_factory=list)
     key_positions: list = field(default_factory=list)  # (position, desc)
     hidden: int = 0
+
+
+@dataclass
+class _JoinStep:
+    """One table of a SELECT's FROM clause and the conjuncts the FROM walk
+    gave it (``Planner._from_clause``); the base table is the step with no
+    ``kind``, keys or ON residue."""
+
+    table: Table
+    binding: str
+    schema: Schema
+    kind: str | None       # INNER / LEFT; None for the base table
+    conjuncts: list        # single-table: its scan's predicates
+    left_keys: list        # equi keys over the tables before it ...
+    right_keys: list       # ... and over this one
+    equi: list             # the conjuncts the keys came from
+    residual_on: list      # ON conjuncts no scan or key took
 
 
 @dataclass
@@ -894,30 +924,29 @@ class Planner:
 
     def plan_select(self, select: ast.Select,
                     vectorized: bool = True) -> SelectPlan:
+        vsource = None
         if select.table is None:
             node: PlanNode = DualScan()
-            vsource = None
         else:
-            node, _bindings = self._plan_from(select)
-            vsource = None
-            if vectorized and self.build_vectorized and \
+            base, steps, remaining = self._from_clause(select)
+            node, scans_only = self._plan_from(base, steps, remaining)
+            from_node = node
+            if scans_only and vectorized and self.build_vectorized and \
                     not select.for_update:
-                vsource = self._plan_vector_source(select)
+                vsource = self._plan_vector_source(select, base, steps,
+                                                   remaining)
 
         # -- aggregation ---------------------------------------------------
         has_group = bool(select.group_by)
         aggs = self._collect_aggregates(select)
         vnode = None          # row-yielding vectorized pipeline (aggregated)
         vector_source = None  # batch-yielding source (batch projection)
-        vtables: tuple = ()
-        if vsource is not None:
-            vtables = tuple(vsource[1])
         if has_group or aggs:
             dependent = self._dependent_keys(select)
             row_agg = self._plan_aggregate(select, node, aggs, dependent)
             if vsource is not None:
                 vnode = self._plan_batch_aggregate(select, vsource[0], aggs,
-                                                   vsource[2], dependent)
+                                                   vsource[1], dependent)
             node = row_agg
             select = self._rewrite_above_aggregate(select, node)
         elif select.having is not None:
@@ -938,13 +967,9 @@ class Planner:
         if select.for_update:
             if select.joins or select.table is None:
                 raise PlanError("FOR UPDATE supports single-table SELECT only")
-            table = self.catalog.table(select.table.name)
-            source, _selective = self._access_path(
-                table, select.table.binding, _flatten_and(select.where))
-            for_update = (table, source)
+            for_update = (base.table, from_node)
 
-        return SelectPlan(root, spec.names, for_update,
-                          vectorized_root=vroot, vectorized_tables=vtables)
+        return SelectPlan(root, spec.names, for_update, vectorized_root=vroot)
 
     # -- presentation: select list, ORDER BY keys, DISTINCT, LIMIT ----------
 
@@ -1054,136 +1079,126 @@ class Planner:
 
     # -- FROM clause / joins ----------------------------------------------------
 
-    def _plan_from(self, select: ast.Select):
-        sub = self._plan_subquery
+    def _from_clause(self, select: ast.Select):
+        """Split the WHERE and ON conjuncts over the FROM clause, once for
+        both physical plans: ``(base, steps, remaining)``.
+
+        Each table takes the subquery-free conjuncts that reference only
+        its columns, from WHERE and from its own ON; a LEFT join's table
+        takes none of WHERE's, which must see its NULL-extended rows.  A
+        join then takes the ``=`` conjuncts between it and the tables
+        before it as equi keys and keeps what is left of its ON (a LEFT
+        join with such a residue takes no keys: all of it is the join's
+        condition).  ``remaining`` is every WHERE conjunct no table or
+        join took.
+        """
         conjuncts = _flatten_and(select.where)
-        # join conditions contribute equi keys and filters exactly like WHERE
-        pending_on: list[tuple[int, ast.Expr]] = []
-        for join_index, join in enumerate(select.joins):
-            for conjunct in _flatten_and(join.condition):
-                pending_on.append((join_index, conjunct))
+        consumed: set[int] = set()
+        steps: list[_JoinStep] = []
+        left_schema = Schema([])
+        from_items = [(select.table, None, [])] + [
+            (join.table, join.kind, _flatten_and(join.condition))
+            for join in select.joins]
+        for ref, kind, on_pool in from_items:
+            table = self.catalog.table(ref.name)
+            if any(step.binding == ref.binding for step in steps):
+                raise BindError(f"duplicate table binding {ref.binding!r}")
+            schema = _table_schema(table, ref.binding)
+            pool = on_pool + ([] if kind == "LEFT" else
+                              [c for c in conjuncts if id(c) not in consumed])
+            mine = self._single_table_conjuncts(ref.binding, pool, schema)
+            consumed.update(id(c) for c in mine)
+            left_keys, right_keys, equi = self._find_equi_keys(
+                pool, left_schema, ref.binding, schema, consumed)
+            keyed = {id(c) for c in equi}
+            residual_on = [c for c in on_pool if id(c) not in consumed]
+            if kind == "LEFT" and any(id(c) not in keyed
+                                      for c in residual_on):
+                # a LEFT join decides its whole ON before NULL-extending,
+                # so an ON conjunct that is neither a key nor its scan's
+                # makes it a nested loop over the ON
+                left_keys, right_keys, equi = [], [], []
+            else:
+                residual_on = [c for c in residual_on if id(c) not in keyed]
+            consumed.update(id(c) for c in equi + residual_on)
+            steps.append(_JoinStep(table, ref.binding, schema, kind, mine,
+                                   left_keys, right_keys, equi, residual_on))
+            left_schema = left_schema + schema
+        remaining = [c for c in conjuncts if id(c) not in consumed]
+        return steps[0], steps[1:], remaining
 
-        bindings: dict[str, Table] = {}
-        base_ref = select.table
-        base_table = self.catalog.table(base_ref.name)
-        bindings[base_ref.binding] = base_table
-
-        base_schema = Schema([(base_ref.binding, c)
-                              for c in base_table.column_names])
-        base_conjs = self._single_table_conjuncts(base_ref.binding, conjuncts,
-                                                  base_schema)
+    def _plan_from(self, base: _JoinStep, steps: list[_JoinStep],
+                   remaining: list[ast.Expr]) -> tuple[PlanNode, bool]:
+        """The row tree over the FROM walk's split, and ``scans_only``:
+        every table is read by a ``SeqScan`` and every join is a
+        ``HashJoin`` — the shape the vector tree mirrors."""
+        sub = self._plan_subquery
         # "selective" = the running pipeline produces few rows, so an
         # index nested-loop join into the next table is the right plan
-        node, selective = self._access_path(base_table, base_ref.binding,
-                                            base_conjs)
-        consumed: set[int] = {id(c) for c in base_conjs}
-
-        for join_index, join in enumerate(select.joins):
-            right_table = self.catalog.table(join.table.name)
-            right_binding = join.table.binding
-            if right_binding in bindings:
-                raise BindError(f"duplicate table binding {right_binding!r}")
-            bindings[right_binding] = right_table
-            right_schema = Schema([(right_binding, c)
-                                   for c in right_table.column_names])
-
-            on_pool = [c for idx, c in pending_on if idx == join_index]
-            where_pool = [] if join.kind == "LEFT" else \
-                [c for c in conjuncts if id(c) not in consumed]
-
-            right_conjs = self._single_table_conjuncts(
-                right_binding, on_pool + where_pool, right_schema
-            )
-            for conjunct in right_conjs:
-                consumed.add(id(conjunct))
-
-            # find equi keys between current node and the new table
-            equi_pool = on_pool + where_pool
-            left_keys, right_keys, used = self._find_equi_keys(
-                equi_pool, node.schema, right_binding, right_schema, consumed
-            )
-            residual_on = [c for c in on_pool
-                           if id(c) not in consumed and id(c) not in used]
-
+        node, selective = self._access_path(base.table, base.binding,
+                                            base.conjuncts)
+        scans_only = not selective
+        for step in steps:
+            residual_on = step.residual_on
             index_join = None
-            if left_keys and selective:
-                index_join = self._try_index_join(
-                    node, right_table, right_binding, left_keys, right_keys,
-                    right_conjs, right_schema, join.kind,
-                )
-
+            if step.left_keys and selective:
+                index_join = self._try_index_join(node, step)
             if index_join is not None:
-                for conjunct_id in used:
-                    consumed.add(conjunct_id)
-                joined, exact = index_join
+                node, exact = index_join
                 if not exact:
                     # prefix/index probes can return extra rows: re-check
                     # every equi conjunct on the combined row
-                    recheck = [c for c in equi_pool if id(c) in used]
-                    joined = Filter(
-                        joined,
-                        compile_expr(_and_all(recheck), joined.schema, sub),
-                    )
-            elif left_keys:
-                selective = False
-                right_node, _selective = self._access_path(
-                    right_table, right_binding, right_conjs)
-                for conjunct_id in used:
-                    consumed.add(conjunct_id)
-                joined = HashJoin(
-                    node, right_node,
-                    [compile_expr(e, node.schema, sub) for e in left_keys],
-                    [compile_expr(e, right_schema, sub) for e in right_keys],
-                    join.kind,
-                )
+                    node = Filter(node, compile_expr(_and_all(step.equi),
+                                                     node.schema, sub))
             else:
                 selective = False
-                right_node, _selective = self._access_path(
-                    right_table, right_binding, right_conjs)
-                condition_exprs = residual_on
-                residual_on = []
-                combined_schema = node.schema + right_schema
-                condition = None
-                if condition_exprs:
-                    condition = compile_expr(
-                        _and_all(condition_exprs), combined_schema, sub
+                right_node, right_selective = self._access_path(
+                    step.table, step.binding, step.conjuncts)
+                if step.left_keys:
+                    scans_only = scans_only and not right_selective
+                    node = HashJoin(
+                        node, right_node,
+                        [compile_expr(e, node.schema, sub)
+                         for e in step.left_keys],
+                        [compile_expr(e, step.schema, sub)
+                         for e in step.right_keys],
+                        step.kind,
                     )
-                    for conjunct in condition_exprs:
-                        consumed.add(id(conjunct))
-                joined = NestedLoopJoin(node, right_node, condition, join.kind)
-            node = joined
+                else:
+                    scans_only = False
+                    condition = None
+                    if residual_on:
+                        condition = compile_expr(_and_all(residual_on),
+                                                 node.schema + step.schema,
+                                                 sub)
+                        residual_on = []
+                    node = NestedLoopJoin(node, right_node, condition,
+                                          step.kind)
             if residual_on:
-                node = Filter(
-                    node,
-                    compile_expr(_and_all(residual_on), node.schema, sub),
-                )
-                for conjunct in residual_on:
-                    consumed.add(id(conjunct))
-
-        remaining = [c for c in conjuncts if id(c) not in consumed]
+                node = Filter(node, compile_expr(_and_all(residual_on),
+                                                 node.schema, sub))
         if remaining:
             node = Filter(node, compile_expr(_and_all(remaining),
                                              node.schema, sub))
-        return node, bindings
+        return node, scans_only
 
-    def _try_index_join(self, node: PlanNode, right_table: Table,
-                        right_binding: str, left_keys, right_keys,
-                        right_conjs, right_schema: Schema, kind: str):
+    def _try_index_join(self, node: PlanNode, step: _JoinStep):
         """Build an IndexJoin when the equi keys cover the inner PK (or an
         index).  Returns ``(plan, exact)`` or None; ``exact`` means the probe
         returns only truly matching rows (full-PK lookups)."""
         sub = self._plan_subquery
+        right_table, right_binding, kind = step.table, step.binding, step.kind
         # inner sides must be plain columns of the inner table
         key_by_column: dict[str, ast.Expr] = {}
-        for left_expr, right_expr in zip(left_keys, right_keys):
+        for left_expr, right_expr in zip(step.left_keys, step.right_keys):
             if not isinstance(right_expr, ast.ColumnRef):
                 return None
             column = self._column_key(right_table, right_expr.name)
             key_by_column.setdefault(column, left_expr)
 
         inner_filter = None
-        if right_conjs:
-            inner_filter = compile_expr(_and_all(right_conjs), right_schema,
+        if step.conjuncts:
+            inner_filter = compile_expr(_and_all(step.conjuncts), step.schema,
                                         sub)
 
         def outer_fns(columns):
@@ -1197,12 +1212,7 @@ class Planner:
             return IndexJoin(node, inner, inner_filter, kind), True
         if kind == "LEFT":
             return None  # non-exact probes break null-extension rechecks
-        prefix = []
-        for c in pk:
-            if c in key_by_column:
-                prefix.append(c)
-            else:
-                break
+        prefix = list(takewhile(key_by_column.__contains__, pk))
         if prefix:
             inner = PKPrefixScan(right_table, right_binding,
                                  outer_fns(prefix))
@@ -1245,7 +1255,8 @@ class Planner:
 
     def _find_equi_keys(self, pool, left_schema: Schema, right_binding: str,
                         right_schema: Schema, consumed: set):
-        """Equi-join keys between the current plan and the new table.
+        """Equi-join keys between the tables before the new one and it:
+        ``(left keys, right keys, the conjuncts they came from)``.
 
         Sides may be arbitrary expressions as long as every column reference
         of one side binds in the left schema and every reference of the
@@ -1254,7 +1265,7 @@ class Planner:
         """
         left_keys: list[ast.Expr] = []
         right_keys: list[ast.Expr] = []
-        used: set[int] = set()
+        used: list[ast.Expr] = []
 
         def side_of(expr: ast.Expr) -> str | None:
             refs = collect_column_refs(expr)
@@ -1277,11 +1288,11 @@ class Planner:
             if left_side == "left" and right_side == "right":
                 left_keys.append(conjunct.left)
                 right_keys.append(conjunct.right)
-                used.add(id(conjunct))
+                used.append(conjunct)
             elif left_side == "right" and right_side == "left":
                 left_keys.append(conjunct.right)
                 right_keys.append(conjunct.left)
-                used.add(id(conjunct))
+                used.append(conjunct)
         return left_keys, right_keys, used
 
     @staticmethod
@@ -1290,96 +1301,36 @@ class Planner:
 
     # -- vectorized pipeline ------------------------------------------------------
 
-    def _plan_vector_source(self, select: ast.Select):
-        """Batch-operator FROM/WHERE pipeline over the columnar replica.
+    def _plan_vector_source(self, select: ast.Select, base: _JoinStep,
+                            steps: list[_JoinStep],
+                            remaining: list[ast.Expr]):
+        """Batch-operator FROM/WHERE pipeline over the columnar replica,
+        built from the same FROM split as the row tree.
 
-        Returns ``(VectorNode, [table names])`` mirroring ``_plan_from``'s
-        output schema and row-emission order, or ``None`` when any join
-        shape is unsupported (the statement then keeps only the row plan).
-
-        Only built when every scan the row plan would run is a *sequential*
-        scan: selective statements (PK/index access paths) read the fresh
-        row store even when routed columnar — as in TiDB — so substituting
-        a replica scan for them would change results under replication lag.
+        Returns ``(VectorNode, base scan)`` mirroring ``_plan_from``'s
+        output schema and row-emission order.  ``plan_select`` asks for it
+        only when the row tree only scans: selective statements (PK/index
+        access paths) read the fresh row store even when routed columnar —
+        as in TiDB — so substituting a replica scan for them would change
+        results under replication lag, and non-equi joins have no vector
+        operator.
         """
         sub = self._plan_subquery
-        conjuncts = _flatten_and(select.where)
-        pending_on: list[tuple[int, ast.Expr]] = []
-        for join_index, join in enumerate(select.joins):
-            for conjunct in _flatten_and(join.condition):
-                pending_on.append((join_index, conjunct))
-
-        base_ref = select.table
-        base_table = self.catalog.table(base_ref.name)
-        binding = base_ref.binding
-        base_schema = Schema([(binding, c) for c in base_table.column_names])
-        tables = [base_table.name]
-        base_conjs = self._single_table_conjuncts(binding, conjuncts,
-                                                  base_schema)
-        _scan, selective = self._access_path(base_table, binding, base_conjs)
-        if selective:
-            return None
-        pushed, exact = self._pushed_predicates(base_table, base_conjs)
-        base_scan = VColumnarScan(base_table, binding, pushed,
-                                  self._referenced_columns(select, base_table,
-                                                           binding))
-        node = base_scan
+        base_scan, node = self._vector_scan(select, base)
         # column lineage of the pipeline schema: batch position ->
         # (table name, table column position) for columns that flow
         # straight from a scan (join code-keys resolve through this)
         lineage: list[tuple[str, int] | None] = [
-            (base_table.name, p) for p in base_scan.positions]
-        # the scan evaluates pushed predicates exactly (code space on
-        # encoded segments), so only the residual conjuncts are re-applied
-        residual_base = [c for c in base_conjs if id(c) not in exact]
-        if residual_base:
-            node = VFilter(node, compile_batch_predicate(
-                _and_all(residual_base), node.schema, sub))
-        consumed: set[int] = {id(c) for c in base_conjs}
-
-        for join_index, join in enumerate(select.joins):
-            right_table = self.catalog.table(join.table.name)
-            right_binding = join.table.binding
-            right_schema = Schema([(right_binding, c)
-                                   for c in right_table.column_names])
-            on_pool = [c for idx, c in pending_on if idx == join_index]
-            where_pool = [] if join.kind == "LEFT" else \
-                [c for c in conjuncts if id(c) not in consumed]
-            right_conjs = self._single_table_conjuncts(
-                right_binding, on_pool + where_pool, right_schema
-            )
-            for conjunct in right_conjs:
-                consumed.add(id(conjunct))
-            left_keys, right_keys, used = self._find_equi_keys(
-                on_pool + where_pool, node.schema, right_binding,
-                right_schema, consumed
-            )
-            if not left_keys:
-                return None  # non-equi joins stay on the row pipeline
-            _scan, selective = self._access_path(right_table, right_binding,
-                                                 right_conjs)
-            if selective:
-                return None  # row plan would index-access the fresh store
-            residual_on = [c for c in on_pool
-                           if id(c) not in consumed and id(c) not in used]
-            consumed |= used
-            right_pushed, right_exact = self._pushed_predicates(right_table,
-                                                                right_conjs)
-            right_node: object = VColumnarScan(
-                right_table, right_binding, right_pushed,
-                self._referenced_columns(select, right_table, right_binding))
+            (base.table.name, p) for p in base_scan.positions]
+        for step in steps:
+            scan, right_node = self._vector_scan(select, step)
             # the scan's schema may be a projected subset of the table —
-            # compile filters and keys against it, not the full layout
-            scan_schema = right_node.schema
-            right_positions = right_node.positions
-            residual_right = [c for c in right_conjs
-                              if id(c) not in right_exact]
-            if residual_right:
-                right_node = VFilter(right_node, compile_batch_predicate(
-                    _and_all(residual_right), scan_schema, sub))
+            # compile keys against it, not the full layout
+            scan_schema = scan.schema
             # single-column equi-joins on plain column refs carry code-key
             # lineage so VHashJoin can build/probe on global integer codes
             code_key = None
+            left_keys, right_keys = step.left_keys, step.right_keys
             if (len(left_keys) == 1
                     and isinstance(left_keys[0], ast.ColumnRef)
                     and isinstance(right_keys[0], ast.ColumnRef)):
@@ -1390,29 +1341,39 @@ class Planner:
                         and lineage[lpos] is not None):
                     code_key = (lpos, rpos,
                                 lineage[lpos][0], lineage[lpos][1],
-                                right_table.name, right_positions[rpos])
+                                step.table.name, scan.positions[rpos])
             node = VHashJoin(
                 node, right_node,
                 [compile_batch_expr(e, node.schema, sub) for e in left_keys],
                 [compile_batch_expr(e, scan_schema, sub)
                  for e in right_keys],
-                join.kind,
+                step.kind,
                 code_key=code_key,
             )
-            lineage = lineage + [(right_table.name, p)
-                                 for p in right_positions]
-            tables.append(right_table.name)
-            if residual_on:
+            lineage = lineage + [(step.table.name, p)
+                                 for p in scan.positions]
+            if step.residual_on:
                 node = VFilter(node, compile_batch_predicate(
-                    _and_all(residual_on), node.schema, sub))
-                for conjunct in residual_on:
-                    consumed.add(id(conjunct))
-
-        remaining = [c for c in conjuncts if id(c) not in consumed]
+                    _and_all(step.residual_on), node.schema, sub))
         if remaining:
             node = VFilter(node, compile_batch_predicate(
                 _and_all(remaining), node.schema, sub))
-        return node, tables, base_scan
+        return node, base_scan
+
+    def _vector_scan(self, select: ast.Select, step: _JoinStep):
+        """``(scan, node)``: one table's columnar scan, and that scan under
+        a ``VFilter`` of the conjuncts it does not push exactly.  The scan
+        evaluates pushed predicates exactly (code space on encoded
+        segments), so only the residual conjuncts are re-applied."""
+        pushed, exact = self._pushed_predicates(step.table, step.conjuncts)
+        scan = VColumnarScan(step.table, step.binding, pushed,
+                             self._referenced_columns(select, step.table,
+                                                      step.binding))
+        residual = [c for c in step.conjuncts if id(c) not in exact]
+        if not residual:
+            return scan, scan
+        return scan, VFilter(scan, compile_batch_predicate(
+            _and_all(residual), scan.schema, self._plan_subquery))
 
     _SKETCH_AGGS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
@@ -1432,7 +1393,7 @@ class Planner:
         ]
         specs = self._agg_specs(aggs, compile_batch_expr, input_schema)
         sketch_key = None
-        if base_scan is not None and vnode is base_scan:
+        if vnode is base_scan:
             # ``vnode is base_scan`` ⟺ the aggregate consumes the scan
             # directly: no joins, no residual filter, every pushed
             # predicate exact — so a whole-segment batch means *all* of
@@ -1654,12 +1615,7 @@ class Planner:
             return [compile_expr(eq[c], empty, sub) for c in columns]
 
         def bound_prefix(columns):
-            prefix = []
-            for col in columns:
-                if col not in eq:
-                    break
-                prefix.append(col)
-            return prefix
+            return list(takewhile(eq.__contains__, columns))
 
         proved: set[int] = set()
         pk = [self._column_key(table, c) for c in table.primary_key]

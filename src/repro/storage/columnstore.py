@@ -1614,8 +1614,26 @@ class ColumnarReplica:
             for table, sort_key in registrations:
                 self.register_table(table, sort_key)
 
-    def has_table(self, name: str) -> bool:
-        return name.upper() in self._tables
+    def drop_table(self, name: str):
+        """Forget one table: its partitions, its registration (so
+        ``reset()`` does not bring it back), its dictionary position map
+        and its segments' cached sketches.  A domain dictionary stays while
+        another table's columns (an FK alias) still encode through it."""
+        key = name.upper()
+        with self._lock:
+            parts = self._tables.pop(key, [])
+            self._registrations = [
+                (table, sort_key) for table, sort_key in self._registrations
+                if table.name.upper() != key]
+            self._table_dicts.pop(key, None)
+            live = {id(dictionary) for shared in self._table_dicts.values()
+                    for dictionary in shared.values()}
+            self._domain_dicts = {
+                domain: dictionary
+                for domain, dictionary in self._domain_dicts.items()
+                if id(dictionary) in live}
+            for part in parts:
+                self.sketches.drop_segments(part.segments())
 
     def table_partitions(self, name: str) -> list[ColumnarTable]:
         """The per-partition columnar stores of one table."""

@@ -16,6 +16,11 @@ concurrent commit that updated, deleted or inserted one of them after
 ``start_ts`` aborts this commit.  A transaction whose only effect is
 ``FOR UPDATE`` validates its keys and then commits read-only.
 
+Commits are serial: one section validates, allocates the commit
+timestamp, installs the write set and only then publishes the timestamp
+as the visible watermark new snapshots start from.  Readers never wait
+on it.
+
 Reads merge the transaction's own write buffer over the store snapshot, so a
 transaction always sees its own effects — crucial for hybrid transactions,
 whose embedded real-time query must observe the online statements that
@@ -238,12 +243,15 @@ class TransactionManager:
         self.storage = storage
         self.failpoints = failpoints
         self._ts = itertools.count(1)
+        # the visible watermark: every commit at or below it has finished
+        # installing.  Snapshots and read-only commits read it; only the
+        # commit section moves it, as its last step.
         self._latest_ts = 0
-        # single-allocator invariant: every timestamp comes from _next_ts
-        # under this lock.  Real threads serialise here, and the
-        # monotonicity assertion below would catch any unlocked allocation
-        # path racing past it.
-        self._ts_lock = threading.Lock()
+        # the one commit section: validate -> allocate commit_ts -> install
+        # -> publish.  Two writers never both validate against the version
+        # the other replaces, and no snapshot starts inside an install.
+        # Readers never take it.
+        self._commit_lock = threading.Lock()
         self._txn_ids = itertools.count(1)
         self.aborts = 0
         # commit-path classification: one participant partition -> fast
@@ -255,23 +263,24 @@ class TransactionManager:
         self.prepare_aborts = 0
 
     def current_ts(self) -> int:
+        """The visible watermark: the newest fully installed commit."""
         return self._latest_ts
 
-    def _next_ts(self) -> int:
-        with self._ts_lock:
-            ts = next(self._ts)
-            if ts <= self._latest_ts:
-                raise AssertionError(
-                    f"timestamp allocation went backwards: {ts} <= "
-                    f"{self._latest_ts} (second allocator in play?)"
-                )
-            self._latest_ts = ts
-            return ts
+    def _install(self, write_set) -> int:
+        """Allocate a commit timestamp, install ``write_set`` at it, then
+        publish it.  The caller holds ``_commit_lock``; an install that
+        raises (a failed WAL append) publishes nothing."""
+        commit_ts = next(self._ts)
+        self.storage.apply_commit(commit_ts, write_set)
+        self._latest_ts = commit_ts
+        return commit_ts
 
-    def allocate_commit_ts(self) -> int:
-        """Allocate a fresh commit timestamp for out-of-band committed
-        writes (bulk loaders that bypass per-row transaction machinery)."""
-        return self._next_ts()
+    def install_committed(self, write_set) -> int:
+        """Install writes that are committed by construction (bulk loaders
+        that bypass per-row transaction machinery) through the commit
+        section; returns their commit timestamp."""
+        with self._commit_lock:
+            return self._install(write_set)
 
     def begin(self, isolation: IsolationLevel = IsolationLevel.SNAPSHOT
               ) -> Transaction:
@@ -281,35 +290,35 @@ class TransactionManager:
     def commit(self, txn: Transaction):
         txn._check_active()
         try:
-            if txn.isolation.validates_writes:
-                self._validate(txn)
-            if txn.is_read_only:
-                txn.status = TxnStatus.COMMITTED
-                txn.commit_ts = self._latest_ts
-                return
-            write_set = txn.write_set
-            participants = self.storage.partitions_touched(write_set)
-            if len(participants) > 1 and self.failpoints is not None:
-                # 2PC prepare: a participant that fails here vetoes the
-                # commit before any timestamp is allocated or any record
-                # logged — the abort is total, never partial.
-                try:
-                    self.failpoints.fire("txn.prepare")
-                except Exception:
-                    self.prepare_aborts += 1
-                    raise
-            commit_ts = self._next_ts()
-            # single-partition commits take the fast path; multi-partition
-            # commits are two-phase: every participant logs its records
-            # under the one shared commit_ts, so the commit is atomic
-            # across partitions (all records visible at commit_ts or none)
-            self.storage.apply_commit(commit_ts, write_set)
-            txn.commit_ts = commit_ts
+            with self._commit_lock:
+                if txn.isolation.validates_writes:
+                    self._validate(txn)
+                if txn.is_read_only:
+                    txn.status = TxnStatus.COMMITTED
+                    txn.commit_ts = self._latest_ts
+                    return
+                write_set = txn.write_set
+                participants = self.storage.partitions_touched(write_set)
+                if len(participants) > 1 and self.failpoints is not None:
+                    # 2PC prepare: a participant that fails here vetoes the
+                    # commit before any timestamp is allocated or any
+                    # record logged — the abort is total, never partial.
+                    try:
+                        self.failpoints.fire("txn.prepare")
+                    except Exception:
+                        self.prepare_aborts += 1
+                        raise
+                # single-partition commits take the fast path;
+                # multi-partition commits are two-phase: every participant
+                # logs its records under the one shared commit_ts, so the
+                # commit is atomic across partitions (all records visible
+                # at commit_ts or none)
+                txn.commit_ts = self._install(write_set)
+                if len(participants) > 1:
+                    self.multi_partition_commits += 1
+                else:
+                    self.single_partition_commits += 1
             txn.commit_partitions = participants
-            if len(participants) > 1:
-                self.multi_partition_commits += 1
-            else:
-                self.single_partition_commits += 1
             txn.status = TxnStatus.COMMITTED
         except Exception:
             txn.status = TxnStatus.ABORTED

@@ -150,8 +150,7 @@ class TestCatalog:
     def test_create_and_lookup(self):
         catalog = Catalog()
         catalog.create_table(make_table())
-        assert catalog.has_table("t")
-        assert catalog.has_table("T")
+        assert catalog.table("t").name == "t"
         assert catalog.table("T").name == "t"
 
     def test_duplicate_rejected(self):
@@ -164,7 +163,8 @@ class TestCatalog:
         catalog = Catalog()
         catalog.create_table(make_table())
         catalog.drop_table("t")
-        assert not catalog.has_table("t")
+        with pytest.raises(CatalogError):
+            catalog.table("t")
         with pytest.raises(CatalogError):
             catalog.drop_table("t")
 

@@ -16,14 +16,59 @@ from repro.txn import IsolationLevel
 class TestDDL:
     def test_create_table_registers_everywhere(self, db):
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
-        assert db.catalog.has_table("t")
+        assert db.catalog.table("t").name == "t"
         assert db.storage.store("t") is not None
-        assert db.columnar.has_table("t")
+        assert len(db.columnar.table_partitions("t")) == db.partitions
 
     def test_drop_table(self, db):
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY)")
         db.execute_ddl("DROP TABLE t")
-        assert not db.catalog.has_table("t")
+        with pytest.raises(CatalogError):
+            db.catalog.table("t")
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_drop_and_recreate_leaves_no_replica_state(self, partitions,
+                                                        routed):
+        """DROP applies the table's pending WAL records and then removes
+        the table from the replica, so a re-created table of the same name
+        (a string column where an INT was) starts empty there too."""
+        db = Database(with_columnar=True, partitions=partitions)
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT, "
+                       "s VARCHAR(8))")
+        for a in range(8):
+            db.query("INSERT INTO t (a, b, s) VALUES (?, ?, ?)",
+                     (a, a * 10, f"s{a}"))
+        db.replicate()
+        db.query("UPDATE t SET b = 0 WHERE a = 3")
+        db.query("INSERT INTO t (a, b) VALUES (8, 80)")   # pending at DROP
+        db.execute_ddl("DROP TABLE t")
+        with pytest.raises(CatalogError):
+            db.columnar.table_partitions("t")
+        assert db.columnar.encoding_stats()["shared_dicts_total"] == 0
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b TEXT)")
+        for a in (1, 8, 20):
+            db.query("INSERT INTO t (a, b) VALUES (?, ?)", (a, f"v{a}"))
+        db.replicate()
+        sql = "SELECT a, b FROM t ORDER BY a"
+        expected = [(1, "v1"), (8, "v8"), (20, "v20")]
+        assert db.query(sql).rows == expected
+        result = routed(db, sql)
+        assert result.stats.vectorized and result.rows == expected
+        assert routed(db, sql, vectorized=False).rows == expected
+        # reset() rebuilds from the registrations: only the re-created table
+        db.columnar.reset()
+        part = db.columnar.table_partitions("t")[0]
+        assert part.table is db.catalog.table("t")
+
+    def test_drop_keeps_a_dictionary_another_table_aliases(self, db):
+        db.run_script("CREATE TABLE p (name VARCHAR(8) PRIMARY KEY);"
+                      "CREATE TABLE c (id INT PRIMARY KEY, pname VARCHAR(8),"
+                      " FOREIGN KEY (pname) REFERENCES p (name))")
+        shared = db.columnar.shared_dict("c", 1)
+        assert shared is db.columnar.shared_dict("p", 0)
+        db.execute_ddl("DROP TABLE p")
+        assert db.columnar.shared_dict("c", 1) is shared
+        assert db.columnar.encoding_stats()["shared_dicts_total"] == 1
 
     def test_create_index_backfills(self, db):
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
@@ -50,7 +95,7 @@ class TestDDL:
         CREATE TABLE a (x INT PRIMARY KEY);
         CREATE TABLE b (y INT PRIMARY KEY);
         """)
-        assert db.catalog.has_table("a") and db.catalog.has_table("b")
+        assert [t.name for t in db.catalog.tables()] == ["a", "b"]
 
 
 class TestForeignKeyEnforcement:

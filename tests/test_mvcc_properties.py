@@ -473,10 +473,10 @@ def test_index_prefix_scan_racing_a_commit_that_empties_a_key(partitions):
     """A writer thread moves one row to a new key of a two-column index per
     commit while this thread reads through the index by key prefix, so
     commits empty keys the prefix scan has listed but not yet reached.
-    Each read's snapshot is taken between two commits; the commits after
-    it land during the read.  The scan skips an emptied key and a
-    candidate copy a commit landed in is discarded, so no read raises and
-    every read counts every row."""
+    Each read's snapshot is the visible watermark, so it never starts
+    inside an install; the commits after it land during the read.  The
+    scan skips an emptied key and a candidate copy a commit landed in is
+    discarded, so no read raises and every read counts every row."""
     db = Database(partitions=partitions)
     db.run_script("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT);"
                   "CREATE INDEX idx_ab ON t (a, b)")
@@ -484,7 +484,6 @@ def test_index_prefix_scan_racing_a_commit_that_empties_a_key(partitions):
     db.bulk_load("t", [(i, 1, i) for i in range(n)])
     sql = "SELECT COUNT(*) FROM t WHERE a = 1"
     assert db.query(sql).stats.index_lookups == 1
-    between_commits = threading.Lock()
     stop = threading.Event()
 
     def writer():
@@ -492,12 +491,11 @@ def test_index_prefix_scan_racing_a_commit_that_empties_a_key(partitions):
             for step in range(1_000_000):
                 if stop.is_set():
                     return
-                with between_commits:
-                    # a row at a spread-out position: the key it empties
-                    # is as often ahead of the prefix scan as behind it
-                    conn.execute("UPDATE t SET b = ? WHERE id = ?",
-                                 (n + step, step * 7919 % n))
-                    conn.commit()
+                # a row at a spread-out position: the key it empties is
+                # as often ahead of the prefix scan as behind it
+                conn.execute("UPDATE t SET b = ? WHERE id = ?",
+                             (n + step, step * 7919 % n))
+                conn.commit()
                 time.sleep(0)
 
     interval = sys.getswitchinterval()
@@ -509,8 +507,7 @@ def test_index_prefix_scan_racing_a_commit_that_empties_a_key(partitions):
         reads = 0
         with db.connect() as conn:
             while reads < 50 and time.monotonic() < deadline:
-                with between_commits:
-                    conn.begin()
+                conn.begin()
                 assert conn.execute(sql).rows == [(n,)]
                 conn.commit()
                 reads += 1

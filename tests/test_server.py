@@ -115,30 +115,42 @@ class TestSessionSnapshots:
 class TestTimestampAllocation:
     def test_commit_timestamps_strictly_increase(self):
         db = _kv_db()
-        seen = [db.txn_manager.allocate_commit_ts() for _ in range(50)]
+        seen = []
+        for i in range(50):
+            with db.connect() as conn:
+                txn = conn.begin()
+                conn.execute("UPDATE kv SET v = ? WHERE k = 1", (i,))
+                conn.commit()
+            seen.append(txn.commit_ts)
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
+        assert seen[-1] == db.txn_manager.current_ts()
 
-    def test_ts_lock_serialises_allocation(self):
+    def test_commit_lock_serialises_installs(self):
         db = _kv_db()
         manager = db.txn_manager
         held = threading.Event()
-        allocated = []
-        manager._ts_lock.acquire()
+        installed = []
+        before = manager.current_ts()
+        manager._commit_lock.acquire()
 
         def contend():
             held.set()
-            allocated.append(manager.allocate_commit_ts())
+            installed.append(db.bulk_load("kv", [(6, 60)]))
 
         worker = threading.Thread(target=contend)
         worker.start()
-        held.wait()
-        # the worker waits on the held lock instead of allocating past it
+        assert held.wait(timeout=10)
+        # the worker waits on the held section instead of installing past
+        # it, and nothing is published meanwhile
         worker.join(timeout=0.05)
-        assert worker.is_alive() and not allocated
-        manager._ts_lock.release()
-        worker.join()
-        assert allocated == [manager.current_ts()]
+        assert worker.is_alive() and not installed
+        assert manager.current_ts() == before
+        manager._commit_lock.release()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert installed == [1]
+        assert manager.current_ts() == before + 1
 
 
 class TestPlanCacheCounters:

@@ -39,7 +39,7 @@ class TestSchema:
         right = Schema([("u", "b")])
         combined = left + right
         assert combined.resolve("u", "b") == 1
-        assert combined.bindings() == {"T", "U"}
+        assert combined.entries == [("T", "A"), ("U", "B")]
 
 
 @pytest.fixture(scope="module")

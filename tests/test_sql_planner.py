@@ -8,6 +8,7 @@ joins) depend on the planner making the same choices a real optimiser would.
 import pytest
 
 from repro.db import Database
+from repro.errors import BindError
 from repro.sql.executor import ExecContext
 from repro.sql.planner import (
     Filter,
@@ -149,6 +150,115 @@ class TestJoinStrategies:
             "SELECT t.c FROM u LEFT JOIN t ON t.a = u.t_a WHERE u.id = ?")
         node = join_node(plan)
         assert not isinstance(node, IndexJoin)
+
+
+@pytest.fixture
+def shop():
+    """Three replicated tables, one with a secondary index."""
+    database = Database(with_columnar=True)
+    database.run_script("""
+    CREATE TABLE cust (c_id INT PRIMARY KEY, c_name VARCHAR(20),
+                       c_region INT);
+    CREATE TABLE ord (o_id INT PRIMARY KEY, o_c_id INT, o_amount INT,
+                      o_status VARCHAR(10));
+    CREATE TABLE line (l_o_id INT NOT NULL, l_no INT NOT NULL, l_qty INT,
+                       PRIMARY KEY (l_o_id, l_no));
+    CREATE INDEX idx_ord_status ON ord (o_status)
+    """)
+    database.bulk_load("cust", [(c, f"c{c}", c % 3) for c in range(1, 7)])
+    database.bulk_load("ord", [
+        (o, o % 5 + 1, o, "open" if o % 3 == 0 else "done")
+        for o in range(1, 13)])
+    database.bulk_load("line", [(o, n, o + n) for o in range(1, 13)
+                                for n in (1, 2)])
+    database.replicate()
+    return database
+
+
+class TestVectorEligibility:
+    """A statement has a vector tree exactly when its row tree only scans:
+    every table a ``SeqScan``, every join a ``HashJoin``."""
+
+    @pytest.mark.parametrize("sql, params, vectorized", [
+        pytest.param(
+            "SELECT c_name, o_amount, l_qty FROM cust "
+            "JOIN ord ON o_c_id = c_id JOIN line ON l_o_id = o_id "
+            "WHERE o_amount > 2 ORDER BY c_name, o_amount, l_qty",
+            (), True, id="hash-joins-of-full-scans"),
+        pytest.param(
+            "SELECT c_name, o_amount FROM cust JOIN ord ON o_c_id = c_id "
+            "WHERE c_id = ? ORDER BY o_amount",
+            (2,), False, id="pk-bound-base"),
+        pytest.param(
+            "SELECT c_name, o_amount FROM cust JOIN ord ON o_c_id = c_id "
+            "WHERE o_status = ? ORDER BY c_name, o_amount",
+            ("open",), False, id="joined-table-through-secondary-index"),
+        pytest.param(
+            "SELECT c_name, o_amount FROM cust JOIN ord ON o_c_id < c_id "
+            "ORDER BY c_name, o_amount",
+            (), False, id="non-equi-join"),
+        pytest.param(
+            "SELECT c_name FROM cust WHERE c_region = 1 FOR UPDATE",
+            (), False, id="for-update"),
+        # the ON conjunct on ord filters its scan; the WHERE conjunct on
+        # ord stays above the LEFT join, over its NULL-extended rows
+        pytest.param(
+            "SELECT c_id, o_id FROM cust "
+            "LEFT JOIN ord ON o_c_id = c_id AND o_amount % 2 = 0 "
+            "WHERE o_status IS NULL OR o_status = 'done' "
+            "ORDER BY c_id, o_id",
+            (), True, id="left-join-on-and-where-on-right-table"),
+        # a LEFT join's two-table ON residue is its join condition
+        pytest.param(
+            "SELECT c_id, o_id FROM cust "
+            "LEFT JOIN ord ON o_c_id = c_id AND o_amount > c_region * 6 "
+            "ORDER BY c_id, o_id",
+            (), False, id="left-join-with-two-table-on-residue"),
+    ])
+    def test_vector_tree_exactly_when_the_row_tree_only_scans(
+            self, shop, routed, sql, params, vectorized):
+        plan = shop.prepare(sql)
+        assert (plan.vectorized_root is not None) == vectorized
+        vector = routed(shop, sql, params)
+        oracle = routed(shop, sql, params, vectorized=False)
+        assert vector.stats.vectorized == vectorized
+        assert vector.rows == oracle.rows == shop.query(sql, params).rows
+        assert vector.rows
+
+    def test_left_join_answers_match_sql_semantics(self, shop):
+        """Customer 6 has no order and the orders of customers 2 and 5
+        all fail the two-table ON conjunct: each is NULL-extended, not
+        dropped (the answers sqlite gives)."""
+        rows = shop.query(
+            "SELECT c_id, o_id FROM cust "
+            "LEFT JOIN ord ON o_c_id = c_id AND o_amount > c_region * 6 "
+            "ORDER BY c_id, o_id").rows
+        assert rows == [(1, 10), (2, None), (3, 2), (3, 7), (3, 12),
+                        (4, 8), (5, None), (6, None)]
+
+    def test_repeated_binding_raises(self, shop):
+        with pytest.raises(BindError):
+            shop.prepare("SELECT c.c_id FROM cust c JOIN ord c "
+                         "ON c.o_c_id = c.c_id")
+
+    def test_for_update_with_subquery_validates_the_plain_predicate_keys(
+            self, shop):
+        """The rows a FOR UPDATE validates are its FROM node's: a conjunct
+        the scan cannot take (a subquery) filters them all the same."""
+        def validated(where):
+            with shop.connect() as conn:
+                txn = conn.begin()
+                conn.execute(f"SELECT c_name FROM cust WHERE {where} "
+                             "FOR UPDATE")
+                keys = set(txn.for_update_keys)
+                conn.rollback()
+            return keys
+
+        subquery = validated(
+            "c_region <> 0 AND c_id IN (SELECT o_c_id FROM ord "
+            "WHERE o_amount > 9)")
+        plain = validated("c_region <> 0 AND c_id IN (1, 2, 3)")
+        assert subquery == plain == {("CUST", (c,)) for c in (1, 2)}
 
 
 class TestPlanCorrectnessParity:

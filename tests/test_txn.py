@@ -1,12 +1,16 @@
 """Transactions: isolation levels, write conflicts, FOR UPDATE validation,
 visibility."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.catalog import INT, VARCHAR, Column, Table
 from repro.db import Database
 from repro.errors import (
     ConnectionStateError,
+    InjectedFaultError,
     IntegrityError,
     WriteConflictError,
 )
@@ -245,3 +249,73 @@ class TestForUpdateValidation:
         assert txn.for_update_keys <= txn.written_keys()
         assert accounts.query(
             "SELECT bal FROM acct WHERE id = 1").rows == [(11,)]
+
+
+class TestCommitSection:
+    @pytest.mark.parametrize("partitions", [1, 4])
+    @pytest.mark.parametrize("writers", [2, 4])
+    def test_concurrent_writers_lose_no_committed_update(self, partitions,
+                                                         writers):
+        """Writer threads each run read-increment-commit on one counter
+        row with the interpreter switching threads every microsecond.  One
+        section validates, installs and then publishes each commit, so
+        every commit lands exactly one increment and no snapshot misses
+        the row."""
+        db = Database(partitions=partitions)
+        db.execute_ddl("CREATE TABLE c (id INT PRIMARY KEY, n INT)")
+        db.query("INSERT INTO c (id, n) VALUES (1, 0)")
+        commits = [0] * writers
+        empty_reads = [0] * writers
+        errors = []
+
+        def writer(i):
+            try:
+                for _ in range(300):
+                    conn = db.connect()
+                    conn.begin()
+                    rows = conn.execute("SELECT n FROM c WHERE id = 1").rows
+                    if not rows:
+                        empty_reads[i] += 1
+                        conn.rollback()
+                        continue
+                    conn.execute("UPDATE c SET n = ? WHERE id = 1",
+                                 (rows[0][0] + 1,))
+                    try:
+                        conn.commit()
+                    except WriteConflictError:
+                        continue
+                    commits[i] += 1
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(i,))
+                       for i in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sum(empty_reads) == 0
+        final = db.query("SELECT n FROM c WHERE id = 1").rows
+        assert final == [(sum(commits),)]
+
+    def test_failed_install_publishes_nothing(self):
+        db = Database()
+        db.execute_ddl("CREATE TABLE c (id INT PRIMARY KEY, n INT)")
+        db.query("INSERT INTO c (id, n) VALUES (1, 0)")
+        manager = db.txn_manager
+        before = manager.current_ts()
+        with db.failpoints.arm("wal.append", always=True):
+            with pytest.raises(InjectedFaultError):
+                db.query("UPDATE c SET n = 1 WHERE id = 1")
+        assert manager.current_ts() == before
+        assert manager.begin().start_ts == before
+        db.query("UPDATE c SET n = 2 WHERE id = 1")
+        assert manager.current_ts() > before
+        assert db.query("SELECT n FROM c").rows == [(2,)]

@@ -423,13 +423,11 @@ class TestStatsPlumbing:
         assert not result.stats.vectorized
         assert result.stats.batches_scanned == 0
 
-    def test_allocate_commit_ts_is_public_and_monotonic(self):
+    def test_bulk_load_commits_at_the_next_timestamp(self):
         db = _make_db()
-        first = db.txn_manager.allocate_commit_ts()
-        second = db.txn_manager.allocate_commit_ts()
-        assert second == first + 1
-        # bulk_load keeps using the public allocator
+        before = db.txn_manager.current_ts()
         db.bulk_load("m", [(1000, 1, 1.0, "bulk")])
+        assert db.txn_manager.current_ts() == before + 1
         db.replicate()
         result = _routed(db, "SELECT note FROM m WHERE id = 1000")
         assert result.rows == [("bulk",)]

@@ -111,7 +111,7 @@ class TestInstall:
         db = Database(with_columnar=True)
         workload = Fibenchmark()
         workload.install(db, Random(5), scale=0.01)
-        assert db.catalog.has_table("account")
+        assert db.catalog.table("account").name == "account"
         assert db.storage.store("account").row_count >= 100
         assert db.replication_lag() == 0  # install replicates
 
