@@ -24,7 +24,6 @@ from collections import OrderedDict
 from repro.catalog.schema import Catalog, Column, ForeignKey, IndexDef, Table
 from repro.catalog.types import type_from_name
 from repro.errors import (
-    CatalogError,
     ConfigError,
     ConnectionStateError,
     ReplicaUnavailableError,
@@ -67,7 +66,6 @@ class Database:
                  columnar_segment_rows: int | None = None,
                  shared_dict_cardinality: int | None = None,
                  sketch_budget_bytes: int | None = None,
-                 sort_keys: dict[str, tuple[str, ...]] | None = None,
                  default_isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
                  partitions: int = 1,
                  plan_cache_size: int = 256,
@@ -87,19 +85,10 @@ class Database:
         self.storage = RowStorage(self.partition_map,
                                   failpoints=self.failpoints)
         # The columnar replica is delta–main: replication applies into
-        # plain delta tails, compaction merges into sort-key-ordered
-        # encoded main segments.  sort_keys overrides the per-table sort
-        # key (default: the primary key), e.g.
-        # Database(sort_keys={"ORDER_LINE": ("OL_I_ID",)});
-        # shared_dict_cardinality caps each table-level string dictionary
-        # and sketch_budget_bytes bounds the replica-wide sketch LRU.
-        self.sort_keys = {name.upper(): tuple(columns)
-                          for name, columns in (sort_keys or {}).items()}
-        # sort_keys names not yet matched by a created table: checked at
-        # the first replication (schema complete by then), so a typo'd
-        # table name fails loudly instead of silently falling back to
-        # primary-key ordering
-        self._unmatched_sort_keys = set(self.sort_keys)
+        # plain delta tails, compaction merges into primary-key-ordered
+        # encoded main segments.  shared_dict_cardinality caps each
+        # table-level string dictionary and sketch_budget_bytes bounds the
+        # replica-wide sketch LRU.
         if with_columnar:
             self.columnar = ColumnarReplica(
                 columnar_segment_rows if columnar_segment_rows is not None
@@ -202,16 +191,7 @@ class Database:
         self.catalog.create_table(table)
         self.storage.register_table(table)
         if self.columnar is not None:
-            self.columnar.register_table(table, self._sort_positions(table))
-
-    def _sort_positions(self, table: Table) -> tuple[int, ...] | None:
-        """Column positions of the table's configured sort key (None keeps
-        the replica default — the primary key)."""
-        override = self.sort_keys.get(table.name.upper())
-        if override is None:
-            return None
-        self._unmatched_sort_keys.discard(table.name.upper())
-        return tuple(table.position(column) for column in override)
+            self.columnar.register_table(table)
 
     def _create_index(self, statement: ast.CreateIndex):
         index = IndexDef(statement.name, statement.table,
@@ -261,13 +241,6 @@ class Database:
         """
         if self.columnar is None:
             return 0
-        if self._unmatched_sort_keys:
-            names = ", ".join(sorted(self._unmatched_sort_keys))
-            raise CatalogError(
-                f"sort_keys name(s) {names} match no created table — "
-                f"fix the name or drop the entry (tables would silently "
-                f"fall back to primary-key ordering otherwise)"
-            )
         applied = self.columnar.apply_from_partitions(self.storage.wals,
                                                       limit)
         if applied == 0:

@@ -5,9 +5,9 @@ One total order over the SQL value domain is load-bearing in two places:
 * ``Sort``/``TopN`` break ORDER BY ties with the canonical *row* key, so
   query output is a pure function of the input multiset (partition- and
   segment-layout-independent);
-* sorted compaction physically orders main segments by the table's sort
-  key using the canonical *value* key (it must never raise on mixed or
-  NULL sort-key values) — taken a column at a time by
+* sorted compaction physically orders main segments by the table's
+  primary key using the canonical *value* key (it must never raise on
+  mixed key values) — taken a column at a time by
   ``canonical_column_keys``, which lets a homogeneous column stand as its
   own key.
 

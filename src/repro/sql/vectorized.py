@@ -36,7 +36,6 @@ from repro.sql.functions import (
     _gather,
     like_to_predicate,
 )
-from repro.sql.ordering import canonical_value_key
 from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
@@ -759,57 +758,6 @@ class VColumnarScan(VectorNode):
                 break
         return selection
 
-    def _span_keys(self, part, preds) -> tuple[tuple, tuple]:
-        """Canonical sort-key prefix bounds bindable from the pushed preds.
-
-        Walks the table's sort key: equality predicates extend both bounds
-        and continue to the next key column; the first range predicate
-        extends whichever sides it has and stops.  Returns ``((), ())``
-        when no prefix is bindable (the span then covers every segment).
-        """
-        lo: list = []
-        hi: list = []
-        for position in part.sort_positions:
-            pred = next((p for p in preds
-                         if p.position == position and p.in_values is None
-                         and not p.not_null),
-                        None)
-            if pred is None:
-                break
-            if pred.is_eq:
-                key = canonical_value_key(pred.low)
-                lo.append(key)
-                hi.append(key)
-                continue
-            if pred.low is not None:
-                lo.append(canonical_value_key(pred.low))
-            if pred.high is not None:
-                hi.append(canonical_value_key(pred.high))
-            break
-        return tuple(lo), tuple(hi)
-
-    def _partition_segments(self, part, snap, preds, skip_segment, stats):
-        """Segments to scan, in physical order: span-pruned main, then delta.
-
-        Sorted main segments have disjoint, ordered key ranges, so a
-        predicate binding a sort-key prefix selects one contiguous span
-        via two bisects instead of a zone-map check per segment; segments
-        outside the span count as pruned.  ``snap`` is the partition's
-        consistent ``read_snapshot()`` — segments and bounds come from one
-        locked view so a concurrent compaction swap cannot misalign them.
-        """
-        main, main_lo, main_hi, delta = snap
-        start, stop = 0, len(main)
-        lo, hi = self._span_keys(part, preds) if main and preds else ((), ())
-        if lo or hi:
-            start, stop = part.span_of(main_lo, main_hi, lo, hi)
-            stats.segments_pruned += sum(
-                1 for idx in range(len(main))
-                if (idx < start or idx >= stop) and main[idx].live_count)
-        for segment in chain(main[start:stop], delta):
-            if segment.live_count and not skip_segment(segment):
-                yield segment
-
     def _live_selection(self, segment, preds, stats):
         """Surviving offsets after pushed predicates and the live bitmap.
 
@@ -864,15 +812,16 @@ class VColumnarScan(VectorNode):
     def _scan_partition(self, part, ctx, preds, skip_segment):
         name = self.table.name
         stats = ctx.stats
-        # one consistent view of (main segments, bounds, delta tail): a
+        # one consistent view of (main segments, delta tail): a
         # compaction on another thread swapping the main mid-scan cannot
         # change what this scan reads
-        snap = part.read_snapshot()
+        main, delta = part.read_snapshot()
         stats.delta_rows_pending += sum(
-            segment.live_count for segment in snap[3])
+            segment.live_count for segment in delta)
         scanned = 0
-        for segment in self._partition_segments(part, snap, preds,
-                                                skip_segment, stats):
+        for segment in chain(main, delta):
+            if not segment.live_count or skip_segment(segment):
+                continue
             if segment.encoded:
                 stats.segments_encoded += 1
             batch, rows = self._segment_emit(

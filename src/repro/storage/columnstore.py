@@ -24,12 +24,11 @@ columnstore) organise it: fixed-size *segments* of column arrays, each with
 
 Every table is organised **delta–main** (TiFlash's delta tree): WAL
 records apply into unsorted *plain delta* tail segments, which never
-seal, while ``compact()`` merges delta rows with the existing main rows
-into *main* segments kept globally ordered on the table's **sort key**
-(default: the primary key).  Ordering lengthens RLE runs, makes zone maps
-disjoint, and lets range predicates on a sort-key prefix bind a
-*contiguous segment span* located by binary search (``main_span``)
-instead of checking every zone map.  Updates of main rows kill the old
+seal, while ``compact()`` rewrites the partition's whole main with the
+delta rows into *main* segments ordered on the **primary key**.  Ordering
+lengthens RLE runs and makes the main segments' zone maps disjoint on the
+leading key column, so the per-segment zone-map check prunes a key range
+to the segments that can hold it.  Updates of main rows kill the old
 slot and append the new version to the delta, so main segments stay
 immutable (and encoded) between merges; scans are merge-on-read over main
 plus the small delta overlay.
@@ -59,7 +58,7 @@ import heapq
 import math
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, OrderedDict
 from collections.abc import Iterator
 from itertools import chain, compress, islice, repeat
@@ -68,7 +67,7 @@ from operator import eq, is_, ne, sub
 from repro.catalog.schema import Table
 from repro.catalog.types import VarcharType
 from repro.errors import CatalogError
-from repro.sql.ordering import canonical_column_keys, canonical_row_key
+from repro.sql.ordering import canonical_column_keys
 from repro.storage.partition import PartitionMap
 from repro.storage.wal import LogOp, WriteAheadLog
 
@@ -1064,15 +1063,16 @@ class ColumnarTable:
     """Column-major storage for one table, in fixed-size segments.
 
     Delta–main: ``_segments`` is the unsorted plain delta tail and
-    ``_main_segments`` holds the sort-key-ordered (encoded) segments
-    produced by ``compact()`` merges.  ``sort_key`` is a tuple of column
-    positions (defaults to the primary key).
+    ``_main_segments`` holds the primary-key-ordered (encoded) segments
+    produced by ``compact()`` merges.  ``first_lsn`` is the partition's
+    replication watermark when the table was registered: a WAL record
+    below it belongs to an earlier (dropped) table of the same name.
     """
 
-    def __init__(self, table: Table, segment_rows: int,
-                 sort_key: tuple[int, ...] | None, merge_totals: list,
-                 lock: threading.RLock, sketches: SegmentSketchCache,
-                 shared_dicts: dict | None, failpoints):
+    def __init__(self, table: Table, segment_rows: int, first_lsn: int,
+                 merge_totals: list, lock: threading.RLock,
+                 sketches: SegmentSketchCache, shared_dicts: dict | None,
+                 failpoints):
         self._failpoints = failpoints
         # replica-wide sketch cache: kills/revives/overwrites invalidate
         # the touched segment's partials eagerly (epoch checks backstop)
@@ -1089,29 +1089,21 @@ class ColumnarTable:
         # column position -> table-level TableDictionary (shared across
         # the table's partitions); None for a table with no string column
         self.shared_dicts = shared_dicts
-        self.sort_positions: tuple[int, ...] = (
-            tuple(sort_key) if sort_key is not None else table.pk_positions)
+        self.first_lsn = first_lsn
         # the unsorted plain delta tail
         self._segments: list[Segment] = []
         self._pk_to_slot: dict[tuple, int] = {}
-        # sort-key-ordered merged segments, with the canonical sort-key
-        # tuple of each segment's first and last physical row — the
-        # sorted zone-map index main_span() bisects
+        # primary-key-ordered merged segments
         self._main_segments: list[Segment] = []
         self._main_pk_to_slot: dict[tuple, int] = {}   # live main rows only
-        self.main_lo: list[tuple] = []
-        self.main_hi: list[tuple] = []
         self.row_count = 0
         # zone-map widening deferred until the end of the apply chunk:
         # (segment, values) pairs grouped and flushed by flush_zone_maps()
         self._zone_pending: list[tuple[Segment, tuple]] = []
         self.encode_events = 0      # compaction seals
-        # ordered-compaction accounting: per-table cumulative counters,
-        # plus the replica's shared [segments, rows] totals so replica-wide
-        # reads stay O(1) instead of sweeping tables x partitions
-        self.compactions = 0
-        self.segments_merged_total = 0
-        self.rows_merged_total = 0
+        # the replica's shared [segments, rows] merge totals, so
+        # replica-wide reads stay O(1) instead of sweeping tables x
+        # partitions
         self._merge_totals = merge_totals
 
     # -- write path (WAL application) ----------------------------------
@@ -1243,20 +1235,12 @@ class ColumnarTable:
         return columns
 
     def _merge_delta(self) -> int:
-        """Ordered compaction: merge the delta into the sorted main.
+        """Ordered compaction: rewrite the whole main with the delta.
 
-        **Segment-granular**: only the contiguous span of main segments
-        whose sort-key range overlaps the delta's key envelope (located by
-        ``main_span`` binary search) is rewritten; main segments outside
-        the span — and their slot numbering prefix — are reused as-is, so
-        merge cost is bounded by overlay locality instead of table size.
-        The rewrite region's live rows plus the delta rows are re-sorted
-        on the canonical sort key (ties broken by the canonical
-        primary-key order, so the rebuilt layout is deterministic for
-        non-unique sort keys) and re-sealed into fresh encoded segments;
-        dead slots inside the region are dropped.  Sorting is what
-        lengthens RLE runs and keeps the per-segment key ranges disjoint —
-        the precondition for ``main_span`` binary search.
+        The live main rows plus the delta rows are sorted on the canonical
+        primary key and re-sealed into fresh encoded segments; dead slots
+        are dropped.  Sorting is what lengthens RLE runs and keeps the
+        segments' zone maps disjoint on the leading key column.
 
         **Columnar throughout**: no row tuple is built.  The live values
         are gathered as concatenated columns, the sort keys come from the
@@ -1265,51 +1249,30 @@ class ColumnarTable:
         an index vector, and every output segment is one gather per column
         through its slice of that vector (``Segment.from_columns``).
 
-        **Swap, don't mutate**: the new segment/bound lists are built
-        aside and installed with single assignments, and untouched
-        ``Segment`` objects are shared between the old and new lists — an
-        in-flight scan holding a pre-swap ``read_snapshot`` keeps a
-        consistent view for its whole lifetime.
+        **Swap, don't mutate**: the new segment list is built aside and
+        installed with one assignment, so an in-flight scan holding a
+        pre-swap ``read_snapshot`` keeps a consistent view for its whole
+        lifetime.
         """
-        sort_positions = self.sort_positions
         pk_positions = self.table.pk_positions
-
-        def sort_key_at(columns, row):
-            return canonical_row_key([columns[p][row]
-                                      for p in sort_positions])
-
         delta = self._live_columns(self._segments)
         if not delta[0]:
             return 0
         main = self._main_segments
-        start = stop = 0
-        if main:
-            keys = canonical_column_keys([delta[p] for p in sort_positions])
-            rows = range(len(keys))
-            start, stop = self.main_span(
-                sort_key_at(delta, min(rows, key=keys.__getitem__)),
-                sort_key_at(delta, max(rows, key=keys.__getitem__)))
-
-        columns = self._live_columns(main[start:stop])
+        columns = self._live_columns(main)
         for column, tail in zip(columns, delta):
             column.extend(tail)
-        # sort key then primary key (unique, so the order is total)
-        keys = canonical_column_keys([columns[p] for p in dict.fromkeys(
-            sort_positions + pk_positions)])
+        keys = canonical_column_keys([columns[p] for p in pk_positions])
         n_rows = len(columns[0])
         order = sorted(range(n_rows), key=keys.__getitem__)
         del delta, keys     # dead weight while the segments are built
 
         width = self.segment_rows
         segments: list[Segment] = []
-        lows: list[tuple] = []
-        highs: list[tuple] = []
         for begin in range(0, n_rows, width):
             picks = order[begin:begin + width]
             chunk = [list(map(column.__getitem__, picks))
                      for column in columns]
-            lows.append(sort_key_at(chunk, 0))
-            highs.append(sort_key_at(chunk, -1))
             segment = Segment.from_columns(chunk, width)
             # ordered compaction is where shared dictionaries are
             # built/refreshed: every merged segment encodes straight
@@ -1322,89 +1285,38 @@ class ColumnarTable:
         # old main + delta fully queryable (compaction simply re-runs).
         if self._failpoints is not None:
             self._failpoints.fire("compact.merge")
-        # remap live main slots: the prefix keeps its numbering, the
-        # suffix shifts by the region's segment-count change, the region
-        # itself is renumbered from the merged row order — no decoding
-        region_lo = start * width
-        region_hi = stop * width
-        shift = (len(segments) - (stop - start)) * width
-        pk_map: dict[tuple, int] = {}
-        if start or stop < len(main):
-            for pk, slot in self._main_pk_to_slot.items():
-                if slot < region_lo:
-                    pk_map[pk] = slot
-                elif slot >= region_hi:
-                    pk_map[pk] = slot + shift
-        pk_map.update(zip(
+        pk_map = dict(zip(
             zip(*(map(columns[p].__getitem__, order) for p in pk_positions)),
-            range(region_lo, region_lo + n_rows)))
-        # sketches of the rewritten region die with their segments;
-        # untouched segments outside [start, stop) keep theirs — that
-        # sharing is what carries warm sketches across disjoint-delta
-        # merges
-        self._sketches.drop_segments(main[start:stop])
-        self._main_segments = main[:start] + segments + main[stop:]
-        self.main_lo = self.main_lo[:start] + lows + self.main_lo[stop:]
-        self.main_hi = self.main_hi[:start] + highs + self.main_hi[stop:]
+            range(n_rows)))
+        # sketches of the old main die with its segments
+        self._sketches.drop_segments(main)
+        self._main_segments = segments
         self._main_pk_to_slot = pk_map
         self._segments = []
         self._pk_to_slot = {}
         self._zone_pending = []
-        self.compactions += 1
-        self.segments_merged_total += len(segments)
-        self.rows_merged_total += n_rows
         self._merge_totals[0] += len(segments)
         self._merge_totals[1] += n_rows
         return len(segments)
 
     # -- consistent read snapshots -------------------------------------
 
-    def read_snapshot(self) -> tuple[list[Segment], list[tuple],
-                                     list[tuple], list[Segment]]:
-        """Atomic ``(main_segments, main_lo, main_hi, delta_segments)``.
+    def read_snapshot(self) -> tuple[list[Segment], list[Segment]]:
+        """Atomic ``(main_segments, delta_segments)``.
 
-        Scans must take main list + bound lists + delta in one locked
-        read: a merge swap on a writer thread between two separate reads would
-        pair pre-swap segments with post-swap bounds.  The returned lists
-        stay internally consistent forever — compaction swaps in fresh
-        lists instead of mutating these (sealed segments are immutable;
-        delta tail segments may still grow, which only adds rows past the
-        snapshot-time size).
+        Scans must take the main and delta lists in one locked read: a
+        merge swap on a writer thread between two separate reads would
+        pair the pre-swap main with the post-swap (empty) delta.  The
+        returned lists stay internally consistent forever — compaction
+        swaps in fresh lists instead of mutating these (sealed segments
+        are immutable; delta tail segments may still grow, which only adds
+        rows past the snapshot-time size).
         """
         with self._lock:
             self.flush_zone_maps()
-            return (self._main_segments, self.main_lo, self.main_hi,
-                    self._segments)
+            return self._main_segments, self._segments
 
-    @staticmethod
-    def span_of(main_lo: list[tuple], main_hi: list[tuple],
-                lo_key: tuple, hi_key: tuple) -> tuple[int, int]:
-        """``main_span`` over snapshot bound lists (see ``read_snapshot``)."""
-        if not main_lo:
-            return 0, 0
-        start, stop = 0, len(main_lo)
-        if lo_key:
-            k = len(lo_key)
-            start = bisect_left(main_hi, lo_key, key=lambda key: key[:k])
-        if hi_key:
-            k = len(hi_key)
-            stop = bisect_right(main_lo, hi_key, key=lambda key: key[:k])
-        return start, max(start, stop)
-
-    # -- sorted-index lookups ------------------------------------------
-
-    def main_span(self, lo_key: tuple, hi_key: tuple) -> tuple[int, int]:
-        """Contiguous ``[start, stop)`` span of main segments whose sort-key
-        range can intersect ``[lo_key, hi_key]``.
-
-        Keys are canonical sort-key *prefix* tuples (empty = unbounded on
-        that side).  Because main segments are globally ordered, one binary
-        search per bound replaces the per-segment zone-map checks: segments
-        outside the span are provably disjoint from the predicate.
-        """
-        return self.span_of(self.main_lo, self.main_hi, lo_key, hi_key)
-
-    # -- encoding statistics -------------------------------------------
+    # -- read path ------------------------------------------------------
 
     def _all_segments(self) -> list[Segment]:
         """Every segment in physical scan order (main first, then delta).
@@ -1414,18 +1326,6 @@ class ColumnarTable:
         """
         with self._lock:
             return self._main_segments + self._segments
-
-    def encoding_stats(self) -> dict:
-        """Segment/byte accounting of the encoding layer.
-
-        Counts over ONE ``_all_segments`` snapshot: a writer thread's merge
-        swapping the main list between two reads would pair one list's
-        total with another's encoded count.
-        """
-        self.flush_zone_maps()
-        return _encoding_stats(self._all_segments())
-
-    # -- read path ------------------------------------------------------
 
     def scan(self) -> Iterator[tuple[tuple, tuple]]:
         """Yield ``(pk, values)`` for live rows as of the applied watermark.
@@ -1511,7 +1411,7 @@ class ColumnarReplica:
         # one replica-wide sketch cache shared by every table/partition:
         # the LRU budget bounds total sketch memory, not per-table memory
         self.sketches = SegmentSketchCache(sketch_budget_bytes)
-        # (table, sort_key) in registration order: reset() rebuilds the
+        # (table, first_lsns) in registration order: reset() rebuilds the
         # replica in place from this list, preserving object identity
         # (the executor and planner hold references to the replica)
         self._registrations: list[tuple] = []
@@ -1575,19 +1475,25 @@ class ColumnarReplica:
         return self._table_dicts.get(table_name.upper(), {}).get(position)
 
     def register_table(self, table: Table,
-                       sort_key: tuple[int, ...] | None = None):
+                       first_lsns: tuple[int, ...] | None = None):
+        """Add one table.  ``first_lsns`` (default: the current applied
+        watermarks) is where each partition's records of *this* table
+        start: WAL records carry only the table name, and a dropped table
+        of the same name left its records below them."""
         key = table.name.upper()
         if key in self._tables:
             raise CatalogError(f"columnar table {table.name!r} already exists")
+        if first_lsns is None:
+            first_lsns = tuple(self.applied_lsns)
         shared = self._register_shared_dicts(table)
         self._tables[key] = [
-            ColumnarTable(table, self.segment_rows, sort_key=sort_key,
+            ColumnarTable(table, self.segment_rows, first_lsn,
                           merge_totals=self._merge_totals, lock=self._lock,
                           sketches=self.sketches, shared_dicts=shared,
                           failpoints=self._failpoints)
-            for _ in self.pmap.all_partitions()
+            for first_lsn in first_lsns
         ]
-        self._registrations.append((table, sort_key))
+        self._registrations.append((table, first_lsns))
 
     def reset(self):
         """Discard all replicated state; the replica rebuilds from LSN 0.
@@ -1611,8 +1517,8 @@ class ColumnarReplica:
             self._merge_totals[1] = 0
             self._drained_segments_merged = 0
             self._drained_rows_merged = 0
-            for table, sort_key in registrations:
-                self.register_table(table, sort_key)
+            for table, first_lsns in registrations:
+                self.register_table(table, first_lsns)
 
     def drop_table(self, name: str):
         """Forget one table: its partitions, its registration (so
@@ -1623,8 +1529,8 @@ class ColumnarReplica:
         with self._lock:
             parts = self._tables.pop(key, [])
             self._registrations = [
-                (table, sort_key) for table, sort_key in self._registrations
-                if table.name.upper() != key]
+                registration for registration in self._registrations
+                if registration[0].name.upper() != key]
             self._table_dicts.pop(key, None)
             live = {id(dictionary) for shared in self._table_dicts.values()
                     for dictionary in shared.values()}
@@ -1648,7 +1554,7 @@ class ColumnarReplica:
             # record, so a post-recovery replicate resumes exactly here
             self._failpoints.fire("replica.apply")
         parts = self._tables.get(record.table.upper())
-        if parts is not None:
+        if parts is not None and record.lsn >= parts[pid].first_lsn:
             parts[pid].apply(record.pk, record.values, record.op)
         self.applied_lsns[pid] = record.lsn + 1
         self.applied_ts = record.commit_ts
@@ -1665,11 +1571,6 @@ class ColumnarReplica:
         merges every non-empty delta regardless of the amortisation
         threshold; ``replicate()`` runs the thresholded form inline)."""
         return sum(part.compact(force)
-                   for parts in self._tables.values() for part in parts)
-
-    def delta_rows_pending(self) -> int:
-        """Live rows waiting in delta tails across tables and partitions."""
-        return sum(part.delta_live_rows()
                    for parts in self._tables.values() for part in parts)
 
     def drain_compaction_stats(self) -> tuple[int, int]:

@@ -55,14 +55,19 @@ class OrderedIndex:
     def prefix_keys(self, prefix: tuple) -> list[tuple]:
         """The keys starting with ``prefix``, in key order: one slice
         between two bisects.  A prefix the keys cannot be ordered against —
-        a NULL, or a value of another type — equals none of them."""
+        a NULL, or a value of another type — equals none of them.
+
+        The key function lets another thread run mid-bisect, so a commit
+        can shrink the list under the probe (``IndexError``).  That commit
+        stored the table's ``last_commit_ts`` before touching the index,
+        so ``_index_candidates``' re-check discards whatever this returns."""
         keys = self._keys
         n = len(prefix)
         try:
             lo = bisect.bisect_left(keys, prefix)
             hi = bisect.bisect_right(keys, prefix, lo,
                                      key=lambda key: key[:n])
-        except TypeError:
+        except (TypeError, IndexError):
             return []
         return keys[lo:hi]
 

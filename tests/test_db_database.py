@@ -60,6 +60,29 @@ class TestDDL:
         part = db.columnar.table_partitions("t")[0]
         assert part.table is db.catalog.table("t")
 
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_recover_after_drop_and_recreate_replays_only_the_new_table(
+            self, partitions, routed):
+        """``recover()`` re-replicates the retained WAL from LSN 0: the
+        dropped table's records are still in it under the same name, and
+        the re-created table must not receive them."""
+        db = Database(with_columnar=True, partitions=partitions,
+                      retain_wal=True)
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+        for a in range(5):
+            db.query("INSERT INTO t (a, b) VALUES (?, ?)", (a, a * 10))
+        db.replicate()
+        db.execute_ddl("DROP TABLE t")
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY, b VARCHAR(8))")
+        db.query("INSERT INTO t (a, b) VALUES (1, 'x')")
+        db.recover()
+        sql = "SELECT a, b FROM t ORDER BY a"
+        expected = [(1, "x")]
+        assert db.query(sql).rows == expected
+        result = routed(db, sql)
+        assert result.stats.vectorized and result.rows == expected
+        assert routed(db, sql, vectorized=False).rows == expected
+
     def test_drop_keeps_a_dictionary_another_table_aliases(self, db):
         db.run_script("CREATE TABLE p (name VARCHAR(8) PRIMARY KEY);"
                       "CREATE TABLE c (id INT PRIMARY KEY, pname VARCHAR(8),"

@@ -612,12 +612,12 @@ class TestMergeBuildsAside:
         """Every live row reachable from one ``read_snapshot``: main
         segments to the end, delta segments up to their snapshot-time
         sizes (a delta tail may only grow past them)."""
-        main, lows, highs, delta = snapshot
+        main, delta = snapshot
         sized = [(s, s.size) for s in main] + list(zip(delta, delta_sizes))
         rows = [tuple(col[i] for col in segment.columns)
                 for segment, size in sized
                 for i in range(size) if segment.live[i]]
-        return rows, list(lows), list(highs), [id(s) for s in main]
+        return rows, [id(s) for s in main]
 
     def test_old_snapshot_reads_to_the_end_across_a_merge(self):
         db = self._db()
@@ -625,11 +625,10 @@ class TestMergeBuildsAside:
         self._insert(db, (201, 203))            # a delta tail to snapshot
         db.columnar.apply_from_partitions(db.storage.wals)
         snapshot = table.read_snapshot()
-        delta_sizes = [s.size for s in snapshot[3]]
+        delta_sizes = [s.size for s in snapshot[1]]
         before = self._read(snapshot, delta_sizes)
-        assert len(before[0]) == 62 and len(before[3]) == 4
-        # new keys between, before and after every main key: the whole
-        # main is the rewrite region
+        assert len(before[0]) == 62 and len(before[1]) == 4
+        # new keys between, before and after every main key
         self._insert(db, range(1, 121, 8))
         db.columnar.apply_from_partitions(db.storage.wals)
         assert table.compact(force=True) > 0
@@ -653,9 +652,7 @@ class TestMergeBuildsAside:
             conn.commit()
         db.columnar.apply_from_partitions(db.storage.wals)
         stats = db.columnar.encoding_stats()
-        snap = table.read_snapshot()
-        main, delta = list(snap[0]), list(snap[3])
-        bounds = (list(table.main_lo), list(table.main_hi))
+        main, delta = map(list, table.read_snapshot())
         slots = dict(table._main_pk_to_slot)
         dump = _dump_tables(db)
         db.failpoints.arm("compact.merge", always=True)
@@ -663,11 +660,10 @@ class TestMergeBuildsAside:
             with pytest.raises(InjectedFaultError):
                 db.columnar.compact(force=True)
         db.failpoints.disarm_all()
-        # no half-built segment is reachable: same objects, same bounds
-        now_main, _lo, _hi, now_delta = table.read_snapshot()
+        # no half-built segment is reachable: same objects, same slots
+        now_main, now_delta = table.read_snapshot()
         assert [id(s) for s in now_main] == [id(s) for s in main]
         assert [id(s) for s in now_delta] == [id(s) for s in delta]
-        assert (table.main_lo, table.main_hi) == bounds
         assert table._main_pk_to_slot == slots
         assert all(s.encoded for s in now_main)
         assert not any(s.encoded for s in now_delta)
@@ -691,5 +687,6 @@ class TestMergeBuildsAside:
         assert db.recover() == first
         assert (_dump_tables(db), db.columnar.encoding_stats()) == state
         assert state[0] == dump
-        assert db.columnar.delta_rows_pending() == 0
+        assert all(part.delta_live_rows() == 0
+                   for part in db.columnar.table_partitions("m"))
         assert db.columnar.table_partitions("m")[0].row_count == 80

@@ -1,5 +1,5 @@
-"""Real-thread execution, DESC ordering over the replica and
-segment-granular merges.
+"""Real-thread execution, DESC ordering over the replica and merges
+into a non-empty main.
 
 The thread-safety promise under test: a writer thread may ``replicate()``
 — WAL apply plus the inline compaction it triggers — while other threads
@@ -144,79 +144,10 @@ class TestReverseOrderedScan:
 
 
 # ---------------------------------------------------------------------------
-# segment-granular merge: narrow deltas rewrite only overlapping segments
+# merges into a non-empty main
 # ---------------------------------------------------------------------------
 
-class TestSegmentGranularMerge:
-    def test_narrow_delta_rewrites_only_overlap(self):
-        db = _make_db(segment_rows=32)
-        _fill(db, 256)  # 8 sorted main segments of 32 rows
-        table = db.columnar.table_partitions("t")[0]
-        main_before = list(table.read_snapshot()[0])
-        assert len(main_before) == 8
-        merged_before = table.segments_merged_total
-        # touch keys inside one segment's range only
-        with db.connect() as conn:
-            for i in (70, 71):
-                conn.execute("UPDATE t SET v = ? WHERE id = ?",
-                             (float(i) * 10.0, i))
-            conn.commit()
-        db.replicate()
-        table.compact(force=True)
-        main_after = list(table.read_snapshot()[0])
-        # untouched prefix and suffix segments survive by identity: the
-        # merge spliced new segments into the overlap region only
-        rewritten = table.segments_merged_total - merged_before
-        assert 0 < rewritten < len(main_before)
-        identical = sum(1 for s in main_after if any(s is o
-                                                     for o in main_before))
-        assert identical >= len(main_before) - rewritten
-        assert table.delta_live_rows() == 0
-
-    def test_disjoint_append_does_not_rewrite_main(self):
-        db = _make_db(segment_rows=32)
-        _fill(db, 128)
-        table = db.columnar.table_partitions("t")[0]
-        main_before = list(table.read_snapshot()[0])
-        with db.connect() as conn:
-            for i in range(1000, 1032):
-                conn.execute(
-                    "INSERT INTO t (a, b, tag, v, id) VALUES (?, ?, ?, ?, ?)",
-                    (i // 32, i % 7, f"g{i % 3}", float(i) * 0.5, i))
-            conn.commit()
-        db.replicate()
-        table.compact(force=True)
-        main_after = table.read_snapshot()[0]
-        # keys beyond the old high end: every old segment survives
-        for old in main_before:
-            assert any(s is old for s in main_after)
-        assert table.row_count == 160
-
-    def test_bounds_stay_consistent_after_merges(self, routed):
-        db = _make_db(segment_rows=16, partitions=2)
-        _fill(db, 200)
-        rng = Random(5)
-        for round_no in range(3):
-            with db.connect() as conn:
-                for _ in range(12):
-                    i = rng.randrange(200)
-                    conn.execute("UPDATE t SET b = ? WHERE id = ?",
-                                 (round_no, i))
-                conn.commit()
-            db.replicate()
-        db.columnar.compact(force=True)
-        for part in db.columnar.table_partitions("t"):
-            main = part.read_snapshot()[0]
-            assert len(part.main_lo) == len(main) == len(part.main_hi)
-            for lo, hi in zip(part.main_lo, part.main_hi):
-                assert lo <= hi
-            flat = [key for pair in zip(part.main_lo, part.main_hi)
-                    for key in pair]
-            assert flat == sorted(flat)
-        # point lookups in the columnar path still find every row
-        result = routed(db, "SELECT COUNT(*) FROM t")
-        assert result.scalar() == 200
-
+class TestMergeIntoMain:
     def test_query_parity_after_narrow_merges(self, routed):
         srt = _make_db(segment_rows=32)
         _fill(srt, 192)

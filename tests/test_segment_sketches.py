@@ -202,23 +202,34 @@ class TestSketchInvalidation:
         assert warm.stats.sketches_built == 0
         assert warm.stats.sketches_hit > 0
 
-    def test_disjoint_compaction_keeps_untouched_partials_warm(self, routed):
-        # segments whose Segment objects survive a compaction unchanged
-        # keep their warm sketches: only the merged span rebuilds
+    def test_disjoint_delta_merges_into_a_non_empty_main(self, routed):
+        # a delta keyed past every main row still rewrites the whole main:
+        # no partial of an old main segment outlives the merge, and the
+        # answers are the row store's
         db = _fill(_make_db())
         self._warm(routed, db)
-        built_total = db.columnar.sketches
-        cached_before = len(built_total)
+        main = db.columnar.table_partitions("cust")[0].read_snapshot()[0]
+        assert len(main) == 10 and len(db.columnar.sketches) > 0
         with db.connect() as conn:
-            conn.execute("UPDATE cust SET amount = ? WHERE id = ?",
-                         (7.75, 3))
+            for i in range(1000, 1010):
+                conn.execute(
+                    "INSERT INTO cust (id, nation, qty, amount, d) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (i, NATIONS[i % 7], i % 13, float(i) * 0.25, None))
             conn.commit()
         db.replicate()
+        merged_before = db.columnar.segments_merged_total()
         db.columnar.compact(force=True)
-        assert 0 < len(db.columnar.sketches) < cached_before
-        warm = routed(db, GROUPED_SQL)
-        assert warm.stats.sketches_hit > 0
-        assert warm.stats.sketches_built >= 1
+        assert db.columnar.segments_merged_total() == merged_before + 11
+        assert len(db.columnar.sketches) == 0
+        with db.connect() as conn:
+            expected = conn.execute(GROUPED_SQL).rows
+            conn.commit()
+        rebuilt = routed(db, GROUPED_SQL)
+        assert rebuilt.rows == expected
+        assert rebuilt.stats.sketches_hit == 0
+        assert rebuilt.stats.sketches_built > 0
+        assert routed(db, GROUPED_SQL).rows == expected
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.storage import (
     TableStore,
     WriteAheadLog,
 )
+from repro.storage.columnstore import _encoding_stats
 from repro.storage.rowstore import iter_pairs
 from repro.storage.wal import LogOp
 from repro.workloads import make_workload
@@ -274,7 +275,9 @@ class TestColumnarSegments:
     def test_encoding_stats_count_one_snapshot(self):
         """A merge publishing between two reads of the segment lists must
         not pair one list's total with another's encoded count."""
-        store = self._table(segment_rows=4)
+        replica = ColumnarReplica(segment_rows=4)
+        replica.register_table(make_table())
+        store = replica.table_partitions("t")[0]
         for i in range(8):
             store.apply((i,), (i, f"v{i}"), LogOp.INSERT)
         store.compact(force=True)
@@ -289,9 +292,9 @@ class TestColumnarSegments:
             return segments
 
         store._all_segments = merge_lands_after_read
-        stats = store.encoding_stats()
+        stats = replica.encoding_stats()
         assert (stats["segments_encoded"], stats["segments_total"]) == (2, 2)
-        assert store.encoding_stats()["segments_total"] == 4
+        assert replica.encoding_stats()["segments_total"] == 4
 
 
 # encoding accounting of a loaded replica with main segments, a delta tail
@@ -350,7 +353,8 @@ def test_replica_encoding_accounting_pinned(partitions):
                          "AND ol_o_id = ? AND ol_number = ?", key)
         conn.commit()
     db.replicate()          # 200 delta rows: below a segment, no merge
-    assert db.columnar.delta_rows_pending() > 0
+    assert sum(part.delta_live_rows()
+               for part in db.columnar.table_partitions("order_line")) > 0
     sql = "SELECT ol_w_id, SUM(ol_amount) FROM order_line GROUP BY ol_w_id"
     for _ in range(2):      # cold builds the sketches, warm hits them
         with db.connect() as conn:
@@ -362,7 +366,7 @@ def test_replica_encoding_accounting_pinned(partitions):
     assert db.columnar.scan_cost_factor() == factor
     part = next(p for p in db.columnar.table_partitions("order_line")
                 if p.row_count)
-    assert part.encoding_stats() == order_line
+    assert _encoding_stats(part.segments()) == order_line
 
 
 class TestBufferPool:
