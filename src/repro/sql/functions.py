@@ -27,10 +27,15 @@ spell the true sum out as two or three doubles and converts only those.
 The per-value loop is what remains for NULLs, ``bool``, mixed types,
 ``Decimal`` and non-finite floats; grouped batches ``scatter`` instead,
 which needs a scaled value per row rather than a total.
+
+Exact totals also rank: under ``ORDER BY <SUM / COUNT> DESC LIMIT k``,
+``rows`` emits only the groups that convert to at least the k-th largest
+exact total's value (rounding ties too), unless a conversion could raise.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from collections import Counter
@@ -161,6 +166,11 @@ _MIN_NORMAL = sys.float_info.min
 _STATE_BYTES = 400
 
 
+def _pick(column: list, gids) -> list:
+    """``column`` at ``gids``; all of it when ``gids`` is None."""
+    return column if gids is None else list(map(column.__getitem__, gids))
+
+
 class _CountState:
     """COUNT(*) / COUNT(x): one int per group."""
 
@@ -187,8 +197,11 @@ class _CountState:
         for gid, count in zip(remap, other.counts):
             counts[gid] += count
 
-    def results(self) -> list:
-        return self.counts
+    def results(self, gids=None) -> list:
+        return _pick(self.counts, gids)
+
+    def exact(self):
+        return self.counts, 0
 
     def nbytes(self, groups: int) -> int:
         return _STATE_BYTES + 16 * groups    # list slot, mostly shared ints
@@ -355,15 +368,32 @@ class _SumState:
             gid = remap[source]
             others[gid] = others[gid] + value if gid in others else value
 
-    def results(self) -> list:
+    def exact(self):
+        """Exact totals times ``2**shift`` (None: no value), and ``shift``."""
+        shift = -self.exponent
+        if None in self.fixed or any(self.ints):    # not float totals only
+            return [(int_total << shift) + (total or 0) if count else None
+                    for count, int_total, total in zip(
+                        self.counts, self.ints, self.fixed)], shift
+        return self.fixed, shift
+
+    def convertible(self) -> bool:
+        """``results`` cannot raise: no ``others``, no huge total."""
+        bound = 1 << 1022
+        return not self.others \
+            and max(map(abs, self.ints), default=0) < bound \
+            and max(map(abs, filter(None, self.fixed)), default=0) \
+            < bound << -self.exponent
+
+    def results(self, gids=None) -> list:
         average = self.average
         exponent = self.exponent
         shift = -exponent
         scale = 1 << shift
         ldexp = math.ldexp
         out = []
-        for count, int_total, total in zip(self.counts, self.ints,
-                                           self.fixed):
+        columns = self.counts, self.ints, self.fixed
+        for count, int_total, total in zip(*[_pick(c, gids) for c in columns]):
             if not count:
                 out.append(None)
             elif total is None:
@@ -382,6 +412,7 @@ class _SumState:
                     value = 0.0
                 out.append(exact / scale
                            if -_MIN_NORMAL < value < _MIN_NORMAL else value)
+        # ``gids`` comes only with ``convertible()``: ``others`` is empty
         for gid, inexact in self.others.items():
             # ordered addition absorbs what the group folded exactly
             if self.ints[gid]:
@@ -435,8 +466,8 @@ class _ExtremeState:
     def merge(self, other: "_ExtremeState", remap: list):
         self.scatter(remap, other.values)
 
-    def results(self) -> list:
-        return self.values
+    def results(self, gids=None) -> list:
+        return _pick(self.values, gids)
 
     def nbytes(self, groups: int) -> int:
         return _STATE_BYTES + 40 * groups    # list slot + value object
@@ -477,8 +508,8 @@ class _DistinctState:
             if seen:
                 self.scatter(repeat(gid), seen)
 
-    def results(self) -> list:
-        return self.inner.results()
+    def results(self, gids=None) -> list:
+        return self.inner.results(gids)
 
     def nbytes(self, groups: int) -> int:
         seen = [values for values in self.seen if values]
@@ -617,21 +648,41 @@ class GroupedAggregation:
         for state, sub in zip(self.states, other.states):
             state.merge(sub, remap)
 
-    def rows(self) -> list:
-        """One ``key + results`` tuple per group, in group-id order."""
-        results = [state.results() for state in self.states]
+    def _survivors(self, position: int, limit: int):
+        """Ids of the groups that can rank in the first ``limit`` under
+        ``ORDER BY <aggregate position> DESC``; None keeps every group."""
+        totals, shift = self.states[position].exact()
+        present = [total for total in totals if total is not None]
+        states = [getattr(state, "inner", state) for state in self.states]
+        if len(present) < limit or not all(
+                state.convertible() for state in states
+                if isinstance(state, _SumState)):
+            return None     # NULL groups would rank, or a conversion raise
+        # a group converting to at least the k-th's value (ints are exact,
+        # floats round monotonically) is above the double just below it
+        kth = heapq.nlargest(limit, present)[-1]
+        below = math.nextafter(kth / (1 << shift), -math.inf)
+        numerator, denominator = below.as_integer_ratio()
+        bound = (numerator << shift) // denominator
+        return [gid for gid, total in enumerate(totals)
+                if total is not None and total > bound]
+
+    def rows(self, top=None) -> list:
+        """``key + results`` per group, in id order; ``top``: ``_survivors``."""
+        gids = self._survivors(*top) if top else None
+        results = [state.results(gids) for state in self.states]
+        keys = self.gids if gids is None else _pick(list(self.gids), gids)
         if not self.width:
             # no GROUP BY list: the global group's ``()``, or whole-tuple keys
             return [key + values for key, values in
-                    zip(self.gids, zip(*results))] if results \
-                else list(self.gids)
+                    zip(keys, zip(*results))] if results else list(keys)
         # the full key, once per group: kept columns from the ids' keys
         columns = [None] * self.width
-        kept = [self.gids] if len(self.kept) == 1 \
-            else list(zip(*self.gids)) or [()] * len(self.kept)
+        kept = [keys] if len(self.kept) == 1 \
+            else list(zip(*keys)) or [()] * len(self.kept)
+        dependent = [_pick(values, gids) for values in self.dependent_values]
         for position, values in chain(zip(self.kept, kept),
-                                      zip(self.dependent,
-                                          self.dependent_values)):
+                                      zip(self.dependent, dependent)):
             columns[position] = values
         return list(zip(*columns, *results))
 

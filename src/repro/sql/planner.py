@@ -532,6 +532,7 @@ class Aggregate(BatchNode):
         self.agg_specs = agg_specs
         # one flag per group key: fixed by the keys before it, never hashed
         self.dependent = dependent
+        self.top = None  # (aggregate j, LIMIT k): Planner._ranked_aggregate
         names = [f"__G{i}" for i in range(len(group_fns))]
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
@@ -556,8 +557,10 @@ class Aggregate(BatchNode):
         if not group_fns:
             # global aggregate over an empty input still yields one row
             groups.gid(())
+        rows = groups.rows(self.top)
         ctx.stats.groups += len(groups)
-        yield from chunked(groups.rows(), size)
+        ctx.stats.sort_rows += len(groups) - len(rows)  # ORDER BY ranks all
+        yield from chunked(rows, size)
 
     def children(self):
         return [self.child]
@@ -635,7 +638,8 @@ class TopN(BatchNode):
     already ranks behind it can never reach the output.  The few rows that
     tie or beat that threshold get the full composite key with the same
     canonical whole-row tiebreak as ``Sort``, so the output is exactly
-    ``Sort`` followed by ``Limit`` — independent of input order.
+    ``Sort`` followed by ``Limit`` — independent of input order, and so of
+    the groups an ``Aggregate.top`` below it dropped as unable to rank.
 
     Memory stays O(k + batch): the buffer is cut back to at most k rows
     whenever it passes ``2k + SLACK_ROWS``, prefix ties included (the
@@ -955,6 +959,9 @@ class Planner:
             vector_source = vsource[0]
 
         spec = self._presentation_spec(select, node.schema)
+        if has_group:
+            for agg_node in filter(None, (row_agg, vnode)):
+                agg_node.top = self._ranked_aggregate(select, spec, aggs)
 
         root = self._finish_row(select, node, spec)
         vroot = None
@@ -1029,6 +1036,24 @@ class Planner:
 
         return _Presentation(item_exprs, names, all_exprs, all_names,
                              key_positions, hidden)
+
+    @staticmethod
+    def _ranked_aggregate(select: ast.Select, spec: "_Presentation",
+                          aggs: list[ast.FuncCall]):
+        """``(j, k)`` when the sole ORDER BY key is aggregate ``j``, a plain
+        SUM / COUNT, DESC under LIMIT k >= 1, without HAVING or DISTINCT,
+        and every output column is bare (none can raise); else None."""
+        names = [expr.name for expr in spec.all_exprs
+                 if isinstance(expr, ast.ColumnRef) and expr.table is None]
+        if (select.limit or 0) < 1 or select.having or select.distinct \
+                or len(names) != len(spec.all_exprs) \
+                or [desc for _, desc in spec.key_positions] != [True] \
+                or not names[spec.key_positions[0][0]].startswith("__A"):
+            return None
+        j = int(names[spec.key_positions[0][0]][3:])
+        if aggs[j].distinct or aggs[j].name not in ("SUM", "COUNT"):
+            return None
+        return j, select.limit
 
     def _finish_row(self, select: ast.Select, node: PlanNode,
                     spec: "_Presentation") -> PlanNode:

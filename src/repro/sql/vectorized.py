@@ -1113,7 +1113,7 @@ class BatchAggregate(BatchNode):
     the global (no GROUP BY) case bulk-folds whole column slices.  Like
     ``Aggregate`` it is a ``BatchNode``: the state hands back one
     materialised row list, emitted in chunks rather than re-batched from
-    a per-row generator (Q5 passes 13 k group rows up to its TopN).
+    a per-row generator (Q5's ``top`` keeps ~10 of its 13 k groups).
 
     The child's one batch stream (every partition the scan visits, in
     partition order) folds into one state, as the row ``Aggregate`` folds
@@ -1146,6 +1146,7 @@ class BatchAggregate(BatchNode):
         # None when the plan is not sketch-eligible.  Set by the planner
         # together with the scan's ``emit_segments``.
         self.sketch_key = sketch_key
+        self.top = None                 # as the row ``Aggregate``'s
         names = [f"__G{i}" for i in range(len(group_fns))]
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
@@ -1337,8 +1338,10 @@ class BatchAggregate(BatchNode):
         if not self.group_fns:
             # global aggregate over an empty input still yields one row
             groups.gid(())
+        rows = groups.rows(self.top)
         ctx.stats.groups += len(groups)
-        yield from chunked(groups.rows(), size)
+        ctx.stats.sort_rows += len(groups) - len(rows)  # ORDER BY ranks all
+        yield from chunked(rows, size)
 
     def children(self):
         return [self.child]

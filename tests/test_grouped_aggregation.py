@@ -9,6 +9,8 @@ order, bulk folds, merged partials, and on the row pipeline, the vectorized
 pipeline and a warm sketch hit alike.
 """
 
+import sqlite3
+from decimal import Decimal
 from fractions import Fraction
 from math import inf, isnan, nan
 from random import Random
@@ -24,6 +26,7 @@ from repro.sql.functions import (
     _fold_typed_slice,
     _SumState,
 )
+from repro.sql.ordering import canonical_row_key, sort_key
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -483,6 +486,14 @@ class TestSumResultConversion:
                 _division(*args)
             with pytest.raises(OverflowError):
                 _sum_result(*args)
+        # the group beyond the double range ranks last: a LIMIT 1 would
+        # drop it, and it still raises
+        groups = GroupedAggregation([("SUM", False, False)], (False,))
+        groups.scatter(groups.assign_columns([[0, 1, 2, 2]]),
+                       [[5.0, 3.0, -1.7e308, -1.7e308]])
+        for top in (None, (0, 1)):
+            with pytest.raises(OverflowError):
+                groups.rows(top)
 
     @given(st.integers(-10 ** 20, 10 ** 20),
            st.integers(-(2 ** 1100), 2 ** 1100) | st.integers(-9, 9),
@@ -496,6 +507,97 @@ class TestSumResultConversion:
                 _sum_result(int_total, total, exponent)
         else:
             assert _sum_result(int_total, total, exponent).hex() == expected
+
+
+# ---------------------------------------------------------------------------
+# ORDER BY <SUM / COUNT> DESC LIMIT k: only the groups that can rank
+# ---------------------------------------------------------------------------
+
+# ranked on SUM (position 0) or COUNT (position 1)
+RANKED_SPECS = [("SUM", False, False), ("COUNT", False, False),
+                ("COUNT", True, False), ("AVG", False, False),
+                ("MAX", False, False)]
+
+
+def _ranked_state(groups, rng=None):
+    """``groups`` (one value list each) scattered in one batch, shuffled by
+    ``rng``, under GROUP BY ``(gid, name)`` with the name dependent."""
+    rows = [(gid, value) for gid, values in enumerate(groups)
+            for value in values]
+    if rng is not None:
+        rng.shuffle(rows)
+    state = GroupedAggregation(RANKED_SPECS, (False, True))
+    gids = state.assign_columns([[gid for gid, _v in rows],
+                                 [f"g{gid}" for gid, _v in rows]])
+    column = [value for _gid, value in rows]
+    state.scatter(gids, [column, column, None, column, column])
+    return state
+
+
+def _ranked(rows, position, limit):
+    """``TopN``'s answer: DESC on aggregate ``position`` (NULLs last), the
+    canonical whole-row tiebreak, the first ``limit``."""
+    rows = sorted(rows, key=canonical_row_key)
+    rows.sort(key=lambda row: sort_key(row[2 + position]), reverse=True)
+    return _image(rows[:limit])
+
+
+def _assert_ranks_alike(state, position, limit):
+    """Pruned rows are rows of the full output and rank the same."""
+    full = state.rows()
+    pruned = state.rows((position, limit))
+    assert set(_image(pruned)) <= set(_image(full))
+    assert _ranked(pruned, position, limit) == _ranked(full, position, limit)
+    return len(pruned), len(full)
+
+
+# few bases plus parts below their 53rd bit: exact totals that differ and
+# round to the same double, tied across the cut; ints beside floats,
+# negative totals, subnormal parts (a state-wide exponent of -1074) and
+# NULL-only groups
+_ranked_value = st.one_of(
+    st.none(), st.integers(-3, 3),
+    st.sampled_from([1.0, -1.0, 0.5, 3.0, 0.1, 2.0 ** 53, -(2.0 ** 53)]),
+    st.sampled_from([2.0 ** -60, -(2.0 ** -60), 2.0 ** -30, 5e-324,
+                     -5e-324]))
+_ranked_groups = st.lists(st.lists(_ranked_value, min_size=1, max_size=4),
+                          min_size=1, max_size=14)
+
+
+class TestRankedPruning:
+    """``rows((position, limit))`` emits a subset of ``rows()`` that an
+    ``ORDER BY <aggregate position> DESC LIMIT limit`` ranks identically."""
+
+    @given(_ranked_groups, st.integers(1, 6), st.sampled_from([0, 1]),
+           st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_rows_rank_like_every_row(self, groups, limit, position,
+                                             rng):
+        _assert_ranks_alike(_ranked_state(groups, rng), position, limit)
+
+    def test_ties_that_round_equal_straddle_the_cut(self):
+        # 1 + 2**-60 is the exact top-1 but rounds to 1.0, like group 0
+        # and the int 1 of group 2; the whole-row tiebreak picks group 0
+        for tiny in (2.0 ** -60, 5e-324):
+            state = _ranked_state([[1.0], [1.0, tiny], [1], [0.5], [None]])
+            assert _assert_ranks_alike(state, 0, 1) == (3, 5)
+            assert state.rows((0, 1))[0][:3] == (0, "g0", 1.0)
+
+    def test_negative_totals_and_counts(self):
+        state = _ranked_state([[-3.0], [-1.0, -1.0], [-0.5], [2, None], [-4]])
+        assert _assert_ranks_alike(state, 0, 2) == (2, 5)
+        assert _assert_ranks_alike(state, 1, 1) == (1, 5)
+
+    def test_fewer_non_null_groups_than_the_limit_keep_every_group(self):
+        state = _ranked_state([[None], [1.0], [None, None], [2]])
+        assert _assert_ranks_alike(state, 0, 3) == (4, 4)
+        assert _assert_ranks_alike(state, 0, 2) == (2, 4)
+
+    def test_inexact_state_keeps_every_group(self):
+        for odd in (Decimal("7.5"), inf, -inf):
+            state = _ranked_state([[1.0], [odd], [3], [2.5], [0.25]])
+            assert _assert_ranks_alike(state, 0, 1) == (5, 5)
+            assert _assert_ranks_alike(state, 1, 1) == (5, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +682,137 @@ class TestPipelinesAgree:
                     == [(0, 0, None, None, None, None)]
             assert _run(db, "SELECT k, COUNT(*) FROM t GROUP BY k",
                         True).rows == []
+
+
+# ---------------------------------------------------------------------------
+# SQL level: which statements prune, and that they answer alike
+# ---------------------------------------------------------------------------
+
+RANKED_DDL = ["CREATE TABLE item (i_id INT PRIMARY KEY, i_name VARCHAR)",
+              "CREATE TABLE line (id INT PRIMARY KEY, i_id INT, "
+              "amount DOUBLE, qty INT)"]
+
+Q5_SHAPE = ("SELECT l.i_id, i.i_name, SUM(l.amount) AS revenue, "
+            "SUM(l.qty) AS units FROM line l JOIN item i ON i.i_id = l.i_id "
+            "GROUP BY l.i_id, i.i_name ORDER BY revenue DESC LIMIT 5")
+SKETCHED = ("SELECT i_id, SUM(amount) AS revenue FROM line GROUP BY i_id "
+            "ORDER BY revenue DESC LIMIT 3")
+
+#: statement -> the ``top`` both aggregate nodes get
+RANKED_SHAPES = {
+    Q5_SHAPE: (0, 5),
+    SKETCHED: (0, 3),
+    "SELECT i_id, COUNT(*) AS n, SUM(qty) FROM line GROUP BY i_id "
+    "ORDER BY n DESC LIMIT 4": (0, 4),
+    "SELECT i_id, COUNT(*) AS n, SUM(qty) FROM line GROUP BY i_id "
+    "ORDER BY 3 DESC LIMIT 1": (1, 1),
+    "SELECT i_id FROM line GROUP BY i_id ORDER BY SUM(qty) DESC LIMIT 2":
+        (0, 2),
+    # a second key, HAVING, DISTINCT, AVG, an expression, ASC: not ranked
+    "SELECT i_id, SUM(amount) AS revenue FROM line GROUP BY i_id "
+    "ORDER BY revenue DESC, i_id LIMIT 3": None,
+    "SELECT i_id, SUM(amount) AS revenue FROM line GROUP BY i_id "
+    "HAVING SUM(amount) > 1 ORDER BY revenue DESC LIMIT 3": None,
+    "SELECT DISTINCT SUM(qty) AS s FROM line GROUP BY i_id "
+    "ORDER BY s DESC LIMIT 3": None,
+    "SELECT i_id, AVG(amount) AS a FROM line GROUP BY i_id "
+    "ORDER BY a DESC LIMIT 3": None,
+    "SELECT i_id, SUM(amount) * 2 AS r FROM line GROUP BY i_id "
+    "ORDER BY r DESC LIMIT 3": None,
+    "SELECT i_id, SUM(amount) AS revenue FROM line GROUP BY i_id "
+    "ORDER BY revenue LIMIT 3": None,
+    # a DISTINCT aggregate, no LIMIT, and a projection that could raise
+    "SELECT i_id, COUNT(DISTINCT qty) AS n FROM line GROUP BY i_id "
+    "ORDER BY n DESC LIMIT 3": None,
+    "SELECT i_id, SUM(amount) AS revenue FROM line GROUP BY i_id "
+    "ORDER BY revenue DESC": None,
+    "SELECT i_id, SUM(amount) / COUNT(qty) FROM line GROUP BY i_id "
+    "ORDER BY SUM(amount) DESC LIMIT 3": None,
+}
+
+
+def _ranked_tables():
+    rng = Random(38)
+    items = [(i, f"item{i % 9}") for i in range(30)]
+    # multiples of 2**-4: sqlite's ordered double sums are exact too
+    lines = [(n, rng.randrange(30),
+              rng.choice([None, 0.5, 1.0, 1.5, 2.25, -0.75, 3.0625]),
+              rng.choice([None, 1, 2, 3, 5])) for n in range(240)]
+    return {"item": items, "line": lines}
+
+
+def _ranked_sql_db(partitions):
+    db = Database(with_columnar=True, columnar_segment_rows=16,
+                  partitions=partitions)
+    for ddl in RANKED_DDL:
+        db.execute_ddl(ddl)
+    for table, rows in _ranked_tables().items():
+        db.bulk_load(table, rows)
+    db.replicate()
+    db.columnar.compact(force=True)
+    return db
+
+
+def _aggregate_tops(db, sql):
+    """``top`` of every aggregate node in both of ``sql``'s plans."""
+    plan = db.prepare(sql)
+    tops, nodes = [], [plan.root, plan.vectorized_root]
+    while nodes:
+        node = nodes.pop()
+        if hasattr(node, "top"):
+            tops.append(node.top)
+        nodes += node.children()
+    return tops
+
+
+def _sqlite_answer(sql, width):
+    """``sql`` on sqlite, its ORDER BY completed by the whole visible row
+    (the engine's canonical tiebreak)."""
+    con = sqlite3.connect(":memory:")
+    for ddl in RANKED_DDL:
+        con.execute(ddl)
+    for table, rows in _ranked_tables().items():
+        con.executemany(f"INSERT INTO {table} VALUES "
+                        f"({', '.join('?' * len(rows[0]))})", rows)
+    ordinals = ", ".join(str(i) for i in range(1, width + 1))
+    head, tail = sql.split(" LIMIT ") if " LIMIT " in sql else (sql, None)
+    sql = f"{head}, {ordinals}" + (f" LIMIT {tail}" if tail else "")
+    return _image(con.execute(sql).fetchall())
+
+
+class TestRankedAggregate:
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_plans_and_answers(self, partitions):
+        db = _ranked_sql_db(partitions)
+        for sql, top in RANKED_SHAPES.items():
+            assert _aggregate_tops(db, sql) == [top, top], sql
+            oracle = _run(db, sql, route_columnar=False)
+            cold = _run(db, sql, route_columnar=True)
+            warm = _run(db, sql, route_columnar=True)
+            assert cold.stats.vectorized and not oracle.stats.vectorized
+            expected = _image(oracle.rows)
+            assert _image(cold.rows) == _image(warm.rows) == expected, sql
+            assert _sqlite_answer(sql, len(oracle.rows[0])) == expected, sql
+            if top is not None:
+                # the ORDER BY ranks every group, pruned or not
+                for result in (oracle, cold, warm):
+                    assert result.stats.sort_rows == result.stats.groups
+    def test_ranked_statements_emit_fewer_groups(self, monkeypatch):
+        db = _ranked_sql_db(4)
+        emitted = []
+        rows = GroupedAggregation.rows
+
+        def spy(groups, top=None):
+            emitted.append(len(rows(groups, top)))
+            return rows(groups, top)
+        monkeypatch.setattr(GroupedAggregation, "rows", spy)
+        for sql in (Q5_SHAPE, SKETCHED, SKETCHED):
+            for route_columnar in (False, True):
+                emitted.clear()
+                result = _run(db, sql, route_columnar)
+                assert emitted[-1] < result.stats.groups == 30
+        # the last run merged every segment's cached partial, then pruned
+        assert result.stats.sketches_hit and not result.stats.agg_input_rows
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,26 @@ class TestTopNFusion:
             conn.commit()
         assert result.stats.sort_rows == 100
 
+    def test_ranked_aggregate_counts_every_group(self):
+        """A Q5-shaped aggregate ranked by its own SUM under a LIMIT emits
+        only the groups that can reach it; ``sort_rows`` still counts every
+        group, as the ORDER BY ranks them all."""
+        db = _make_db()
+        db.execute_ddl("CREATE TABLE g (grp INT PRIMARY KEY, label VARCHAR)")
+        with db.connect() as conn:
+            for grp in range(8):
+                conn.execute("INSERT INTO g (grp, label) VALUES (?, ?)",
+                             (grp, f"g{grp % 3}"))
+            conn.commit()
+        _fill(db, 512)
+        vec, row = _both(db, "SELECT m.note, g.label, SUM(m.v) AS s "
+                         "FROM m JOIN g ON g.grp = m.grp "
+                         "GROUP BY m.note, g.label ORDER BY s DESC LIMIT 10")
+        assert vec.stats.vectorized and not row.stats.vectorized
+        assert vec.rows == row.rows and len(vec.rows) == 10
+        for result in (vec, row):
+            assert result.stats.sort_rows == result.stats.groups == 512
+
 
 class TestSelectiveStatementsStayOnRowStore:
     def test_pk_lookup_sees_fresh_rows_under_replication_lag(self):
