@@ -18,15 +18,17 @@ This is what lets every partition stream fold into one state and cached
 segment partials (sketches) merge into it, byte-identical to a single scan.
 
 Exact does not mean per value.  A slice that belongs to one group (a
-global aggregate's whole batch, an RLE run's span, a code bucket) folds in
-C-level passes whenever it is homogeneous and NULL-free — a sealed typed
-array says so, a plain ``list`` (every row-store batch and plain-delta
-column) is asked with one ``set(map(type, ...))`` census: ints through
-builtin ``sum``, floats through ``_fold_floats``, which has ``math.fsum``
-spell the true sum out as two or three doubles and converts only those.
-The per-value loop is what remains for NULLs, ``bool``, mixed types,
-``Decimal`` and non-finite floats; grouped batches ``scatter`` instead,
-which needs a scaled value per row rather than a total.
+global aggregate's whole batch, a code bucket) folds in C-level passes
+whenever it is homogeneous and NULL-free: a scan selection's dense ranges
+of a sealed typed array through the array's exact block partials, any
+other typed array by its type flag, a plain ``list`` (every row-store
+batch and plain-delta column) by one ``set(map(type, ...))`` census —
+ints through builtin ``sum``, floats through ``_fold_floats``, which has
+``math.fsum`` spell the true sum out as two or three doubles and converts
+only those.  The per-value loop is what remains for NULLs, ``bool``,
+mixed types, ``Decimal``, non-finite floats and the other encodings;
+grouped batches ``scatter`` instead, which needs a scaled value per row
+rather than a total.
 
 Exact totals also rank: under ``ORDER BY <SUM / COUNT> DESC LIMIT k``,
 ``rows`` emits only the groups that convert to at least the k-th largest
@@ -108,38 +110,27 @@ def _fold_typed_slice(buckets: dict, values):
     """Fold a homogeneous NULL-free column slice exactly, in C-level
     passes: floats into ``buckets``, ints into the returned total.
 
-    * Dense ranges of a sealed typed column (NATIVE encoding) — whole
-      unfiltered segments, or RLE-run-shaped selections — fold via the
-      column's precomputed exact block partials (floats) or one builtin
-      ``sum`` over the array slice (ints), without materialising a single
-      Python value.
-    * Non-contiguous typed slices carry the type guarantee as a flag
-      (``all_ints`` / ``all_floats``); a plain ``list`` — every row-store
-      batch, plain-delta column and gathered slice — proves it with one
-      type census.  Ints fold with builtin ``sum``, floats with
-      ``_fold_floats``.
+    * A scan selection of a sealed typed column (NATIVE encoding) that
+      splits into a few dense ranges (``contiguous_ranges``) folds each
+      range via the column's precomputed exact block partials (floats)
+      or one builtin ``sum`` over the array slice (ints), without
+      materialising a single Python value.
+    * Any other typed slice — a whole NATIVE column included — carries
+      the type guarantee as a flag (``all_ints`` / ``all_floats``); a
+      plain ``list`` — every row-store batch, plain-delta column and
+      gathered slice — proves it with one type census.  Ints fold with
+      builtin ``sum``, floats with ``_fold_floats``.
 
     Returns None when no guarantee holds (NULLs, ``bool``, mixed types,
     ``Decimal``) or the floats refuse the bulk fold; the caller then runs
     the generic per-value fold, ``buckets`` untouched.
     """
-    source = getattr(values, "contiguous_source", None)
-    if source is not None and (found := source()) is not None:
-        column, start, stop = found
-        int_sum = column.range_int_sum(start, stop)
-        if int_sum is not None:
-            return int_sum
-        if column.fold_range_sum(buckets, start, stop):
-            return 0
     ranges_source = getattr(values, "contiguous_ranges", None)
     if ranges_source is not None and (found := ranges_source()) is not None:
-        # sorted segments turn range/equality selections into a handful of
-        # dense spans per segment: fold each span through the same exact
-        # block partials instead of materialising the gather
         column, ranges = found
-        if column.data.typecode == "q" and not column.nulls:
-            return sum(column.range_int_sum(start, stop)
-                       for start, stop in ranges)
+        data = column.data
+        if data.typecode == "q" and not column.nulls:
+            return sum(sum(data[start:stop]) for start, stop in ranges)
         if all(column.fold_range_sum(buckets, start, stop)
                for start, stop in ranges):
             # fold_range_sum is all-or-nothing per column (typecode/nulls/
@@ -246,13 +237,11 @@ class _SumState:
             self.exponent = exponent
         return self.exponent
 
-    def _add(self, gid: int, value, times: int = 1):
-        """``times`` copies of one non-NULL value: exact for ints and
-        scalable floats (the mantissa times ``times`` equals the sum of
-        that many mantissas at the same exponent), so an RLE run folds in
-        O(1) with a bit-identical result to per-value adds."""
+    def _add(self, gid: int, value):
+        """One non-NULL value: exact for ints and scalable floats, ordered
+        addition in ``others`` for the rest."""
         if isinstance(value, int):
-            self.ints[gid] += value * times
+            self.ints[gid] += value
             return
         if isinstance(value, float):
             try:
@@ -266,11 +255,10 @@ class _SumState:
                     self._align(self.exponent + shift)
                     shift = 0
                 fixed = self.fixed
-                fixed[gid] = (fixed[gid] or 0) + (numerator * times << shift)
+                fixed[gid] = (fixed[gid] or 0) + (numerator << shift)
                 return
-        others = self.others
-        for _ in range(times):      # inexact fallback keeps fold order
-            others[gid] = others[gid] + value if gid in others else value
+        others = self.others             # inexact fallback keeps fold order
+        others[gid] = others[gid] + value if gid in others else value
 
     def scatter(self, gids, column, tally):
         counts = self.counts
@@ -302,21 +290,11 @@ class _SumState:
             counts[gid] += rows
 
     def fold(self, gid: int, values, rows: int):
-        """Bulk fold: RLE column slices fold run-at-a-time (value * n);
-        homogeneous NULL-free slices — typed arrays (NATIVE encoding) by
-        guarantee, plain lists by census — fold in C-level passes
-        (``_fold_typed_slice``); what is left (NULLs, ``bool``, mixed
-        types, ``Decimal``, inf / nan) folds value by value through an
-        inlined int/float split."""
-        runs = getattr(values, "iter_runs", None)
-        if runs is not None:
-            count = 0
-            for value, times in runs():
-                if value is not None:
-                    count += times
-                    self._add(gid, value, times)
-            self.counts[gid] += count
-            return
+        """Bulk fold: homogeneous NULL-free slices — typed arrays (NATIVE
+        encoding) by guarantee, plain lists by census — fold in C-level
+        passes (``_fold_typed_slice``); what is left (NULLs, ``bool``,
+        mixed types, ``Decimal``, inf / nan, any other column encoding)
+        folds value by value through an inlined int/float split."""
         buckets: dict = {}
         if rows and (int_total := _fold_typed_slice(buckets, values)) \
                 is not None:
@@ -449,9 +427,6 @@ class _ExtremeState:
                     values[gid] = value
 
     def fold(self, gid: int, values, rows: int):
-        runs = getattr(values, "iter_runs", None)
-        if runs is not None:
-            values = [v for v, _n in runs()]
         try:
             # a NULL raises on its first comparison (a lone one is picked
             # and then skipped by ``scatter``), an empty slice always
@@ -562,8 +537,8 @@ class GroupedAggregation:
       ``gids[i]`` (``assign_columns`` computes the batch's ``gids`` column
       once);
     * ``fold(gid, columns, rows)`` — a slice that belongs to one group,
-      folded in bulk (RLE runs, typed arrays and whole global-aggregate
-      columns keep their C-speed paths);
+      folded in bulk (typed arrays, their dense ranges and homogeneous
+      lists keep their C-speed paths);
     * ``merge(other)`` — another partial, through a group-id remap built
       in ``other``'s first-appearance order.
 

@@ -150,12 +150,10 @@ class ExecStats:
     values_decoded: int = counter()
     # delta–main counters: ordered-compaction merge output (the benchmark
     # runner attributes the merges a request's engine tick triggered to
-    # the run report), delta-tail rows the merge-on-read scans had to
-    # consider, and batches grouped in DICT-code space by the encoded
-    # group-by
+    # the run report) and delta-tail rows the merge-on-read scans had to
+    # consider
     segments_merged: int = counter(section="delta-main")
     delta_rows_pending: int = counter(section="delta-main")
-    groups_coded: int = counter(section="delta-main")
     # shared-dictionary counters: join probe rows compared as global
     # integer codes (no string materialisation) and batches grouped
     # against the table-level accumulator array

@@ -24,7 +24,6 @@ and fold order of ``repro.sql.expressions``.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain
 
 from repro.errors import ExecutionError
@@ -507,22 +506,6 @@ class _LazyColumn:
     def all_floats(self) -> bool:
         return getattr(self._column, "all_floats", False)
 
-    def contiguous_source(self):
-        """``(native_column, start, stop)`` when this gather is one dense
-        range of a typed-array column — RLE-run selections are — letting
-        SUM/AVG fold precomputed block partials instead of materialising."""
-        column = self._column
-        if not hasattr(column, "fold_range_sum"):
-            return None
-        selection = self._selection
-        if not selection:
-            return None
-        start = selection[0]
-        stop = selection[-1] + 1
-        if stop - start != len(selection):
-            return None
-        return column, start, stop
-
     #: selections splitting into more dense ranges than this fold per-value
     MAX_SUM_RANGES = 16
 
@@ -542,8 +525,11 @@ class _LazyColumn:
         selection = self._selection
         if not selection:
             return None
+        start = selection[0]
+        if selection[-1] - start + 1 == len(selection):     # one dense range
+            return column, [(start, selection[-1] + 1)]
         ranges: list[tuple[int, int]] = []
-        start = previous = selection[0]
+        previous = start
         for offset in selection[1:]:
             if offset != previous + 1:
                 ranges.append((start, previous + 1))
@@ -579,87 +565,6 @@ class _LazyColumn:
     def gather(self, selection: list) -> list:
         data = self._materialise()
         return [data[i] for i in selection]
-
-
-class _ColumnSpan:
-    """A zero-copy view of rows ``[start, stop)`` of one batch column.
-
-    Run-grouped aggregation (``BatchAggregate._fold_runs``) folds every
-    RLE run of the group-key column as one bulk ``fold`` over this
-    view of each aggregate-argument column.  The view forwards the
-    aggregation state's fast-path hooks — ``contiguous_source`` exposes the
-    underlying typed array's dense range, so SUM/AVG fold precomputed
-    block partials or one builtin ``sum`` — and falls back to per-value
-    iteration otherwise, keeping the arithmetic bit-identical to the
-    per-row path.
-    """
-
-    __slots__ = ("_column", "_start", "_stop")
-
-    def __init__(self, column, start: int, stop: int):
-        self._column = column
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __iter__(self):
-        column = self._column
-        data = getattr(column, "data", None)
-        if data is not None:                      # NATIVE: slice the array
-            nulls = column.nulls
-            if not nulls:
-                return iter(data[self._start:self._stop])
-            return iter([None if i in nulls else data[i]
-                         for i in range(self._start, self._stop)])
-        return (column[i] for i in range(self._start, self._stop))
-
-    def count(self, value) -> int:
-        column = self._column
-        nulls = getattr(column, "nulls", None)
-        if value is None and nulls is not None:
-            start, stop = self._start, self._stop
-            return sum(1 for i in nulls if start <= i < stop)
-        if value is None:
-            return sum(1 for v in self if v is None)
-        return sum(1 for v in self if v is not None and v == value)
-
-    def contiguous_source(self):
-        """The span's dense range of the underlying typed-array column
-        (``None`` when the source column is not NATIVE-encoded)."""
-        source = getattr(self._column, "contiguous_source", None)
-        if source is None or (found := source()) is None:
-            return None
-        column, base, _stop = found
-        return column, base + self._start, base + self._stop
-
-
-class _RunSpan(_ColumnSpan):
-    """``_ColumnSpan`` over an RLE column: re-exposes the runs that fall
-    inside the span so SUM/AVG/COUNT keep their run-at-a-time fold."""
-
-    __slots__ = ()
-
-    def iter_runs(self):
-        column = self._column
-        starts = column.starts
-        values = column.run_values
-        run = bisect_right(starts, self._start) - 1
-        position = self._start
-        stop = self._stop
-        while position < stop:
-            run_stop = starts[run] + column.run_lengths[run]
-            end = run_stop if run_stop < stop else stop
-            yield values[run], end - position
-            position = end
-            run += 1
-
-    def count(self, value) -> int:
-        if value is None:
-            return sum(n for v, n in self.iter_runs() if v is None)
-        return sum(n for v, n in self.iter_runs()
-                   if v is not None and v == value)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,12 +1025,11 @@ class BatchAggregate(BatchNode):
     its input, so the result is bit-identical to the row pipeline's.
 
     **Encoded group-by**: when the single grouping key is a plain column
-    of the scan (``group_positions``), batches whose key column is
-    run-length encoded group run-at-a-time — one group lookup per run,
-    one bulk fold over each argument's run span — and batches whose key
-    column is sealed into a table-level dictionary group by its global
-    integer *codes* (one group-id slot per code, persisted across every
-    batch of every partition, decoding only the surviving group keys).
+    of the scan (``group_positions``), batches whose key column is sealed
+    into a table-level dictionary group by its global integer *codes*
+    (one group-id slot per code, persisted across every batch of every
+    partition, decoding only the surviving group keys); any other key
+    column scatters through the generic value path.
     Group creation order is first-encounter scan order, identical to the
     generic value path, so results (and emission order) do not change.
     """
@@ -1154,45 +1058,6 @@ class BatchAggregate(BatchNode):
     def _new_groups(self) -> GroupedAggregation:
         return GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
                                    for s in self.agg_specs), self.dependent)
-
-    def _fold_runs(self, batch, ctx, groups: GroupedAggregation, arg_cols,
-                   position: int) -> bool:
-        """Group one batch by the RLE runs of its key column.
-
-        Whole-segment batches whose grouping key is run-length encoded
-        fold run-at-a-time: one group lookup per run, then each
-        aggregate argument bulk-folds the run's span into that group
-        (typed-array spans hit the states' C-speed exact folds) instead
-        of a per-row scatter.  Group creation order is run order = scan
-        order, and the bulk folds are exact, so results are bit-identical
-        to the generic value path.  Returns False when the key column
-        carries no runs — the caller tries global dictionary codes, then
-        the generic path.
-        """
-        column = batch.columns[position]
-        runs_source = getattr(column, "iter_runs", None)
-        if runs_source is None or len(column) != len(batch):
-            return False
-        # pick each argument's span shape once per batch
-        span_types = []
-        for col in arg_cols:
-            if col is None or isinstance(col, list):
-                span_types.append(None)
-            elif isinstance(col, RLEColumn):
-                span_types.append(_RunSpan)
-            else:
-                span_types.append(_ColumnSpan)
-        offset = 0
-        for value, length in runs_source():
-            stop = offset + length
-            groups.fold(groups.gid(value), [
-                None if col is None                   # COUNT(*): rows suffice
-                else col[offset:stop] if span_type is None   # computed: a list
-                else span_type(col, offset, stop)
-                for col, span_type in zip(arg_cols, span_types)], length)
-            offset = stop
-        ctx.stats.groups_coded += 1
-        return True
 
     #: distinct-code bound below which per-code C-speed comprehensions
     #: beat a single-pass python bucket build
@@ -1273,11 +1138,8 @@ class BatchAggregate(BatchNode):
         coded_position = (positions[0]
                           if positions is not None and len(positions) == 1
                           and positions[0] is not None else None)
-        if coded_position is not None and (
-                self._fold_runs(batch, ctx, groups, arg_cols,
-                                coded_position)
-                or self._fold_global_coded(batch, ctx, groups, arg_cols,
-                                           coded_position, slot_state)):
+        if coded_position is not None and self._fold_global_coded(
+                batch, ctx, groups, arg_cols, coded_position, slot_state):
             return
         groups.scatter(groups.assign_columns(
             [fn(batch, ctx) for fn in self.group_fns]), arg_cols)

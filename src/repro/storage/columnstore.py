@@ -36,8 +36,8 @@ plus the small delta overlay.
 Encoded columns implement the sequence protocol, so every reader that
 iterates or indexes a column slice works unchanged — but they also expose
 code-space selection primitives (``select_eq``/``select_in``/
-``select_where``) and run iteration (``iter_runs``) that the vectorized
-executor uses to filter and aggregate *without decoding*.
+``select_where``) that the vectorized executor uses to filter *without
+decoding*.
 
 The merge itself stays columnar (``_merge_delta``): live values are
 gathered as concatenated columns, the sort orders an index vector keyed by
@@ -373,7 +373,7 @@ class RLEColumn:
 
     ``starts`` holds each run's first offset for O(log runs) random access;
     range/equality predicates test one value per run and keep or skip the
-    whole run, and aggregates multiply by run length instead of iterating.
+    whole run.
     """
 
     encoding = Encoding.RLE
@@ -401,7 +401,7 @@ class RLEColumn:
         return iter(self.decode())
 
     def iter_runs(self):
-        """Yield ``(value, length)`` pairs — the aggregate fast path."""
+        """Yield ``(value, length)`` pairs."""
         return zip(self.run_values, self.run_lengths)
 
     def decode(self) -> list:
@@ -556,18 +556,6 @@ class NativeColumn:
                     exponent = 1 - denominator.bit_length()
                     mantissas[exponent] = get(exponent, 0) + numerator
         return True
-
-    def range_int_sum(self, start: int, stop: int):
-        """Exact builtin sum of ``data[start:stop]`` for int columns
-        (``None`` when unsupported)."""
-        if self.data.typecode != "q" or self.nulls:
-            return None
-        return sum(self.data[start:stop])
-
-    def contiguous_source(self):
-        """The whole column is trivially one dense range (see the lazy
-        gather's method of the same name)."""
-        return self, 0, len(self.data)
 
     def __len__(self) -> int:
         return len(self.data)

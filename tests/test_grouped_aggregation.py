@@ -10,6 +10,7 @@ pipeline and a warm sketch hit alike.
 """
 
 import sqlite3
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from math import inf, isnan, nan
@@ -27,6 +28,8 @@ from repro.sql.functions import (
     _SumState,
 )
 from repro.sql.ordering import canonical_row_key, sort_key
+from repro.sql.vectorized import _LazyColumn
+from repro.storage.columnstore import NativeColumn, RLEColumn, _same_run
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -321,13 +324,19 @@ _floats = st.one_of(
 _float_chunks = st.one_of(_floats, st.sampled_from([_WIDE, _HUGE]))
 _ints = st.integers(-10**6, 10**6).map(lambda v: [v])
 _odd = st.sampled_from([inf, -inf, nan, None]).map(lambda v: [v])
-# pure columns half the time (what a bulk fold needs), anything otherwise
+# runs of one value: a dense range of them spans whole SUM_BLOCKs
+_long_floats = _floats.map(lambda v: v * 600)
+_long_ints = _ints.map(lambda v: v * 600)
+# pure columns two times in three (what a bulk fold needs), anything
+# otherwise
 _values = st.one_of(
     st.lists(_float_chunks, max_size=30), st.lists(_ints, max_size=30),
+    st.lists(st.one_of(_float_chunks, _long_floats), max_size=6),
+    st.lists(st.one_of(_ints, _long_ints), max_size=6),
     st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
     st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
 ).map(lambda chunks: sum(chunks, []))
-_FEEDS = ("fold", "view", "scatter", "merge")
+_FEEDS = ("fold", "view", "scatter", "merge", "native", "rle")
 
 
 class _Flagged:
@@ -350,6 +359,48 @@ class _Flagged:
         return self._values.count(value)
 
 
+def _native(piece):
+    """``piece`` as a scan's lazy gather of a NATIVE column: the values at
+    the selected offsets, a filler in the gaps.  The piece's length picks
+    the selection — one dense range, ``MAX_SUM_RANGES`` ranges, or one
+    range per value — and it starts just below a ``SUM_BLOCK`` edge, so
+    ranges straddle it.  A piece no typed array holds stays a list."""
+    kinds = set(map(type, piece)) - {type(None)}
+    if kinds not in ({int}, {float}):
+        return piece
+    n = len(piece)
+    parts = (1, _LazyColumn.MAX_SUM_RANGES, n)[n % 3]
+    offset = NativeColumn.SUM_BLOCK - min(n // 4, 255) - 1
+    offsets = []
+    for i in range(n):
+        if i and i * parts // n != (i - 1) * parts // n:
+            offset += 1                              # a gap: the next range
+        offsets.append(offset)
+        offset += 1
+    data = [7 if kinds == {int} else 0.375] * (offset + 1)
+    for i, value in zip(offsets, piece):
+        data[i] = 0 if value is None else value
+    nulls = frozenset(i for i, value in zip(offsets, piece) if value is None)
+    column = NativeColumn(array("q" if kinds == {int} else "d", data), nulls)
+    return _LazyColumn(column, offsets)
+
+
+def _rle(piece):
+    """``piece`` run-length encoded, equal neighbours merged into runs as
+    a sealed column merges them."""
+    values, lengths = [], array("q")
+    for value in piece:
+        if values and _same_run(value, values[-1]):
+            lengths[-1] += 1
+        else:
+            values.append(value)
+            lengths.append(1)
+    return RLEColumn(values, lengths)
+
+
+_COLUMNS = {"fold": list, "view": _Flagged, "native": _native, "rle": _rle}
+
+
 def _feed(groups, piece, feed):
     if feed == "merge":
         partial = GroupedAggregation(SUM_SPECS)
@@ -358,7 +409,7 @@ def _feed(groups, piece, feed):
     elif feed == "scatter":
         groups.scatter(groups.assign([()] * len(piece)), [piece] * 3)
     else:
-        column = _Flagged(piece) if feed == "view" else piece
+        column = _COLUMNS[feed](piece)
         groups.fold(groups.gid(()), [column] * 3, len(piece))
 
 

@@ -85,15 +85,17 @@ def test_matrix_rows_carry_latency_series(reports):
 # pool's worker-count and gather-wait columns went with its scatter-gather
 # lane, and its background-compaction count column with the background
 # compaction lane (replicate() compacts inline only); the sort-elision
-# count with the sort-elision layer, and the plan-cache contention count
-# with the non-blocking lock acquire that fed it; no script or committed
-# CSV in the repository read any of them.
+# count with the sort-elision layer, the plan-cache contention count
+# with the non-blocking lock acquire that fed it, and the run-grouped
+# batch count (``groups_coded``, 0 in every row examples/
+# export_figure_data.py wrote) with the run-grouped fold; no script or
+# committed CSV in the repository read any of them.
 CSV_HEADER = (
     "workload,engine,mode,loop,oltp_rate,olap_rate,hybrid_rate,class,"
     "throughput,count,min,mean,median,p90,p95,p99,p99.9,p99.99,max,std,"
     "vectorized_requests,batches_scanned,segments_pruned,segments_encoded,"
     "runs_skipped,segments_merged,delta_rows_pending,"
-    "groups_coded,join_code_probes,groups_global_coded,plan_cache_hits,"
+    "join_code_probes,groups_global_coded,plan_cache_hits,"
     "plan_cache_misses,plan_cache_evictions,"
     "partitions_scanned,partitions_pruned,multi_partition_commits,"
     "faults_injected,faults_recovered,degraded_statements,"

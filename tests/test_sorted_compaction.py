@@ -333,10 +333,11 @@ class TestEncodedGroupBy:
 
 
 class TestRunGroupedFold:
-    """Grouping by an RLE key column folds run-at-a-time: one group
-    lookup per run, one bulk fold over each argument's span.  INT keys
-    never dictionary-encode, so ``groups_coded > 0`` on these queries can
-    only come from the run fold."""
+    """RLE columns under an aggregate — as the group key and as the
+    argument — answer exactly as the row oracle does on the same replica.
+    The aggregation layer does not read runs: an RLE key scatters through
+    the generic value path and an RLE argument folds value by value, so
+    what these pin is the parity, not a fast path."""
 
     def _filled(self):
         db = _make_db(segment_rows=64, primary_key="a, id")
@@ -353,9 +354,8 @@ class TestRunGroupedFold:
                "MAX(b), MIN(tag) FROM t GROUP BY a ORDER BY a")
         a = routed(enc, sql)
         b = routed(enc, sql, vectorized=False)
+        assert a.stats.vectorized and not b.stats.vectorized
         assert a.rows == b.rows
-        assert a.stats.groups_coded > 0
-        assert b.stats.groups_coded == 0
 
     def test_rle_group_by_with_null_keys_and_args(self, routed):
         # a primary key holds no NULL: ``a`` rises with ``id``, so the
@@ -378,24 +378,58 @@ class TestRunGroupedFold:
         b = routed(enc, sql, vectorized=False)
         assert a.rows == b.rows
         assert a.rows[0][0] is None and a.rows[0][1] == 64
-        assert a.stats.groups_coded > 0
 
     def test_run_grouped_computed_args(self, routed):
         enc = self._filled()
         sql = ("SELECT a, SUM(v * 2.0), AVG(b + 1), COUNT(v + b) FROM t "
                "GROUP BY a ORDER BY a")
-        a = routed(enc, sql)
-        assert a.stats.groups_coded > 0
-        assert a.rows == routed(enc, sql, vectorized=False).rows
+        assert routed(enc, sql).rows \
+            == routed(enc, sql, vectorized=False).rows
 
     def test_run_grouped_emission_order_unchanged(self, routed):
         """Without ORDER BY, groups emit in first-encounter scan order —
-        identical between the run fold and the row oracle's value path."""
+        identical between the vector pipeline and the row oracle."""
         enc = self._filled()
         sql = "SELECT a, COUNT(*), SUM(v) FROM t GROUP BY a"
-        coded = routed(enc, sql)
-        assert coded.stats.groups_coded > 0
-        assert coded.rows == routed(enc, sql, vectorized=False).rows
+        assert routed(enc, sql).rows \
+            == routed(enc, sql, vectorized=False).rows
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_rle_argument_columns(self, routed, partitions):
+        """SUM / MIN / MAX / COUNT over RLE argument columns with NULL
+        runs — a DOUBLE and an INT — whole segments (global and grouped,
+        cold and warm sketches) and a filtered selection alike."""
+        enc = _make_db(segment_rows=64, partitions=partitions)
+        with enc.connect() as conn:
+            # runs of ~64 rows in every partition's id-sorted main
+            for i in range(512 * partitions):
+                run = i // (64 * partitions)
+                conn.execute(
+                    "INSERT INTO t (a, b, tag, v, id) VALUES (?, ?, ?, ?, ?)",
+                    (i % 3, None if run % 3 == 1 else run - 7, None,
+                     None if run % 4 == 2 else run * 0.1 - 0.4, i))
+            conn.commit()
+        enc.replicate()
+        enc.columnar.compact(force=True)
+        encodings = {type(s.columns[i]) for part in
+                     enc.columnar.table_partitions("t")
+                     for s in part.read_snapshot()[0] for i in (1, 3)}
+        assert encodings == {RLEColumn}
+        aggs = ("COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), "
+                "COUNT(b), SUM(b), MIN(b), MAX(b), AVG(b)")
+        for sql, sketched in (
+                (f"SELECT {aggs} FROM t", True),
+                (f"SELECT a, {aggs} FROM t GROUP BY a ORDER BY a", True),
+                (f"SELECT {aggs} FROM t WHERE id >= 200 AND id < 900",
+                 False)):
+            expected = routed(enc, sql, vectorized=False).rows
+            enc.columnar.sketches.clear()
+            cold = routed(enc, sql)
+            warm = routed(enc, sql)
+            assert cold.stats.vectorized
+            assert cold.rows == warm.rows == expected, sql
+            assert bool(cold.stats.sketches_built) == sketched, sql
+            assert bool(warm.stats.sketches_hit) == sketched, sql
 
 
 # ---------------------------------------------------------------------------
