@@ -90,9 +90,10 @@ ANALYTICAL_SQL = [
      "SELECT h_w_id, h_d_id, COUNT(*) AS payments, SUM(h_amount) AS volume, "
      "AVG(h_amount) AS avg_payment FROM history GROUP BY h_w_id, h_d_id "
      "ORDER BY volume DESC"),
-    # the grouped fold no sketch hides (a join's 13 k groups), ranked by
-    # its own SUM under a LIMIT: only the groups that can reach the top
-    # 10 are converted and emitted
+    # a groupjoin: the probe side (order_line) folds by its join key into
+    # 13 k groups — through the sketch cache, run cold here — and item is
+    # probed once per group; ranked by its own SUM under a LIMIT, only
+    # the groups that can reach the top 10 are converted and emitted
     ("Q5_top_items",
      "SELECT ol.ol_i_id, i.i_name, SUM(ol.ol_amount) AS revenue, "
      "SUM(ol.ol_quantity) AS units "

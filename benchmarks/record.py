@@ -51,6 +51,9 @@ _FIG05_ENGAGEMENT = {
     "sorted_range_scan": ("segments_pruned",),
     "grouped_report": ("groups_global_coded",),
     "code_space_join": ("join_code_probes",),
+    # a join-then-fold plan never builds a sketch: a groupjoin folds the
+    # probe side through the cache
+    "Q5_top_items": ("sketches_built",),
     "full_scan_sketch_grouped": ("sketches_built", "sketches_hit",
                                  "sketch_rows_elided"),
     "full_scan_sketch_q1": ("sketches_built", "sketches_hit",

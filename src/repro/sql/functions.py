@@ -212,6 +212,12 @@ class _SumState:
     order.  Anything without an exact integer scaling — Decimals, inf/nan —
     falls back to ordered addition in the sparse ``others``, preserving
     historical behaviour.
+
+    ``peak`` bounds every group's ``|total|`` (ints and floats alike, as
+    a ceiling in value units) for ``convertible``: merges add their
+    partials' peaks, a scatter or fold forgets it, and ``magnitude``
+    measures it again on demand — once per cached partial, whose peak is
+    kept with it.
     """
 
     def __init__(self, average: bool):
@@ -221,6 +227,7 @@ class _SumState:
         self.fixed: list = []
         self.exponent = 0
         self.others: dict = {}
+        self.peak = 0
 
     def grow(self, groups: int):
         self.counts += [0] * groups
@@ -261,6 +268,7 @@ class _SumState:
         others[gid] = others[gid] + value if gid in others else value
 
     def scatter(self, gids, column, tally):
+        self.peak = None
         counts = self.counts
         totals = None
         kinds = set(map(type, column))
@@ -295,6 +303,7 @@ class _SumState:
         passes (``_fold_typed_slice``); what is left (NULLs, ``bool``,
         mixed types, ``Decimal``, inf / nan, any other column encoding)
         folds value by value through an inlined int/float split."""
+        self.peak = None
         buckets: dict = {}
         if rows and (int_total := _fold_typed_slice(buckets, values)) \
                 is not None:
@@ -333,6 +342,8 @@ class _SumState:
     def merge(self, other: "_SumState", remap: list):
         # ``other`` may be a cached, shared partial: it is only read, its
         # totals shifted onto this state's (never coarser) exponent
+        if self.peak is not None:
+            self.peak += other.magnitude()
         shift = other.exponent - self._align(other.exponent)
         counts, ints, fixed = self.counts, self.ints, self.fixed
         for gid, count, int_total, total in zip(remap, other.counts,
@@ -355,13 +366,17 @@ class _SumState:
                         self.counts, self.ints, self.fixed)], shift
         return self.fixed, shift
 
+    def magnitude(self) -> int:
+        """``peak``, measured (and kept) when no merge bounds it."""
+        if self.peak is None:
+            fixed = max(map(abs, filter(None, self.fixed)), default=0)
+            self.peak = max(max(map(abs, self.ints), default=0),
+                            (fixed >> -self.exponent) + 1)
+        return self.peak
+
     def convertible(self) -> bool:
         """``results`` cannot raise: no ``others``, no huge total."""
-        bound = 1 << 1022
-        return not self.others \
-            and max(map(abs, self.ints), default=0) < bound \
-            and max(map(abs, filter(None, self.fixed)), default=0) \
-            < bound << -self.exponent
+        return not self.others and self.magnitude() < 1 << 1022
 
     def results(self, gids=None) -> list:
         average = self.average
@@ -390,14 +405,20 @@ class _SumState:
                     value = 0.0
                 out.append(exact / scale
                            if -_MIN_NORMAL < value < _MIN_NORMAL else value)
-        # ``gids`` comes only with ``convertible()``: ``others`` is empty
-        for gid, inexact in self.others.items():
-            # ordered addition absorbs what the group folded exactly
-            if self.ints[gid]:
-                inexact = inexact + self.ints[gid]
-            if self.fixed[gid] is not None:
-                inexact = inexact + self.fixed[gid] / scale
-            out[gid] = inexact / self.counts[gid] if average else inexact
+        others = self.others
+        if others:
+            places = dict(zip(range(len(out)) if gids is None else gids,
+                              range(len(out))))
+            for gid, inexact in others.items():
+                if gid not in places:
+                    continue
+                # ordered addition absorbs what the group folded exactly
+                if self.ints[gid]:
+                    inexact = inexact + self.ints[gid]
+                if self.fixed[gid] is not None:
+                    inexact = inexact + self.fixed[gid] / scale
+                out[places[gid]] = inexact / self.counts[gid] if average \
+                    else inexact
         return out
 
     def nbytes(self, groups: int) -> int:
@@ -552,18 +573,26 @@ class GroupedAggregation:
     otherwise.  A new group reads each dependent value once, from its first
     row, and ``rows`` rebuilds the full GROUP BY key once per group.  The
     first appearance of the kept key is the first appearance of the full
-    key, so groups, their order and their key values are unchanged.
+    key, so groups, their order and their key values are unchanged.  A
+    groupjoin folds by the kept columns alone, then ``attach``es the
+    dependent ones and asks ``rows`` for the groups its join matched.
     """
 
     def __init__(self, specs, dependent=()):
         self.gids = _GroupIds()
         self.states = [_make_state(*spec) for spec in specs]
         self._sized = 0
+        self.attach(dependent, [[] for flag in dependent if flag])
+
+    def attach(self, dependent, values: list):
+        """Lay the state out over a GROUP BY list: ``dependent`` flags each
+        column, ``values`` holds one list per dependent column, indexed by
+        group id.  A groupjoin folds by its kept columns alone, then
+        attaches the dependent ones its build rows hold."""
         self.width = len(dependent)
         self.kept = [i for i, flag in enumerate(dependent) if not flag]
         self.dependent = [i for i, flag in enumerate(dependent) if flag]
-        # one list per dependent column, indexed by group id
-        self.dependent_values: list = [[] for _ in self.dependent]
+        self.dependent_values = values
 
     def __len__(self) -> int:
         return len(self.gids)
@@ -623,28 +652,34 @@ class GroupedAggregation:
         for state, sub in zip(self.states, other.states):
             state.merge(sub, remap)
 
-    def _survivors(self, position: int, limit: int):
-        """Ids of the groups that can rank in the first ``limit`` under
-        ``ORDER BY <aggregate position> DESC``; None keeps every group."""
+    def _survivors(self, position: int, limit: int, gids=None):
+        """Ids among ``gids`` (every group when None) that can rank in the
+        first ``limit`` under ``ORDER BY <aggregate position> DESC``;
+        ``gids`` itself keeps them all."""
         totals, shift = self.states[position].exact()
+        if gids is not None:
+            totals = _pick(totals, gids)
         present = [total for total in totals if total is not None]
         states = [getattr(state, "inner", state) for state in self.states]
         if len(present) < limit or not all(
                 state.convertible() for state in states
                 if isinstance(state, _SumState)):
-            return None     # NULL groups would rank, or a conversion raise
+            return gids     # NULL groups would rank, or a conversion raise
         # a group converting to at least the k-th's value (ints are exact,
         # floats round monotonically) is above the double just below it
         kth = heapq.nlargest(limit, present)[-1]
         below = math.nextafter(kth / (1 << shift), -math.inf)
         numerator, denominator = below.as_integer_ratio()
         bound = (numerator << shift) // denominator
-        return [gid for gid, total in enumerate(totals)
+        return [gid for gid, total in zip(
+                    range(len(totals)) if gids is None else gids, totals)
                 if total is not None and total > bound]
 
-    def rows(self, top=None) -> list:
-        """``key + results`` per group, in id order; ``top``: ``_survivors``."""
-        gids = self._survivors(*top) if top else None
+    def rows(self, top=None, gids=None) -> list:
+        """``key + results`` per group in ``gids`` (every group when None),
+        in id order; ``top``: ``_survivors`` ranks only those."""
+        if top:
+            gids = self._survivors(*top, gids)
         results = [state.results(gids) for state in self.states]
         keys = self.gids if gids is None else _pick(list(self.gids), gids)
         if not self.width:

@@ -949,8 +949,13 @@ class Planner:
             dependent = self._dependent_keys(select)
             row_agg = self._plan_aggregate(select, node, aggs, dependent)
             if vsource is not None:
-                vnode = self._plan_batch_aggregate(select, vsource[0], aggs,
-                                                   vsource[1], dependent)
+                vnode = self._plan_batch_aggregate(
+                    select.group_by, vsource[0], aggs, vsource[1], dependent)
+                if isinstance(vnode.child, VHashJoin) \
+                        and vnode.child.left is vsource[1]:
+                    # one join straight over the base scan: a single step
+                    self._plan_groupjoin(vnode, select.group_by, aggs,
+                                         steps[0])
             node = row_agg
             select = self._rewrite_above_aggregate(select, node)
         elif select.having is not None:
@@ -1402,19 +1407,19 @@ class Planner:
 
     _SKETCH_AGGS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
-    def _plan_batch_aggregate(self, select: ast.Select, vnode,
+    def _plan_batch_aggregate(self, group_by, vnode,
                               aggs: list[ast.FuncCall], base_scan,
-                              dependent: tuple) -> BatchAggregate:
+                              dependent: tuple = ()) -> BatchAggregate:
         sub = self._plan_subquery
         input_schema = vnode.schema
         group_fns = [compile_batch_expr(g, input_schema, sub)
-                     for g in select.group_by]
+                     for g in group_by]
         # batch-column positions of plain-column group keys: lets the
         # aggregate group by DICT codes instead of decoded values
         group_positions = [
             input_schema.try_resolve(g.table, g.name)
             if isinstance(g, ast.ColumnRef) else None
-            for g in select.group_by
+            for g in group_by
         ]
         specs = self._agg_specs(aggs, compile_batch_expr, input_schema)
         sketch_key = None
@@ -1423,8 +1428,7 @@ class Planner:
             # directly: no joins, no residual filter, every pushed
             # predicate exact — so a whole-segment batch means *all* of
             # the segment's live rows passed
-            sketch_key = self._sketch_key(select, aggs, base_scan,
-                                          input_schema)
+            sketch_key = self._sketch_key(group_by, aggs, base_scan)
             if sketch_key is not None:
                 base_scan.emit_segments = True
                 if base_scan.pushed \
@@ -1437,8 +1441,50 @@ class Planner:
         return BatchAggregate(vnode, group_fns, specs, group_positions,
                               sketch_key=sketch_key, dependent=dependent)
 
-    def _sketch_key(self, select: ast.Select, aggs: list[ast.FuncCall],
-                    scan, input_schema) -> tuple | None:
+    def _plan_groupjoin(self, node: BatchAggregate, group_by,
+                        aggs: list[ast.FuncCall], step: _JoinStep) -> None:
+        """Let ``node`` (an aggregate over one join of the base scan) fold
+        the probe side by its join key and probe the build side once per
+        group (``BatchAggregate._groupjoin``); otherwise leave it be.
+
+        Eligible when the join is INNER, the GROUP BY columns kept are
+        exactly its probe-side key columns (plain, in key order), every
+        other GROUP BY column is a build-side column ``_dependent_keys``
+        flagged — the ON equalities then pin the build table's primary
+        key, so a group matches at most one build row — and every
+        aggregate is sketch-shaped over a probe-side column or COUNT(*).
+        The probe-side fold is the single-table aggregate of the kept
+        columns, sketch key and segment emission included.
+        """
+        join = node.child
+        scan = join.left
+        if join.kind != "INNER":
+            return
+
+        def position(expr, schema):
+            if not isinstance(expr, ast.ColumnRef):
+                return None
+            return schema.try_resolve(expr.table, expr.name)
+
+        kept = [g for g, flag in zip(group_by, node.dependent) if not flag]
+        keys = [position(key, scan.schema) for key in step.left_keys]
+        if not keys or None in keys \
+                or [position(g, scan.schema) for g in kept] != keys:
+            return
+        width = len(scan.schema)
+        build = [position(g, join.schema)
+                 for g, flag in zip(group_by, node.dependent) if flag]
+        # the sketch-key test comes first: it also proves every aggregate
+        # argument is a probe-side column, which compiling them against
+        # the scan's schema requires (a build-side one raises BindError)
+        if any(p is None or p < width for p in build) \
+                or self._sketch_key(kept, aggs, scan) is None:
+            return
+        node.groupjoin = (self._plan_batch_aggregate(kept, scan, aggs, scan),
+                          [p - width for p in build])
+
+    def _sketch_key(self, group_by, aggs: list[ast.FuncCall],
+                    scan) -> tuple | None:
         """Replica-cache key of a sketch-eligible aggregate, or None.
 
         Eligible when every group key is a plain column of the scan and
@@ -1461,8 +1507,9 @@ class Planner:
         else:
             filter_key = ()
         positions = scan.positions
+        input_schema = scan.schema
         group_key = []
-        for g in select.group_by:
+        for g in group_by:
             if not isinstance(g, ast.ColumnRef):
                 return None
             pos = input_schema.try_resolve(g.table, g.name)

@@ -24,7 +24,7 @@ and fold order of ``repro.sql.expressions``.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 from repro.errors import ExecutionError
 from repro.sql import ast
@@ -1032,6 +1032,11 @@ class BatchAggregate(BatchNode):
     column scatters through the generic value path.
     Group creation order is first-encounter scan order, identical to the
     generic value path, so results (and emission order) do not change.
+
+    **Groupjoin**: over an FK -> PK join (``groupjoin`` set by the
+    planner) the aggregate folds the join's probe side by its join key
+    first — sketches included — and joins the groups, not the rows
+    (``_groupjoin``).
     """
 
     def __init__(self, child: VectorNode, group_fns, agg_specs,
@@ -1054,6 +1059,11 @@ class BatchAggregate(BatchNode):
         names = [f"__G{i}" for i in range(len(group_fns))]
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
+
+    #: ``(probe-side aggregate, build-side positions of the dependent
+    #: GROUP BY columns)`` when the planner lets the aggregate fold its
+    #: join's probe side before the join (``_groupjoin``)
+    groupjoin = None
 
     def _new_groups(self) -> GroupedAggregation:
         return GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
@@ -1194,15 +1204,57 @@ class BatchAggregate(BatchNode):
         # rows elided by sketch hits are counted in sketch_rows_elided
         ctx.stats.agg_input_rows += rows
 
-    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+    def aggregate(self, ctx) -> GroupedAggregation:
+        """The child's batches folded into a fresh state."""
         groups = self._new_groups()
         self._fold(self.child.execute_batches(ctx), ctx, groups)
         if not self.group_fns:
             # global aggregate over an empty input still yields one row
             groups.gid(())
-        rows = groups.rows(self.top)
-        ctx.stats.groups += len(groups)
-        ctx.stats.sort_rows += len(groups) - len(rows)  # ORDER BY ranks all
+        return groups
+
+    def _groupjoin(self, ctx) -> tuple[GroupedAggregation, list | None]:
+        """``(state, matched group ids)`` of the aggregate over its join,
+        the join folded in after the aggregation (a groupjoin: Moerkotte &
+        Neumann, VLDB 2011).
+
+        The build side is built in value space first.  While its keys are
+        unique, the probe-side aggregate folds the join's left scan by the
+        join key — through the sketch cache, as a single-table aggregate
+        would — and each group probes the build table once: a probe row
+        joins iff its key does, so the groups that match, in id order, are
+        the join's groups in its first-appearance order, with the same
+        rows folded.  Build-side GROUP BY values are read from the matched
+        build rows; the cached partials hold probe-side data only.  A
+        repeated build key (the data decides, not the catalog) runs the
+        join, then the fold, as any aggregate over a join does; ``None``
+        then stands for every group.
+        """
+        probe, positions = self.groupjoin
+        columns, table, _, unique = self.child._build(ctx, None)
+        if not unique:
+            return self.aggregate(ctx), None
+        ctx.stats.join_ops += 1
+        groups = probe.aggregate(ctx)
+        # one C-level probe per group; -1 is the build columns' NULL slot
+        hits = list(map(table.get, groups.gids, repeat(-1)))
+        misses = hits.count(-1)
+        ctx.stats.rows_joined += len(hits) - misses
+        groups.attach(self.dependent,
+                      [_gather(columns[p], hits) for p in positions])
+        if not misses:
+            return groups, None
+        return groups, [gid for gid, hit in enumerate(hits) if hit >= 0]
+
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        if self.groupjoin is None:
+            groups, gids = self.aggregate(ctx), None
+        else:
+            groups, gids = self._groupjoin(ctx)
+        rows = groups.rows(self.top, gids)
+        grouped = len(groups) if gids is None else len(gids)
+        ctx.stats.groups += grouped
+        ctx.stats.sort_rows += grouped - len(rows)  # ORDER BY ranks all
         yield from chunked(rows, size)
 
     def children(self):

@@ -17,7 +17,7 @@ from math import inf, isnan, nan
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
@@ -337,6 +337,9 @@ _values = st.one_of(
     st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
 ).map(lambda chunks: sum(chunks, []))
 _FEEDS = ("fold", "view", "scatter", "merge", "native", "rle")
+# no shrink phase: shrinking the 600-value runs took minutes to report a
+# failure; the unshrunk example is reported at once
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 class _Flagged:
@@ -385,6 +388,12 @@ def _native(piece):
     return _LazyColumn(column, offsets)
 
 
+class _EightBlocks(NativeColumn):
+    """A NATIVE float column whose exact partials cover 8-value blocks."""
+
+    SUM_BLOCK = 8
+
+
 def _rle(piece):
     """``piece`` run-length encoded, equal neighbours merged into runs as
     a sealed column merges them."""
@@ -425,7 +434,7 @@ class TestBulkFold:
     @given(_values, st.lists(st.integers(0, 150), max_size=6),
            st.lists(st.sampled_from(_FEEDS), min_size=7, max_size=7),
            st.randoms())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
     def test_any_cut_any_feed(self, values, cuts, feeds, rng):
         rng.shuffle(values)
         groups = GroupedAggregation(SUM_SPECS)
@@ -433,6 +442,22 @@ class TestBulkFold:
         for piece, feed in zip(_split(values, cuts), feeds):
             _feed(groups, piece, feed)
         assert _image(groups.rows()) == _image(_sum_oracle(values))
+
+    @given(st.lists(st.one_of(*(_floats,) * 7, _float_chunks), min_size=16,
+                    max_size=40).map(lambda chunks: sum(chunks, [])),
+           st.integers(0, 40), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
+    def test_range_sum_over_small_blocks(self, values, start, stop):
+        """``fold_range_sum`` over any range of an 8-value-block column:
+        whole blocks, edges and single values spell out the exact sum."""
+        start, stop = sorted((min(start, len(values)),
+                              min(stop, len(values))))
+        column = _EightBlocks(array("d", values), frozenset())
+        buckets: dict = {}
+        assert column.fold_range_sum(buckets, start, stop)
+        assert sum(Fraction(m) * Fraction(2) ** e
+                   for e, m in buckets.items()) \
+            == sum(map(Fraction, values[start:stop]))
 
     def test_expansion_passes(self):
         """Four passes spell out three parts; a span that needs a fifth,
@@ -853,9 +878,9 @@ class TestRankedAggregate:
         emitted = []
         rows = GroupedAggregation.rows
 
-        def spy(groups, top=None):
-            emitted.append(len(rows(groups, top)))
-            return rows(groups, top)
+        def spy(groups, top=None, gids=None):
+            emitted.append(len(rows(groups, top, gids)))
+            return rows(groups, top, gids)
         monkeypatch.setattr(GroupedAggregation, "rows", spy)
         for sql in (Q5_SHAPE, SKETCHED, SKETCHED):
             for route_columnar in (False, True):

@@ -349,6 +349,131 @@ class TestCounterPlumbing:
 
 
 # ---------------------------------------------------------------------------
+# groupjoin: an aggregate over an FK -> PK join folds its probe side through
+# the sketch cache, then probes the build side once per group
+# ---------------------------------------------------------------------------
+
+# items 0..29 exist; line keys run to 44 (orphans) and every 11th is NULL
+ITEM_IDS = range(30)
+LINE_KEYS = 45
+
+GROUPJOIN_SQL = (
+    "SELECT l.l_i_id, i.i_name, SUM(l.l_amount) AS revenue, "
+    "SUM(l.l_qty) AS units, COUNT(*) AS n "
+    "FROM line l JOIN item i ON i.i_id = l.l_i_id "
+    "GROUP BY l.l_i_id, i.i_name")
+RANKED_GROUPJOIN = GROUPJOIN_SQL + " ORDER BY revenue DESC LIMIT 4"
+UNRANKED_GROUPJOIN = GROUPJOIN_SQL + " ORDER BY l.l_i_id"
+FILTERED_GROUPJOIN = GROUPJOIN_SQL.replace(
+    "GROUP BY", "WHERE i.i_price > 12 GROUP BY") + \
+    " ORDER BY revenue DESC LIMIT 4"
+
+
+def _groupjoin_db(partitions, amount=lambda i: float(i % 17) * 0.5):
+    """``line`` (probe side, sealed in 16-row segments) over ``item``
+    (build side, PK ``i_id``): orphan and NULL probe keys included."""
+    db = Database(with_columnar=True, columnar_segment_rows=16,
+                  partitions=partitions)
+    db.execute_ddl("CREATE TABLE item (i_id INT PRIMARY KEY, "
+                   "i_name VARCHAR, i_price DOUBLE)")
+    db.execute_ddl("CREATE TABLE line (l_id INT PRIMARY KEY, l_i_id INT, "
+                   "l_amount DOUBLE, l_qty INT)")
+    db.bulk_load("item", [(i, f"item{i:02d}", float(i)) for i in ITEM_IDS])
+    db.bulk_load("line", [
+        (i, None if i % 11 == 3 else (i * 7) % LINE_KEYS, amount(i), i % 5)
+        for i in range(400)])
+    db.replicate()
+    db.columnar.compact(force=True)
+    return db
+
+
+def _groupjoin_nodes(db, sql):
+    """The vector tree's aggregate nodes that run as a groupjoin."""
+    nodes, found = [db.prepare(sql).vectorized_root], []
+    while nodes:
+        node = nodes.pop()
+        if getattr(node, "groupjoin", None) is not None:
+            found.append(node)
+        nodes += node.children()
+    return found
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+class TestGroupjoin:
+    def _cold_then_warm(self, routed, db, sql):
+        """Both runs byte-identical to the row oracle; the cold one built
+        partials (a join-then-fold never can), the warm one hit them."""
+        assert _groupjoin_nodes(db, sql)
+        expected = routed(db, sql, vectorized=False).rows
+        db.columnar.sketches.clear()
+        cold = routed(db, sql)
+        warm = routed(db, sql)
+        assert cold.rows == warm.rows == expected
+        assert cold.stats.sketches_built > 0
+        assert warm.stats.sketches_hit > 0 and not warm.stats.sketches_built
+        return warm
+
+    @pytest.mark.parametrize("sql", [RANKED_GROUPJOIN, UNRANKED_GROUPJOIN,
+                                     FILTERED_GROUPJOIN])
+    def test_orphan_and_null_probe_keys(self, routed, partitions, sql):
+        db = _groupjoin_db(partitions)
+        warm = self._cold_then_warm(routed, db, sql)
+        keys = [row[0] for row in routed(db, UNRANKED_GROUPJOIN).rows]
+        # orphans and the NULL key were folded but never emitted
+        assert keys == sorted(ITEM_IDS)
+        assert warm.rows
+
+    def test_kth_tie_among_candidates_with_an_unmatched_group(
+            self, routed, partitions):
+        # matched revenues tie at the 4th rank, and the orphan keys carry
+        # the largest totals: ranking them before the join drops would
+        # push the cut above the tie
+        def amount(i):
+            key = (i * 7) % LINE_KEYS
+            return 1000.0 if key >= 30 else float(key % 3)
+        db = _groupjoin_db(partitions, amount)
+        warm = self._cold_then_warm(routed, db, RANKED_GROUPJOIN)
+        assert len(warm.rows) == 4
+        assert all(row[2] < 1000.0 for row in warm.rows)
+
+    def test_build_side_changes_between_warm_statements(
+            self, routed, partitions):
+        db = _groupjoin_db(partitions)
+        before = self._cold_then_warm(routed, db, UNRANKED_GROUPJOIN)
+        with db.connect() as conn:
+            conn.execute("UPDATE item SET i_name = ? WHERE i_id = ?",
+                         ("renamed", 7))
+            conn.execute("DELETE FROM item WHERE i_id = ?", (8,))
+            conn.commit()
+        db.replicate()
+        after = routed(db, UNRANKED_GROUPJOIN)
+        assert after.rows == \
+            routed(db, UNRANKED_GROUPJOIN, vectorized=False).rows
+        # the probe side is untouched: its cached partials still serve,
+        # and they never held a build-side value
+        assert after.stats.sketches_hit > 0 and not after.stats.sketches_built
+        names = {row[0]: row[1] for row in after.rows}
+        assert names[7] == "renamed" and 8 not in names
+        assert {row[0]: row[1] for row in before.rows}[8] == "item08"
+
+    def test_repeated_build_key_folds_the_join(self, routed, partitions):
+        # no dependent column: eligible, but the build key repeats, so the
+        # data sends the statement down the join-then-fold path
+        db = _groupjoin_db(partitions)
+        db.execute_ddl("CREATE TABLE tag (t_id INT PRIMARY KEY, t_i_id INT)")
+        db.bulk_load("tag", [(t, t % 10) for t in range(25)])
+        db.replicate()
+        sql = ("SELECT l.l_i_id, SUM(l.l_qty) AS units, COUNT(*) AS n "
+               "FROM line l JOIN tag t ON t.t_i_id = l.l_i_id "
+               "GROUP BY l.l_i_id ORDER BY units DESC LIMIT 3")
+        assert _groupjoin_nodes(db, sql)
+        joined = routed(db, sql)
+        assert joined.rows == routed(db, sql, vectorized=False).rows
+        assert not joined.stats.sketches_built
+        assert joined.stats.join_ops == 1
+
+
+# ---------------------------------------------------------------------------
 # workload level: this layer's view of the parity matrix
 # ---------------------------------------------------------------------------
 

@@ -261,6 +261,70 @@ class TestVectorEligibility:
         assert subquery == plain == {("CUST", (c,)) for c in (1, 2)}
 
 
+class TestGroupjoinEligibility:
+    """Which aggregates fold their join's probe side before the join: the
+    kept GROUP BY columns are the probe-side join key, every other GROUP BY
+    column is a build-side dependent one, every aggregate reads the probe
+    side (``Planner._plan_groupjoin``)."""
+
+    RETAIL = {
+        "Q3": "SELECT w.w_id, w.w_ytd, SUM(d.d_ytd) AS district_ytd "
+              "FROM warehouse w JOIN district d ON d.d_w_id = w.w_id "
+              "GROUP BY w.w_id, w.w_ytd ORDER BY w.w_id",
+        "Q5": "SELECT ol.ol_i_id, i.i_name, SUM(ol.ol_amount) AS revenue, "
+              "SUM(ol.ol_quantity) AS units "
+              "FROM order_line ol JOIN item i ON i.i_id = ol.ol_i_id "
+              "GROUP BY ol.ol_i_id, i.i_name ORDER BY revenue DESC LIMIT 10",
+        "Q6": "SELECT COUNT(*) AS low_items, AVG(s.s_quantity) AS avg_qty, "
+              "SUM(s.s_ytd) AS committed "
+              "FROM stock s JOIN item i ON i.i_id = s.s_i_id "
+              "WHERE s.s_quantity < ?",
+        "Q8": "SELECT d.d_w_id, d.d_id, d.d_name, COUNT(*) AS backlog "
+              "FROM new_order no JOIN district d "
+              "ON d.d_w_id = no.no_w_id AND d.d_id = no.no_d_id "
+              "GROUP BY d.d_w_id, d.d_id, d.d_name "
+              "ORDER BY backlog DESC LIMIT 10",
+        "left-join": "SELECT ol.ol_i_id, i.i_name, SUM(ol.ol_amount) "
+                     "FROM order_line ol LEFT JOIN item i "
+                     "ON i.i_id = ol.ol_i_id GROUP BY ol.ol_i_id, i.i_name",
+        "build-side-argument": "SELECT ol.ol_i_id, i.i_name, "
+                               "SUM(i.i_price) FROM order_line ol "
+                               "JOIN item i ON i.i_id = ol.ol_i_id "
+                               "GROUP BY ol.ol_i_id, i.i_name",
+        "computed-argument": "SELECT ol.ol_i_id, i.i_name, "
+                             "SUM(ol.ol_amount * 2) FROM order_line ol "
+                             "JOIN item i ON i.i_id = ol.ol_i_id "
+                             "GROUP BY ol.ol_i_id, i.i_name",
+        "probe-side-residue": "SELECT ol.ol_i_id, i.i_name, "
+                              "SUM(ol.ol_amount) FROM order_line ol "
+                              "JOIN item i ON i.i_id = ol.ol_i_id "
+                              "WHERE ol.ol_amount + 1 > 2 "
+                              "GROUP BY ol.ol_i_id, i.i_name",
+    }
+
+    @pytest.mark.parametrize("name", sorted(RETAIL))
+    def test_only_the_fk_to_pk_fold_is_a_groupjoin(self, name):
+        db = Database(with_columnar=True)
+        db.run_script(make_workload("subenchmark").schema_script())
+        plan = db.prepare(self.RETAIL[name])
+        nodes, groupjoins = [plan.vectorized_root], []
+        while nodes:
+            node = nodes.pop()
+            if getattr(node, "groupjoin", None) is not None:
+                groupjoins.append(node)
+            nodes += node.children()
+        assert plan.vectorized_root is not None
+        assert len(groupjoins) == (name == "Q5")
+        if groupjoins:
+            probe, build = groupjoins[0].groupjoin
+            # the probe-side fold is the single-table aggregate of the
+            # join key: it reads the sealed segments' cached partials
+            assert probe.sketch_key is not None
+            assert probe.child.emit_segments and probe.child.table.name \
+                == "order_line"
+            assert len(build) == 1
+
+
 class TestPlanCorrectnessParity:
     """Whatever the plan shape, results must agree with a forced-scan plan."""
 
