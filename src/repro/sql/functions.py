@@ -41,6 +41,7 @@ import heapq
 import math
 import sys
 from collections import Counter
+from copy import copy
 from itertools import chain, repeat
 from operator import gt, lt
 
@@ -187,6 +188,11 @@ class _CountState:
         counts = self.counts
         for gid, count in zip(remap, other.counts):
             counts[gid] += count
+
+    def copy(self) -> "_CountState":
+        other = copy(self)
+        other.counts = self.counts.copy()
+        return other
 
     def results(self, gids=None) -> list:
         return _pick(self.counts, gids)
@@ -357,6 +363,14 @@ class _SumState:
             gid = remap[source]
             others[gid] = others[gid] + value if gid in others else value
 
+    def copy(self) -> "_SumState":
+        other = copy(self)
+        other.counts = self.counts.copy()
+        other.ints = self.ints.copy()
+        other.fixed = self.fixed.copy()
+        other.others = self.others.copy()
+        return other
+
     def exact(self):
         """Exact totals times ``2**shift`` (None: no value), and ``shift``."""
         shift = -self.exponent
@@ -462,6 +476,11 @@ class _ExtremeState:
     def merge(self, other: "_ExtremeState", remap: list):
         self.scatter(remap, other.values)
 
+    def copy(self) -> "_ExtremeState":
+        other = copy(self)
+        other.values = self.values.copy()
+        return other
+
     def results(self, gids=None) -> list:
         return _pick(self.values, gids)
 
@@ -503,6 +522,13 @@ class _DistinctState:
         for gid, seen in zip(remap, other.seen):
             if seen:
                 self.scatter(repeat(gid), seen)
+
+    def copy(self) -> "_DistinctState":
+        other = copy(self)
+        other.inner = self.inner.copy()
+        other.seen = [None if seen is None else set(seen)
+                      for seen in self.seen]
+        return other
 
     def results(self, gids=None) -> list:
         return self.inner.results(gids)
@@ -651,6 +677,16 @@ class GroupedAggregation:
         remap = self.assign(other.gids, other.dependent_values)
         for state, sub in zip(self.states, other.states):
             state.merge(sub, remap)
+
+    def copy(self) -> "GroupedAggregation":
+        """An independent state equal to this one — what merging it into a
+        fresh state yields, at the price of C-level dict and list copies."""
+        other = copy(self)
+        other.gids = _GroupIds(self.gids)
+        other.states = [state.copy() for state in self.states]
+        other.dependent_values = [values.copy()
+                                  for values in self.dependent_values]
+        return other
 
     def _survivors(self, position: int, limit: int, gids=None):
         """Ids among ``gids`` (every group when None) that can rank in the

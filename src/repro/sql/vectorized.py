@@ -1154,60 +1154,109 @@ class BatchAggregate(BatchNode):
         groups.scatter(groups.assign_columns(
             [fn(batch, ctx) for fn in self.group_fns]), arg_cols)
 
-    def _fold(self, batches, ctx, groups: GroupedAggregation):
-        """Fold the child's batches into ``groups``.
+    def _fold(self, batches, ctx) -> GroupedAggregation:
+        """The child's batches folded into one state.
 
         ``SegmentBatch``es (whole sealed segments with no surviving
-        predicate) fold through the replica's sketch cache: a hit merges
-        the cached partial in O(groups) instead of O(rows); a miss folds
-        the segment once into a private partial, caches it, then merges —
-        so the statement that builds a sketch pays the same row work as
-        before and every later statement elides it.  A cached partial is
-        shared across statements and only ever *merged from*: its groups
-        arrive in the segment's first-encounter row order, so group
-        creation (and emission) order is identical to folding the rows
-        directly, and the exact merge keeps the values bit-identical too.
+        predicate) fold through the replica's sketch cache one *run* at a
+        time: a maximal stretch of consecutive ``SegmentBatch``es, ended by
+        any other batch (a delta segment, a segment with dead rows) or by
+        the end of the stream.  A run of two or more segments first asks
+        for its memo — the merge of its partials, keyed by the segments'
+        identities and epochs — and pays one merge of it, or a C-level
+        copy while the statement's state is still empty.  Otherwise each
+        segment of the run goes through its own partial: a hit merges the
+        cached partial in O(groups) instead of O(rows); a miss folds the
+        segment once into a private partial and caches it — so the
+        statement that builds a sketch pays the same row work as before
+        and every later statement elides it.  The run's partials merge
+        on their own — into the statement's state while it is still empty,
+        else into a fresh state merged into it afterwards — and a copy of
+        that merge is cached as the run's memo.
+        Partials and memos are shared across statements and only ever
+        *merged from* or copied: their groups arrive in first-encounter
+        row order, so group creation (and emission) order is identical to
+        folding the rows directly, and the exact merge keeps the values
+        bit-identical too.
         """
         specs = self.agg_specs
-        sketch_key = self.sketch_key
-        sketches = ctx.columnar.sketches if sketch_key is not None else None
+        sketches = (ctx.columnar.sketches if self.sketch_key is not None
+                    else None)
         # shared-dictionary slot arrays persisted across every batch, all
         # partitions included (one per table dictionary encountered)
         slot_state: dict = {}
+        groups = self._new_groups()
         rows = 0
+        run: list = []
         for batch in batches:
-            n = len(batch)
             if sketches is not None and type(batch) is SegmentBatch:
-                segment = batch.segment
-                cached = sketches.lookup(segment, sketch_key)
-                if cached is None:
-                    # cold: fold into a private partial with private
-                    # slot state (its group ids are its own), cache it,
-                    # and fall through to the merge below
-                    cached = self._new_groups()
-                    arg_cols = argument_columns(
-                        specs, lambda fn: fn(batch, ctx))
-                    self._fold_batch(batch, ctx, cached, arg_cols, {})
-                    sketches.store(segment, sketch_key, cached,
-                                   cached.nbytes())
-                    ctx.stats.sketches_built += 1
-                    rows += n
-                else:
-                    ctx.stats.sketches_hit += 1
-                    ctx.stats.sketch_rows_elided += n
-                groups.merge(cached)
+                run.append(batch)
                 continue
-            rows += n
+            if run:
+                groups, folded = self._fold_run(run, ctx, groups, sketches)
+                rows += folded
+                run = []
+            rows += len(batch)
             arg_cols = argument_columns(specs, lambda fn: fn(batch, ctx))
             self._fold_batch(batch, ctx, groups, arg_cols, slot_state)
+        if run:
+            groups, folded = self._fold_run(run, ctx, groups, sketches)
+            rows += folded
         # agg_input_rows records physical fold work for the cost model:
         # rows elided by sketch hits are counted in sketch_rows_elided
         ctx.stats.agg_input_rows += rows
+        return groups
+
+    def _fold_run(self, run: list, ctx, groups: GroupedAggregation,
+                  sketches) -> tuple[GroupedAggregation, int]:
+        """``(state, rows folded)`` after one run of ``SegmentBatch``es
+        reached ``groups`` through the sketch cache (see ``_fold``)."""
+        stats = ctx.stats
+        sketch_key = self.sketch_key
+        memo_key = None
+        if len(run) > 1:
+            segments = [batch.segment for batch in run]
+            memo_key = sketches.run_key(segments, sketch_key)
+            memo = sketches.lookup_memo(memo_key, segments)
+            if memo is not None:
+                # counted as the per-segment hits it stands for
+                stats.sketches_hit += len(run)
+                stats.sketch_rows_elided += sum(map(len, run))
+                if not groups.gids:
+                    return memo.copy(), 0
+                groups.merge(memo)
+                return groups, 0
+        merged = (groups if memo_key is None or not groups.gids
+                  else self._new_groups())
+        rows = 0
+        for batch in run:
+            segment = batch.segment
+            cached = sketches.lookup(segment, sketch_key)
+            if cached is None:
+                # cold: fold into a private partial with private slot
+                # state (its group ids are its own), cache it, and merge
+                cached = self._new_groups()
+                arg_cols = argument_columns(
+                    self.agg_specs, lambda fn: fn(batch, ctx))
+                self._fold_batch(batch, ctx, cached, arg_cols, {})
+                sketches.store(segment, sketch_key, cached, cached.nbytes())
+                stats.sketches_built += 1
+                rows += len(batch)
+            else:
+                stats.sketches_hit += 1
+                stats.sketch_rows_elided += len(batch)
+            merged.merge(cached)
+        if memo_key is not None:
+            # the cache keeps a copy: the statement's state stays its own
+            memo = merged.copy()
+            sketches.store_memo(memo_key, segments, memo, memo.nbytes())
+            if merged is not groups:
+                groups.merge(merged)
+        return groups, rows
 
     def aggregate(self, ctx) -> GroupedAggregation:
         """The child's batches folded into a fresh state."""
-        groups = self._new_groups()
-        self._fold(self.child.execute_batches(ctx), ctx, groups)
+        groups = self._fold(self.child.execute_batches(ctx), ctx)
         if not self.group_fns:
             # global aggregate over an empty input still yields one row
             groups.gid(())

@@ -948,7 +948,8 @@ class Segment:
 
 
 class SegmentSketchCache:
-    """Bounded LRU of per-segment aggregate partials ("sketches").
+    """Bounded LRU of per-segment aggregate partials ("sketches") and of
+    their merges over runs of segments ("memos").
 
     A sealed main segment is immutable between kills and compactions, so
     its contribution to a sketch-eligible aggregate (exact COUNT / SUM /
@@ -959,35 +960,76 @@ class SegmentSketchCache:
     segment's ``sketch_epoch`` at build time: any mutation of sealed
     content — slot kill/revive, re-seal — bumps the epoch, so a
     stale partial is unservable even if an eager invalidation hook were
-    bypassed.  Memory is bounded by ``budget_bytes``: inserts evict
-    least-recently-used entries past the budget.  Counters (`evicted`,
-    `invalidated`) are cumulative for the replica's lifetime and survive
-    ``clear()``.
+    bypassed.
+
+    A memo is the merge of the partials of a run of two or more
+    consecutive sealed segments, in stream order.  Its key is
+    ``(((id(segment), sketch_epoch), ...), plan sketch key)`` over the
+    run, and it pins the run's segments: a kill, a revive, a re-seal or a
+    merge swap changes an epoch or an identity, so a stale memo never
+    matches.  It is registered under every segment of its run, so
+    ``invalidate`` / ``drop_segments`` drop it with that segment's
+    partials, and it is served only while every partial it was merged
+    from is cached and current (a hit refreshes their LRU positions too):
+    a memo never outlives its inputs.  The executor only merges from or
+    copies a memo, never folds into it.
+
+    Memory is bounded by ``budget_bytes``, partials and memos together:
+    inserts evict least-recently-used entries past the budget.
+    ``memo_bytes`` is the memos' share of ``total_bytes``.  Counters
+    (`evicted`, `invalidated`) are cumulative for the replica's lifetime
+    and survive ``clear()``; only a dropped partial counts as invalidated.
     """
 
     def __init__(self, budget_bytes: int = SKETCH_BUDGET_BYTES):
         self.budget_bytes = budget_bytes
-        # (id(segment), key) -> (segment, epoch, value, nbytes), LRU order
+        # (id(segment), key) -> (segment, epoch, value, nbytes) and
+        # (run, key) -> (segments, None, value, nbytes), LRU order
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._by_segment: dict[int, set] = {}
         self._lock = threading.Lock()
         self.total_bytes = 0
+        self.memo_bytes = 0
+        self.memos = 0
         self.evicted = 0
         self.invalidated = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _drop_locked(self, full_key: tuple):
+    def _drop_locked(self, full_key: tuple) -> bool:
+        """Drop one entry; True when it was a partial."""
         entry = self._entries.pop(full_key, None)
         if entry is None:
-            return
+            return False
         self.total_bytes -= entry[3]
-        keys = self._by_segment.get(full_key[0])
-        if keys is not None:
-            keys.discard(full_key)
-            if not keys:
-                del self._by_segment[full_key[0]]
+        run = full_key[0]
+        if isinstance(run, int):
+            idents = (run,)
+        else:
+            idents = [ident for ident, _epoch in run]
+            self.memo_bytes -= entry[3]
+            self.memos -= 1
+        for ident in idents:
+            keys = self._by_segment.get(ident)
+            if keys is not None:
+                keys.discard(full_key)
+                if not keys:
+                    del self._by_segment[ident]
+        return isinstance(run, int)
+
+    def _insert_locked(self, full_key: tuple, entry: tuple, segments):
+        self._drop_locked(full_key)
+        self._entries[full_key] = entry
+        for segment in segments:
+            self._by_segment.setdefault(id(segment), set()).add(full_key)
+        self.total_bytes += entry[3]
+        if not isinstance(full_key[0], int):
+            self.memo_bytes += entry[3]
+            self.memos += 1
+        while self.total_bytes > self.budget_bytes and self._entries:
+            self._drop_locked(next(iter(self._entries)))
+            self.evicted += 1
 
     def lookup(self, segment: Segment, key):
         """The cached partial for ``(segment, key)``, or None.
@@ -1012,30 +1054,68 @@ class SegmentSketchCache:
         """Cache one partial, evicting LRU entries past the budget."""
         if nbytes > self.budget_bytes:
             return
-        full_key = (id(segment), key)
         with self._lock:
-            if full_key in self._entries:
-                self._drop_locked(full_key)
-            self._entries[full_key] = \
-                (segment, segment.sketch_epoch, value, nbytes)
-            self._by_segment.setdefault(id(segment), set()).add(full_key)
-            self.total_bytes += nbytes
-            while self.total_bytes > self.budget_bytes and self._entries:
-                self._drop_locked(next(iter(self._entries)))
-                self.evicted += 1
+            self._insert_locked((id(segment), key),
+                                (segment, segment.sketch_epoch, value,
+                                 nbytes), (segment,))
+
+    @staticmethod
+    def run_key(segments, key) -> tuple:
+        """The memo key of a run of segments in their current state."""
+        return tuple((id(segment), segment.sketch_epoch)
+                     for segment in segments), key
+
+    def _partials_locked(self, segments, key) -> list | None:
+        """The partial keys of ``segments``, or None unless every one is
+        cached for the segment's current epoch."""
+        entries = self._entries
+        partials = [(id(segment), key) for segment in segments]
+        for full_key, segment in zip(partials, segments):
+            entry = entries.get(full_key)
+            if entry is None or entry[0] is not segment \
+                    or entry[1] != segment.sketch_epoch:
+                return None
+        return partials
+
+    def lookup_memo(self, memo_key: tuple, segments):
+        """The memo under ``memo_key`` (``run_key`` of ``segments``), or
+        None — also while any partial it was merged from is missing or
+        stale, which is left for ``lookup`` to count and drop."""
+        with self._lock:
+            entries = self._entries
+            entry = entries.get(memo_key)
+            if entry is None:
+                return None
+            partials = self._partials_locked(segments, memo_key[1])
+            if partials is None:
+                return None
+            for full_key in partials:
+                entries.move_to_end(full_key)
+            entries.move_to_end(memo_key)
+            return entry[2]
+
+    def store_memo(self, memo_key: tuple, segments, value, nbytes: int):
+        """Cache one memo whose partials are all cached (else it could
+        never be served); the caller never touches ``value`` again."""
+        if nbytes > self.budget_bytes:
+            return
+        with self._lock:
+            if self._partials_locked(segments, memo_key[1]) is not None:
+                self._insert_locked(memo_key, (tuple(segments), None, value,
+                                               nbytes), segments)
 
     def invalidate(self, segment: Segment):
-        """Eagerly drop every partial of one mutated segment."""
+        """Eagerly drop every partial and memo of one mutated segment."""
         with self._lock:
             keys = self._by_segment.get(id(segment))
             if not keys:
                 return
             for full_key in list(keys):
-                self._drop_locked(full_key)
-                self.invalidated += 1
+                if self._drop_locked(full_key):
+                    self.invalidated += 1
 
     def drop_segments(self, segments):
-        """Drop partials of segments about to be rewritten by compaction."""
+        """Drop entries of segments about to be rewritten by compaction."""
         for segment in segments:
             self.invalidate(segment)
 
@@ -1045,6 +1125,8 @@ class SegmentSketchCache:
             self._entries.clear()
             self._by_segment.clear()
             self.total_bytes = 0
+            self.memo_bytes = 0
+            self.memos = 0
 
 
 class ColumnarTable:
@@ -1596,10 +1678,15 @@ class ColumnarReplica:
             1 for d in self._domain_dicts.values() if not d.active)
         # cached segment sketches are replica memory too: count them into
         # the encoded footprint so the compression ratio stays truthful
-        # when sketches are enabled
-        stats["sketch_bytes"] = self.sketches.total_bytes
-        stats["sketches_cached"] = len(self.sketches)
-        stats["sketch_evictions"] = self.sketches.evicted
+        # when sketches are enabled.  Memos (merged runs of partials) share
+        # the cache's budget but stay out of that footprint: they re-merge
+        # the partials rather than encode data, and the simulator's
+        # scan_cost_factor reads bytes_encoded
+        sketches = self.sketches
+        stats["sketch_bytes"] = sketches.total_bytes - sketches.memo_bytes
+        stats["memo_bytes"] = sketches.memo_bytes
+        stats["sketches_cached"] = len(sketches) - sketches.memos
+        stats["sketch_evictions"] = sketches.evicted
         stats["bytes_encoded"] += shared_bytes + stats["sketch_bytes"]
         stats["bytes_saved"] = stats["bytes_plain"] - stats["bytes_encoded"]
         stats["compression_ratio"] = (

@@ -927,9 +927,16 @@ class TestSketchSizeEstimate:
         db.replicate()
         db.columnar.compact(force=True)
         assert _run(db, sql, True).stats.sketches_built == 4
-        entries = list(db.columnar.sketches._entries.values())
-        assert len(entries) == 4
-        return [(value, nbytes) for _seg, _epoch, value, nbytes in entries]
+        # a per-segment partial is keyed by ``(id(segment), key)``; the
+        # memo of the 4-segment run by ``(((id, epoch), ...), key)``
+        entries = db.columnar.sketches._entries.items()
+        partials = [(value, nbytes) for full_key, (_seg, _epoch, value,
+                                                   nbytes) in entries
+                    if isinstance(full_key[0], int)]
+        memos = [entry[2:] for full_key, entry in entries
+                 if not isinstance(full_key[0], int)]
+        assert len(partials) == 4 and len(memos) == 1
+        return partials, memos[0]
 
     def test_estimate_within_2x_of_a_real_partial(self):
         # the estimates are pinned: they are the sketch cache's LRU budget
@@ -946,9 +953,9 @@ class TestSketchSizeEstimate:
             ("SELECT COUNT(*), AVG(v) FROM t", 5, [1390] * 4),
         ]
         for sql, groups, pinned in shapes:
-            partials = self._cached_partials(sql, groups)
+            partials, memo = self._cached_partials(sql, groups)
             assert [estimate for _p, estimate in partials] == pinned
-            for partial, estimate in partials:
+            for partial, estimate in partials + [memo]:
                 assert estimate == partial.nbytes()
                 actual = _deep_sizeof(partial, set())
                 assert actual / 2 <= estimate <= actual * 2, (sql, groups)

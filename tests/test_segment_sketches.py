@@ -1,13 +1,15 @@
 """Segment sketches: cached per-segment aggregate partials.
 
 Covers the storage-level cache (build/hit/epoch invalidation/LRU
-eviction), planner eligibility, kill -> correction-overlay -> compaction
+eviction), the memo of a run's merged partials and its invalidation rule,
+planner eligibility, kill -> correction-overlay -> compaction
 re-seal correctness (cold and warm answers checked against the row oracle
 on the same replica), circuit-breaker bypass (degraded statements never
 serve a stale sketch), counter plumbing to reports, and this layer's view
 of the three-workload parity matrix.
 """
 
+from itertools import chain
 from random import Random
 
 import pytest
@@ -471,6 +473,229 @@ class TestGroupjoin:
         assert joined.rows == routed(db, sql, vectorized=False).rows
         assert not joined.stats.sketches_built
         assert joined.stats.join_ops == 1
+
+
+# ---------------------------------------------------------------------------
+# memos: one cached merge per run of consecutive whole sealed segments
+# ---------------------------------------------------------------------------
+
+def _sketch_key(db, sql):
+    """The sketch key of the statement's sketch-eligible aggregate (the
+    probe-side one under a groupjoin)."""
+    nodes = [db.prepare(sql).vectorized_root]
+    while nodes:
+        node = nodes.pop()
+        if getattr(node, "groupjoin", None) is not None:
+            return node.groupjoin[0].sketch_key
+        if getattr(node, "sketch_key", None) is not None:
+            return node.sketch_key
+        nodes += node.children()
+    raise AssertionError("no sketch-eligible aggregate")
+
+
+def _runs(db, table):
+    """The runs of whole sealed segments a full scan of ``table`` emits:
+    maximal stretches in stream order, ended by any other segment."""
+    runs, run = [], []
+    for part in db.columnar.table_partitions(table):
+        main, delta = part.read_snapshot()
+        for segment in chain(main, delta):
+            if not segment.live_count:
+                continue
+            if segment.encoded and segment.live_count == segment.size:
+                run.append(segment)
+            elif run:
+                runs.append(run)
+                run = []
+    return runs + [run] if run else runs
+
+
+def _per_segment(db, table, key):
+    """``(sketches_built, sketches_hit)`` a statement earns under the
+    per-segment rule: a whole segment hits iff its own partial is cached
+    for its current epoch, whether or not a memo serves it."""
+    entries = db.columnar.sketches._entries
+    hits = sum(1 for run in _runs(db, table) for segment in run
+               if (entry := entries.get((id(segment), key))) is not None
+               and entry[0] is segment
+               and entry[1] == segment.sketch_epoch)
+    whole = sum(map(len, _runs(db, table)))
+    return whole - hits, hits
+
+
+def _memos(db, key) -> int:
+    return sum(1 for full_key in db.columnar.sketches._entries
+               if not isinstance(full_key[0], int) and full_key[1] == key)
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+class TestSketchMemo:
+    """The memo's invalidation rule (``SegmentSketchCache``): a memo is
+    keyed by its run's segment identities and epochs, dropped with any
+    of its segments, served only while every partial it merged is cached
+    — and never handed out for a statement to fold or attach into.  Each
+    statement is checked against the row oracle and against the counters
+    the per-segment rule gives."""
+
+    def _check(self, routed, db, sql, table="cust"):
+        """Run ``sql`` three times on the engine; each byte-identical to
+        the oracle with the per-segment counters, the last two served by
+        memos (a statement that folded into a memo spoils the next)."""
+        key = _sketch_key(db, sql)
+        expected = routed(db, sql, vectorized=False).rows
+        for _ in range(3):
+            built, hit = _per_segment(db, table, key)
+            result = routed(db, sql)
+            assert result.rows == expected
+            assert (result.stats.sketches_built,
+                    result.stats.sketches_hit) == (built, hit)
+            runs = [run for run in _runs(db, table) if len(run) > 1]
+            assert _memos(db, key) == len(runs)
+            cache = db.columnar.sketches
+            assert all(cache.run_key(run, key) in cache._entries
+                       for run in runs)
+        assert not result.stats.sketches_built
+        return result
+
+    def test_kill_in_one_segment_between_warm_statements(
+            self, routed, partitions):
+        db = _fill(_make_db(partitions=partitions))
+        assert sum(map(len, _runs(db, "cust"))) >= 3
+        warm = self._check(routed, db, GROUPED_SQL)
+        invalidated = db.columnar.sketches.invalidated
+        with db.connect() as conn:
+            conn.execute("DELETE FROM cust WHERE id = ?", (300,))
+            conn.commit()
+        db.replicate()
+        # one partial dropped (counted), the memo over it too (not counted)
+        assert db.columnar.sketches.invalidated == invalidated + 1
+        assert _memos(db, _sketch_key(db, GROUPED_SQL)) == 0
+        assert self._check(routed, db, GROUPED_SQL).rows != warm.rows
+
+    def test_update_moves_a_main_row_to_the_delta(self, routed, partitions):
+        db = _fill(_make_db(partitions=partitions))
+        warm = self._check(routed, db, GROUPED_SQL)
+        with db.connect() as conn:
+            conn.execute("UPDATE cust SET amount = ? WHERE id = ?",
+                         (-7.25, 200))
+            conn.commit()
+        db.replicate()
+        assert self._check(routed, db, GROUPED_SQL).rows != warm.rows
+
+    def test_forced_merge_swap(self, routed, partitions):
+        db = _fill(_make_db(partitions=partitions))
+        stale = self._check(routed, db, GROUPED_SQL)
+        with db.connect() as conn:
+            conn.execute("UPDATE cust SET qty = ? WHERE id = ?", (12, 9))
+            conn.execute("INSERT INTO cust (id, nation, qty, amount, d) "
+                         "VALUES (?, ?, ?, ?, ?)",
+                         (2000, "PERU", 1, 2.5, None))
+            conn.commit()
+        db.replicate()
+        db.columnar.compact(force=True)
+        # the swapped-out segments took the memo over them along
+        assert _memos(db, _sketch_key(db, GROUPED_SQL)) == 0
+        assert self._check(routed, db, GROUPED_SQL).rows != stale.rows
+
+    def test_drop_and_recreate_the_table(self, routed, partitions):
+        db = _fill(_make_db(partitions=partitions))
+        stale = self._check(routed, db, GROUPED_SQL)
+        db.execute_ddl("DROP TABLE cust")
+        assert not db.columnar.sketches._entries
+        db.execute_ddl(
+            "CREATE TABLE cust (id INT PRIMARY KEY, nation VARCHAR, "
+            "qty INT, amount DOUBLE, d VARCHAR)")
+        _fill(db, n=480, seed=5)
+        assert self._check(routed, db, GROUPED_SQL).rows != stale.rows
+
+    def test_eviction_keeps_no_memo_past_its_partials(
+            self, routed, partitions):
+        # room for one shape's partials and memo, not for two shapes'
+        probe = _fill(_make_db(partitions=partitions))
+        routed(probe, GROUPED_SQL)
+        budget = probe.columnar.sketches.total_bytes + 512
+        db = _fill(_make_db(partitions=partitions,
+                            sketch_budget_bytes=budget))
+        other = ("SELECT qty, COUNT(*) AS n, SUM(amount) AS s FROM cust "
+                 "GROUP BY qty ORDER BY qty")
+        key = _sketch_key(db, GROUPED_SQL)
+        self._check(routed, db, GROUPED_SQL)
+        assert _memos(db, key) == 1
+        # the other shape evicts the oldest entries: GROUPED_SQL's first
+        # partials, while its memo (stored last) survives them
+        routed(db, other)
+        cache = db.columnar.sketches
+        assert cache.evicted > 0 and cache.total_bytes <= budget
+        assert _memos(db, key) == 1
+        built, hit = _per_segment(db, "cust", key)
+        assert built > 0
+        # the memo is not served: each segment goes through its own
+        # partial, and rebuilding the missing ones may evict more of them
+        result = routed(db, GROUPED_SQL)
+        assert result.stats.sketches_built >= built
+        assert result.stats.sketches_built + result.stats.sketches_hit \
+            == built + hit
+        assert result.rows == routed(db, GROUPED_SQL, vectorized=False).rows
+        assert routed(db, other).rows == \
+            routed(db, other, vectorized=False).rows
+
+    def test_groupjoin_build_side_changes(self, routed, partitions):
+        db = _groupjoin_db(partitions)
+        probe_only = ("SELECT l.l_i_id, SUM(l.l_amount) AS revenue, "
+                      "SUM(l.l_qty) AS units, COUNT(*) AS n FROM line l "
+                      "GROUP BY l.l_i_id ORDER BY l.l_i_id")
+        # the probe side's memo is the single-table aggregate's
+        assert _sketch_key(db, probe_only) == \
+            _sketch_key(db, UNRANKED_GROUPJOIN)
+        before = self._check(routed, db, UNRANKED_GROUPJOIN, "line")
+        with db.connect() as conn:
+            conn.execute("UPDATE item SET i_name = ? WHERE i_id = ?",
+                         ("renamed", 3))
+            conn.commit()
+        db.replicate()
+        after = self._check(routed, db, UNRANKED_GROUPJOIN, "line")
+        assert after.rows != before.rows
+        # the groupjoin attached build-side columns to its own state,
+        # never to the memo the plain aggregate now copies
+        self._check(routed, db, probe_only, "line")
+
+    def test_non_empty_state_at_a_run_start(self, routed, partitions):
+        db = _fill(_make_db(partitions=partitions))
+        pmap = db.columnar.pmap
+        first = min(i for i in range(640) if pmap.partition_of_value(i) == 0)
+        new = next(i for i in range(640, 2000)
+                   if pmap.partition_of_value(i) == 0)
+        with db.connect() as conn:
+            # partition 0's first segment row-folds, and a new row sits
+            # in its delta, ahead of the next partition's main
+            conn.execute("DELETE FROM cust WHERE id = ?", (first,))
+            conn.execute("INSERT INTO cust (id, nation, qty, amount, d) "
+                         "VALUES (?, ?, ?, ?, ?)",
+                         (new, "PERU", 3, 1.5, "2026-01"))
+            conn.commit()
+        db.replicate()
+        runs = _runs(db, "cust")
+        assert len(runs) == min(partitions, 2)
+        assert all(len(run) > 1 for run in runs)
+        self._check(routed, db, GROUPED_SQL)
+
+    def test_a_stale_memo_never_matches_its_key(self, partitions):
+        # content mutated with the eager invalidation bypassed (the
+        # epoch bumps, no hook runs) and the partial rebuilt: the memo
+        # merged from the old content is not servable under the new key
+        db = _fill(_make_db(partitions=partitions))
+        segments = [s for run in _runs(db, "cust") for s in run][:3]
+        cache = db.columnar.sketches
+        for segment in segments:
+            cache.store(segment, "k", "partial", 8)
+        cache.store_memo(cache.run_key(segments, "k"), segments, "memo", 8)
+        assert cache.lookup_memo(cache.run_key(segments, "k"),
+                                 segments) == "memo"
+        segments[1].kill(0)
+        segments[1].revive(0)
+        cache.store(segments[1], "k", "rebuilt", 8)
+        assert cache.lookup_memo(cache.run_key(segments, "k"),
+                                 segments) is None
 
 
 # ---------------------------------------------------------------------------

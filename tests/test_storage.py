@@ -298,7 +298,10 @@ class TestColumnarSegments:
 
 
 # encoding accounting of a loaded replica with main segments, a delta tail
-# and warm sketches; a change meant to move it edits these and says why
+# and warm sketches; a change meant to move it edits these and says why.
+# ``memo_bytes`` is the merged run of the 7 fully-live segments' partials:
+# it shares the sketch budget but stays out of ``sketch_bytes`` and
+# ``bytes_encoded``, so the scan cost factor reads the same without it
 PINNED_REPLICA_ACCOUNTING = {
     1: ({'segments_total': 23, 'segments_encoded': 16,
          'bytes_plain': 30034680, 'bytes_encoded': 18535692,
@@ -308,7 +311,7 @@ PINNED_REPLICA_ACCOUNTING = {
          'dicts_shared': 14, 'dicts_per_segment': 0,
          'shared_dict_bytes': 4065360, 'shared_dicts_total': 38,
          'shared_dicts_demoted': 14, 'sketch_bytes': 7168,
-         'sketches_cached': 7, 'sketch_evictions': 0,
+         'memo_bytes': 1024, 'sketches_cached': 7, 'sketch_evictions': 0,
          'compression_ratio': 1.6203700406761183},
         0.617142982711985,
         {'segments_total': 9, 'segments_encoded': 8,
@@ -325,7 +328,7 @@ PINNED_REPLICA_ACCOUNTING = {
          'dicts_shared': 12, 'dicts_per_segment': 0,
          'shared_dict_bytes': 3496016, 'shared_dicts_total': 38,
          'shared_dicts_demoted': 12, 'sketch_bytes': 7168,
-         'sketches_cached': 7, 'sketch_evictions': 0,
+         'memo_bytes': 1024, 'sketches_cached': 7, 'sketch_evictions': 0,
          'compression_ratio': 1.6501971464727128},
         0.6059882009476834,
         {'segments_total': 9, 'segments_encoded': 8,
