@@ -129,12 +129,13 @@ ANALYTICAL_SQL = [
 SORTED_RANGE_SQL = (
     "SELECT COUNT(*) AS lines, SUM(ol_amount) AS amount "
     "FROM order_line WHERE ol_d_id BETWEEN 2 AND 3")
-# the sketch arm: cold builds exact per-segment partials, warm folds the
-# cached partials in O(1) per segment.  Q1 filters on IS NOT NULL, so it
-# exercises the filtered-segment sketch path (NULL delivery dates are
-# scattered over every segment).  Q5's partials barely compress (13 k
-# groups over 30 k rows): warm, its groupjoin copies the one memo of the
-# sealed order_line run instead of merging the run's partials
+# the sketch arm: cold folds each run of sealed segments once and caches
+# its exact state, warm copies (or merges) the cached state instead of
+# folding the rows.  Q1 filters on IS NOT NULL, so it exercises the
+# filtered-segment sketch path (NULL delivery dates are scattered over
+# every segment).  Q5's state barely compresses (13 k groups over 30 k
+# rows): warm, its groupjoin copies the one cached state of the sealed
+# order_line run
 SKETCH_ARM = (("full_scan_sketch_grouped", "grouped_report"),
               ("full_scan_sketch_q1", "Q1_orders_report"),
               ("full_scan_sketch_q5", "Q5_top_items"))
@@ -310,9 +311,9 @@ def test_fig5_vectorized_vs_row_pipeline(benchmark, series):
     assert by_name["grouped_report"]["groups_global_coded"] > 0
     assert by_name["code_space_join"]["join_code_probes"] > 0
     assert encoding["dicts_shared"] > 0
-    # the sketch arm: warm executions fold cached partials and must beat
-    # the same statement run cold >=3x (the CI floor); the cold run must
-    # have built the partials the warm runs hit
+    # the sketch arm: warm executions read cached run states and must
+    # beat the same statement run cold >=3x (the CI floor); the cold run
+    # must have built the states the warm runs hit
     for name, _source in SKETCH_ARM:
         sketch = by_name[name]
         assert sketch["sketches_built"] > 0

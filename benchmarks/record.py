@@ -72,7 +72,7 @@ def check_fig05(path: str, min_speedup: float = 5.0,
     district query must stay above ``min_speedup``; the warm sketch arm
     must beat the same statement run cold by ``min_sketch_speedup`` on the
     grouped report, the Q1 orders report and Q5's groupjoin (its warm run
-    copies the memo of the merged order_line run); and every lever's
+    copies the cached state of the sealed order_line run); and every lever's
     engagement counter must be non-zero."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     queries = {q["query"]: q for q in payload["queries"]}

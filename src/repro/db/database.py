@@ -445,7 +445,7 @@ class Connection:
             # from the row pipeline (identical answers, higher cost).
             # This *bypasses* the segment-sketch cache rather than
             # poisoning it: degraded statements never read or write
-            # cached partials, and the warm entries stay valid for when
+            # cached states, and the warm entries stay valid for when
             # the replica heals (sketches track replica state, which a
             # scan fault does not change).
             route_columnar = False

@@ -7,15 +7,16 @@ or all-NULL input yields NULL.
 Both executors aggregate into one ``GroupedAggregation``: group keys map to
 dense group ids and every aggregate keeps a *state column* indexed by group
 id, so a group costs a few list slots rather than a set of objects.  Every
-state is **order-insensitive and mergeable**: folding the same multiset of
-values in any order — row by row, as bulk slices, or as partials combined
-with ``merge`` — produces bit-identical results.  SUM/AVG
+state is **order-insensitive**, and every non-DISTINCT one **mergeable**:
+folding the same multiset of values in any order — row by row, as bulk
+slices, or as partials combined with ``merge`` — produces bit-identical
+results.  SUM/AVG
 achieve this with exact fixed-point integer accumulation (every finite
 double is an integer multiple of a power of two, so sums of scaled integers
 are exact and the final float conversion is one correctly-rounded
 division): one integer per group, all on one state-wide binary exponent.
 This is what lets every partition stream fold into one state and cached
-segment partials (sketches) merge into it, byte-identical to a single scan.
+sealed-run states (sketches) merge into it, byte-identical to a single scan.
 
 Exact does not mean per value.  A slice that belongs to one group (a
 global aggregate's whole batch, a code bucket) folds in C-level passes
@@ -222,8 +223,8 @@ class _SumState:
     ``peak`` bounds every group's ``|total|`` (ints and floats alike, as
     a ceiling in value units) for ``convertible``: merges add their
     partials' peaks, a scatter or fold forgets it, and ``magnitude``
-    measures it again on demand — once per cached partial, whose peak is
-    kept with it.
+    measures it again on demand.  ``copy`` measures it first, so a cached
+    state is measured once and every copy of it carries the peak.
     """
 
     def __init__(self, average: bool):
@@ -346,7 +347,7 @@ class _SumState:
             self.fixed[gid] = total
 
     def merge(self, other: "_SumState", remap: list):
-        # ``other`` may be a cached, shared partial: it is only read, its
+        # ``other`` may be a cached, shared state: it is only read, its
         # totals shifted onto this state's (never coarser) exponent
         if self.peak is not None:
             self.peak += other.magnitude()
@@ -364,6 +365,7 @@ class _SumState:
             others[gid] = others[gid] + value if gid in others else value
 
     def copy(self) -> "_SumState":
+        self.magnitude()
         other = copy(self)
         other.counts = self.counts.copy()
         other.ints = self.ints.copy()
@@ -518,25 +520,8 @@ class _DistinctState:
     def fold(self, gid: int, values, rows: int):
         self.scatter(repeat(gid), values)
 
-    def merge(self, other: "_DistinctState", remap: list):
-        for gid, seen in zip(remap, other.seen):
-            if seen:
-                self.scatter(repeat(gid), seen)
-
-    def copy(self) -> "_DistinctState":
-        other = copy(self)
-        other.inner = self.inner.copy()
-        other.seen = [None if seen is None else set(seen)
-                      for seen in self.seen]
-        return other
-
     def results(self, gids=None) -> list:
         return self.inner.results(gids)
-
-    def nbytes(self, groups: int) -> int:
-        seen = [values for values in self.seen if values]
-        return _STATE_BYTES + self.inner.nbytes(groups) + 8 * groups \
-            + 216 * len(seen) + 60 * sum(map(len, seen))
 
 
 def _make_state(name: str, count_star: bool, distinct: bool):
@@ -587,7 +572,8 @@ class GroupedAggregation:
       folded in bulk (typed arrays, their dense ranges and homogeneous
       lists keep their C-speed paths);
     * ``merge(other)`` — another partial, through a group-id remap built
-      in ``other``'s first-appearance order.
+      in ``other``'s first-appearance order (never a DISTINCT one: the
+      planner caches no DISTINCT aggregate, so nothing merges it).
 
     ``specs`` is one ``(name, count_star, distinct)`` per aggregate; a
     column of ``COUNT(*)`` is ``None`` — it needs the rows, not a value.

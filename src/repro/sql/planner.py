@@ -1489,17 +1489,17 @@ class Planner:
 
         Eligible when every group key is a plain column of the scan and
         every aggregate is a non-DISTINCT COUNT/SUM/AVG/MIN/MAX over a
-        plain column (or COUNT(*)) — shapes whose per-segment partial
-        depends only on segment content, never on statement parameters or
-        execution context.  The key is expressed in *table* column
-        positions, so statements projecting different column subsets of
-        the same aggregate shape share one cached partial per segment.
+        plain column (or COUNT(*)) — shapes whose state over a run of
+        sealed segments depends only on their content, never on statement
+        parameters or execution context.  The key is expressed in *table*
+        column positions, so statements projecting different column
+        subsets of the same aggregate shape share one cached state per run.
 
         The leading component is the tuple of IS NOT NULL filter
         positions when those are the *only* pushed predicates (filtered
         batches are then cached, and must not collide with the unfiltered
         shape); otherwise it is empty — only whole-segment batches are
-        cached then, and a whole-segment partial is the same no matter
+        cached then, and a state over whole segments is the same no matter
         which predicate let every row pass.
         """
         if scan.pushed and all(p.not_null for p in scan.pushed):

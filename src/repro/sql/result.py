@@ -70,7 +70,7 @@ class SegmentBatch(Batch):
     Emitted by the columnar scan only when every live row of one sealed
     segment flows through unfiltered (no selection vector, fully-live
     bitmap).  It carries the source ``Segment`` so sketch-eligible
-    aggregates can fold the segment's cached partial instead of its rows;
+    aggregates can fold its run's cached state instead of its rows;
     every other operator treats it as a plain ``Batch``.
     """
 
@@ -178,9 +178,9 @@ class ExecStats:
     faults_injected: int = counter(section="faults", label="injected")
     faults_recovered: int = counter(section="faults", label="recovered")
     degraded_statements: int = counter(section="faults")
-    # segment-sketch counters: cached whole-segment aggregate partials
-    # built / served, input rows elided by cache hits, and cache entries
-    # dropped by slot kills or compaction re-seals
+    # segment-sketch counters: whole sealed segments whose run's cached
+    # aggregate state was built / served, input rows elided by cache
+    # hits, and cache entries dropped by slot kills or compaction re-seals
     sketches_built: int = counter(section="sketches", label="built")
     sketches_hit: int = counter(section="sketches", label="hit")
     sketch_rows_elided: int = counter(section="sketches",

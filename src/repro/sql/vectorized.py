@@ -621,7 +621,7 @@ class VColumnarScan(VectorNode):
         self.schema = Schema([(binding, col) for col in names])
         # set by the planner when the consumer is a sketch-eligible
         # aggregate: whole-segment zero-copy batches from sealed segments
-        # are emitted as SegmentBatch so the fold can use cached partials
+        # are emitted as SegmentBatch so the fold can use cached states
         self.emit_segments = False
         # additionally set when every pushed predicate is IS NOT NULL:
         # the selection vector is then a pure function of segment content
@@ -708,7 +708,7 @@ class VColumnarScan(VectorNode):
                 and segment.live_count == segment.size:
             # the selection came only from IS NOT NULL predicates on a
             # fully-live sealed segment: deterministic given the segment's
-            # content, so the fold may cache the filtered partial (lazy
+            # content, so the fold may cache the filtered state (lazy
             # gathers — a warm hit never materialises these columns)
             return SegmentBatch(columns, len(selection), segment), \
                 len(selection)
@@ -1161,23 +1161,17 @@ class BatchAggregate(BatchNode):
         predicate) fold through the replica's sketch cache one *run* at a
         time: a maximal stretch of consecutive ``SegmentBatch``es, ended by
         any other batch (a delta segment, a segment with dead rows) or by
-        the end of the stream.  A run of two or more segments first asks
-        for its memo — the merge of its partials, keyed by the segments'
-        identities and epochs — and pays one merge of it, or a C-level
-        copy while the statement's state is still empty.  Otherwise each
-        segment of the run goes through its own partial: a hit merges the
-        cached partial in O(groups) instead of O(rows); a miss folds the
-        segment once into a private partial and caches it — so the
-        statement that builds a sketch pays the same row work as before
-        and every later statement elides it.  The run's partials merge
-        on their own — into the statement's state while it is still empty,
-        else into a fresh state merged into it afterwards — and a copy of
-        that merge is cached as the run's memo.
-        Partials and memos are shared across statements and only ever
-        *merged from* or copied: their groups arrive in first-encounter
-        row order, so group creation (and emission) order is identical to
-        folding the rows directly, and the exact merge keeps the values
-        bit-identical too.
+        the end of the stream.  A run's state is cached under its
+        segments' identities and epochs (``SegmentSketchCache``): a hit
+        pays one merge of it, or a C-level copy while the statement's
+        state is still empty; a miss folds the run's rows once into a
+        fresh state, caches it and then merges or copies it the same way,
+        so the statement that builds a sketch pays the row work plus one
+        copy and every later statement elides it.  Cached states are
+        shared across statements and only ever *merged from* or copied:
+        their groups arrive in first-encounter row order, so group
+        creation (and emission) order is identical to folding the rows
+        directly, and the exact merge keeps the values bit-identical too.
         """
         specs = self.agg_specs
         sketches = (ctx.columnar.sketches if self.sketch_key is not None
@@ -1212,46 +1206,30 @@ class BatchAggregate(BatchNode):
         """``(state, rows folded)`` after one run of ``SegmentBatch``es
         reached ``groups`` through the sketch cache (see ``_fold``)."""
         stats = ctx.stats
-        sketch_key = self.sketch_key
-        memo_key = None
-        if len(run) > 1:
-            segments = [batch.segment for batch in run]
-            memo_key = sketches.run_key(segments, sketch_key)
-            memo = sketches.lookup_memo(memo_key, segments)
-            if memo is not None:
-                # counted as the per-segment hits it stands for
-                stats.sketches_hit += len(run)
-                stats.sketch_rows_elided += sum(map(len, run))
-                if not groups.gids:
-                    return memo.copy(), 0
-                groups.merge(memo)
-                return groups, 0
-        merged = (groups if memo_key is None or not groups.gids
-                  else self._new_groups())
-        rows = 0
-        for batch in run:
-            segment = batch.segment
-            cached = sketches.lookup(segment, sketch_key)
-            if cached is None:
-                # cold: fold into a private partial with private slot
-                # state (its group ids are its own), cache it, and merge
-                cached = self._new_groups()
+        segments = [batch.segment for batch in run]
+        run_key = sketches.run_key(segments, self.sketch_key)
+        rows = sum(map(len, run))
+        cached = sketches.lookup(run_key)
+        if cached is None:
+            # cold: fold the run with its own slot state (its group ids
+            # are its own), cache it, then merge or copy it as a hit does
+            cached = self._new_groups()
+            slot_state: dict = {}
+            for batch in run:
                 arg_cols = argument_columns(
                     self.agg_specs, lambda fn: fn(batch, ctx))
-                self._fold_batch(batch, ctx, cached, arg_cols, {})
-                sketches.store(segment, sketch_key, cached, cached.nbytes())
-                stats.sketches_built += 1
-                rows += len(batch)
-            else:
-                stats.sketches_hit += 1
-                stats.sketch_rows_elided += len(batch)
-            merged.merge(cached)
-        if memo_key is not None:
-            # the cache keeps a copy: the statement's state stays its own
-            memo = merged.copy()
-            sketches.store_memo(memo_key, segments, memo, memo.nbytes())
-            if merged is not groups:
-                groups.merge(merged)
+                self._fold_batch(batch, ctx, cached, arg_cols, slot_state)
+            sketches.store(run_key, segments, cached, cached.nbytes())
+            stats.sketches_built += len(run)
+        else:
+            # counted per segment, as ``sketches_built`` is
+            stats.sketches_hit += len(run)
+            stats.sketch_rows_elided += rows
+            rows = 0
+        # the cache keeps its state: the statement's state stays its own
+        if not groups.gids:
+            return cached.copy(), rows
+        groups.merge(cached)
         return groups, rows
 
     def aggregate(self, ctx) -> GroupedAggregation:
@@ -1274,7 +1252,7 @@ class BatchAggregate(BatchNode):
         joins iff its key does, so the groups that match, in id order, are
         the join's groups in its first-appearance order, with the same
         rows folded.  Build-side GROUP BY values are read from the matched
-        build rows; the cached partials hold probe-side data only.  A
+        build rows; the cached states hold probe-side data only.  A
         repeated build key (the data decides, not the catalog) runs the
         join, then the fold, as any aggregate over a join does; ``None``
         then stands for every group.

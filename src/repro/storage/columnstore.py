@@ -87,7 +87,7 @@ DICT_MAX_CARDINALITY = 256
 # per-segment encoding choices
 SHARED_DICT_MAX_CARDINALITY = 4096
 
-# default LRU budget for cached per-segment aggregate partials (sketches)
+# default LRU budget for cached sealed-run aggregate states (sketches)
 SKETCH_BUDGET_BYTES = 32 << 20
 
 
@@ -796,7 +796,7 @@ class Segment:
         # bumped by every mutation of sealed content (kill/revive/seal):
         # a cached sketch built at epoch E is served only while
         # the segment is still at epoch E, so a bypassed eager-invalidation
-        # hook can never surface a stale partial
+        # hook can never surface a stale state
         self.sketch_epoch = 0
 
     @property
@@ -948,171 +948,92 @@ class Segment:
 
 
 class SegmentSketchCache:
-    """Bounded LRU of per-segment aggregate partials ("sketches") and of
-    their merges over runs of segments ("memos").
+    """Bounded LRU of the aggregate states ("sketches") of runs of sealed
+    segments.
 
     A sealed main segment is immutable between kills and compactions, so
-    its contribution to a sketch-eligible aggregate (exact COUNT / SUM /
-    AVG / MIN / MAX partials, grouped or not) is a constant the executor
-    would otherwise recompute on every statement.  Entries are keyed by
-    ``(id(segment), plan sketch key)`` and pin the ``Segment`` object (so
-    an id can never be recycled under a live entry) together with the
-    segment's ``sketch_epoch`` at build time: any mutation of sealed
-    content — slot kill/revive, re-seal — bumps the epoch, so a
-    stale partial is unservable even if an eager invalidation hook were
-    bypassed.
+    the contribution of a run of them — a maximal stretch of consecutive
+    whole sealed segments in stream order — to a sketch-eligible
+    aggregate (exact COUNT / SUM / AVG / MIN / MAX states, grouped or not)
+    is a constant the executor would otherwise recompute on every
+    statement.  An entry is keyed by ``run_key``: the plan's sketch key
+    plus ``(id(segment), sketch_epoch)`` for each segment of the run.  It
+    pins the run's segments, so an id can never be recycled under a live
+    entry, and any mutation of sealed content — slot kill/revive, re-seal,
+    a merge swap — changes an epoch or an identity: a stale state never
+    matches its key even if an eager invalidation hook were bypassed.
+    An entry is registered under every segment of its run, so
+    ``invalidate`` / ``drop_segments`` / ``clear`` drop it.  The executor
+    only merges from or copies a cached state, never folds into it.
 
-    A memo is the merge of the partials of a run of two or more
-    consecutive sealed segments, in stream order.  Its key is
-    ``(((id(segment), sketch_epoch), ...), plan sketch key)`` over the
-    run, and it pins the run's segments: a kill, a revive, a re-seal or a
-    merge swap changes an epoch or an identity, so a stale memo never
-    matches.  It is registered under every segment of its run, so
-    ``invalidate`` / ``drop_segments`` drop it with that segment's
-    partials, and it is served only while every partial it was merged
-    from is cached and current (a hit refreshes their LRU positions too):
-    a memo never outlives its inputs.  The executor only merges from or
-    copies a memo, never folds into it.
-
-    Memory is bounded by ``budget_bytes``, partials and memos together:
-    inserts evict least-recently-used entries past the budget.
-    ``memo_bytes`` is the memos' share of ``total_bytes``.  Counters
-    (`evicted`, `invalidated`) are cumulative for the replica's lifetime
-    and survive ``clear()``; only a dropped partial counts as invalidated.
+    Memory is bounded by ``budget_bytes``: inserts evict least-recently-
+    used entries past the budget.  Counters (`evicted`, `invalidated`)
+    are cumulative for the replica's lifetime and survive ``clear()``.
     """
 
     def __init__(self, budget_bytes: int = SKETCH_BUDGET_BYTES):
         self.budget_bytes = budget_bytes
-        # (id(segment), key) -> (segment, epoch, value, nbytes) and
-        # (run, key) -> (segments, None, value, nbytes), LRU order
+        # run_key -> (segments, state, nbytes), LRU order
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._by_segment: dict[int, set] = {}
         self._lock = threading.Lock()
         self.total_bytes = 0
-        self.memo_bytes = 0
-        self.memos = 0
         self.evicted = 0
         self.invalidated = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _drop_locked(self, full_key: tuple) -> bool:
-        """Drop one entry; True when it was a partial."""
-        entry = self._entries.pop(full_key, None)
+    def _drop_locked(self, run_key: tuple):
+        entry = self._entries.pop(run_key, None)
         if entry is None:
-            return False
-        self.total_bytes -= entry[3]
-        run = full_key[0]
-        if isinstance(run, int):
-            idents = (run,)
-        else:
-            idents = [ident for ident, _epoch in run]
-            self.memo_bytes -= entry[3]
-            self.memos -= 1
-        for ident in idents:
+            return
+        self.total_bytes -= entry[2]
+        for ident, _epoch in run_key[0]:
             keys = self._by_segment.get(ident)
             if keys is not None:
-                keys.discard(full_key)
+                keys.discard(run_key)
                 if not keys:
                     del self._by_segment[ident]
-        return isinstance(run, int)
-
-    def _insert_locked(self, full_key: tuple, entry: tuple, segments):
-        self._drop_locked(full_key)
-        self._entries[full_key] = entry
-        for segment in segments:
-            self._by_segment.setdefault(id(segment), set()).add(full_key)
-        self.total_bytes += entry[3]
-        if not isinstance(full_key[0], int):
-            self.memo_bytes += entry[3]
-            self.memos += 1
-        while self.total_bytes > self.budget_bytes and self._entries:
-            self._drop_locked(next(iter(self._entries)))
-            self.evicted += 1
-
-    def lookup(self, segment: Segment, key):
-        """The cached partial for ``(segment, key)``, or None.
-
-        Epoch mismatches count as invalidations and drop the entry — the
-        caller rebuilds from the segment's current content.
-        """
-        full_key = (id(segment), key)
-        with self._lock:
-            entry = self._entries.get(full_key)
-            if entry is None:
-                return None
-            held, epoch, value, _nbytes = entry
-            if held is not segment or epoch != segment.sketch_epoch:
-                self._drop_locked(full_key)
-                self.invalidated += 1
-                return None
-            self._entries.move_to_end(full_key)
-            return value
-
-    def store(self, segment: Segment, key, value, nbytes: int):
-        """Cache one partial, evicting LRU entries past the budget."""
-        if nbytes > self.budget_bytes:
-            return
-        with self._lock:
-            self._insert_locked((id(segment), key),
-                                (segment, segment.sketch_epoch, value,
-                                 nbytes), (segment,))
 
     @staticmethod
     def run_key(segments, key) -> tuple:
-        """The memo key of a run of segments in their current state."""
+        """The cache key of a run of segments in their current state."""
         return tuple((id(segment), segment.sketch_epoch)
                      for segment in segments), key
 
-    def _partials_locked(self, segments, key) -> list | None:
-        """The partial keys of ``segments``, or None unless every one is
-        cached for the segment's current epoch."""
-        entries = self._entries
-        partials = [(id(segment), key) for segment in segments]
-        for full_key, segment in zip(partials, segments):
-            entry = entries.get(full_key)
-            if entry is None or entry[0] is not segment \
-                    or entry[1] != segment.sketch_epoch:
-                return None
-        return partials
-
-    def lookup_memo(self, memo_key: tuple, segments):
-        """The memo under ``memo_key`` (``run_key`` of ``segments``), or
-        None — also while any partial it was merged from is missing or
-        stale, which is left for ``lookup`` to count and drop."""
+    def lookup(self, run_key: tuple):
+        """The cached state under ``run_key``, or None."""
         with self._lock:
-            entries = self._entries
-            entry = entries.get(memo_key)
+            entry = self._entries.get(run_key)
             if entry is None:
                 return None
-            partials = self._partials_locked(segments, memo_key[1])
-            if partials is None:
-                return None
-            for full_key in partials:
-                entries.move_to_end(full_key)
-            entries.move_to_end(memo_key)
-            return entry[2]
+            self._entries.move_to_end(run_key)
+            return entry[1]
 
-    def store_memo(self, memo_key: tuple, segments, value, nbytes: int):
-        """Cache one memo whose partials are all cached (else it could
-        never be served); the caller never touches ``value`` again."""
+    def store(self, run_key: tuple, segments, value, nbytes: int):
+        """Cache one run's state, evicting LRU entries past the budget;
+        the caller never folds into ``value`` again."""
         if nbytes > self.budget_bytes:
             return
         with self._lock:
-            if self._partials_locked(segments, memo_key[1]) is not None:
-                self._insert_locked(memo_key, (tuple(segments), None, value,
-                                               nbytes), segments)
+            self._drop_locked(run_key)
+            self._entries[run_key] = (tuple(segments), value, nbytes)
+            for segment in segments:
+                self._by_segment.setdefault(id(segment), set()).add(run_key)
+            self.total_bytes += nbytes
+            while self.total_bytes > self.budget_bytes:
+                self._drop_locked(next(iter(self._entries)))
+                self.evicted += 1
 
     def invalidate(self, segment: Segment):
-        """Eagerly drop every partial and memo of one mutated segment."""
+        """Eagerly drop every entry over one mutated segment."""
         with self._lock:
             keys = self._by_segment.get(id(segment))
-            if not keys:
-                return
-            for full_key in list(keys):
-                if self._drop_locked(full_key):
-                    self.invalidated += 1
+            if keys:
+                self.invalidated += len(keys)
+                for run_key in list(keys):
+                    self._drop_locked(run_key)
 
     def drop_segments(self, segments):
         """Drop entries of segments about to be rewritten by compaction."""
@@ -1125,8 +1046,6 @@ class SegmentSketchCache:
             self._entries.clear()
             self._by_segment.clear()
             self.total_bytes = 0
-            self.memo_bytes = 0
-            self.memos = 0
 
 
 class ColumnarTable:
@@ -1145,7 +1064,8 @@ class ColumnarTable:
                  failpoints):
         self._failpoints = failpoints
         # replica-wide sketch cache: kills/revives/overwrites invalidate
-        # the touched segment's partials eagerly (epoch checks backstop)
+        # the cached runs over the touched segment eagerly (epoch checks
+        # backstop)
         self._sketches = sketches
         # serialises the mutable touch points (WAL apply, zone-map
         # widening, compaction swap) so a writer thread may replicate()
@@ -1676,18 +1596,14 @@ class ColumnarReplica:
         stats["shared_dicts_total"] = len(self._domain_dicts)
         stats["shared_dicts_demoted"] = sum(
             1 for d in self._domain_dicts.values() if not d.active)
-        # cached segment sketches are replica memory too: count them into
-        # the encoded footprint so the compression ratio stays truthful
-        # when sketches are enabled.  Memos (merged runs of partials) share
-        # the cache's budget but stay out of that footprint: they re-merge
-        # the partials rather than encode data, and the simulator's
-        # scan_cost_factor reads bytes_encoded
+        # the sketch cache is reported beside the footprint, not inside
+        # it: cached states summarise data rather than encode it, and the
+        # simulator's scan_cost_factor reads bytes_encoded
         sketches = self.sketches
-        stats["sketch_bytes"] = sketches.total_bytes - sketches.memo_bytes
-        stats["memo_bytes"] = sketches.memo_bytes
-        stats["sketches_cached"] = len(sketches) - sketches.memos
+        stats["sketch_bytes"] = sketches.total_bytes
+        stats["sketches_cached"] = len(sketches)
         stats["sketch_evictions"] = sketches.evicted
-        stats["bytes_encoded"] += shared_bytes + stats["sketch_bytes"]
+        stats["bytes_encoded"] += shared_bytes
         stats["bytes_saved"] = stats["bytes_plain"] - stats["bytes_encoded"]
         stats["compression_ratio"] = (
             stats["bytes_plain"] / stats["bytes_encoded"]

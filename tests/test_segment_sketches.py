@@ -1,12 +1,12 @@
-"""Segment sketches: cached per-segment aggregate partials.
+"""Segment sketches: the cached aggregate states of runs of sealed segments.
 
 Covers the storage-level cache (build/hit/epoch invalidation/LRU
-eviction), the memo of a run's merged partials and its invalidation rule,
-planner eligibility, kill -> correction-overlay -> compaction
-re-seal correctness (cold and warm answers checked against the row oracle
-on the same replica), circuit-breaker bypass (degraded statements never
-serve a stale sketch), counter plumbing to reports, and this layer's view
-of the three-workload parity matrix.
+eviction), the run rule and its invalidation cases, planner eligibility,
+kill -> correction-overlay -> compaction re-seal correctness (cold and
+warm answers checked against the row oracle on the same replica),
+circuit-breaker bypass (degraded statements never serve a stale sketch),
+counter plumbing to reports, and this layer's view of the three-workload
+parity matrix.
 """
 
 from itertools import chain
@@ -112,12 +112,14 @@ class TestSketchCache:
         assert stats["sketch_evictions"] == 0
 
     def test_lru_eviction_under_tiny_budget(self, routed):
-        db = _fill(_make_db(sketch_budget_bytes=2048))
+        # room for any one shape's run state (GROUPED_SQL's is the largest,
+        # ~5 kB), not for GROUPED_SQL's and NOT_NULL_SQL's together
+        db = _fill(_make_db(sketch_budget_bytes=6144))
         for sql in (GROUPED_SQL, NOT_NULL_SQL, GLOBAL_SQL):
             routed(db, sql)
         cache = db.columnar.sketches
         assert cache.evicted > 0
-        assert cache.total_bytes <= 2048
+        assert cache.total_bytes <= 6144
         # evicted entries rebuild on demand and stay correct
         for sql in (GROUPED_SQL, NOT_NULL_SQL, GLOBAL_SQL):
             assert routed(db, sql).rows == \
@@ -152,17 +154,18 @@ class TestSketchInvalidation:
                          (99999.5, 12, 17))
             conn.commit()
         db.replicate()
-        # the kill eagerly dropped the victim segment's partials
+        # the kill eagerly dropped the run over the victim segment
         assert db.columnar.sketches.invalidated > invalidated_before
         corrected = routed(db, GROUPED_SQL)
         assert corrected.rows != stale.rows
         assert corrected.rows == \
             routed(db, GROUPED_SQL, vectorized=False).rows
-        # untouched segments still serve their warm partials; the killed
-        # segment row-folds (partially-live segments are not memoised
-        # until compaction re-seals them)
-        assert corrected.stats.sketches_hit > 0
-        assert corrected.stats.sketches_built == 0
+        # the killed segment row-folds (partially-live segments are not
+        # cached until compaction re-seals them) and the 9 untouched ones
+        # are a new run: built once, then served
+        assert corrected.stats.sketches_hit == 0
+        assert corrected.stats.sketches_built == 9
+        assert routed(db, GROUPED_SQL).stats.sketches_hit == 9
         db.columnar.compact(force=True)
         resealed = routed(db, GROUPED_SQL)
         assert resealed.rows == corrected.rows
@@ -180,9 +183,14 @@ class TestSketchInvalidation:
             conn.commit()
         db.replicate()
         for sql in (GROUPED_SQL, NOT_NULL_SQL):
+            # the runs over the victim segment are gone: the surviving
+            # whole segments are new runs, built once, then served
             corrected = routed(db, sql)
-            assert corrected.stats.sketches_hit > 0
+            assert corrected.stats.sketches_built > 0
             assert corrected.rows == routed(db, sql, vectorized=False).rows
+            warm = routed(db, sql)
+            assert warm.stats.sketches_hit > 0
+            assert warm.rows == corrected.rows
         assert routed(db, GROUPED_SQL).rows != stale.rows
 
     def test_compaction_reseal_drops_merged_partials(self, routed):
@@ -476,7 +484,7 @@ class TestGroupjoin:
 
 
 # ---------------------------------------------------------------------------
-# memos: one cached merge per run of consecutive whole sealed segments
+# the run rule: one cached state per run of consecutive whole sealed segments
 # ---------------------------------------------------------------------------
 
 def _sketch_key(db, sql):
@@ -510,50 +518,50 @@ def _runs(db, table):
     return runs + [run] if run else runs
 
 
-def _per_segment(db, table, key):
-    """``(sketches_built, sketches_hit)`` a statement earns under the
-    per-segment rule: a whole segment hits iff its own partial is cached
-    for its current epoch, whether or not a memo serves it."""
-    entries = db.columnar.sketches._entries
-    hits = sum(1 for run in _runs(db, table) for segment in run
-               if (entry := entries.get((id(segment), key))) is not None
-               and entry[0] is segment
-               and entry[1] == segment.sketch_epoch)
-    whole = sum(map(len, _runs(db, table)))
-    return whole - hits, hits
+def _run_rule(db, table, key):
+    """``(sketches_built, sketches_hit)`` a statement earns under the run
+    rule: every segment of a run whose state is cached under the run's
+    current identities and epochs hits, every other whole segment builds."""
+    cache = db.columnar.sketches
+    built = hit = 0
+    for run in _runs(db, table):
+        if cache.run_key(run, key) in cache._entries:
+            hit += len(run)
+        else:
+            built += len(run)
+    return built, hit
 
 
-def _memos(db, key) -> int:
-    return sum(1 for full_key in db.columnar.sketches._entries
-               if not isinstance(full_key[0], int) and full_key[1] == key)
+def _cached(db, key) -> int:
+    """Entries cached for the sketch key ``key``, current or not."""
+    return sum(1 for run_key in db.columnar.sketches._entries
+               if run_key[1] == key)
 
 
 @pytest.mark.parametrize("partitions", [1, 4])
-class TestSketchMemo:
-    """The memo's invalidation rule (``SegmentSketchCache``): a memo is
-    keyed by its run's segment identities and epochs, dropped with any
-    of its segments, served only while every partial it merged is cached
+class TestSketchRuns:
+    """The run rule (``SegmentSketchCache``): a run's state is keyed by
+    its segments' identities and epochs, dropped with any of its segments
     — and never handed out for a statement to fold or attach into.  Each
     statement is checked against the row oracle and against the counters
-    the per-segment rule gives."""
+    the run rule gives."""
 
     def _check(self, routed, db, sql, table="cust"):
         """Run ``sql`` three times on the engine; each byte-identical to
-        the oracle with the per-segment counters, the last two served by
-        memos (a statement that folded into a memo spoils the next)."""
+        the oracle with the run rule's counters, the last two served from
+        the cache (a statement that folded into a cached state spoils the
+        next), and every run cached once with no stale entry left over."""
         key = _sketch_key(db, sql)
         expected = routed(db, sql, vectorized=False).rows
         for _ in range(3):
-            built, hit = _per_segment(db, table, key)
+            built, hit = _run_rule(db, table, key)
             result = routed(db, sql)
             assert result.rows == expected
             assert (result.stats.sketches_built,
                     result.stats.sketches_hit) == (built, hit)
-            runs = [run for run in _runs(db, table) if len(run) > 1]
-            assert _memos(db, key) == len(runs)
-            cache = db.columnar.sketches
-            assert all(cache.run_key(run, key) in cache._entries
-                       for run in runs)
+            runs = _runs(db, table)
+            assert _cached(db, key) == len(runs)
+            assert _run_rule(db, table, key) == (0, sum(map(len, runs)))
         assert not result.stats.sketches_built
         return result
 
@@ -567,9 +575,9 @@ class TestSketchMemo:
             conn.execute("DELETE FROM cust WHERE id = ?", (300,))
             conn.commit()
         db.replicate()
-        # one partial dropped (counted), the memo over it too (not counted)
+        # the one run over the victim segment dropped, and counted
         assert db.columnar.sketches.invalidated == invalidated + 1
-        assert _memos(db, _sketch_key(db, GROUPED_SQL)) == 0
+        assert _cached(db, _sketch_key(db, GROUPED_SQL)) == 0
         assert self._check(routed, db, GROUPED_SQL).rows != warm.rows
 
     def test_update_moves_a_main_row_to_the_delta(self, routed, partitions):
@@ -593,8 +601,8 @@ class TestSketchMemo:
             conn.commit()
         db.replicate()
         db.columnar.compact(force=True)
-        # the swapped-out segments took the memo over them along
-        assert _memos(db, _sketch_key(db, GROUPED_SQL)) == 0
+        # the swapped-out segments took the cached runs over them along
+        assert _cached(db, _sketch_key(db, GROUPED_SQL)) == 0
         assert self._check(routed, db, GROUPED_SQL).rows != stale.rows
 
     def test_drop_and_recreate_the_table(self, routed, partitions):
@@ -608,9 +616,9 @@ class TestSketchMemo:
         _fill(db, n=480, seed=5)
         assert self._check(routed, db, GROUPED_SQL).rows != stale.rows
 
-    def test_eviction_keeps_no_memo_past_its_partials(
+    def test_eviction_under_a_budget_holding_one_shape(
             self, routed, partitions):
-        # room for one shape's partials and memo, not for two shapes'
+        # room for one shape's run state, not for two shapes'
         probe = _fill(_make_db(partitions=partitions))
         routed(probe, GROUPED_SQL)
         budget = probe.columnar.sketches.total_bytes + 512
@@ -620,22 +628,16 @@ class TestSketchMemo:
                  "GROUP BY qty ORDER BY qty")
         key = _sketch_key(db, GROUPED_SQL)
         self._check(routed, db, GROUPED_SQL)
-        assert _memos(db, key) == 1
-        # the other shape evicts the oldest entries: GROUPED_SQL's first
-        # partials, while its memo (stored last) survives them
+        assert _cached(db, key) == 1
+        # the other shape's state evicts GROUPED_SQL's, which is then
+        # rebuilt whole (and evicts the other shape's in turn)
         routed(db, other)
         cache = db.columnar.sketches
         assert cache.evicted > 0 and cache.total_bytes <= budget
-        assert _memos(db, key) == 1
-        built, hit = _per_segment(db, "cust", key)
-        assert built > 0
-        # the memo is not served: each segment goes through its own
-        # partial, and rebuilding the missing ones may evict more of them
-        result = routed(db, GROUPED_SQL)
-        assert result.stats.sketches_built >= built
-        assert result.stats.sketches_built + result.stats.sketches_hit \
-            == built + hit
-        assert result.rows == routed(db, GROUPED_SQL, vectorized=False).rows
+        assert _cached(db, key) == 0
+        assert _cached(db, _sketch_key(db, other)) == 1
+        self._check(routed, db, GROUPED_SQL)
+        assert _cached(db, _sketch_key(db, other)) == 0
         assert routed(db, other).rows == \
             routed(db, other, vectorized=False).rows
 
@@ -644,7 +646,7 @@ class TestSketchMemo:
         probe_only = ("SELECT l.l_i_id, SUM(l.l_amount) AS revenue, "
                       "SUM(l.l_qty) AS units, COUNT(*) AS n FROM line l "
                       "GROUP BY l.l_i_id ORDER BY l.l_i_id")
-        # the probe side's memo is the single-table aggregate's
+        # the probe side's cached state is the single-table aggregate's
         assert _sketch_key(db, probe_only) == \
             _sketch_key(db, UNRANKED_GROUPJOIN)
         before = self._check(routed, db, UNRANKED_GROUPJOIN, "line")
@@ -656,7 +658,7 @@ class TestSketchMemo:
         after = self._check(routed, db, UNRANKED_GROUPJOIN, "line")
         assert after.rows != before.rows
         # the groupjoin attached build-side columns to its own state,
-        # never to the memo the plain aggregate now copies
+        # never to the cached state the plain aggregate now copies
         self._check(routed, db, probe_only, "line")
 
     def test_non_empty_state_at_a_run_start(self, routed, partitions):
@@ -679,23 +681,20 @@ class TestSketchMemo:
         assert all(len(run) > 1 for run in runs)
         self._check(routed, db, GROUPED_SQL)
 
-    def test_a_stale_memo_never_matches_its_key(self, partitions):
+    def test_a_stale_key_never_matches(self, partitions):
         # content mutated with the eager invalidation bypassed (the
-        # epoch bumps, no hook runs) and the partial rebuilt: the memo
-        # merged from the old content is not servable under the new key
+        # epoch bumps, no hook runs): the state folded from the old
+        # content is not servable under the run's new key
         db = _fill(_make_db(partitions=partitions))
         segments = [s for run in _runs(db, "cust") for s in run][:3]
         cache = db.columnar.sketches
-        for segment in segments:
-            cache.store(segment, "k", "partial", 8)
-        cache.store_memo(cache.run_key(segments, "k"), segments, "memo", 8)
-        assert cache.lookup_memo(cache.run_key(segments, "k"),
-                                 segments) == "memo"
+        cache.store(cache.run_key(segments, "k"), segments, "state", 8)
+        assert cache.lookup(cache.run_key(segments, "k")) == "state"
         segments[1].kill(0)
         segments[1].revive(0)
-        cache.store(segments[1], "k", "rebuilt", 8)
-        assert cache.lookup_memo(cache.run_key(segments, "k"),
-                                 segments) is None
+        assert cache.lookup(cache.run_key(segments, "k")) is None
+        cache.store(cache.run_key(segments, "k"), segments, "rebuilt", 8)
+        assert cache.lookup(cache.run_key(segments, "k")) == "rebuilt"
 
 
 # ---------------------------------------------------------------------------

@@ -299,21 +299,22 @@ class TestColumnarSegments:
 
 # encoding accounting of a loaded replica with main segments, a delta tail
 # and warm sketches; a change meant to move it edits these and says why.
-# ``memo_bytes`` is the merged run of the 7 fully-live segments' partials:
-# it shares the sketch budget but stays out of ``sketch_bytes`` and
-# ``bytes_encoded``, so the scan cost factor reads the same without it
+# ``sketch_bytes`` is the one cached state of the run of 7 fully-live
+# segments; it is reported beside ``bytes_encoded``, never inside it, so
+# ``compression_ratio`` and the scan cost factor read segment and shared
+# dictionary bytes alone
 PINNED_REPLICA_ACCOUNTING = {
     1: ({'segments_total': 23, 'segments_encoded': 16,
-         'bytes_plain': 30034680, 'bytes_encoded': 18535692,
-         'bytes_saved': 11498988,
+         'bytes_plain': 30034680, 'bytes_encoded': 18528524,
+         'bytes_saved': 11506156,
          'encodings': {'plain': 46, 'dict': 14, 'rle': 48, 'native': 60},
          'dict_code_bytes': 229376, 'dict_value_bytes': 0,
          'dicts_shared': 14, 'dicts_per_segment': 0,
          'shared_dict_bytes': 4065360, 'shared_dicts_total': 38,
-         'shared_dicts_demoted': 14, 'sketch_bytes': 7168,
-         'memo_bytes': 1024, 'sketches_cached': 7, 'sketch_evictions': 0,
-         'compression_ratio': 1.6203700406761183},
-        0.617142982711985,
+         'shared_dicts_demoted': 14, 'sketch_bytes': 1024,
+         'sketches_cached': 1, 'sketch_evictions': 0,
+         'compression_ratio': 1.6209969018579138},
+        0.6169043252666584,
         {'segments_total': 9, 'segments_encoded': 8,
          'bytes_plain': 11474752, 'bytes_encoded': 3174572,
          'encodings': {'plain': 7, 'dict': 1, 'rle': 32, 'native': 40},
@@ -321,16 +322,16 @@ PINNED_REPLICA_ACCOUNTING = {
          'dicts_shared': 1, 'dicts_per_segment': 0,
          'bytes_saved': 8300180}),
     4: ({'segments_total': 23, 'segments_encoded': 12,
-         'bytes_plain': 26388560, 'bytes_encoded': 15991156,
-         'bytes_saved': 10397404,
+         'bytes_plain': 26388560, 'bytes_encoded': 15983988,
+         'bytes_saved': 10404572,
          'encodings': {'plain': 40, 'dict': 12, 'rle': 48, 'native': 48},
          'dict_code_bytes': 196608, 'dict_value_bytes': 0,
          'dicts_shared': 12, 'dicts_per_segment': 0,
          'shared_dict_bytes': 3496016, 'shared_dicts_total': 38,
-         'shared_dicts_demoted': 12, 'sketch_bytes': 7168,
-         'memo_bytes': 1024, 'sketches_cached': 7, 'sketch_evictions': 0,
-         'compression_ratio': 1.6501971464727128},
-        0.6059882009476834,
+         'shared_dicts_demoted': 12, 'sketch_bytes': 1024,
+         'sketches_cached': 1, 'sketch_evictions': 0,
+         'compression_ratio': 1.6509371753782598},
+        0.605716568088596,
         {'segments_total': 9, 'segments_encoded': 8,
          'bytes_plain': 11474752, 'bytes_encoded': 3174572,
          'encodings': {'plain': 7, 'dict': 1, 'rle': 32, 'native': 40},
