@@ -49,8 +49,6 @@ _FIG05_ENGAGEMENT = {
     "selective_district": ("segments_pruned", "segments_encoded",
                            "runs_skipped"),
     "sorted_range_scan": ("segments_pruned",),
-    "grouped_report": ("groups_global_coded",),
-    "code_space_join": ("join_code_probes",),
     # a join-then-fold plan never builds a sketch: a groupjoin folds the
     # probe side through the cache
     "Q5_top_items": ("sketches_built",),

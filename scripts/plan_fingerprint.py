@@ -5,8 +5,8 @@ then hybrid mode where the workload has hybrid programs; 3 000 simulated
 ms each), records every SQL text ``Database._prepare`` sees, re-plans each
 one and prints one line per statement: the row tree, the vector tree and
 the ``FOR UPDATE`` source, as node classes, schemas, join kinds, index
-names, pushed predicates, code keys and each compiled fn's
-``__qualname__`` / ``position``.
+names, pushed predicates and each compiled fn's ``__qualname__`` /
+``position``.
 
 A planner refactor that means to build the same plans diffs this output
 between two checkouts (about 45 s each on a 2-vCPU machine; not part of

@@ -64,7 +64,6 @@ class Database:
                  supports_foreign_keys: bool = True,
                  with_columnar: bool = False,
                  columnar_segment_rows: int | None = None,
-                 shared_dict_cardinality: int | None = None,
                  sketch_budget_bytes: int | None = None,
                  default_isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
                  partitions: int = 1,
@@ -86,16 +85,13 @@ class Database:
                                   failpoints=self.failpoints)
         # The columnar replica is delta–main: replication applies into
         # plain delta tails, compaction merges into primary-key-ordered
-        # encoded main segments.  shared_dict_cardinality caps each
-        # table-level string dictionary and sketch_budget_bytes bounds the
+        # encoded main segments.  sketch_budget_bytes bounds the
         # replica-wide sketch LRU.
         if with_columnar:
             self.columnar = ColumnarReplica(
                 columnar_segment_rows if columnar_segment_rows is not None
                 else SEGMENT_ROWS,
                 partition_map=self.partition_map,
-                **({} if shared_dict_cardinality is None
-                   else {"shared_dict_cardinality": shared_dict_cardinality}),
                 **({} if sketch_budget_bytes is None
                    else {"sketch_budget_bytes": sketch_budget_bytes}),
                 failpoints=self.failpoints,

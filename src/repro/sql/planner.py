@@ -1347,41 +1347,18 @@ class Planner:
         """
         sub = self._plan_subquery
         base_scan, node = self._vector_scan(select, base)
-        # column lineage of the pipeline schema: batch position ->
-        # (table name, table column position) for columns that flow
-        # straight from a scan (join code-keys resolve through this)
-        lineage: list[tuple[str, int] | None] = [
-            (base.table.name, p) for p in base_scan.positions]
         for step in steps:
             scan, right_node = self._vector_scan(select, step)
             # the scan's schema may be a projected subset of the table —
             # compile keys against it, not the full layout
-            scan_schema = scan.schema
-            # single-column equi-joins on plain column refs carry code-key
-            # lineage so VHashJoin can build/probe on global integer codes
-            code_key = None
-            left_keys, right_keys = step.left_keys, step.right_keys
-            if (len(left_keys) == 1
-                    and isinstance(left_keys[0], ast.ColumnRef)
-                    and isinstance(right_keys[0], ast.ColumnRef)):
-                lref, rref = left_keys[0], right_keys[0]
-                lpos = node.schema.try_resolve(lref.table, lref.name)
-                rpos = scan_schema.try_resolve(rref.table, rref.name)
-                if (lpos is not None and rpos is not None
-                        and lineage[lpos] is not None):
-                    code_key = (lpos, rpos,
-                                lineage[lpos][0], lineage[lpos][1],
-                                step.table.name, scan.positions[rpos])
             node = VHashJoin(
                 node, right_node,
-                [compile_batch_expr(e, node.schema, sub) for e in left_keys],
-                [compile_batch_expr(e, scan_schema, sub)
-                 for e in right_keys],
+                [compile_batch_expr(e, node.schema, sub)
+                 for e in step.left_keys],
+                [compile_batch_expr(e, scan.schema, sub)
+                 for e in step.right_keys],
                 step.kind,
-                code_key=code_key,
             )
-            lineage = lineage + [(step.table.name, p)
-                                 for p in scan.positions]
             if step.residual_on:
                 node = VFilter(node, compile_batch_predicate(
                     _and_all(step.residual_on), node.schema, sub))
@@ -1414,13 +1391,6 @@ class Planner:
         input_schema = vnode.schema
         group_fns = [compile_batch_expr(g, input_schema, sub)
                      for g in group_by]
-        # batch-column positions of plain-column group keys: lets the
-        # aggregate group by DICT codes instead of decoded values
-        group_positions = [
-            input_schema.try_resolve(g.table, g.name)
-            if isinstance(g, ast.ColumnRef) else None
-            for g in group_by
-        ]
         specs = self._agg_specs(aggs, compile_batch_expr, input_schema)
         sketch_key = None
         if vnode is base_scan:
@@ -1438,7 +1408,7 @@ class Planner:
                     # batches are memoisable too (the key carries the
                     # filter positions — see _sketch_key)
                     base_scan.emit_filtered_segments = True
-        return BatchAggregate(vnode, group_fns, specs, group_positions,
+        return BatchAggregate(vnode, group_fns, specs,
                               sketch_key=sketch_key, dependent=dependent)
 
     def _plan_groupjoin(self, node: BatchAggregate, group_by,

@@ -154,11 +154,6 @@ class ExecStats:
     # consider
     segments_merged: int = counter(section="delta-main")
     delta_rows_pending: int = counter(section="delta-main")
-    # shared-dictionary counters: join probe rows compared as global
-    # integer codes (no string materialisation) and batches grouped
-    # against the table-level accumulator array
-    join_code_probes: int = counter(section="shared dicts")
-    groups_global_coded: int = counter(section="shared dicts")
     # statement-plan LRU cache outcome for this statement: lookup result
     # and LRU entries this statement's insert displaced
     plan_cache_hits: int = counter(section="plan cache", label="hits")

@@ -48,7 +48,6 @@ from repro.storage.columnstore import (
     DictColumn,
     NativeColumn,
     RLEColumn,
-    SharedDictColumn,
 )
 
 
@@ -349,7 +348,7 @@ class _EvalPred:
 
     __slots__ = ("position", "low", "high", "low_inclusive",
                  "high_inclusive", "is_eq", "in_values", "in_set", "test",
-                 "shared_dict", "shared_code", "shared_in_codes", "not_null")
+                 "not_null")
 
     def __init__(self, position: int, low=None, high=None,
                  low_inclusive: bool = True, high_inclusive: bool = True,
@@ -379,25 +378,6 @@ class _EvalPred:
         else:
             self.in_set = None
             self.test = _range_test(low, high, low_inclusive, high_inclusive)
-        self.shared_dict = None
-        self.shared_code = None
-        self.shared_in_codes = None
-
-    def bind_shared(self, shared):
-        """Translate equality/IN literals to global codes *once per
-        statement* against the column's table-level dictionary — segments
-        sealed through it then filter on pre-translated integer codes with
-        no per-segment dictionary hash at all."""
-        if shared is None:
-            return
-        if self.in_values is not None:
-            self.shared_dict = shared
-            self.shared_in_codes = {
-                code for v in self.in_values
-                if (code := shared.lookup(v)) is not None}
-        elif self.is_eq:
-            self.shared_dict = shared
-            self.shared_code = shared.lookup(self.low)
 
     def zone_allows(self, segment) -> bool:
         """Could any row of ``segment`` satisfy this predicate?
@@ -415,15 +395,7 @@ class _EvalPred:
                                      self.high_inclusive):
             return False
         column = segment.columns[self.position]
-        if isinstance(column, SharedDictColumn) \
-                and column.shared is self.shared_dict:
-            # statement-level translation: integer code-set membership,
-            # no per-segment string hashing
-            if self.in_values is not None:
-                return bool(self.shared_in_codes & column.code_set)
-            if self.is_eq:
-                return self.shared_code in column.code_set
-        elif isinstance(column, DictColumn):
+        if isinstance(column, DictColumn):      # covers SharedDictColumn
             if self.in_values is not None:
                 return any(column.code_for(v) is not None
                            for v in self.in_values)
@@ -441,12 +413,6 @@ class _EvalPred:
         """
         if self.not_null:
             return _not_null_selection(column)
-        if isinstance(column, SharedDictColumn) \
-                and column.shared is self.shared_dict:
-            if self.in_values is not None:
-                return column.select_in_codes(self.shared_in_codes)
-            if self.is_eq:
-                return column.select_eq_code(self.shared_code)
         if self.in_values is not None:
             if hasattr(column, "select_in"):
                 return column.select_in(self.in_values)
@@ -539,16 +505,6 @@ class _LazyColumn:
             previous = offset
         ranges.append((start, previous + 1))
         return column, ranges
-
-    def shared_codes(self):
-        """``(global codes of the selection, table dictionary)`` — see
-        ``SharedDictColumn.shared_codes``.  ``None`` when the source
-        column is not sealed into a table-level dictionary."""
-        source = getattr(self._column, "shared_codes", None)
-        if source is None:
-            return None
-        codes, shared = source()
-        return [codes[i] for i in self._selection], shared
 
     def __len__(self) -> int:
         return len(self._selection)
@@ -756,9 +712,6 @@ class VColumnarScan(VectorNode):
                 return
             preds.append(pred)
 
-        for pred in preds:
-            pred.bind_shared(ctx.columnar.shared_dict(name, pred.position))
-
         def skip_segment(segment):
             if _zone_pruned(segment, preds):
                 stats.segments_pruned += 1
@@ -824,131 +777,52 @@ class VHashJoin(VectorNode):
     is hashed as the bare value.  A probe batch is one C-level
     ``map(table.get, keys)``.  When every row hits a unique key (the
     FK -> PK shape) the probe batch's columns pass through as the objects
-    they are — still encoded, so typed folds and dictionary codes survive
-    the join — otherwise ``Batch.take`` gathers them; each build column
-    is a lazy gather over the hits, so one nothing above the join reads
-    is never built.
+    they are — still encoded, so typed folds survive the join — otherwise
+    ``Batch.take`` gathers them; each build column is a lazy gather over
+    the hits, so one nothing above the join reads is never built.
 
     Emission order matches the row pipeline's ``HashJoin`` exactly: left
     rows in scan order, matches per key in right-input order.
     """
 
     def __init__(self, left: VectorNode, right: VectorNode,
-                 left_fns, right_fns, kind: str = "INNER",
-                 code_key: tuple | None = None):
+                 left_fns, right_fns, kind: str = "INNER"):
         self.left = left
         self.right = right
         self.left_fns = left_fns
         self.right_fns = right_fns
         self.kind = kind
-        # single-key equi-join on two plain string columns: the planner
-        # records (left batch pos, right batch pos, left table, left table
-        # col pos, right table, right table col pos) so execution can try
-        # the shared-dictionary code space (see _probe_dict)
-        self.code_key = code_key
         self.schema = left.schema + right.schema
 
-    def _probe_dict(self, ctx):
-        """The probe (left) column's table-level dictionary, when the join
-        can run in code space.  The build side is keyed in this dictionary's
-        code space: build rows whose key column *shares the same dictionary
-        object* (same column lineage, e.g. a PK/FK pair) contribute their
-        codes directly — the key never materialises to a string on either
-        side — while other build rows translate through one dictionary
-        lookup per row."""
-        key = self.code_key
-        if key is None or ctx.columnar is None:
-            return None
-        return ctx.columnar.shared_dict(key[2], key[3])
+    def _keys(self, batch, probing: bool, ctx):
+        """One batch's join keys: the key column itself, or a zip of
+        several."""
+        key_cols = [fn(batch, ctx)
+                    for fn in (self.left_fns if probing else self.right_fns)]
+        return key_cols[0] if len(key_cols) == 1 else zip(*key_cols)
 
-    @staticmethod
-    def _batch_codes(batch, position, probe_dict):
-        """Global codes of one batch's key column in ``probe_dict``'s code
-        space, or None when the column doesn't share that dictionary."""
-        if position >= len(batch.columns):
-            return None
-        column = batch.columns[position]
-        source = getattr(column, "shared_codes", None)
-        if source is None:
-            return None
-        found = source()
-        if found is None or found[1] is not probe_dict:
-            return None
-        return found[0]
-
-    def _keys(self, batch, probing: bool, probe_dict, ctx):
-        """One batch's join keys in the build table's key space — the only
-        step that differs between the value and the code path.
-
-        Value space: the key column itself, or a zip of several.  Code
-        space: the column's global codes when it shares ``probe_dict``
-        (integer hashes, strings never materialise), else each value
-        translated once — ``-1`` is the NULL key (NULL keys match each
-        other, as value keys do) and ``None`` a dictionary-absent value.
-        """
-        if probe_dict is None:
-            key_cols = [fn(batch, ctx)
-                        for fn in (self.left_fns if probing
-                                   else self.right_fns)]
-            return key_cols[0] if len(key_cols) == 1 else zip(*key_cols)
-        position = self.code_key[0 if probing else 1]
-        codes = self._batch_codes(batch, position, probe_dict)
-        if codes is None:
-            # un-coded batch (delta overlay, demoted segment)
-            lookup = probe_dict.lookup
-            return [-1 if value is None else lookup(value)
-                    for value in batch.columns[position]]
-        if probing:
-            ctx.stats.join_code_probes += len(codes)
-        return codes
-
-    def _build(self, ctx, probe_dict) -> tuple[list, dict, dict, bool]:
-        """``(columns, table, value_table, unique)`` of the right input.
+    def _build(self, ctx) -> tuple[list, dict, bool]:
+        """``(columns, table, unique)`` of the right input.
 
         ``columns`` end in one NULL slot, so build row ``-1`` is the
-        NULL-extended row of a LEFT join.  ``value_table`` (code space
-        only) holds the build rows whose key the dictionary lacks (plain
-        delta rows, post-demotion segments), by value.
+        NULL-extended row of a LEFT join.
         """
         columns: list[list] = [[] for _ in range(len(self.right.schema))]
         keys: list = []
         for batch in self.right.execute_batches(ctx):
             for out, column in zip(columns, batch.columns):
                 out.extend(column)
-            keys.extend(self._keys(batch, False, probe_dict, ctx))
-        value_table: dict = {}
-        if probe_dict is not None and None in keys:
-            values = columns[self.code_key[1]]
-            for row, key in enumerate(keys):
-                if key is None:
-                    value_table.setdefault(values[row], []).append(row)
+            keys.extend(self._keys(batch, False, ctx))
         table, unique = build_table(keys, range(len(keys)))
-        if value_table:
-            # those rows are keyed by value; a probe row is then answered
-            # by both tables, so both take the list shape
-            del table[None]
-            if unique:
-                table = {key: [row] for key, row in table.items()}
-                unique = False
         for column in columns:
             column.append(None)
-        return columns, table, value_table, unique
+        return columns, table, unique
 
-    def _probe(self, batches, build, probe_dict, ctx):
-        columns, table, value_table, unique = build
+    def _probe(self, batches, build, ctx):
+        columns, table, unique = build
         left_join = self.kind == "LEFT"
         for batch in batches:
-            hits = list(map(table.get,
-                            self._keys(batch, True, probe_dict, ctx)))
-            if value_table:
-                # probed by value as well: the dictionary may have grown
-                # since the build, so a value that was dictionary-absent
-                # then can carry a code now — its build rows still live
-                # in value_table, ahead of the coded ones in build order
-                hits = [extra + hit if extra and hit else extra or hit
-                        for hit, extra in zip(hits, map(
-                            value_table.get,
-                            batch.columns[self.code_key[0]]))]
+            hits = list(map(table.get, self._keys(batch, True, ctx)))
             if unique:
                 # out_left None: every probe row exactly once, in order
                 out_left, out_right = None, hits
@@ -979,10 +853,8 @@ class VHashJoin(VectorNode):
 
     def execute_batches(self, ctx):
         ctx.stats.join_ops += 1
-        probe_dict = self._probe_dict(ctx)
-        build = self._build(ctx, probe_dict)
-        yield from self._probe(self.left.execute_batches(ctx), build,
-                               probe_dict, ctx)
+        yield from self._probe(self.left.execute_batches(ctx),
+                               self._build(ctx), ctx)
 
     def children(self):
         return [self.left, self.right]
@@ -1024,15 +896,6 @@ class BatchAggregate(BatchNode):
     partition order) folds into one state, as the row ``Aggregate`` folds
     its input, so the result is bit-identical to the row pipeline's.
 
-    **Encoded group-by**: when the single grouping key is a plain column
-    of the scan (``group_positions``), batches whose key column is sealed
-    into a table-level dictionary group by its global integer *codes*
-    (one group-id slot per code, persisted across every batch of every
-    partition, decoding only the surviving group keys); any other key
-    column scatters through the generic value path.
-    Group creation order is first-encounter scan order, identical to the
-    generic value path, so results (and emission order) do not change.
-
     **Groupjoin**: over an FK -> PK join (``groupjoin`` set by the
     planner) the aggregate folds the join's probe side by its join key
     first — sketches included — and joins the groups, not the rows
@@ -1040,16 +903,12 @@ class BatchAggregate(BatchNode):
     """
 
     def __init__(self, child: VectorNode, group_fns, agg_specs,
-                 group_positions: list | None = None, sketch_key=None,
-                 dependent: tuple = ()):
+                 sketch_key=None, dependent: tuple = ()):
         self.child = child
         self.group_fns = group_fns
         self.agg_specs = agg_specs
         # one flag per group key: fixed by the keys before it, never hashed
         self.dependent = dependent or (False,) * len(group_fns)
-        # batch-column position of each group key when it is a direct
-        # column reference (None for computed keys)
-        self.group_positions = group_positions
         # replica-cache key of this aggregate shape (table column
         # positions of the group keys + (agg name, table column) specs);
         # None when the plan is not sketch-eligible.  Set by the planner
@@ -1069,87 +928,10 @@ class BatchAggregate(BatchNode):
         return GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
                                    for s in self.agg_specs), self.dependent)
 
-    #: distinct-code bound below which per-code C-speed comprehensions
-    #: beat a single-pass python bucket build
-    BULK_DISTINCT = 24
-
-    def _fold_global_coded(self, batch, ctx, groups: GroupedAggregation,
-                           arg_cols, position: int, slot_state: dict) -> bool:
-        """Group one batch against the table-level code -> group-id array.
-
-        Batches whose key column lives in a shared (table-level)
-        dictionary resolve groups through ONE code-indexed slot array
-        persisted across every batch of the scan — no per-segment slot
-        rebuild, no per-segment key lookup.  Rows bucket by code (per-code
-        C-speed selections for few distincts, one insertion-ordered pass
-        otherwise) and each bucket bulk-folds its aggregate arguments into
-        its group.  Group creation order is first-encounter scan order and
-        the folds are exact, so results are bit-identical to the generic
-        value path.  Returns False when the key column is not sealed into
-        a shared dictionary (plain delta, demoted domain).
-        """
-        column = batch.columns[position]
-        source = getattr(column, "shared_codes", None)
-        if source is None:
-            return False
-        found = source()
-        if found is None or len(column) != len(batch):
-            return False
-        codes, shared = found
-        values = shared.values
-        slots = slot_state.get(id(shared))
-        if slots is None:
-            slots = slot_state[id(shared)] = []
-        n = len(codes)
-        # distinct codes actually present (includes -1 when NULLs exist);
-        # one C-level pass, bounding all per-code work below
-        distinct = set(codes)
-        if len(distinct) <= self.BULK_DISTINCT:
-            # per-code C-speed selections, replayed in first-encounter
-            # order so group creation matches the generic value path
-            buckets = sorted(
-                (sel[0], code, sel) for code in distinct
-                if (sel := [i for i, c in enumerate(codes) if c == code]))
-            ordered = [(code, sel) for _first, code, sel in buckets]
-        else:
-            # many distincts: one insertion-ordered bucket pass
-            grouped: dict = {}
-            for i, code in enumerate(codes):
-                bucket = grouped.get(code)
-                if bucket is None:
-                    grouped[code] = [i]
-                else:
-                    bucket.append(i)
-            ordered = list(grouped.items())
-        for code, sel in ordered:
-            slot = code + 1                           # slot 0: the NULL key
-            if slot >= len(slots):
-                slots.extend([None] * (slot + 1 - len(slots)))
-            gid = slots[slot]
-            if gid is None:
-                gid = slots[slot] = groups.gid(
-                    None if code < 0 else values[code])
-            if len(sel) == n:
-                cols = arg_cols
-            else:
-                cols = [None if col is None                   # COUNT(*)
-                        else _gather(col, sel) for col in arg_cols]
-            groups.fold(gid, cols, len(sel))
-        ctx.stats.groups_global_coded += 1
-        return True
-
-    def _fold_batch(self, batch, ctx, groups: GroupedAggregation, arg_cols,
-                    slot_state: dict):
-        """Fold one batch into ``groups`` through the exact cascade."""
+    def _fold_batch(self, batch, ctx, groups: GroupedAggregation, arg_cols):
+        """Fold one batch into ``groups``."""
         if not self.group_fns:
             groups.fold(groups.gid(()), arg_cols, len(batch))
-            return
-        positions = self.group_positions
-        coded_position = (positions[0]
-                          if positions is not None and len(positions) == 1
-                          and positions[0] is not None else None)
-        if coded_position is not None and self._fold_global_coded(
-                batch, ctx, groups, arg_cols, coded_position, slot_state):
             return
         groups.scatter(groups.assign_columns(
             [fn(batch, ctx) for fn in self.group_fns]), arg_cols)
@@ -1176,9 +958,6 @@ class BatchAggregate(BatchNode):
         specs = self.agg_specs
         sketches = (ctx.columnar.sketches if self.sketch_key is not None
                     else None)
-        # shared-dictionary slot arrays persisted across every batch, all
-        # partitions included (one per table dictionary encountered)
-        slot_state: dict = {}
         groups = self._new_groups()
         rows = 0
         run: list = []
@@ -1192,7 +971,7 @@ class BatchAggregate(BatchNode):
                 run = []
             rows += len(batch)
             arg_cols = argument_columns(specs, lambda fn: fn(batch, ctx))
-            self._fold_batch(batch, ctx, groups, arg_cols, slot_state)
+            self._fold_batch(batch, ctx, groups, arg_cols)
         if run:
             groups, folded = self._fold_run(run, ctx, groups, sketches)
             rows += folded
@@ -1211,14 +990,13 @@ class BatchAggregate(BatchNode):
         rows = sum(map(len, run))
         cached = sketches.lookup(run_key)
         if cached is None:
-            # cold: fold the run with its own slot state (its group ids
-            # are its own), cache it, then merge or copy it as a hit does
+            # cold: fold the run into its own state (its group ids are
+            # its own), cache it, then merge or copy it as a hit does
             cached = self._new_groups()
-            slot_state: dict = {}
             for batch in run:
                 arg_cols = argument_columns(
                     self.agg_specs, lambda fn: fn(batch, ctx))
-                self._fold_batch(batch, ctx, cached, arg_cols, slot_state)
+                self._fold_batch(batch, ctx, cached, arg_cols)
             sketches.store(run_key, segments, cached, cached.nbytes())
             stats.sketches_built += len(run)
         else:
@@ -1245,20 +1023,19 @@ class BatchAggregate(BatchNode):
         the join folded in after the aggregation (a groupjoin: Moerkotte &
         Neumann, VLDB 2011).
 
-        The build side is built in value space first.  While its keys are
-        unique, the probe-side aggregate folds the join's left scan by the
-        join key — through the sketch cache, as a single-table aggregate
-        would — and each group probes the build table once: a probe row
-        joins iff its key does, so the groups that match, in id order, are
-        the join's groups in its first-appearance order, with the same
-        rows folded.  Build-side GROUP BY values are read from the matched
+        The build side is built first.  While its keys are unique, the
+        probe-side aggregate folds the join's left scan by the join key —
+        through the sketch cache, as a single-table aggregate would — and
+        each group probes the build table once: a probe row joins iff its
+        key does, so the groups that match, in id order, are the join's
+        groups in its first-appearance order, with the same rows folded.  Build-side GROUP BY values are read from the matched
         build rows; the cached states hold probe-side data only.  A
         repeated build key (the data decides, not the catalog) runs the
         join, then the fold, as any aggregate over a join does; ``None``
         then stands for every group.
         """
         probe, positions = self.groupjoin
-        columns, table, _, unique = self.child._build(ctx, None)
+        columns, table, unique = self.child._build(ctx)
         if not unique:
             return self.aggregate(ctx), None
         ctx.stats.join_ops += 1

@@ -155,14 +155,15 @@ def _plain_bytes(values, census: dict | None = None) -> int:
 
 
 class TableDictionary:
-    """One shared value<->code map covering a whole column *domain*.
+    """One shared value<->code map covering a whole string column.
 
-    Installed per DICT-eligible (string) column; FK columns alias the
-    referenced column's dictionary so both sides of a PK/FK join live in
-    one code space.
+    Installed per DICT-eligible (string) column of a table and shared by
+    its partitions; the codes are a storage detail that only the column
+    reads (``SharedDictColumn``).
     Append-only: codes, once handed out, never change — sealed segments
-    referencing the dictionary stay valid forever.  When the domain's
-    cardinality exceeds ``cap`` the dictionary *demotes* (``active`` goes
+    referencing the dictionary stay valid forever.  When the column's
+    cardinality exceeds ``cap`` (``SHARED_DICT_MAX_CARDINALITY`` when the
+    dictionary is built) the dictionary *demotes* (``active`` goes
     False): future seals fall back to per-segment encoding choices while
     already-sealed shared columns keep decoding through the (frozen-enough)
     value list.
@@ -171,16 +172,16 @@ class TableDictionary:
     __slots__ = ("values", "code_of", "cap", "active", "referenced",
                  "_lock")
 
-    def __init__(self, cap: int = SHARED_DICT_MAX_CARDINALITY):
+    def __init__(self):
         self.values: list = []
         self.code_of: dict = {}
-        self.cap = cap
+        self.cap = SHARED_DICT_MAX_CARDINALITY
         self.active = True
         # True once any sealed column references the value list; a
         # dictionary demoted before that can free its dead values
         self.referenced = False
-        # protects value/code appends only; reads (lookup) ride on the
-        # atomicity of dict.get against an append-only dict
+        # protects value/code appends only; reads ride on the atomicity
+        # of dict.get against an append-only dict
         self._lock = threading.Lock()
 
     def _demote_locked(self):
@@ -193,13 +194,6 @@ class TableDictionary:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def lookup(self, value):
-        """Global code of ``value`` (None when absent or unhashable)."""
-        try:
-            return self.code_of.get(value)
-        except TypeError:
-            return None
 
     def encode(self, values: list) -> array | None:
         """Encode a sealed column slice into global codes.
@@ -321,18 +315,12 @@ class SharedDictColumn(DictColumn):
     distinct count rather than the table's.
     """
 
-    __slots__ = ("shared", "code_set")
+    __slots__ = ("code_set",)
 
     def __init__(self, codes: array, shared: TableDictionary,
                  code_set: frozenset):
         super().__init__(codes, shared.values, shared.code_of)
-        self.shared = shared
         self.code_set = code_set
-
-    def shared_codes(self):
-        """``(global codes, table dictionary)`` — what code-space joins and
-        group-bys consume instead of decoded strings."""
-        return self.codes, self.shared
 
     def code_for(self, value):
         """Global code of ``value`` if present in *this segment*."""
@@ -340,21 +328,6 @@ class SharedDictColumn(DictColumn):
         if code is None or code not in self.code_set:
             return None
         return code
-
-    def select_eq_code(self, code) -> tuple[list, int]:
-        """Selection by a pre-translated global code (statement-level
-        literal translation: no per-segment dictionary hash)."""
-        if code is None or code not in self.code_set:
-            return [], 0
-        return [i for i, c in enumerate(self.codes) if c == code], 0
-
-    def select_in_codes(self, codes: set) -> tuple[list, int]:
-        wanted = codes & self.code_set
-        if not wanted:
-            return [], 0
-        if len(wanted) == 1:
-            return self.select_eq_code(next(iter(wanted)))
-        return [i for i, c in enumerate(self.codes) if c in wanted], 0
 
     def select_where(self, test) -> tuple[list, int]:
         # bound by the segment's distinct codes, not the table dictionary
@@ -739,11 +712,11 @@ def _encode_column(values: list, shared: TableDictionary | None = None,
             pass        # an int outside int64: no typed array holds it
     if kind is str:
         if shared is not None and shared.active:
-            shared_codes = shared.encode(values)
-            if shared_codes is not None:
+            global_codes = shared.encode(values)
+            if global_codes is not None:
                 code_set = frozenset(
-                    c for c in set(shared_codes) if c >= 0)
-                return SharedDictColumn(shared_codes, shared, code_set)
+                    c for c in set(global_codes) if c >= 0)
+                return SharedDictColumn(global_codes, shared, code_set)
         code_of: dict = {}
         codes = array("i")
         dictionary: list = []
@@ -1060,7 +1033,7 @@ class ColumnarTable:
 
     def __init__(self, table: Table, segment_rows: int, first_lsn: int,
                  merge_totals: list, lock: threading.RLock,
-                 sketches: SegmentSketchCache, shared_dicts: dict | None,
+                 sketches: SegmentSketchCache, shared_dicts: dict,
                  failpoints):
         self._failpoints = failpoints
         # replica-wide sketch cache: kills/revives/overwrites invalidate
@@ -1077,7 +1050,7 @@ class ColumnarTable:
         self.table = table
         self.segment_rows = segment_rows
         # column position -> table-level TableDictionary (shared across
-        # the table's partitions); None for a table with no string column
+        # the table's partitions); empty for a table with no string column
         self.shared_dicts = shared_dicts
         self.first_lsn = first_lsn
         # the unsorted plain delta tail
@@ -1391,7 +1364,6 @@ class ColumnarReplica:
 
     def __init__(self, segment_rows: int = SEGMENT_ROWS,
                  partition_map: PartitionMap | None = None,
-                 shared_dict_cardinality: int = SHARED_DICT_MAX_CARDINALITY,
                  failpoints=None,
                  sketch_budget_bytes: int = SKETCH_BUDGET_BYTES):
         if segment_rows <= 0:
@@ -1412,13 +1384,6 @@ class ColumnarReplica:
         # table -> one ColumnarTable per partition
         self._tables: dict[str, list[ColumnarTable]] = {}
         self.segment_rows = segment_rows
-        # table-level shared dictionaries, keyed by column *domain*
-        # ((table, column), with FK columns aliased to the referenced
-        # column so PK/FK joins share one code space); per-table position
-        # maps are what the tables and operators look through
-        self.shared_dict_cardinality = shared_dict_cardinality
-        self._domain_dicts: dict[tuple, TableDictionary] = {}
-        self._table_dicts: dict[str, dict[int, TableDictionary]] = {}
         self.applied_lsns = [0] * self.pmap.partitions
         self.applied_ts = 0
         # scan_cost_factor cache, invalidated whenever a compaction seal
@@ -1435,35 +1400,6 @@ class ColumnarReplica:
     def partitions(self) -> int:
         return self.pmap.partitions
 
-    @staticmethod
-    def _dict_domain(table: Table, column_name: str) -> tuple:
-        """Dictionary domain of one column: FK columns alias the referenced
-        column's domain (single hop), so both sides of a PK/FK string join
-        resolve to the *same* ``TableDictionary`` object."""
-        for fk in table.foreign_keys:
-            for name, ref_name in zip(fk.columns, fk.ref_columns):
-                if name.upper() == column_name.upper():
-                    return (fk.ref_table.upper(), ref_name.upper())
-        return (table.name.upper(), column_name.upper())
-
-    def _register_shared_dicts(self, table: Table) -> dict | None:
-        shared: dict[int, TableDictionary] = {}
-        for pos, column in enumerate(table.columns):
-            if not isinstance(column.col_type, VarcharType):
-                continue          # only string columns are DICT-eligible
-            domain = self._dict_domain(table, column.name)
-            dictionary = self._domain_dicts.get(domain)
-            if dictionary is None:
-                dictionary = self._domain_dicts[domain] = \
-                    TableDictionary(self.shared_dict_cardinality)
-            shared[pos] = dictionary
-        self._table_dicts[table.name.upper()] = shared
-        return shared or None
-
-    def shared_dict(self, table_name: str, position: int):
-        """Table-level dictionary of one column (None for non-strings)."""
-        return self._table_dicts.get(table_name.upper(), {}).get(position)
-
     def register_table(self, table: Table,
                        first_lsns: tuple[int, ...] | None = None):
         """Add one table.  ``first_lsns`` (default: the current applied
@@ -1475,7 +1411,11 @@ class ColumnarReplica:
             raise CatalogError(f"columnar table {table.name!r} already exists")
         if first_lsns is None:
             first_lsns = tuple(self.applied_lsns)
-        shared = self._register_shared_dicts(table)
+        # one dictionary per string column (only they are DICT-eligible),
+        # shared by the table's partitions
+        shared = {pos: TableDictionary()
+                  for pos, column in enumerate(table.columns)
+                  if isinstance(column.col_type, VarcharType)}
         self._tables[key] = [
             ColumnarTable(table, self.segment_rows, first_lsn,
                           merge_totals=self._merge_totals, lock=self._lock,
@@ -1497,8 +1437,6 @@ class ColumnarReplica:
             registrations = list(self._registrations)
             self._registrations = []
             self._tables = {}
-            self._domain_dicts = {}
-            self._table_dicts = {}
             self.applied_lsns = [0] * self.pmap.partitions
             self.applied_ts = 0
             self.sketches.clear()
@@ -1511,23 +1449,15 @@ class ColumnarReplica:
                 self.register_table(table, first_lsns)
 
     def drop_table(self, name: str):
-        """Forget one table: its partitions, its registration (so
-        ``reset()`` does not bring it back), its dictionary position map
-        and its segments' cached sketches.  A domain dictionary stays while
-        another table's columns (an FK alias) still encode through it."""
+        """Forget one table: its partitions (with their dictionaries), its
+        registration (so ``reset()`` does not bring it back) and its
+        segments' cached sketches."""
         key = name.upper()
         with self._lock:
             parts = self._tables.pop(key, [])
             self._registrations = [
                 registration for registration in self._registrations
                 if registration[0].name.upper() != key]
-            self._table_dicts.pop(key, None)
-            live = {id(dictionary) for shared in self._table_dicts.values()
-                    for dictionary in shared.values()}
-            self._domain_dicts = {
-                domain: dictionary
-                for domain, dictionary in self._domain_dicts.items()
-                if id(dictionary) in live}
             for part in parts:
                 self.sketches.drop_segments(part.segments())
 
@@ -1586,16 +1516,18 @@ class ColumnarReplica:
         with self._lock:
             segments = [segment for parts in self._tables.values()
                         for part in parts for segment in part.segments()]
+            # a table's partitions share one position -> dictionary map
+            dictionaries = [dictionary for parts in self._tables.values()
+                            for dictionary in parts[0].shared_dicts.values()]
         stats = _encoding_stats(segments)
-        # the table-level dictionaries are stored once per domain — count
+        # the table-level dictionaries are stored once per column — count
         # their value bytes here (per-segment dictionary bytes are already
         # inside each segment's encoded_bytes)
-        shared_bytes = sum(_plain_bytes(d.values)
-                           for d in self._domain_dicts.values())
+        shared_bytes = sum(_plain_bytes(d.values) for d in dictionaries)
         stats["shared_dict_bytes"] = shared_bytes
-        stats["shared_dicts_total"] = len(self._domain_dicts)
+        stats["shared_dicts_total"] = len(dictionaries)
         stats["shared_dicts_demoted"] = sum(
-            1 for d in self._domain_dicts.values() if not d.active)
+            1 for d in dictionaries if not d.active)
         # the sketch cache is reported beside the footprint, not inside
         # it: cached states summarise data rather than encode it, and the
         # simulator's scan_cost_factor reads bytes_encoded

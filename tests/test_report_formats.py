@@ -88,15 +88,17 @@ def test_matrix_rows_carry_latency_series(reports):
 # count with the sort-elision layer, the plan-cache contention count
 # with the non-blocking lock acquire that fed it, and the run-grouped
 # batch count (``groups_coded``, 0 in every row examples/
-# export_figure_data.py wrote) with the run-grouped fold; no script or
+# export_figure_data.py wrote) with the run-grouped fold; the code-space
+# join probe count (``join_code_probes``) and the table-level coded
+# group-by batch count (``groups_global_coded``) with the code-space join
+# and coded group-by (both 0 in every olxp and CLI run); no script or
 # committed CSV in the repository read any of them.
 CSV_HEADER = (
     "workload,engine,mode,loop,oltp_rate,olap_rate,hybrid_rate,class,"
     "throughput,count,min,mean,median,p90,p95,p99,p99.9,p99.99,max,std,"
     "vectorized_requests,batches_scanned,segments_pruned,segments_encoded,"
     "runs_skipped,segments_merged,delta_rows_pending,"
-    "join_code_probes,groups_global_coded,plan_cache_hits,"
-    "plan_cache_misses,plan_cache_evictions,"
+    "plan_cache_hits,plan_cache_misses,plan_cache_evictions,"
     "partitions_scanned,partitions_pruned,multi_partition_commits,"
     "faults_injected,faults_recovered,degraded_statements,"
     "sketches_built,sketches_hit,sketch_rows_elided,sketch_invalidations")

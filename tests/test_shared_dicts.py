@@ -1,16 +1,17 @@
-"""Shared table-level dictionaries: compaction-time builds, FK domain
-aliasing, code-space joins/group-bys/predicates checked against the row
-oracle on the same replica, cardinality-overflow demotion, counter
-plumbing, and this layer's view of the three-workload parity matrix."""
+"""Shared table-level dictionaries: compaction-time builds, one
+dictionary per string column, cardinality-overflow demotion, string
+group-bys / predicates / joins over dictionary-sealed columns checked
+against the row oracle on the same replica, and this layer's view of the
+three-workload parity matrix.  A dictionary code is a storage detail: the
+operators above the scan read values."""
 
 from random import Random
+from unittest import mock
 
 import pytest
 
-from repro.core.config import BenchConfig
-from repro.core.report import render_csv, render_text
-from repro.core.runner import RunReport
 from repro.db import Database
+from repro.storage import columnstore
 from repro.storage.columnstore import (
     DictColumn,
     SharedDictColumn,
@@ -23,18 +24,31 @@ NATIONS = [f"n{i}" for i in range(7)]
 TIERS = ["GC", "BC"]
 
 
-def _make_db(segment_rows=64, partitions=1, cardinality=None):
+def _dictionary_cap(cardinality):
+    """Table dictionaries built inside the block demote past
+    ``cardinality`` distinct values."""
+    return mock.patch.object(columnstore, "SHARED_DICT_MAX_CARDINALITY",
+                             cardinality)
+
+
+def _make_db(segment_rows=64, partitions=1,
+             cardinality=columnstore.SHARED_DICT_MAX_CARDINALITY):
     db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
-                  shared_dict_cardinality=cardinality,
                   partitions=partitions)
-    db.execute_ddl(
-        "CREATE TABLE nation (name VARCHAR(16) PRIMARY KEY, "
-        "region VARCHAR(8))")
-    db.execute_ddl(
-        "CREATE TABLE cust (id INT PRIMARY KEY, nation VARCHAR(16), "
-        "tier VARCHAR(4), note VARCHAR(64), amount DOUBLE, "
-        "FOREIGN KEY (nation) REFERENCES nation (name))")
+    with _dictionary_cap(cardinality):
+        db.execute_ddl(
+            "CREATE TABLE nation (name VARCHAR(16) PRIMARY KEY, "
+            "region VARCHAR(8))")
+        db.execute_ddl(
+            "CREATE TABLE cust (id INT PRIMARY KEY, nation VARCHAR(16), "
+            "tier VARCHAR(4), note VARCHAR(64), amount DOUBLE, "
+            "FOREIGN KEY (nation) REFERENCES nation (name))")
     return db
+
+
+def _dictionaries(db, table):
+    """``column position -> TableDictionary`` of one replicated table."""
+    return db.columnar.table_partitions(table)[0].shared_dicts
 
 
 def _fill(db, n=256, seed=11, null_every=0):
@@ -60,31 +74,32 @@ def _fill(db, n=256, seed=11, null_every=0):
 
 
 # ---------------------------------------------------------------------------
-# storage level: shared seals, FK aliasing, demotion
+# storage level: shared seals, one dictionary per column, demotion
 # ---------------------------------------------------------------------------
 
 class TestSharedDictStorage:
     def test_compaction_seals_into_shared_code_space(self):
         db = _fill(_make_db())
         table = db.columnar.table_partitions("cust")[0]
-        nation_dict = db.columnar.shared_dict("cust", 1)
+        nation_dict = _dictionaries(db, "cust")[1]
         assert isinstance(nation_dict, TableDictionary)
         shared_cols = [seg.columns[1] for seg in table.read_snapshot()[0]]
         assert len(shared_cols) >= 2
         assert all(isinstance(c, SharedDictColumn) for c in shared_cols)
-        # every segment's codes index the SAME table-level dictionary
-        assert all(c.shared is nation_dict for c in shared_cols)
+        # every segment's codes index the SAME table-level value list
+        assert all(c.values is nation_dict.values for c in shared_cols)
 
-    def test_fk_column_aliases_referenced_domain(self):
-        db = _make_db()
-        assert db.columnar.shared_dict("cust", 1) \
-            is db.columnar.shared_dict("nation", 0)
-        # non-FK string columns get their own domain
-        assert db.columnar.shared_dict("cust", 2) \
-            is not db.columnar.shared_dict("nation", 1)
-        # INT / DOUBLE columns are not DICT-eligible
-        assert db.columnar.shared_dict("cust", 0) is None
-        assert db.columnar.shared_dict("cust", 4) is None
+    def test_fk_column_gets_its_own_dictionary(self):
+        db = _make_db(partitions=2)
+        cust, nation = _dictionaries(db, "cust"), _dictionaries(db, "nation")
+        # the FK column cust.nation does not alias nation.name's
+        # dictionary: every string column owns one
+        assert sorted(cust) == [1, 2, 3] and sorted(nation) == [0, 1]
+        assert len({id(d) for d in (*cust.values(), *nation.values())}) == 5
+        # a table's partitions share its dictionaries
+        assert all(part.shared_dicts is cust
+                   for part in db.columnar.table_partitions("cust"))
+        assert db.columnar.encoding_stats()["shared_dicts_total"] == 5
 
     def test_encoding_stats_split_dictionary_bytes(self):
         db = _fill(_make_db())
@@ -124,16 +139,18 @@ class TestSharedDictStorage:
             got = routed(db, sql)
             assert got.stats.vectorized, sql
             assert got.rows == routed(db, sql, vectorized=False).rows, sql
-        assert got.stats.groups_global_coded == 0
         assert len(got.rows) == 256
 
     def test_demoted_unreferenced_dictionary_frees_values(self):
-        dictionary = TableDictionary(cap=4)
+        with _dictionary_cap(4):
+            dictionary = TableDictionary()
+            kept = TableDictionary()
+        assert dictionary.cap == kept.cap == 4
+        assert TableDictionary().cap == columnstore.SHARED_DICT_MAX_CARDINALITY
         assert dictionary.encode([f"v{i}" for i in range(10)]) is None
         assert not dictionary.active
         assert len(dictionary.values) == 0 and len(dictionary.code_of) == 0
         # once referenced, demotion must keep the values alive
-        kept = TableDictionary(cap=4)
         assert kept.encode(["a", "b"]) is not None
         assert kept.encode([f"v{i}" for i in range(10)]) is None
         assert not kept.active
@@ -141,55 +158,54 @@ class TestSharedDictStorage:
 
 
 # ---------------------------------------------------------------------------
-# execution level: code-space group-bys, predicates, joins
+# execution level: group-bys, predicates, joins over dictionary columns
 # ---------------------------------------------------------------------------
 
-class TestGlobalCodeGroupBy:
-    def test_group_by_matches_per_segment_engine(self, routed):
-        shared = _fill(_make_db())
+@pytest.mark.parametrize("partitions", [1, 2, 8])
+class TestStringGroupBy:
+    """A string GROUP BY key sealed into a table dictionary groups by its
+    values, as the row oracle does."""
+
+    def test_group_by_matches_row_oracle(self, routed, partitions):
+        shared = _fill(_make_db(partitions=partitions))
         sql = ("SELECT tier, COUNT(*), SUM(amount), AVG(amount) FROM cust "
                "GROUP BY tier ORDER BY tier")
         a = routed(shared, sql)
         b = routed(shared, sql, vectorized=False)
         assert a.rows == b.rows
-        assert a.stats.groups_global_coded > 0
-        assert b.stats.groups_global_coded == 0
 
-    def test_group_by_with_null_keys(self, routed):
-        shared = _fill(_make_db(), null_every=5)
+    def test_group_by_with_null_keys(self, routed, partitions):
+        shared = _fill(_make_db(partitions=partitions), null_every=5)
         sql = "SELECT tier, COUNT(*) FROM cust GROUP BY tier ORDER BY tier"
         a = routed(shared, sql)
         assert a.rows == routed(shared, sql, vectorized=False).rows
         assert a.rows[0][0] is None
-        assert a.stats.groups_global_coded > 0
 
-    def test_emission_order_matches_without_order_by(self, routed):
-        shared = _fill(_make_db())
+    def test_emission_order_matches_without_order_by(self, routed,
+                                                     partitions):
+        shared = _fill(_make_db(partitions=partitions))
         sql = "SELECT nation, COUNT(*), SUM(amount) FROM cust GROUP BY nation"
         a = routed(shared, sql)
-        assert a.stats.groups_global_coded > 0
         assert a.rows == routed(shared, sql, vectorized=False).rows
 
-    @pytest.mark.parametrize("partitions", [2, 8])
-    def test_partitioned_group_by_single_accumulator(self, routed,
-                                                     partitions):
+    def test_compacted_group_by(self, routed, partitions):
         shared = _fill(_make_db(partitions=partitions))
         shared.columnar.compact(force=True)
         sql = ("SELECT nation, COUNT(*), SUM(amount) FROM cust "
                "GROUP BY nation ORDER BY nation")
         a = routed(shared, sql)
+        assert a.stats.segments_encoded > 0
         assert a.rows == routed(shared, sql, vectorized=False).rows
-        assert a.stats.groups_global_coded > 0
 
 
 class TestOneStreamFold:
-    """The aggregate folds every partition's batches through one code ->
-    group-id slot array: a shared-dictionary key spread over every
-    partition, NULL among its values, groups the same way at every
-    partition count, on the engine, its row oracle and the sketch cache."""
+    """The aggregate folds every partition's batches into one state: a
+    dictionary-sealed key spread over every partition, NULL among its
+    values, groups the same way at every partition count, on the engine,
+    its row oracle and the sketch cache."""
 
     # the always-true filter keeps the plan off the sketch cache, so every
-    # batch folds through the slot array
+    # batch folds into the statement's state directly
     FILTERED = ("SELECT nation, COUNT(*), SUM(amount), MIN(note) FROM cust "
                 "WHERE amount >= ? GROUP BY nation")
     WHOLE = ("SELECT nation, COUNT(*), SUM(amount), MIN(note) FROM cust "
@@ -212,9 +228,7 @@ class TestOneStreamFold:
             # rows and emission order (first encounter, no ORDER BY)
             assert got.rows == oracle.rows, partitions
             assert got.stats.sketches_hit == got.stats.sketches_built == 0
-            assert got.stats.groups_global_coded \
-                == got.stats.batches_scanned > 0, partitions
-            assert oracle.stats.groups_global_coded == 0
+            assert got.stats.batches_scanned > 0, partitions
             cold = routed(db, self.WHOLE)
             warm = routed(db, self.WHOLE)
             assert cold.stats.sketches_built > 0
@@ -249,32 +263,31 @@ class TestCodeSpacePredicates:
         assert result.stats.batches_scanned == 0
 
 
-class TestCodeSpaceJoin:
+@pytest.mark.parametrize("partitions", [1, 2, 8])
+class TestStringKeyJoin:
+    """String join keys sealed into table dictionaries join by value, as
+    the row oracle does."""
+
     JOIN_SQL = ("SELECT c.id, n.region FROM cust c JOIN nation n "
                 "ON c.nation = n.name ORDER BY c.id")
 
-    def test_fk_join_probes_codes(self, routed):
-        shared = _fill(_make_db())
+    def test_fk_join(self, routed, partitions):
+        shared = _fill(_make_db(partitions=partitions))
         a = routed(shared, self.JOIN_SQL)
         b = routed(shared, self.JOIN_SQL, vectorized=False)
         assert a.rows == b.rows and len(a.rows) == 256
-        assert a.stats.join_code_probes > 0
-        assert b.stats.join_code_probes == 0
 
-    def test_join_without_shared_domain(self, routed):
-        # tier and region live in DIFFERENT dictionary domains (no FK):
-        # the build side falls back to per-value translation against the
-        # probe side's dictionary, results stay identical
-        shared = _fill(_make_db())
+    def test_join_across_columns(self, routed, partitions):
+        # tier and region are two columns with two dictionaries
+        shared = _fill(_make_db(partitions=partitions))
         sql = ("SELECT c.id, n.name FROM cust c JOIN nation n "
                "ON c.tier = n.region ORDER BY c.id, n.name")
         a = routed(shared, sql)
         b = routed(shared, sql, vectorized=False)
-        assert a.stats.join_code_probes > 0
         assert a.rows == b.rows and len(a.rows) > 0
 
-    def test_left_join_matches(self, routed):
-        shared = _fill(_make_db())
+    def test_left_join_matches(self, routed, partitions):
+        shared = _fill(_make_db(partitions=partitions))
         with shared.connect() as conn:
             conn.execute("INSERT INTO cust (id, nation, tier, note, amount) "
                          "VALUES (999, NULL, 'GC', 'x', 1.0)")
@@ -284,47 +297,59 @@ class TestCodeSpaceJoin:
                "ON c.nation = n.name ORDER BY c.id")
         a = routed(shared, sql)
         b = routed(shared, sql, vectorized=False)
-        assert a.stats.join_code_probes > 0
         assert a.rows == b.rows
         assert a.rows[-1] == (999, None)
 
-    @pytest.mark.parametrize("partitions", [2, 8])
-    def test_partitioned_join(self, routed, partitions):
+    def test_compacted_join(self, routed, partitions):
         shared = _fill(_make_db(partitions=partitions))
         shared.columnar.compact(force=True)
         a = routed(shared, self.JOIN_SQL)
+        assert a.stats.segments_encoded > 0
         assert a.rows == routed(shared, self.JOIN_SQL, vectorized=False).rows
-        assert a.stats.join_code_probes > 0
 
-
-# ---------------------------------------------------------------------------
-# counter plumbing: ExecStats -> RunReport -> text/CSV
-# ---------------------------------------------------------------------------
-
-class TestCounterPlumbing:
-    def _report(self):
-        report = RunReport(
-            config=BenchConfig(workload="subenchmark"),
-            engine="test", window_ms=1000.0)
-        report.join_code_probes = 123
-        report.groups_global_coded = 45
-        return report
-
-    def test_summary_and_text_show_shared_dict_counters(self):
-        text = render_text(self._report())
-        assert "join_code_probes=123" in text
-        assert "groups_global_coded=45" in text
-        assert "join_code_probes=123" in self._report().summary_text()
-
-    def test_csv_carries_shared_dict_counters(self):
-        import csv as csv_mod
-        import io
-
-        report = self._report()
-        report.classes["oltp"] = report.metrics("oltp")
-        rows = list(csv_mod.DictReader(io.StringIO(render_csv([report]))))
-        assert rows[0]["join_code_probes"] == "123"
-        assert rows[0]["groups_global_coded"] == "45"
+    def test_build_side_spans_demoted_dictionary_and_delta(self, routed,
+                                                           partitions):
+        """The build side's key column reads from segments sealed into
+        the table dictionary, segments sealed after it demoted (their own
+        dictionaries) and a plain delta, all in one join."""
+        db = _make_db(segment_rows=4, partitions=partitions, cardinality=8)
+        names = [f"n{i}" for i in range(24)]
+        with db.connect() as conn:
+            for i, name in enumerate(names[:20]):
+                conn.execute(
+                    "INSERT INTO nation (name, region) VALUES (?, ?)",
+                    (name, f"r{i % 3}"))
+            for i in range(60):
+                conn.execute(
+                    "INSERT INTO cust (id, nation, tier, note, amount) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (i, None if i % 11 == 0 else names[i % 24],
+                     TIERS[i % 2], f"note-{i}", float(i)))
+            conn.commit()
+        db.replicate()
+        db.columnar.compact(force=True)
+        with db.connect() as conn:
+            # fewer rows than a segment: they stay in the plain delta
+            for name in names[20:23]:
+                conn.execute(
+                    "INSERT INTO nation (name, region) VALUES (?, 'late')",
+                    (name,))
+            conn.commit()
+        db.replicate()
+        build = db.columnar.table_partitions("nation")
+        assert not _dictionaries(db, "nation")[0].active
+        kinds = {type(segment.columns[0])
+                 for part in build for segment in part.read_snapshot()[0]}
+        assert kinds == {SharedDictColumn, DictColumn}
+        assert sum(segment.live_count for part in build
+                   for segment in part.read_snapshot()[1]) == 3
+        for join in ("JOIN", "LEFT JOIN"):
+            sql = (f"SELECT c.id, c.nation, n.region FROM cust c {join} "
+                   "nation n ON c.nation = n.name")
+            got = routed(db, sql)
+            assert got.stats.vectorized
+            assert got.rows == routed(db, sql, vectorized=False).rows, sql
+            assert {row[2] for row in got.rows} >= {"late", "r0"}
 
 
 # ---------------------------------------------------------------------------
