@@ -17,9 +17,10 @@ fault paths or from other figure benchmarks is still "never called" here:
 the map says what this traffic exercises, not what is dead.
 
 Point ``PYTHONPATH`` at the ``src/`` to map (about 3 min on a 2-vCPU
-machine; not part of the test suite)::
+machine; not part of the test suite).  ``TRAFFIC.txt`` at the repository
+root is the committed record; a change that moves the map regenerates it::
 
-    PYTHONPATH=src python scripts/traffic_map.py > after.txt
+    PYTHONPATH=src python scripts/traffic_map.py > TRAFFIC.txt
 """
 
 from __future__ import annotations

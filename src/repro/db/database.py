@@ -12,7 +12,7 @@ driver-like API::
         result = conn.execute("SELECT v FROM t WHERE id = ?", (1,))
 
 Statements are prepared once per SQL string and cached database-wide in a
-bounded LRU (``plan_cache_size``), so the benchmark loop never re-parses its
+bounded LRU (``PLAN_CACHE_SIZE``), so the benchmark loop never re-parses its
 workload statements; hits/misses surface in each statement's ``ExecStats``.
 """
 
@@ -42,6 +42,9 @@ from repro.storage.partition import PartitionMap
 from repro.storage.rowstore import RowStorage
 from repro.txn.manager import IsolationLevel, Transaction, TransactionManager
 
+#: capacity of the database-wide prepared-plan LRU
+PLAN_CACHE_SIZE = 256
+
 
 class Database:
     """One logical database: catalog + storage + transactions + SQL.
@@ -64,14 +67,10 @@ class Database:
                  supports_foreign_keys: bool = True,
                  with_columnar: bool = False,
                  columnar_segment_rows: int | None = None,
-                 sketch_budget_bytes: int | None = None,
                  default_isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
                  partitions: int = 1,
-                 plan_cache_size: int = 256,
                  failpoints: FailpointRegistry | None = None,
                  retain_wal: bool = False):
-        if plan_cache_size <= 0:
-            raise ValueError("plan_cache_size must be positive")
         self.catalog = Catalog()
         self.partition_map = PartitionMap(partitions)
         # one failpoint registry shared by every layer; unarmed it costs
@@ -85,15 +84,12 @@ class Database:
                                   failpoints=self.failpoints)
         # The columnar replica is delta–main: replication applies into
         # plain delta tails, compaction merges into primary-key-ordered
-        # encoded main segments.  sketch_budget_bytes bounds the
-        # replica-wide sketch LRU.
+        # encoded main segments.
         if with_columnar:
             self.columnar = ColumnarReplica(
                 columnar_segment_rows if columnar_segment_rows is not None
                 else SEGMENT_ROWS,
                 partition_map=self.partition_map,
-                **({} if sketch_budget_bytes is None
-                   else {"sketch_budget_bytes": sketch_budget_bytes}),
                 failpoints=self.failpoints,
             )
         else:
@@ -128,7 +124,6 @@ class Database:
         # sessions on real threads would otherwise corrupt the
         # recency chain.  Planning itself happens outside the lock.
         self._plan_cache_lock = threading.Lock()
-        self.plan_cache_size = plan_cache_size
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.plan_cache_evictions = 0
@@ -348,7 +343,7 @@ class Database:
                 return racer, True, 0
             self.plan_cache_misses += 1
             cache[sql] = plan
-            while len(cache) > self.plan_cache_size:
+            while len(cache) > PLAN_CACHE_SIZE:
                 cache.popitem(last=False)
                 evicted += 1
                 self.plan_cache_evictions += 1

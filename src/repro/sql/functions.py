@@ -19,15 +19,14 @@ This is what lets every partition stream fold into one state and cached
 sealed-run states (sketches) merge into it, byte-identical to a single scan.
 
 Exact does not mean per value.  A slice that belongs to one group (a
-global aggregate's whole batch, a code bucket) folds in C-level passes
-whenever it is homogeneous and NULL-free: a scan selection's dense ranges
-of a sealed typed array through the array's exact block partials, any
-other typed array by its type flag, a plain ``list`` (every row-store
-batch and plain-delta column) by one ``set(map(type, ...))`` census —
-ints through builtin ``sum``, floats through ``_fold_floats``, which has
-``math.fsum`` spell the true sum out as two or three doubles and converts
-only those.  The per-value loop is what remains for NULLs, ``bool``,
-mixed types, ``Decimal``, non-finite floats and the other encodings;
+global aggregate's whole batch) folds in C-level passes whenever it is
+homogeneous and NULL-free: a typed array, or a scan's selection of one,
+by its type flag, a plain ``list`` (every row-store batch and plain-delta
+column) by one ``set(map(type, ...))`` census — ints through builtin
+``sum``, floats through ``_fold_floats``, which has ``math.fsum`` spell
+the true sum out as two or three doubles and converts only those.  The
+per-value loop is what remains for NULLs, ``bool``, mixed types,
+``Decimal``, non-finite floats and the other encodings;
 grouped batches ``scatter`` instead, which needs a scaled value per row
 rather than a total.
 
@@ -112,33 +111,16 @@ def _fold_typed_slice(buckets: dict, values):
     """Fold a homogeneous NULL-free column slice exactly, in C-level
     passes: floats into ``buckets``, ints into the returned total.
 
-    * A scan selection of a sealed typed column (NATIVE encoding) that
-      splits into a few dense ranges (``contiguous_ranges``) folds each
-      range via the column's precomputed exact block partials (floats)
-      or one builtin ``sum`` over the array slice (ints), without
-      materialising a single Python value.
-    * Any other typed slice — a whole NATIVE column included — carries
-      the type guarantee as a flag (``all_ints`` / ``all_floats``); a
-      plain ``list`` — every row-store batch, plain-delta column and
-      gathered slice — proves it with one type census.  Ints fold with
-      builtin ``sum``, floats with ``_fold_floats``.
+    A typed slice — a NATIVE column or a scan's selection of one — carries
+    the type guarantee as a flag (``all_ints`` / ``all_floats``); a plain
+    ``list`` — every row-store batch, plain-delta column and gathered
+    slice — proves it with one type census.  Ints fold with builtin
+    ``sum``, floats with ``_fold_floats``.
 
     Returns None when no guarantee holds (NULLs, ``bool``, mixed types,
     ``Decimal``) or the floats refuse the bulk fold; the caller then runs
     the generic per-value fold, ``buckets`` untouched.
     """
-    ranges_source = getattr(values, "contiguous_ranges", None)
-    if ranges_source is not None and (found := ranges_source()) is not None:
-        column, ranges = found
-        data = column.data
-        if data.typecode == "q" and not column.nulls:
-            return sum(sum(data[start:stop]) for start, stop in ranges)
-        if all(column.fold_range_sum(buckets, start, stop)
-               for start, stop in ranges):
-            # fold_range_sum is all-or-nothing per column (typecode/nulls/
-            # non-finite), so a False can only happen on the first range —
-            # nothing was committed and the generic fold takes over
-            return 0
     if type(values) is list:
         kinds = set(map(type, values))
         all_ints, all_floats = kinds == {int}, kinds == {float}
@@ -338,8 +320,8 @@ class _SumState:
         self.counts[gid] += count
         self.ints[gid] += int_total
         if buckets:
-            # the slice's exponent -> mantissa-sum partial (also the typed
-            # columns' block format) lands on the state's one exponent
+            # the slice's exponent -> mantissa-sum partial lands on the
+            # state's one exponent
             base = self._align(min(buckets))
             total = self.fixed[gid] or 0
             for exponent, mantissa in buckets.items():
@@ -569,8 +551,8 @@ class GroupedAggregation:
       ``gids[i]`` (``assign_columns`` computes the batch's ``gids`` column
       once);
     * ``fold(gid, columns, rows)`` — a slice that belongs to one group,
-      folded in bulk (typed arrays, their dense ranges and homogeneous
-      lists keep their C-speed paths);
+      folded in bulk (typed arrays and homogeneous lists keep their
+      C-speed paths);
     * ``merge(other)`` — another partial, through a group-id remap built
       in ``other``'s first-appearance order (never a DISTINCT one: the
       planner caches no DISTINCT aggregate, so nothing merges it).

@@ -472,40 +472,6 @@ class _LazyColumn:
     def all_floats(self) -> bool:
         return getattr(self._column, "all_floats", False)
 
-    #: selections splitting into more dense ranges than this fold per-value
-    MAX_SUM_RANGES = 16
-
-    def contiguous_ranges(self):
-        """``(native_column, [(start, stop), ...])`` when the selection
-        decomposes into a few dense ranges of a typed-array column.
-
-        Sorted main segments make range/equality selections contiguous
-        (one run of matching rows per segment, or a handful of RLE runs),
-        so block-partial SUM/AVG folds apply to each span without
-        materialising the gather.  Returns ``None`` for fragmented
-        selections — the per-value fold is cheaper there.
-        """
-        column = self._column
-        if not hasattr(column, "fold_range_sum"):
-            return None
-        selection = self._selection
-        if not selection:
-            return None
-        start = selection[0]
-        if selection[-1] - start + 1 == len(selection):     # one dense range
-            return column, [(start, selection[-1] + 1)]
-        ranges: list[tuple[int, int]] = []
-        previous = start
-        for offset in selection[1:]:
-            if offset != previous + 1:
-                ranges.append((start, previous + 1))
-                if len(ranges) >= self.MAX_SUM_RANGES:
-                    return None
-                start = offset
-            previous = offset
-        ranges.append((start, previous + 1))
-        return column, ranges
-
     def __len__(self) -> int:
         return len(self._selection)
 

@@ -435,21 +435,11 @@ class NativeColumn:
     """
 
     encoding = Encoding.NATIVE
-    __slots__ = ("data", "nulls", "_float_blocks", "_float_exponent")
-
-    #: block width of the precomputed exact float partial sums
-    SUM_BLOCK = 512
+    __slots__ = ("data", "nulls")
 
     def __init__(self, data: array, nulls: frozenset):
         self.data = data
         self.nulls = nulls
-        # lazily built small materialized aggregates: one exponent->mantissa
-        # dict per SUM_BLOCK values (sealed columns are immutable, so the
-        # partials stay valid); False marks an unsupported column (inf/nan)
-        self._float_blocks = None
-        # the finest binary exponent among them: every value of the column
-        # is an exact integer multiple of 2**_float_exponent
-        self._float_exponent = 0
 
     @property
     def all_ints(self) -> bool:
@@ -461,74 +451,6 @@ class NativeColumn:
     def all_floats(self) -> bool:
         """True when every slot is a non-NULL float (may include inf/nan)."""
         return self.data.typecode == "d" and not self.nulls
-
-    def _mantissa_blocks(self):
-        """Per-block exact float partial sums (built once per sealed column).
-
-        Each block is a dict mapping binary exponent to the exact integer
-        sum of the mantissas of its values — the exchange format the
-        executor's SUM/AVG state shifts onto its one exponent per fold, so
-        folding a whole block is a handful of small-int dict merges instead
-        of per-value work.
-        """
-        blocks = self._float_blocks
-        if blocks is None:
-            data = self.data
-            width = self.SUM_BLOCK
-            blocks = []
-            try:
-                for start in range(0, len(data), width):
-                    local: dict = {}
-                    get = local.get
-                    for numerator, denominator in map(
-                            float.as_integer_ratio, data[start:start + width]):
-                        exponent = 1 - denominator.bit_length()
-                        local[exponent] = get(exponent, 0) + numerator
-                    blocks.append(local)
-                self._float_exponent = min(map(min, blocks), default=0)
-            except (OverflowError, ValueError):   # inf/nan: no partials
-                blocks = False
-            self._float_blocks = blocks
-        return blocks
-
-    def fold_range_sum(self, mantissas: dict, start: int, stop: int) -> bool:
-        """Fold the exact sum of ``data[start:stop]`` (floats) into the
-        exponent->mantissa dict ``mantissas``.
-
-        Whole blocks merge from the precomputed partials; the edges are
-        scaled by the column's finest exponent in one C-level ``ldexp``
-        pass each.  Returns False when unsupported (int column, NULLs, or
-        non-finite floats present).
-        """
-        if self.data.typecode != "d" or self.nulls:
-            return False
-        blocks = self._mantissa_blocks()
-        if blocks is False:
-            return False
-        data = self.data
-        width = self.SUM_BLOCK
-        get = mantissas.get
-        first_block = -(-start // width)          # ceil
-        last_block = stop // width                # floor
-        if first_block >= last_block:             # no whole block inside
-            edges = (data[start:stop],)
-        else:
-            for block in blocks[first_block:last_block]:
-                for exponent, mantissa in block.items():
-                    mantissas[exponent] = get(exponent, 0) + mantissa
-            edges = (data[start:first_block * width],
-                     data[last_block * width:stop])
-        finest = self._float_exponent
-        for edge in filter(None, edges):
-            try:
-                mantissas[finest] = get(finest, 0) + sum(map(
-                    int, map(math.ldexp, edge, repeat(-finest))))
-            except OverflowError:     # a span no double can scale: per value
-                for numerator, denominator in map(float.as_integer_ratio,
-                                                  edge):
-                    exponent = 1 - denominator.bit_length()
-                    mantissas[exponent] = get(exponent, 0) + numerator
-        return True
 
     def __len__(self) -> int:
         return len(self.data)
@@ -939,13 +861,14 @@ class SegmentSketchCache:
     ``invalidate`` / ``drop_segments`` / ``clear`` drop it.  The executor
     only merges from or copies a cached state, never folds into it.
 
-    Memory is bounded by ``budget_bytes``: inserts evict least-recently-
-    used entries past the budget.  Counters (`evicted`, `invalidated`)
-    are cumulative for the replica's lifetime and survive ``clear()``.
+    Memory is bounded by ``budget_bytes`` (``SKETCH_BUDGET_BYTES`` when
+    the cache is built): inserts evict least-recently-used entries past
+    the budget.  Counters (`evicted`, `invalidated`) are cumulative for
+    the replica's lifetime and survive ``clear()``.
     """
 
-    def __init__(self, budget_bytes: int = SKETCH_BUDGET_BYTES):
-        self.budget_bytes = budget_bytes
+    def __init__(self):
+        self.budget_bytes = SKETCH_BUDGET_BYTES
         # run_key -> (segments, state, nbytes), LRU order
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._by_segment: dict[int, set] = {}
@@ -1364,15 +1287,14 @@ class ColumnarReplica:
 
     def __init__(self, segment_rows: int = SEGMENT_ROWS,
                  partition_map: PartitionMap | None = None,
-                 failpoints=None,
-                 sketch_budget_bytes: int = SKETCH_BUDGET_BYTES):
+                 failpoints=None):
         if segment_rows <= 0:
             raise ValueError("segment_rows must be positive")
         self.pmap = partition_map or PartitionMap(1)
         self._failpoints = failpoints
         # one replica-wide sketch cache shared by every table/partition:
         # the LRU budget bounds total sketch memory, not per-table memory
-        self.sketches = SegmentSketchCache(sketch_budget_bytes)
+        self.sketches = SegmentSketchCache()
         # (table, first_lsns) in registration order: reset() rebuilds the
         # replica in place from this list, preserving object identity
         # (the executor and planner hold references to the replica)

@@ -1,8 +1,10 @@
 """Database facade: DDL, connections, autocommit, FK enforcement, replication."""
 
+from unittest import mock
+
 import pytest
 
-from repro.db import Database
+from repro.db import Database, database
 from repro.errors import (
     CatalogError,
     ConnectionStateError,
@@ -289,8 +291,9 @@ class TestBulkLoadAndReplication:
 
 
 class TestPlanCacheLRU:
+    @mock.patch.object(database, "PLAN_CACHE_SIZE", 4)
     def test_capacity_bound_evicts_lru(self):
-        db = Database(plan_cache_size=4)
+        db = Database()
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY)")
         statements = [f"SELECT a FROM t WHERE a = {i}" for i in range(6)]
         plans = [db.prepare(sql) for sql in statements]
@@ -303,8 +306,9 @@ class TestPlanCacheLRU:
         # a cached statement is a hit (same plan object)
         assert db.prepare(statements[5]) is plans[5]
 
+    @mock.patch.object(database, "PLAN_CACHE_SIZE", 2)
     def test_hit_refreshes_recency(self):
-        db = Database(plan_cache_size=2)
+        db = Database()
         db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY)")
         first = db.prepare("SELECT a FROM t WHERE a = 1")
         db.prepare("SELECT a FROM t WHERE a = 2")
@@ -313,6 +317,21 @@ class TestPlanCacheLRU:
         db.prepare("SELECT a FROM t WHERE a = 3")
         assert db.prepare("SELECT a FROM t WHERE a = 1") is first
         assert "SELECT a FROM t WHERE a = 2" not in db._plan_cache
+
+    def test_capacity_is_the_module_constant(self):
+        # no constructor option sizes the cache: the LRU holds
+        # PLAN_CACHE_SIZE plans, and the next statement evicts the oldest
+        with pytest.raises(TypeError):
+            Database(plan_cache_size=4)
+        db = Database()
+        db.execute_ddl("CREATE TABLE t (a INT PRIMARY KEY)")
+        statements = [f"SELECT a FROM t WHERE a = {i}"
+                      for i in range(database.PLAN_CACHE_SIZE + 1)]
+        for sql in statements:
+            db.prepare(sql)
+        assert len(db._plan_cache) == database.PLAN_CACHE_SIZE
+        assert statements[0] not in db._plan_cache
+        assert db.plan_cache_evictions == 1
 
     def test_hit_miss_counters_database_and_stats(self):
         db = Database()
@@ -326,10 +345,6 @@ class TestPlanCacheLRU:
         assert hit.stats.plan_cache_misses == 0
         assert db.plan_cache_misses >= 1
         assert db.plan_cache_hits >= 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Database(plan_cache_size=0)
 
     def test_one_engine_so_plans_are_cached_under_their_sql(self):
         # there is one columnar engine: no constructor switch selects

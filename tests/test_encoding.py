@@ -9,6 +9,8 @@ from random import Random
 import pytest
 
 from repro.db import Database
+from repro.sql.functions import GroupedAggregation
+from repro.sql.vectorized import _LazyColumn
 from repro.storage.columnstore import (
     DictColumn,
     Encoding,
@@ -152,39 +154,45 @@ class TestCodeSpaceSelection:
             lambda v: v is not None and v >= 90.0)
         assert selection == [91, 93, 95, 97, 99]
 
-    def test_native_block_partial_sums_exact(self):
+    def test_native_selection_sums_exact(self):
         rng = Random(5)
         values = [rng.uniform(-1e6, 1e6) for i in range(2000)]
         column = _encode_column(values)
         assert isinstance(column, NativeColumn)
-        for start, stop in ((0, 2000), (3, 1999), (511, 513), (512, 1024),
-                            (700, 701)):
-            mantissas: dict = {}
-            assert column.fold_range_sum(mantissas, start, stop)
-            total = sum(m << (1074 + e) for e, m in mantissas.items())
-            expected = 0
-            for v in values[start:stop]:
-                num, den = v.as_integer_ratio()
-                expected += num * ((1 << 1074) // den)
-            assert total == expected
+        for start, stop, step in ((0, 2000, 1), (3, 1999, 1), (511, 513, 1),
+                                  (512, 1024, 1), (700, 701, 1),
+                                  (1, 1999, 3)):
+            selection = list(range(start, stop, step))
+            assert _lazy_sum(column, selection) == float(
+                sum(Fraction(values[i]) for i in selection))
 
-    def test_native_block_partials_exact_when_no_double_can_scale(self):
-        # 1e300 beside 5e-324: scaling an edge by the column's finest
-        # exponent overflows, so those values decompose one by one
+    def test_native_selection_sums_exact_across_the_double_range(self):
+        # 1e300 beside 5e-324: no one double scales both, and left-to-right
+        # addition loses the small values under the large ones
         values = [1e300, 5e-324, -1e300, 0.5] * 300
         column = _encode_column(values)
         assert isinstance(column, NativeColumn)
         for start, stop in ((0, 1200), (1, 7), (510, 1030)):
-            mantissas: dict = {}
-            assert column.fold_range_sum(mantissas, start, stop)
-            total = sum(m << (1074 + e) for e, m in mantissas.items())
-            assert total == sum(
-                Fraction(v) for v in values[start:stop]) * (1 << 1074)
+            assert _lazy_sum(column, list(range(start, stop))) == float(
+                sum(map(Fraction, values[start:stop])))
 
-    def test_native_block_partials_refuse_non_finite(self):
+    def test_native_selection_with_non_finite_sums_as_python(self):
         column = _encode_column([1.0, float("inf"), 2.0] * 50)
         assert isinstance(column, NativeColumn)
-        assert not column.fold_range_sum({}, 0, 10)
+        assert _lazy_sum(column, list(range(10))) == math.inf
+        column = _encode_column([1.0, float("inf"), -float("inf")] * 50)
+        assert isinstance(column, NativeColumn)
+        assert math.isnan(_lazy_sum(column, list(range(10))))
+
+
+def _lazy_sum(column, selection):
+    """SUM of ``column`` at ``selection``, folded as a scan folds its lazy
+    gather of a sealed column."""
+    groups = GroupedAggregation([("SUM", False, False)])
+    groups.fold(groups.gid(()), [_LazyColumn(column, selection)],
+                len(selection))
+    [(total,)] = groups.rows()
+    return total
 
 
 def _decoded(column):
@@ -298,6 +306,37 @@ class TestEncodedEngineParity:
             assert a.stats.vectorized and not b.stats.vectorized, sql
             assert a.rows == b.rows, sql
             assert a.columns == b.columns, sql
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_float_sum_over_one_long_run_of_a_sealed_segment(
+            self, routed, partitions):
+        """An equality on the second primary-key column selects one
+        contiguous run of 700 rows per warehouse, each inside one sealed
+        segment, and its floats add inexactly left to right: SUM / AVG
+        still round the exact total once, as the row oracle does.  (An
+        equality on the leading column takes the row store's prefix
+        access instead.)"""
+        db = Database(with_columnar=True, columnar_segment_rows=2048,
+                      partitions=partitions)
+        db.execute_ddl("CREATE TABLE r (w INT, d INT, id INT, x DOUBLE, "
+                       "PRIMARY KEY (w, d, id))")
+        values = [1e16 if i == 350 else 0.1 * i for i in range(700)]
+        with db.connect() as conn:
+            for w, d in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)):
+                for i, x in enumerate(values):
+                    conn.execute(
+                        "INSERT INTO r (w, d, id, x) VALUES (?, ?, ?, ?)",
+                        (w, d, i, x))
+            conn.commit()
+        db.replicate()
+        db.columnar.compact(force=True)
+        exact = 2 * sum(map(Fraction, values))
+        assert sum(values * 2) != float(exact)
+        sql = "SELECT SUM(x), AVG(x) FROM r WHERE d = 1"
+        vec = routed(db, sql)
+        assert vec.stats.vectorized and vec.stats.segments_encoded > 0
+        assert vec.rows == routed(db, sql, vectorized=False).rows \
+            == [(float(exact), float(exact / (2 * len(values))))]
 
     def test_eq_on_dict_column_counts_and_prunes(self, routed):
         enc = _make_encoded_db()

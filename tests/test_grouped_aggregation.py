@@ -17,7 +17,7 @@ from math import inf, isnan, nan
 from random import Random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Database
@@ -334,22 +334,13 @@ _floats = st.one_of(
 _float_chunks = st.one_of(_floats, st.sampled_from([_WIDE, _HUGE]))
 _ints = st.integers(-10**6, 10**6).map(lambda v: [v])
 _odd = st.sampled_from([inf, -inf, nan, None]).map(lambda v: [v])
-# runs of one value: a dense range of them spans whole SUM_BLOCKs
-_long_floats = _floats.map(lambda v: v * 600)
-_long_ints = _ints.map(lambda v: v * 600)
-# pure columns two times in three (what a bulk fold needs), anything
-# otherwise
+# pure columns half the time (what a bulk fold needs), anything otherwise
 _values = st.one_of(
     st.lists(_float_chunks, max_size=30), st.lists(_ints, max_size=30),
-    st.lists(st.one_of(_float_chunks, _long_floats), max_size=6),
-    st.lists(st.one_of(_ints, _long_ints), max_size=6),
     st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
     st.lists(st.one_of(_float_chunks, _ints, _odd), max_size=30),
 ).map(lambda chunks: sum(chunks, []))
 _FEEDS = ("fold", "view", "scatter", "merge", "native", "rle")
-# no shrink phase: shrinking the 600-value runs took minutes to report a
-# failure; the unshrunk example is reported at once
-_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 class _Flagged:
@@ -375,33 +366,19 @@ class _Flagged:
 def _native(piece):
     """``piece`` as a scan's lazy gather of a NATIVE column: the values at
     the selected offsets, a filler in the gaps.  The piece's length picks
-    the selection — one dense range, ``MAX_SUM_RANGES`` ranges, or one
-    range per value — and it starts just below a ``SUM_BLOCK`` edge, so
-    ranges straddle it.  A piece no typed array holds stays a list."""
+    the selection — one dense range, or one range per value.  A piece no
+    typed array holds stays a list."""
     kinds = set(map(type, piece)) - {type(None)}
     if kinds not in ({int}, {float}):
         return piece
-    n = len(piece)
-    parts = (1, _LazyColumn.MAX_SUM_RANGES, n)[n % 3]
-    offset = NativeColumn.SUM_BLOCK - min(n // 4, 255) - 1
-    offsets = []
-    for i in range(n):
-        if i and i * parts // n != (i - 1) * parts // n:
-            offset += 1                              # a gap: the next range
-        offsets.append(offset)
-        offset += 1
-    data = [7 if kinds == {int} else 0.375] * (offset + 1)
+    step = 1 + len(piece) % 2
+    offsets = list(range(1, step * len(piece) + 1, step))
+    data = [7 if kinds == {int} else 0.375] * (step * len(piece) + 2)
     for i, value in zip(offsets, piece):
         data[i] = 0 if value is None else value
     nulls = frozenset(i for i, value in zip(offsets, piece) if value is None)
     column = NativeColumn(array("q" if kinds == {int} else "d", data), nulls)
     return _LazyColumn(column, offsets)
-
-
-class _EightBlocks(NativeColumn):
-    """A NATIVE float column whose exact partials cover 8-value blocks."""
-
-    SUM_BLOCK = 8
 
 
 def _rle(piece):
@@ -444,7 +421,7 @@ class TestBulkFold:
     @given(_values, st.lists(st.integers(0, 150), max_size=6),
            st.lists(st.sampled_from(_FEEDS), min_size=7, max_size=7),
            st.randoms())
-    @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
+    @settings(max_examples=300, deadline=None)
     def test_any_cut_any_feed(self, values, cuts, feeds, rng):
         rng.shuffle(values)
         groups = GroupedAggregation(SUM_SPECS)
@@ -452,22 +429,6 @@ class TestBulkFold:
         for piece, feed in zip(_split(values, cuts), feeds):
             _feed(groups, piece, feed)
         assert _image(groups.rows()) == _image(_sum_oracle(values))
-
-    @given(st.lists(st.one_of(*(_floats,) * 7, _float_chunks), min_size=16,
-                    max_size=40).map(lambda chunks: sum(chunks, [])),
-           st.integers(0, 40), st.integers(0, 40))
-    @settings(max_examples=300, deadline=None, phases=_NO_SHRINK)
-    def test_range_sum_over_small_blocks(self, values, start, stop):
-        """``fold_range_sum`` over any range of an 8-value-block column:
-        whole blocks, edges and single values spell out the exact sum."""
-        start, stop = sorted((min(start, len(values)),
-                              min(stop, len(values))))
-        column = _EightBlocks(array("d", values), frozenset())
-        buckets: dict = {}
-        assert column.fold_range_sum(buckets, start, stop)
-        assert sum(Fraction(m) * Fraction(2) ** e
-                   for e, m in buckets.items()) \
-            == sum(map(Fraction, values[start:stop]))
 
     def test_expansion_passes(self):
         """Four passes spell out three parts; a span that needs a fifth,

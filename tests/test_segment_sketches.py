@@ -11,6 +11,7 @@ parity matrix.
 
 from itertools import chain
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.core.config import BenchConfig
 from repro.core.report import render_csv, render_text
 from repro.core.runner import RunReport
 from repro.db import Database
+from repro.storage import columnstore
 
 NATIONS = ["FRANCE", "GERMANY", "BRAZIL", "JAPAN", "INDIA", "KENYA",
            "CANADA"]
@@ -30,10 +32,13 @@ NOT_NULL_SQL = ("SELECT qty, COUNT(*) AS n, SUM(amount) AS s FROM cust "
 GLOBAL_SQL = "SELECT COUNT(*) AS n, SUM(qty) AS s FROM cust"
 
 
-def _make_db(segment_rows=64, partitions=1, sketch_budget_bytes=None):
-    db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
-                  partitions=partitions,
-                  sketch_budget_bytes=sketch_budget_bytes)
+def _make_db(segment_rows=64, partitions=1,
+             sketch_budget_bytes=columnstore.SKETCH_BUDGET_BYTES):
+    # the sketch cache reads its budget when the replica builds it
+    with mock.patch.object(columnstore, "SKETCH_BUDGET_BYTES",
+                           sketch_budget_bytes):
+        db = Database(with_columnar=True, columnar_segment_rows=segment_rows,
+                      partitions=partitions)
     db.execute_ddl(
         "CREATE TABLE cust ("
         "  id INT PRIMARY KEY,"
@@ -124,6 +129,17 @@ class TestSketchCache:
         for sql in (GROUPED_SQL, NOT_NULL_SQL, GLOBAL_SQL):
             assert routed(db, sql).rows == \
                 routed(db, sql, vectorized=False).rows
+
+    def test_budget_is_read_when_the_replica_builds_its_cache(self):
+        # no constructor option sizes the cache: it takes
+        # SKETCH_BUDGET_BYTES as it stands when the replica is built
+        with pytest.raises(TypeError):
+            Database(with_columnar=True, sketch_budget_bytes=64)
+        assert _make_db().columnar.sketches.budget_bytes \
+            == columnstore.SKETCH_BUDGET_BYTES
+        db = _make_db(sketch_budget_bytes=64)
+        assert columnstore.SKETCH_BUDGET_BYTES != 64
+        assert db.columnar.sketches.budget_bytes == 64
 
     def test_oversized_entry_is_never_cached(self, routed):
         db = _fill(_make_db(sketch_budget_bytes=64))

@@ -1,10 +1,11 @@
 """Concurrent front end: sessions, admission control, server parity."""
 
 import threading
+from unittest import mock
 
 import pytest
 
-from repro.db import Database
+from repro.db import Database, database
 from repro.engines import make_engine
 from repro.errors import WriteConflictError
 from repro.server import (
@@ -154,8 +155,9 @@ class TestTimestampAllocation:
 
 
 class TestPlanCacheCounters:
+    @mock.patch.object(database, "PLAN_CACHE_SIZE", 2)
     def test_eviction_counter_flows_to_stats(self):
-        db = _kv_db(plan_cache_size=2)
+        db = _kv_db()
         db.query("SELECT v FROM kv WHERE k = 1")
         db.query("SELECT k FROM kv WHERE v = 10")
         result = db.query("SELECT k, v FROM kv WHERE k = 2")
