@@ -23,9 +23,9 @@ parity sweep, all floor-checked in CI as ``BENCH_fig11.json["chaos"]``.
 Headline (recorded in ``BENCH_fig11.json``, floor-checked in CI): at >= 16
 mixed clients, p99 commit latency with admission control on is at least 2x
 lower than with it off, and stays within a small factor of the no-flood
-baseline.  A parity section proves a server session returns
-byte-identical query results to the sequential runner's connection on a
-separately installed database, across partition counts {1, 2, 8}.
+baseline.  A parity section proves every analytical answer byte-identical
+across partition counts: the workload installed at 2 and at 8 partitions
+answers exactly what the unpartitioned install does.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.db import Database
 from repro.engines import make_engine
 from repro.server import (
     AdmissionPolicy,
-    ClientSession,
     Server,
     mixed_population,
     query_results,
@@ -95,22 +94,8 @@ def _arm(policy: AdmissionPolicy, oltp_clients: int, olap_clients: int):
         "olap_completed": report.metrics("olap").completed
         if "olap" in report.classes else 0,
         "deferred": report.admission["deferred"],
-        "rejected": report.admission["rejected"],
         "admission_enabled": report.admission_enabled,
     }
-
-
-class _ColumnarSession:
-    """Workload statement API over one connection, routed columnar."""
-
-    def __init__(self, conn):
-        self._conn = conn
-
-    def execute(self, sql: str, params: tuple = ()):
-        return self._conn.execute(sql, params, route_columnar=True)
-
-    def query_scalar(self, sql: str, params: tuple = ()):
-        return self.execute(sql, params).scalar()
 
 
 def _chaos_run(fault: bool) -> dict:
@@ -154,11 +139,11 @@ def _chaos_run(fault: bool) -> dict:
     db.replicate()
     db.columnar.compact(force=True)
     queries = workload.analytical_queries()
-    healthy = query_results(_ColumnarSession(db.connect()), queries,
-                            seed=SEED)
+    healthy = query_results(Session(db.connect(), route_columnar=True),
+                            queries, seed=SEED)
     fp.arm("replica.scan", always=True)
-    degraded = query_results(_ColumnarSession(db.connect()), queries,
-                             seed=SEED)
+    degraded = query_results(Session(db.connect(), route_columnar=True),
+                             queries, seed=SEED)
     fp.disarm_all()
     with db.connect() as conn:
         for _ in range(db.replica_breaker.cooldown_statements + 4):
@@ -183,22 +168,15 @@ def _chaos_run(fault: bool) -> dict:
     }
 
 
-def _parity_point(partitions: int) -> bool:
-    """Server session vs the sequential runner, each on its own installed
-    database: the server's session multiplexing must not change a single
-    byte of what the runner's connection answers."""
-    def installed() -> Database:
-        db = Database(with_columnar=True, partitions=partitions)
-        workload = make_workload(WORKLOAD, scale=PARITY_SCALE)
-        workload.install(db, Random(7), PARITY_SCALE)
-        return db
-
-    queries = make_workload(WORKLOAD,
-                            scale=PARITY_SCALE).analytical_queries()
-    sequential = query_results(Session(installed().connect()), queries)
-    via_server = query_results(
-        ClientSession(installed(), 1, kind="olap"), queries)
-    return sequential == via_server
+def _parity_answers(partitions: int) -> dict:
+    """Every analytical answer (row pipeline) on the workload installed at
+    ``partitions``: partitioning places WAL streams and commits, so each
+    count must answer byte-for-byte what the unpartitioned install does."""
+    db = Database(with_columnar=True, partitions=partitions)
+    workload = make_workload(WORKLOAD, scale=PARITY_SCALE)
+    workload.install(db, Random(7), PARITY_SCALE)
+    return query_results(Session(db.connect()),
+                         workload.analytical_queries())
 
 
 def _chaos_parity_point(partitions: int) -> bool:
@@ -263,11 +241,13 @@ def test_fig11_concurrency(benchmark, series):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
+    reference = _parity_answers(PARITY_PARTITIONS[0])
     parity = {
         "partitions": list(PARITY_PARTITIONS),
         "queries": len(make_workload(WORKLOAD,
                                      scale=PARITY_SCALE).analytical_queries()),
-        "identical": all(_parity_point(p) for p in PARITY_PARTITIONS),
+        "identical": all(_parity_answers(p) == reference
+                         for p in PARITY_PARTITIONS[1:]),
     }
 
     # chaos arm: the same CH-benCHmark mix with seeded faults armed
@@ -315,8 +295,8 @@ def test_fig11_concurrency(benchmark, series):
     })
 
     # shape criteria: the admission controller must cut the commit tail at
-    # least 2x under the flood at every client count >= 16, and the server
-    # must agree byte-for-byte with the sequential runner
+    # least 2x under the flood at every client count >= 16, and every
+    # partition count must answer byte-for-byte what one partition does
     for point in points:
         assert point["clients"] >= 16
         assert point["p99_off_over_on"] >= 2.0, point

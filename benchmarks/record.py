@@ -123,9 +123,9 @@ def check_fig11(path: str, min_ab_ratio: float = 2.0,
     """CI floors for the concurrency record: with the analytical flood
     active at >= 16 mixed clients, admission-control-on p99 commit latency
     must be >= ``min_ab_ratio`` lower than admission-control-off AND stay
-    within ``max_on_over_baseline`` of the no-flood baseline; the server
-    must agree byte-for-byte with the sequential runner across partition
-    counts.  The chaos arm must keep >= ``min_chaos_ratio`` of the
+    within ``max_on_over_baseline`` of the no-flood baseline; every
+    partition count must answer the analytical queries byte-for-byte as
+    one partition does.  The chaos arm must keep >= ``min_chaos_ratio`` of the
     fault-free oltp throughput with faults demonstrably engaged and
     crash-recovery answers byte-identical."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -154,8 +154,8 @@ def check_fig11(path: str, min_ab_ratio: float = 2.0,
             return 1
     parity = payload.get("parity", {})
     if not parity.get("identical"):
-        print("FAIL: server results no longer byte-identical to the "
-              "sequential runner")
+        print("FAIL: analytical answers no longer byte-identical across "
+              "partition counts")
         return 1
     print(f"parity: identical across partitions {parity['partitions']}")
     chaos = payload.get("chaos")

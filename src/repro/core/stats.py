@@ -134,9 +134,6 @@ class ClassMetrics:
     lock_wait_ms: float = 0.0
     service_ms: float = 0.0
     io_ms: float = 0.0
-    # time spent deferred by the front-end admission controller (zero when
-    # requests run without one, e.g. the sequential runner)
-    admission_wait_ms: float = 0.0
 
     def throughput(self, window_ms: float) -> float:
         """Completions per second over the measurement window."""
@@ -145,7 +142,7 @@ class ClassMetrics:
         return self.completed / (window_ms / 1000.0)
 
     def observe(self, latency: float, breakdown, aborted: bool,
-                completed: bool, admission_wait_ms: float = 0.0):
+                completed: bool):
         """Record one measured request: its outcome (``completed`` says it
         finished inside the window), its latency and the latency's
         breakdown (anything with ``queue_wait`` / ``lock_wait`` /
@@ -160,13 +157,13 @@ class ClassMetrics:
         self.lock_wait_ms += breakdown.lock_wait
         self.service_ms += breakdown.service
         self.io_ms += breakdown.io
-        self.admission_wait_ms += admission_wait_ms
 
 
 @dataclass(kw_only=True)
 class ClassTable:
     """Per-class and per-transaction measurements of one run: the part a
-    ``RunReport`` and a ``ServerReport`` share."""
+    ``RunReport`` and a ``ServerReport`` share.  A server latency starts at
+    the request's first arrival, so it includes any admission deferral."""
 
     window_ms: float
     classes: dict = field(default_factory=dict)          # kind -> ClassMetrics
@@ -190,11 +187,9 @@ class ClassTable:
         return collector.summary() if collector else EMPTY_SUMMARY
 
     def observe(self, kind: str, name: str, latency: float, breakdown,
-                aborted: bool, completed: bool,
-                admission_wait_ms: float = 0.0):
+                aborted: bool, completed: bool):
         """Record one measured request under its class and transaction."""
-        self.metrics(kind).observe(latency, breakdown, aborted, completed,
-                                   admission_wait_ms)
+        self.metrics(kind).observe(latency, breakdown, aborted, completed)
         collector = self.per_transaction.get(name)
         if collector is None:
             collector = self.per_transaction[name] = LatencyCollector(name)

@@ -1,12 +1,12 @@
-"""Concurrent front end: sessions, admission control, the session server.
+"""Concurrent front end: admission control and the session server.
 
-Turns the harness from "benchmark runner" into "system under load": many
-long-lived ``ClientSession``s (each with its own MVCC snapshot lifecycle
-and statistics) are multiplexed over one shared ``Database`` by a
-``Server`` whose cooperative scheduler interleaves them deterministically
-in simulated time, behind an ``AdmissionController`` that bounds how much
-of each request class — and how many full scans — may be in flight at
-once.
+A ``Server`` drives many closed-loop clients — each on its own
+``Connection``, so each with its own MVCC snapshot lifecycle — over one
+shared ``Database``; its cooperative scheduler interleaves them
+deterministically in simulated time, behind an ``AdmissionController``
+that bounds how many analytical requests — and how many full scans — may
+be in flight at once.  It serves fig11's admission-control arms, a repo
+extension beside the paper's runner (``core.runner``).
 """
 
 from repro.server.admission import (
@@ -22,15 +22,12 @@ from repro.server.server import (
     mixed_population,
     query_results,
 )
-from repro.server.session import ClientSession, SessionStats
 
 __all__ = [
     "AdmissionController",
     "AdmissionPolicy",
     "AdmissionStats",
     "Ticket",
-    "ClientSession",
-    "SessionStats",
     "ClientSpec",
     "Server",
     "ServerReport",

@@ -1,12 +1,12 @@
-"""CH-benCHmark hybrid side: none — and the mixed-tenant population instead.
+"""CH-benCHmark hybrid side: none.
 
 Table I records CH-benCHmark as having *no* hybrid transactions and no
 real-time queries: OLTP and OLAP only meet as separate client populations
 hammering the same database.  ``make_hybrids`` therefore returns the empty
-list (keeping the module shape of the other workloads), and
-``mixed_population`` builds the live CH-benCHmark driver — N transactional
-clients running the TPC-C mix next to M analytical clients cycling the 22
-queries — for the session server.
+list, keeping the module shape of the other workloads.  The live
+mixed-tenant driver — N transactional clients running the TPC-C mix next
+to M analytical clients cycling the 22 queries — is
+``repro.server.mixed_population``.
 """
 
 from __future__ import annotations
@@ -20,17 +20,4 @@ def make_hybrids(ctx: TpccContext) -> list[TransactionProfile]:
     return []
 
 
-def mixed_population(workload, oltp_clients: int, olap_clients: int,
-                     oltp_think_ms: float = 0.0,
-                     olap_think_ms: float = 0.0,
-                     olap_weights: dict | None = None):
-    """The live CH-benCHmark client population for ``server.Server.run``."""
-    from repro.server.server import mixed_population as _population
-
-    return _population(workload, oltp_clients, olap_clients,
-                       oltp_think_ms=oltp_think_ms,
-                       olap_think_ms=olap_think_ms,
-                       olap_weights=olap_weights)
-
-
-__all__ = ["make_hybrids", "mixed_population"]
+__all__ = ["make_hybrids"]

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: definitions kept on purpose although only tests reach them
 KEPT = {
     "Database.replication_lag": "public API: the replica's lag in records",
-    "ClientSession.snapshot_ts": "public API: a session's snapshot",
+    "Connection.in_transaction": "public API: the autocommit tests read it",
     "TableStore.version_count": "MVCC API the property tests drive",
     "TableStore.garbage_collect": "MVCC API the property tests drive",
     "CHBenchmark.query_table_footprint":

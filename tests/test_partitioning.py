@@ -5,10 +5,11 @@ from random import Random
 
 import pytest
 
-from repro.core.session import run_transaction
+from repro.core.session import Session, run_transaction
 from repro.db import Database
 from repro.engines import make_engine
 from repro.errors import WriteConflictError
+from repro.server import query_results
 from repro.storage import PartitionMap, stable_hash
 from repro.workloads import make_workload
 
@@ -297,25 +298,9 @@ def _mutate(db: Database, workload, rounds: int = 2, seed: int = 13):
 
 def _analytical_outputs(db: Database, workload, seed: int = 17):
     """Run the full analytical set routed columnar; returns raw results."""
-    outputs = []
-    for profile in workload.analytical_queries():
-        rng = Random(f"{profile.name}:{seed}")
-        captured = []
-
-        class _Session:
-            def execute(self, sql, params=()):
-                result = conn.execute(sql, params, route_columnar=True)
-                captured.append((result.columns, result.rows))
-                return result
-
-            def query_scalar(self, sql, params=()):
-                return self.execute(sql, params).scalar()
-
-        with db.connect() as conn:
-            profile.program(_Session(), rng)
-            conn.commit()
-        outputs.append(captured)
-    return outputs
+    with db.connect() as conn:
+        return query_results(Session(conn, True),
+                             workload.analytical_queries(), seed)
 
 
 @pytest.mark.parametrize("workload_name", [

@@ -1,4 +1,5 @@
-"""Concurrent front end: sessions, admission control, server parity."""
+"""Concurrent front end: interleaved connections, admission control, the
+session server."""
 
 import threading
 from unittest import mock
@@ -7,12 +8,12 @@ import pytest
 
 from repro.db import Database, database
 from repro.engines import make_engine
-from repro.errors import WriteConflictError
+from repro.errors import ConfigError, WriteConflictError
 from repro.server import (
     AdmissionController,
     AdmissionPolicy,
-    ClientSession,
     Server,
+    admission,
     mixed_population,
     query_results,
 )
@@ -35,82 +36,71 @@ def _kv_db(**kwargs) -> Database:
 class TestSessionSnapshots:
     def test_snapshot_session_ignores_interleaved_commit(self):
         db = _kv_db()
-        a = ClientSession(db, 1, isolation=IsolationLevel.SNAPSHOT)
-        b = ClientSession(db, 2)
+        a = db.connect(IsolationLevel.SNAPSHOT)
+        b = db.connect()
         a.begin()
-        assert a.query_scalar("SELECT v FROM kv WHERE k = 1") == 10
+        assert a.execute("SELECT v FROM kv WHERE k = 1").scalar() == 10
         b.begin()
         b.execute("UPDATE kv SET v = ? WHERE k = ?", (99, 1))
         b.commit()
         # A's snapshot predates B's commit: repeatable read
-        assert a.query_scalar("SELECT v FROM kv WHERE k = 1") == 10
+        assert a.execute("SELECT v FROM kv WHERE k = 1").scalar() == 10
         a.commit()
-        assert a.query_scalar("SELECT v FROM kv WHERE k = 1") == 99
+        assert a.execute("SELECT v FROM kv WHERE k = 1").scalar() == 99
 
     def test_read_committed_session_refreshes_per_statement(self):
         db = _kv_db()
-        a = ClientSession(db, 1, isolation=IsolationLevel.READ_COMMITTED)
-        b = ClientSession(db, 2)
+        a = db.connect(IsolationLevel.READ_COMMITTED)
+        b = db.connect()
         a.begin()
-        assert a.query_scalar("SELECT v FROM kv WHERE k = 2") == 20
+        assert a.execute("SELECT v FROM kv WHERE k = 2").scalar() == 20
         b.execute("UPDATE kv SET v = ? WHERE k = ?", (77, 2))
         # RC refreshes the snapshot at the next statement, same transaction
-        assert a.query_scalar("SELECT v FROM kv WHERE k = 2") == 77
+        assert a.execute("SELECT v FROM kv WHERE k = 2").scalar() == 77
         a.commit()
 
     def test_no_dirty_reads_between_sessions(self):
         db = _kv_db()
-        writer = ClientSession(db, 1)
+        writer = db.connect()
         readers = [
-            ClientSession(db, 2, isolation=IsolationLevel.SNAPSHOT),
-            ClientSession(db, 3, isolation=IsolationLevel.READ_COMMITTED),
+            db.connect(IsolationLevel.SNAPSHOT),
+            db.connect(IsolationLevel.READ_COMMITTED),
         ]
         writer.begin()
         writer.execute("UPDATE kv SET v = ? WHERE k = ?", (500, 3))
         # uncommitted write is invisible at every isolation level
         for reader in readers:
-            assert reader.query_scalar(
-                "SELECT v FROM kv WHERE k = 3") == 30
+            assert reader.execute(
+                "SELECT v FROM kv WHERE k = 3").scalar() == 30
         writer.rollback()
         for reader in readers:
-            assert reader.query_scalar(
-                "SELECT v FROM kv WHERE k = 3") == 30
+            assert reader.execute(
+                "SELECT v FROM kv WHERE k = 3").scalar() == 30
 
     def test_first_committer_wins_across_sessions(self):
         db = _kv_db()
-        a = ClientSession(db, 1, isolation=IsolationLevel.SNAPSHOT)
-        b = ClientSession(db, 2, isolation=IsolationLevel.SNAPSHOT)
+        a = db.connect(IsolationLevel.SNAPSHOT)
+        b = db.connect(IsolationLevel.SNAPSHOT)
         a.begin()
         b.begin()
         a.execute("UPDATE kv SET v = ? WHERE k = ?", (1, 4))
         b.execute("UPDATE kv SET v = ? WHERE k = ?", (2, 4))
         a.commit()
         with pytest.raises(WriteConflictError):
-            b.conn.commit()
+            b.commit()
 
     def test_snapshot_ts_tracks_transaction_lifecycle(self):
         db = _kv_db()
-        session = ClientSession(db, 1, isolation=IsolationLevel.SNAPSHOT)
-        assert session.snapshot_ts is None
-        session.begin()
-        first = session.snapshot_ts
+        conn = db.connect(IsolationLevel.SNAPSHOT)
+        assert not conn.in_transaction
+        txn = conn.begin()
+        first = txn.read_ts
         assert first is not None
-        other = ClientSession(db, 2)
+        other = db.connect()
         other.execute("UPDATE kv SET v = ? WHERE k = ?", (0, 5))
-        assert session.snapshot_ts == first  # pinned for the transaction
-        session.commit()
-        assert session.snapshot_ts is None
-
-    def test_session_stats_accumulate(self):
-        db = _kv_db()
-        session = ClientSession(db, 1)
-        session.execute("SELECT v FROM kv WHERE k = 1")
-        session.begin()
-        session.execute("UPDATE kv SET v = ? WHERE k = ?", (11, 1))
-        session.commit()
-        assert session.stats.statements == 2
-        assert session.stats.commits == 1
-        assert session.stats.exec.total_writes == 1
+        assert txn.read_ts == first  # pinned for the transaction
+        conn.commit()
+        assert not conn.in_transaction
 
 
 class TestTimestampAllocation:
@@ -219,13 +209,14 @@ class TestAdmissionController:
         assert controller.request("olap", 100.0) is not None
 
     def test_backoff_grows_and_caps(self):
-        controller = AdmissionController(
-            AdmissionPolicy(backoff_ms=4.0, backoff_multiplier=2.0,
-                            backoff_cap_ms=16.0))
         rng = Random(1)
-        waits = [controller.backoff_for(n, rng) for n in (1, 2, 3, 10)]
-        assert waits[0] <= 4.0 * 1.25
-        assert all(w <= 16.0 * 1.25 for w in waits)
+        waits = [admission.backoff_for(n, rng) for n in (1, 2, 3, 10)]
+        assert admission.BACKOFF_MS * 0.75 <= waits[0] \
+            <= admission.BACKOFF_MS * 1.25
+        # jitter is +-25 %, so each doubling still grows the wait
+        assert waits[0] < waits[1] < waits[2]
+        assert all(w <= admission.BACKOFF_CAP_MS * 1.25 for w in waits)
+        assert waits[3] >= admission.BACKOFF_CAP_MS * 0.75
 
     def test_disabled_policy_admits_everything(self):
         controller = AdmissionController(AdmissionPolicy.disabled())
@@ -245,6 +236,30 @@ class TestServerRuns:
         workload.install(engine.db, Random(7), 0.1)
         return Server(engine, policy), workload
 
+    def test_mixed_population_shapes_clients(self):
+        workload = make_workload("chbenchmark", scale=0.1)
+        weights = {"Q1": 1.0}
+        clients = mixed_population(workload, 3, 2, olap_weights=weights)
+        assert [c.name for c in clients] == [
+            "oltp-0", "oltp-1", "oltp-2", "olap-0", "olap-1"]
+        oltp = [c for c in clients if c.kind == "oltp"]
+        olap = [c for c in clients if c.kind == "olap"]
+        oltp_names = [p.name for p in workload.oltp_transactions()]
+        olap_names = [p.name for p in workload.analytical_queries()]
+        assert all([p.name for p in c.profiles] == oltp_names
+                   and c.weights is None for c in oltp)
+        # only the analytical clients carry the weight overrides
+        assert all([p.name for p in c.profiles] == olap_names
+                   and c.weights == weights for c in olap)
+
+    def test_empty_population_rejected(self):
+        workload = make_workload("chbenchmark", scale=0.1)
+        with pytest.raises(ConfigError):
+            mixed_population(workload, 0, 0)
+        engine = make_engine("oceanbase", nodes=2, cores_per_node=2)
+        with pytest.raises(ConfigError):
+            Server(engine).run([], duration_ms=100)
+
     def test_deterministic_given_seed(self):
         reports = []
         for _ in range(2):
@@ -255,7 +270,11 @@ class TestServerRuns:
         first, second = reports
         assert (first.metrics("oltp").latency.samples
                 == second.metrics("oltp").latency.samples)
-        assert first.sessions == second.sessions
+        assert ({name: c.samples for name, c in first.per_transaction.items()}
+                == {name: c.samples
+                    for name, c in second.per_transaction.items()})
+        assert first.admission == second.admission
+        assert first.admission["admitted"]["oltp"] > 0
 
     def test_flood_defers_and_counts_backoff(self):
         server, workload = self._server(
@@ -265,26 +284,13 @@ class TestServerRuns:
         clients = mixed_population(workload, 4, 4, olap_weights=weights)
         report = server.run(clients, duration_ms=1500, seed=3,
                             workload_name=workload.name)
-        assert report.admission["deferred"]["olap"] > 0
+        adm = report.admission
+        assert adm["deferred"]["olap"] > 0
+        assert adm["admitted"]["olap"] > 0
+        # the transactional class has no slot bound: no commit waits
+        assert adm["deferred"]["oltp"] == 0
         # OLTP commits keep flowing while the analytical queue is full
         assert report.metrics("oltp").completed > 0
-        olap_sessions = [s for s in report.sessions if s["kind"] == "olap"]
-        assert sum(s["deferrals"] for s in olap_sessions) \
-            == report.admission["deferred"]["olap"]
-        assert sum(s["backoff_ms"] for s in olap_sessions) > 0
-
-    def test_rejection_after_max_defers(self):
-        server, workload = self._server(
-            AdmissionPolicy(olap_slots=1, max_scan_slots=1, max_defers=2))
-        weights = {q.name: 1.0 if q.name in ("Q1", "Q6") else 0.0
-                   for q in workload.analytical_queries()}
-        clients = mixed_population(workload, 2, 6, olap_weights=weights)
-        report = server.run(clients, duration_ms=1500, seed=3,
-                            workload_name=workload.name)
-        assert report.admission["rejected"]["olap"] > 0
-        olap_sessions = [s for s in report.sessions if s["kind"] == "olap"]
-        assert sum(s["rejections"] for s in olap_sessions) \
-            == report.admission["rejected"]["olap"]
 
     def test_admission_cuts_tail_under_flood(self):
         results = {}
@@ -303,8 +309,10 @@ class TestServerRuns:
 
 
 class TestSequentialParity:
-    """The session server must return byte-identical query results to the
-    sequential runner's connection on every original workload."""
+    """An analytical client of the session server runs on its own
+    connection routed columnar; it must return byte-identical query
+    results to the sequential runner's row pipeline on every original
+    workload."""
 
     @pytest.mark.parametrize("workload_name,scale", [
         ("subenchmark", 0.2),
@@ -317,6 +325,6 @@ class TestSequentialParity:
         workload.install(db, Random(7), scale)
         queries = workload.analytical_queries()
         sequential = query_results(Session(db.connect()), queries)
-        via_server = query_results(ClientSession(db, 1, kind="olap"),
-                                   queries)
+        via_server = query_results(
+            Session(db.connect(), route_columnar=True), queries)
         assert sequential == via_server
