@@ -11,8 +11,9 @@ The companion benchmark below measures the *embedded engine's* columnar
 executor against its own correctness oracle on the same routed-columnar
 queries, wall-clock timed: the row plan nodes over the replica
 (``Executor.use_vectorized = False``) against the vectorized engine over
-the same delta–main replica (code-space predicates, late materialization,
-zone-map pruning, groupjoin, ranked top-k), plus a sketch arm — the same
+the same delta–main replica (value-space pushed predicates on encoded
+segments, late materialization, zone-map pruning, groupjoin, ranked
+top-k), plus a sketch arm — the same
 statement with the segment-sketch cache cleared before every run against
 the warm cache, timed right after it.  The comparison lands in the JSON
 report (``extra_info``) and in the canonical ``BENCH_fig05.json`` at the
@@ -119,7 +120,7 @@ ANALYTICAL_SQL = [
      "GROUP BY c_credit ORDER BY c_credit"),
     # a string-key join: customer's dictionary-sealed c_city probes
     # warehouse's w_city by value
-    ("code_space_join",
+    ("string_key_join",
      "SELECT COUNT(*) AS pairs, SUM(c_balance) AS balance "
      "FROM customer JOIN warehouse ON c_city = w_city"),
 ]
@@ -212,7 +213,6 @@ def _compare(db: Database, name: str, sql: str) -> dict:
         "batches_scanned": stats.batches_scanned,
         "segments_pruned": stats.segments_pruned,
         "segments_encoded": stats.segments_encoded,
-        "runs_skipped": stats.runs_skipped,
         "columns_decoded": stats.columns_decoded,
         "sort_rows": stats.sort_rows,
         "sketches_built": stats.sketches_built,
@@ -301,10 +301,9 @@ def test_fig5_vectorized_vs_row_pipeline(benchmark, series):
         assert entry["verdict"] != "regression", entry["query"]
     selective = by_name["selective_district"]
     # zone maps must skip most segments, the encoding layer must engage
-    # (encoded segments scanned, whole RLE runs skipped) ...
+    # (encoded segments scanned) ...
     assert selective["segments_pruned"] > 0
     assert selective["segments_encoded"] > 0
-    assert selective["runs_skipped"] > 0
     assert encoding["bytes_saved"] > 0
     # ... and executing on encoded data must beat the row oracle >=5x
     # (the CI floor)
@@ -313,7 +312,7 @@ def test_fig5_vectorized_vs_row_pipeline(benchmark, series):
     # string-key join must have read encoded segments
     assert by_name["sorted_range_scan"]["segments_pruned"] > 0
     assert by_name["grouped_report"]["segments_encoded"] > 0
-    assert by_name["code_space_join"]["segments_encoded"] > 0
+    assert by_name["string_key_join"]["segments_encoded"] > 0
     assert encoding["dicts_shared"] > 0
     # the sketch arm: warm executions read cached run states and must
     # beat the same statement run cold >=3x (the CI floor); the cold run

@@ -2,7 +2,8 @@
 
 The session server drives a mixed-tenant CH-benCHmark population — N
 transactional clients running the TPC-C mix next to M analytical clients
-cycling full-scan queries — against one shared-everything OceanBase-like
+cycling warehouse-wide ``order_line`` queries — against one
+shared-everything OceanBase-like
 cluster, where analytical scans and commits contend for the same cores and
 the same buffer pool.  Three arms per client count:
 
@@ -10,8 +11,8 @@ the same buffer pool.  Three arms per client count:
 * ``admission_off`` — the analytical flood with the admission controller
   disabled: scans saturate the shared cores and churn the buffer pool, and
   the commit tail explodes;
-* ``admission_on`` — the same flood behind one analytical slot and one
-  full-scan slot: deferred scans back off while commits keep flowing.
+* ``admission_on`` — the same flood behind one analytical slot: deferred
+  scans back off while commits keep flowing.
 
 A fourth *chaos* arm re-runs the admission-on configuration with seeded
 probabilistic faults armed — columnar scans fail with ``replica.scan``
@@ -55,8 +56,9 @@ SCALE = 0.3
 DURATION_MS = 4000.0
 WARMUP_MS = 1000.0
 SEED = 11
-# the flood mix: the order_line full scans (Q1's aggregation and Q6's
-# selective sum) — big enough to displace half the buffer pool
+# the flood mix: warehouse slices of order_line (``ol_w_id = 1``: Q1's
+# aggregation and Q6's selective sum) — big enough to displace half the
+# buffer pool
 FLOOD_QUERIES = ("Q1", "Q6")
 CLIENT_COUNTS = (16, 24)
 PARITY_PARTITIONS = (1, 2, 8)
@@ -224,7 +226,7 @@ def test_fig11_concurrency(benchmark, series):
             baseline = _arm(AdmissionPolicy(), oltp_clients, 0)
             off = _arm(AdmissionPolicy.disabled(), oltp_clients,
                        olap_clients)
-            on = _arm(AdmissionPolicy(olap_slots=1, max_scan_slots=1),
+            on = _arm(AdmissionPolicy(olap_slots=1),
                       oltp_clients, olap_clients)
             points.append({
                 "clients": total,

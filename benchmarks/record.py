@@ -46,8 +46,7 @@ def classify(speedup: float) -> str:
 # per-query engagement gates: the counter that proves the query ran on
 # the lever it is in the record for
 _FIG05_ENGAGEMENT = {
-    "selective_district": ("segments_pruned", "segments_encoded",
-                           "runs_skipped"),
+    "selective_district": ("segments_pruned", "segments_encoded"),
     "sorted_range_scan": ("segments_pruned",),
     # a join-then-fold plan never builds a sketch: a groupjoin folds the
     # probe side through the cache

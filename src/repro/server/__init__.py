@@ -4,9 +4,9 @@ A ``Server`` drives many closed-loop clients — each on its own
 ``Connection``, so each with its own MVCC snapshot lifecycle — over one
 shared ``Database``; its cooperative scheduler interleaves them
 deterministically in simulated time, behind an ``AdmissionController``
-that bounds how many analytical requests — and how many full scans — may
-be in flight at once.  It serves fig11's admission-control arms, a repo
-extension beside the paper's runner (``core.runner``).
+that bounds how many analytical requests may be in flight at once.  It
+serves fig11's admission-control arms, a repo extension beside the
+paper's runner (``core.runner``).
 """
 
 from repro.server.admission import (

@@ -1,18 +1,16 @@
-"""Admission control: a bounded OLAP queue and a scan bound in simulated time.
+"""Admission control: a bounded OLAP queue in simulated time.
 
 The controller front-ends the engine's node groups: every request asks for
 a slot before it may execute.  Slots are occupied for the request's whole
 simulated residence (admission to completion), so the number of occupied
 slots is the number of requests genuinely in flight at the current
-simulated time.  Analytical requests are bounded by ``olap_slots``;
-transactional requests are never deferred for their class.  A separate,
-tighter bound caps how many *full-scan* requests of either class may run at
-once — the policy that keeps analytical floods from churning the shared
-buffer pool and queueing commits behind scans.
+simulated time.  Analytical requests are bounded by ``olap_slots`` — the
+policy that keeps analytical floods from churning the shared buffer pool
+and queueing commits behind scans; transactional requests are never
+deferred.
 
 Deferred requests retry after a capped exponential backoff (the ``Server``
-re-enqueues the client).  Admissions and deferrals are counted per class,
-deferred scans on their own.
+re-enqueues the client).  Admissions and deferrals are counted per class.
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ BACKOFF_CAP_MS = 64.0
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Slot bounds for analytical requests and full scans (None = unbounded)."""
+    """Slot bound for analytical requests (None = unbounded)."""
 
     enabled: bool = True
     olap_slots: int | None = 4
-    # concurrent full-scan bound, tighter than (and counted inside) the
-    # class slots; scans are what flood the shared buffer pool
-    max_scan_slots: int | None = 2
 
     @staticmethod
     def disabled() -> "AdmissionPolicy":
@@ -47,7 +42,6 @@ class AdmissionStats:
 
     admitted: dict = field(default_factory=lambda: {"oltp": 0, "olap": 0})
     deferred: dict = field(default_factory=lambda: {"oltp": 0, "olap": 0})
-    scans_deferred: int = 0
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,6 @@ class Ticket:
     """Proof of admission; hand back to ``occupy`` with the completion."""
 
     queue: str
-    scan: bool
 
 
 def backoff_for(defers: int, rng) -> float:
@@ -73,42 +66,27 @@ class AdmissionController:
         self.policy = policy or AdmissionPolicy()
         self.reset()
 
-    def _expire(self, now: float):
-        for heap in (self._olap, self._scans):
-            while heap and heap[0] <= now:
-                heapq.heappop(heap)
-
-    def request(self, kind: str, now: float, scan: bool = False
-                ) -> Ticket | None:
+    def request(self, kind: str, now: float) -> Ticket | None:
         """Ask to run a ``kind`` ("oltp" | "olap") request now; a Ticket
-        admits, None defers (retry later).
-
-        ``scan`` marks requests expected to run a full scan — they consume
-        a scan slot on top of their class slot.
-        """
-        self._expire(now)
+        admits, None defers (retry later)."""
+        olap = self._olap
+        while olap and olap[0] <= now:
+            heapq.heappop(olap)
         policy = self.policy
-        class_full = (kind == "olap" and policy.olap_slots is not None
-                      and len(self._olap) >= policy.olap_slots)
-        scans_full = (scan and policy.max_scan_slots is not None
-                      and len(self._scans) >= policy.max_scan_slots)
-        if policy.enabled and (class_full or scans_full):
+        if (policy.enabled and kind == "olap"
+                and policy.olap_slots is not None
+                and len(olap) >= policy.olap_slots):
             self.stats.deferred[kind] += 1
-            if scan:
-                self.stats.scans_deferred += 1
             return None
         self.stats.admitted[kind] += 1
-        return Ticket(kind, scan)
+        return Ticket(kind)
 
     def occupy(self, ticket: Ticket, completion: float):
-        """Hold the admitted slots until ``completion`` (simulated time)."""
+        """Hold the admitted slot until ``completion`` (simulated time)."""
         if ticket.queue == "olap":
             heapq.heappush(self._olap, completion)
-        if ticket.scan:
-            heapq.heappush(self._scans, completion)
 
     def reset(self):
-        # completion times of the in-flight analytical and scan requests
+        # completion times of the in-flight analytical requests
         self._olap: list[float] = []
-        self._scans: list[float] = []
         self.stats = AdmissionStats()

@@ -95,22 +95,6 @@ class Server:
         self.engine = engine
         self.db = engine.db
         self.admission = AdmissionController(policy)
-        # learned per-profile scan-ness: seeds the admission scan bound
-        # before the first execution, then follows what the profile
-        # actually touched
-        self._scan_hints: dict[str, bool] = {}
-
-    def _scan_hint(self, profile: TransactionProfile, kind: str) -> bool:
-        hint = self._scan_hints.get(profile.name)
-        if hint is None:
-            return kind == "olap"
-        return hint
-
-    def _learn_scan(self, profile: TransactionProfile, stats):
-        self._scan_hints[profile.name] = (
-            bool(stats.full_scans)
-            or sum(stats.rows_columnar.values()) > 0
-        )
 
     def run(self, clients: list[ClientSpec], duration_ms: float,
             warmup_ms: float = 0.0, seed: int = 0,
@@ -120,7 +104,6 @@ class Server:
             raise ConfigError("empty client population")
         self.engine.reset_sim()
         self.admission.reset()
-        self._scan_hints = {}
         total_ms = warmup_ms + duration_ms
         states = [
             _ClientState(spec=spec, conn=self.db.connect(),
@@ -150,8 +133,7 @@ class Server:
                 state.first_arrival = now
                 state.defers = 0
             profile = state.profile
-            scan = self._scan_hint(profile, spec.kind)
-            ticket = self.admission.request(spec.kind, now, scan=scan)
+            ticket = self.admission.request(spec.kind, now)
             if ticket is None:
                 state.defers += 1
                 backoff = backoff_for(state.defers, state.rng)
@@ -162,7 +144,6 @@ class Server:
             work = run_transaction(state.conn, spec.kind, profile.name,
                                    profile.program, state.rng,
                                    route_columnar=columnar)
-            self._learn_scan(profile, work.combined_stats())
             breakdown = self.engine.account(now, work, columnar)
             completion = now + breakdown.total + overhead
             self.admission.occupy(ticket, completion)

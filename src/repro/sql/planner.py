@@ -1370,8 +1370,8 @@ class Planner:
     def _vector_scan(self, select: ast.Select, step: _JoinStep):
         """``(scan, node)``: one table's columnar scan, and that scan under
         a ``VFilter`` of the conjuncts it does not push exactly.  The scan
-        evaluates pushed predicates exactly (code space on encoded
-        segments), so only the residual conjuncts are re-applied."""
+        evaluates pushed predicates exactly (one value-space sweep on
+        every encoding), so only the residual conjuncts are re-applied."""
         pushed, exact = self._pushed_predicates(step.table, step.conjuncts)
         scan = VColumnarScan(step.table, step.binding, pushed,
                              self._referenced_columns(select, step.table,
@@ -1542,7 +1542,7 @@ class Planner:
         (constants)``) conjuncts qualify.  Returns the pushed predicates
         plus the ids of conjuncts they represent *exactly*: the scan
         evaluates pushed predicates with row-pipeline semantics (zone-map
-        pruning and code-space filtering on encoded segments), so exact
+        pruning, then a value-space sweep on every encoding), so exact
         conjuncts are not re-applied above the scan.
 
         IN lists are pushed only when every item is a literal or parameter

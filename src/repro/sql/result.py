@@ -142,10 +142,8 @@ class ExecStats:
     batches_scanned: int = counter(section="vectorized", label="batches")
     segments_pruned: int = counter(section="vectorized")
     # encoding-aware execution counters: encoded segments the scan touched,
-    # whole RLE runs skipped by code-space predicates, and how much the
-    # lazy-materialisation layer actually decoded
+    # and how much the lazy-materialisation layer actually decoded
     segments_encoded: int = counter(section="vectorized")
-    runs_skipped: int = counter(section="vectorized")
     columns_decoded: int = counter()
     values_decoded: int = counter()
     # delta–main counters: ordered-compaction merge output (the benchmark

@@ -218,7 +218,7 @@ def compile_batch_predicate(expr: ast.Expr, schema: Schema,
 
 
 # ---------------------------------------------------------------------------
-# pushed-down scan predicates (zone-map pruning + code-space filtering)
+# pushed-down scan predicates (zone-map pruning + value-space filtering)
 # ---------------------------------------------------------------------------
 
 class PushedPredicate:
@@ -229,9 +229,9 @@ class PushedPredicate:
     that side open.  Equality pushes the same fn as both bounds; IN-lists
     push one compiled fn per item (``item_fns``).
 
-    Pushed predicates are evaluated *exactly* by the scan — in code space
-    on encoded columns, in value space otherwise — mirroring the row
-    pipeline's NULL-falsy comparison semantics, so the planner does not
+    Pushed predicates are evaluated *exactly* by the scan — one value-space
+    sweep over whatever encoding the segment column holds — mirroring the
+    row pipeline's NULL-falsy comparison semantics, so the planner does not
     re-apply them above the scan.
     """
 
@@ -294,7 +294,7 @@ def _not_null_test(v):
     return v is not None
 
 
-def _not_null_selection(column) -> tuple[list | None, int]:
+def _not_null_selection(column) -> list | None:
     """Selection of an IS NOT NULL predicate; ``None`` = all rows pass.
 
     Proving a column null-free costs one C-level containment check per
@@ -306,20 +306,19 @@ def _not_null_selection(column) -> tuple[list | None, int]:
     if isinstance(column, NativeColumn):
         nulls = column.nulls
         if not nulls:
-            return None, 0
-        return [i for i in range(len(column)) if i not in nulls], 0
+            return None
+        return [i for i in range(len(column)) if i not in nulls]
     if isinstance(column, DictColumn):      # covers SharedDictColumn
         codes = column.codes
         if -1 not in codes:
-            return None, 0
-        return [i for i, code in enumerate(codes) if code >= 0], 0
+            return None
+        return [i for i, code in enumerate(codes) if code >= 0]
     if isinstance(column, RLEColumn):
         if None not in column.run_values:
-            return None, 0
-        return column.select_where(_not_null_test)
-    if None not in column:                   # plain list
-        return None, 0
-    return [i for i, v in enumerate(column) if v is not None], 0
+            return None
+    elif None not in column:                 # plain list
+        return None
+    return [i for i, v in enumerate(column) if v is not None]
 
 
 def _range_test(low, high, low_inc, high_inc):
@@ -347,8 +346,7 @@ class _EvalPred:
     """One pushed predicate with its constants bound for this execution."""
 
     __slots__ = ("position", "low", "high", "low_inclusive",
-                 "high_inclusive", "is_eq", "in_values", "in_set", "test",
-                 "not_null")
+                 "high_inclusive", "in_values", "test", "not_null")
 
     def __init__(self, position: int, low=None, high=None,
                  low_inclusive: bool = True, high_inclusive: bool = True,
@@ -359,74 +357,46 @@ class _EvalPred:
         self.high = high
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
-        self.is_eq = is_eq
         self.in_values = in_values
         self.not_null = not_null
         if not_null:
-            self.in_set = None
             self.test = _not_null_test
         elif in_values is not None:
             try:
                 wanted = set(in_values)
             except TypeError:      # unhashable constant: linear fallback
                 wanted = tuple(in_values)
-            self.in_set = wanted
             self.test = _membership_test(wanted)
         elif is_eq:
-            self.in_set = None
             self.test = _eq_test(low)
         else:
-            self.in_set = None
             self.test = _range_test(low, high, low_inclusive, high_inclusive)
 
     def zone_allows(self, segment) -> bool:
-        """Could any row of ``segment`` satisfy this predicate?
-
-        Zone maps first; then, for dictionary-encoded columns of sealed
-        segments, a per-segment dictionary membership check — a literal
-        absent from the segment dictionary proves the segment irrelevant.
-        """
+        """Could any row of ``segment`` satisfy this predicate?  Asks the
+        segment's zone map, which every encoding keeps alike."""
         if self.in_values is not None:
-            if not any(segment.may_contain(self.position, v, v)
-                       for v in self.in_values):
-                return False
-        elif not segment.may_contain(self.position, self.low, self.high,
-                                     self.low_inclusive,
-                                     self.high_inclusive):
-            return False
-        column = segment.columns[self.position]
-        if isinstance(column, DictColumn):      # covers SharedDictColumn
-            if self.in_values is not None:
-                return any(column.code_for(v) is not None
-                           for v in self.in_values)
-            if self.is_eq:
-                return column.code_for(self.low) is not None
-        return True
+            return any(segment.may_contain(self.position, v, v)
+                       for v in self.in_values)
+        return segment.may_contain(self.position, self.low, self.high,
+                                   self.low_inclusive, self.high_inclusive)
 
-    def column_selection(self, column) -> tuple[list | None, int]:
-        """Offsets of matching rows, plus the number of whole runs skipped.
+    def column_selection(self, column) -> list | None:
+        """Offsets of the rows of ``column`` that pass.
 
-        Encoded columns filter in code/run space; plain lists (and open
-        tail segments) fall back to a value-space sweep.  IS NOT NULL
-        returns a ``None`` selection when the column is provably
-        null-free: the predicate is absorbed and every row flows through.
+        One value-space sweep through the column's sequence protocol,
+        whatever its encoding.  IS NOT NULL returns a ``None`` selection
+        when the column is provably null-free: the predicate is absorbed
+        and every row flows through.
         """
         if self.not_null:
             return _not_null_selection(column)
-        if self.in_values is not None:
-            if hasattr(column, "select_in"):
-                return column.select_in(self.in_values)
-        elif self.is_eq:
-            if hasattr(column, "select_eq"):
-                return column.select_eq(self.low)
-        elif hasattr(column, "select_where"):
-            return column.select_where(self.test)
         test = self.test
-        return [i for i, v in enumerate(column) if test(v)], 0
+        return [i for i, v in enumerate(column) if test(v)]
 
 
 def _zone_pruned(segment, preds) -> bool:
-    """Do the zone maps (or segment dictionaries) rule ``segment`` out?"""
+    """Do the zone maps rule ``segment`` out?"""
     return any(not pred.zone_allows(segment) for pred in preds)
 
 
@@ -507,7 +477,7 @@ class VectorNode:
 
 class VColumnarScan(VectorNode):
     """Segment-at-a-time scan of a columnar table with zone-map pruning
-    and exact code-space evaluation of pushed predicates.
+    and exact value-space evaluation of pushed predicates.
 
     ``columns`` projects the scan to the named columns (table order); the
     operator's schema shrinks with it, so downstream expressions resolve
@@ -515,13 +485,12 @@ class VColumnarScan(VectorNode):
     full-table positions — zone maps and segment columns are per full
     table layout, independent of what the batch materialises.
 
-    Execution per segment: zone maps (plus dictionary membership for DICT
-    columns) prune whole segments; surviving segments evaluate the pushed
-    predicates directly on the encoded columns — integer code compares for
-    DICT, whole-run keeps/skips for RLE, typed-array sweeps for NATIVE —
-    producing a selection vector; the projected columns are then wrapped
-    as lazy gathers, so only columns (and positions) a downstream operator
-    touches are ever decoded.
+    Execution per segment: zone maps prune whole segments; surviving
+    segments sweep each pushed predicate's column in value space through
+    its sequence protocol, whatever the encoding, producing a selection
+    vector; the projected columns are then wrapped as lazy gathers, so
+    only columns (and positions) a downstream operator touches are ever
+    decoded.
 
     Under a partitioned replica the scan reads the per-partition segment
     sets one after another as one batch stream; a pushed *equality*
@@ -563,7 +532,7 @@ class VColumnarScan(VectorNode):
                     return [ctx.columnar.pmap.partition_of_value(value)]
         return list(range(n_parts))
 
-    def _segment_selection(self, segment, preds, stats):
+    def _segment_selection(self, segment, preds):
         """Selection vector of rows passing every pushed predicate.
 
         ``None`` means "all rows" (no pushed predicates, or every pushed
@@ -576,8 +545,7 @@ class VColumnarScan(VectorNode):
         for pred in preds:
             column = segment.columns[pred.position]
             if selection is None:
-                selection, skipped = pred.column_selection(column)
-                stats.runs_skipped += skipped
+                selection = pred.column_selection(column)
             else:
                 test = pred.test
                 selection = [i for i in selection if test(column[i])]
@@ -585,14 +553,14 @@ class VColumnarScan(VectorNode):
                 break
         return selection
 
-    def _live_selection(self, segment, preds, stats):
+    def _live_selection(self, segment, preds):
         """Surviving offsets after pushed predicates and the live bitmap.
 
         ``None`` means *every row* (fully-live segment, every predicate
         absorbed — the zero-copy case); otherwise a (possibly empty)
         offset list in physical order.
         """
-        selection = self._segment_selection(segment, preds, stats)
+        selection = self._segment_selection(segment, preds)
         if selection is None:
             if segment.live_count == segment.size:
                 return None
@@ -652,7 +620,7 @@ class VColumnarScan(VectorNode):
             if segment.encoded:
                 stats.segments_encoded += 1
             batch, rows = self._segment_emit(
-                segment, self._live_selection(segment, preds, stats), stats)
+                segment, self._live_selection(segment, preds), stats)
             if batch is not None:
                 scanned += rows
                 yield batch

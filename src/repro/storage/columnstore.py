@@ -33,11 +33,10 @@ slot and append the new version to the delta, so main segments stay
 immutable (and encoded) between merges; scans are merge-on-read over main
 plus the small delta overlay.
 
-Encoded columns implement the sequence protocol, so every reader that
-iterates or indexes a column slice works unchanged — but they also expose
-code-space selection primitives (``select_eq``/``select_in``/
-``select_where``) that the vectorized executor uses to filter *without
-decoding*.
+Encoded columns implement the sequence protocol (plus ``gather`` and
+``count``), so every reader that iterates or indexes a column slice works
+unchanged: the vectorized executor filters them in value space, and a
+dictionary code never leaves its column.
 
 The merge itself stays columnar (``_merge_delta``): live values are
 gathered as concatenated columns, the sort orders an index vector keyed by
@@ -228,10 +227,8 @@ class TableDictionary:
 class DictColumn:
     """Dictionary-encoded column: int codes + a per-segment dictionary.
 
-    ``codes[i]`` indexes ``values``; ``-1`` encodes NULL.  Equality/IN
-    predicates translate the literal to a code once (``code_for``) and
-    compare ints; a literal absent from the dictionary proves the whole
-    segment predicate-free (*dictionary membership check*).
+    ``codes[i]`` indexes ``values``; ``-1`` encodes NULL.  Readers see
+    decoded values only: the codes never leave the column.
     """
 
     encoding = Encoding.DICT
@@ -270,49 +267,14 @@ class DictColumn:
         return [None if (c := codes[i]) < 0 else values[c]
                 for i in selection]
 
-    def code_for(self, value):
-        """Code of ``value`` in this segment's dictionary (None if absent)."""
-        if value is None:
-            return None
-        try:
-            return self.code_of.get(value)
-        except TypeError:          # unhashable literal can never match
-            return None
-
-    def select_eq(self, value) -> tuple[list, int]:
-        code = self.code_for(value)
-        if code is None:
-            return [], 0
-        return [i for i, c in enumerate(self.codes) if c == code], 0
-
-    def select_in(self, values) -> tuple[list, int]:
-        wanted = {code for v in values
-                  if (code := self.code_for(v)) is not None}
-        if not wanted:
-            return [], 0
-        return [i for i, c in enumerate(self.codes) if c in wanted], 0
-
-    def select_where(self, test) -> tuple[list, int]:
-        """Selection via a per-value test applied to the *dictionary* only:
-        one test per distinct value, then integer code membership."""
-        passing = {code for code, value in enumerate(self.values)
-                   if test(value)}
-        if not passing:
-            return [], 0
-        if len(passing) == 1:
-            wanted = next(iter(passing))
-            return [i for i, c in enumerate(self.codes) if c == wanted], 0
-        return [i for i, c in enumerate(self.codes) if c in passing], 0
-
 
 class SharedDictColumn(DictColumn):
     """Dictionary column whose codes live in the table-level code space.
 
     ``values``/``code_of`` alias the shared ``TableDictionary`` structures
     (append-only, so indexing stays valid as the dictionary grows);
-    ``code_set`` holds the codes actually present in this segment, keeping
-    membership checks and per-value scans bounded by the *segment's*
-    distinct count rather than the table's.
+    ``code_set`` holds the codes actually present in this segment; the
+    byte accounting charges the segment for it.
     """
 
     __slots__ = ("code_set",)
@@ -322,31 +284,12 @@ class SharedDictColumn(DictColumn):
         super().__init__(codes, shared.values, shared.code_of)
         self.code_set = code_set
 
-    def code_for(self, value):
-        """Global code of ``value`` if present in *this segment*."""
-        code = super().code_for(value)
-        if code is None or code not in self.code_set:
-            return None
-        return code
-
-    def select_where(self, test) -> tuple[list, int]:
-        # bound by the segment's distinct codes, not the table dictionary
-        values = self.values
-        passing = {code for code in self.code_set if test(values[code])}
-        if not passing:
-            return [], 0
-        if len(passing) == 1:
-            wanted = next(iter(passing))
-            return [i for i, c in enumerate(self.codes) if c == wanted], 0
-        return [i for i, c in enumerate(self.codes) if c in passing], 0
-
 
 class RLEColumn:
     """Run-length-encoded column: parallel (value, length) run arrays.
 
-    ``starts`` holds each run's first offset for O(log runs) random access;
-    range/equality predicates test one value per run and keep or skip the
-    whole run.
+    ``starts`` holds each run's first offset for O(log runs) random access
+    and lets ``gather`` walk the runs beside a sorted selection.
     """
 
     encoding = Encoding.RLE
@@ -402,28 +345,6 @@ class RLEColumn:
                 run += 1
             out.append(run_values[run])
         return out
-
-    def _select(self, test) -> tuple[list, int]:
-        out: list = []
-        skipped = 0
-        offset = 0
-        for value, n in zip(self.run_values, self.run_lengths):
-            if value is not None and test(value):
-                out.extend(range(offset, offset + n))
-            else:
-                skipped += 1
-            offset += n
-        return out, skipped
-
-    def select_eq(self, value) -> tuple[list, int]:
-        return self._select(lambda v: v == value)
-
-    def select_in(self, values) -> tuple[list, int]:
-        wanted = set(values)
-        return self._select(lambda v: v in wanted)
-
-    def select_where(self, test) -> tuple[list, int]:
-        return self._select(test)
 
 
 class NativeColumn:
@@ -486,23 +407,6 @@ class NativeColumn:
             return [data[i] for i in selection]
         nulls = self.nulls
         return [None if i in nulls else data[i] for i in selection]
-
-    def _select(self, test) -> tuple[list, int]:
-        if not self.nulls:
-            return [i for i, v in enumerate(self.data) if test(v)], 0
-        nulls = self.nulls
-        return [i for i, v in enumerate(self.data)
-                if i not in nulls and test(v)], 0
-
-    def select_eq(self, value) -> tuple[list, int]:
-        return self._select(lambda v: v == value)
-
-    def select_in(self, values) -> tuple[list, int]:
-        wanted = set(values)
-        return self._select(lambda v: v in wanted)
-
-    def select_where(self, test) -> tuple[list, int]:
-        return self._select(test)
 
 
 def _encoded_bytes(column) -> int:

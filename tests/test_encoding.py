@@ -1,21 +1,25 @@
-"""Encoding-aware columnar segments: round-trips, code-space predicates,
-analytical parity vs the row oracle, and the encoding stat counters."""
+"""Encoding-aware columnar segments: round-trips, pushed predicates on
+every encoding, analytical parity vs the row oracle, and the encoding stat
+counters."""
 
 import math
 from array import array
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 
 from repro.db import Database
 from repro.sql.functions import GroupedAggregation
 from repro.sql.vectorized import _LazyColumn
+from repro.storage import columnstore
 from repro.storage.columnstore import (
     DictColumn,
     Encoding,
     NativeColumn,
     RLEColumn,
+    SharedDictColumn,
     _encode_column,
 )
 
@@ -114,45 +118,8 @@ class TestEncodeColumn:
             assert column.gather(selection) == [values[i] for i in selection]
 
 
-class TestCodeSpaceSelection:
-    def test_dict_eq_absent_literal(self):
-        column = _encode_column((["a", "b"] * 100))
-        assert isinstance(column, DictColumn)
-        selection, _ = column.select_eq("zzz")
-        assert selection == []
-        assert column.code_for("zzz") is None
-        assert column.code_for("a") is not None
-
-    def test_dict_in_partial_hits(self):
-        column = _encode_column((["a", "b", "c", "a"] * 64)[:200])
-        assert isinstance(column, DictColumn)
-        selection, _ = column.select_in(["b", "nope"])
-        assert selection == [i for i in range(200)
-                            if (["a", "b", "c", "a"] * 64)[i] == "b"]
-
-    def test_rle_eq_skips_runs(self):
-        column = _encode_column([1] * 100 + [2] * 100 + [3] * 100)
-        assert isinstance(column, RLEColumn)
-        selection, skipped = column.select_eq(2)
-        assert selection == list(range(100, 200))
-        assert skipped == 2
-
-    def test_rle_range_straddles_runs(self):
-        values = [1] * 50 + [2] * 50 + [3] * 50 + [4] * 50
-        column = _encode_column(values)
-        assert isinstance(column, RLEColumn)
-        selection, skipped = column.select_where(
-            lambda v: v is not None and 2 <= v <= 3)
-        assert selection == list(range(50, 150))
-        assert skipped == 2
-
-    def test_native_range_skips_nulls(self):
-        values = [float(i) if i % 2 else None for i in range(100)]
-        column = _encode_column(values)
-        assert isinstance(column, NativeColumn)
-        selection, _ = column.select_where(
-            lambda v: v is not None and v >= 90.0)
-        assert selection == [91, 93, 95, 97, 99]
+class TestLazyNativeSums:
+    """SUM over a lazy gather of a sealed NATIVE column is exact."""
 
     def test_native_selection_sums_exact(self):
         rng = Random(5)
@@ -345,14 +312,15 @@ class TestEncodedEngineParity:
         assert hit.stats.segments_encoded > 0
         miss = routed(enc, "SELECT COUNT(*) FROM e WHERE tag = 'absent'")
         assert miss.rows == [(0,)]
-        # a literal absent from every segment dictionary prunes everything
+        # 'absent' sorts below every tag ('t0'..'t2'): the string zone
+        # maps prune every segment
         assert miss.stats.segments_pruned >= miss.stats.segments_encoded
         assert miss.stats.batches_scanned == 0
 
-    def test_rle_run_skipping_counted(self, routed):
+    def test_rle_selection_inside_segments(self, routed):
         # two 32-row runs *within* every 64-row segment (>= RLE_MIN_AVG_RUN
         # so the column run-length encodes), so zone maps cannot prune and
-        # the RLE selection must skip whole runs
+        # the sweep must select inside each RLE segment
         enc = _make_encoded_db()
         with enc.connect() as conn:
             for i in range(512):
@@ -363,7 +331,6 @@ class TestEncodedEngineParity:
         enc.replicate()
         result = routed(enc, "SELECT COUNT(*) FROM e WHERE grp = 1")
         assert result.rows == [(256,)]
-        assert result.stats.runs_skipped > 0
         assert result.stats.segments_encoded > 0
         assert result.stats.segments_pruned == 0
 
@@ -394,6 +361,93 @@ class TestEncodedEngineParity:
         assert sum(stats["encodings"].values()) == \
             stats["segments_encoded"] * 5  # five columns per segment
         assert 0.0 < enc.columnar.scan_cost_factor() < 1.0
+
+
+# one sealed 512-row segment per ``w`` (ids 0..511 each, a whole multiple
+# of the segment size, so the layout is the same at every partition count):
+# column -> (encoding, predicates).  Each column lists ``=``, IN, a range,
+# a literal absent from the column yet inside its zone map (it must be
+# swept, not pruned), and IS NOT NULL.
+PARITY_SEGMENT_ROWS = 512
+PARITY_COLUMNS = {
+    "sh": (SharedDictColumn,
+           ["= 's0'", "IN ('s2', 'zz')", ">= 's1'", "= 's1'"]),
+    "pd": (DictColumn,
+           ["= 'p00'", "IN ('p10', 'p78')", "BETWEEN 'p05' AND 'p20'",
+            "= 'p01'"]),
+    "r": (RLEColumn, ["= 0", "IN (4, 20, 99)", "BETWEEN 3 AND 11", "= 12"]),
+    "nn": (NativeColumn, ["= 0.5", "IN (1.0, 7.5)", "< 20.0", "= 0.75"]),
+    "q": (NativeColumn, ["= 0", "IN (14, 28)", "> 150", "= 3"]),
+    "pl": (list, ["= 'v0001'", "IN ('v0002', 'v0500')", "< 'v0100'",
+                  "= 'v0001a'"]),
+}
+
+
+def _parity_row(w, i):
+    third = PARITY_SEGMENT_ROWS // 3
+    # three runs, the middle one NULL
+    r = None if third <= i < 2 * third else 10 * w + (0 if i < third else 4)
+    return (w, i,
+            ("s0", "s2", "s4")[i % 3],                  # 3 values: shared
+            f"p{2 * (i % 40):02d}",                     # 40: demoted
+            r,
+            None if i % 7 == 0 else i * 0.5,
+            (i * 7) % 100 * 2,
+            None if i % 13 == 0 else f"v{i:04d}")       # 512 values: plain
+
+
+class TestPushedPredicatesOnEveryEncoding:
+    """Every pushed predicate shape on every sealed encoding answers what
+    the row oracle answers."""
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_parity_with_the_row_oracle(self, routed, partitions):
+        db = Database(with_columnar=True,
+                      columnar_segment_rows=PARITY_SEGMENT_ROWS,
+                      partitions=partitions)
+        # a table dictionary demotes past 16 values: ``pd`` and ``pl``
+        # fall back to per-segment choices, ``sh`` stays shared
+        with mock.patch.object(columnstore, "SHARED_DICT_MAX_CARDINALITY",
+                               16):
+            db.execute_ddl(
+                "CREATE TABLE t (w INT, id INT, sh VARCHAR(4), "
+                "pd VARCHAR(4), r INT, nn DOUBLE, q INT, pl VARCHAR(8), "
+                "PRIMARY KEY (w, id))")
+        with db.connect() as conn:
+            for w in range(4):
+                for i in range(PARITY_SEGMENT_ROWS):
+                    conn.execute(
+                        "INSERT INTO t VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        _parity_row(w, i))
+            conn.commit()
+        db.replicate()
+        db.columnar.compact(force=True)
+        segments = [segment for part in db.columnar.table_partitions("t")
+                    for segment in part.read_snapshot()[0]]
+        assert len(segments) == 4 and all(s.encoded for s in segments)
+        table = db.catalog.table("t")
+        for name, (encoding, _predicates) in PARITY_COLUMNS.items():
+            columns = [s.columns[table.position(name)] for s in segments]
+            assert all(type(c) is encoding for c in columns), name
+        assert all(None in c.run_values for c in
+                   (s.columns[table.position("r")] for s in segments))
+        assert all(s.columns[table.position("nn")].nulls for s in segments)
+        assert all(s.columns[table.position("q")].all_ints for s in segments)
+
+        for name, (_encoding, predicates) in PARITY_COLUMNS.items():
+            *_, absent = predicates
+            for predicate in [*predicates, "IS NOT NULL"]:
+                sql = f"SELECT w, id FROM t WHERE {name} {predicate} " \
+                    "ORDER BY w, id"
+                vec = routed(db, sql)
+                assert vec.stats.vectorized, sql
+                assert vec.rows == routed(db, sql, vectorized=False).rows, \
+                    sql
+                if predicate == absent:
+                    # inside the zone map: swept on an encoded segment
+                    assert not vec.rows and vec.stats.segments_encoded, sql
+                else:
+                    assert vec.rows, sql
 
 
 class TestSignOfZeroThroughTheEngine:

@@ -91,13 +91,15 @@ def test_matrix_rows_carry_latency_series(reports):
 # export_figure_data.py wrote) with the run-grouped fold; the code-space
 # join probe count (``join_code_probes``) and the table-level coded
 # group-by batch count (``groups_global_coded``) with the code-space join
-# and coded group-by (both 0 in every olxp and CLI run); no script or
-# committed CSV in the repository read any of them.
+# and coded group-by (both 0 in every olxp and CLI run); and the RLE
+# run-skip count (``runs_skipped``, 0 in every olxp and CLI run) with the
+# per-encoding predicate layer; no script or committed CSV in the
+# repository read any of them.
 CSV_HEADER = (
     "workload,engine,mode,loop,oltp_rate,olap_rate,hybrid_rate,class,"
     "throughput,count,min,mean,median,p90,p95,p99,p99.9,p99.99,max,std,"
     "vectorized_requests,batches_scanned,segments_pruned,segments_encoded,"
-    "runs_skipped,segments_merged,delta_rows_pending,"
+    "segments_merged,delta_rows_pending,"
     "plan_cache_hits,plan_cache_misses,plan_cache_evictions,"
     "partitions_scanned,partitions_pruned,multi_partition_commits,"
     "faults_injected,faults_recovered,degraded_statements,"

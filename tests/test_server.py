@@ -180,26 +180,16 @@ class TestPlanCacheCounters:
 class TestAdmissionController:
     def test_full_olap_queue_still_admits_commits(self):
         controller = AdmissionController(
-            AdmissionPolicy(olap_slots=2, max_scan_slots=2))
+            AdmissionPolicy(olap_slots=2))
         for _ in range(2):
-            ticket = controller.request("olap", 0.0, scan=True)
+            ticket = controller.request("olap", 0.0)
             assert ticket is not None
             controller.occupy(ticket, completion=1000.0)
-        assert controller.request("olap", 1.0, scan=True) is None
+        assert controller.request("olap", 1.0) is None
         # the transactional queue is independent: commits keep flowing
         oltp = controller.request("oltp", 1.0)
         assert oltp is not None
         assert controller.stats.deferred == {"oltp": 0, "olap": 1}
-
-    def test_scan_bound_tighter_than_class_slots(self):
-        controller = AdmissionController(
-            AdmissionPolicy(olap_slots=4, max_scan_slots=1))
-        first = controller.request("olap", 0.0, scan=True)
-        controller.occupy(first, completion=500.0)
-        assert controller.request("olap", 1.0, scan=True) is None
-        # non-scan analytical requests still fit in the class slots
-        assert controller.request("olap", 1.0, scan=False) is not None
-        assert controller.stats.scans_deferred == 1
 
     def test_slots_free_at_completion_time(self):
         controller = AdmissionController(AdmissionPolicy(olap_slots=1))
@@ -221,7 +211,7 @@ class TestAdmissionController:
     def test_disabled_policy_admits_everything(self):
         controller = AdmissionController(AdmissionPolicy.disabled())
         for i in range(50):
-            ticket = controller.request("olap", 0.0, scan=True)
+            ticket = controller.request("olap", 0.0)
             assert ticket is not None
             controller.occupy(ticket, completion=1e9)
         assert controller.stats.admitted["olap"] == 50
@@ -278,7 +268,7 @@ class TestServerRuns:
 
     def test_flood_defers_and_counts_backoff(self):
         server, workload = self._server(
-            AdmissionPolicy(olap_slots=1, max_scan_slots=1))
+            AdmissionPolicy(olap_slots=1))
         weights = {q.name: 1.0 if q.name in ("Q1", "Q6") else 0.0
                    for q in workload.analytical_queries()}
         clients = mixed_population(workload, 4, 4, olap_weights=weights)
@@ -296,7 +286,7 @@ class TestServerRuns:
         results = {}
         for label, policy in [
             ("off", AdmissionPolicy.disabled()),
-            ("on", AdmissionPolicy(olap_slots=1, max_scan_slots=1)),
+            ("on", AdmissionPolicy(olap_slots=1)),
         ]:
             server, workload = self._server(policy)
             weights = {q.name: 1.0 if q.name in ("Q1", "Q6") else 0.0
