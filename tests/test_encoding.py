@@ -12,7 +12,7 @@ import pytest
 
 from repro.db import Database
 from repro.sql.functions import GroupedAggregation
-from repro.sql.vectorized import _LazyColumn
+from repro.sql.vectorized import _EvalPred, _LazyColumn
 from repro.storage import columnstore
 from repro.storage.columnstore import (
     DictColumn,
@@ -116,6 +116,69 @@ class TestEncodeColumn:
             if isinstance(column, list):
                 continue
             assert column.gather(selection) == [values[i] for i in selection]
+
+
+class TestValueSpaceSelection:
+    """A pushed predicate's sweep selects the same offsets on every
+    encoding as it would on the decoded values."""
+
+    def test_dict_eq_absent_literal(self):
+        column = _encode_column((["a", "b"] * 100))
+        assert isinstance(column, DictColumn)
+        assert _EvalPred(0, low="zzz", high="zzz",
+                         is_eq=True).column_selection(column) == []
+        assert _EvalPred(0, low="a", high="a",
+                         is_eq=True).column_selection(column) == list(
+                             range(0, 200, 2))
+
+    def test_dict_in_partial_hits(self):
+        values = (["a", "b", "c", "a"] * 64)[:200]
+        column = _encode_column(values)
+        assert isinstance(column, DictColumn)
+        selection = _EvalPred(0, in_values=["b", "nope"]).column_selection(
+            column)
+        assert selection == [i for i in range(200) if values[i] == "b"]
+
+    def test_rle_eq_selects_one_run(self):
+        column = _encode_column([1] * 100 + [2] * 100 + [3] * 100)
+        assert isinstance(column, RLEColumn)
+        assert _EvalPred(0, low=2, high=2, is_eq=True).column_selection(
+            column) == list(range(100, 200))
+
+    def test_rle_range_straddles_runs(self):
+        values = [1] * 50 + [2] * 50 + [3] * 50 + [4] * 50
+        column = _encode_column(values)
+        assert isinstance(column, RLEColumn)
+        assert _EvalPred(0, low=2, high=3).column_selection(
+            column) == list(range(50, 150))
+        assert _EvalPred(0, low=2, high=3, low_inclusive=False,
+                         high_inclusive=False).column_selection(column) == []
+
+    def test_native_range_skips_nulls(self):
+        values = [float(i) if i % 2 else None for i in range(100)]
+        column = _encode_column(values)
+        assert isinstance(column, NativeColumn)
+        assert _EvalPred(0, low=90.0).column_selection(column) == [
+            91, 93, 95, 97, 99]
+
+    @pytest.mark.parametrize("values, encoding", [
+        (["a", "b", None, "a"] * 50, DictColumn),
+        ([1] * 60 + [None] * 60 + [2] * 80, RLEColumn),
+        ([float(i) if i % 3 else None for i in range(200)], NativeColumn),
+        ([f"payload-{i}" if i % 5 else None for i in range(400)], list),
+    ])
+    def test_not_null_selection_on_every_encoding(self, values, encoding):
+        not_null = _EvalPred(0, not_null=True)
+        column = _encode_column(values)
+        assert type(column) is encoding
+        assert not_null.column_selection(column) == [
+            i for i, v in enumerate(values) if v is not None]
+        # a null-free column absorbs the predicate: every row flows through
+        fill = next(v for v in values if v is not None)
+        full = [fill if v is None else v for v in values]
+        column = _encode_column(full)
+        assert type(column) is encoding
+        assert not_null.column_selection(column) is None
 
 
 class TestLazyNativeSums:
