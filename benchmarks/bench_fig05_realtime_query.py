@@ -286,7 +286,6 @@ def test_fig5_vectorized_vs_row_pipeline(benchmark, series):
         },
         "shared_dicts": {
             "dicts_shared": encoding["dicts_shared"],
-            "dicts_per_segment": encoding["dicts_per_segment"],
             "shared_dicts_total": encoding["shared_dicts_total"],
             "shared_dicts_demoted": encoding["shared_dicts_demoted"],
             "shared_dict_bytes": encoding["shared_dict_bytes"],

@@ -14,12 +14,15 @@ the same buffer pool.  Three arms per client count:
 * ``admission_on`` — the same flood behind one analytical slot: deferred
   scans back off while commits keep flowing.
 
-A fourth *chaos* arm re-runs the admission-on configuration with seeded
-probabilistic faults armed — columnar scans fail with ``replica.scan``
-(statements degrade to the row pipeline, answers unchanged) and 2PC
-prepares fail with ``txn.prepare`` (clean aborts, retried) — and records
-the throughput kept relative to the fault-free run plus a crash/recover
-parity sweep, all floor-checked in CI as ``BENCH_fig11.json["chaos"]``.
+A fourth *chaos* arm re-runs the CH-benCHmark mix on the columnar-replica
+database with seeded probabilistic faults armed — columnar scans fail
+with ``replica.scan`` (statements degrade to the row pipeline, answers
+unchanged); ``txn.prepare`` is armed too, but every transaction of this
+one-warehouse mix commits inside one partition, so no 2PC prepare is
+reached and it never fires — and records the transactions committed
+relative to the fault-free run (a seeded count, not a wall-clock rate)
+plus a crash/recover parity sweep, all floor-checked in CI as
+``BENCH_fig11.json["chaos"]``.
 
 Headline (recorded in ``BENCH_fig11.json``, floor-checked in CI): at >= 16
 mixed clients, p99 commit latency with admission control on is at least 2x
@@ -156,8 +159,8 @@ def _chaos_run(fault: bool) -> dict:
     return {
         "committed": committed,
         "aborted": aborted,
+        # reported, never gated: two sub-second loops time the host
         "elapsed_s": elapsed_s,
-        "oltp_throughput": committed / elapsed_s,
         "degraded_parity": degraded == healthy,
         "faults_injected": fp.triggers_total(),
         "faults_recovered": fp.recoveries_total(),
@@ -262,8 +265,8 @@ def test_fig11_concurrency(benchmark, series):
         "prepare_fault_probability": CHAOS_PREPARE_P,
         "clean": chaos_clean,
         "faulty": chaos_faulty,
-        "throughput_ratio": chaos_faulty["oltp_throughput"]
-        / chaos_clean["oltp_throughput"],
+        "commit_ratio": chaos_faulty["committed"]
+        / chaos_clean["committed"],
         "parity": {
             "partitions": list(PARITY_PARTITIONS),
             "identical": chaos_faulty["degraded_parity"]
@@ -277,8 +280,8 @@ def test_fig11_concurrency(benchmark, series):
         series.add(f"{point['clients']} clients p99 on/baseline (x)",
                    "~1", round(point["p99_on_over_baseline"], 2))
     series.add("parity across partitions", True, parity["identical"])
-    series.add("chaos oltp throughput kept (x)", ">=0.5",
-               round(chaos["throughput_ratio"], 2))
+    series.add("chaos oltp commits kept (x)", ">=0.5",
+               round(chaos["commit_ratio"], 2))
     series.add("chaos crash-recovery parity", True,
                chaos["parity"]["identical"])
     series.emit(benchmark)
@@ -306,12 +309,12 @@ def test_fig11_concurrency(benchmark, series):
         assert point["admission_off"]["deferred"]["olap"] == 0, point
     assert parity["identical"]
     # chaos criteria: faults must have engaged (injected, degraded, breaker
-    # tripped and healed) and the engine must keep at least half its
-    # fault-free oltp throughput with byte-identical answers both while
-    # degraded and after crash recovery
+    # tripped and healed) and the engine must commit at least half the
+    # transactions the fault-free run commits, with byte-identical answers
+    # both while degraded and after crash recovery
     assert chaos_faulty["faults_injected"] > 0, chaos_faulty
     assert chaos_faulty["degraded_statements"] > 0, chaos_faulty
     assert chaos_faulty["breaker_trips"] > 0, chaos_faulty
     assert chaos_faulty["breaker_healed"], chaos_faulty
-    assert chaos["throughput_ratio"] >= 0.5, chaos
+    assert chaos["commit_ratio"] >= 0.5, chaos
     assert chaos["parity"]["identical"]

@@ -1399,15 +1399,6 @@ class Planner:
             # predicate exact — so a whole-segment batch means *all* of
             # the segment's live rows passed
             sketch_key = self._sketch_key(group_by, aggs, base_scan)
-            if sketch_key is not None:
-                base_scan.emit_segments = True
-                if base_scan.pushed \
-                        and all(p.not_null for p in base_scan.pushed):
-                    # IS NOT NULL-only filters select deterministically
-                    # from segment content, so filtered sealed-segment
-                    # batches are memoisable too (the key carries the
-                    # filter positions — see _sketch_key)
-                    base_scan.emit_filtered_segments = True
         return BatchAggregate(vnode, group_fns, specs,
                               sketch_key=sketch_key, dependent=dependent)
 

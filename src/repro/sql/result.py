@@ -65,11 +65,11 @@ class Batch:
 
 
 class SegmentBatch(Batch):
-    """A whole-segment batch with zero surviving predicate work.
+    """A batch whose rows are a function of one sealed segment's content.
 
-    Emitted by the columnar scan only when every live row of one sealed
-    segment flows through unfiltered (no selection vector, fully-live
-    bitmap).  It carries the source ``Segment`` so sketch-eligible
+    Emitted by the columnar scan for a fully-live sealed segment whose
+    rows flow through unfiltered, or filtered by IS NOT NULL predicates
+    only.  It carries the source ``Segment`` so sketch-eligible
     aggregates can fold its run's cached state instead of its rows;
     every other operator treats it as a plain ``Batch``.
     """

@@ -308,7 +308,7 @@ def _not_null_selection(column) -> list | None:
         if not nulls:
             return None
         return [i for i in range(len(column)) if i not in nulls]
-    if isinstance(column, DictColumn):      # covers SharedDictColumn
+    if isinstance(column, DictColumn):
         codes = column.codes
         if -1 not in codes:
             return None
@@ -510,16 +510,6 @@ class VColumnarScan(VectorNode):
         names = table.column_names if columns is None else columns
         self.positions = [table.position(c) for c in names]
         self.schema = Schema([(binding, col) for col in names])
-        # set by the planner when the consumer is a sketch-eligible
-        # aggregate: whole-segment zero-copy batches from sealed segments
-        # are emitted as SegmentBatch so the fold can use cached states
-        self.emit_segments = False
-        # additionally set when every pushed predicate is IS NOT NULL:
-        # the selection vector is then a pure function of segment content
-        # (no statement parameters), so even *filtered* sealed-segment
-        # batches are memoisable — the plan's sketch key carries the
-        # filter positions
-        self.emit_filtered_segments = False
 
     def _target_partitions(self, ctx, n_parts: int) -> list[int]:
         """Partition ids the scan must visit (partition pruning)."""
@@ -580,12 +570,13 @@ class VColumnarScan(VectorNode):
         positions = self.positions
         if selection is None:
             # untouched segment: zero-copy column views.  Sealed segments
-            # additionally carry their identity when the consumer is a
-            # sketch-eligible aggregate (open/delta segments never do —
-            # they keep growing, so their content is not memoisable).
+            # additionally carry their identity, so a sketch-eligible
+            # aggregate (``BatchAggregate.sketch_key``) may fold a cached
+            # state instead (open/delta segments never do — they keep
+            # growing, so their content is not memoisable).
             stats.batches_scanned += 1
             columns = [segment.columns[p] for p in positions]
-            if self.emit_segments and segment.encoded:
+            if segment.encoded:
                 return (SegmentBatch(columns, segment.size, segment),
                         segment.size)
             return (Batch(columns, segment.size), segment.size)
@@ -594,12 +585,13 @@ class VColumnarScan(VectorNode):
         stats.batches_scanned += 1
         columns = [_LazyColumn(segment.columns[p], selection, stats)
                    for p in positions]
-        if self.emit_filtered_segments and segment.encoded \
-                and segment.live_count == segment.size:
+        if segment.encoded and segment.live_count == segment.size \
+                and all(p.not_null for p in self.pushed):
             # the selection came only from IS NOT NULL predicates on a
             # fully-live sealed segment: deterministic given the segment's
-            # content, so the fold may cache the filtered state (lazy
-            # gathers — a warm hit never materialises these columns)
+            # content, so the fold may cache the filtered state (the
+            # sketch key carries the filter positions; lazy gathers — a
+            # warm hit never materialises these columns)
             return SegmentBatch(columns, len(selection), segment), \
                 len(selection)
         return (Batch(columns, len(selection)), len(selection))
@@ -845,8 +837,8 @@ class BatchAggregate(BatchNode):
         self.dependent = dependent or (False,) * len(group_fns)
         # replica-cache key of this aggregate shape (table column
         # positions of the group keys + (agg name, table column) specs);
-        # None when the plan is not sketch-eligible.  Set by the planner
-        # together with the scan's ``emit_segments``.
+        # None when the plan is not sketch-eligible.  The fold reads a
+        # scan's ``SegmentBatch``es as segments only while it is set.
         self.sketch_key = sketch_key
         self.top = None                 # as the row ``Aggregate``'s
         names = [f"__G{i}" for i in range(len(group_fns))]

@@ -15,12 +15,12 @@ columnstore) organise it: fixed-size *segments* of column arrays, each with
   segment — widen-only, so they stay a conservative superset of the live
   values and pruning can never drop a matching row),
 * a **physical encoding** per column, chosen when a compaction merge
-  *seals* the segment: ``DICT`` (low-cardinality strings -> int codes in
-  the table-level shared dictionary, or a per-segment one once that
-  dictionary overflows its cap), ``RLE`` (long constant runs -> (value,
-  length) pairs), ``NATIVE`` (homogeneous ints/floats ->
-  ``array('q')``/``array('d')`` typed arrays with a null set), falling
-  back to ``PLAIN`` object lists.
+  *seals* the segment from the column's one type census, one builder per
+  encoding: ``RLE`` (long constant runs of one type -> (value, length)
+  pairs), ``NATIVE`` (homogeneous ints/floats -> ``array('q')`` /
+  ``array('d')`` typed arrays with a null set), ``DICT`` (strings -> int
+  codes in the table-level dictionary, while it stays under its cap),
+  falling back to ``PLAIN`` object lists.
 
 Every table is organised **delta–main** (TiFlash's delta tree): WAL
 records apply into unsorted *plain delta* tail segments, which never
@@ -43,7 +43,7 @@ gathered as concatenated columns, the sort orders an index vector keyed by
 the key columns themselves, each output segment is one gather per column
 (``Segment.from_columns``), and ``seal`` takes one type census per column
 that drives both its encoding choice and its byte accounting — no row
-tuple is built and no homogeneous column is walked value by value.
+tuple is built and no column is encoded value by value.
 
 The vectorized executor reads segments through ``read_snapshot``;
 ``scan`` keeps the row-tuple view for the row pipeline.
@@ -77,13 +77,11 @@ SEGMENT_ROWS = 4096
 # encoded, even for numerics
 RLE_MIN_AVG_RUN = 32
 # fallback RLE threshold for columns that qualify for no other encoding
+# (a string column whose table dictionary has demoted)
 RLE_FALLBACK_AVG_RUN = 8
-# dictionary encoding only pays while the dictionary stays small relative
-# to the segment
-DICT_MAX_CARDINALITY = 256
-# table-level shared dictionaries cover whole columns, so their cap is
-# proportionally larger; a column that exceeds it is *demoted* back to
-# per-segment encoding choices
+# a table-level dictionary covers a whole string column and pays only
+# while its cardinality stays under this cap; a column that exceeds it is
+# *demoted*: its later seals are RLE or PLAIN
 SHARED_DICT_MAX_CARDINALITY = 4096
 
 # default LRU budget for cached sealed-run aggregate states (sketches)
@@ -157,15 +155,16 @@ class TableDictionary:
     """One shared value<->code map covering a whole string column.
 
     Installed per DICT-eligible (string) column of a table and shared by
-    its partitions; the codes are a storage detail that only the column
-    reads (``SharedDictColumn``).
+    its partitions; it is the only dictionary a column encodes through,
+    and the codes are a storage detail that only the column reads
+    (``DictColumn``).
     Append-only: codes, once handed out, never change — sealed segments
     referencing the dictionary stay valid forever.  When the column's
     cardinality exceeds ``cap`` (``SHARED_DICT_MAX_CARDINALITY`` when the
     dictionary is built) the dictionary *demotes* (``active`` goes
-    False): future seals fall back to per-segment encoding choices while
-    already-sealed shared columns keep decoding through the (frozen-enough)
-    value list.
+    False): future seals of the column are RLE or PLAIN, while
+    already-sealed dictionary columns keep decoding through the
+    (frozen-enough) value list.
     """
 
     __slots__ = ("values", "code_of", "cap", "active", "referenced",
@@ -198,8 +197,8 @@ class TableDictionary:
         """Encode a sealed column slice into global codes.
 
         Unseen values are appended to the dictionary; ``None`` means the
-        table-level cap was exceeded — the dictionary demotes and the
-        caller falls back to per-segment encoding.
+        dictionary has demoted (now or before: the table-level cap was
+        exceeded) and the caller seals the slice without it.
         """
         with self._lock:
             if not self.active:
@@ -225,19 +224,25 @@ class TableDictionary:
 
 
 class DictColumn:
-    """Dictionary-encoded column: int codes + a per-segment dictionary.
+    """Dictionary-encoded column: int codes in its table's code space.
 
-    ``codes[i]`` indexes ``values``; ``-1`` encodes NULL.  Readers see
-    decoded values only: the codes never leave the column.
+    ``codes[i]`` indexes ``values``; ``-1`` encodes NULL.  ``values`` /
+    ``code_of`` alias the shared ``TableDictionary`` structures
+    (append-only, so indexing stays valid as the dictionary grows);
+    ``code_set`` holds the codes actually present in this segment, and
+    the byte accounting charges the segment for it.  Readers see decoded
+    values only: the codes never leave the column.
     """
 
     encoding = Encoding.DICT
-    __slots__ = ("codes", "values", "code_of")
+    __slots__ = ("codes", "values", "code_of", "code_set")
 
-    def __init__(self, codes: array, values: list, code_of: dict):
+    def __init__(self, codes: array, shared: TableDictionary,
+                 code_set: frozenset):
         self.codes = codes
-        self.values = values
-        self.code_of = code_of
+        self.values = shared.values
+        self.code_of = shared.code_of
+        self.code_set = code_set
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -266,23 +271,6 @@ class DictColumn:
         values = self.values
         return [None if (c := codes[i]) < 0 else values[c]
                 for i in selection]
-
-
-class SharedDictColumn(DictColumn):
-    """Dictionary column whose codes live in the table-level code space.
-
-    ``values``/``code_of`` alias the shared ``TableDictionary`` structures
-    (append-only, so indexing stays valid as the dictionary grows);
-    ``code_set`` holds the codes actually present in this segment; the
-    byte accounting charges the segment for it.
-    """
-
-    __slots__ = ("code_set",)
-
-    def __init__(self, codes: array, shared: TableDictionary,
-                 code_set: frozenset):
-        super().__init__(codes, shared.values, shared.code_of)
-        self.code_set = code_set
 
 
 class RLEColumn:
@@ -411,14 +399,11 @@ class NativeColumn:
 
 def _encoded_bytes(column) -> int:
     """Approximate footprint of one encoded column."""
-    if isinstance(column, SharedDictColumn):
+    if isinstance(column, DictColumn):
         # the dictionary is table-level and counted once at the replica
         # (``shared_dict_bytes``); the segment pays for codes + code set
         return (64 + column.codes.itemsize * len(column.codes)
                 + 8 * len(column.code_set))
-    if isinstance(column, DictColumn):
-        return (64 + column.codes.itemsize * len(column.codes)
-                + _plain_bytes(column.values))
     if isinstance(column, RLEColumn):
         return (64 + 2 * column.run_lengths.itemsize * len(column.run_lengths)
                 + _plain_bytes(column.run_values))
@@ -426,18 +411,6 @@ def _encoded_bytes(column) -> int:
         return (64 + column.data.itemsize * len(column.data)
                 + 8 * len(column.nulls))
     return _plain_bytes(column)
-
-
-def _same_run(value, previous) -> bool:
-    """May ``value`` extend the RLE run of ``previous``?  Equal values of
-    one type — ``1`` / ``1.0`` / ``True`` and ``0.0`` / ``-0.0`` compare
-    equal but decode differently, so they start a new run."""
-    if value is previous:
-        return True
-    if value != previous or type(value) is not type(previous):
-        return False
-    return (value != 0 or type(value) is not float
-            or math.copysign(1.0, value) == math.copysign(1.0, previous))
 
 
 def _plain_floats(values) -> bool:
@@ -454,114 +427,64 @@ def _encode_column(values: list, shared: TableDictionary | None = None,
                    census: dict | None = None):
     """Pick and build the cheapest safe encoding for a sealed column slice.
 
-    Returns the original list when no encoding applies (``PLAIN``).  The
-    choice is conservative: NATIVE requires a *homogeneous* int or float
-    column (so decoding cannot change a value's type), DICT requires
-    hashable low-cardinality strings, and RLE requires genuinely long runs
-    (a run holds equal values of one type and, for zeros, one sign, so
-    round-tripping is lossless).
+    Returns the original list when no encoding applies (``PLAIN``).  One
+    type census (``census``, taken here when the caller has none) decides
+    which encodings a column can take, and each has one builder:
 
-    One type census (``census``, taken here when the caller has none)
-    decides which of the three a column can be.  Where it finds a single
-    non-NULL type among int / str / float — floats without NaN or
-    ``-0.0`` — inequality of neighbours alone delimits the runs, so one
-    ``!=`` pass over adjacent pairs yields the run starts, and a
-    NULL-free typed array is built straight from the list.  Any other
-    census (mixed types, ``bool``, NaN, ``-0.0``, exotic values) counts
-    and builds its runs one value at a time.
+    * ``RLE`` (long runs) only where inequality of neighbours alone
+      delimits the runs — a single non-NULL type among int / str / float,
+      floats without NaN or ``-0.0``, or an all-NULL column — so one
+      ``!=`` pass over adjacent pairs yields the run starts and every run
+      decodes to the values it replaced;
+    * ``NATIVE`` for a homogeneous int or float column (NaN and ``-0.0``
+      included: a typed array keeps them exact);
+    * ``DICT`` for strings, through the table's dictionary ``shared``
+      while it is active.
 
-    ``shared`` is the column's table-level dictionary: the string branch
-    encodes straight into its global code space, and falls through to the
-    per-segment choices once the dictionary has demoted.
+    Any other census (mixed types, ``bool``, exotic values) stays PLAIN.
+    A string column whose dictionary has demoted seals RLE at
+    ``RLE_FALLBACK_AVG_RUN`` or PLAIN.
     """
     n = len(values)
     if n == 0:
         return values
     if census is None:
         census = _type_census(values)
-    nulls = census.get(_NONE_TYPE, 0)
     kinds = census.keys() - {_NONE_TYPE}
     kind = next(iter(kinds)) if len(kinds) == 1 else None
-    starts = None       # run start offsets, when one ``!=`` pass finds them
+    avg_run = 0
     if not kinds or kind is int or kind is str or (
             kind is float and _plain_floats(values)):
         starts = [0, *compress(range(1, n),
                                map(ne, values, islice(values, 1, None)))]
-        runs = len(starts)
-    else:
-        runs = 1
-        previous = values[0]
-        try:
-            for value in values:
-                if value is not previous and value != previous:
-                    runs += 1
-                previous = value
-        except TypeError:
-            # a value that cannot even be compared for equality (exotic
-            # type clash): keep the object list untouched
-            return values
-
-    def build_rle():
-        if starts is not None:
-            return RLEColumn(
-                list(map(values.__getitem__, starts)),
-                array("q", map(sub, chain(islice(starts, 1, None), (n,)),
-                               starts)))
-        run_values: list = []
-        run_lengths = array("q")
-        previous_value = values[0]
-        count = 0
-        for value in values:
-            if count and _same_run(value, previous_value):
-                count += 1
-                continue
-            if count:
-                run_values.append(previous_value)
-                run_lengths.append(count)
-            previous_value = value
-            count = 1
-        run_values.append(previous_value)
-        run_lengths.append(count)
-        return RLEColumn(run_values, run_lengths)
-
-    if n // runs >= RLE_MIN_AVG_RUN:
-        return build_rle()
+        avg_run = n // len(starts)
+        if avg_run >= RLE_MIN_AVG_RUN:
+            return _rle(values, starts)
     if kind is int or kind is float:
         typecode = "q" if kind is int else "d"
         try:
-            if not nulls:
+            if _NONE_TYPE not in census:
                 return NativeColumn(array(typecode, values), frozenset())
             return NativeColumn(
                 array(typecode, [0 if v is None else v for v in values]),
                 frozenset(compress(range(n), map(is_, values, repeat(None)))))
         except OverflowError:
             pass        # an int outside int64: no typed array holds it
-    if kind is str:
-        if shared is not None and shared.active:
-            global_codes = shared.encode(values)
-            if global_codes is not None:
-                code_set = frozenset(
-                    c for c in set(global_codes) if c >= 0)
-                return SharedDictColumn(global_codes, shared, code_set)
-        code_of: dict = {}
-        codes = array("i")
-        dictionary: list = []
-        for value in values:
-            if value is None:
-                codes.append(-1)
-                continue
-            code = code_of.get(value)
-            if code is None:
-                code = code_of[value] = len(dictionary)
-                dictionary.append(value)
-                if len(dictionary) > DICT_MAX_CARDINALITY:
-                    break
-            codes.append(code)
-        else:
-            return DictColumn(codes, dictionary, code_of)
-    if n // runs >= RLE_FALLBACK_AVG_RUN:
-        return build_rle()
+    if kind is str and shared is not None:
+        codes = shared.encode(values)
+        if codes is not None:
+            return DictColumn(codes, shared,
+                              frozenset(c for c in set(codes) if c >= 0))
+    if avg_run >= RLE_FALLBACK_AVG_RUN:
+        return _rle(values, starts)
     return values
+
+
+def _rle(values: list, starts: list) -> RLEColumn:
+    """The runs of ``values`` that begin at offsets ``starts``."""
+    return RLEColumn(list(map(values.__getitem__, starts)),
+                     array("q", map(sub, chain(islice(starts, 1, None),
+                                               (len(values),)), starts)))
 
 
 class Segment:
@@ -1150,12 +1073,11 @@ def _encoding_stats(segments: list[Segment]) -> dict:
         "bytes_saved": 0,
         "encodings": {Encoding.PLAIN: 0, Encoding.DICT: 0,
                       Encoding.RLE: 0, Encoding.NATIVE: 0},
-        # dictionary accounting: code bytes split from the dictionary
-        # value bytes, and shared (table-level) vs per-segment counts
+        # dictionary accounting: the code bytes and the number of
+        # dictionary columns (their values are counted once per table
+        # dictionary, as the replica's ``shared_dict_bytes``)
         "dict_code_bytes": 0,
-        "dict_value_bytes": 0,
         "dicts_shared": 0,
-        "dicts_per_segment": 0,
     }
     for segment in segments:
         if not segment.encoded:
@@ -1166,15 +1088,10 @@ def _encoding_stats(segments: list[Segment]) -> dict:
         for encoding in segment.encodings():
             stats["encodings"][encoding] += 1
         for column in segment.columns:
-            if not isinstance(column, DictColumn):
-                continue
-            stats["dict_code_bytes"] += \
-                column.codes.itemsize * len(column.codes)
-            if isinstance(column, SharedDictColumn):
+            if isinstance(column, DictColumn):
+                stats["dict_code_bytes"] += \
+                    column.codes.itemsize * len(column.codes)
                 stats["dicts_shared"] += 1
-            else:
-                stats["dicts_per_segment"] += 1
-                stats["dict_value_bytes"] += _plain_bytes(column.values)
     stats["bytes_saved"] = stats["bytes_plain"] - stats["bytes_encoded"]
     return stats
 
@@ -1347,8 +1264,7 @@ class ColumnarReplica:
                             for dictionary in parts[0].shared_dicts.values()]
         stats = _encoding_stats(segments)
         # the table-level dictionaries are stored once per column — count
-        # their value bytes here (per-segment dictionary bytes are already
-        # inside each segment's encoded_bytes)
+        # their value bytes here, not in any segment's encoded_bytes
         shared_bytes = sum(_plain_bytes(d.values) for d in dictionaries)
         stats["shared_dict_bytes"] = shared_bytes
         stats["shared_dicts_total"] = len(dictionaries)

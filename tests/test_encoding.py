@@ -19,7 +19,7 @@ from repro.storage.columnstore import (
     Encoding,
     NativeColumn,
     RLEColumn,
-    SharedDictColumn,
+    TableDictionary,
     _encode_column,
 )
 
@@ -31,7 +31,7 @@ from repro.storage.columnstore import (
 class TestEncodeColumn:
     def test_low_cardinality_strings_dict(self):
         values = (["GC", "BC", "GC", None] * 64)[:200]
-        column = _encode_column(values)
+        column = _encode_column(values, TableDictionary())
         assert isinstance(column, DictColumn)
         assert column.decode() == values
         assert list(column) == values
@@ -52,11 +52,11 @@ class TestEncodeColumn:
                                             (None, 50), (3, 100)]
 
     def test_rle_does_not_merge_equal_values_of_different_types(self):
+        # ``1 == 1.0``: ``!=`` cannot delimit the runs of a mixed census,
+        # so it never run-length encodes
         values = [1] * 40 + [1.0] * 40
         column = _encode_column(values)
-        if isinstance(column, RLEColumn):
-            decoded = column.decode()
-            assert [type(v) for v in decoded] == [type(v) for v in values]
+        assert column is values
 
     def test_homogeneous_ints_native(self):
         values = [((i * 37) % 1000) - 500 for i in range(300)]
@@ -80,6 +80,18 @@ class TestEncodeColumn:
         values = [1, 2.0] * 100
         column = _encode_column(values)
         assert isinstance(column, list)
+
+    def test_strings_without_a_dictionary_rle_or_plain(self):
+        # a demoted (or absent) table dictionary: long runs still RLE
+        values = ["a"] * 100 + ["b"] * 100
+        column = _encode_column(values)
+        assert isinstance(column, RLEColumn)
+        assert column.decode() == values
+        demoted = TableDictionary()
+        demoted.cap = 0
+        assert demoted.encode(["a"]) is None and not demoted.active
+        values = ["a", "b"] * 100
+        assert _encode_column(values, demoted) is values
 
     def test_high_cardinality_strings_plain(self):
         values = [f"payload-{i}" for i in range(400)]
@@ -111,7 +123,7 @@ class TestEncodeColumn:
             [5] * 90 + [7] * 110,
             [float(i) for i in range(200)],
         ):
-            column = _encode_column(values)
+            column = _encode_column(values, TableDictionary())
             selection = [0, 3, 50, 120, 199]
             if isinstance(column, list):
                 continue
@@ -123,7 +135,7 @@ class TestValueSpaceSelection:
     encoding as it would on the decoded values."""
 
     def test_dict_eq_absent_literal(self):
-        column = _encode_column((["a", "b"] * 100))
+        column = _encode_column((["a", "b"] * 100), TableDictionary())
         assert isinstance(column, DictColumn)
         assert _EvalPred(0, low="zzz", high="zzz",
                          is_eq=True).column_selection(column) == []
@@ -133,7 +145,7 @@ class TestValueSpaceSelection:
 
     def test_dict_in_partial_hits(self):
         values = (["a", "b", "c", "a"] * 64)[:200]
-        column = _encode_column(values)
+        column = _encode_column(values, TableDictionary())
         assert isinstance(column, DictColumn)
         selection = _EvalPred(0, in_values=["b", "nope"]).column_selection(
             column)
@@ -169,14 +181,16 @@ class TestValueSpaceSelection:
     ])
     def test_not_null_selection_on_every_encoding(self, values, encoding):
         not_null = _EvalPred(0, not_null=True)
-        column = _encode_column(values)
+        # strings dictionary-encode only through a table dictionary
+        shared = TableDictionary() if encoding is DictColumn else None
+        column = _encode_column(values, shared)
         assert type(column) is encoding
         assert not_null.column_selection(column) == [
             i for i, v in enumerate(values) if v is not None]
         # a null-free column absorbs the predicate: every row flows through
         fill = next(v for v in values if v is not None)
         full = [fill if v is None else v for v in values]
-        column = _encode_column(full)
+        column = _encode_column(full, shared)
         assert type(column) is encoding
         assert not_null.column_selection(column) is None
 
@@ -230,9 +244,10 @@ def _decoded(column):
 
 
 class TestRunBoundaries:
-    """A run holds values that decode alike: equal, of one type and — for
-    zeros — of one sign.  ``repr`` tells ``0.0`` from ``-0.0`` and ``1``
-    from ``1.0`` where ``==`` does not."""
+    """Every sealed column decodes to the values it replaced.  ``repr``
+    tells ``0.0`` from ``-0.0`` and ``1`` from ``1.0`` where ``==`` does
+    not; a column holding ``-0.0``, NaN or more than one type never
+    run-length encodes, since ``!=`` cannot delimit its runs."""
 
     @pytest.mark.parametrize("values", [
         [0.0] * 50 + [-0.0] * 50,
@@ -245,12 +260,7 @@ class TestRunBoundaries:
     ])
     def test_rle_keeps_the_sign_of_zero(self, values):
         column = _encode_column(values)
-        assert isinstance(column, RLEColumn)
-        assert list(map(repr, column.decode())) == list(map(repr, values))
-        # one run per stretch of identical reprs
-        stretches = 1 + sum(repr(a) != repr(b)
-                            for a, b in zip(values, values[1:]))
-        assert len(column.run_values) == stretches
+        assert list(map(repr, _decoded(column))) == list(map(repr, values))
 
     def test_negative_zero_survives_every_encoding(self):
         # NATIVE (short runs) and PLAIN (mixed) never lost it: pin that
@@ -263,10 +273,7 @@ class TestRunBoundaries:
     def test_shared_nan_object_stays_one_run(self):
         nan = float("nan")
         column = _encode_column([nan] * 100 + [1.0] * 100)
-        assert isinstance(column, RLEColumn)
-        assert list(column.run_lengths) == [100, 100]
-        assert column.run_values[0] is nan
-        assert list(map(repr, column.decode())) == \
+        assert list(map(repr, _decoded(column))) == \
             ["nan"] * 100 + ["1.0"] * 100
 
     def test_distinct_nan_objects_stay_native(self):
@@ -433,9 +440,9 @@ class TestEncodedEngineParity:
 # swept, not pruned), and IS NOT NULL.
 PARITY_SEGMENT_ROWS = 512
 PARITY_COLUMNS = {
-    "sh": (SharedDictColumn,
+    "sh": (DictColumn,
            ["= 's0'", "IN ('s2', 'zz')", ">= 's1'", "= 's1'"]),
-    "pd": (DictColumn,
+    "pd": (list,
            ["= 'p00'", "IN ('p10', 'p78')", "BETWEEN 'p05' AND 'p20'",
             "= 'p01'"]),
     "r": (RLEColumn, ["= 0", "IN (4, 20, 99)", "BETWEEN 3 AND 11", "= 12"]),
@@ -469,7 +476,7 @@ class TestPushedPredicatesOnEveryEncoding:
                       columnar_segment_rows=PARITY_SEGMENT_ROWS,
                       partitions=partitions)
         # a table dictionary demotes past 16 values: ``pd`` and ``pl``
-        # fall back to per-segment choices, ``sh`` stays shared
+        # seal without it (one-row runs: PLAIN), ``sh`` stays a dictionary
         with mock.patch.object(columnstore, "SHARED_DICT_MAX_CARDINALITY",
                                16):
             db.execute_ddl(

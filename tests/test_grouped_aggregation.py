@@ -29,7 +29,7 @@ from repro.sql.functions import (
 )
 from repro.sql.ordering import canonical_row_key, sort_key
 from repro.sql.vectorized import _LazyColumn
-from repro.storage.columnstore import NativeColumn, RLEColumn, _same_run
+from repro.storage.columnstore import NativeColumn, RLEColumn
 
 # ---------------------------------------------------------------------------
 # oracle
@@ -381,9 +381,18 @@ def _native(piece):
     return _LazyColumn(column, offsets)
 
 
+def _same_run(value, previous) -> bool:
+    """Do ``value`` and ``previous`` decode alike?  ``1`` / ``1.0`` /
+    ``True`` and ``0.0`` / ``-0.0`` compare equal but do not."""
+    return value is previous or (
+        type(value) is type(previous) and value == previous
+        and repr(value) == repr(previous))
+
+
 def _rle(piece):
-    """``piece`` run-length encoded, equal neighbours merged into runs as
-    a sealed column merges them."""
+    """``piece`` run-length encoded, neighbours that decode alike merged
+    into runs (a sealed column run-length encodes fewer censuses; the
+    aggregation reads any run it is handed)."""
     values, lengths = [], array("q")
     for value in piece:
         if values and _same_run(value, values[-1]):

@@ -27,9 +27,9 @@ from repro.sql.vectorized import (
 )
 from repro.storage import columnstore
 from repro.storage.columnstore import (
+    DictColumn,
     NativeColumn,
     RLEColumn,
-    SharedDictColumn,
     TableDictionary,
 )
 
@@ -147,7 +147,7 @@ class TestLateMaterialisation:
         codes = shared.encode(["x", "y", "x", "y"])
         probe = Batch([
             NativeColumn(array("q", [2, 0, 1, 2]), frozenset()),
-            SharedDictColumn(codes, shared, frozenset(codes)),
+            DictColumn(codes, shared, frozenset(codes)),
             RLEColumn([7, 9], array("q", [3, 1])),
         ], 4)
         build = Batch([[0, 1, 2], ["zero", "one", "two"],

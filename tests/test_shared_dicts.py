@@ -14,7 +14,6 @@ from repro.db import Database
 from repro.storage import columnstore
 from repro.storage.columnstore import (
     DictColumn,
-    SharedDictColumn,
     TableDictionary,
 )
 
@@ -85,7 +84,7 @@ class TestSharedDictStorage:
         assert isinstance(nation_dict, TableDictionary)
         shared_cols = [seg.columns[1] for seg in table.read_snapshot()[0]]
         assert len(shared_cols) >= 2
-        assert all(isinstance(c, SharedDictColumn) for c in shared_cols)
+        assert all(isinstance(c, DictColumn) for c in shared_cols)
         # every segment's codes index the SAME table-level value list
         assert all(c.values is nation_dict.values for c in shared_cols)
 
@@ -105,27 +104,29 @@ class TestSharedDictStorage:
         db = _fill(_make_db())
         stats = db.columnar.encoding_stats()
         assert stats["dicts_shared"] > 0
-        assert stats["dicts_per_segment"] == 0
         assert stats["shared_dict_bytes"] > 0
         assert stats["dict_code_bytes"] > 0
         assert stats["shared_dicts_total"] >= 3
-        # the unique note column blows its cap: those segments carry
-        # their own dictionaries, whose value bytes are counted per segment
+        # the unique note column blows its cap: its segments seal without
+        # a dictionary, so they add neither codes nor dictionary columns
         demoted = _fill(_make_db(cardinality=8)).columnar.encoding_stats()
-        assert demoted["dicts_per_segment"] > 0
-        assert demoted["dict_value_bytes"] > 0
+        assert demoted["shared_dicts_demoted"] == 1
+        assert demoted["dicts_shared"] < stats["dicts_shared"]
+        assert demoted["dict_code_bytes"] < stats["dict_code_bytes"]
+        assert demoted["shared_dict_bytes"] < stats["shared_dict_bytes"]
 
     def test_cardinality_overflow_demotes_to_per_segment(self, routed):
         # cap of 8 holds the nations but not the 256 distinct notes
         db = _fill(_make_db(cardinality=8))
         stats = db.columnar.encoding_stats()
         assert stats["shared_dicts_demoted"] >= 1
-        # nation column stays shared; note column fell back
+        # nation column stays a dictionary; the demoted note column seals
+        # RLE or PLAIN (one distinct note per row: PLAIN)
         table = db.columnar.table_partitions("cust")[0]
-        assert any(isinstance(seg.columns[1], SharedDictColumn)
+        assert any(isinstance(seg.columns[1], DictColumn)
                    for seg in table.read_snapshot()[0])
         note_cols = [seg.columns[3] for seg in table.read_snapshot()[0]]
-        assert all(type(c) is DictColumn for c in note_cols)
+        assert note_cols and all(type(c) is list for c in note_cols)
         # demoted domains still answer queries correctly; a GROUP BY on
         # the demoted column takes the generic assign + scatter fold
         for sql in [
@@ -310,8 +311,8 @@ class TestStringKeyJoin:
     def test_build_side_spans_demoted_dictionary_and_delta(self, routed,
                                                            partitions):
         """The build side's key column reads from segments sealed into
-        the table dictionary, segments sealed after it demoted (their own
-        dictionaries) and a plain delta, all in one join."""
+        the table dictionary, segments sealed after it demoted (PLAIN) and
+        a plain delta, all in one join."""
         db = _make_db(segment_rows=4, partitions=partitions, cardinality=8)
         names = [f"n{i}" for i in range(24)]
         with db.connect() as conn:
@@ -340,7 +341,7 @@ class TestStringKeyJoin:
         assert not _dictionaries(db, "nation")[0].active
         kinds = {type(segment.columns[0])
                  for part in build for segment in part.read_snapshot()[0]}
-        assert kinds == {SharedDictColumn, DictColumn}
+        assert kinds == {DictColumn, list}
         assert sum(segment.live_count for part in build
                    for segment in part.read_snapshot()[1]) == 3
         for join in ("JOIN", "LEFT JOIN"):

@@ -16,7 +16,6 @@ from repro.db import Database
 from repro.sql.ordering import canonical_value_key
 from repro.storage import columnstore
 from repro.storage.columnstore import (
-    DICT_MAX_CARDINALITY,
     RLE_FALLBACK_AVG_RUN,
     RLE_MIN_AVG_RUN,
     ColumnarReplica,
@@ -24,7 +23,6 @@ from repro.storage.columnstore import (
     NativeColumn,
     RLEColumn,
     Segment,
-    SharedDictColumn,
 )
 from repro.storage.wal import LogOp
 
@@ -501,11 +499,12 @@ class TestWorkloadParity:
 # (``self`` became ``table``), cut down to the whole-main rewrite the engine
 # does now: live rows as value tuples, one canonical primary-key tuple per
 # row as the sort key, ``Segment.append`` row by row, and a seal that
-# encodes and sizes every column one value at a time.  The run test of
-# ``build_rle`` tells ``-0.0`` from ``0.0`` like the engine's does.  Two
-# replicas receive the same applies; one merges through the engine, one
-# through the oracle, and everything a reader or a counter can see must
-# agree.
+# encodes and sizes every column one value at a time.  It restates the
+# encoding rule on its own: runs only for one non-NULL type among int /
+# str / float (no NaN, no ``-0.0``) or an all-NULL column, and strings
+# dictionary-encode only through the table dictionary.  Two replicas
+# receive the same applies; one merges through the engine, one through
+# the oracle, and everything a reader or a counter can see must agree.
 
 def _oracle_value_bytes(value):
     if value is None:
@@ -524,12 +523,9 @@ def _oracle_plain_bytes(values):
 
 
 def _oracle_encoded_bytes(column):
-    if isinstance(column, SharedDictColumn):
-        return (64 + column.codes.itemsize * len(column.codes)
-                + 8 * len(column.code_set))
     if isinstance(column, DictColumn):
         return (64 + column.codes.itemsize * len(column.codes)
-                + _oracle_plain_bytes(column.values))
+                + 8 * len(column.code_set))
     if isinstance(column, RLEColumn):
         return (64 + 2 * column.run_lengths.itemsize * len(column.run_lengths)
                 + _oracle_plain_bytes(column.run_values))
@@ -543,88 +539,52 @@ def _oracle_encode_column(values, shared=None):
     n = len(values)
     if n == 0:
         return values
-    runs = 1
-    previous = values[0]
-    all_int = True
-    all_float = True
-    all_str = True
+    kinds = set()
+    odd_float = False           # a NaN or a -0.0: ``==`` misjudges both
     nulls = 0
-    try:
-        for value in values:
-            if value is not previous and value != previous:
+    for value in values:
+        if value is None:
+            nulls += 1
+            continue
+        kinds.add(type(value))
+        if type(value) is float and repr(value) in ("nan", "-0.0"):
+            odd_float = True
+    kind = next(iter(kinds)) if len(kinds) == 1 else None
+    runs = 0
+    if not kinds or (kind in (int, str, float) and not odd_float):
+        runs = 1
+        for previous, value in zip(values, values[1:]):
+            if value != previous:
                 runs += 1
-            previous = value
-            if value is None:
-                nulls += 1
-                continue
-            if all_int and not (type(value) is int
-                                and -(1 << 63) <= value <= (1 << 63) - 1):
-                all_int = False
-            if all_float and type(value) is not float:
-                all_float = False
-            if all_str and type(value) is not str:
-                all_str = False
-    except TypeError:
-        return values
-    if nulls:
-        all_int = all_int and nulls < n
-        all_float = all_float and nulls < n
-    if nulls == n:
-        all_int = all_float = all_str = False
+    average_run = n // runs if runs else 0
 
     def build_rle():
         run_values = []
         run_lengths = array("q")
-        previous_value = values[0]
-        count = 0
         for value in values:
-            if count and (value is previous_value
-                          or (value == previous_value
-                              and type(value) is type(previous_value)
-                              and repr(value) == repr(previous_value))):
-                count += 1
-                continue
-            if count:
-                run_values.append(previous_value)
-                run_lengths.append(count)
-            previous_value = value
-            count = 1
-        run_values.append(previous_value)
-        run_lengths.append(count)
+            if run_values and value == run_values[-1]:
+                run_lengths[-1] += 1
+            else:
+                run_values.append(value)
+                run_lengths.append(1)
         return RLEColumn(run_values, run_lengths)
 
-    if n // runs >= RLE_MIN_AVG_RUN:
+    if average_run >= RLE_MIN_AVG_RUN:
         return build_rle()
-    if all_int or all_float:
-        data = array("q" if all_int else "d",
+    if kind is float or (kind is int and all(
+            -(1 << 63) <= v <= (1 << 63) - 1 for v in values
+            if v is not None)):
+        data = array("q" if kind is int else "d",
                      [0 if v is None else v for v in values])
         null_set = (frozenset(i for i, v in enumerate(values) if v is None)
                     if nulls else frozenset())
         return NativeColumn(data, null_set)
-    if all_str:
-        if shared is not None and shared.active:
-            shared_codes = shared.encode(values)
-            if shared_codes is not None:
-                code_set = frozenset(
-                    c for c in set(shared_codes) if c >= 0)
-                return SharedDictColumn(shared_codes, shared, code_set)
-        code_of = {}
-        codes = array("i")
-        dictionary = []
-        for value in values:
-            if value is None:
-                codes.append(-1)
-                continue
-            code = code_of.get(value)
-            if code is None:
-                code = code_of[value] = len(dictionary)
-                dictionary.append(value)
-                if len(dictionary) > DICT_MAX_CARDINALITY:
-                    break
-            codes.append(code)
-        else:
-            return DictColumn(codes, dictionary, code_of)
-    if n // runs >= RLE_FALLBACK_AVG_RUN:
+    if kind is str and shared is not None:
+        shared_codes = shared.encode(values)
+        if shared_codes is not None:
+            code_set = frozenset(c for c in set(shared_codes) if c >= 0)
+            return DictColumn(shared_codes, shared, code_set)
+    if average_run >= RLE_FALLBACK_AVG_RUN:
         return build_rle()
     return values
 
@@ -871,10 +831,10 @@ class TestColumnarMergeDifferential:
     @pytest.mark.parametrize("shared_cap", [200, 4096])
     def test_string_domain_straddling_the_dictionary_caps(self, distinct,
                                                           shared_cap):
-        # one 600-row segment holding 255..258 distinct strings: at or
-        # under DICT_MAX_CARDINALITY the column dictionary-encodes, over
-        # it the column stays plain; a 200-entry shared dictionary demotes
-        # on the way and hands over to the per-segment one
+        # one 600-row segment holding 255..258 distinct strings: a
+        # 4096-entry table dictionary encodes every seal; a 200-entry one
+        # demotes on the first, and the column seals without it from then
+        # on (one-row runs: PLAIN)
         load = [(k, 0, (k % 7, float(k % 5), f"t{k % distinct}"))
                 for k in range(600)]
         churn = [(k, 0, None if k % 9 == 0
@@ -883,7 +843,8 @@ class TestColumnarMergeDifferential:
         _check_merges_agree(600, None, False, shared_cap, [load, churn])
 
     def test_runs_of_signed_zeros(self):
-        # x holds 0.0 / -0.0 in stretches: one ``!=`` run, several RLE runs
+        # x holds 0.0 / -0.0 in stretches that ``!=`` sees as one run: the
+        # column seals NATIVE, never RLE
         load = [(k, 0, (k // 50, (0.0, -0.0, 0.0, None)[k // 40 % 4], "a"))
                 for k in range(200)]
         flip = [(k, 0, (0, -0.0, "a")) for k in range(0, 200, 2)]

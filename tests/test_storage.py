@@ -308,8 +308,7 @@ PINNED_REPLICA_ACCOUNTING = {
          'bytes_plain': 30034680, 'bytes_encoded': 18528524,
          'bytes_saved': 11506156,
          'encodings': {'plain': 46, 'dict': 14, 'rle': 48, 'native': 60},
-         'dict_code_bytes': 229376, 'dict_value_bytes': 0,
-         'dicts_shared': 14, 'dicts_per_segment': 0,
+         'dict_code_bytes': 229376, 'dicts_shared': 14,
          'shared_dict_bytes': 4065360, 'shared_dicts_total': 38,
          'shared_dicts_demoted': 14, 'sketch_bytes': 1024,
          'sketches_cached': 1, 'sketch_evictions': 0,
@@ -318,15 +317,13 @@ PINNED_REPLICA_ACCOUNTING = {
         {'segments_total': 9, 'segments_encoded': 8,
          'bytes_plain': 11474752, 'bytes_encoded': 3174572,
          'encodings': {'plain': 7, 'dict': 1, 'rle': 32, 'native': 40},
-         'dict_code_bytes': 16384, 'dict_value_bytes': 0,
-         'dicts_shared': 1, 'dicts_per_segment': 0,
+         'dict_code_bytes': 16384, 'dicts_shared': 1,
          'bytes_saved': 8300180}),
     4: ({'segments_total': 23, 'segments_encoded': 12,
          'bytes_plain': 26388560, 'bytes_encoded': 15983988,
          'bytes_saved': 10404572,
          'encodings': {'plain': 40, 'dict': 12, 'rle': 48, 'native': 48},
-         'dict_code_bytes': 196608, 'dict_value_bytes': 0,
-         'dicts_shared': 12, 'dicts_per_segment': 0,
+         'dict_code_bytes': 196608, 'dicts_shared': 12,
          'shared_dict_bytes': 3496016, 'shared_dicts_total': 38,
          'shared_dicts_demoted': 12, 'sketch_bytes': 1024,
          'sketches_cached': 1, 'sketch_evictions': 0,
@@ -335,8 +332,7 @@ PINNED_REPLICA_ACCOUNTING = {
         {'segments_total': 9, 'segments_encoded': 8,
          'bytes_plain': 11474752, 'bytes_encoded': 3174572,
          'encodings': {'plain': 7, 'dict': 1, 'rle': 32, 'native': 40},
-         'dict_code_bytes': 16384, 'dict_value_bytes': 0,
-         'dicts_shared': 1, 'dicts_per_segment': 0,
+         'dict_code_bytes': 16384, 'dicts_shared': 1,
          'bytes_saved': 8300180}),
 }
 
