@@ -15,14 +15,15 @@ the same buffer pool.  Three arms per client count:
   scans back off while commits keep flowing.
 
 A fourth *chaos* arm re-runs the CH-benCHmark mix on the columnar-replica
-database with seeded probabilistic faults armed — columnar scans fail
-with ``replica.scan`` (statements degrade to the row pipeline, answers
-unchanged); ``txn.prepare`` is armed too, but every transaction of this
-one-warehouse mix commits inside one partition, so no 2PC prepare is
-reached and it never fires — and records the transactions committed
-relative to the fault-free run (a seeded count, not a wall-clock rate)
-plus a crash/recover parity sweep, all floor-checked in CI as
-``BENCH_fig11.json["chaos"]``.
+database with seeded probabilistic ``replica.scan`` faults armed —
+columnar scans fail and statements degrade to the row pipeline, answers
+unchanged — and records the transactions committed relative to the
+fault-free run (a seeded count, not a wall-clock rate) plus a
+crash/recover parity sweep, all floor-checked in CI as
+``BENCH_fig11.json["chaos"]``.  Every transaction of this one-warehouse
+mix commits inside one partition and reaches no 2PC prepare, so the arm
+injects no ``txn.prepare`` fault; ``tests/test_fault_injection.py``
+covers prepare aborts.
 
 Headline (recorded in ``BENCH_fig11.json``, floor-checked in CI): at >= 16
 mixed clients, p99 commit latency with admission control on is at least 2x
@@ -73,7 +74,6 @@ PARITY_SCALE = 0.15
 CHAOS_ROUNDS = 8
 CHAOS_PARTITIONS = 2
 CHAOS_SCAN_P = 0.15
-CHAOS_PREPARE_P = 0.05
 
 
 def _arm(policy: AdmissionPolicy, oltp_clients: int, olap_clients: int):
@@ -119,7 +119,6 @@ def _chaos_run(fault: bool) -> dict:
     fp = db.failpoints
     if fault:
         fp.arm("replica.scan", probability=CHAOS_SCAN_P)
-        fp.arm("txn.prepare", probability=CHAOS_PREPARE_P)
     flood = [q for q in workload.analytical_queries()
              if q.name in FLOOD_QUERIES]
     rng = Random(SEED)
@@ -165,7 +164,6 @@ def _chaos_run(fault: bool) -> dict:
         "faults_injected": fp.triggers_total(),
         "faults_recovered": fp.recoveries_total(),
         "degraded_statements": db.degraded_statements_total,
-        "prepare_aborts": db.txn_manager.prepare_aborts,
         "breaker_trips": db.replica_breaker.trips,
         "breaker_resets": db.replica_breaker.resets,
         "breaker_healed": not db.replica_breaker.is_open,
@@ -262,7 +260,6 @@ def test_fig11_concurrency(benchmark, series):
         "rounds": CHAOS_ROUNDS,
         "partitions": CHAOS_PARTITIONS,
         "scan_fault_probability": CHAOS_SCAN_P,
-        "prepare_fault_probability": CHAOS_PREPARE_P,
         "clean": chaos_clean,
         "faulty": chaos_faulty,
         "commit_ratio": chaos_faulty["committed"]

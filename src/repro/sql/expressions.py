@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.errors import BindError, ExecutionError
 from repro.sql import ast
 from repro.sql.functions import SCALARS, like_to_predicate
+from repro.sql.result import Batch
 
 
 class Schema:
@@ -108,12 +109,22 @@ def column_fn(position: int):
     return column
 
 
-def eval_column(fn, rows: list, ctx) -> list:
-    """``fn`` over a batch of rows: one slice for a plain column."""
+def eval_column(fn, rows, ctx):
+    """``fn`` over a batch, one value per row.
+
+    ``rows`` is a list of row tuples (row pipeline) or a column-major
+    ``Batch`` (vector pipeline).  A plain column (``column_fn``) is one
+    slice of the row list, or the batch's own column object — zero-copy,
+    still encoded or lazily gathered; any other closure runs once per row.
+    """
     position = getattr(fn, "position", None)
-    if position is None:
-        return [fn(row, ctx) for row in rows]
-    return [row[position] for row in rows]
+    if isinstance(rows, Batch):
+        if position is not None:
+            return rows.columns[position]
+        rows = rows.rows()
+    elif position is not None:
+        return [row[position] for row in rows]
+    return [fn(row, ctx) for row in rows]
 
 
 def compile_expr(expr: ast.Expr, schema: Schema, plan_subquery=None):

@@ -24,7 +24,9 @@ single-table conjuncts and each join its equi keys and ON residue.
 ``_plan_from`` picks access paths and join operators over that split for
 the row tree; ``_plan_vector_source`` mirrors it over the columnar
 replica only when the row tree just scans — every table a ``SeqScan``,
-every join a ``HashJoin``.
+every join a ``HashJoin``.  Both trees compile their expressions with the
+one compiler, ``compile_expr``; the vector operators evaluate its closures
+a batch at a time (``eval_column``).
 
 Joins become hash joins whenever an equi-join key is available, otherwise
 nested loops.  Single-table predicates are pushed to the scans; the filter
@@ -83,8 +85,6 @@ from repro.sql.vectorized import (
     VFilter,
     VHashJoin,
     VProject,
-    compile_batch_expr,
-    compile_batch_predicate,
 )
 
 
@@ -989,8 +989,8 @@ class Planner:
                            input_schema: Schema) -> "_Presentation":
         """Resolve the select list and ORDER BY keys at the AST level.
 
-        The result is compile-target agnostic, so the row and vectorized
-        pipelines share one resolution of stars, aliases and ordinals.
+        Both pipelines compile the result with ``compile_expr``, so they
+        share one resolution of stars, aliases and ordinals.
         """
         item_exprs: list[ast.Expr] = []
         names: list[str] = []
@@ -1075,8 +1075,7 @@ class Planner:
         """Presentation over a (non-aggregated) batch source: project
         column-at-a-time, then bridge to the shared row tail."""
         sub = self._plan_subquery
-        fns = [compile_batch_expr(e, vnode.schema, sub)
-               for e in spec.all_exprs]
+        fns = [compile_expr(e, vnode.schema, sub) for e in spec.all_exprs]
         node = BatchRows(VProject(vnode, fns, spec.all_names))
         return self._presentation_tail(select, node, spec)
 
@@ -1353,17 +1352,15 @@ class Planner:
             # compile keys against it, not the full layout
             node = VHashJoin(
                 node, right_node,
-                [compile_batch_expr(e, node.schema, sub)
-                 for e in step.left_keys],
-                [compile_batch_expr(e, scan.schema, sub)
-                 for e in step.right_keys],
+                [compile_expr(e, node.schema, sub) for e in step.left_keys],
+                [compile_expr(e, scan.schema, sub) for e in step.right_keys],
                 step.kind,
             )
             if step.residual_on:
-                node = VFilter(node, compile_batch_predicate(
+                node = VFilter(node, compile_expr(
                     _and_all(step.residual_on), node.schema, sub))
         if remaining:
-            node = VFilter(node, compile_batch_predicate(
+            node = VFilter(node, compile_expr(
                 _and_all(remaining), node.schema, sub))
         return node, base_scan
 
@@ -1379,7 +1376,7 @@ class Planner:
         residual = [c for c in step.conjuncts if id(c) not in exact]
         if not residual:
             return scan, scan
-        return scan, VFilter(scan, compile_batch_predicate(
+        return scan, VFilter(scan, compile_expr(
             _and_all(residual), scan.schema, self._plan_subquery))
 
     _SKETCH_AGGS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
@@ -1389,9 +1386,8 @@ class Planner:
                               dependent: tuple = ()) -> BatchAggregate:
         sub = self._plan_subquery
         input_schema = vnode.schema
-        group_fns = [compile_batch_expr(g, input_schema, sub)
-                     for g in group_by]
-        specs = self._agg_specs(aggs, compile_batch_expr, input_schema)
+        group_fns = [compile_expr(g, input_schema, sub) for g in group_by]
+        specs = self._agg_specs(aggs, input_schema)
         sketch_key = None
         if vnode is base_scan:
             # ``vnode is base_scan`` ⟺ the aggregate consumes the scan
@@ -1712,7 +1708,7 @@ class Planner:
         input_schema = node.schema
         group_fns = [compile_expr(g, input_schema, sub)
                      for g in select.group_by]
-        specs = self._agg_specs(aggs, compile_expr, input_schema)
+        specs = self._agg_specs(aggs, input_schema)
         return Aggregate(node, group_fns, specs, dependent)
 
     def _dependent_keys(self, select: ast.Select) -> tuple:
@@ -1768,7 +1764,7 @@ class Planner:
                 kept.add(column)
         return tuple(flags)
 
-    def _agg_specs(self, aggs: list[ast.FuncCall], compile_arg,
+    def _agg_specs(self, aggs: list[ast.FuncCall],
                    input_schema) -> list[AggSpec]:
         """One ``AggSpec`` per aggregate; structurally equal argument
         expressions (``AVG(bal), MAX(bal)``) share one compiled fn."""
@@ -1779,8 +1775,8 @@ class Planner:
             if agg.args and not isinstance(agg.args[0], ast.Star):
                 arg = agg.args[0]
                 if arg not in arg_fns:
-                    arg_fns[arg] = compile_arg(arg, input_schema,
-                                               self._plan_subquery)
+                    arg_fns[arg] = compile_expr(arg, input_schema,
+                                                self._plan_subquery)
                 arg_fn = arg_fns[arg]
             specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
         return specs

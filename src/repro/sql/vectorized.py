@@ -1,12 +1,18 @@
 """Vectorized (batch-at-a-time) execution over the columnar replica.
 
-The row pipeline re-materialises every row as a Python tuple and threads it
-through per-row generator operators; routed to the columnar replica that
-barely changes the cost profile.  This module is the second executor: plans
-built from these operators move whole column slices (``Batch``) between
-operators, skip entire segments via zone maps, and only fall back to
-row-at-a-time evaluation inside a batch for expressions whose semantics
-require it (CASE laziness, subqueries).
+The row pipeline re-materialises every row as a Python tuple; routed to
+the columnar replica that barely changes the cost profile.  The operators
+here move whole column slices (``Batch``) instead: the scan skips entire
+segments via zone maps, evaluates pushed predicates in value space and
+hands the surviving columns on as zero-copy views or lazy gathers.
+
+The planner compiles every vector-tree expression with the row tree's
+compiler, ``repro.sql.expressions.compile_expr``, and the operators
+evaluate those closures through ``eval_column``: a bare column reference
+is the batch's column object itself (still encoded or lazily gathered, so
+typed folds and sketches see it as stored), anything else runs the row
+closure over ``Batch.rows()``.  NULL semantics, AND / OR short-circuit
+and CASE laziness are therefore the row pipeline's by construction.
 
 Two operator families:
 
@@ -17,24 +23,17 @@ Two operator families:
   ordinary Sort/TopN/Limit/Distinct presentation on top):
   ``BatchAggregate`` (batch-build hash aggregation) and ``BatchRows``.
 
-Both executors must return *identical* results — the parity tests compare
-them query-by-query — so every batch evaluator mirrors the null semantics
-and fold order of ``repro.sql.expressions``.
+Both pipelines must return *identical* results — the parity tests compare
+them query-by-query; the aggregates fold into the row pipeline's
+``GroupedAggregation``.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 
-from repro.errors import ExecutionError
-from repro.sql import ast
-from repro.sql.expressions import Schema, _null_safe_binop, compile_expr
-from repro.sql.functions import (
-    SCALARS,
-    GroupedAggregation,
-    _gather,
-    like_to_predicate,
-)
+from repro.sql.expressions import Schema, eval_column
+from repro.sql.functions import GroupedAggregation, _gather
 from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
@@ -49,172 +48,6 @@ from repro.storage.columnstore import (
     NativeColumn,
     RLEColumn,
 )
-
-
-# ---------------------------------------------------------------------------
-# batch expression compilation
-# ---------------------------------------------------------------------------
-
-def _elementwise(fn, arg_fns):
-    if len(arg_fns) == 1:
-        arg = arg_fns[0]
-        return lambda batch, ctx: list(map(fn, arg(batch, ctx)))
-
-    def run(batch, ctx):
-        return list(map(fn, *(f(batch, ctx) for f in arg_fns)))
-    return run
-
-
-def _row_fallback(expr: ast.Expr, schema: Schema, plan_subquery):
-    """Evaluate ``expr`` row-at-a-time within the batch.
-
-    Used for constructs whose row semantics are lazy (CASE branches,
-    subqueries): compiling the scalar closure and mapping it over the batch
-    keeps them exactly equivalent to the row pipeline.
-    """
-    row_fn = compile_expr(expr, schema, plan_subquery)
-    return lambda batch, ctx: [row_fn(row, ctx) for row in batch.rows()]
-
-
-def compile_batch_expr(expr: ast.Expr, schema: Schema, plan_subquery=None):
-    """Compile ``expr`` to ``fn(batch, ctx) -> list`` (one value per row)."""
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda batch, ctx: [value] * len(batch)
-
-    if isinstance(expr, ast.Param):
-        index = expr.index
-
-        def read_param(batch, ctx):
-            try:
-                value = ctx.params[index]
-            except IndexError:
-                raise ExecutionError(
-                    f"statement expects parameter {index + 1} but only "
-                    f"{len(ctx.params)} were bound"
-                ) from None
-            return [value] * len(batch)
-        return read_param
-
-    if isinstance(expr, ast.ColumnRef):
-        pos = schema.resolve(expr.table, expr.name)
-        return lambda batch, ctx: batch.columns[pos]
-
-    if isinstance(expr, ast.BinaryOp):
-        left = compile_batch_expr(expr.left, schema, plan_subquery)
-        right = compile_batch_expr(expr.right, schema, plan_subquery)
-        if expr.op == "AND":
-            # short-circuit like the row pipeline: the right operand is only
-            # evaluated for rows the left operand lets through, so guarded
-            # expressions (x <> 0 AND 1 / x > 0) cannot raise spuriously
-            def and_eval(batch, ctx):
-                out = [False] * len(batch)
-                kept = [i for i, v in enumerate(left(batch, ctx)) if v]
-                if kept:
-                    sub = batch if len(kept) == len(batch) \
-                        else batch.take(kept)
-                    for i, v in zip(kept, right(sub, ctx)):
-                        out[i] = bool(v)
-                return out
-            return and_eval
-        if expr.op == "OR":
-            def or_eval(batch, ctx):
-                out = [bool(v) for v in left(batch, ctx)]
-                rest = [i for i, v in enumerate(out) if not v]
-                if rest:
-                    sub = batch if len(rest) == len(batch) \
-                        else batch.take(rest)
-                    for i, v in zip(rest, right(sub, ctx)):
-                        out[i] = bool(v)
-                return out
-            return or_eval
-        return _elementwise(_null_safe_binop(expr.op), [left, right])
-
-    if isinstance(expr, ast.UnaryOp):
-        operand = compile_batch_expr(expr.operand, schema, plan_subquery)
-        if expr.op == "NOT":
-            return _elementwise(lambda v: not bool(v), [operand])
-        if expr.op == "-":
-            return _elementwise(lambda v: None if v is None else -v,
-                                [operand])
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-
-    if isinstance(expr, ast.IsNull):
-        operand = compile_batch_expr(expr.operand, schema, plan_subquery)
-        if expr.negated:
-            return lambda batch, ctx: [
-                v is not None for v in operand(batch, ctx)]
-        return lambda batch, ctx: [v is None for v in operand(batch, ctx)]
-
-    if isinstance(expr, ast.Like):
-        operand = compile_batch_expr(expr.operand, schema, plan_subquery)
-        negated = expr.negated
-        if isinstance(expr.pattern, ast.Literal):
-            matcher = like_to_predicate(str(expr.pattern.value))
-            if negated:
-                return _elementwise(lambda v: not matcher(v), [operand])
-            return _elementwise(matcher, [operand])
-        pattern = compile_batch_expr(expr.pattern, schema, plan_subquery)
-
-        def dynamic_like(value, text):
-            if text is None:
-                return False
-            outcome = like_to_predicate(str(text))(value)
-            return (not outcome) if negated else outcome
-        return _elementwise(dynamic_like, [operand, pattern])
-
-    if isinstance(expr, ast.Between):
-        operand = compile_batch_expr(expr.operand, schema, plan_subquery)
-        low = compile_batch_expr(expr.low, schema, plan_subquery)
-        high = compile_batch_expr(expr.high, schema, plan_subquery)
-        negated = expr.negated
-
-        def between(value, lo, hi):
-            if value is None or lo is None or hi is None:
-                return False
-            outcome = lo <= value <= hi
-            return (not outcome) if negated else outcome
-        return _elementwise(between, [operand, low, high])
-
-    if isinstance(expr, ast.InList):
-        # eager item evaluation is only safe when no item can raise; the
-        # row pipeline's any() stops at the first match, so expression
-        # items (e.g. IN (0, 100 / v)) must keep that laziness per row
-        if all(isinstance(i, ast.Literal) for i in expr.items):
-            operand = compile_batch_expr(expr.operand, schema, plan_subquery)
-            values = [i.value for i in expr.items]
-            negated = expr.negated
-
-            def in_literals(value):
-                if value is None:
-                    return False
-                outcome = any(value == v for v in values)
-                return (not outcome) if negated else outcome
-            return _elementwise(in_literals, [operand])
-        return _row_fallback(expr, schema, plan_subquery)
-
-    if isinstance(expr, ast.FuncCall) and expr.name in SCALARS:
-        fn = SCALARS[expr.name]
-        args = [compile_batch_expr(a, schema, plan_subquery)
-                for a in expr.args]
-        return _elementwise(fn, args)
-
-    # CASE (lazy branches), subqueries, anything exotic: exact row semantics
-    return _row_fallback(expr, schema, plan_subquery)
-
-
-def compile_batch_predicate(expr: ast.Expr, schema: Schema,
-                            plan_subquery=None):
-    """Compile a predicate to ``fn(batch, ctx) -> selection`` (row indices).
-
-    Truthiness matches the row pipeline: NULL comparison results are falsy.
-    """
-    value_fn = compile_batch_expr(expr, schema, plan_subquery)
-
-    def select(batch, ctx):
-        values = value_fn(batch, ctx)
-        return [i for i, v in enumerate(values) if v]
-    return select
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +487,8 @@ class VColumnarScan(VectorNode):
 
 
 class VFilter(VectorNode):
-    """Batch filter: applies a selection vector to each input batch."""
+    """Batch filter: the predicate's column of each input batch becomes
+    its selection vector (NULL is falsy, as in the row ``Filter``)."""
 
     def __init__(self, child: VectorNode, predicate):
         self.child = child
@@ -664,7 +498,8 @@ class VFilter(VectorNode):
     def execute_batches(self, ctx):
         predicate = self.predicate
         for batch in self.child.execute_batches(ctx):
-            selection = predicate(batch, ctx)
+            selection = [i for i, keep in enumerate(
+                eval_column(predicate, batch, ctx)) if keep]
             if not selection:
                 continue
             if len(selection) == len(batch):
@@ -677,7 +512,7 @@ class VFilter(VectorNode):
 
 
 class VProject(VectorNode):
-    """Batch projection: each output column computed column-at-a-time."""
+    """Batch projection: one ``eval_column`` per output column."""
 
     def __init__(self, child: VectorNode, fns, names: list[str]):
         self.child = child
@@ -687,7 +522,8 @@ class VProject(VectorNode):
     def execute_batches(self, ctx):
         fns = self.fns
         for batch in self.child.execute_batches(ctx):
-            yield Batch([fn(batch, ctx) for fn in fns], len(batch))
+            yield Batch([eval_column(fn, batch, ctx) for fn in fns],
+                        len(batch))
 
     def children(self):
         return [self.child]
@@ -723,7 +559,7 @@ class VHashJoin(VectorNode):
     def _keys(self, batch, probing: bool, ctx):
         """One batch's join keys: the key column itself, or a zip of
         several."""
-        key_cols = [fn(batch, ctx)
+        key_cols = [eval_column(fn, batch, ctx)
                     for fn in (self.left_fns if probing else self.right_fns)]
         return key_cols[0] if len(key_cols) == 1 else zip(*key_cols)
 
@@ -854,13 +690,15 @@ class BatchAggregate(BatchNode):
         return GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
                                    for s in self.agg_specs), self.dependent)
 
-    def _fold_batch(self, batch, ctx, groups: GroupedAggregation, arg_cols):
+    def _fold_batch(self, batch, ctx, groups: GroupedAggregation):
         """Fold one batch into ``groups``."""
+        arg_cols = argument_columns(
+            self.agg_specs, lambda fn: eval_column(fn, batch, ctx))
         if not self.group_fns:
             groups.fold(groups.gid(()), arg_cols, len(batch))
             return
         groups.scatter(groups.assign_columns(
-            [fn(batch, ctx) for fn in self.group_fns]), arg_cols)
+            [eval_column(fn, batch, ctx) for fn in self.group_fns]), arg_cols)
 
     def _fold(self, batches, ctx) -> GroupedAggregation:
         """The child's batches folded into one state.
@@ -881,7 +719,6 @@ class BatchAggregate(BatchNode):
         creation (and emission) order is identical to folding the rows
         directly, and the exact merge keeps the values bit-identical too.
         """
-        specs = self.agg_specs
         sketches = (ctx.columnar.sketches if self.sketch_key is not None
                     else None)
         groups = self._new_groups()
@@ -896,8 +733,7 @@ class BatchAggregate(BatchNode):
                 rows += folded
                 run = []
             rows += len(batch)
-            arg_cols = argument_columns(specs, lambda fn: fn(batch, ctx))
-            self._fold_batch(batch, ctx, groups, arg_cols)
+            self._fold_batch(batch, ctx, groups)
         if run:
             groups, folded = self._fold_run(run, ctx, groups, sketches)
             rows += folded
@@ -920,9 +756,7 @@ class BatchAggregate(BatchNode):
             # its own), cache it, then merge or copy it as a hit does
             cached = self._new_groups()
             for batch in run:
-                arg_cols = argument_columns(
-                    self.agg_specs, lambda fn: fn(batch, ctx))
-                self._fold_batch(batch, ctx, cached, arg_cols)
+                self._fold_batch(batch, ctx, cached)
             sketches.store(run_key, segments, cached, cached.nbytes())
             stats.sketches_built += len(run)
         else:

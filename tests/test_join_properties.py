@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.sql.executor import ExecContext
-from repro.sql.expressions import Schema
+from repro.sql.expressions import Schema, column_fn
 from repro.sql.planner import AggSpec
 from repro.sql.result import Batch
 from repro.sql.vectorized import (
@@ -137,10 +137,6 @@ class _Tap(VectorNode):
             yield batch
 
 
-def _column(position):
-    return lambda batch, ctx: batch.columns[position]
-
-
 class TestLateMaterialisation:
     def _join(self, kind="INNER"):
         shared = TableDictionary()
@@ -154,7 +150,7 @@ class TestLateMaterialisation:
                        [0.5, 1.5, 2.5], ["u", "v", "w"]], 3)
         join = VHashJoin(_Batches(["fk", "tag", "run"], [probe]),
                          _Batches(["pk", "name", "price", "unit"], [build]),
-                         [_column(0)], [_column(0)], kind)
+                         [column_fn(0)], [column_fn(0)], kind)
         return join, probe
 
     def test_aggregate_above_reads_one_build_column(self):
@@ -162,7 +158,7 @@ class TestLateMaterialisation:
         tap = _Tap(join)
         # SUM(price) GROUP BY tag: one probe column, one build column
         aggregate = BatchAggregate(
-            tap, [_column(1)], [AggSpec("SUM", _column(5), False)])
+            tap, [column_fn(1)], [AggSpec("SUM", column_fn(5), False)])
         ctx = ExecContext(None)
         rows = [row for batch in aggregate.execute_batches(ctx)
                 for row in batch]
