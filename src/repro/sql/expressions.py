@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.errors import BindError, ExecutionError
 from repro.sql import ast
-from repro.sql.functions import SCALARS, like_to_predicate
+from repro.sql.functions import SCALARS, like_to_predicate, sql_mod
 from repro.sql.result import Batch
 
 
@@ -82,7 +82,7 @@ def _null_safe_binop(op: str):
             return a / b
         return divide
     if op == "%":
-        return lambda a, b: None if a is None or b is None else a % b
+        return sql_mod
     if op == "||":
         return lambda a, b: None if a is None or b is None else str(a) + str(b)
     if op == "=":

@@ -714,7 +714,7 @@ def sql_abs(value):
 
 
 def sql_round(value, digits=0):
-    if value is None:
+    if value is None or digits is None:
         return None
     return round(value, int(digits))
 
@@ -723,14 +723,16 @@ def sql_length(value):
     return None if value is None else len(str(value))
 
 
-def sql_substr(value, start, length=None):
-    if value is None:
+def sql_substr(value, start, *length):
+    """``SUBSTR(value, start [, length])``; a NULL argument answers NULL."""
+    if value is None or start is None or None in length:
         return None
     text = str(value)
     begin = int(start) - 1  # SQL is 1-based
-    if length is None:
+    if not length:
         return text[begin:]
-    return text[begin:begin + int(length)]
+    (count,) = length
+    return text[begin:begin + int(count)]
 
 
 def sql_upper(value):
@@ -742,8 +744,12 @@ def sql_lower(value):
 
 
 def sql_mod(a, b):
+    """``a % b`` and ``MOD(a, b)``: NULL-safe, and a zero divisor raises
+    as ``/`` does."""
     if a is None or b is None:
         return None
+    if b == 0:
+        raise ExecutionError("division by zero")
     return a % b
 
 

@@ -26,7 +26,9 @@ the row tree; ``_plan_vector_source`` mirrors it over the columnar
 replica only when the row tree just scans — every table a ``SeqScan``,
 every join a ``HashJoin``.  Both trees compile their expressions with the
 one compiler, ``compile_expr``; the vector operators evaluate its closures
-a batch at a time (``eval_column``).
+a batch at a time (``eval_column``).  The two trees share one aggregate
+operator, ``BatchAggregate``, built by ``_plan_aggregate`` over either
+tree's input; only the vector tree's reads the sketch cache.
 
 Joins become hash joins whenever an equi-join key is available, otherwise
 nested loops.  Single-table predicates are pushed to the scans; the filter
@@ -41,8 +43,8 @@ and an index join probes its inner table with the keyed read of a
 ``PKLookup`` / ``PKPrefixScan``: one reader per access path.
 
 Operators speak the two-way protocol of ``repro.sql.plannode``: the full
-and PK-prefix scans, filters, projections, hash and index joins,
-aggregates and sorts are written batch-at-a-time (``BatchNode``), so a
+and PK-prefix scans, filters, projections, hash and index joins, the
+aggregate and sorts are written batch-at-a-time (``BatchNode``), so a
 draining statement moves lists of rows from the MVCC store to the pipeline
 breakers; the lazy consumers (``Limit``, nested-loop joins) still pull row
 by row.
@@ -66,13 +68,11 @@ from repro.sql.expressions import (
     eval_column,
     expr_display_name,
 )
-from repro.sql.functions import GroupedAggregation
 from repro.sql.ordering import canonical_row_key, sort_key
 from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
     PlanNode,
-    argument_columns,
     batched,
     build_table,
     chunked,
@@ -84,7 +84,6 @@ from repro.sql.vectorized import (
     VColumnarScan,
     VFilter,
     VHashJoin,
-    VProject,
 )
 
 
@@ -514,58 +513,6 @@ class AggSpec:
     distinct: bool
 
 
-class Aggregate(BatchNode):
-    """Hash aggregation into one ``GroupedAggregation``.
-
-    Each input batch is cut into group-key and argument columns once; the
-    kept key columns become the batch's group-id column (dependent ones are
-    read once per new group, see ``Planner._dependent_keys``) and every
-    aggregate scatters its argument column through it (the global aggregate
-    folds the whole column into its single group).  Groups are created —
-    and emitted — in first-appearance order.
-    """
-
-    def __init__(self, child: PlanNode, group_fns, agg_specs: list[AggSpec],
-                 dependent: tuple):
-        self.child = child
-        self.group_fns = group_fns
-        self.agg_specs = agg_specs
-        # one flag per group key: fixed by the keys before it, never hashed
-        self.dependent = dependent
-        self.top = None  # (aggregate j, LIMIT k): Planner._ranked_aggregate
-        names = [f"__G{i}" for i in range(len(group_fns))]
-        names += [f"__A{j}" for j in range(len(agg_specs))]
-        self.schema = Schema([(None, name) for name in names])
-
-    def execute_batches(self, ctx, size: int = BATCH_ROWS):
-        groups = GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
-                                     for s in self.agg_specs), self.dependent)
-        group_fns = self.group_fns
-        specs = self.agg_specs
-        rows = 0
-        for batch in self.child.execute_batches(ctx):
-            rows += len(batch)
-            arg_cols = argument_columns(
-                specs, lambda fn: eval_column(fn, batch, ctx))
-            if group_fns:
-                gids = groups.assign_columns(
-                    [eval_column(fn, batch, ctx) for fn in group_fns])
-                groups.scatter(gids, arg_cols)
-            else:
-                groups.fold(groups.gid(()), arg_cols, len(batch))
-        ctx.stats.agg_input_rows += rows
-        if not group_fns:
-            # global aggregate over an empty input still yields one row
-            groups.gid(())
-        rows = groups.rows(self.top)
-        ctx.stats.groups += len(groups)
-        ctx.stats.sort_rows += len(groups) - len(rows)  # ORDER BY ranks all
-        yield from chunked(rows, size)
-
-    def children(self):
-        return [self.child]
-
-
 class Sort(BatchNode):
     """Materialising sort; multi-key with per-key direction.
 
@@ -639,7 +586,7 @@ class TopN(BatchNode):
     tie or beat that threshold get the full composite key with the same
     canonical whole-row tiebreak as ``Sort``, so the output is exactly
     ``Sort`` followed by ``Limit`` — independent of input order, and so of
-    the groups an ``Aggregate.top`` below it dropped as unable to rank.
+    the groups a ``BatchAggregate.top`` below it dropped as unable to rank.
 
     Memory stays O(k + batch): the buffer is cut back to at most k rows
     whenever it passes ``2k + SLACK_ROWS``, prefix ties included (the
@@ -947,17 +894,18 @@ class Planner:
         vector_source = None  # batch-yielding source (batch projection)
         if has_group or aggs:
             dependent = self._dependent_keys(select)
-            row_agg = self._plan_aggregate(select, node, aggs, dependent)
+            row_agg = self._plan_aggregate(select.group_by, node, aggs,
+                                           dependent)
             if vsource is not None:
-                vnode = self._plan_batch_aggregate(
-                    select.group_by, vsource[0], aggs, vsource[1], dependent)
+                vnode = self._plan_aggregate(select.group_by, vsource[0],
+                                             aggs, dependent, vsource[1])
                 if isinstance(vnode.child, VHashJoin) \
                         and vnode.child.left is vsource[1]:
                     # one join straight over the base scan: a single step
                     self._plan_groupjoin(vnode, select.group_by, aggs,
                                          steps[0])
             node = row_agg
-            select = self._rewrite_above_aggregate(select, node)
+            select = self._rewrite_above_aggregate(select)
         elif select.having is not None:
             raise PlanError("HAVING requires GROUP BY or aggregates")
         elif vsource is not None:
@@ -1073,10 +1021,10 @@ class Planner:
     def _finish_vector(self, select: ast.Select, vnode,
                        spec: "_Presentation") -> PlanNode:
         """Presentation over a (non-aggregated) batch source: project
-        column-at-a-time, then bridge to the shared row tail."""
+        column-at-a-time into rows, then the shared row tail."""
         sub = self._plan_subquery
         fns = [compile_expr(e, vnode.schema, sub) for e in spec.all_exprs]
-        node = BatchRows(VProject(vnode, fns, spec.all_names))
+        node = BatchRows(vnode, fns, spec.all_names)
         return self._presentation_tail(select, node, spec)
 
     def _presentation_tail(self, select: ast.Select, node: PlanNode,
@@ -1381,23 +1329,6 @@ class Planner:
 
     _SKETCH_AGGS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
-    def _plan_batch_aggregate(self, group_by, vnode,
-                              aggs: list[ast.FuncCall], base_scan,
-                              dependent: tuple = ()) -> BatchAggregate:
-        sub = self._plan_subquery
-        input_schema = vnode.schema
-        group_fns = [compile_expr(g, input_schema, sub) for g in group_by]
-        specs = self._agg_specs(aggs, input_schema)
-        sketch_key = None
-        if vnode is base_scan:
-            # ``vnode is base_scan`` ⟺ the aggregate consumes the scan
-            # directly: no joins, no residual filter, every pushed
-            # predicate exact — so a whole-segment batch means *all* of
-            # the segment's live rows passed
-            sketch_key = self._sketch_key(group_by, aggs, base_scan)
-        return BatchAggregate(vnode, group_fns, specs,
-                              sketch_key=sketch_key, dependent=dependent)
-
     def _plan_groupjoin(self, node: BatchAggregate, group_by,
                         aggs: list[ast.FuncCall], step: _JoinStep) -> None:
         """Let ``node`` (an aggregate over one join of the base scan) fold
@@ -1437,7 +1368,8 @@ class Planner:
         if any(p is None or p < width for p in build) \
                 or self._sketch_key(kept, aggs, scan) is None:
             return
-        node.groupjoin = (self._plan_batch_aggregate(kept, scan, aggs, scan),
+        node.groupjoin = (self._plan_aggregate(kept, scan, aggs,
+                                              base_scan=scan),
                           [p - width for p in build])
 
     def _sketch_key(self, group_by, aggs: list[ast.FuncCall],
@@ -1619,7 +1551,11 @@ class Planner:
 
         The bound equalities of a PK lookup or prefix scan hold for every
         row it returns, so only the rest is evaluated per row; an index
-        scan proves nothing (its candidates may not carry the key).
+        scan proves nothing (its candidates may not carry the key).  The
+        filter evaluates the conjuncts a columnar scan pushes
+        (``_pushed_predicates``) first, then the rest, each group in
+        WHERE order — the order the vector tree evaluates them in, so a
+        conjunct that raises raises on both trees alike.
         """
         eq: dict[str, ast.Expr] = {}
         bound_by: dict[str, ast.Expr] = {}   # column -> the conjunct in eq
@@ -1664,6 +1600,8 @@ class Planner:
                     break
         node = scan
         residual = [c for c in conjuncts if id(c) not in proved]
+        _pushed, exact = self._pushed_predicates(table, residual)
+        residual.sort(key=lambda c: id(c) not in exact)  # stable: WHERE order
         if residual:
             node = Filter(scan, compile_expr(_and_all(residual), scan.schema,
                                              sub))
@@ -1701,15 +1639,26 @@ class Planner:
             walk(order.expr)
         return aggs
 
-    def _plan_aggregate(self, select: ast.Select, node: PlanNode,
-                        aggs: list[ast.FuncCall],
-                        dependent: tuple) -> Aggregate:
+    def _plan_aggregate(self, group_by, node, aggs: list[ast.FuncCall],
+                        dependent: tuple = (),
+                        base_scan=None) -> BatchAggregate:
+        """The one aggregate operator, over either tree's ``node``.  Only
+        an aggregate straight over the vector tree's ``base_scan`` gets a
+        sketch key; the row tree's never does, so it never reads the
+        replica's sketch cache."""
         sub = self._plan_subquery
         input_schema = node.schema
-        group_fns = [compile_expr(g, input_schema, sub)
-                     for g in select.group_by]
+        group_fns = [compile_expr(g, input_schema, sub) for g in group_by]
         specs = self._agg_specs(aggs, input_schema)
-        return Aggregate(node, group_fns, specs, dependent)
+        sketch_key = None
+        if node is base_scan:
+            # ``node is base_scan`` ⟺ the aggregate consumes the scan
+            # directly: no joins, no residual filter, every pushed
+            # predicate exact — so a whole-segment batch means *all* of
+            # the segment's live rows passed
+            sketch_key = self._sketch_key(group_by, aggs, base_scan)
+        return BatchAggregate(node, group_fns, specs,
+                              sketch_key=sketch_key, dependent=dependent)
 
     def _dependent_keys(self, select: ast.Select) -> tuple:
         """One flag per GROUP BY column: True when the column is fixed by
@@ -1781,8 +1730,7 @@ class Planner:
             specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
         return specs
 
-    def _rewrite_above_aggregate(self, select: ast.Select,
-                                 agg_node: Aggregate) -> ast.Select:
+    def _rewrite_above_aggregate(self, select: ast.Select) -> ast.Select:
         """Rewrite select/having/order expressions onto the aggregate output."""
         mapping: dict = {}
         for i, group in enumerate(select.group_by):

@@ -16,16 +16,19 @@ and CASE laziness are therefore the row pipeline's by construction.
 
 Two operator families:
 
-* **batch operators** (``execute_batches(ctx) -> Iterator[Batch]``):
-  ``VColumnarScan`` (with zone-map segment pruning), ``VFilter`` (selection
-  vectors), ``VProject``, ``VHashJoin``;
-* **bridge operators** (row ``PlanNode``s, so the planner can stack the
-  ordinary Sort/TopN/Limit/Distinct presentation on top):
-  ``BatchAggregate`` (batch-build hash aggregation) and ``BatchRows``.
+* **batch operators** (``VectorNode``: ``execute_batches(ctx) ->
+  Iterator[Batch]``): ``VColumnarScan`` (with zone-map segment pruning),
+  ``VFilter`` (selection vectors) and ``VHashJoin``;
+* **row-emitting operators** (``BatchNode``s, so the planner stacks the
+  ordinary Sort / TopN / Limit / Distinct presentation on top):
+  ``BatchRows`` projects a batch tree's SELECT list into rows, and
+  ``BatchAggregate`` is the one aggregate of *both* trees — it folds a
+  vector tree's batches or a row tree's row lists alike, through
+  ``eval_column`` into one ``GroupedAggregation``.  Only the vector
+  tree's aggregate reads the sketch cache or runs as a groupjoin.
 
 Both pipelines must return *identical* results — the parity tests compare
-them query-by-query; the aggregates fold into the row pipeline's
-``GroupedAggregation``.
+them query-by-query.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from repro.sql.functions import GroupedAggregation, _gather
 from repro.sql.plannode import (
     BATCH_ROWS,
     BatchNode,
-    PlanNode,
     argument_columns,
     build_table,
     chunked,
@@ -511,24 +513,6 @@ class VFilter(VectorNode):
         return [self.child]
 
 
-class VProject(VectorNode):
-    """Batch projection: one ``eval_column`` per output column."""
-
-    def __init__(self, child: VectorNode, fns, names: list[str]):
-        self.child = child
-        self.fns = fns
-        self.schema = Schema([(None, name) for name in names])
-
-    def execute_batches(self, ctx):
-        fns = self.fns
-        for batch in self.child.execute_batches(ctx):
-            yield Batch([eval_column(fn, batch, ctx) for fn in fns],
-                        len(batch))
-
-    def children(self):
-        return [self.child]
-
-
 class VHashJoin(VectorNode):
     """Batch equi-join; builds on the right input, probes batch-at-a-time.
 
@@ -623,49 +607,52 @@ class VHashJoin(VectorNode):
 
 
 # ---------------------------------------------------------------------------
-# bridges back to the row pipeline (presentation operators stack on top)
+# row-emitting operators (the row presentation stacks on top)
 # ---------------------------------------------------------------------------
 
-class BatchRows(PlanNode):
-    """Row-pipeline adapter: flattens batches back into row tuples."""
+class BatchRows(BatchNode):
+    """Projection back into rows: each batch's output columns, one
+    ``eval_column`` per column, re-cut into row tuples by one C-level
+    zip — the vector tree's SELECT list under the row presentation."""
 
-    def __init__(self, child: VectorNode):
+    def __init__(self, child: VectorNode, fns, names: list[str]):
         self.child = child
-        self.schema = child.schema
+        self.fns = fns
+        self.schema = Schema([(None, name) for name in names])
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        fns = self.fns
         for batch in self.child.execute_batches(ctx):
-            yield from batch.rows()
+            yield from chunked(list(zip(*[eval_column(fn, batch, ctx)
+                                          for fn in fns])), size)
 
     def children(self):
         return [self.child]
 
 
 class BatchAggregate(BatchNode):
-    """Hash aggregation consuming batches, emitting one row per group.
+    """Hash aggregation, one row per group: the aggregate of both trees.
 
-    The schema mirrors the row pipeline's ``Aggregate`` (``__G*``/``__A*``),
-    so the planner's above-aggregate rewrite applies unchanged, and both
-    fold into the same ``GroupedAggregation``.  Grouping keys and aggregate
-    arguments are evaluated column-at-a-time: the key columns become the
-    batch's group-id column, every argument column scatters through it;
-    the global (no GROUP BY) case bulk-folds whole column slices.  Like
-    ``Aggregate`` it is a ``BatchNode``: the state hands back one
-    materialised row list, emitted in chunks rather than re-batched from
-    a per-row generator (Q5's ``top`` keeps ~10 of its 13 k groups).
+    The child is a vector tree's ``VectorNode`` (batches) or a row tree's
+    ``PlanNode`` (row lists); ``eval_column`` reads either, so both fold
+    the same way into one ``GroupedAggregation``.  The kept key columns
+    become each batch's group-id column (dependent ones are read once per
+    new group, see ``Planner._dependent_keys``) and every argument column
+    scatters through it; the global case bulk-folds whole column slices.
+    Groups are created — and emitted, as one materialised row list handed
+    out in chunks — in first-appearance order, under the ``__G*`` /
+    ``__A*`` schema the planner's above-aggregate rewrite reads.
 
-    The child's one batch stream (every partition the scan visits, in
-    partition order) folds into one state, as the row ``Aggregate`` folds
-    its input, so the result is bit-identical to the row pipeline's.
-
-    **Groupjoin**: over an FK -> PK join (``groupjoin`` set by the
-    planner) the aggregate folds the join's probe side by its join key
-    first — sketches included — and joins the groups, not the rows
-    (``_groupjoin``).
+    Only a vector tree's aggregate straight over its base scan gets a
+    ``sketch_key`` (``_fold``), and only one over an FK -> PK join of that
+    scan a ``groupjoin``: it then folds the join's probe side by its join
+    key first — sketches included — and joins the groups, not the rows
+    (``_groupjoin``).  The row tree's aggregate has neither, so it never
+    reads ``ctx.columnar``.
     """
 
-    def __init__(self, child: VectorNode, group_fns, agg_specs,
-                 sketch_key=None, dependent: tuple = ()):
+    def __init__(self, child, group_fns, agg_specs, sketch_key=None,
+                 dependent: tuple = ()):
         self.child = child
         self.group_fns = group_fns
         self.agg_specs = agg_specs
@@ -676,7 +663,7 @@ class BatchAggregate(BatchNode):
         # None when the plan is not sketch-eligible.  The fold reads a
         # scan's ``SegmentBatch``es as segments only while it is set.
         self.sketch_key = sketch_key
-        self.top = None                 # as the row ``Aggregate``'s
+        self.top = None  # (aggregate j, LIMIT k): Planner._ranked_aggregate
         names = [f"__G{i}" for i in range(len(group_fns))]
         names += [f"__A{j}" for j in range(len(agg_specs))]
         self.schema = Schema([(None, name) for name in names])
@@ -788,11 +775,12 @@ class BatchAggregate(BatchNode):
         through the sketch cache, as a single-table aggregate would — and
         each group probes the build table once: a probe row joins iff its
         key does, so the groups that match, in id order, are the join's
-        groups in its first-appearance order, with the same rows folded.  Build-side GROUP BY values are read from the matched
-        build rows; the cached states hold probe-side data only.  A
-        repeated build key (the data decides, not the catalog) runs the
-        join, then the fold, as any aggregate over a join does; ``None``
-        then stands for every group.
+        groups in its first-appearance order, with the same rows folded.
+        Build-side GROUP BY values are read from the matched build rows;
+        the cached states hold probe-side data only.  A repeated build key
+        (the data decides, not the catalog) runs the join, then the fold,
+        as any aggregate over a join does; ``None`` then stands for every
+        group.
         """
         probe, positions = self.groupjoin
         columns, table, unique = self.child._build(ctx)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.session import run_transaction
 from repro.db import Database
 from repro.sql.functions import GroupedAggregation
-from repro.sql.planner import Aggregate, Project
+from repro.sql.planner import Project
 from repro.sql.vectorized import BatchAggregate
 from repro.workloads import make_workload
 
@@ -53,13 +53,13 @@ def _find(root, kind):
 
 
 def _aggregates(db: Database, sql: str):
-    """The statement's row ``Aggregate`` and vector ``BatchAggregate``
-    (None when the statement has no vectorized plan)."""
+    """The statement's row-tree and vector-tree ``BatchAggregate`` (the
+    vector one None when the statement has no vectorized plan)."""
     plan = db.prepare(sql)
     vector = None
     if plan.vectorized_root is not None:
         vector = _find(plan.vectorized_root, BatchAggregate)
-    return _find(plan.root, Aggregate), vector
+    return _find(plan.root, BatchAggregate), vector
 
 
 def _schema_db(name: str) -> Database:

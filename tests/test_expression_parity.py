@@ -12,8 +12,11 @@ exception type.
 The two pipelines reach rows in different batches (the oracle a scan
 batch, the engine a segment), so a statement that can fail two ways may
 report either.  The trees are typed so that a statement fails one way
-only — division by zero: ``%`` / ``MOD`` take non-zero literal divisors,
-and strings never meet numbers.
+only — division by zero, from ``/``, ``%`` or ``MOD`` — as strings never
+meet numbers; a divisor, a SUBSTR position or length and a ROUND digit
+count are any numeric tree, NULL included.  The WHERE places a conjunct
+the scan pushes before or after the one it does not: both pipelines
+evaluate the pushed one first.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ HAVING_LEAVES = {
 }
 # one form per construct; each ``{slot}`` is drawn independently
 FORMS = {
-    "num": ("({num} {arith} {num})", "(- {num})", "({num} % {divisor})",
-            "MOD({num}, {divisor})", "ABS({num})", "ROUND({num}, {digits})",
+    "num": ("({num} {arith} {num})", "(- {num})", "({num} % {num})",
+            "MOD({num}, {num})", "ABS({num})", "ROUND({num}, {num})",
             "LENGTH({text})", "CASE WHEN {bool} THEN {num} ELSE {num} END",
             "CASE WHEN {bool} THEN {num} END"),
     "text": ("({text} || {text})", "UPPER({text})", "LOWER({text})",
-             "SUBSTR({text}, {start}, {length})",
+             "SUBSTR({text}, {num})", "SUBSTR({text}, {num}, {num})",
              "CASE WHEN {bool} THEN {text} ELSE {text} END"),
     "bool": ("({num} {cmp} {num})", "({text} {cmp} {text})",
              "({bool} AND {bool})", "({bool} OR {bool})", "(NOT {bool})",
@@ -57,10 +60,6 @@ TOKENS = {
     "arith": ("+", "-", "*", "/"),
     "cmp": ("=", "<>", "<", "<=", ">", ">="),
     "not": ("", "NOT "),
-    "divisor": ("3", "-2", "2.5"),
-    "digits": ("0", "1"),
-    "start": ("1", "2"),
-    "length": ("0", "1", "2"),
     "pattern": ("'a%'", "'%b'", "'_'", "'%'", "'ab'"),
 }
 SLOT = re.compile(r"\{(\w+)\}")
@@ -119,19 +118,26 @@ def expression(draw, kind: str, leaves=LEAVES, depth: int = 3) -> str:
 NUM, TEXT, BOOL, ANY = (expression(kind)
                         for kind in ("num", "text", "bool", "any"))
 GROUPING = st.sampled_from(("", " GROUP BY a"))
-# conjuncts the scan pushes, written first: the row filter then evaluates
-# the residual on the rows they keep, as the vector tree does
-PUSHED = st.sampled_from(("", "a > 0 AND ", "b IS NOT NULL AND ",
-                          "s IN ('a', 'b') AND "))
+# conjuncts the scan pushes, written before or after the residual: the
+# row filter evaluates them first wherever they stand, as the scan does
+PUSHED = st.sampled_from(("a > 0", "b IS NOT NULL", "s IN ('a', 'b')"))
 
 # one conjunct the scan never pushes: a CASE hands the filter its
 # operand's NULL, an OR evaluates it as an OR operand
 RESIDUAL = st.sampled_from(("CASE WHEN TRUE THEN {} END", "({} OR FALSE)"))
 
+
+@st.composite
+def where_clause(draw) -> str:
+    conjuncts = [draw(RESIDUAL).format(draw(BOOL))]
+    if draw(st.booleans()):
+        conjuncts.insert(draw(st.integers(0, 1)), draw(PUSHED))
+    return " AND ".join(conjuncts)
+
+
 STATEMENTS = st.one_of(
-    st.tuples(PUSHED, RESIDUAL, BOOL).map(
-        lambda e: "SELECT id, a, b, s FROM t WHERE " + e[0]
-                  + e[1].format(e[2])),
+    where_clause().map(lambda where: "SELECT id, a, b, s FROM t WHERE "
+                                     + where),
     st.tuples(NUM, TEXT, BOOL, BOOL, BOOL).map(
         lambda e: "SELECT id, {}, {}, {}, {}, {} FROM t".format(*e)),
     ANY.map(lambda key: f"SELECT {key}, COUNT(*), SUM(b) FROM t "
@@ -156,6 +162,26 @@ def _outcome(routed, db, sql: str, vectorized: bool):
         return type(exc)
     assert result.stats.vectorized is vectorized, sql
     return repr(result.rows)
+
+
+@pytest.mark.parametrize("partitions", [1, 4])
+def test_a_pushed_conjunct_is_evaluated_first_on_both_trees(routed,
+                                                            partitions):
+    """``1 / a > 0 AND a > 100`` over a row with ``a = 0``: the scan
+    evaluates the pushed ``a > 100`` first and never divides, and so
+    does the row filter, although WHERE writes it second."""
+    db = Database(with_columnar=True, columnar_segment_rows=8,
+                  partitions=partitions)
+    db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, a INT)")
+    db.bulk_load("t", [(i, i % 5) for i in range(20)])
+    db.replicate()
+    for sql, rows in (("SELECT id FROM t WHERE 1 / a > 0 AND a > 100", []),
+                      ("SELECT id FROM t WHERE 1 / a > 0 AND a >= 4",
+                       [(4,), (9,), (14,), (19,)])):
+        for vectorized in (True, False):
+            result = routed(db, sql, vectorized=vectorized)
+            assert result.stats.vectorized is vectorized
+            assert sorted(result.rows) == rows, (sql, vectorized)
 
 
 @given(sql=STATEMENTS)

@@ -20,6 +20,7 @@ from repro.core.report import render_csv, render_text
 from repro.core.runner import RunReport
 from repro.db import Database
 from repro.storage import columnstore
+from repro.workloads import make_workload
 
 NATIONS = ["FRANCE", "GERMANY", "BRAZIL", "JAPAN", "INDIA", "KENYA",
            "CANADA"]
@@ -62,6 +63,29 @@ def _fill(db, n=640, seed=11):
                 "VALUES (?, ?, ?, ?, ?)",
                 (i, NATIONS[i % 7], i % 13, float(i) * 0.25, d))
         conn.commit()
+    db.replicate()
+    db.columnar.compact(force=True)
+    return db
+
+
+# subenchmark's Q1 (an IS NOT NULL filter) and Q5 (a groupjoin), as the
+# fig05 benchmark runs them
+SUBENCH_Q1 = ("SELECT ol_number, SUM(ol_quantity) AS total_qty, "
+              "SUM(ol_amount) AS total_amount, AVG(ol_quantity) AS avg_qty, "
+              "AVG(ol_amount) AS avg_amount, COUNT(*) AS line_count "
+              "FROM order_line WHERE ol_delivery_d IS NOT NULL "
+              "GROUP BY ol_number ORDER BY ol_number")
+SUBENCH_Q5 = ("SELECT ol.ol_i_id, i.i_name, SUM(ol.ol_amount) AS revenue, "
+              "SUM(ol.ol_quantity) AS units "
+              "FROM order_line ol JOIN item i ON i.i_id = ol.ol_i_id "
+              "GROUP BY ol.ol_i_id, i.i_name ORDER BY revenue DESC LIMIT 10")
+
+
+@pytest.fixture(scope="module")
+def subenchmark_db():
+    db = Database(with_columnar=True, columnar_segment_rows=64)
+    make_workload("subenchmark").install(db, Random(2), 0.05,
+                                         with_foreign_keys=False)
     db.replicate()
     db.columnar.compact(force=True)
     return db
@@ -292,6 +316,25 @@ class TestSketchPlanning:
                            "GROUP BY nation ORDER BY nation")
         assert warm.stats.sketches_hit > 0
         assert warm.stats.sketches_built == 0
+
+
+    @pytest.mark.parametrize("sql", [SUBENCH_Q1, SUBENCH_Q5],
+                             ids=["Q1", "Q5"])
+    def test_the_row_tree_never_reads_the_cache(self, routed,
+                                                subenchmark_db, sql):
+        # both trees plan one aggregate operator; only the vector tree's
+        # gets a sketch key, so the oracle folds every row, warm or cold
+        db = subenchmark_db
+        engine = routed(db, sql)
+        assert engine.stats.sketches_built > 0
+        cached = len(db.columnar.sketches)
+        assert cached > 0
+        for _ in range(2):
+            oracle = routed(db, sql, vectorized=False)
+            assert oracle.stats.sketches_built == 0
+            assert oracle.stats.sketches_hit == 0
+            assert len(db.columnar.sketches) == cached
+            assert oracle.rows == engine.rows
 
 
 # ---------------------------------------------------------------------------

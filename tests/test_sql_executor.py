@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.db import Database
 from repro.errors import BindError, ExecutionError, IntegrityError, PlanError
-from repro.sql import planner, vectorized
+from repro.sql import vectorized
 from repro.sql.functions import SCALARS, sql_abs
 from repro.sql.plannode import argument_columns
 
@@ -370,8 +370,8 @@ class TestGlobalAggregateDifferential:
             return columns
 
         monkeypatch.setitem(SCALARS, "ABS", counted_abs)
-        for module in (planner, vectorized):
-            monkeypatch.setattr(module, "argument_columns", counted_columns)
+        # both trees' aggregate is ``vectorized.BatchAggregate``
+        monkeypatch.setattr(vectorized, "argument_columns", counted_columns)
         db = Database(with_columnar=True)
         db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, bal DOUBLE)")
         balances = [(-1) ** i * (i + 0.25) for i in range(50)]

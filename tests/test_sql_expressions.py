@@ -69,6 +69,17 @@ class TestOperators:
         with pytest.raises(ExecutionError):
             scalar(db, "x / 0")
 
+    @pytest.mark.parametrize("expression", ["x % 0", "MOD(x, 0)",
+                                            "x % 0.0", "5 % 0"])
+    def test_modulo_by_zero_raises_like_division(self, db, expression):
+        with pytest.raises(ExecutionError, match="division by zero"):
+            scalar(db, expression)
+
+    def test_modulo_propagates_null(self, db):
+        assert scalar(db, "MOD(x, 2)") == 1
+        assert scalar(db, "x % NULL") is None
+        assert scalar(db, "MOD(NULL, 0)") is None
+
     def test_unary_minus(self, db):
         assert scalar(db, "-x") == -7
         assert scalar(db, "-x", where="id = 3") is None
@@ -113,6 +124,16 @@ class TestScalarFunctions:
     def test_functions_propagate_null(self, db):
         for expression in ("ABS(x)", "UPPER(s)", "LENGTH(s)"):
             assert scalar(db, expression, where="id = 3") is None
+
+    @pytest.mark.parametrize("expression", [
+        "SUBSTR(s, NULL)", "SUBSTR(s, NULL, 2)", "SUBSTR(s, 2, NULL)",
+        "SUBSTR('ab', NULL)", "ROUND(y, NULL)", "ROUND(1.5, NULL)"])
+    def test_null_position_length_or_digits_answers_null(self, db,
+                                                         expression):
+        assert scalar(db, expression) is None
+
+    def test_substr_without_length_reads_to_the_end(self, db):
+        assert scalar(db, "SUBSTR(s, 2)") == "ello"
 
     def test_unknown_function_rejected(self, db):
         with pytest.raises(ExecutionError):
