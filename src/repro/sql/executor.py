@@ -40,6 +40,27 @@ class ExecContext:
         return self.partition_map.partitions \
             if self.partition_map is not None else 1
 
+    @property
+    def reads_replica(self) -> bool:
+        """Whether this statement's full scans read the columnar replica
+        (routed there, and the engine has one) rather than the row store."""
+        return self.route_columnar and self.columnar is not None
+
+    def row_store_batches(self, name: str, size: int):
+        """The transaction's snapshot scan of ``name``, its own writes
+        overlaid, as row lists of at most ``size`` rows — the one row-store
+        full scan both trees' scan leaves read.  Charged as a scan of every
+        partition, and by every row handed on, also when a lazy consumer
+        closes it early."""
+        self.stats.partitions_scanned += self.partition_count
+        count = 0
+        try:
+            for _pks, rows in self.txn.scan_batches(name, size):
+                count += len(rows)
+                yield rows
+        finally:
+            self.stats.rows_row_store[name] += count
+
     # -- uncorrelated subquery execution with per-statement caching ---------
 
     def _run_subplan(self, subplan: SelectPlan) -> list:
@@ -76,9 +97,10 @@ class Executor:
         self.catalog = catalog
         self.columnar = columnar
         self.enforce_foreign_keys = enforce_foreign_keys
-        # batch-at-a-time execution for columnar-routed statements; False
-        # runs the row plan nodes over the same replica instead — the
-        # correctness oracle tests and the fig05 ladder compare against
+        # the vector tree for every SELECT that has one: over the replica
+        # when routed, over the row store otherwise.  False runs the row
+        # plan nodes on the same store instead — the correctness oracle
+        # tests and the fig05 ladder compare against
         self.use_vectorized = use_vectorized
         self.partition_map = partition_map
         self.failpoints = failpoints
@@ -113,12 +135,12 @@ class Executor:
                 txn.lock_for_update(table.name, pk)
         ctx.route_columnar = route_columnar
         root = plan.root
-        if (route_columnar and self.use_vectorized
-                and plan.vectorized_root is not None
-                and self.columnar is not None):
+        if self.use_vectorized and plan.vectorized_root is not None:
+            # its scans read the replica when routed, else the row store
             root = plan.vectorized_root
-            ctx.stats.vectorized = True
-            ctx.stats.vectorized_statements = 1
+            if ctx.reads_replica:
+                ctx.stats.vectorized = True
+                ctx.stats.vectorized_statements = 1
         rows = root.rows(ctx)
         ctx.stats.rows_returned = len(rows)
         return Result(plan.columns, rows, ctx.stats)

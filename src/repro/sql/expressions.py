@@ -12,6 +12,8 @@ is falsy in predicate position; ``IS [NOT] NULL`` tests directly.
 
 from __future__ import annotations
 
+from inspect import signature
+
 from repro.errors import BindError, ExecutionError
 from repro.sql import ast
 from repro.sql.functions import SCALARS, like_to_predicate, sql_mod
@@ -289,6 +291,11 @@ def compile_expr(expr: ast.Expr, schema: Schema, plan_subquery=None):
         fn = SCALARS.get(expr.name)
         if fn is None:
             raise ExecutionError(f"unknown function {expr.name!r}")
+        try:
+            signature(fn).bind(*expr.args)
+        except TypeError:
+            raise BindError(f"wrong number of arguments to {expr.name}: "
+                            f"{len(expr.args)}") from None
         args = [compile_expr(arg, schema, plan_subquery) for arg in expr.args]
         return lambda row, ctx: fn(*(arg(row, ctx) for arg in args))
 

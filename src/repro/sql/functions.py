@@ -723,16 +723,27 @@ def sql_length(value):
     return None if value is None else len(str(value))
 
 
-def sql_substr(value, start, *length):
-    """``SUBSTR(value, start [, length])``; a NULL argument answers NULL."""
-    if value is None or start is None or None in length:
+_TO_END = object()   # SUBSTR without a length
+
+
+def sql_substr(value, start, length=_TO_END):
+    """``SUBSTR(value, start [, length])``; a NULL argument answers NULL.
+    As in MySQL, a start of 1 is the first character, a negative one
+    counts back from the end, and 0 (or one before the start) answers
+    the empty string."""
+    if value is None or start is None or length is None:
         return None
     text = str(value)
-    begin = int(start) - 1  # SQL is 1-based
-    if not length:
+    start = int(start)
+    if start > 0:
+        begin = start - 1
+    elif -len(text) <= start < 0:
+        begin = len(text) + start
+    else:
+        return ""
+    if length is _TO_END:
         return text[begin:]
-    (count,) = length
-    return text[begin:begin + int(count)]
+    return text[begin:begin + max(int(length), 0)]
 
 
 def sql_upper(value):

@@ -22,9 +22,13 @@ A SELECT gets two physical trees from one split of its FROM clause:
 ``Planner._from_clause`` walks the tables once and hands each its
 single-table conjuncts and each join its equi keys and ON residue.
 ``_plan_from`` picks access paths and join operators over that split for
-the row tree; ``_plan_vector_source`` mirrors it over the columnar
-replica only when the row tree just scans — every table a ``SeqScan``,
-every join a ``HashJoin``.  Both trees compile their expressions with the
+the row tree; ``_plan_vector_source`` mirrors it only when the row tree
+just scans — every table a ``SeqScan``, every join a ``HashJoin``.  The
+executor then runs the vector tree, whose scans read the columnar replica
+when the statement is routed there and the row store otherwise; the row
+tree is the oracle (``Executor.use_vectorized = False``), and point,
+prefix, index, DML, FOR UPDATE and subquery plans have only it.  Both
+trees compile their expressions with the
 one compiler, ``compile_expr``; the vector operators evaluate its closures
 a batch at a time (``eval_column``).  The two trees share one aggregate
 operator, ``BatchAggregate``, built by ``_plan_aggregate`` over either
@@ -122,27 +126,22 @@ class SeqScan(BatchNode):
         # a routed statement reads the replica, which holds every table;
         # point and index lookups never come here: they always hit the
         # row store, as in TiDB
-        columnar = ctx.route_columnar and ctx.columnar is not None
-        if columnar:
-            ctx.stats.used_columnar = True
-            ctx.stats.partitions_scanned += ctx.columnar.partitions
-            batches = batched(
-                (values for part in ctx.columnar.table_partitions(name)
-                 for _pk, values in part.scan()), size)
-        else:
-            ctx.stats.partitions_scanned += ctx.partition_count
-            batches = (rows for _pks, rows in ctx.txn.scan_batches(name, size))
+        if not ctx.reads_replica:
+            yield from ctx.row_store_batches(name, size)
+            return
+        ctx.stats.used_columnar = True
+        ctx.stats.partitions_scanned += ctx.columnar.partitions
         count = 0
         try:
-            for batch in batches:
+            for batch in batched(
+                    (values for part in ctx.columnar.table_partitions(name)
+                     for _pk, values in part.scan()), size):
                 count += len(batch)
                 yield batch
         finally:
             # also reached when a lazy consumer closes the scan early: the
             # rows it did pull are charged
-            counter = ctx.stats.rows_columnar if columnar \
-                else ctx.stats.rows_row_store
-            counter[name] += count
+            ctx.stats.rows_columnar[name] += count
 
 
 class PKLookup(BatchNode):
@@ -355,7 +354,6 @@ class HashJoin(BatchNode):
         build, unique = build_table(keys, rows)
         null_row = (None,) * len(self.right.schema)
         left_outer = self.kind == "LEFT"
-        emitted = 0
         for batch in self.left.execute_batches(ctx, size):
             hits = list(map(build.get,
                             _key_tuples(self.left_fns, batch, ctx)))
@@ -374,9 +372,10 @@ class HashJoin(BatchNode):
             else:
                 joined = [row + hit for row, hit in zip(batch, hits)
                           if hit is not None]
-            emitted += len(joined)
+            # counted before it is handed on, as VHashJoin counts: a
+            # LIMIT that closes the join early still pays for this batch
+            ctx.stats.rows_joined += len(joined)
             yield from chunked(joined, size)
-        ctx.stats.rows_joined += emitted
 
     def children(self):
         return [self.left, self.right]
@@ -714,8 +713,9 @@ class SelectPlan:
     # FOR UPDATE: the table and the FROM node (its scan under the
     # residual filters) whose rows the statement's commit validates
     for_update: tuple[Table, PlanNode] | None = None
-    # alternative vectorized physical plan, used when the statement is
-    # routed to the columnar replica; None unless the row plan only scans
+    # the vector tree, run instead of ``root`` on either store unless
+    # ``Executor.use_vectorized`` is off; None unless the row plan only
+    # scans
     vectorized_root: PlanNode | None = None
 
 
@@ -845,8 +845,8 @@ class Planner:
     """Plans parsed statements against a catalog.
 
     ``build_vectorized`` gates the second (vectorized) physical plan; a
-    database without a columnar replica turns it off so every prepare
-    doesn't build an unreachable operator tree.
+    database without a columnar replica turns it off, so every statement
+    there runs the row tree.
     """
 
     def __init__(self, catalog: Catalog, build_vectorized: bool = True):
@@ -1281,8 +1281,9 @@ class Planner:
     def _plan_vector_source(self, select: ast.Select, base: _JoinStep,
                             steps: list[_JoinStep],
                             remaining: list[ast.Expr]):
-        """Batch-operator FROM/WHERE pipeline over the columnar replica,
-        built from the same FROM split as the row tree.
+        """Batch-operator FROM/WHERE pipeline, built from the same FROM
+        split as the row tree; its scans read the replica or the row
+        store, as the statement is routed.
 
         Returns ``(VectorNode, base scan)`` mirroring ``_plan_from``'s
         output schema and row-emission order.  ``plan_select`` asks for it

@@ -1,10 +1,15 @@
-"""Vectorized (batch-at-a-time) execution over the columnar replica.
+"""Vectorized (batch-at-a-time) execution over either store.
 
 The row pipeline re-materialises every row as a Python tuple; routed to
 the columnar replica that barely changes the cost profile.  The operators
-here move whole column slices (``Batch``) instead: the scan skips entire
-segments via zone maps, evaluates pushed predicates in value space and
-hands the surviving columns on as zero-copy views or lazy gathers.
+here move whole column slices (``Batch``) instead.  Routed to the
+replica, the scan skips entire segments via zone maps, evaluates pushed
+predicates in value space and hands the surviving columns on as
+zero-copy views or lazy gathers.  Unrouted, the same scan reads the
+transaction's snapshot of the row store, as ``SeqScan`` does, filters
+each row batch by the pushed predicates and transposes the projected
+columns into plain lists; the join, groupjoin and aggregate above it
+are the same operators.
 
 The planner compiles every vector-tree expression with the row tree's
 compiler, ``repro.sql.expressions.compile_expr``, and the operators
@@ -16,8 +21,10 @@ and CASE laziness are therefore the row pipeline's by construction.
 
 Two operator families:
 
-* **batch operators** (``VectorNode``: ``execute_batches(ctx) ->
-  Iterator[Batch]``): ``VColumnarScan`` (with zone-map segment pruning),
+* **batch operators** (``VectorNode``: ``execute_batches(ctx, size) ->
+  Iterator[Batch]``, ``size`` reaching the row-store scan so a lazy
+  consumer reads no further than it pulls): ``VColumnarScan`` (with
+  zone-map segment pruning on the replica),
   ``VFilter`` (selection vectors) and ``VHashJoin``;
 * **row-emitting operators** (``BatchNode``s, so the planner stacks the
   ordinary Sort / TopN / Limit / Distinct presentation on top):
@@ -27,13 +34,16 @@ Two operator families:
   ``eval_column`` into one ``GroupedAggregation``.  Only the vector
   tree's aggregate reads the sketch cache or runs as a groupjoin.
 
-Both pipelines must return *identical* results — the parity tests compare
-them query-by-query.
+Both pipelines must return *identical* results on either store — the
+parity tests compare them query-by-query against the row tree
+(``Executor.use_vectorized = False``).
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from itertools import chain, repeat
+from operator import itemgetter
 
 from repro.sql.expressions import Schema, eval_column
 from repro.sql.functions import GroupedAggregation, _gather
@@ -303,7 +313,7 @@ class VectorNode:
 
     schema: Schema
 
-    def execute_batches(self, ctx):  # pragma: no cover - abstract
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):  # pragma: no cover
         raise NotImplementedError
 
     def children(self) -> list:
@@ -453,25 +463,60 @@ class VColumnarScan(VectorNode):
                 yield batch
         stats.rows_columnar[name] += scanned
 
-    def execute_batches(self, ctx):
-        name = self.table.name
-        stats = ctx.stats
-        stats.full_scans[name] += 1
-        stats.used_columnar = True
-        parts = ctx.columnar.table_partitions(name)
-
+    def _bind(self, ctx) -> list | None:
+        """The pushed predicates with their constants bound for this
+        execution; ``None`` when one is unsatisfiable (a NULL bound)."""
         preds = []
         for pushed in self.pushed:
             pred = pushed.evaluate(ctx)
             if pred is None:
-                # unsatisfiable (NULL bound): every partition is irrelevant,
-                # so the scanned+pruned == partition-count invariant holds
-                stats.segments_pruned += sum(
-                    1 for part in parts
-                    for s in part.segments() if s.live_count)
-                stats.partitions_pruned += len(parts)
-                return
+                return None
             preds.append(pred)
+        return preds
+
+    def _scan_row_store(self, ctx, size: int):
+        """``ctx.row_store_batches`` (read and charged as ``SeqScan``
+        reads and charges it) filtered as ``Filter`` filters it: the
+        pushed predicates are bound at the first row, where ``Filter``
+        first evaluates them, so an empty table never raises on their
+        constants; an unsatisfiable one (a NULL bound) still reads every
+        row.  Only the projected positions of the survivors are then
+        transposed, into lists (the typed folds take their census of a
+        plain list only)."""
+        getters = [itemgetter(p) for p in self.positions]
+        bound = False
+        with closing(ctx.row_store_batches(self.table.name, size)) as scan:
+            for rows in scan:
+                if not bound:
+                    preds, bound = self._bind(ctx), True
+                if preds is None:
+                    continue
+                for pred in preds:
+                    test, position = pred.test, pred.position
+                    rows = [row for row in rows if test(row[position])]
+                if rows:
+                    yield Batch([list(map(get, rows)) for get in getters],
+                                len(rows))
+
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
+        name = self.table.name
+        stats = ctx.stats
+        stats.full_scans[name] += 1
+        if not ctx.reads_replica:
+            yield from self._scan_row_store(ctx, size)
+            return
+        stats.used_columnar = True
+        parts = ctx.columnar.table_partitions(name)
+
+        preds = self._bind(ctx)
+        if preds is None:
+            # unsatisfiable (NULL bound): every partition is irrelevant,
+            # so the scanned+pruned == partition-count invariant holds
+            stats.segments_pruned += sum(
+                1 for part in parts
+                for s in part.segments() if s.live_count)
+            stats.partitions_pruned += len(parts)
+            return
 
         def skip_segment(segment):
             if _zone_pruned(segment, preds):
@@ -497,9 +542,9 @@ class VFilter(VectorNode):
         self.predicate = predicate
         self.schema = child.schema
 
-    def execute_batches(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         predicate = self.predicate
-        for batch in self.child.execute_batches(ctx):
+        for batch in self.child.execute_batches(ctx, size):
             selection = [i for i, keep in enumerate(
                 eval_column(predicate, batch, ctx)) if keep]
             if not selection:
@@ -597,9 +642,9 @@ class VHashJoin(VectorNode):
             yield Batch(left + [_LazyColumn(column, out_right)
                                 for column in columns], len(out_right))
 
-    def execute_batches(self, ctx):
+    def execute_batches(self, ctx, size: int = BATCH_ROWS):
         ctx.stats.join_ops += 1
-        yield from self._probe(self.left.execute_batches(ctx),
+        yield from self._probe(self.left.execute_batches(ctx, size),
                                self._build(ctx), ctx)
 
     def children(self):
@@ -622,7 +667,7 @@ class BatchRows(BatchNode):
 
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         fns = self.fns
-        for batch in self.child.execute_batches(ctx):
+        for batch in self.child.execute_batches(ctx, size):
             yield from chunked(list(zip(*[eval_column(fn, batch, ctx)
                                           for fn in fns])), size)
 

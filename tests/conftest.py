@@ -88,17 +88,37 @@ def routed():
     return _routed
 
 
+def _unrouted(db: Database, sql: str, params: tuple = (),
+              vectorized: bool = True):
+    with _executor(db, vectorized), db.connect() as conn:
+        result = conn.execute(sql, params)
+        conn.commit()
+    return result
+
+
+@pytest.fixture
+def unrouted():
+    """``unrouted(db, sql, params=(), vectorized=True)``: one autocommit
+    statement on the row store; the vector tree reads it when the
+    statement has one, ``vectorized=False`` answers it with the row plan
+    nodes — the oracle."""
+    return _unrouted
+
+
 class _Recorder:
     """The workload statement API over one connection: every statement is
-    routed columnar, its result captured and its counters summed."""
+    routed columnar (``routed=False``: read from the row store), its
+    result captured and its counters summed."""
 
-    def __init__(self, conn):
+    def __init__(self, conn, routed: bool = True):
         self._conn = conn
+        self._routed = routed
         self.outputs: list = []
         self.stats = ExecStats()
 
     def execute(self, sql, params=()):
-        result = self._conn.execute(sql, params, route_columnar=True)
+        result = self._conn.execute(sql, params,
+                                    route_columnar=self._routed)
         self.outputs.append((result.columns, result.rows))
         self.stats.merge(result.stats)
         return result
@@ -108,10 +128,10 @@ class _Recorder:
 
 
 def _run_analytical(db: Database, workload, seed: int,
-                    vectorized: bool = True):
+                    vectorized: bool = True, routed: bool = True):
     """Every analytical profile once; ``(results, summed ExecStats)``."""
     with _executor(db, vectorized), db.connect() as conn:
-        recorder = _Recorder(conn)
+        recorder = _Recorder(conn, routed)
         for profile in workload.analytical_queries():
             profile.program(recorder, Random(f"{profile.name}:{seed}"))
         conn.commit()
@@ -159,6 +179,12 @@ def _parity_cell(name: str, partitions: int, lagged: bool) -> ParityCell:
     assert stats.vectorized_statements > 0
     assert cold == oracle
     assert warm == oracle
+    # unrouted, the same statements read the row store (mid-lag, ahead of
+    # the replica): the vector tree there against the row tree there
+    store, _ = _run_analytical(db, workload, seed, routed=False)
+    store_oracle, _ = _run_analytical(db, workload, seed, vectorized=False,
+                                      routed=False)
+    assert store == store_oracle
     return ParityCell(oracle, stats, db.columnar.encoding_stats(),
                       db.columnar.segments_merged_total())
 
@@ -168,7 +194,9 @@ def workload_parity():
     """The one workload parity matrix: ``workload_parity(name, partitions,
     lagged)`` loads the workload, optionally leaves the replica
     mid-lag, runs the analytical set on the engine cold, then warm, and
-    asserts both byte-identical to the row oracle on the same replica.
+    asserts both byte-identical to the row oracle on the same replica;
+    then runs it unrouted on both trees and asserts the vector tree over
+    the row store byte-identical to the row tree over it.
 
     Cells are computed once per session: the layer suites each assert
     their own engagement counter on the shared ``ParityCell``.

@@ -6,7 +6,8 @@ rows and a delta tail — are placed in the five positions a vector tree
 evaluates expressions in: the residual WHERE, the SELECT list, a GROUP
 BY key, an aggregate argument and HAVING.  Each statement runs routed to
 the columnar replica on the engine and on its oracle
-(``vectorized=False``); both must return the same rows, or raise the same
+(``vectorized=False``), and again unrouted, where the vector tree reads the
+row store; each pair must return the same rows, or raise the same
 exception type.
 
 The two pipelines reach rows in different batches (the oracle a scan
@@ -155,21 +156,23 @@ def table(request) -> Database:
     return _load(request.param)
 
 
-def _outcome(routed, db, sql: str, vectorized: bool):
+def _outcome(run, db, sql: str, vectorized: bool, routed: bool):
     try:
-        result = routed(db, sql, vectorized=vectorized)
+        result = run(db, sql, vectorized=vectorized)
     except Exception as exc:            # compared by type
         return type(exc)
-    assert result.stats.vectorized is vectorized, sql
+    # only a routed vector tree counts as vectorized (it reads the replica)
+    assert result.stats.vectorized is (vectorized and routed), sql
     return repr(result.rows)
 
 
 @pytest.mark.parametrize("partitions", [1, 4])
-def test_a_pushed_conjunct_is_evaluated_first_on_both_trees(routed,
-                                                            partitions):
+def test_a_pushed_conjunct_is_evaluated_first_on_both_trees(
+        routed, unrouted, partitions):
     """``1 / a > 0 AND a > 100`` over a row with ``a = 0``: the scan
-    evaluates the pushed ``a > 100`` first and never divides, and so
-    does the row filter, although WHERE writes it second."""
+    evaluates the pushed ``a > 100`` first and never divides, on the
+    replica and on the row store, and so does the row filter, although
+    WHERE writes it second."""
     db = Database(with_columnar=True, columnar_segment_rows=8,
                   partitions=partitions)
     db.execute_ddl("CREATE TABLE t (id INT PRIMARY KEY, a INT)")
@@ -182,11 +185,16 @@ def test_a_pushed_conjunct_is_evaluated_first_on_both_trees(routed,
             result = routed(db, sql, vectorized=vectorized)
             assert result.stats.vectorized is vectorized
             assert sorted(result.rows) == rows, (sql, vectorized)
+            result = unrouted(db, sql, vectorized=vectorized)
+            assert sorted(result.rows) == rows, (sql, vectorized)
 
 
 @given(sql=STATEMENTS)
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_generated_expressions_match_the_row_oracle(table, routed, sql):
-    assert _outcome(routed, table, sql, True) \
-        == _outcome(routed, table, sql, False), sql
+def test_generated_expressions_match_the_row_oracle(table, routed, unrouted,
+                                                   sql):
+    for run, on_replica in ((routed, True), (unrouted, False)):
+        assert _outcome(run, table, sql, True, on_replica) \
+            == _outcome(run, table, sql, False, on_replica), \
+            (on_replica, sql)

@@ -675,10 +675,16 @@ def _make_db(rows, partitions):
     return db
 
 
-def _run(db, sql, route_columnar):
-    with db.connect() as conn:
-        result = conn.execute(sql, (), route_columnar=route_columnar)
-        conn.commit()
+def _run(db, sql, route_columnar, vectorized=True):
+    """One autocommit statement; ``vectorized=False`` answers it with the
+    row tree (the oracle) wherever it is routed."""
+    db.executor.use_vectorized = vectorized
+    try:
+        with db.connect() as conn:
+            result = conn.execute(sql, (), route_columnar=route_columnar)
+            conn.commit()
+    finally:
+        db.executor.use_vectorized = True
     return result
 
 
@@ -708,12 +714,15 @@ class TestPipelinesAgree:
             for aggs in (PLAIN_AGGS, DISTINCT_AGGS):
                 sql = f"SELECT {keys}, {aggs} FROM t GROUP BY {keys}"
                 expected = _sql_oracle(rows, key_of, aggs)
-                row = _run(db, sql, route_columnar=False)
+                row = _run(db, sql, route_columnar=False, vectorized=False)
+                unrouted = _run(db, sql, route_columnar=False)
                 cold = _run(db, sql, route_columnar=True)
                 warm = _run(db, sql, route_columnar=True)
                 assert cold.stats.vectorized and not row.stats.vectorized
-                for result in (row, cold, warm):
+                for result in (row, unrouted, cold, warm):
                     assert sorted(_image(result.rows)) == expected
+                # both trees read the row store in one order
+                assert _image(unrouted.rows) == _image(row.rows)
                 # emission order is first-appearance order on every path
                 assert _image(cold.rows) == _image(warm.rows)
                 if aggs is PLAIN_AGGS and rows:
@@ -726,6 +735,8 @@ class TestPipelinesAgree:
         db = _make_db(rows, partitions)
         sql = f"SELECT {PLAIN_AGGS}, {DISTINCT_AGGS} FROM t"
         expected = _image([_oracle_row([row[2:] for row in rows])])
+        assert _image(_run(db, sql, False, vectorized=False).rows) \
+            == expected
         assert _image(_run(db, sql, False).rows) == expected
         assert _image(_run(db, sql, True).rows) == expected
 
@@ -733,8 +744,9 @@ class TestPipelinesAgree:
         for partitions in (1, 2, 8):
             db = _make_db([], partitions)
             sql = f"SELECT {PLAIN_AGGS} FROM t"
-            for route_columnar in (False, True):
-                assert _run(db, sql, route_columnar).rows \
+            for route_columnar, vectorized in ((False, False),
+                                               (False, True), (True, True)):
+                assert _run(db, sql, route_columnar, vectorized).rows \
                     == [(0, 0, None, None, None, None)]
             assert _run(db, "SELECT k, COUNT(*) FROM t GROUP BY k",
                         True).rows == []
@@ -842,16 +854,18 @@ class TestRankedAggregate:
         db = _ranked_sql_db(partitions)
         for sql, top in RANKED_SHAPES.items():
             assert _aggregate_tops(db, sql) == [top, top], sql
-            oracle = _run(db, sql, route_columnar=False)
+            oracle = _run(db, sql, route_columnar=False, vectorized=False)
+            unrouted = _run(db, sql, route_columnar=False)
             cold = _run(db, sql, route_columnar=True)
             warm = _run(db, sql, route_columnar=True)
             assert cold.stats.vectorized and not oracle.stats.vectorized
             expected = _image(oracle.rows)
-            assert _image(cold.rows) == _image(warm.rows) == expected, sql
+            assert _image(unrouted.rows) == _image(cold.rows) \
+                == _image(warm.rows) == expected, sql
             assert _sqlite_answer(sql, len(oracle.rows[0])) == expected, sql
             if top is not None:
                 # the ORDER BY ranks every group, pruned or not
-                for result in (oracle, cold, warm):
+                for result in (oracle, unrouted, cold, warm):
                     assert result.stats.sort_rows == result.stats.groups
     def test_ranked_statements_emit_fewer_groups(self, monkeypatch):
         db = _ranked_sql_db(4)

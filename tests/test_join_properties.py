@@ -119,7 +119,7 @@ class _Batches(VectorNode):
         self.schema = Schema([(None, name) for name in names])
         self.batches = batches
 
-    def execute_batches(self, ctx):
+    def execute_batches(self, ctx, size=None):
         yield from self.batches
 
 
@@ -131,7 +131,7 @@ class _Tap(VectorNode):
         self.schema = child.schema
         self.seen = []
 
-    def execute_batches(self, ctx):
+    def execute_batches(self, ctx, size=None):
         for batch in self.child.execute_batches(ctx):
             self.seen.append(batch)
             yield batch

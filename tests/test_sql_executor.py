@@ -286,10 +286,12 @@ class TestGlobalAggregateDifferential:
            st.lists(st.tuples(st.integers(0, 39), _float), max_size=3))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_row_store_replica_and_oracle_agree(self, routed, loaded,
-                                                inserted, deleted, updated):
+    def test_row_store_replica_and_oracle_agree(self, routed, unrouted,
+                                                loaded, inserted, deleted,
+                                                updated):
         """Sealed 8-row segments first; then the same statements over main
-        segments with dead rows under a plain delta."""
+        segments with dead rows under a plain delta.  Both trees read each
+        store."""
         db = Database(with_columnar=True, columnar_segment_rows=8)
         db.execute_ddl(self.DDL)
         db.bulk_load("t", [(i, *row) for i, row in enumerate(loaded)])
@@ -298,7 +300,9 @@ class TestGlobalAggregateDifferential:
         rows = dict(enumerate(loaded))
 
         def check():
-            self._check(rows, lambda sql: db.query(sql).rows)
+            self._check(rows, lambda sql: unrouted(db, sql).rows)
+            self._check(rows, lambda sql: unrouted(db, sql,
+                                                   vectorized=False).rows)
             self._check(rows, lambda sql: routed(db, sql).rows)
             self._check(rows, lambda sql: routed(db, sql,
                                                  vectorized=False).rows)
@@ -350,7 +354,7 @@ class TestGlobalAggregateDifferential:
 
     @pytest.mark.parametrize("columnar", [False, True])
     def test_one_evaluation_per_distinct_argument(self, monkeypatch, routed,
-                                                  columnar):
+                                                  unrouted, columnar):
         """``SUM(ABS(bal)), AVG(ABS(bal))`` computes ``ABS`` once per row
         and ``MAX(bal), MIN(bal)`` cut ``bal`` out of a batch once, not
         once per aggregate; ``COUNT(*)`` beside them needs no column."""
@@ -379,7 +383,9 @@ class TestGlobalAggregateDifferential:
         db.replicate()
         sql = ("SELECT SUM(ABS(bal)), AVG(ABS(bal)), COUNT(*), MAX(bal), "
                "MIN(bal), SUM(ABS(bal - 1)) FROM t")
-        result = routed(db, sql) if columnar else db.query(sql)
+        # the vector tree over the replica, or the row tree on the row store
+        result = routed(db, sql) if columnar \
+            else unrouted(db, sql, vectorized=False)
         assert bool(result.stats.vectorized) == columnar
         total = sum(map(abs, balances))
         assert result.rows == [(total, total / 50, 50, max(balances),

@@ -135,6 +135,25 @@ class TestScalarFunctions:
     def test_substr_without_length_reads_to_the_end(self, db):
         assert scalar(db, "SUBSTR(s, 2)") == "ello"
 
+    @pytest.mark.parametrize("expression,expected", [
+        ("SUBSTR('abc', 0)", ""), ("SUBSTR('abc', 0, 2)", ""),
+        ("SUBSTR('abc', -1)", "c"), ("SUBSTR('abc', -1, 2)", "c"),
+        ("SUBSTR('abc', -3, 2)", "ab"), ("SUBSTR('abc', -4)", ""),
+        ("SUBSTR('abc', 4)", ""), ("SUBSTR('abcdef', 3, -5)", ""),
+        ("SUBSTR('abc', 2, 0)", ""), ("SUBSTRING('Sakila', -5, 3)", "aki")])
+    def test_substr_positions_count_as_in_mysql(self, expression, expected):
+        """A start of 0 or before the string answers ''; a negative start
+        counts back from the end; a length below 1 answers ''."""
+        assert Database().query(f"SELECT {expression}").scalar() == expected
+
+    @pytest.mark.parametrize("expression", [
+        "ABS(1, 2)", "UPPER()", "SUBSTR('a')", "SUBSTR('a', 1, 2, 3)",
+        "ROUND(1, 2, 3)", "MOD(5)", "LENGTH(s, s)"])
+    def test_wrong_argument_count_is_rejected_at_prepare(self, db,
+                                                         expression):
+        with pytest.raises(BindError, match="wrong number of arguments"):
+            db.prepare(f"SELECT {expression} FROM v")
+
     def test_unknown_function_rejected(self, db):
         with pytest.raises(ExecutionError):
             db.query("SELECT SOUNDEX(s) FROM v")
