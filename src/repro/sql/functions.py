@@ -5,8 +5,12 @@ aggregates skip NULL inputs; ``COUNT(*)`` counts rows; ``AVG`` over an empty
 or all-NULL input yields NULL.
 
 Both executors aggregate into one ``GroupedAggregation``: group keys map to
-dense group ids and every aggregate keeps a *state column* indexed by group
-id, so a group costs a few list slots rather than a set of objects.  Every
+dense group ids and every state keeps *columns* indexed by group id, so a
+group costs a few list slots rather than a set of objects.  There is one
+state per distinct non-DISTINCT argument: ``SUM(x)``, ``AVG(x)`` and
+``COUNT(x)`` read three views (total, total over count, count) of one
+SUM state, and the aggregation counts each group's rows once for every
+state, which keeps only its NULLs.  Every
 state is **order-insensitive**, and every non-DISTINCT one **mergeable**:
 folding the same multiset of values in any order — row by row, as bulk
 slices, or as partials combined with ``merge`` — produces bit-identical
@@ -42,7 +46,7 @@ import math
 import sys
 from collections import Counter
 from copy import copy
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import gt, lt
 
 from repro.errors import ExecutionError
@@ -138,7 +142,7 @@ def _fold_typed_slice(buckets: dict, values):
 _MIN_NORMAL = sys.float_info.min
 
 # size of one state object and its empty columns (``nbytes`` estimates)
-_STATE_BYTES = 400
+_STATE_BYTES = 600
 
 
 def _pick(column: list, gids) -> list:
@@ -146,61 +150,99 @@ def _pick(column: list, gids) -> list:
     return column if gids is None else list(map(column.__getitem__, gids))
 
 
-class _CountState:
-    """COUNT(*) / COUNT(x): one int per group."""
+def _count_rows(rows: list, gids: list):
+    """Add a batch's rows to ``rows``, one per entry of ``gids``: tallied
+    first (at C speed) when the batch can hold few groups — ``rows`` has
+    one slot per group — and row by row otherwise, which is cheaper than
+    a tally of mostly distinct ids."""
+    if len(rows) * 4 < len(gids):
+        for gid, count in Counter(gids).items():
+            rows[gid] += count
+    else:
+        for gid in gids:
+            rows[gid] += 1
 
-    def __init__(self, star: bool):
-        self.star = star
-        self.counts: list = []
+
+class _CountState:
+    """COUNT(*) / COUNT(x): the rows folded per group, less the NULLs.
+
+    ``rows`` is the aggregation's own per-group row count — one list that
+    every state of the aggregation reads and the aggregation alone adds
+    to, once per batch, after its states folded the batch — and ``nulls``
+    the NULLs this state was handed, sparse.  COUNT(*) is handed no
+    column, so it never sees one.
+    """
+
+    def __init__(self, rows: list):
+        self.rows = rows
+        self.nulls: Counter = Counter()
 
     def grow(self, groups: int):
-        self.counts += [0] * groups
+        pass
 
-    def scatter(self, gids, column, tally):
-        if not self.star and column.count(None):
-            tally = Counter(gid for gid, value in zip(gids, column)
-                            if value is not None)
-        counts = self.counts
-        for gid, rows in tally.items():
-            counts[gid] += rows
+    def scatter(self, gids, column):
+        if column is not None and column.count(None):
+            self.nulls.update([gid for gid, value in zip(gids, column)
+                               if value is None])
 
     def fold(self, gid: int, values, rows: int):
-        self.counts[gid] += rows if self.star else rows - values.count(None)
+        if values is not None and (nulls := values.count(None)):
+            self.nulls[gid] += nulls
 
     def merge(self, other: "_CountState", remap: list):
-        counts = self.counts
-        for gid, count in zip(remap, other.counts):
-            counts[gid] += count
+        nulls = self.nulls
+        for gid, count in other.nulls.items():
+            nulls[remap[gid]] += count
 
-    def copy(self) -> "_CountState":
+    def copy(self, rows: list) -> "_CountState":
+        """This state over ``rows``, a copy of the aggregation's."""
         other = copy(self)
-        other.counts = self.counts.copy()
+        other.rows = rows
+        other.nulls = self.nulls.copy()
         return other
 
-    def results(self, gids=None) -> list:
-        return _pick(self.counts, gids)
+    def counts(self, gids=None) -> list:
+        """Non-NULL values folded per group in ``gids`` (every group when
+        None)."""
+        counts = _pick(self.rows, gids)
+        nulls = self.nulls
+        if not nulls:
+            return counts
+        return [count - nulls[gid] for gid, count in zip(
+            range(len(counts)) if gids is None else gids, counts)]
 
-    def exact(self):
-        return self.counts, 0
+    def results(self, gids=None, view=None) -> list:
+        return self.counts(gids)
+
+    def exact(self, view=None):
+        return self.counts(), 0
 
     def nbytes(self, groups: int) -> int:
-        return _STATE_BYTES + 16 * groups    # list slot, mostly shared ints
+        return _STATE_BYTES + 100 * len(self.nulls)  # dict entry + 2 ints
 
 
-class _SumState:
-    """SUM / AVG: exact, order-insensitive totals per group.
+class _SumState(_CountState):
+    """SUM / AVG / COUNT of one argument: exact, order-insensitive totals
+    per group.
 
-    ``counts`` holds the non-NULL values folded, ``ints`` the exact integer
-    totals and ``fixed`` — ``None`` until a group's first float — the exact
-    float total as an integer multiple of one state-wide ``2**exponent``
+    A COUNT state — its ``counts`` are the non-NULL values folded — plus
+    ``ints``, the exact integer totals, and ``fixed``, the exact float
+    total as an integer multiple of one state-wide ``2**exponent``
     (``exponent <= 0``, lowered when a finer value arrives, which rescales
-    the populated totals once): one small-int addition per value on the hot
-    path, one correctly-rounded true division per group in ``results``.
-    Results reproduce plain Python ``+`` semantics (int stays int until a
-    float joins) with the float correctly rounded irrespective of fold
-    order.  Anything without an exact integer scaling — Decimals, inf/nan —
-    falls back to ordered addition in the sparse ``others``, preserving
-    historical behaviour.
+    the populated totals once): one small-int addition per value on the
+    hot path, one correctly-rounded true division per group in
+    ``results``.  Results reproduce plain Python ``+`` semantics (int
+    stays int until a float joins) with the float correctly rounded
+    irrespective of fold order.  Anything without an exact integer
+    scaling — Decimals, inf/nan — falls back to ordered addition in the
+    sparse ``others``, preserving historical behaviour.
+
+    A group that folded no float holds ``None`` in ``fixed`` — except
+    while ``float_only``: as long as every value the state folded is a
+    float, a group holds a float total exactly when it counts a value, so
+    every total starts at 0 and no batch has groups to initialise.  The
+    first value of another type (``_mix``) marks the groups that count no
+    value ``None``, once.
 
     ``peak`` bounds every group's ``|total|`` (ints and floats alike, as
     a ceiling in value units) for ``convertible``: merges add their
@@ -209,19 +251,28 @@ class _SumState:
     state is measured once and every copy of it carries the peak.
     """
 
-    def __init__(self, average: bool):
-        self.average = average
-        self.counts: list = []
+    def __init__(self, rows: list):
+        super().__init__(rows)
         self.ints: list = []
         self.fixed: list = []
         self.exponent = 0
         self.others: dict = {}
         self.peak = 0
+        self.float_only = True
 
     def grow(self, groups: int):
-        self.counts += [0] * groups
         self.ints += [0] * groups
-        self.fixed += [None] * groups
+        self.fixed += [0 if self.float_only else None] * groups
+
+    def _mix(self):
+        """Leave ``float_only``: the groups that count no value yet hold
+        no float total.  The batch bringing the other type calls it before
+        it lands a float — its rows are counted only after it folded, so
+        the groups it fills would read as empty."""
+        if self.float_only:
+            self.float_only = False
+            self.fixed = [total if count else None
+                          for count, total in zip(self.counts(), self.fixed)]
 
     def _align(self, exponent: int) -> int:
         """Lower the state-wide exponent to ``exponent`` (a coarser one is
@@ -256,12 +307,12 @@ class _SumState:
         others = self.others             # inexact fallback keeps fold order
         others[gid] = others[gid] + value if gid in others else value
 
-    def scatter(self, gids, column, tally):
+    def scatter(self, gids, column):
         self.peak = None
-        counts = self.counts
         totals = None
         kinds = set(map(type, column))
         if kinds == {int}:
+            self._mix()
             totals, values = self.ints, column
         elif kinds == {float}:
             try:
@@ -271,20 +322,24 @@ class _SumState:
             else:
                 self._align(exponent)
                 totals = self.fixed
-                for gid in tally:
-                    if totals[gid] is None:
-                        totals[gid] = 0
+                if not self.float_only:
+                    for gid in set(gids):
+                        if totals[gid] is None:
+                            totals[gid] = 0
         if totals is None:
+            if kinds - {float, type(None)}:
+                self._mix()
             add = self._add
+            nulls = []
             for gid, value in zip(gids, column):
-                if value is not None:
-                    counts[gid] += 1
+                if value is None:
+                    nulls.append(gid)
+                else:
                     add(gid, value)
+            self.nulls.update(nulls)
             return
         for gid, value in zip(gids, values):
             totals[gid] += value
-        for gid, rows in tally.items():
-            counts[gid] += rows
 
     def fold(self, gid: int, values, rows: int):
         """Bulk fold: homogeneous NULL-free slices — typed arrays (NATIVE
@@ -296,9 +351,10 @@ class _SumState:
         buckets: dict = {}
         if rows and (int_total := _fold_typed_slice(buckets, values)) \
                 is not None:
-            count = rows
+            count, mixed = rows, not buckets
         else:
             count = int_total = 0
+            mixed = False
             bucket = buckets.get
             for value in values:
                 if value is None:
@@ -307,6 +363,7 @@ class _SumState:
                 kind = type(value)
                 if kind is int:
                     int_total += value
+                    mixed = True
                 elif kind is float:
                     try:
                         numerator, denominator = value.as_integer_ratio()
@@ -316,8 +373,12 @@ class _SumState:
                     exponent = 1 - denominator.bit_length()
                     buckets[exponent] = bucket(exponent, 0) + numerator
                 else:      # bool / Decimal / subclasses: exact slow path
+                    mixed = True
                     self._add(gid, value)
-        self.counts[gid] += count
+        if mixed:
+            self._mix()                  # before this slice counts
+        if count != rows:
+            self.nulls[gid] += rows - count
         self.ints[gid] += int_total
         if buckets:
             # the slice's exponent -> mantissa-sum partial lands on the
@@ -333,36 +394,49 @@ class _SumState:
         # totals shifted onto this state's (never coarser) exponent
         if self.peak is not None:
             self.peak += other.magnitude()
+        if not other.float_only:
+            self._mix()                  # before ``other``'s values count
+        super().merge(other, remap)
         shift = other.exponent - self._align(other.exponent)
-        counts, ints, fixed = self.counts, self.ints, self.fixed
-        for gid, count, int_total, total in zip(remap, other.counts,
-                                                other.ints, other.fixed):
-            counts[gid] += count
-            ints[gid] += int_total
-            if total is not None:
+        ints, fixed = self.ints, self.fixed
+        if other.float_only:
+            # no int totals; a group that counts no value holds a 0 that
+            # is no float
+            floats = zip(remap, other.fixed)
+            if not self.float_only:
+                floats = compress(floats, other.counts())
+            for gid, total in floats:
                 fixed[gid] = (fixed[gid] or 0) + (total << shift)
+        else:
+            for gid, int_total, total in zip(remap, other.ints, other.fixed):
+                ints[gid] += int_total
+                if total is not None:
+                    fixed[gid] = (fixed[gid] or 0) + (total << shift)
         others = self.others
         for source, value in other.others.items():
             gid = remap[source]
             others[gid] = others[gid] + value if gid in others else value
 
-    def copy(self) -> "_SumState":
+    def copy(self, rows: list) -> "_SumState":
         self.magnitude()
-        other = copy(self)
-        other.counts = self.counts.copy()
+        other = super().copy(rows)
         other.ints = self.ints.copy()
         other.fixed = self.fixed.copy()
         other.others = self.others.copy()
         return other
 
-    def exact(self):
-        """Exact totals times ``2**shift`` (None: no value), and ``shift``."""
+    def exact(self, view="sum"):
+        """Exact totals times ``2**shift`` (None: no value), and ``shift``
+        — a COUNT view's counts and 0."""
+        counts = self.counts()
+        if view == "count":
+            return counts, 0
         shift = -self.exponent
-        if None in self.fixed or any(self.ints):    # not float totals only
+        if None in self.fixed or any(self.ints) or 0 in counts:
             return [(int_total << shift) + (total or 0) if count else None
                     for count, int_total, total in zip(
-                        self.counts, self.ints, self.fixed)], shift
-        return self.fixed, shift
+                        counts, self.ints, self.fixed)], shift
+        return self.fixed, shift                  # float totals only
 
     def magnitude(self) -> int:
         """``peak``, measured (and kept) when no merge bounds it."""
@@ -376,15 +450,18 @@ class _SumState:
         """``results`` cannot raise: no ``others``, no huge total."""
         return not self.others and self.magnitude() < 1 << 1022
 
-    def results(self, gids=None) -> list:
-        average = self.average
+    def results(self, gids=None, view="sum") -> list:
+        counts = self.counts(gids)
+        if view == "count":
+            return counts
+        average = view == "avg"
         exponent = self.exponent
         shift = -exponent
         scale = 1 << shift
         ldexp = math.ldexp
         out = []
-        columns = self.counts, self.ints, self.fixed
-        for count, int_total, total in zip(*[_pick(c, gids) for c in columns]):
+        for count, int_total, total in zip(counts, _pick(self.ints, gids),
+                                           _pick(self.fixed, gids)):
             if not count:
                 out.append(None)
             elif total is None:
@@ -415,13 +492,13 @@ class _SumState:
                     inexact = inexact + self.ints[gid]
                 if self.fixed[gid] is not None:
                     inexact = inexact + self.fixed[gid] / scale
-                out[places[gid]] = inexact / self.counts[gid] if average \
-                    else inexact
+                out[places[gid]] = inexact / counts[places[gid]] \
+                    if average else inexact
         return out
 
     def nbytes(self, groups: int) -> int:
-        # three list slots + the total's int object per group
-        return _STATE_BYTES + 64 * groups
+        # two list slots + the total's int object per group
+        return super().nbytes(groups) + 48 * groups
 
 
 class _ExtremeState:
@@ -436,7 +513,7 @@ class _ExtremeState:
     def grow(self, groups: int):
         self.values += [None] * groups
 
-    def scatter(self, gids, column, _tally=None):
+    def scatter(self, gids, column):
         values = self.values
         better = self.better
         for gid, value in zip(gids, column):
@@ -460,12 +537,12 @@ class _ExtremeState:
     def merge(self, other: "_ExtremeState", remap: list):
         self.scatter(remap, other.values)
 
-    def copy(self) -> "_ExtremeState":
+    def copy(self, _rows=None) -> "_ExtremeState":
         other = copy(self)
         other.values = self.values.copy()
         return other
 
-    def results(self, gids=None) -> list:
+    def results(self, gids=None, view=None) -> list:
         return _pick(self.values, gids)
 
     def nbytes(self, groups: int) -> int:
@@ -474,17 +551,20 @@ class _ExtremeState:
 
 class _DistinctState:
     """DISTINCT over an inner state: per-group sets of the values seen;
-    only a value's first sighting in its group reaches the inner state."""
+    only a value's first sighting in its group reaches the inner state,
+    whose rows are those sightings."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self, kind):
+        self.rows: list = []
+        self.inner = kind(self.rows)
         self.seen: list = []
 
     def grow(self, groups: int):
+        self.rows += [0] * groups
         self.seen += [None] * groups
         self.inner.grow(groups)
 
-    def scatter(self, gids, column, _tally=None):
+    def scatter(self, gids, column):
         seen_of = self.seen
         new_gids, new_values = [], []
         for gid, value in zip(gids, column):
@@ -497,27 +577,26 @@ class _DistinctState:
                 seen.add(value)
                 new_gids.append(gid)
                 new_values.append(value)
-        self.inner.scatter(new_gids, new_values, Counter(new_gids))
+        self.inner.scatter(new_gids, new_values)
+        _count_rows(self.rows, new_gids)
 
     def fold(self, gid: int, values, rows: int):
         self.scatter(repeat(gid), values)
 
-    def results(self, gids=None) -> list:
-        return self.inner.results(gids)
+    def results(self, gids=None, view=None) -> list:
+        return self.inner.results(gids, view)
 
 
-def _make_state(name: str, count_star: bool, distinct: bool):
-    if name == "COUNT":
-        # COUNT(*) counts rows, DISTINCT or not
-        state = _CountState(count_star)
-        return _DistinctState(state) if distinct and not count_star \
-            else state
-    if name in ("SUM", "AVG"):
-        state = _SumState(average=name == "AVG")
-        return _DistinctState(state) if distinct else state
-    if name in ("MIN", "MAX"):                   # DISTINCT changes nothing
-        return _ExtremeState(largest=name == "MAX")
-    raise ExecutionError(f"unknown aggregate function {name!r}")
+#: the view each aggregate reads of its state
+_VIEWS = {"COUNT": "count", "SUM": "sum", "AVG": "avg", "MIN": None,
+          "MAX": None}
+
+
+def _make_state(kind: str, distinct: bool, rows: list):
+    if kind in ("MIN", "MAX"):                   # DISTINCT changes nothing
+        return _ExtremeState(largest=kind == "MAX")
+    state = _CountState if kind == "COUNT" else _SumState
+    return _DistinctState(state) if distinct else state(rows)
 
 
 class _GroupIds(dict):
@@ -543,8 +622,8 @@ class GroupedAggregation:
     """The state of one (partial) grouped aggregation.
 
     Group keys map to dense ids in first-appearance order — which is also
-    the emission order — and each aggregate keeps one state column indexed
-    by group id.  Three operations feed it, all exact, so any mix of them
+    the emission order — and each *state* keeps its columns indexed by
+    group id.  Three operations feed it, all exact, so any mix of them
     over the same rows yields the same bits:
 
     * ``scatter(gids, columns)`` — a batch, row ``i`` into group
@@ -557,8 +636,18 @@ class GroupedAggregation:
       in ``other``'s first-appearance order (never a DISTINCT one: the
       planner caches no DISTINCT aggregate, so nothing merges it).
 
-    ``specs`` is one ``(name, count_star, distinct)`` per aggregate; a
-    column of ``COUNT(*)`` is ``None`` — it needs the rows, not a value.
+    ``specs`` is one ``(name, count_star, distinct[, arg])`` per
+    aggregate; a column of ``COUNT(*)`` is ``None`` — it needs the rows,
+    not a value.  ``arg`` names the argument: aggregates with an equal
+    one read the same column, so they share one state, and each reads
+    its *view* of it (``views``).  ``SUM(x)``, ``AVG(x)`` and — when one
+    of those is there — ``COUNT(x)`` share one ``_SumState``, AVG being
+    SUM over COUNT (Gray et al., "Data Cube", ICDE 1996); every
+    ``COUNT(*)`` reads one ``_CountState``, the same MIN or MAX one
+    ``_ExtremeState``.  A DISTINCT aggregate, or one without an ``arg``,
+    keeps a state of its own.  ``scatter`` / ``fold`` / ``merge`` /
+    ``copy`` / ``nbytes`` run once per state; ``row_counts`` counts the
+    rows folded per group once for all of them.
 
     ``dependent`` is one flag per GROUP BY column (none for a global
     aggregate).  A *dependent* column is fixed by the columns kept before
@@ -574,7 +663,31 @@ class GroupedAggregation:
 
     def __init__(self, specs, dependent=()):
         self.gids = _GroupIds()
-        self.states = [_make_state(*spec) for spec in specs]
+        self.row_counts: list = []
+        self.states: list = []
+        self.sources: list = []      # per state: the aggregate it reads
+        self.views: list = []        # per aggregate: (state index, view)
+        specs = [(*spec, None)[:4] for spec in specs]
+        summed = {arg for name, _star, distinct, arg in specs
+                  if name in ("SUM", "AVG") and not distinct}
+        keys: dict = {}
+        for position, (name, star, distinct, arg) in enumerate(specs):
+            if name not in _VIEWS:
+                raise ExecutionError(f"unknown aggregate function {name!r}")
+            kind = name
+            if star:
+                key, distinct = "*", False   # COUNT(*) counts rows, DISTINCT or not
+            elif arg is None or distinct and kind not in ("MIN", "MAX"):
+                key = position               # a state of its own
+            else:
+                if kind in ("SUM", "AVG") or kind == "COUNT" and arg in summed:
+                    kind = "SUM"             # one SUM state per argument
+                key = (kind, arg)
+            if key not in keys:
+                keys[key] = len(self.states)
+                self.states.append(_make_state(kind, distinct, self.row_counts))
+                self.sources.append(position)
+            self.views.append((keys[key], _VIEWS[name]))
         self._sized = 0
         self.attach(dependent, [[] for flag in dependent if flag])
 
@@ -594,6 +707,7 @@ class GroupedAggregation:
     def _grow(self):
         new = len(self.gids) - self._sized
         if new:
+            self.row_counts += [0] * new
             for state in self.states:
                 state.grow(new)
             self._sized += new
@@ -631,27 +745,32 @@ class GroupedAggregation:
 
     def scatter(self, gids: list, columns):
         if self.states:
-            # rows per group, tallied once (C speed) for COUNT(*) and every
-            # NULL-free SUM/AVG column of the batch
-            tally = Counter(gids)
-            for state, column in zip(self.states, columns):
-                state.scatter(gids, column, tally)
+            for state, source in zip(self.states, self.sources):
+                state.scatter(gids, columns[source])
+            # counted once for every state, after they folded the batch
+            _count_rows(self.row_counts, gids)
 
     def fold(self, gid: int, columns, rows: int):
-        for state, column in zip(self.states, columns):
-            state.fold(gid, column, rows)
+        for state, source in zip(self.states, self.sources):
+            state.fold(gid, columns[source], rows)
+        self.row_counts[gid] += rows
 
     def merge(self, other: "GroupedAggregation"):
         remap = self.assign(other.gids, other.dependent_values)
         for state, sub in zip(self.states, other.states):
             state.merge(sub, remap)
+        row_counts = self.row_counts
+        for gid, count in zip(remap, other.row_counts):
+            row_counts[gid] += count
 
     def copy(self) -> "GroupedAggregation":
         """An independent state equal to this one — what merging it into a
         fresh state yields, at the price of C-level dict and list copies."""
         other = copy(self)
         other.gids = _GroupIds(self.gids)
-        other.states = [state.copy() for state in self.states]
+        other.row_counts = self.row_counts.copy()
+        other.states = [state.copy(other.row_counts)
+                        for state in self.states]
         other.dependent_values = [values.copy()
                                   for values in self.dependent_values]
         return other
@@ -660,7 +779,8 @@ class GroupedAggregation:
         """Ids among ``gids`` (every group when None) that can rank in the
         first ``limit`` under ``ORDER BY <aggregate position> DESC``;
         ``gids`` itself keeps them all."""
-        totals, shift = self.states[position].exact()
+        state, view = self.views[position]
+        totals, shift = self.states[state].exact(view)
         if gids is not None:
             totals = _pick(totals, gids)
         present = [total for total in totals if total is not None]
@@ -684,7 +804,9 @@ class GroupedAggregation:
         in id order; ``top``: ``_survivors`` ranks only those."""
         if top:
             gids = self._survivors(*top, gids)
-        results = [state.results(gids) for state in self.states]
+        states = self.states
+        results = [states[state].results(gids, view)
+                   for state, view in self.views]
         keys = self.gids if gids is None else _pick(list(self.gids), gids)
         if not self.width:
             # no GROUP BY list: the global group's ``()``, or whole-tuple keys
@@ -705,7 +827,7 @@ class GroupedAggregation:
         the id dict's entry and key tuple per group, plus each state
         column's slots."""
         groups = len(self.gids)
-        return _STATE_BYTES + (110 + 50 * self.width) * groups \
+        return _STATE_BYTES + (126 + 50 * self.width) * groups \
             + sum(state.nbytes(groups) for state in self.states)
 
 

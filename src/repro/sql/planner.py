@@ -1717,17 +1717,24 @@ class Planner:
     def _agg_specs(self, aggs: list[ast.FuncCall],
                    input_schema) -> list[AggSpec]:
         """One ``AggSpec`` per aggregate; structurally equal argument
-        expressions (``AVG(bal), MAX(bal)``) share one compiled fn."""
+        expressions (``AVG(bal), MAX(bal)``) share one compiled fn, and so
+        do references to one column (``SUM(v), AVG(t.v)``).  Equal fns
+        share one aggregation state, so a sketch key — which names a
+        column by its position — fixes the cached state's layout."""
         arg_fns: dict = {}
         specs = []
         for agg in aggs:
             arg_fn = None
             if agg.args and not isinstance(agg.args[0], ast.Star):
-                arg = agg.args[0]
-                if arg not in arg_fns:
-                    arg_fns[arg] = compile_expr(arg, input_schema,
+                arg = key = agg.args[0]
+                if isinstance(arg, ast.ColumnRef):
+                    position = input_schema.try_resolve(arg.table, arg.name)
+                    if position is not None:
+                        key = position
+                if key not in arg_fns:
+                    arg_fns[key] = compile_expr(arg, input_schema,
                                                 self._plan_subquery)
-                arg_fn = arg_fns[arg]
+                arg_fn = arg_fns[key]
             specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
         return specs
 

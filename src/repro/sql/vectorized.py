@@ -22,8 +22,8 @@ and CASE laziness are therefore the row pipeline's by construction.
 Two operator families:
 
 * **batch operators** (``VectorNode``: ``execute_batches(ctx, size) ->
-  Iterator[Batch]``, ``size`` reaching the row-store scan so a lazy
-  consumer reads no further than it pulls): ``VColumnarScan`` (with
+  Iterator[Batch]``, ``size`` reaching the scan so a lazy consumer is
+  handed no further than it pulls): ``VColumnarScan`` (with
   zone-map segment pruning on the replica),
   ``VFilter`` (selection vectors) and ``VHashJoin``;
 * **row-emitting operators** (``BatchNode``s, so the planner stacks the
@@ -139,31 +139,56 @@ def _not_null_test(v):
     return v is not None
 
 
+def _null_count(column) -> int:
+    """NULLs in ``column``, counted at C speed per encoding."""
+    if isinstance(column, NativeColumn):
+        return len(column.nulls)
+    if isinstance(column, DictColumn):
+        return column.codes.count(-1)
+    if isinstance(column, RLEColumn):
+        return sum(length for value, length in zip(column.run_values,
+                                                   column.run_lengths)
+                   if value is None)
+    return column.count(None)                # plain list
+
+
 def _not_null_selection(column) -> list | None:
     """Selection of an IS NOT NULL predicate; ``None`` = all rows pass.
 
-    Proving a column null-free costs one C-level containment check per
-    encoding.  The common case (mandatory columns, fully-populated
-    segments) then keeps the scan's zero-copy whole-segment path alive —
-    which is what makes segment sketches applicable under a pushed
-    not-null predicate.
+    Proving a column null-free costs one C-level count per encoding
+    (``_null_count``).  The common case (mandatory columns,
+    fully-populated segments) then keeps the scan's zero-copy
+    whole-segment path alive — which is what makes segment sketches
+    applicable under a pushed not-null predicate.
     """
+    if not _null_count(column):
+        return None
     if isinstance(column, NativeColumn):
         nulls = column.nulls
-        if not nulls:
-            return None
         return [i for i in range(len(column)) if i not in nulls]
     if isinstance(column, DictColumn):
-        codes = column.codes
-        if -1 not in codes:
-            return None
-        return [i for i, code in enumerate(codes) if code >= 0]
-    if isinstance(column, RLEColumn):
-        if None not in column.run_values:
-            return None
-    elif None not in column:                 # plain list
-        return None
+        return [i for i, code in enumerate(column.codes) if code >= 0]
     return [i for i, v in enumerate(column) if v is not None]
+
+
+class _NotNullOffsets:
+    """The offsets of ``column``'s non-NULL values: counted up front,
+    listed on first iteration — a warm sketch hit needs only the count."""
+
+    __slots__ = ("_column", "_count", "_offsets")
+
+    def __init__(self, column, count: int):
+        self._column = column
+        self._count = count
+        self._offsets = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        if self._offsets is None:
+            self._offsets = _not_null_selection(self._column)
+        return iter(self._offsets)
 
 
 def _range_test(low, high, low_inc, high_inc):
@@ -251,12 +276,13 @@ class _LazyColumn:
     Late materialization: the scan's selection vector is carried as
     ``(column, selection)`` and only decoded — once, memoised — if a
     downstream operator actually touches the column.  Columns that only
-    served pushed predicates are never materialised at all.
+    served pushed predicates are never materialised at all.  The selection
+    is an offset list or a ``_NotNullOffsets``, listed only then.
     """
 
     __slots__ = ("_column", "_selection", "_stats", "_data")
 
-    def __init__(self, column, selection: list, stats=None):
+    def __init__(self, column, selection, stats=None):
         self._column = column
         self._selection = selection
         self._stats = stats
@@ -356,15 +382,15 @@ class VColumnarScan(VectorNode):
         self.positions = [table.position(c) for c in names]
         self.schema = Schema([(binding, col) for col in names])
 
-    def _target_partitions(self, ctx, n_parts: int) -> list[int]:
-        """Partition ids the scan must visit (partition pruning)."""
+    def _target_partitions(self, ctx, preds, n_parts: int) -> list[int]:
+        """Partition ids the scan must visit (partition pruning by the
+        bound value of a pushed partition-key equality)."""
         if n_parts > 1:
-            for pred in self.pushed:
-                if (pred.position == self.partition_position
-                        and pred.low_fn is not None
-                        and pred.low_fn is pred.high_fn):
-                    value = pred.low_fn((), ctx)
-                    return [ctx.columnar.pmap.partition_of_value(value)]
+            for pushed, pred in zip(self.pushed, preds):
+                if (pushed.position == self.partition_position
+                        and pushed.low_fn is not None
+                        and pushed.low_fn is pushed.high_fn):
+                    return [ctx.columnar.pmap.partition_of_value(pred.low)]
         return list(range(n_parts))
 
     def _segment_selection(self, segment, preds):
@@ -393,8 +419,22 @@ class VColumnarScan(VectorNode):
 
         ``None`` means *every row* (fully-live segment, every predicate
         absorbed — the zero-copy case); otherwise a (possibly empty)
-        offset list in physical order.
+        offset list in physical order.  A fully-live sealed segment under
+        IS NOT NULL predicates alone, NULLs in one of their columns, gets
+        that column's ``_NotNullOffsets``: its rows may reach a sketch,
+        whose hit needs their count, not their offsets.
         """
+        if segment.encoded and segment.live_count == segment.size and preds \
+                and all(pred.not_null for pred in preds):
+            nulls = {pred.position: _null_count(segment.columns[pred.position])
+                     for pred in preds}
+            nullable = [position for position, count in nulls.items() if count]
+            if not nullable:
+                return None
+            if len(nullable) == 1:
+                [position] = nullable
+                return _NotNullOffsets(segment.columns[position],
+                                       segment.size - nulls[position])
         selection = self._segment_selection(segment, preds)
         if selection is None:
             if segment.live_count == segment.size:
@@ -407,10 +447,10 @@ class VColumnarScan(VectorNode):
         return selection
 
     def _segment_emit(self, segment, selection, stats):
-        """``(batch, rows)`` for one segment's surviving selection.
+        """The batch of one segment's surviving selection.
 
         ``selection=None`` emits zero-copy column views; an empty
-        selection emits nothing (``(None, 0)``).
+        selection emits nothing (``None``).
         """
         positions = self.positions
         if selection is None:
@@ -422,11 +462,10 @@ class VColumnarScan(VectorNode):
             stats.batches_scanned += 1
             columns = [segment.columns[p] for p in positions]
             if segment.encoded:
-                return (SegmentBatch(columns, segment.size, segment),
-                        segment.size)
-            return (Batch(columns, segment.size), segment.size)
+                return SegmentBatch(columns, segment.size, segment)
+            return Batch(columns, segment.size)
         if not selection:
-            return None, 0
+            return None
         stats.batches_scanned += 1
         columns = [_LazyColumn(segment.columns[p], selection, stats)
                    for p in positions]
@@ -436,32 +475,10 @@ class VColumnarScan(VectorNode):
             # fully-live sealed segment: deterministic given the segment's
             # content, so the fold may cache the filtered state (the
             # sketch key carries the filter positions; lazy gathers — a
-            # warm hit never materialises these columns)
-            return SegmentBatch(columns, len(selection), segment), \
-                len(selection)
-        return (Batch(columns, len(selection)), len(selection))
-
-    def _scan_partition(self, part, ctx, preds, skip_segment):
-        name = self.table.name
-        stats = ctx.stats
-        # one consistent view of (main segments, delta tail): a
-        # compaction on another thread swapping the main mid-scan cannot
-        # change what this scan reads
-        main, delta = part.read_snapshot()
-        stats.delta_rows_pending += sum(
-            segment.live_count for segment in delta)
-        scanned = 0
-        for segment in chain(main, delta):
-            if not segment.live_count or skip_segment(segment):
-                continue
-            if segment.encoded:
-                stats.segments_encoded += 1
-            batch, rows = self._segment_emit(
-                segment, self._live_selection(segment, preds), stats)
-            if batch is not None:
-                scanned += rows
-                yield batch
-        stats.rows_columnar[name] += scanned
+            # warm hit never materialises these columns, nor builds a
+            # ``_NotNullOffsets`` selection)
+            return SegmentBatch(columns, len(selection), segment)
+        return Batch(columns, len(selection))
 
     def _bind(self, ctx) -> list | None:
         """The pushed predicates with their constants bound for this
@@ -498,6 +515,49 @@ class VColumnarScan(VectorNode):
                     yield Batch([list(map(get, rows)) for get in getters],
                                 len(rows))
 
+    def _scan_replica(self, ctx):
+        """The replica's batches: the target partitions' live segments in
+        physical order, zone-pruned and filtered by the pushed predicates.
+
+        The predicates bind once the scan knows it has a live segment to
+        read, as ``_scan_row_store`` binds them at its first row: a replica
+        holding no live row evaluates none of their constants.  That
+        includes a partition-key equality, whose bound value prunes the
+        partitions, so such a scan visits every (empty) partition."""
+        stats = ctx.stats
+        # one consistent view of (main segments, delta tail) per partition:
+        # a compaction on another thread swapping the main mid-scan cannot
+        # change what this scan reads
+        views = [part.read_snapshot()
+                 for part in ctx.columnar.table_partitions(self.table.name)]
+        live = [[segment for segment in chain(*view) if segment.live_count]
+                for view in views]
+        preds = self._bind(ctx) if any(live) else []
+        if preds is None:
+            # unsatisfiable (NULL bound): every partition is irrelevant,
+            # so the scanned+pruned == partition-count invariant holds
+            stats.segments_pruned += sum(map(len, live))
+            stats.partitions_pruned += len(views)
+            return
+        pids = self._target_partitions(ctx, preds, len(views))
+        stats.partitions_scanned += len(pids)
+        stats.partitions_pruned += len(views) - len(pids)
+        stats.scatter_partitions = max(stats.scatter_partitions, len(pids))
+        for pid in pids:
+            _main, delta = views[pid]
+            stats.delta_rows_pending += sum(
+                segment.live_count for segment in delta)
+            for segment in live[pid]:
+                if _zone_pruned(segment, preds):
+                    stats.segments_pruned += 1
+                    continue
+                if segment.encoded:
+                    stats.segments_encoded += 1
+                batch = self._segment_emit(
+                    segment, self._live_selection(segment, preds), stats)
+                if batch is not None:
+                    yield batch
+
     def execute_batches(self, ctx, size: int = BATCH_ROWS):
         name = self.table.name
         stats = ctx.stats
@@ -506,31 +566,25 @@ class VColumnarScan(VectorNode):
             yield from self._scan_row_store(ctx, size)
             return
         stats.used_columnar = True
-        parts = ctx.columnar.table_partitions(name)
-
-        preds = self._bind(ctx)
-        if preds is None:
-            # unsatisfiable (NULL bound): every partition is irrelevant,
-            # so the scanned+pruned == partition-count invariant holds
-            stats.segments_pruned += sum(
-                1 for part in parts
-                for s in part.segments() if s.live_count)
-            stats.partitions_pruned += len(parts)
-            return
-
-        def skip_segment(segment):
-            if _zone_pruned(segment, preds):
-                stats.segments_pruned += 1
-                return True
-            return False
-
-        pids = self._target_partitions(ctx, len(parts))
-        stats.partitions_scanned += len(pids)
-        stats.partitions_pruned += len(parts) - len(pids)
-        stats.scatter_partitions = max(stats.scatter_partitions, len(pids))
-        for pid in pids:
-            yield from self._scan_partition(parts[pid], ctx, preds,
-                                            skip_segment)
+        scanned = 0
+        try:
+            for batch in self._scan_replica(ctx):
+                rows = len(batch)
+                if size >= BATCH_ROWS or size >= rows:
+                    scanned += rows
+                    yield batch
+                    continue
+                # a lazy consumer (``execute`` asks for one row at a time):
+                # the segment's rows ``size`` at a time, so it is handed —
+                # and charged — no further than it pulls
+                for start in range(0, rows, size):
+                    piece = batch.take(range(start, min(start + size, rows)))
+                    scanned += len(piece)
+                    yield piece
+        finally:
+            # also reached when a lazy consumer closes the scan early, as
+            # ``row_store_batches`` charges the rows it handed on
+            stats.rows_columnar[name] += scanned
 
 
 class VFilter(VectorNode):
@@ -719,8 +773,9 @@ class BatchAggregate(BatchNode):
     groupjoin = None
 
     def _new_groups(self) -> GroupedAggregation:
-        return GroupedAggregation(((s.name, s.arg_fn is None, s.distinct)
-                                   for s in self.agg_specs), self.dependent)
+        return GroupedAggregation(
+            [(s.name, s.arg_fn is None, s.distinct, s.arg_fn)
+             for s in self.agg_specs], self.dependent)
 
     def _fold_batch(self, batch, ctx, groups: GroupedAggregation):
         """Fold one batch into ``groups``."""

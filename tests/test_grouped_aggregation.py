@@ -318,6 +318,8 @@ class TestExponentAlignment:
 
 SUM_SPECS = [("SUM", False, False), ("AVG", False, False),
              ("COUNT", False, False)]
+# the same three over one argument: three views of one shared state
+SHARED_SUM_SPECS = [(*spec, "x") for spec in SUM_SPECS]
 
 # five doubles spanning 2**997 .. 2**-1074: three parts survive the
 # cancellation, so the expansion needs all four passes; without the
@@ -406,10 +408,10 @@ def _rle(piece):
 _COLUMNS = {"fold": list, "view": _Flagged, "native": _native, "rle": _rle}
 
 
-def _feed(groups, piece, feed):
+def _feed(groups, piece, feed, specs=SUM_SPECS):
     if feed == "merge":
-        partial = GroupedAggregation(SUM_SPECS)
-        _feed(partial, piece, "fold")
+        partial = GroupedAggregation(specs)
+        _feed(partial, piece, "fold", specs)
         groups.merge(partial)
     elif feed == "scatter":
         groups.scatter(groups.assign([()] * len(piece)), [piece] * 3)
@@ -432,11 +434,24 @@ class TestBulkFold:
            st.randoms())
     @settings(max_examples=300, deadline=None)
     def test_any_cut_any_feed(self, values, cuts, feeds, rng):
+        self._any_cut_any_feed(SUM_SPECS, values, cuts, feeds, rng)
+
+    @given(_values, st.lists(st.integers(0, 150), max_size=6),
+           st.lists(st.sampled_from(_FEEDS), min_size=7, max_size=7),
+           st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_any_cut_any_feed_one_shared_state(self, values, cuts, feeds,
+                                               rng):
+        """SUM, AVG and COUNT of one argument: one state, three views."""
+        self._any_cut_any_feed(SHARED_SUM_SPECS, values, cuts, feeds, rng)
+
+    @staticmethod
+    def _any_cut_any_feed(specs, values, cuts, feeds, rng):
         rng.shuffle(values)
-        groups = GroupedAggregation(SUM_SPECS)
+        groups = GroupedAggregation(specs)
         groups.gid(())
         for piece, feed in zip(_split(values, cuts), feeds):
-            _feed(groups, piece, feed)
+            _feed(groups, piece, feed, specs)
         assert _image(groups.rows()) == _image(_sum_oracle(values))
 
     def test_expansion_passes(self):
@@ -488,9 +503,9 @@ class TestBulkFold:
 
 def _sum_result(int_total, total, exponent):
     """One group's SUM result from a state holding exactly these totals."""
-    state = _SumState(average=False)
+    state = _SumState([1])           # one group of one row
     state.grow(1)
-    state.counts[0], state.ints[0], state.fixed[0] = 1, int_total, total
+    state.ints[0], state.fixed[0] = int_total, total
     state.exponent = exponent
     return state.results()[0]
 
@@ -575,18 +590,18 @@ RANKED_SPECS = [("SUM", False, False), ("COUNT", False, False),
                 ("MAX", False, False)]
 
 
-def _ranked_state(groups, rng=None):
+def _ranked_state(groups, rng=None, specs=RANKED_SPECS):
     """``groups`` (one value list each) scattered in one batch, shuffled by
     ``rng``, under GROUP BY ``(gid, name)`` with the name dependent."""
     rows = [(gid, value) for gid, values in enumerate(groups)
             for value in values]
     if rng is not None:
         rng.shuffle(rows)
-    state = GroupedAggregation(RANKED_SPECS, (False, True))
+    state = GroupedAggregation(specs, (False, True))
     gids = state.assign_columns([[gid for gid, _v in rows],
                                  [f"g{gid}" for gid, _v in rows]])
     column = [value for _gid, value in rows]
-    state.scatter(gids, [column, column, None, column, column])
+    state.scatter(gids, [None if spec[1] else column for spec in specs])
     return state
 
 
@@ -929,17 +944,287 @@ class TestSketchSizeEstimate:
     def test_estimate_within_2x_of_a_real_partial(self):
         # the estimates are pinned: they are the sketch cache's LRU budget,
         # so a key-layout change (a bare single key, a dependent column)
-        # must not move them
+        # must not move them.  ``COUNT(v), SUM(v), AVG(v)`` keep one state
         shapes = [
-            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 7, 5600),
-            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 900, 360400),
+            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 7, 5828),
+            (f"SELECT k, {PLAIN_AGGS} FROM t GROUP BY k", 900, 345576),
             ("SELECT k, j, COUNT(*), SUM(w) FROM t GROUP BY k, j", 300,
-             1164100),
-            ("SELECT j, SUM(j), MAX(w) FROM t GROUP BY j", 2000, 464520),
-            ("SELECT COUNT(*), AVG(v) FROM t", 5, 1390),
+             1100540),
+            ("SELECT j, SUM(j), MAX(w) FROM t GROUP BY j", 2000, 465120),
+            ("SELECT COUNT(*), AVG(v) FROM t", 5, 2074),
         ]
         for sql, groups, pinned in shapes:
             state, estimate = self._cached_run(sql, groups)
             assert estimate == pinned == state.nbytes()
             actual = _deep_sizeof(state, set())
             assert actual / 2 <= estimate <= actual * 2, (sql, groups)
+
+
+# ---------------------------------------------------------------------------
+# one state per argument: the aggregates that share it, against the oracle
+# ---------------------------------------------------------------------------
+
+# ``(name, count_star, distinct, argument)``: SUM, AVG and COUNT of ``v``
+# read one state, and of ``w`` another; MIN(w) twice reads one, COUNT(*)
+# twice one; the DISTINCT aggregates over ``w`` keep a state each
+SHARED_SPECS = [("AVG", False, False, "v"), ("COUNT", True, False, None),
+                ("SUM", False, False, "v"), ("COUNT", False, True, "w"),
+                ("COUNT", False, False, "v"), ("SUM", False, False, "w"),
+                ("MIN", False, False, "w"), ("SUM", False, True, "w"),
+                ("AVG", False, False, "v"), ("COUNT", False, False, "w"),
+                ("SUM", False, False, "v"), ("AVG", False, True, "w"),
+                ("MAX", False, False, "w"), ("AVG", False, False, "w"),
+                ("COUNT", True, False, None), ("MIN", False, False, "w")]
+# COUNT without a SUM or AVG of its argument: one COUNT state per argument
+COUNT_SPECS = [("COUNT", False, False, "v"), ("COUNT", True, False, None),
+               ("COUNT", False, False, "v"), ("COUNT", False, False, "w")]
+#: spec list -> the states it keeps
+SHARED_STATES = {id(SHARED_SPECS): 8, id(COUNT_SPECS): 3}
+
+
+def _spec_value(spec, members):
+    """One aggregate over one group's ``(v, w)`` rows."""
+    name, count_star, distinct, arg = spec
+    if count_star:
+        return len(members)
+    values = [row["vw".index(arg)] for row in members]
+    values = [value for value in values if value is not None]
+    if distinct:
+        values = list(set(values))
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name in ("MIN", "MAX"):
+        return min(values) if name == "MIN" else max(values)
+    return _exact_sum(values, len(values) if name == "AVG" else None)
+
+
+def _shared_expected(rows, specs):
+    members: dict = {}
+    for key, v, w in rows:
+        members.setdefault(key, []).append((v, w))
+    return _image([key + tuple(_spec_value(spec, group) for spec in specs)
+                   for key, group in members.items()])
+
+
+def _shared_columns(batch, specs):
+    """One argument column per aggregate, one list per argument — as
+    ``argument_columns`` hands the same column to equal arguments."""
+    by_arg = {"v": [v for _k, v, _w in batch],
+              "w": [w for _k, _v, w in batch], None: None}
+    return [by_arg[spec[3]] for spec in specs]
+
+
+def _shared_scattered(batches, specs):
+    groups = GroupedAggregation(specs)
+    for batch in batches:
+        groups.scatter(groups.assign(key for key, _v, _w in batch),
+                       _shared_columns(batch, specs))
+    return groups
+
+
+def _mergeable(specs):
+    return [spec for spec in specs if not spec[2]]
+
+
+@pytest.mark.parametrize("specs", [SHARED_SPECS, COUNT_SPECS],
+                         ids=["sum_avg_count", "count_only"])
+class TestSharedStates:
+    def test_one_state_per_argument(self, specs):
+        assert len(GroupedAggregation(specs).states) \
+            == SHARED_STATES[id(specs)]
+
+    @given(_rows, st.lists(st.integers(0, 80), max_size=6), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_any_batch_split_and_row_order(self, specs, rows, cuts, rng):
+        rng.shuffle(rows)
+        assert _image(_shared_scattered(_split(rows, cuts), specs).rows()) \
+            == _shared_expected(rows, specs)
+
+    @given(_rows, st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_fold_in_pieces(self, specs, rows, rng):
+        groups = GroupedAggregation(specs)
+        members: dict = {}
+        for row in rows:
+            members.setdefault(row[0], []).append(row)
+        for key, group in members.items():
+            cut = rng.randint(0, len(group))
+            for piece in (group[:cut], group[cut:]):
+                groups.fold(groups.gid(key), _shared_columns(piece, specs),
+                            len(piece))
+        assert _image(groups.rows()) == _shared_expected(rows, specs)
+
+    @given(_rows, st.sampled_from([1, 2, 8]), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_merged_partials(self, specs, rows, partitions, rng):
+        """Partials merged into an empty state and into a populated one;
+        each partial is read twice, as a cached state is."""
+        specs = _mergeable(specs)
+        streams = [[] for _ in range(partitions)]
+        for row in rows:
+            streams[rng.randrange(partitions)].append(row)
+        partials = [_shared_scattered([stream], specs) for stream in streams]
+        concatenated = [row for stream in streams for row in stream]
+        for _ in range(2):
+            merged = GroupedAggregation(specs)
+            for partial in partials:
+                merged.merge(partial)
+            assert _image(merged.rows()) \
+                == _shared_expected(concatenated, specs)
+        populated = _shared_scattered([streams[0]], specs)
+        for partial in partials[1:]:
+            populated.merge(partial)
+        assert _image(populated.rows()) \
+            == _shared_expected(concatenated, specs)
+
+    @given(_rows, st.integers(0, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_copy_folds_on_alone(self, specs, rows, cut):
+        """A copy of a partial folds on without touching the partial,
+        and a later copy or merge reads the partial as it was."""
+        specs = _mergeable(specs)
+        head, tail = rows[:cut], rows[cut:]
+        partial = _shared_scattered([head], specs)
+        copied = partial.copy()
+        copied.scatter(copied.assign(key for key, _v, _w in tail),
+                       _shared_columns(tail, specs))
+        assert _image(copied.rows()) == _shared_expected(rows, specs)
+        assert _image(partial.rows()) == _shared_expected(head, specs)
+        assert _image(partial.copy().rows()) == _shared_expected(head, specs)
+        merged = GroupedAggregation(specs)
+        merged.merge(partial)
+        assert _image(merged.rows()) == _shared_expected(head, specs)
+
+    def test_empty_global_group(self, specs):
+        groups = GroupedAggregation(specs)
+        groups.gid(())
+        assert groups.rows() == [tuple(0 if spec[0] == "COUNT" else None
+                                       for spec in specs)]
+        cached = GroupedAggregation(_mergeable(specs))
+        cached.gid(())
+        merged = GroupedAggregation(_mergeable(specs))
+        merged.merge(cached)
+        assert cached.copy().rows() == merged.rows() == [
+            tuple(0 if spec[0] == "COUNT" else None
+                  for spec in _mergeable(specs))]
+
+
+# ranked on SUM(x) (position 1) or COUNT(x) (position 2), views of one state
+RANKED_SHARED_SPECS = [("AVG", False, False, "x"), ("SUM", False, False, "x"),
+                       ("COUNT", False, False, "x"), ("COUNT", True, False, None)]
+
+
+@given(_ranked_groups, st.integers(1, 6), st.sampled_from([1, 2]),
+       st.randoms())
+@settings(max_examples=200, deadline=None)
+def test_ranked_pruning_reads_a_shared_view(groups, limit, position, rng):
+    state = _ranked_state(groups, rng, RANKED_SHARED_SPECS)
+    assert len(state.states) == 2
+    expected = [(gid, f"g{gid}", *(_spec_value((name, star, distinct, "v"),
+                                               [(v, None) for v in values])
+                                   for name, star, distinct, _arg
+                                   in RANKED_SHARED_SPECS))
+                for gid, values in enumerate(groups)]
+    assert sorted(_image(state.rows())) == sorted(_image(expected))
+    _assert_ranks_alike(state, position, limit)
+
+
+def _spec_of(text: str):
+    """``SUM(DISTINCT t.w)`` -> ``("SUM", False, True, "w")``."""
+    name, arg = text.rstrip(")").split("(")
+    distinct = arg.startswith("DISTINCT ")
+    arg = arg.removeprefix("DISTINCT ").removeprefix("t.")
+    return name, arg == "*", distinct, None if arg == "*" else arg
+
+
+#: SELECT lists whose aggregates share states; the first is sketch-eligible
+SHARED_SQL = [
+    "AVG(v), COUNT(*), SUM(t.v), COUNT(v), SUM(w), MIN(w), COUNT(w), "
+    "AVG(t.w), MAX(w), SUM(v), COUNT(t.v)",
+    "SUM(v), COUNT(DISTINCT w), AVG(v), SUM(DISTINCT w), COUNT(v), "
+    "AVG(DISTINCT w), SUM(w)",
+    "COUNT(v), COUNT(*), COUNT(t.v), MAX(w)",
+]
+
+
+class TestSharedStatesThroughSql:
+    @given(_sql_rows, st.sampled_from([1, 4]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_path_and_a_kill(self, rows, partitions, data):
+        """Row tree, vector tree on the row store, cold and warm replica,
+        grouped and global — then a killed slot in a sealed segment."""
+        db = _make_db(rows, partitions)
+        self._check(db, rows, expect_hits=bool(rows))
+        if not rows:
+            return
+        victim = data.draw(st.integers(0, len(rows) - 1))
+        changed = data.draw(st.integers(0, len(rows) - 1))
+        value = data.draw(_v)
+        with db.connect() as conn:
+            conn.execute("DELETE FROM t WHERE id = ?", (victim,))
+            conn.execute("UPDATE t SET v = ? WHERE id = ?", (value, changed))
+            conn.commit()
+        db.replicate()
+        # the column's type validates what UPDATE writes (an int becomes
+        # a DOUBLE); bulk-loaded values are stored as given
+        [(value,)] = db.query(f"SELECT v FROM t WHERE id = {changed}").rows \
+            if changed != victim else [(value,)]
+        rows = [row if i != changed else (*row[:2], value, row[3])
+                for i, row in enumerate(rows)]
+        self._check(db, [row for i, row in enumerate(rows) if i != victim],
+                    expect_hits=False)
+
+    def test_spellings_of_one_argument_keep_one_layout(self):
+        """``v`` and ``t.v`` name one column, so the sketch key — which
+        names columns by position — is the same for both spellings: they
+        must keep one state layout.  A killed row in the first segment
+        makes a warm hit merge the cached run into a state the statement
+        built itself."""
+        rng = Random(7)
+        rows = [(rng.choice(["a", "b", "c"]), None,
+                 rng.choice([None, 2, 0.5, rng.uniform(-9, 9)]), None)
+                for _ in range(60)]
+        db = _make_db(rows, 1)
+        first = "SELECT k, SUM(v), AVG(v), COUNT(v) FROM t GROUP BY k"
+        _run(db, first, True)
+        with db.connect() as conn:
+            conn.execute("DELETE FROM t WHERE id = 0")
+            conn.commit()
+        db.replicate()
+        assert _run(db, first, True).stats.sketches_built > 0
+        grouped: dict = {}
+        for key, _j, v, w in rows[1:]:
+            grouped.setdefault((key,), []).append((v, w))
+        for select in ("SUM(t.v), AVG(v), COUNT(t.v)",
+                       "SUM(v), AVG(t.v), COUNT(v)"):
+            specs = [_spec_of(text) for text in select.split(", ")]
+            result = _run(db, f"SELECT k, {select} FROM t GROUP BY k", True)
+            assert result.stats.sketches_hit > 0
+            assert result.stats.agg_input_rows > 0
+            assert sorted(_image(result.rows)) == sorted(_image([
+                key + tuple(_spec_value(spec, group) for spec in specs)
+                for key, group in grouped.items()]))
+
+    @staticmethod
+    def _check(db, rows, expect_hits):
+        grouped: dict = {}
+        for row in rows:
+            grouped.setdefault((row[0],), []).append(row[2:])
+        whole = {(): [row[2:] for row in rows]}
+        for aggs in SHARED_SQL:
+            specs = [_spec_of(text) for text in aggs.split(", ")]
+            for sql, members in (
+                    (f"SELECT k, {aggs} FROM t GROUP BY k", grouped),
+                    (f"SELECT {aggs} FROM t", whole)):
+                expected = sorted(_image([
+                    key + tuple(_spec_value(spec, group) for spec in specs)
+                    for key, group in members.items()]))
+                results = [_run(db, sql, False, vectorized=False),
+                           _run(db, sql, False), _run(db, sql, True),
+                           _run(db, sql, True)]
+                for result in results:
+                    assert sorted(_image(result.rows)) == expected, sql
+                if expect_hits and aggs is SHARED_SQL[0]:
+                    assert results[-1].stats.sketches_hit > 0

@@ -19,6 +19,7 @@ from repro.core.config import BenchConfig
 from repro.core.report import render_csv, render_text
 from repro.core.runner import RunReport
 from repro.db import Database
+from repro.sql import vectorized
 from repro.storage import columnstore
 from repro.workloads import make_workload
 
@@ -128,6 +129,29 @@ class TestSketchCache:
         routed(db, NOT_NULL_SQL)
         warm = routed(db, NOT_NULL_SQL)
         assert warm.stats.sketches_hit > 0
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_warm_not_null_hit_builds_no_selection(self, routed,
+                                                   monkeypatch, partitions):
+        """A warm hit over segments holding NULLs needs their surviving
+        row count, not their offsets: the IS NOT NULL selection is built
+        by the cold fold alone, and both answer alike."""
+        db = _fill(_make_db(partitions=partitions))
+        built = []
+        selection = vectorized._not_null_selection
+
+        def spy(column):
+            built.append(len(column))
+            return selection(column)
+        monkeypatch.setattr(vectorized, "_not_null_selection", spy)
+        cold = routed(db, NOT_NULL_SQL)
+        assert built and cold.stats.sketches_built > 0
+        built.clear()
+        warm = routed(db, NOT_NULL_SQL)
+        assert built == []
+        assert warm.stats.sketches_hit == cold.stats.sketches_built
+        assert warm.rows == cold.rows \
+            == routed(db, NOT_NULL_SQL, vectorized=False).rows
 
     def test_encoding_stats_report_sketch_memory(self, routed):
         db = _fill(_make_db())

@@ -310,7 +310,7 @@ PINNED_REPLICA_ACCOUNTING = {
          'encodings': {'plain': 46, 'dict': 14, 'rle': 48, 'native': 60},
          'dict_code_bytes': 229376, 'dicts_shared': 14,
          'shared_dict_bytes': 4065360, 'shared_dicts_total': 38,
-         'shared_dicts_demoted': 14, 'sketch_bytes': 1024,
+         'shared_dicts_demoted': 14, 'sketch_bytes': 1424,
          'sketches_cached': 1, 'sketch_evictions': 0,
          'compression_ratio': 1.6209969018579138},
         0.6169043252666584,
@@ -325,7 +325,7 @@ PINNED_REPLICA_ACCOUNTING = {
          'encodings': {'plain': 40, 'dict': 12, 'rle': 48, 'native': 48},
          'dict_code_bytes': 196608, 'dicts_shared': 12,
          'shared_dict_bytes': 3496016, 'shared_dicts_total': 38,
-         'shared_dicts_demoted': 12, 'sketch_bytes': 1024,
+         'shared_dicts_demoted': 12, 'sketch_bytes': 1424,
          'sketches_cached': 1, 'sketch_evictions': 0,
          'compression_ratio': 1.6509371753782598},
         0.605716568088596,

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.session import run_transaction
 from repro.db import Database
+from repro.errors import ExecutionError
 from repro.sql.planner import Limit, Sort, TopN
 from repro.sql.result import Batch
 from repro.workloads import make_workload
@@ -407,6 +408,63 @@ class TestShortCircuitParity:
         vec, row = _both(
             db, "SELECT id FROM m WHERE grp IN (0, 100 / v) ORDER BY id")
         assert vec.rows == row.rows == [(1,)]
+
+
+def _replica(partitions: int, n: int) -> Database:
+    """``m`` with ``n`` rows, replicated and sealed into 64-row segments."""
+    db = Database(with_columnar=True, columnar_segment_rows=64,
+                  partitions=partitions)
+    db.execute_ddl("CREATE TABLE m (id INT PRIMARY KEY, grp INT, v DOUBLE, "
+                   "note VARCHAR(16))")
+    db.bulk_load("m", [(i, i % 7, float(i), "n") for i in range(n)])
+    db.replicate()
+    db.columnar.compact(force=True)
+    return db
+
+
+class TestRoutedScanBoundaries:
+    """What a routed scan charges and evaluates when its consumer stops
+    early or it has nothing to read: what the row tree does."""
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_a_limit_charges_the_rows_it_pulled(self, partitions):
+        db = _replica(partitions, 1000)
+        charged = {}
+        for sql, read in (("SELECT id FROM m LIMIT 3", 3),
+                          ("SELECT id, note FROM m WHERE grp = 2 LIMIT 2", 2),
+                          ("SELECT COUNT(*) FROM m", 1000)):
+            vec, row = _both(db, sql)
+            assert vec.stats.vectorized and not row.stats.vectorized
+            assert vec.rows == row.rows
+            assert vec.stats.rows_columnar == {"m": read}, sql
+            charged[read] = row.stats.rows_columnar["m"]
+        # the pushed grp = 2 charges the rows that passed it, the row
+        # tree's scan the rows it read to find them
+        assert charged[3] == 3 and charged[2] > 2 and charged[1000] == 1000
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_an_empty_replica_binds_no_pushed_constant(self, partitions):
+        """As the row filter does: ``1 / 0`` is evaluated at the first
+        live row, so an empty replica answers, routed or not."""
+        db = _replica(partitions, 0)
+        sql = "SELECT id FROM m WHERE grp > 1 / 0"
+        vec, row = _both(db, sql)
+        assert vec.rows == row.rows == []
+        for vectorized in (True, False):
+            db.executor.use_vectorized = vectorized
+            try:
+                assert db.query(sql).rows == []
+            finally:
+                db.executor.use_vectorized = True
+        db.bulk_load("m", [(0, 1, 0.5, "a")])
+        db.replicate()
+        for vectorized in (True, False):
+            db.executor.use_vectorized = vectorized
+            try:
+                with pytest.raises(ExecutionError, match="division by zero"):
+                    _routed(db, sql)
+            finally:
+                db.executor.use_vectorized = True
 
 
 class TestBatchContainer:
